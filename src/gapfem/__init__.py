@@ -74,8 +74,6 @@ from .spaces import (
     nodal_average,
     pi0,
     pi_side,
-    rt_cellaverage,
-    rt_divergence,
     rt_interpolate,
 )
 

@@ -3,7 +3,8 @@
 The REFINE step bisects every marked element twice (newest-vertex bisection
 with conforming closure after each generation), so theta = 0 quarters every
 element and halves the mesh size, reproducing the uniform-refinement DOF
-sequence of the benchmark tables.
+sequence of the benchmark tables.  `identity_rows` checks the discrete
+Prager-Synge identity on the same uniform refinement sequence.
 """
 
 import json
@@ -13,13 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .duality import (
+    energies_stokes,
     gap_indicator_elasticity,
     gap_indicator_stokes,
     oscillation_indicator,
+    random_divfree_cr,
+    random_divfree_rt,
+    strong_convexity_stokes,
 )
 from .mesh import refine_bisection
 from .problems import discretize_elasticity, discretize_stokes, exact_errors
-from .spaces import nodal_average
+from .spaces import RTField, nodal_average
 
 
 @dataclass
@@ -243,3 +248,50 @@ def run_adaptive(problem, config):
         if k < config.max_iter:
             mesh = refine_marked_twice(mesh, marked)
     return RunReport(problem.name, config, records)
+
+
+def identity_rows(problem, levels, seeds, seed_offset=0, tamper=False):
+    """Relative identity errors for random admissible pairs per level."""
+    mesh = problem.mesh_factory()
+    rows = []
+    for level in range(1, levels + 1):
+        sol = discretize_stokes(problem, mesh)
+        errs = exact_errors(sol, problem, mesh)
+        for i in range(1, seeds + 1):
+            seed = seed_offset + 1000 * level + i
+            # vary the perturbation size around the discretisation error
+            size = 0.5 + ((7 * seed) % 8) / 4.0
+            v = sol.u_h + random_divfree_cr(
+                mesh, seed, scale=size * np.sqrt(2.0 / problem.nu) * errs["primal"]
+            )
+            tau = sol.t_h + random_divfree_rt(
+                mesh, seed + 500000,
+                scale=size * np.sqrt(2.0 * problem.nu) * errs["dual"],
+            )
+            if tamper:
+                # break the divergence constraint on one element
+                flux = tau.flux.copy()
+                flux[0, mesh.element_sides[0, 0]] += 0.1 * (1.0 + flux.max())
+                tau = RTField(mesh, flux)
+            en = energies_stokes(v, tau, sol.system)
+            rho = strong_convexity_stokes(v, tau, sol)
+            gap = en["primal"] - en["dual"]
+            rho_tot = rho["primal"] + rho["dual"]
+            if not np.isfinite(gap):
+                rel = np.inf
+            else:
+                rel = abs(gap - rho_tot) / rho_tot
+            rows.append(
+                {
+                    "level": level,
+                    "sample": i,
+                    "num_dof": num_dof("stokes", mesh),
+                    "rho_primal": rho["primal"],
+                    "rho_dual": rho["dual"],
+                    "gap": gap,
+                    "err_iden": rel,
+                }
+            )
+        if level < levels:
+            mesh = refine_marked_twice(mesh, range(mesh.num_elements))
+    return rows

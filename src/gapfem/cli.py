@@ -8,27 +8,12 @@ import sys
 
 import numpy as np
 
-from .adaptive import AdaptiveConfig, eoc, refine_marked_twice, run_adaptive
-from .duality import (
-    energies_stokes,
-    random_divfree_cr,
-    random_divfree_rt,
-    strong_convexity_stokes,
-)
+from .adaptive import AdaptiveConfig, _fmt, identity_rows, run_adaptive
 from .forms import SingularSystemError
-from .problems import discretize_stokes, exact_errors, get_problem
+from .problems import get_problem
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
-
-
-def _fmt(x):
-    if isinstance(x, (int, np.integer)):
-        return str(x)
-    x = float(x)
-    if x != 0.0 and abs(x) < 1e-3:
-        return f"{x:.6e}"
-    return f"{x:.6f}"
 
 
 def build_parser():
@@ -45,7 +30,6 @@ def build_parser():
     run.add_argument("--theta", type=float, default=0.5)
     run.add_argument("--max-iter", type=int, default=10)
     run.add_argument("--eps-stop", type=float, default=0.0)
-    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--out", default=None, help="report file path")
     run.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -65,7 +49,6 @@ def build_parser():
 
     tab = sub.add_parser("table1", help="uniform Taylor-Green error table")
     tab.add_argument("--max-iter", type=int, default=4, help="number of levels")
-    tab.add_argument("--seed", type=int, default=0)
     tab.add_argument("--out", default=None)
     tab.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser
@@ -99,56 +82,6 @@ def cmd_run(args):
             report.to_json(args.out)
         print(f"report written to {args.out}")
     return 0
-
-
-def identity_rows(problem, levels, seeds, seed_offset=0, tamper=False):
-    """Relative identity errors for random admissible pairs per level."""
-    mesh = problem.mesh_factory()
-    rows = []
-    for level in range(1, levels + 1):
-        sol = discretize_stokes(problem, mesh)
-        errs = exact_errors(sol, problem, mesh)
-        num_dof = 2 * mesh.num_sides + mesh.num_elements
-        for i in range(1, seeds + 1):
-            seed = seed_offset + 1000 * level + i
-            # vary the perturbation size around the discretisation error
-            size = 0.5 + ((7 * seed) % 8) / 4.0
-            v = sol.u_h + random_divfree_cr(
-                mesh, seed, scale=size * np.sqrt(2.0 / problem.nu) * errs["primal"]
-            )
-            tau = sol.t_h + random_divfree_rt(
-                mesh, seed + 500000,
-                scale=size * np.sqrt(2.0 * problem.nu) * errs["dual"],
-            )
-            if tamper:
-                # break the divergence constraint on one element
-                flux = tau.flux.copy()
-                flux[0, mesh.element_sides[0, 0]] += 0.1 * (1.0 + flux.max())
-                from .spaces import RTField
-
-                tau = RTField(mesh, flux)
-            en = energies_stokes(v, tau, sol.system)
-            rho = strong_convexity_stokes(v, tau, sol)
-            gap = en["primal"] - en["dual"]
-            rho_tot = rho["primal"] + rho["dual"]
-            if not np.isfinite(gap):
-                rel = np.inf
-            else:
-                rel = abs(gap - rho_tot) / rho_tot
-            rows.append(
-                {
-                    "level": level,
-                    "sample": i,
-                    "num_dof": num_dof,
-                    "rho_primal": rho["primal"],
-                    "rho_dual": rho["dual"],
-                    "gap": gap,
-                    "err_iden": rel,
-                }
-            )
-        if level < levels:
-            mesh = refine_marked_twice(mesh, range(mesh.num_elements))
-    return rows
 
 
 def cmd_verify_identity(args):
@@ -207,26 +140,13 @@ def cmd_table1(args):
     except SingularSystemError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
-    dofs = [r.num_dof for r in report.records]
-    ep = [r.errors["err_primal"] for r in report.records]
-    ed = [r.errors["err_dual"] for r in report.records]
-    hs = np.asarray(dofs, dtype=float) ** -0.5
-    eoc_p = eoc(ep, hs)
-    eoc_d = eoc(ed, hs)
-    header = ["num_dof", "err_u", "eoc_u", "err_T", "eoc_T"]
-    lines = [",".join(header)]
-    for k in range(len(dofs)):
-        lines.append(
-            ",".join(
-                [
-                    str(dofs[k]),
-                    _fmt(ep[k]),
-                    _fmt(eoc_p[k - 1]) if k else "-",
-                    _fmt(ed[k]),
-                    _fmt(eoc_d[k - 1]) if k else "-",
-                ]
-            )
-        )
+    lines = ["num_dof,err_u,eoc_u,err_T,eoc_T"]
+    for k, r in enumerate(report.records):
+        cells = [str(r.num_dof)]
+        for name in ("err_primal", "err_dual"):
+            rate = _fmt(report.eoc[name][k - 1]) if k else "-"
+            cells += [_fmt(r.errors[name]), rate]
+        lines.append(",".join(cells))
     for line in lines:
         print(line)
     if args.out:

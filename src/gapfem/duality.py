@@ -9,10 +9,9 @@ stress-tests with randomized admissible perturbations.
 """
 
 import numpy as np
-import scipy.sparse as sparse
 
 from . import mesh as _mesh
-from .forms import cr_divergence_matrix, cr_stiffness
+from .forms import Factorization, StokesSaddle
 from .quadrature import physical_points, triangle_rule
 from .spaces import (
     CRField,
@@ -487,61 +486,21 @@ def random_divfree_cr(mesh, seed, scale=1.0):
 def project_divfree_cr(v):
     """Broken-H1-orthogonal projection onto the divergence-free subspace.
 
-    The saddle factorization is cached on the mesh so repeated projections
-    (one per random sample) reuse it.
+    Solves the nu = 1 Stokes saddle system with load A v.  Its factor is
+    cached on the mesh, so repeated projections (one per random sample)
+    reuse it; every solve is residual-checked.
     """
-    import scipy.sparse.linalg as sla
-
     mesh = v.mesh
-    ns = mesh.num_sides
-    cache = mesh.__dict__.setdefault("_divfree_projector", None)
-    if cache is None:
-        free = np.nonzero(mesh.side_labels != _mesh.DIRICHLET)[0]
-        idx = np.concatenate([free, free + ns])
-        k_scal = cr_stiffness(mesh)
-        a = sparse.block_diag([k_scal, k_scal]).tocsr()
-        b = (sparse.diags(mesh.areas) @ cr_divergence_matrix(mesh))[:, idx]
-        a_ff = a[idx][:, idx]
-        blocks = [[a_ff, b.T], [b, None]]
-        extra = 0
-        # pin the pressure gauge when no Neumann side exists
-        if len(mesh.sides_with_label(_mesh.NEUMANN)) == 0:
-            gauge = sparse.coo_matrix(
-                (mesh.areas, (np.zeros(mesh.num_elements, dtype=int),
-                              np.arange(mesh.num_elements))),
-                shape=(1, mesh.num_elements),
-            )
-            blocks = [
-                [a_ff, b.T, None],
-                [b, None, gauge.T],
-                [None, gauge, None],
-            ]
-            extra = 1
-        mat = sparse.bmat(blocks, format="csc")
-        cache = {
-            "lu": sla.splu(mat),
-            "mat": mat,
-            "a_full": a,
-            "idx": idx,
-            "free": free,
-            "extra": extra,
-        }
-        mesh.__dict__["_divfree_projector"] = cache
+
+    def build():
+        saddle = StokesSaddle(mesh, 1.0)
+        return saddle, Factorization(saddle.matrix)
+
+    saddle, factor = mesh.cached("divfree_projector", build)
     vvec = np.concatenate([v.values[:, 0], v.values[:, 1]])
-    rhs = np.concatenate(
-        [
-            (cache["a_full"] @ vvec)[cache["idx"]],
-            np.zeros(mesh.num_elements + cache["extra"]),
-        ]
-    )
-    x = cache["lu"].solve(rhs)
-    x += cache["lu"].solve(rhs - cache["mat"] @ x)
-    out = np.zeros((ns, 2))
-    free = cache["free"]
-    nf = len(free)
-    out[free, 0] = x[:nf]
-    out[free, 1] = x[nf: 2 * nf]
-    return CRField(mesh, out)
+    rhs = saddle.restrict(saddle.a_full @ vvec, np.zeros(mesh.num_elements))
+    x, _ = factor.solve(rhs)
+    return saddle.velocity(x)
 
 
 def random_divfree_rt(mesh, seed, scale=1.0):

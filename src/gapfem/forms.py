@@ -14,7 +14,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 
 from . import mesh as _mesh
-from .spaces import CRField, P0Field, broken_divergence
+from .spaces import CRField, P0Field, _trace_coefficients, broken_divergence, jump_eval
 
 
 class AssemblyError(Exception):
@@ -39,42 +39,59 @@ class LinearSolveReport:
         )
 
 
-def solve_sparse(matrix, rhs, tol=1e-10, max_refine=4):
-    """Direct sparse solve with iterative refinement.
+class Factorization:
+    """Sparse LU factorisation whose solves are residual-checked.
 
-    The reported residual is the normwise backward error
-    ||b - A x|| / (||A||_inf ||x|| + ||b||).  Refinement repeats while it
-    improves.  Returns (solution, LinearSolveReport); raises
-    SingularSystemError if the factorization fails or the final residual
-    exceeds `tol`.
+    `solve` reports the normwise backward error
+    ||b - A x|| / (||A||_inf ||x|| + ||b||) and refines iteratively while
+    it improves.  SingularSystemError is raised if the factorisation fails
+    or the final backward error exceeds `tol`.
     """
-    a = matrix.tocsc()
-    try:
-        lu = sla.splu(a)
-        x = lu.solve(rhs)
-    except RuntimeError as exc:
-        raise SingularSystemError(str(exc)) from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularSystemError("factorization produced non-finite values")
-    norm_a = np.abs(a).sum(axis=1).max() if a.nnz else 1.0
-    norm_b = np.linalg.norm(rhs)
 
-    def backward_error(y):
-        denom = norm_a * np.linalg.norm(y) + norm_b
-        return np.linalg.norm(rhs - a @ y) / (denom if denom > 0 else 1.0)
+    def __init__(self, matrix):
+        self.matrix = matrix.tocsc()
+        try:
+            self.lu = sla.splu(self.matrix)
+        except RuntimeError as exc:
+            raise SingularSystemError(str(exc)) from exc
+        a = self.matrix
+        self.norm = np.abs(a).sum(axis=1).max() if a.nnz else 1.0
 
-    res = backward_error(x)
-    for _ in range(max_refine):
-        if res <= 1e-4 * tol:
-            break
-        x_new = x + lu.solve(rhs - a @ x)
-        res_new = backward_error(x_new)
-        if res_new >= res:
-            break
-        x, res = x_new, res_new
-    if res > tol:
-        raise SingularSystemError(f"relative residual {res:.3e} exceeds {tol:.1e}")
-    return x, LinearSolveReport(res, "superlu")
+    def solve(self, rhs, tol=1e-10, max_refine=4):
+        """Returns (solution, LinearSolveReport)."""
+        a, lu = self.matrix, self.lu
+        try:
+            x = lu.solve(rhs)
+        except RuntimeError as exc:
+            raise SingularSystemError(str(exc)) from exc
+        if not np.all(np.isfinite(x)):
+            raise SingularSystemError("factorization produced non-finite values")
+        norm_b = np.linalg.norm(rhs)
+
+        def backward_error(y):
+            denom = self.norm * np.linalg.norm(y) + norm_b
+            return np.linalg.norm(rhs - a @ y) / (denom if denom > 0 else 1.0)
+
+        res = backward_error(x)
+        for _ in range(max_refine):
+            if res <= 1e-4 * tol:
+                break
+            x_new = x + lu.solve(rhs - a @ x)
+            res_new = backward_error(x_new)
+            if res_new >= res:
+                break
+            x, res = x_new, res_new
+        if res > tol:
+            raise SingularSystemError(f"relative residual {res:.3e} exceeds {tol:.1e}")
+        return x, LinearSolveReport(res, "superlu")
+
+
+def solve_sparse(matrix, rhs, tol=1e-10, max_refine=4):
+    """One-shot factor-and-solve: Factorization(matrix).solve(rhs, ...).
+
+    Returns (solution, LinearSolveReport); the factor is discarded.
+    """
+    return Factorization(matrix).solve(rhs, tol=tol, max_refine=max_refine)
 
 
 def dump_matrix(matrix, path):
@@ -132,25 +149,6 @@ def cr_divergence_matrix(mesh):
 _ENDPOINT_MASS = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
 
 
-def _trace_coefficients(mesh, sides, slot):
-    """Endpoint trace coefficients of the three CR basis functions.
-
-    For each side in `sides` and the adjacent element in `slot` (0 primary,
-    1 secondary), returns (dofs (m,3), coef (m,2,3)) such that the trace of
-    the CR function at side endpoint k is sum_j coef[m,k,j] * value[dofs[m,j]].
-    """
-    elems = mesh.side_elements[sides, slot]
-    loc = mesh.side_local[sides, slot]
-    if slot == 0:
-        lv0, lv1 = loc, (loc + 1) % 3
-    else:
-        lv0, lv1 = (loc + 1) % 3, loc
-    j = np.arange(3)
-    coef0 = 1.0 - 2.0 * (j[None, :] == ((lv0 + 1) % 3)[:, None])
-    coef1 = 1.0 - 2.0 * (j[None, :] == ((lv1 + 1) % 3)[:, None])
-    return mesh.element_sides[elems], np.stack([coef0, coef1], axis=1)
-
-
 def jump_penalty_matrix(mesh, weight_per_side):
     """Scalar jump form sum_S w_S int_S [u][v] ds as CSR (ns x ns).
 
@@ -195,22 +193,21 @@ def jump_penalty_matrix(mesh, weight_per_side):
 
 def jump_form_value(mesh, weight_per_side, u, v):
     """Evaluate the weighted jump form s_h(u, v) for two CR fields."""
-    mat = _cached_jump_matrix(mesh, weight_per_side)
-    uu = np.concatenate([u.values[:, 0], u.values[:, 1]])
-    vv = np.concatenate([v.values[:, 0], v.values[:, 1]])
-    return float(uu @ (mat @ vv))
+    mat = jump_penalty_matrix(mesh, weight_per_side)
+    return float(sum(u.values[:, i] @ (mat @ v.values[:, i]) for i in range(2)))
 
 
-def _cached_jump_matrix(mesh, weight_per_side):
-    cache = mesh.__dict__.setdefault("_jump_matrix_cache", {})
-    key = hash(np.asarray(weight_per_side).tobytes())
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    scal = jump_penalty_matrix(mesh, weight_per_side)
-    full = sparse.block_diag([scal, scal]).tocsr()
-    cache[key] = full
-    return full
+def stabilization_jump_matrix(mesh, mu):
+    """Jump form with stabilization_weights(mesh, mu) on both components.
+
+    A (2 ns, 2 ns) CSR matrix, built once per mesh and mu.
+    """
+
+    def build():
+        scal = jump_penalty_matrix(mesh, stabilization_weights(mesh, mu))
+        return sparse.block_diag([scal, scal]).tocsr()
+
+    return mesh.cached(("jump_matrix", mu), build)
 
 
 def stabilization_weights(mesh, mu):
@@ -267,20 +264,16 @@ def stabilization_energy(mesh, mu, u_total, datum, npoints=8):
         sel = mesh.sides_with_label(label)
         if len(sel) == 0:
             continue
-        d0, c0 = _trace_coefficients(mesh, sel, 0)
-        tr0 = np.einsum("mkj,mji->mki", c0, u_total.values[d0])  # (m, 2, 2)
+        jump_end = jump_eval(u_total, sel)  # (m, 2, 2) endpoint values
         if label == _mesh.INTERIOR:
-            d1, c1 = _trace_coefficients(mesh, sel, 1)
-            tr1 = np.einsum("mkj,mji->mki", c1, u_total.values[d1])
-            jump_end = tr0 - tr1  # endpoint values of the affine jump
             total += np.sum(
                 (2.0 * mu)
                 * np.einsum("mki,kl,mli->m", jump_end, _ENDPOINT_MASS, jump_end)
             )
         else:
-            tq = tr0[:, 0, :][:, None] * (1 - t)[None, :, None] + tr0[:, 1, :][
-                :, None
-            ] * t[None, :, None]  # (m, q, 2)
+            tq = jump_end[:, 0, :][:, None] * (1 - t)[None, :, None] + jump_end[
+                :, 1, :
+            ][:, None] * t[None, :, None]  # (m, q, 2)
             if datum is not None:
                 pts = side_points(mesh, t, sides=sel)
                 tq = tq - np.asarray(datum(pts))
@@ -328,38 +321,40 @@ def load_value(mesh, f_h, big_f_h, g_h, v):
 # -- Stokes --------------------------------------------------------------------
 
 
-class StokesSystem:
-    """Assembled discrete Stokes saddle-point system.
+def _free_dofs(mesh):
+    """Non-Dirichlet sides and their DOFs in both components."""
+    free = np.nonzero(mesh.side_labels != _mesh.DIRICHLET)[0]
+    return free, np.concatenate([free, free + mesh.num_sides])
 
-    Unknowns: free velocity DOFs (both components) followed by element
-    pressures; with an empty Neumann set one extra Lagrange multiplier
+
+def _free_field(mesh, free, x):
+    """CR field holding x's two component blocks on the free sides, zero elsewhere."""
+    vals = np.zeros((mesh.num_sides, 2))
+    nf = len(free)
+    vals[free, 0] = x[:nf]
+    vals[free, 1] = x[nf: 2 * nf]
+    return CRField(mesh, vals)
+
+
+class StokesSaddle:
+    """The CR-P0 Stokes saddle operator of one mesh and viscosity nu.
+
+    a_full = nu * (vector CR stiffness) and b_full = -(q, div_h v), with q
+    the element pressures, act on all CR DOFs.  `matrix` is
+    [[A, B^T], [B, 0]] with A and B restricted to the free velocity DOFs
+    `vel_index`; with an empty Neumann set one extra Lagrange multiplier
     enforces the zero-mean pressure gauge.
     """
 
-    def __init__(self, mesh, nu, u_hat, f_h, big_f_h, g_h):
+    def __init__(self, mesh, nu):
         self.mesh = mesh
-        self.nu = nu
-        self.u_hat = u_hat
-        self.f_h = f_h
-        self.big_f_h = big_f_h
-        self.g_h = g_h
-
-        ns = mesh.num_sides
-        free = np.nonzero(mesh.side_labels != _mesh.DIRICHLET)[0]
-        self.free_sides = free
-        self.vel_index = np.concatenate([free, free + ns])
-
+        self.free_sides, self.vel_index = _free_dofs(mesh)
         k_scal = nu * cr_stiffness(mesh)
-        a_full = sparse.block_diag([k_scal, k_scal]).tocsr()
-        b_full = -cr_divergence_matrix(mesh)
+        self.a_full = sparse.block_diag([k_scal, k_scal]).tocsr()
         # (q, div v) weighted by element areas
-        b_full = sparse.diags(mesh.areas) @ b_full
-
-        self.a_full = a_full
-        self.b_full = b_full
-
-        a = a_full[self.vel_index][:, self.vel_index]
-        b = b_full[:, self.vel_index]
+        self.b_full = sparse.diags(mesh.areas) @ -cr_divergence_matrix(mesh)
+        a = self.a_full[self.vel_index][:, self.vel_index]
+        b = self.b_full[:, self.vel_index]
 
         self.pure_dirichlet = len(mesh.sides_with_label(_mesh.NEUMANN)) == 0
         blocks = [[a, b.T], [b, None]]
@@ -376,6 +371,32 @@ class StokesSystem:
             ]
         self.matrix = sparse.bmat(blocks, format="csc")
 
+    def restrict(self, load_v, load_p):
+        """Right-hand side for a load on all CR DOFs and one per element."""
+        return np.concatenate(
+            [load_v[self.vel_index], load_p, np.zeros(int(self.pure_dirichlet))]
+        )
+
+    def velocity(self, x):
+        """Velocity part of a solution vector as a homogeneous CR field."""
+        return _free_field(self.mesh, self.free_sides, x)
+
+
+class StokesSystem(StokesSaddle):
+    """Assembled discrete Stokes saddle-point system and its load.
+
+    Unknowns: free velocity DOFs (both components) followed by element
+    pressures and, on pure-Dirichlet meshes, the gauge multiplier.
+    """
+
+    def __init__(self, mesh, nu, u_hat, f_h, big_f_h, g_h):
+        super().__init__(mesh, nu)
+        self.nu = nu
+        self.u_hat = u_hat
+        self.f_h = f_h
+        self.big_f_h = big_f_h
+        self.g_h = g_h
+
         uhat_vec = np.concatenate([u_hat.values[:, 0], u_hat.values[:, 1]])
         div_lift = broken_divergence(u_hat).values
         if np.abs(div_lift).max() > 1e-10:
@@ -383,12 +404,8 @@ class StokesSystem:
                 "Dirichlet lift is not discretely divergence-free "
                 f"(max |div_h| = {np.abs(div_lift).max():.2e})"
             )
-        rhs_v = load_vector(mesh, f_h, big_f_h, g_h) - a_full @ uhat_vec
-        rhs_p = -(b_full @ uhat_vec)
-        parts = [rhs_v[self.vel_index], rhs_p]
-        if self.pure_dirichlet:
-            parts.append(np.zeros(1))
-        self.rhs = np.concatenate(parts)
+        rhs_v = load_vector(mesh, f_h, big_f_h, g_h) - self.a_full @ uhat_vec
+        self.rhs = self.restrict(rhs_v, -(self.b_full @ uhat_vec))
 
     def load(self, v):
         return load_value(self.mesh, self.f_h, self.big_f_h, self.g_h, v)
@@ -397,12 +414,8 @@ class StokesSystem:
         """Solve; returns (u_h, p_h, report) with u_h in the homogeneous space."""
         x, report = solve_sparse(self.matrix, self.rhs, tol=tol)
         nfree = len(self.vel_index)
-        uvals = np.zeros((self.mesh.num_sides, 2))
-        uvals[self.free_sides, 0] = x[: len(self.free_sides)]
-        uvals[self.free_sides, 1] = x[len(self.free_sides): nfree]
-        u_h = CRField(self.mesh, uvals)
         p_h = P0Field(self.mesh, x[nfree: nfree + self.mesh.num_elements])
-        return u_h, p_h, report
+        return self.velocity(x), p_h, report
 
     def residual(self, u_h, p_h):
         """Euler-Lagrange residual tested against every free CR basis function."""
@@ -456,9 +469,7 @@ class ElasticitySystem:
         self.dirichlet_datum = dirichlet_datum
 
         ns = mesh.num_sides
-        free = np.nonzero(mesh.side_labels != _mesh.DIRICHLET)[0]
-        self.free_sides = free
-        self.vel_index = np.concatenate([free, free + ns])
+        self.free_sides, self.vel_index = _free_dofs(mesh)
 
         mu, lam = material.mu, material.lam
         dtheta = _cr_dtheta(mesh)
@@ -491,9 +502,7 @@ class ElasticitySystem:
             shape=(2 * ns, 2 * ns),
         ).tocsr()
 
-        self.s_weights = stabilization_weights(mesh, mu)
-        s_full = _cached_jump_matrix(mesh, self.s_weights)
-        self.a_full = k_eps + s_full
+        self.a_full = k_eps + stabilization_jump_matrix(mesh, mu)
         self.matrix = self.a_full[self.vel_index][:, self.vel_index].tocsc()
         self.datum_load = dirichlet_penalty_load(mesh, mu, dirichlet_datum)
 
@@ -508,9 +517,6 @@ class ElasticitySystem:
     def load(self, v):
         return load_value(self.mesh, self.f_h, self.big_f_h, self.g_h, v)
 
-    def s_h(self, u, v):
-        return jump_form_value(self.mesh, self.s_weights, u, v)
-
     def s_h_total(self, u_total):
         """Penalty energy of a total field against the stored datum."""
         return stabilization_energy(
@@ -519,11 +525,7 @@ class ElasticitySystem:
 
     def solve(self, tol=1e-10):
         x, report = solve_sparse(self.matrix, self.rhs, tol=tol)
-        uvals = np.zeros((self.mesh.num_sides, 2))
-        nf = len(self.free_sides)
-        uvals[self.free_sides, 0] = x[:nf]
-        uvals[self.free_sides, 1] = x[nf:]
-        return CRField(self.mesh, uvals), report
+        return _free_field(self.mesh, self.free_sides, x), report
 
     def residual(self, u_h):
         uvec = np.concatenate([u_h.values[:, 0], u_h.values[:, 1]])
@@ -552,17 +554,11 @@ def solve_lifting(mesh, u_total, mu, dirichlet_datum=None, tol=1e-10):
     are 2 mu / h_S on interior and Dirichlet sides, where Dirichlet jumps
     are deviations from the boundary datum.
     """
-    ns = mesh.num_sides
-    free = np.nonzero(mesh.side_labels != _mesh.DIRICHLET)[0]
-    idx = np.concatenate([free, free + ns])
+    free, idx = _free_dofs(mesh)
     k_scal = cr_stiffness(mesh)
     a = sparse.block_diag([k_scal, k_scal]).tocsr()[idx][:, idx].tocsc()
-    s_full = _cached_jump_matrix(mesh, stabilization_weights(mesh, mu))
+    s_full = stabilization_jump_matrix(mesh, mu)
     uvec = np.concatenate([u_total.values[:, 0], u_total.values[:, 1]])
     rhs = (s_full @ uvec - dirichlet_penalty_load(mesh, mu, dirichlet_datum))[idx]
     x, _ = solve_sparse(a, rhs, tol=tol)
-    vals = np.zeros((ns, 2))
-    nf = len(free)
-    vals[free, 0] = x[:nf]
-    vals[free, 1] = x[nf:]
-    return CRField(mesh, vals)
+    return _free_field(mesh, free, x)

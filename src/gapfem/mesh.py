@@ -77,7 +77,7 @@ class Triangulation:
 
         self._build_sides(side_labels_by_pair)
         self._check_conformity()
-        self._geometry_cache = None
+        self._cache = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -190,15 +190,26 @@ class Triangulation:
     def total_area(self):
         return float(self.areas.sum())
 
+    def cached(self, key, build):
+        """Value of build() for `key`, computed once per mesh.
+
+        The one per-mesh cache: geometry, the stabilisation jump matrix per
+        mu and the divergence-free projector's factor live here.
+        """
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def geometry(self):
-        """Cache and return per-element/per-side geometric arrays.
+        """Per-element/per-side geometric arrays, computed once per mesh.
 
         Returns a dict with centroids (ne,2), diameters h_T (ne,), side
         lengths (ns,), side midpoints (ns,2), unit normals (ns,2), and the
         P1 barycentric gradients grad_lambda (ne,3,2).
         """
-        if self._geometry_cache is not None:
-            return self._geometry_cache
+        return self.cached("geometry", self._geometry)
+
+    def _geometry(self):
         v = self.vertices
         el = self.elements
         p = v[el]  # (ne, 3, 2)
@@ -218,7 +229,7 @@ class Triangulation:
         midpoints = 0.5 * (v[sv[:, 0]] + v[sv[:, 1]])
         normals = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / lengths[:, None]
 
-        self._geometry_cache = {
+        return {
             "centroids": centroids,
             "h_t": h_t,
             "edge_len": edge_len,
@@ -227,7 +238,6 @@ class Triangulation:
             "side_midpoint": midpoints,
             "side_normal": normals,
         }
-        return self._geometry_cache
 
     def sides_with_label(self, label):
         return np.nonzero(self.side_labels == label)[0]

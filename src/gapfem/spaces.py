@@ -267,51 +267,48 @@ def broken_divergence(v):
     return P0Field(v.mesh, g.values[:, 0, 0] + g.values[:, 1, 1])
 
 
-def rt_divergence(tau):
-    """Row-wise divergence of an RT field (element-wise constant)."""
-    return tau.divergence()
-
-
-def rt_cellaverage(tau):
-    """Element average of an RT field (value of the local affine at the centroid)."""
-    return tau.cell_average()
-
-
 def cr_values_p0(v):
     """Element averages Pi_h v of a CR field (exact: value at the centroid)."""
     vv = v.values[v.mesh.element_sides]
     return P0Field(v.mesh, vv.mean(axis=1))
 
 
-def cr_trace_endpoints(v, side, element):
-    """Trace of v restricted to `element`, at the two endpoints of `side`."""
-    m = v.mesh
-    local = np.nonzero(m.element_sides[element] == side)[0][0]
-    vals = v.values[m.element_sides[element]]  # (3, 2)
-    sv = m.side_vertices[side]
-    out = np.empty((2, 2))
-    for k, vertex in enumerate(sv):
-        lv = np.nonzero(m.elements[element] == vertex)[0][0]
-        # theta_j(vertex k) = 1 - 2 [j == k+1 mod 3]
-        coeff = np.ones(3)
-        coeff[(lv + 1) % 3] = -1.0
-        out[k] = coeff @ vals
-    return out
+def _trace_coefficients(mesh, sides, slot):
+    """Endpoint trace coefficients of the three CR basis functions.
+
+    For each side in `sides` and the adjacent element in `slot` (0 primary,
+    1 secondary), returns (dofs (m,3), coef (m,2,3)) such that the trace of
+    the CR function at side endpoint k is sum_j coef[m,k,j] * value[dofs[m,j]].
+    """
+    elems = mesh.side_elements[sides, slot]
+    loc = mesh.side_local[sides, slot]
+    if slot == 0:
+        lv0, lv1 = loc, (loc + 1) % 3
+    else:
+        lv0, lv1 = (loc + 1) % 3, loc
+    # theta_j(vertex k) = 1 - 2 [j == k+1 mod 3]
+    j = np.arange(3)
+    coef0 = 1.0 - 2.0 * (j[None, :] == ((lv0 + 1) % 3)[:, None])
+    coef1 = 1.0 - 2.0 * (j[None, :] == ((lv1 + 1) % 3)[:, None])
+    return mesh.element_sides[elems], np.stack([coef0, coef1], axis=1)
 
 
-def jump_eval(v, s):
-    """Jump of a CR field across side s as its two endpoint values (2, 2).
+def jump_eval(v, sides):
+    """Jumps of a CR field across an array of sides at their endpoints.
 
-    Interior sides: difference of traces ordered by the global normal
-    (trace from the element the normal points out of, minus the other).
-    Boundary sides: the trace itself.
+    Returns (m, 2, 2): [m, k] is the jump at endpoint k of sides[m], in
+    side_vertices order.  Interior sides: difference of traces ordered by
+    the global normal (trace from the element the normal points out of,
+    minus the other).  Boundary sides: the trace itself.
     """
     m = v.mesh
-    e1, e2 = m.side_elements[s]
-    tr1 = cr_trace_endpoints(v, s, e1)
-    if e2 < 0:
-        return tr1
-    return tr1 - cr_trace_endpoints(v, s, e2)
+    sides = np.asarray(sides, dtype=np.int64)
+    dofs, coef = _trace_coefficients(m, sides, 0)
+    jump = np.einsum("mkj,mji->mki", coef, v.values[dofs])
+    inner = m.side_elements[sides, 1] >= 0
+    dofs, coef = _trace_coefficients(m, sides[inner], 1)
+    jump[inner] -= np.einsum("mkj,mji->mki", coef, v.values[dofs])
+    return jump
 
 
 def nodal_average(v, mesh, dirichlet_values=None):
@@ -354,12 +351,6 @@ def nodal_average(v, mesh, dirichlet_values=None):
 
 
 # -- integrals ---------------------------------------------------------------
-
-
-def integrate_p0(field):
-    """Integral over the domain of a P0 field."""
-    w = field.mesh.areas
-    return np.einsum("n,n...->...", w, field.values)
 
 
 def norm_p0(field):

@@ -1,4 +1,19 @@
+from pathlib import Path
+
+import pytest
+
 from gapfem.cli import main
+
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
+
+# the benchmark's `run` workloads, whose reports must not change by a byte
+REFERENCE_RUNS = {
+    "tg-uniform": ["taylor-green", "--mode", "uniform", "--max-iter", "4"],
+    "lshape-adaptive": ["lshape", "--mode", "adaptive", "--theta", "0.5",
+                        "--max-iter", "13"],
+    "cook-adaptive": ["cook", "--mode", "adaptive", "--theta", "0.5",
+                      "--max-iter", "24"],
+}
 
 
 class TestRun:
@@ -34,11 +49,19 @@ class TestRun:
 
     def test_csv_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["run", "taylor-green", "--mode", "uniform", "--max-iter", "2",
-                "--seed", "3"]
+        args = ["run", "taylor-green", "--mode", "uniform", "--max-iter", "2"]
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_seed_flag_rejected(self):
+        assert main(["run", "taylor-green", "--seed", "3"]) == 1
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_RUNS))
+    def test_reference_csv_byte_identical(self, name, tmp_path):
+        out = tmp_path / f"{name}.csv"
+        assert main(["run"] + REFERENCE_RUNS[name] + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (REFERENCE / f"{name}.csv").read_bytes()
 
 
 class TestVerifyIdentity:

@@ -41,6 +41,10 @@ def all_dirichlet(mid):
     return DIRICHLET
 
 
+def mixed(mid):
+    return DIRICHLET if min(abs(mid[0]), abs(mid[0] - 1)) < 1e-12 else NEUMANN
+
+
 @pytest.fixture(scope="module")
 def tg_solution():
     prob = taylor_green_stokes()
@@ -349,23 +353,23 @@ class TestAdmissiblePair:
 
 class TestRandomFields:
     def test_divfree_cr_properties(self):
-        mesh = structured_square_mesh(5, all_dirichlet)
-        v1 = random_divfree_cr(mesh, 1)
-        v2 = random_divfree_cr(mesh, 2)
-        assert np.abs(broken_divergence(v1).values).max() < 1e-10
-        assert np.abs(v1.values[mesh.side_labels == DIRICHLET]).max() == 0.0
-        assert norm_p0(broken_gradient(v1 - v2)) > 1e-3
+        # all-Dirichlet (pressure gauge row) and mixed Dirichlet/Neumann
+        for labeler in (all_dirichlet, mixed):
+            mesh = structured_square_mesh(5, labeler)
+            v1 = random_divfree_cr(mesh, 1)
+            v2 = random_divfree_cr(mesh, 2)
+            assert np.abs(broken_divergence(v1).values).max() < 1e-10
+            assert np.abs(v1.values[mesh.side_labels == DIRICHLET]).max() == 0.0
+            assert norm_p0(broken_gradient(v1 - v2)) > 1e-3
 
     def test_projector_fixed_point(self):
-        mesh = structured_square_mesh(4, all_dirichlet)
-        v = random_divfree_cr(mesh, 5)
-        w = project_divfree_cr(v)
-        assert norm_p0(broken_gradient(w - v)) < 1e-12
+        for labeler in (all_dirichlet, mixed):
+            mesh = structured_square_mesh(4, labeler)
+            v = random_divfree_cr(mesh, 5)
+            w = project_divfree_cr(v)
+            assert norm_p0(broken_gradient(w - v)) < 1e-12
 
     def test_divfree_rt_properties(self):
-        def mixed(mid):
-            return DIRICHLET if min(abs(mid[0]), abs(mid[0] - 1)) < 1e-12 else NEUMANN
-
         mesh = structured_square_mesh(5, mixed)
         tau = random_divfree_rt(mesh, 3)
         assert np.abs(tau.divergence().values).max() < 1e-13

@@ -21,9 +21,11 @@ from gapfem import (
     structured_square_mesh,
 )
 from gapfem.forms import (
+    Factorization,
     cr_stiffness,
     dump_matrix,
     jump_form_value,
+    stabilization_jump_matrix,
     stabilization_weights,
 )
 from gapfem.spaces import norm_p0
@@ -59,6 +61,20 @@ class TestSolveSparse:
         a = sparse.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SingularSystemError):
             solve_sparse(a, np.array([1.0, 0.0]))
+
+    def test_factor_serves_many_rhs(self):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((30, 30))
+        a = sparse.csc_matrix(m @ m.T + 30.0 * np.eye(30))
+        factor = Factorization(a)
+        for _ in range(3):
+            b = rng.standard_normal(30)
+            x, report = factor.solve(b, tol=1e-12)
+            assert report.residual_norm <= 1e-12
+            assert np.abs(x - np.linalg.solve(a.toarray(), b)).max() < 1e-12
+        # a backward error below roundoff cannot be reached
+        with pytest.raises(SingularSystemError, match="exceeds"):
+            factor.solve(rng.standard_normal(30), tol=1e-30)
 
     def test_dump_matrix(self, tmp_path):
         a = sparse.csc_matrix(np.array([[1.0, 0.0], [2.0, 3.0]]))
@@ -198,6 +214,13 @@ class TestElasticityAssembly:
         print(f"empirical discrete Korn constant: {worst:.3f}")
         assert np.isfinite(worst) and worst > 0
 
+    def test_jump_matrix_cached_per_mu(self):
+        mesh = structured_square_mesh(3, tg_labeler)
+        s1 = stabilization_jump_matrix(mesh, 1.0)
+        assert stabilization_jump_matrix(mesh, 1.0) is s1
+        s2 = stabilization_jump_matrix(mesh, 2.0)
+        assert abs(s2 - 2.0 * s1).max() < 1e-12
+
 
 class TestLifting:
     def test_conforming_zero_trace_gives_zero(self):
@@ -231,11 +254,8 @@ class TestLifting:
         full = sparse.block_diag([k, k]).tocsr()
         rvec = np.concatenate([sol.r_h.values[:, 0], sol.r_h.values[:, 1]])
         utot = sol.u_h + sol.u_hat
-        weights = stabilization_weights(mesh, prob.material.mu)
-        from gapfem.forms import _cached_jump_matrix
-
         uvec = np.concatenate([utot.values[:, 0], utot.values[:, 1]])
-        res = full @ rvec - _cached_jump_matrix(mesh, weights) @ uvec
+        res = full @ rvec - stabilization_jump_matrix(mesh, prob.material.mu) @ uvec
         free = np.nonzero(mesh.side_labels != DIRICHLET)[0]
         ns = mesh.num_sides
         assert np.abs(np.concatenate([res[free], res[free + ns]])).max() < 1e-10
