@@ -42,11 +42,9 @@ from .mesh import (
     MeshError,
     Triangulation,
     build_triangulation,
-    element_geometry,
     load_mesh,
     refine_bisection,
     save_mesh,
-    side_geometry,
     structured_square_mesh,
 )
 from .problems import (

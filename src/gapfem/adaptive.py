@@ -183,25 +183,22 @@ def refine_marked_twice(mesh, marked):
 
 def _estimate(problem, mesh, sol):
     """Per-element indicator eta_T^2 = gap_T^2 + osc_T^2 and error norms."""
+    f_h, big_f_h = sol.system.f_h, sol.system.big_f_h
     if problem.kind == "stokes":
-        vhat = nodal_average(sol.u_h, mesh, dirichlet_values=None)
+        vhat = nodal_average(sol.u_h, mesh)
         gap = gap_indicator_stokes(
-            vhat, sol.t_h, problem.grad_lift, problem.nu, mesh,
-            big_f_h=sol.p0_big_f,
+            vhat, sol.t_h, problem.grad_lift, problem.nu, mesh, big_f_h=big_f_h
         )
     else:
-        u_d = problem.dirichlet_lift
         vhat = nodal_average(
-            sol.u_h + sol.u_hat, mesh, dirichlet_values=lambda x: u_d(x)
+            sol.u_h + sol.u_hat, mesh, dirichlet_values=problem.dirichlet_lift
         )
         gap = gap_indicator_elasticity(
-            vhat, sol.sigma_star, problem.material, mesh, big_f_h=sol.p0_big_f
+            vhat, sol.sigma_star, problem.material, mesh, big_f_h=big_f_h
         )
     osc = np.zeros(mesh.num_elements)
     if problem.f is not None or problem.big_f is not None:
-        osc = oscillation_indicator(
-            problem.f, sol.p0_f, problem.big_f, sol.p0_big_f, mesh
-        )
+        osc = oscillation_indicator(problem.f, f_h, problem.big_f, big_f_h, mesh)
     errors = {}
     if problem.exact is not None:
         errs = exact_errors(sol, problem, mesh)

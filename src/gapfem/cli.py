@@ -16,6 +16,14 @@ USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
 
 
+def _positive_int(text):
+    """argparse type for counts (levels, seeds, iterations): an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gapfem",
@@ -28,15 +36,15 @@ def build_parser():
     run.add_argument("problem", help="taylor-green, lshape, or cook")
     run.add_argument("--mode", choices=["uniform", "adaptive"], default="adaptive")
     run.add_argument("--theta", type=float, default=0.5)
-    run.add_argument("--max-iter", type=int, default=10)
+    run.add_argument("--max-iter", type=_positive_int, default=10)
     run.add_argument("--eps-stop", type=float, default=0.0)
     run.add_argument("--out", default=None, help="report file path")
     run.add_argument("--format", choices=["csv", "json"], default="csv")
 
     ver = sub.add_parser("verify-identity", help="randomized Prager-Synge check")
     ver.add_argument("--problem", default="taylor-green")
-    ver.add_argument("--levels", type=int, default=6)
-    ver.add_argument("--seeds", type=int, default=3)
+    ver.add_argument("--levels", type=_positive_int, default=6)
+    ver.add_argument("--seeds", type=_positive_int, default=3)
     ver.add_argument("--seed", type=int, default=0, help="seed offset")
     ver.add_argument("--threshold", type=float, default=1e-6)
     ver.add_argument("--out", default=None)
@@ -48,9 +56,9 @@ def build_parser():
     )
 
     tab = sub.add_parser("table1", help="uniform Taylor-Green error table")
-    tab.add_argument("--max-iter", type=int, default=4, help="number of levels")
+    tab.add_argument("--max-iter", type=_positive_int, default=4,
+                     help="number of levels")
     tab.add_argument("--out", default=None)
-    tab.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser
 
 
@@ -60,12 +68,16 @@ def cmd_run(args):
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    config = AdaptiveConfig(
-        theta=args.theta,
-        max_iter=args.max_iter,
-        eps_stop=args.eps_stop,
-        refinement_mode=args.mode,
-    )
+    try:
+        config = AdaptiveConfig(
+            theta=args.theta,
+            max_iter=args.max_iter,
+            eps_stop=args.eps_stop,
+            refinement_mode=args.mode,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         report = run_adaptive(problem, config)
     except SingularSystemError as exc:

@@ -77,68 +77,99 @@ class ElasticityTensor:
 # -- Marini reconstructions ----------------------------------------------------
 
 
+# largest interior discrepancy a reconstruction from a discrete solution may show
+JUMP_TOL = 1e-8
+
+
+def _two_sided(mesh, side_values):
+    """Average of per-side values over the views of the adjacent elements.
+
+    side_values(sel, e) returns the (m, 2) values that element e[k] gives
+    side sel[k].  Returns the (ns, 2) averages and the largest discrepancy
+    between the two views of an interior side.
+    """
+    ns = mesh.num_sides
+    out = np.zeros((ns, 2))
+    count = np.zeros(ns)
+    jump = 0.0
+    for slot in (0, 1):
+        sel = np.nonzero(mesh.side_elements[:, slot] >= 0)[0]
+        vals = side_values(sel, mesh.side_elements[sel, slot])
+        if slot == 0:
+            out[sel] = vals
+        else:
+            jump = np.abs(out[sel] - vals).max(initial=0.0)
+            out[sel] += vals
+        count[sel] += 1.0
+    return out / count[:, None], jump
+
+
 def _flux_from_local(mesh, p0_part, slope):
     """Side fluxes of the local fields row_i(x) = p0_part[T,i,:] + slope[T,i]*(x-x_T).
 
     Interior fluxes are taken from the two element views and must agree;
-    their maximum discrepancy is returned along with the averaged fluxes.
+    their maximum discrepancy is returned along with the (2, ns) averaged
+    fluxes.
     """
     geo = mesh.geometry()
     mid = geo["side_midpoint"]
     nrm = geo["side_normal"]
     cent = geo["centroids"]
-    ns = mesh.num_sides
-    flux = np.zeros((2, ns))
-    count = np.zeros(ns)
-    jump = np.zeros((2, ns))
-    for slot in (0, 1):
-        sel = np.nonzero(mesh.side_elements[:, slot] >= 0)[0]
-        e = mesh.side_elements[sel, slot]
+
+    def side_flux(sel, e):
         rel = mid[sel] - cent[e]  # (m, 2)
-        vals = np.einsum("mid,md->im", p0_part[e], nrm[sel]) + slope[
-            e
-        ].T * np.einsum("md,md->m", rel, nrm[sel])
-        if slot == 0:
-            flux[:, sel] = vals
-        else:
-            jump[:, sel] = flux[:, sel] - vals
-            flux[:, sel] += vals
-        count[sel] += 1.0
-    flux /= count
-    return flux, np.abs(jump).max(initial=0.0)
+        return (
+            np.einsum("mid,md->im", p0_part[e], nrm[sel])
+            + slope[e].T * np.einsum("md,md->m", rel, nrm[sel])
+        ).T
+
+    flux, jump = _two_sided(mesh, side_flux)
+    return np.ascontiguousarray(flux.T), jump
 
 
-def marini_stokes(u_h, p_h, u_hat, f_h, nu, mesh, big_f_h=None, jump_tol=1e-8):
-    """Stress reconstruction from the discrete Stokes solution.
+def _equilibrate(mesh, p0_part, f_h, big_f_h, cause):
+    """RT field p0_part - F_h - (1/d) f_h otimes (id - Pi_h id), d = 2.
 
-    T_h = nu grad_h(u_h + u_hat) - p_h I - (1/d) f_h otimes (id - Pi_h id).
-
-    With a tensor load part F_h the returned field is the Raviart-Thomas
-    part T_h - F_h (the full stress is the sum of the two); without one it
-    is the stress itself.  A larger interior-flux discrepancy than
-    `jump_tol` signals that (u_h, p_h) does not solve the discrete system.
+    The one Marini equilibration: raises AdmissibilityError, naming `cause`,
+    if the interior flux jumps exceed JUMP_TOL, and records the largest jump
+    as `reconstruction_jump` on the returned field.
     """
-    grads = broken_gradient(u_h + u_hat).values
-    pvals = p_h.values if isinstance(p_h, P0Field) else np.asarray(p_h)
-    p0_part = nu * grads
-    p0_part[:, 0, 0] -= pvals
-    p0_part[:, 1, 1] -= pvals
     if big_f_h is not None:
         p0_part = p0_part - _p0_values(big_f_h, mesh, (mesh.num_elements, 2, 2))
     fv = _p0_values(f_h, mesh, (mesh.num_elements, 2))
-    slope = -0.5 * fv  # row slopes of -(1/d) f (x - x_T), d = 2
+    slope = -0.5 * fv  # row slopes of -(1/d) f (x - x_T)
     flux, jump = _flux_from_local(mesh, p0_part, slope)
-    if jump > jump_tol:
+    if jump > JUMP_TOL:
         raise AdmissibilityError(
-            f"stress reconstruction has interior flux jumps {jump:.3e}; "
-            "the input pair does not solve the discrete system"
+            f"stress reconstruction has interior flux jumps {jump:.3e}; {cause}"
         )
     field = RTField(mesh, flux)
     field.reconstruction_jump = jump
     return field
 
 
-def marini_stokes_inverse(t_h, u_bar, u_hat, nu, mesh, jump_tol=1e-8):
+def marini_stokes(u_h, p_h, u_hat, f_h, nu, mesh, big_f_h=None):
+    """Stress reconstruction from the discrete Stokes solution.
+
+    T_h = nu grad_h(u_h + u_hat) - p_h I - (1/d) f_h otimes (id - Pi_h id).
+
+    With a tensor load part F_h the returned field is the Raviart-Thomas
+    part T_h - F_h (the full stress is the sum of the two); without one it
+    is the stress itself.  An interior-flux discrepancy above JUMP_TOL
+    signals that (u_h, p_h) does not solve the discrete system.
+    """
+    grads = broken_gradient(u_h + u_hat).values
+    pvals = p_h.values if isinstance(p_h, P0Field) else np.asarray(p_h)
+    p0_part = nu * grads
+    p0_part[:, 0, 0] -= pvals
+    p0_part[:, 1, 1] -= pvals
+    return _equilibrate(
+        mesh, p0_part, f_h, big_f_h,
+        "the input pair does not solve the discrete system",
+    )
+
+
+def marini_stokes_inverse(t_h, u_bar, u_hat, nu, mesh):
     """Velocity reconstruction from the discrete dual (mixed) solution.
 
     u_h = u_bar + [(1/nu) dev(Pi_h T_h) - grad_h u_hat] (id - Pi_h id),
@@ -147,38 +178,27 @@ def marini_stokes_inverse(t_h, u_bar, u_hat, nu, mesh, jump_tol=1e-8):
     gradient recovers the primal solution itself; the bracket reduces to
     (1/nu) dev Pi_h T_h for a homogeneous lift.  The result must lie in the
     CR space: each interior side midpoint receives the same value from both
-    adjacent elements.
+    adjacent elements, up to JUMP_TOL.
     """
     geo = mesh.geometry()
     mid = geo["side_midpoint"]
     cent = geo["centroids"]
     dv = dev(t_h.cell_average().values) / nu - broken_gradient(u_hat).values
     ubv = u_bar.values if isinstance(u_bar, P0Field) else np.asarray(u_bar)
-    ns = mesh.num_sides
-    vals = np.zeros((ns, 2))
-    count = np.zeros(ns)
-    jump = 0.0
-    for slot in (0, 1):
-        sel = np.nonzero(mesh.side_elements[:, slot] >= 0)[0]
-        e = mesh.side_elements[sel, slot]
-        rel = mid[sel] - cent[e]
-        v = ubv[e] + np.einsum("mij,mj->mi", dv[e], rel)
-        if slot == 0:
-            vals[sel] = v
-        else:
-            jump = max(jump, np.abs(vals[sel] - v).max(initial=0.0))
-            vals[sel] += v
-        count[sel] += 1.0
-    if jump > jump_tol:
+
+    def side_value(sel, e):
+        return ubv[e] + np.einsum("mij,mj->mi", dv[e], mid[sel] - cent[e])
+
+    vals, jump = _two_sided(mesh, side_value)
+    if jump > JUMP_TOL:
         raise AdmissibilityError(
             f"velocity reconstruction jumps {jump:.3e}: input does not solve "
             "the discrete dual system"
         )
-    return CRField(mesh, vals / count[:, None])
+    return CRField(mesh, vals)
 
 
-def marini_elasticity(u_h, u_hat, r_h, f_h, material, mesh, big_f_h=None,
-                      jump_tol=1e-8):
+def marini_elasticity(u_h, u_hat, r_h, f_h, material, mesh, big_f_h=None):
     """Equilibrated stress from the discrete elasticity solution.
 
     sigma*_h = C eps_h(u_h + u_hat) + grad_h r_h - (1/d) f_h otimes (id - Pi_h id),
@@ -190,19 +210,9 @@ def marini_elasticity(u_h, u_hat, r_h, f_h, material, mesh, big_f_h=None,
     """
     eps = broken_sym_gradient(u_h + u_hat).values
     p0_part = material.apply(eps) + broken_gradient(r_h).values
-    if big_f_h is not None:
-        p0_part = p0_part - _p0_values(big_f_h, mesh, (mesh.num_elements, 2, 2))
-    fv = _p0_values(f_h, mesh, (mesh.num_elements, 2))
-    slope = -0.5 * fv
-    flux, jump = _flux_from_local(mesh, p0_part, slope)
-    if jump > jump_tol:
-        raise AdmissibilityError(
-            f"stress reconstruction has interior flux jumps {jump:.3e}; "
-            "inconsistent lifting or solution"
-        )
-    field = RTField(mesh, flux)
-    field.reconstruction_jump = jump
-    return field
+    return _equilibrate(
+        mesh, p0_part, f_h, big_f_h, "inconsistent lifting or solution"
+    )
 
 
 def _p0_values(f, mesh, shape):
@@ -341,11 +351,11 @@ class StokesSolution:
     """Bundle of the discrete Stokes solution and its reconstruction.
 
     t_h stores the Raviart-Thomas part of the stress relative to the tensor
-    load F_h (equal to the stress itself when no tensor load is present);
-    stress_avg_total() returns the element averages of the full stress.
+    load F_h (equal to the stress itself when no tensor load is present).
+    The load data f_h, F_h and g_h live on `system`.
     """
 
-    def __init__(self, mesh, nu, u_h, p_h, t_h, u_hat, system):
+    def __init__(self, mesh, nu, u_h, p_h, t_h, u_hat, system, solve_report):
         self.mesh = mesh
         self.nu = nu
         self.u_h = u_h
@@ -353,26 +363,23 @@ class StokesSolution:
         self.t_h = t_h
         self.u_hat = u_hat
         self.system = system
-
-    def stress_avg_total(self):
-        avg = self.t_h.cell_average().values
-        if self.system.big_f_h is not None:
-            avg = avg + _p0_values(
-                self.system.big_f_h, self.mesh, (self.mesh.num_elements, 2, 2)
-            )
-        return avg
+        self.solve_report = solve_report
 
     def optimality_residual(self):
         """Max |dev Pi_h T_h - nu grad_h(u_h + u_hat)| over elements."""
-        devavg = dev(self.stress_avg_total())
+        devavg = _total_dev_avg(self.t_h, self.system.big_f_h, self.mesh)
         grads = broken_gradient(self.u_h + self.u_hat).values
         return float(np.abs(devavg - self.nu * grads).max())
 
 
 class ElasticitySolution:
-    """Bundle of the discrete elasticity solution and its reconstruction."""
+    """Bundle of the discrete elasticity solution and its reconstruction.
 
-    def __init__(self, mesh, material, u_h, r_h, sigma_star, u_hat, system):
+    The load data f_h, F_h and g_h live on `system`.
+    """
+
+    def __init__(self, mesh, material, u_h, r_h, sigma_star, u_hat, system,
+                 solve_report):
         self.mesh = mesh
         self.material = material
         self.u_h = u_h
@@ -380,6 +387,7 @@ class ElasticitySolution:
         self.sigma_star = sigma_star
         self.u_hat = u_hat
         self.system = system
+        self.solve_report = solve_report
 
     def optimality_residual(self):
         """Max |Pi_h sigma* - C eps_h(u_h+u_hat) - grad_h r_h| over elements."""
@@ -497,8 +505,7 @@ def project_divfree_cr(v):
         return saddle, Factorization(saddle.matrix)
 
     saddle, factor = mesh.cached("divfree_projector", build)
-    vvec = np.concatenate([v.values[:, 0], v.values[:, 1]])
-    rhs = saddle.restrict(saddle.a_full @ vvec, np.zeros(mesh.num_elements))
+    rhs = saddle.restrict(saddle.a_full @ v.dofs(), np.zeros(mesh.num_elements))
     x, _ = factor.solve(rhs)
     return saddle.velocity(x)
 

@@ -1,8 +1,8 @@
 """Sparse assembly and direct solves for the Stokes and elasticity systems.
 
-Degree-of-freedom layout for Crouzeix-Raviart vector fields: component 0 of
-side s is DOF s, component 1 is DOF ns + s.  Dirichlet sides are eliminated
-by restriction to free DOFs; the lift enters the right-hand side.
+Crouzeix-Raviart vector fields use the DOF layout of `CRField.dofs`.
+Dirichlet sides are eliminated by restriction to free DOFs; the lift enters
+the right-hand side.
 
 The load functional is
     l(v) = (f_h, Pi_h v) + (F_h, grad_h v) + sum_{S Neumann} (g_S, pi_h v)_S
@@ -14,7 +14,14 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 
 from . import mesh as _mesh
-from .spaces import CRField, P0Field, _trace_coefficients, broken_divergence, jump_eval
+from .spaces import (
+    CRField,
+    P0Field,
+    _trace_coefficients,
+    broken_divergence,
+    cr_basis_gradients,
+    jump_eval,
+)
 
 
 class AssemblyError(Exception):
@@ -94,26 +101,12 @@ def solve_sparse(matrix, rhs, tol=1e-10, max_refine=4):
     return Factorization(matrix).solve(rhs, tol=tol, max_refine=max_refine)
 
 
-def dump_matrix(matrix, path):
-    """Coordinate-format text dump for debugging."""
-    coo = matrix.tocoo()
-    with open(path, "w") as f:
-        f.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            f.write(f"{i} {j} {v:.17g}\n")
-
-
 # -- scalar building blocks ----------------------------------------------------
-
-
-def _cr_dtheta(mesh):
-    geo = mesh.geometry()
-    return -2.0 * geo["grad_lambda"][:, [2, 0, 1], :]  # (ne, 3, 2)
 
 
 def cr_stiffness(mesh, weights=None):
     """Scalar CR stiffness sum_T w_T (grad theta_i, grad theta_j)_T as CSR."""
-    dtheta = _cr_dtheta(mesh)
+    dtheta = cr_basis_gradients(mesh)
     w = mesh.areas if weights is None else mesh.areas * weights
     local = np.einsum("n,nid,njd->nij", w, dtheta, dtheta)
     es = mesh.element_sides
@@ -127,7 +120,7 @@ def cr_stiffness(mesh, weights=None):
 
 def cr_divergence_matrix(mesh):
     """Map CR vector DOFs to element-wise divergence: (ne, 2 ns) CSR."""
-    dtheta = _cr_dtheta(mesh)
+    dtheta = cr_basis_gradients(mesh)
     es = mesh.element_sides
     ne, ns = mesh.num_elements, mesh.num_sides
     rows = np.repeat(np.arange(ne), 3)
@@ -298,7 +291,7 @@ def load_vector(mesh, f_h=None, big_f_h=None, g_h=None):
             np.add.at(rhs, es.ravel() + comp * ns, np.repeat(contrib[:, comp], 3))
     if big_f_h is not None:
         fv = big_f_h.values if isinstance(big_f_h, P0Field) else np.asarray(big_f_h)
-        dtheta = _cr_dtheta(mesh)
+        dtheta = cr_basis_gradients(mesh)
         contrib = np.einsum("n,nid,ntd->nti", mesh.areas, fv, dtheta)
         for comp in range(2):
             np.add.at(rhs, es.ravel() + comp * ns, contrib[:, :, comp].ravel())
@@ -311,11 +304,19 @@ def load_vector(mesh, f_h=None, big_f_h=None, g_h=None):
     return rhs
 
 
-def load_value(mesh, f_h, big_f_h, g_h, v):
-    """Evaluate the load functional at a CR field."""
-    rhs = load_vector(mesh, f_h, big_f_h, g_h)
-    vv = np.concatenate([v.values[:, 0], v.values[:, 1]])
-    return float(rhs @ vv)
+class _LoadedSystem:
+    """Lift, load data and the load functional's vector, assembled once."""
+
+    def _assemble_load(self, u_hat, f_h, big_f_h, g_h):
+        self.u_hat = u_hat
+        self.f_h = f_h
+        self.big_f_h = big_f_h
+        self.g_h = g_h
+        self.load_vector = load_vector(self.mesh, f_h, big_f_h, g_h)
+
+    def load(self, v):
+        """Value l(v) of the load functional at a CR field."""
+        return float(self.load_vector @ v.dofs())
 
 
 # -- Stokes --------------------------------------------------------------------
@@ -382,7 +383,7 @@ class StokesSaddle:
         return _free_field(self.mesh, self.free_sides, x)
 
 
-class StokesSystem(StokesSaddle):
+class StokesSystem(StokesSaddle, _LoadedSystem):
     """Assembled discrete Stokes saddle-point system and its load.
 
     Unknowns: free velocity DOFs (both components) followed by element
@@ -392,39 +393,31 @@ class StokesSystem(StokesSaddle):
     def __init__(self, mesh, nu, u_hat, f_h, big_f_h, g_h):
         super().__init__(mesh, nu)
         self.nu = nu
-        self.u_hat = u_hat
-        self.f_h = f_h
-        self.big_f_h = big_f_h
-        self.g_h = g_h
+        self._assemble_load(u_hat, f_h, big_f_h, g_h)
 
-        uhat_vec = np.concatenate([u_hat.values[:, 0], u_hat.values[:, 1]])
+        uhat_vec = u_hat.dofs()
         div_lift = broken_divergence(u_hat).values
         if np.abs(div_lift).max() > 1e-10:
             raise AssemblyError(
                 "Dirichlet lift is not discretely divergence-free "
                 f"(max |div_h| = {np.abs(div_lift).max():.2e})"
             )
-        rhs_v = load_vector(mesh, f_h, big_f_h, g_h) - self.a_full @ uhat_vec
+        rhs_v = self.load_vector - self.a_full @ uhat_vec
         self.rhs = self.restrict(rhs_v, -(self.b_full @ uhat_vec))
 
-    def load(self, v):
-        return load_value(self.mesh, self.f_h, self.big_f_h, self.g_h, v)
-
-    def solve(self, tol=1e-10):
+    def solve(self):
         """Solve; returns (u_h, p_h, report) with u_h in the homogeneous space."""
-        x, report = solve_sparse(self.matrix, self.rhs, tol=tol)
+        x, report = solve_sparse(self.matrix, self.rhs)
         nfree = len(self.vel_index)
         p_h = P0Field(self.mesh, x[nfree: nfree + self.mesh.num_elements])
         return self.velocity(x), p_h, report
 
     def residual(self, u_h, p_h):
         """Euler-Lagrange residual tested against every free CR basis function."""
-        uvec = np.concatenate([u_h.values[:, 0], u_h.values[:, 1]])
-        uhat = np.concatenate([self.u_hat.values[:, 0], self.u_hat.values[:, 1]])
         mom = (
-            self.a_full @ (uvec + uhat)
+            self.a_full @ (u_h.dofs() + self.u_hat.dofs())
             + self.b_full.T @ p_h.values
-            - load_vector(self.mesh, self.f_h, self.big_f_h, self.g_h)
+            - self.load_vector
         )
         return np.abs(mom[self.vel_index]).max()
 
@@ -451,7 +444,7 @@ def assemble_stokes(mesh, nu, u_hat, f_h, big_f_h=None, g_h=None):
 # -- elasticity ------------------------------------------------------------------
 
 
-class ElasticitySystem:
+class ElasticitySystem(_LoadedSystem):
     """Assembled stabilised Navier-Lame system for the displacement.
 
     The jump penalty on Dirichlet sides measures the deviation of the total
@@ -462,17 +455,14 @@ class ElasticitySystem:
     def __init__(self, mesh, material, u_hat, f_h, big_f_h, g_h, dirichlet_datum=None):
         self.mesh = mesh
         self.material = material
-        self.u_hat = u_hat
-        self.f_h = f_h
-        self.big_f_h = big_f_h
-        self.g_h = g_h
+        self._assemble_load(u_hat, f_h, big_f_h, g_h)
         self.dirichlet_datum = dirichlet_datum
 
         ns = mesh.num_sides
         self.free_sides, self.vel_index = _free_dofs(mesh)
 
         mu, lam = material.mu, material.lam
-        dtheta = _cr_dtheta(mesh)
+        dtheta = cr_basis_gradients(mesh)
         es = mesh.element_sides
 
         # (C eps(u), eps(v)) = 2 mu (eps(u), eps(v)) + lam (div u, div v);
@@ -506,16 +496,8 @@ class ElasticitySystem:
         self.matrix = self.a_full[self.vel_index][:, self.vel_index].tocsc()
         self.datum_load = dirichlet_penalty_load(mesh, mu, dirichlet_datum)
 
-        uhat_vec = np.concatenate([u_hat.values[:, 0], u_hat.values[:, 1]])
-        rhs = (
-            load_vector(mesh, f_h, big_f_h, g_h)
-            - self.a_full @ uhat_vec
-            + self.datum_load
-        )
+        rhs = self.load_vector - self.a_full @ u_hat.dofs() + self.datum_load
         self.rhs = rhs[self.vel_index]
-
-    def load(self, v):
-        return load_value(self.mesh, self.f_h, self.big_f_h, self.g_h, v)
 
     def s_h_total(self, u_total):
         """Penalty energy of a total field against the stored datum."""
@@ -523,17 +505,15 @@ class ElasticitySystem:
             self.mesh, self.material.mu, u_total, self.dirichlet_datum
         )
 
-    def solve(self, tol=1e-10):
-        x, report = solve_sparse(self.matrix, self.rhs, tol=tol)
+    def solve(self):
+        x, report = solve_sparse(self.matrix, self.rhs)
         return _free_field(self.mesh, self.free_sides, x), report
 
     def residual(self, u_h):
-        uvec = np.concatenate([u_h.values[:, 0], u_h.values[:, 1]])
-        uhat = np.concatenate([self.u_hat.values[:, 0], self.u_hat.values[:, 1]])
         r = (
-            self.a_full @ (uvec + uhat)
+            self.a_full @ (u_h.dofs() + self.u_hat.dofs())
             - self.datum_load
-            - load_vector(self.mesh, self.f_h, self.big_f_h, self.g_h)
+            - self.load_vector
         )
         return np.abs(r[self.vel_index]).max()
 
@@ -547,7 +527,7 @@ def assemble_elasticity(
     return ElasticitySystem(mesh, material, u_hat, f_h, big_f_h, g_h, dirichlet_datum)
 
 
-def solve_lifting(mesh, u_total, mu, dirichlet_datum=None, tol=1e-10):
+def solve_lifting(mesh, u_total, mu, dirichlet_datum=None):
     """Solve (grad_h r, grad_h v) = s_h(u_total, v) for r in the homogeneous space.
 
     u_total is the full discrete displacement u_h + u_hat; the jump weights
@@ -558,7 +538,7 @@ def solve_lifting(mesh, u_total, mu, dirichlet_datum=None, tol=1e-10):
     k_scal = cr_stiffness(mesh)
     a = sparse.block_diag([k_scal, k_scal]).tocsr()[idx][:, idx].tocsc()
     s_full = stabilization_jump_matrix(mesh, mu)
-    uvec = np.concatenate([u_total.values[:, 0], u_total.values[:, 1]])
-    rhs = (s_full @ uvec - dirichlet_penalty_load(mesh, mu, dirichlet_datum))[idx]
-    x, _ = solve_sparse(a, rhs, tol=tol)
+    datum_load = dirichlet_penalty_load(mesh, mu, dirichlet_datum)
+    rhs = (s_full @ u_total.dofs() - datum_load)[idx]
+    x, _ = solve_sparse(a, rhs)
     return _free_field(mesh, free, x)

@@ -11,8 +11,6 @@ Refinement is newest-vertex bisection with conforming closure; the
 refinement edge of each initial element is its longest edge.
 """
 
-import hashlib
-
 import numpy as np
 
 INTERIOR = 0
@@ -247,13 +245,6 @@ class Triangulation:
         sides = self.sides_with_label(DIRICHLET)
         return np.unique(self.side_vertices[sides])
 
-    def checksum(self):
-        h = hashlib.sha1()
-        h.update(self.vertices.tobytes())
-        h.update(self.elements.tobytes())
-        h.update(self.side_labels.tobytes())
-        return h.hexdigest()[:12]
-
 
 def _signed_areas(vertices, elements):
     p = vertices[elements]
@@ -324,26 +315,6 @@ def structured_square_mesh(n, labeler, origin=(0.0, 0.0), size=1.0):
             tris.append((a, b, c))
             tris.append((a, c, d))
     return build_triangulation(vertices, np.array(tris), labeler)
-
-
-def element_geometry(mesh, t):
-    """Area, centroid and diameter h_T of element t."""
-    geo = mesh.geometry()
-    return {
-        "area": float(mesh.areas[t]),
-        "centroid": geo["centroids"][t].copy(),
-        "h_t": float(geo["h_t"][t]),
-    }
-
-
-def side_geometry(mesh, s):
-    """Length h_S, midpoint and global unit normal of side s."""
-    geo = mesh.geometry()
-    return {
-        "h_s": float(geo["side_length"][s]),
-        "midpoint": geo["side_midpoint"][s].copy(),
-        "normal": geo["side_normal"][s].copy(),
-    }
 
 
 def _normalize_refedge_first(elements, refinement_edge):

@@ -28,6 +28,7 @@ from .spaces import (
     pi0,
 )
 
+# quadrature degree of the element projections f_h = Pi_h f and F_h = Pi_h F
 DATA_DEGREE = 10
 
 
@@ -68,7 +69,6 @@ class ProblemSpec:
         self.grad_lift = kw.pop("grad_lift", None)
         self.lift_stream = kw.pop("lift_stream", None)
         self.exact = kw.pop("exact", None)
-        self.data_degree = kw.pop("data_degree", DATA_DEGREE)
         if kw:
             raise TypeError(f"unknown ProblemSpec fields: {sorted(kw)}")
 
@@ -537,34 +537,29 @@ def side_tractions(problem, mesh):
 
 def project_data(problem, mesh):
     f_h = (
-        pi0(problem.f, mesh, degree=problem.data_degree)
+        pi0(problem.f, mesh, degree=DATA_DEGREE)
         if problem.f is not None
         else None
     )
     big_f_h = (
-        pi0(problem.big_f, mesh, degree=problem.data_degree)
+        pi0(problem.big_f, mesh, degree=DATA_DEGREE)
         if problem.big_f is not None
         else None
     )
     return f_h, big_f_h, side_tractions(problem, mesh)
 
 
-def discretize_stokes(problem, mesh, tol=1e-10):
+def discretize_stokes(problem, mesh):
     """Assemble, solve, and reconstruct the stress for a Stokes problem."""
     u_hat = interpolate_lift(problem, mesh)
     f_h, big_f_h, g_h = project_data(problem, mesh)
     system = assemble_stokes(mesh, problem.nu, u_hat, f_h, big_f_h, g_h)
-    u_h, p_h, report = system.solve(tol=tol)
+    u_h, p_h, report = system.solve()
     t_h = marini_stokes(u_h, p_h, u_hat, f_h, problem.nu, mesh, big_f_h=big_f_h)
-    sol = StokesSolution(mesh, problem.nu, u_h, p_h, t_h, u_hat, system)
-    sol.p0_f = f_h
-    sol.p0_big_f = big_f_h
-    sol.g_h = g_h
-    sol.solve_report = report
-    return sol
+    return StokesSolution(mesh, problem.nu, u_h, p_h, t_h, u_hat, system, report)
 
 
-def discretize_elasticity(problem, mesh, tol=1e-10):
+def discretize_elasticity(problem, mesh):
     """Assemble, solve, lift, and reconstruct the stress for elasticity."""
     u_hat = interpolate_lift(problem, mesh)
     f_h, big_f_h, g_h = project_data(problem, mesh)
@@ -572,20 +567,17 @@ def discretize_elasticity(problem, mesh, tol=1e-10):
         mesh, problem.material, u_hat, f_h, big_f_h, g_h,
         dirichlet_datum=problem.dirichlet_lift,
     )
-    u_h, report = system.solve(tol=tol)
+    u_h, report = system.solve()
     r_h = solve_lifting(
         mesh, u_h + u_hat, problem.material.mu,
-        dirichlet_datum=problem.dirichlet_lift, tol=tol,
+        dirichlet_datum=problem.dirichlet_lift,
     )
     sigma = marini_elasticity(
         u_h, u_hat, r_h, f_h, problem.material, mesh, big_f_h=big_f_h
     )
-    sol = ElasticitySolution(mesh, problem.material, u_h, r_h, sigma, u_hat, system)
-    sol.p0_f = f_h
-    sol.p0_big_f = big_f_h
-    sol.g_h = g_h
-    sol.solve_report = report
-    return sol
+    return ElasticitySolution(
+        mesh, problem.material, u_h, r_h, sigma, u_hat, system, report
+    )
 
 
 # -- exact errors -------------------------------------------------------------------
@@ -616,8 +608,9 @@ def exact_errors(solution, problem, mesh, degree=10):
             mesh.areas * np.einsum("q,nqij,nqij->n", w, diff, diff)
         )
         sdiff = problem.exact["stress"](pts) - solution.t_h.evaluate(pts)
-        if solution.p0_big_f is not None:
-            sdiff = sdiff - solution.p0_big_f.values[:, None]
+        big_f_h = solution.system.big_f_h
+        if big_f_h is not None:
+            sdiff = sdiff - big_f_h.values[:, None]
         if len(mesh.sides_with_label(NEUMANN)) == 0:
             # remove the pressure-gauge component c I
             tr_mean = np.sum(

@@ -16,7 +16,6 @@ vertex k), so theta_j is 1 on side j and has zero mean on the other two.
 
 import numpy as np
 
-from . import mesh as _mesh
 from .quadrature import physical_points, segment_rule, side_points, triangle_rule
 
 # 8-point Gauss keeps side averages of smooth data well below the 1e-10
@@ -40,22 +39,23 @@ class P0Field:
 class CRField:
     """Vector Crouzeix-Raviart field: one 2-vector per side.
 
-    dirichlet_mask marks the constrained sides; a field representing an
-    element of the homogeneous space carries zeros there.
+    A field representing an element of the homogeneous space carries zeros
+    on the Dirichlet sides.
     """
 
-    def __init__(self, mesh, values, dirichlet_mask=None):
+    def __init__(self, mesh, values):
         values = np.asarray(values, dtype=float)
         if values.shape != (mesh.num_sides, 2):
             raise ValueError("CRField values must have shape (ns, 2)")
         self.mesh = mesh
         self.values = values
-        if dirichlet_mask is None:
-            dirichlet_mask = mesh.side_labels == _mesh.DIRICHLET
-        self.dirichlet_mask = np.asarray(dirichlet_mask, dtype=bool)
 
-    def copy(self):
-        return CRField(self.mesh, self.values.copy(), self.dirichlet_mask.copy())
+    def dofs(self):
+        """The (2 ns,) DOF vector of every assembled system.
+
+        Component 0 of side s is DOF s, component 1 is DOF ns + s.
+        """
+        return np.concatenate([self.values[:, 0], self.values[:, 1]])
 
     def __add__(self, other):
         return CRField(self.mesh, self.values + other.values)
@@ -246,14 +246,19 @@ def rt_interpolate(tau, mesh, npoints=DEFAULT_SIDE_POINTS):
     return RTField(mesh, flux)
 
 
+def cr_basis_gradients(mesh):
+    """Gradients of the three scalar CR basis functions per element: (ne, 3, 2).
+
+    grad theta_j = -2 grad lambda_{j+2}.
+    """
+    return -2.0 * mesh.geometry()["grad_lambda"][:, [2, 0, 1], :]
+
+
 def broken_gradient(v):
     """Element-wise gradient of a CR field as a P0 tensor field."""
     m = v.mesh
-    geo = m.geometry()
-    # grad theta_j = -2 grad lambda_{j+2}
-    dtheta = -2.0 * geo["grad_lambda"][:, [2, 0, 1], :]  # (ne, 3, 2)
     vv = v.values[m.element_sides]  # (ne, 3, 2)
-    grads = np.einsum("nti,ntd->nid", vv, dtheta)
+    grads = np.einsum("nti,ntd->nid", vv, cr_basis_gradients(m))
     return P0Field(m, grads)
 
 
@@ -317,9 +322,9 @@ def nodal_average(v, mesh, dirichlet_values=None):
     Parameters
     ----------
     v : CRField
-    dirichlet_values : callable or dict or None
+    dirichlet_values : callable or None
         Values imposed at every vertex on the closure of the Dirichlet
-        boundary; a callable receives the (k, 2) vertex coordinates.  None
+        boundary; the callable receives the (k, 2) vertex coordinates.  None
         imposes zeros (the homogeneous space).
 
     Interior and Neumann vertices receive the arithmetic mean over all
@@ -340,13 +345,8 @@ def nodal_average(v, mesh, dirichlet_values=None):
     dv = mesh.dirichlet_vertices()
     if dirichlet_values is None:
         out[dv] = 0.0
-    elif callable(dirichlet_values):
-        out[dv] = np.asarray(dirichlet_values(mesh.vertices[dv]), dtype=float)
     else:
-        for vertex in dv:
-            if vertex not in dirichlet_values:
-                raise ValueError(f"missing Dirichlet value at vertex {vertex}")
-            out[vertex] = dirichlet_values[vertex]
+        out[dv] = np.asarray(dirichlet_values(mesh.vertices[dv]), dtype=float)
     return P1ConformingField(mesh, out)
 
 
@@ -364,16 +364,3 @@ def inner_p0(f1, f2):
     v2 = f2.values.reshape(f2.mesh.num_elements, -1)
     return float(np.sum(f1.mesh.areas * np.sum(v1 * v2, axis=1)))
 
-
-def dump_field(field, path):
-    """Plain-text dump: header with space name and mesh checksum, one DOF per line."""
-    kind = type(field).__name__
-    mesh = field.mesh
-    if isinstance(field, RTField):
-        data = field.flux.T
-    else:
-        data = np.atleast_2d(field.values.reshape(len(field.values), -1))
-    with open(path, "w") as f:
-        f.write(f"# gapfem {kind} mesh={mesh.checksum()} n={len(data)}\n")
-        for i, row in enumerate(data):
-            f.write(" ".join([str(i)] + [f"{x:.17g}" for x in row]) + "\n")

@@ -117,7 +117,7 @@ def test_criterion_3_reconstruction_contracts():
         mesh = prob.mesh_factory()
         for _ in range(2):
             sol = discretize_stokes(prob, mesh)
-            track(sol, sol.p0_f, sol.g_h, mesh)
+            track(sol, sol.system.f_h, sol.system.g_h, mesh)
             mesh = refine_marked_twice(mesh, range(mesh.num_elements))
 
     elastic_probs = [cook_membrane(), manufactured_elasticity("patch"),
@@ -126,7 +126,7 @@ def test_criterion_3_reconstruction_contracts():
         mesh = prob.mesh_factory()
         for _ in range(2):
             sol = discretize_elasticity(prob, mesh)
-            track(sol, sol.p0_f, sol.g_h, mesh)
+            track(sol, sol.system.f_h, sol.system.g_h, mesh)
             mesh = refine_marked_twice(mesh, range(mesh.num_elements))
 
     ok = all(v <= 1e-10 for v in worst.values())

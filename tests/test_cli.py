@@ -57,6 +57,19 @@ class TestRun:
     def test_seed_flag_rejected(self):
         assert main(["run", "taylor-green", "--seed", "3"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-identity", "--levels", "0"],
+        ["verify-identity", "--seeds", "0"],
+        ["run", "taylor-green", "--theta", "2"],
+        ["run", "taylor-green", "--max-iter", "0"],
+        ["table1", "--max-iter", "0"],
+    ])
+    def test_out_of_range_rejected(self, argv, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert "error:" in err
+        assert "Traceback" not in err and out == ""
+
     @pytest.mark.parametrize("name", sorted(REFERENCE_RUNS))
     def test_reference_csv_byte_identical(self, name, tmp_path):
         out = tmp_path / f"{name}.csv"
@@ -115,3 +128,9 @@ class TestTable1:
         assert first[0] == "840"
         assert abs(float(first[1]) - 0.1830) / 0.1830 < 0.05
         assert abs(float(first[3]) - 0.1573) / 0.1573 < 0.05
+
+    def test_format_flag_rejected(self, tmp_path):
+        out = tmp_path / "t.json"
+        args = ["table1", "--max-iter", "1", "--format", "json", "--out", str(out)]
+        assert main(args) == 1
+        assert not out.exists()

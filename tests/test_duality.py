@@ -90,20 +90,27 @@ class TestMariniStokes:
     def test_correction_divergence_identity(self):
         # the correction -(1/d) f (id - Pi id) alone has divergence -f
         mesh = structured_square_mesh(2, all_dirichlet)
-        f = np.tile([1.0, 0.0], (mesh.num_elements, 1))
+        f = P0Field(mesh, np.tile([1.0, 0.0], (mesh.num_elements, 1)))
         u = CRField(mesh, np.zeros((mesh.num_sides, 2)))
         p = P0Field(mesh, np.zeros(mesh.num_elements))
-        # the pair (0, 0) does not solve the system with f != 0, so the
-        # reconstruction must flag the inconsistency
-        with pytest.raises(AdmissibilityError):
-            marini_stokes(u, p, u, P0Field(mesh, f), 1.0, mesh)
+        # the zero solution does not solve either system with f != 0, so
+        # both reconstructions (one shared equilibration) must flag it
+        reconstructions = {
+            "stokes": lambda: marini_stokes(u, p, u, f, 1.0, mesh),
+            "elasticity": lambda: marini_elasticity(
+                u, u, u, f, ElasticityTensor(1.0, 5.0), mesh
+            ),
+        }
+        for reconstruct in reconstructions.values():
+            with pytest.raises(AdmissibilityError, match="interior flux jumps"):
+                reconstruct()
 
     def test_taylor_green_contracts(self, tg_solution):
         prob, mesh, sol = tg_solution
         assert sol.optimality_residual() < 1e-10
-        div = sol.t_h.divergence().values + sol.p0_f.values
+        div = sol.t_h.divergence().values + sol.system.f_h.values
         assert np.abs(div).max() < 1e-10
-        ok, res = check_stress_admissible(sol.t_h, sol.p0_f, sol.g_h, mesh)
+        ok, res = check_stress_admissible(sol.t_h, sol.system.f_h, sol.system.g_h, mesh)
         assert res < 1e-10
 
     def test_inverse_roundtrip(self, tg_solution):
@@ -163,7 +170,7 @@ class TestMariniElasticity:
         sol = discretize_elasticity(prob, mesh)
         assert sol.optimality_residual() < 1e-10
         assert np.abs(sol.sigma_star.divergence().values).max() < 1e-10
-        ok, res = check_stress_admissible(sol.sigma_star, None, sol.g_h, mesh)
+        ok, res = check_stress_admissible(sol.sigma_star, None, sol.system.g_h, mesh)
         assert res < 1e-10
         # skew defect is controlled by the stabilisation energy of the total
         # field (both vanish here only in the conforming limit)
@@ -184,7 +191,7 @@ class TestMariniElasticity:
         mesh = prob.mesh_factory()
         sol = discretize_elasticity(prob, mesh)
         assert sol.system.residual(sol.u_h) < 1e-10
-        div = sol.sigma_star.divergence().values + sol.p0_f.values
+        div = sol.sigma_star.divergence().values + sol.system.f_h.values
         assert np.abs(div).max() < 1e-10
         assert sol.sigma_star.reconstruction_jump < 1e-10
 
@@ -193,7 +200,7 @@ class TestMariniElasticity:
         mesh = prob.mesh_factory()
         sol = discretize_elasticity(prob, mesh)
         assert sol.optimality_residual() < 1e-10
-        div = sol.sigma_star.divergence().values + sol.p0_f.values
+        div = sol.sigma_star.divergence().values + sol.system.f_h.values
         assert np.abs(div).max() < 1e-10
 
 

@@ -23,7 +23,6 @@ from gapfem import (
 from gapfem.forms import (
     Factorization,
     cr_stiffness,
-    dump_matrix,
     jump_form_value,
     stabilization_jump_matrix,
     stabilization_weights,
@@ -75,13 +74,6 @@ class TestSolveSparse:
         # a backward error below roundoff cannot be reached
         with pytest.raises(SingularSystemError, match="exceeds"):
             factor.solve(rng.standard_normal(30), tol=1e-30)
-
-    def test_dump_matrix(self, tmp_path):
-        a = sparse.csc_matrix(np.array([[1.0, 0.0], [2.0, 3.0]]))
-        path = tmp_path / "mat.txt"
-        dump_matrix(a, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].split() == ["2", "2", "3"]
 
 
 class TestStokesAssembly:

@@ -7,11 +7,9 @@ from gapfem import (
     NEUMANN,
     MeshError,
     build_triangulation,
-    element_geometry,
     load_mesh,
     refine_bisection,
     save_mesh,
-    side_geometry,
     structured_square_mesh,
 )
 from gapfem.problems import cook_mesh, lshape_mesh
@@ -99,18 +97,17 @@ class TestGeometry:
         mesh = build_triangulation(
             [(0, 0), (1, 0), (0, 1)], [(0, 1, 2)], all_dirichlet
         )
-        geo = element_geometry(mesh, 0)
-        assert geo["area"] == pytest.approx(0.5)
-        assert geo["centroid"] == pytest.approx([1 / 3, 1 / 3])
-        assert geo["h_t"] == pytest.approx(np.sqrt(2.0))
+        geo = mesh.geometry()
+        assert mesh.areas[0] == pytest.approx(0.5)
+        assert geo["centroids"][0] == pytest.approx([1 / 3, 1 / 3])
+        assert geo["h_t"][0] == pytest.approx(np.sqrt(2.0))
 
     def test_translation_invariance(self):
         mesh = build_triangulation(
             [(5, -3), (6, -3), (5, -2)], [(0, 1, 2)], all_dirichlet
         )
-        geo = element_geometry(mesh, 0)
-        assert geo["area"] == pytest.approx(0.5)
-        assert geo["h_t"] == pytest.approx(np.sqrt(2.0))
+        assert mesh.areas[0] == pytest.approx(0.5)
+        assert mesh.geometry()["h_t"][0] == pytest.approx(np.sqrt(2.0))
 
     def test_structured_cell_area(self):
         mesh = structured_square_mesh(10, tg_labeler)
@@ -118,19 +115,20 @@ class TestGeometry:
 
     def test_side_geometry(self):
         mesh = two_triangle_square()
+        geo = mesh.geometry()
         for s in range(mesh.num_sides):
-            geo = side_geometry(mesh, s)
             v1, v2 = mesh.vertices[mesh.side_vertices[s]]
-            assert geo["h_s"] == pytest.approx(np.linalg.norm(v2 - v1))
-            assert np.linalg.norm(geo["normal"]) == pytest.approx(1.0)
-            assert geo["midpoint"] == pytest.approx(0.5 * (v1 + v2))
+            assert geo["side_length"][s] == pytest.approx(np.linalg.norm(v2 - v1))
+            assert np.linalg.norm(geo["side_normal"][s]) == pytest.approx(1.0)
+            assert geo["side_midpoint"][s] == pytest.approx(0.5 * (v1 + v2))
 
     def test_boundary_normals_outward(self):
         mesh = two_triangle_square()
         center = np.array([0.5, 0.5])
+        geo = mesh.geometry()
         for s in mesh.sides_with_label(DIRICHLET):
-            geo = side_geometry(mesh, s)
-            assert np.dot(geo["normal"], geo["midpoint"] - center) > 0
+            normal, midpoint = geo["side_normal"][s], geo["side_midpoint"][s]
+            assert np.dot(normal, midpoint - center) > 0
 
     def test_interior_normal_is_outward_for_lower_element(self):
         mesh = structured_square_mesh(3, all_dirichlet)

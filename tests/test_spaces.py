@@ -21,7 +21,7 @@ from gapfem import (
     structured_square_mesh,
 )
 from gapfem.quadrature import physical_points, triangle_rule
-from gapfem.spaces import cr_values_p0, dump_field, inner_p0
+from gapfem.spaces import cr_values_p0, inner_p0
 
 ORACLE_DEGREE = 20
 
@@ -339,13 +339,3 @@ class TestDiscreteIdentities:
         w = np.repeat(mesh.areas, 4)
         gram = (ker_avgs * w[:, None]).T @ grads
         assert np.abs(gram).max() < 1e-12
-
-
-class TestDump:
-    def test_dump_field(self, square10, tmp_path):
-        v = cr_interpolate(trig_velocity, square10)
-        path = tmp_path / "field.txt"
-        dump_field(v, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# gapfem CRField mesh=")
-        assert len(lines) == 1 + square10.num_sides
