@@ -58,6 +58,8 @@ class IterationRecord:
     marked: int
     errors: dict = field(default_factory=dict)
     wall_time: float = 0.0
+    backward_error: float = 0.0  # of the linear solve, JSON report only
+    reconstruction_jump: float = 0.0  # of the stress reconstruction, JSON only
 
     def to_dict(self):
         out = {
@@ -71,6 +73,8 @@ class IterationRecord:
             "eta_min": self.eta_min,
             "marked": self.marked,
             "wall_time": self.wall_time,
+            "backward_error": self.backward_error,
+            "reconstruction_jump": self.reconstruction_jump,
         }
         out.update(self.errors)
         return out
@@ -220,8 +224,10 @@ def run_adaptive(problem, config):
         t0 = time.perf_counter()
         if problem.kind == "stokes":
             sol = discretize_stokes(problem, mesh)
+            stress = sol.t_h
         else:
             sol = discretize_elasticity(problem, mesh)
+            stress = sol.sigma_star
         gap, osc, errors = _estimate(problem, mesh, sol)
         eta = gap + osc
         total = float(eta.sum())
@@ -238,6 +244,8 @@ def run_adaptive(problem, config):
             marked=len(marked),
             errors=errors,
             wall_time=time.perf_counter() - t0,
+            backward_error=sol.solve_report.residual_norm,
+            reconstruction_jump=stress.reconstruction_jump,
         )
         records.append(record)
         if total < config.eps_stop or len(marked) == 0:

@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -21,6 +22,14 @@ def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text):
+    """argparse type for thresholds: a finite float > 0 (nan is rejected)."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {value}")
     return value
 
 
@@ -46,7 +55,7 @@ def build_parser():
     ver.add_argument("--levels", type=_positive_int, default=6)
     ver.add_argument("--seeds", type=_positive_int, default=3)
     ver.add_argument("--seed", type=int, default=0, help="seed offset")
-    ver.add_argument("--threshold", type=float, default=1e-6)
+    ver.add_argument("--threshold", type=_positive_float, default=1e-6)
     ver.add_argument("--out", default=None)
     ver.add_argument("--format", choices=["csv", "json"], default="csv")
     ver.add_argument(

@@ -33,7 +33,7 @@ class SingularSystemError(Exception):
 
 
 class LinearSolveReport:
-    """Outcome of a sparse direct solve."""
+    """Outcome of a residual-checked sparse solve."""
 
     def __init__(self, residual_norm, factorization_kind):
         self.residual_norm = residual_norm
@@ -46,13 +46,32 @@ class LinearSolveReport:
         )
 
 
+def _inf_norm(matrix):
+    """Row-sum norm ||A||_inf of a sparse matrix (1 for an empty one)."""
+    return np.abs(matrix).sum(axis=1).max() if matrix.nnz else 1.0
+
+
+def _backward_error(matrix, norm, rhs, x):
+    """Normwise backward error ||b - A x|| / (||A||_inf ||x|| + ||b||).
+
+    `norm` is ||A||_inf.  A zero solution of a zero right-hand side has
+    backward error 0 (the 0/0 case).
+    """
+    denom = norm * np.linalg.norm(x) + np.linalg.norm(rhs)
+    return np.linalg.norm(rhs - matrix @ x) / (denom if denom > 0 else 1.0)
+
+
+def _check_backward_error(res, tol):
+    if res > tol:
+        raise SingularSystemError(f"relative residual {res:.3e} exceeds {tol:.1e}")
+
+
 class Factorization:
     """Sparse LU factorisation whose solves are residual-checked.
 
-    `solve` reports the normwise backward error
-    ||b - A x|| / (||A||_inf ||x|| + ||b||) and refines iteratively while
-    it improves.  SingularSystemError is raised if the factorisation fails
-    or the final backward error exceeds `tol`.
+    `solve` reports the normwise backward error (`_backward_error`) and
+    refines iteratively while it improves.  SingularSystemError is raised if
+    the factorisation fails or the final backward error exceeds `tol`.
     """
 
     def __init__(self, matrix):
@@ -61,8 +80,7 @@ class Factorization:
             self.lu = sla.splu(self.matrix)
         except RuntimeError as exc:
             raise SingularSystemError(str(exc)) from exc
-        a = self.matrix
-        self.norm = np.abs(a).sum(axis=1).max() if a.nnz else 1.0
+        self.norm = _inf_norm(self.matrix)
 
     def solve(self, rhs, tol=1e-10, max_refine=4):
         """Returns (solution, LinearSolveReport)."""
@@ -73,23 +91,16 @@ class Factorization:
             raise SingularSystemError(str(exc)) from exc
         if not np.all(np.isfinite(x)):
             raise SingularSystemError("factorization produced non-finite values")
-        norm_b = np.linalg.norm(rhs)
-
-        def backward_error(y):
-            denom = self.norm * np.linalg.norm(y) + norm_b
-            return np.linalg.norm(rhs - a @ y) / (denom if denom > 0 else 1.0)
-
-        res = backward_error(x)
+        res = _backward_error(a, self.norm, rhs, x)
         for _ in range(max_refine):
             if res <= 1e-4 * tol:
                 break
             x_new = x + lu.solve(rhs - a @ x)
-            res_new = backward_error(x_new)
+            res_new = _backward_error(a, self.norm, rhs, x_new)
             if res_new >= res:
                 break
             x, res = x_new, res_new
-        if res > tol:
-            raise SingularSystemError(f"relative residual {res:.3e} exceeds {tol:.1e}")
+        _check_backward_error(res, tol)
         return x, LinearSolveReport(res, "superlu")
 
 
@@ -337,6 +348,14 @@ def _free_field(mesh, free, x):
     return CRField(mesh, vals)
 
 
+# Augmented-Lagrangian penalty per unit viscosity, gamma = AL_GAMMA0 * nu.
+# A larger gamma contracts the Uzawa iteration faster but worsens the
+# condition of K; 1e3 reaches roundoff in a few steps without a refinement
+# pass, 1e4 does not.
+AL_GAMMA0 = 1e3
+AL_MAX_ITER = 30
+
+
 class StokesSaddle:
     """The CR-P0 Stokes saddle operator of one mesh and viscosity nu.
 
@@ -345,17 +364,26 @@ class StokesSaddle:
     [[A, B^T], [B, 0]] with A and B restricted to the free velocity DOFs
     `vel_index`; with an empty Neumann set one extra Lagrange multiplier
     enforces the zero-mean pressure gauge.
+
+    `al_solve` never factors `matrix`; it only multiplies it to check each
+    solution.  Its one factor is the sparse SPD K_1 = A_1 + AL_GAMMA0
+    B^T M^-1 B of nu = 1, with M the diagonal of element areas.  Since
+    K_nu = nu K_1 for gamma = AL_GAMMA0 nu, the factor is built once per
+    mesh and serves every viscosity.
     """
 
     def __init__(self, mesh, nu):
         self.mesh = mesh
+        self.nu = nu
         self.free_sides, self.vel_index = _free_dofs(mesh)
-        k_scal = nu * cr_stiffness(mesh)
-        self.a_full = sparse.block_diag([k_scal, k_scal]).tocsr()
+        k_scal = cr_stiffness(mesh)
+        a1_full = sparse.block_diag([k_scal, k_scal]).tocsr()
+        self.a_full = nu * a1_full
         # (q, div v) weighted by element areas
         self.b_full = sparse.diags(mesh.areas) @ -cr_divergence_matrix(mesh)
-        a = self.a_full[self.vel_index][:, self.vel_index]
-        b = self.b_full[:, self.vel_index]
+        self.a1 = a1_full[self.vel_index][:, self.vel_index]
+        self.b = self.b_full[:, self.vel_index]
+        a, b = nu * self.a1, self.b
 
         self.pure_dirichlet = len(mesh.sides_with_label(_mesh.NEUMANN)) == 0
         blocks = [[a, b.T], [b, None]]
@@ -371,6 +399,7 @@ class StokesSaddle:
                 [None, gauge, None],
             ]
         self.matrix = sparse.bmat(blocks, format="csc")
+        self.norm = _inf_norm(self.matrix)
 
     def restrict(self, load_v, load_p):
         """Right-hand side for a load on all CR DOFs and one per element."""
@@ -381,6 +410,66 @@ class StokesSaddle:
     def velocity(self, x):
         """Velocity part of a solution vector as a homogeneous CR field."""
         return _free_field(self.mesh, self.free_sides, x)
+
+    def _al_factor(self):
+        """Sparse LU of K_1 with a symmetric ordering, once per mesh."""
+
+        def build():
+            k1 = self.a1 + AL_GAMMA0 * (
+                self.b.T @ sparse.diags(1.0 / self.mesh.areas) @ self.b
+            )
+            try:
+                return sla.splu(
+                    k1.tocsc(),
+                    permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True},
+                )
+            except RuntimeError as exc:
+                raise SingularSystemError(str(exc)) from exc
+
+        return self.mesh.cached("stokes_al_factor", build)
+
+    def al_solve(self, rhs, tol=1e-10):
+        """Solve matrix @ x = rhs by augmented-Lagrangian Uzawa iteration.
+
+        Each step solves K u = f + gamma B^T M^-1 g - B^T p and updates
+        p += gamma M^-1 (B u - g), while ||B u - g|| strictly decreases.
+        The u of the last update and the updated p satisfy the momentum
+        rows exactly.  On pure-Dirichlet meshes B u sums to zero, so the
+        gauge multiplier is the mean of g, and p is shifted to the gauge.
+        Returns (x, LinearSolveReport); SingularSystemError is raised if
+        the backward error against `matrix` exceeds `tol`.
+        """
+        lu = self._al_factor()
+        nv, areas = len(self.vel_index), self.mesh.areas
+        f, g = rhs[:nv], rhs[nv: nv + len(areas)]
+        if self.pure_dirichlet:
+            lam = g.sum() / areas.sum()
+            g = g - lam * areas
+        gamma = AL_GAMMA0 * self.nu
+        load = f + gamma * (self.b.T @ (g / areas))
+        p = np.zeros(len(areas))
+        best = None
+        for _ in range(AL_MAX_ITER):
+            u = lu.solve(load - self.b.T @ p) / self.nu
+            r = self.b @ u - g
+            r_norm = np.linalg.norm(r)
+            if best is not None and not r_norm < best[2]:
+                break
+            p = p + gamma * (r / areas)
+            best = (u, p, r_norm)
+        u, p, _ = best
+        gauge = []
+        if self.pure_dirichlet:
+            p = p + (rhs[-1] - areas @ p) / areas.sum()
+            gauge = [lam]
+        x = np.concatenate([u, p, gauge])
+        if not np.all(np.isfinite(x)):
+            raise SingularSystemError("factorization produced non-finite values")
+        res = _backward_error(self.matrix, self.norm, rhs, x)
+        _check_backward_error(res, tol)
+        return x, LinearSolveReport(res, "augmented-lagrangian")
 
 
 class StokesSystem(StokesSaddle, _LoadedSystem):
@@ -407,7 +496,7 @@ class StokesSystem(StokesSaddle, _LoadedSystem):
 
     def solve(self):
         """Solve; returns (u_h, p_h, report) with u_h in the homogeneous space."""
-        x, report = solve_sparse(self.matrix, self.rhs)
+        x, report = self.al_solve(self.rhs)
         nfree = len(self.vel_index)
         p_h = P0Field(self.mesh, x[nfree: nfree + self.mesh.num_elements])
         return self.velocity(x), p_h, report

@@ -192,7 +192,8 @@ class Triangulation:
         """Value of build() for `key`, computed once per mesh.
 
         The one per-mesh cache: geometry, the stabilisation jump matrix per
-        mu and the divergence-free projector's factor live here.
+        mu, the Stokes factor shared by every viscosity and the
+        divergence-free projector's saddle live here.
         """
         if key not in self._cache:
             self._cache[key] = build()

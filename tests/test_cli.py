@@ -1,8 +1,11 @@
+import csv
+import json
 from pathlib import Path
 
 import pytest
 
 from gapfem.cli import main
+from gapfem.duality import JUMP_TOL
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
 
@@ -42,10 +45,19 @@ class TestRun:
              "--out", str(out), "--format", "json"]
         )
         assert code == 0
-        import json
-
         payload = json.loads(out.read_text())
         assert [r["num_dof"] for r in payload["records"]] == [840, 3280]
+
+    @pytest.mark.parametrize("problem", ["taylor-green", "cook"])
+    def test_json_certificate_fields(self, problem, tmp_path):
+        out = tmp_path / "report.json"
+        args = ["run", problem, "--max-iter", "2", "--format", "json"]
+        assert main(args + ["--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        assert len(records) == 2
+        for r in records:
+            assert 0.0 <= r["backward_error"] <= 1e-10
+            assert 0.0 <= r["reconstruction_jump"] <= JUMP_TOL
 
     def test_csv_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -63,6 +75,10 @@ class TestRun:
         ["run", "taylor-green", "--theta", "2"],
         ["run", "taylor-green", "--max-iter", "0"],
         ["table1", "--max-iter", "0"],
+        ["verify-identity", "--threshold", "nan"],
+        ["verify-identity", "--threshold", "inf"],
+        ["verify-identity", "--threshold", "0"],
+        ["verify-identity", "--threshold", "-1"],
     ])
     def test_out_of_range_rejected(self, argv, capsys):
         assert main(argv) == 1
@@ -105,6 +121,19 @@ class TestVerifyIdentity:
         )
         assert code == 2
         assert "FAILED" in capsys.readouterr().err
+
+    def test_reference_columns(self, tmp_path):
+        # the benchmark's identity workload at seed offset 0
+        out = tmp_path / "iden.csv"
+        args = ["verify-identity", "--levels", "3", "--seeds", "16"]
+        assert main(args + ["--out", str(out)]) == 0
+        with open(out) as f:
+            got = list(csv.DictReader(f))
+        with open(REFERENCE / "identity.csv") as f:
+            want = list(csv.DictReader(f))
+        keys = ("level", "sample", "num_dof")
+        assert [[r[k] for k in keys] for r in got] == [[r[k] for k in keys] for r in want]
+        assert all(float(r["err_iden"]) <= 1e-6 for r in got)
 
     def test_non_stokes_rejected(self, capsys):
         assert main(["verify-identity", "--problem", "cook"]) == 1

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg as sla
 
 from gapfem import (
     DIRICHLET,
@@ -20,8 +23,10 @@ from gapfem import (
     solve_sparse,
     structured_square_mesh,
 )
+from gapfem import forms
 from gapfem.forms import (
     Factorization,
+    StokesSaddle,
     cr_stiffness,
     jump_form_value,
     stabilization_jump_matrix,
@@ -128,6 +133,59 @@ class TestStokesAssembly:
         system = assemble_stokes(mesh, 1.0, zero_lift(mesh), pi0(f, mesh), None, None)
         u, p, _ = system.solve()
         assert abs(np.sum(mesh.areas * p.values)) < 1e-12
+
+
+class TestStokesALSolve:
+    """The augmented-Lagrangian Uzawa solve of the CR-P0 saddle."""
+
+    @pytest.mark.parametrize("labeler", [all_dirichlet, tg_labeler])
+    def test_matches_saddle_lu(self, labeler):
+        # both viscosities share the mesh's one factor
+        mesh = structured_square_mesh(6, labeler)
+        rng = np.random.default_rng(7)
+        for nu in (0.5, 1.0):
+            saddle = StokesSaddle(mesh, nu)
+            assert saddle.pure_dirichlet == (labeler is all_dirichlet)
+            rhs = rng.standard_normal(saddle.matrix.shape[0])
+            x, report = saddle.al_solve(rhs)
+            ref = sla.splu(saddle.matrix).solve(rhs)
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+            assert report.residual_norm <= 1e-10
+
+    def test_zero_rhs_exact_zero(self):
+        saddle = StokesSaddle(structured_square_mesh(4, all_dirichlet), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, report = saddle.al_solve(np.zeros(saddle.matrix.shape[0]))
+        assert not np.any(x)
+        assert report.residual_norm == 0.0
+
+    def test_unreachable_tol_raises(self):
+        saddle = StokesSaddle(structured_square_mesh(4, tg_labeler), 1.0)
+        rhs = np.random.default_rng(1).standard_normal(saddle.matrix.shape[0])
+        with pytest.raises(SingularSystemError, match="exceeds"):
+            saddle.al_solve(rhs, tol=1e-30)
+
+    def test_one_symmetric_factor_per_mesh(self, monkeypatch):
+        from gapfem.duality import project_divfree_cr
+        from gapfem.problems import discretize_stokes, taylor_green_stokes
+
+        factored = []
+        splu = sla.splu
+
+        def counting_splu(a, *args, **kwargs):
+            assert abs(a - a.T).max() <= 1e-14 * abs(a).max()
+            factored.append(a.shape)
+            return splu(a, *args, **kwargs)
+
+        monkeypatch.setattr(forms.sla, "splu", counting_splu)
+        prob = taylor_green_stokes()
+        mesh = prob.mesh_factory()
+        discretize_stokes(prob, mesh)
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            project_divfree_cr(CRField(mesh, rng.standard_normal((mesh.num_sides, 2))))
+        assert len(factored) == 1
 
 
 class TestElasticityAssembly:
