@@ -60,6 +60,7 @@ class IterationRecord:
     wall_time: float = 0.0
     backward_error: float = 0.0  # of the linear solve, JSON report only
     reconstruction_jump: float = 0.0  # of the stress reconstruction, JSON only
+    optimality_residual: float = 0.0  # of the solution, JSON report only
 
     def to_dict(self):
         out = {
@@ -75,6 +76,7 @@ class IterationRecord:
             "wall_time": self.wall_time,
             "backward_error": self.backward_error,
             "reconstruction_jump": self.reconstruction_jump,
+            "optimality_residual": self.optimality_residual,
         }
         out.update(self.errors)
         return out
@@ -246,6 +248,7 @@ def run_adaptive(problem, config):
             wall_time=time.perf_counter() - t0,
             backward_error=sol.solve_report.residual_norm,
             reconstruction_jump=stress.reconstruction_jump,
+            optimality_residual=sol.optimality_residual(),
         )
         records.append(record)
         if total < config.eps_stop or len(marked) == 0:

@@ -11,7 +11,7 @@ stress-tests with randomized admissible perturbations.
 import numpy as np
 
 from . import mesh as _mesh
-from .forms import StokesSaddle
+from .forms import stokes_saddle
 from .quadrature import physical_points, triangle_rule
 from .spaces import (
     CRField,
@@ -494,15 +494,14 @@ def random_divfree_cr(mesh, seed, scale=1.0):
 def project_divfree_cr(v):
     """Broken-H1-orthogonal projection onto the divergence-free subspace.
 
-    Solves the nu = 1 Stokes saddle system with load A v.  The saddle is
-    cached on the mesh and shares the mesh's one Stokes factor, so repeated
-    projections (one per random sample) reuse it; every solve is
-    residual-checked.
+    Solves the nu = 1 Stokes saddle system with load A v through the mesh's
+    one `stokes_saddle`, so repeated projections (one per random sample)
+    and the Stokes solve share its factor; every solve is residual-checked.
     """
     mesh = v.mesh
-    saddle = mesh.cached("divfree_saddle", lambda: StokesSaddle(mesh, 1.0))
-    rhs = saddle.restrict(saddle.a_full @ v.dofs(), np.zeros(mesh.num_elements))
-    x, _ = saddle.al_solve(rhs)
+    saddle = stokes_saddle(mesh)
+    rhs = saddle.restrict(saddle.a1_full @ v.dofs(), np.zeros(mesh.num_elements))
+    x, _ = saddle.al_solve(rhs, 1.0)
     return saddle.velocity(x)
 
 

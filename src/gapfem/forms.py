@@ -9,6 +9,8 @@ The load functional is
 with element-wise constant f_h, F_h and side-wise constant tractions g_S.
 """
 
+import weakref
+
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
@@ -51,65 +53,44 @@ def _inf_norm(matrix):
     return np.abs(matrix).sum(axis=1).max() if matrix.nnz else 1.0
 
 
-def _backward_error(matrix, norm, rhs, x):
-    """Normwise backward error ||b - A x|| / (||A||_inf ||x|| + ||b||).
+# Normwise backward error every linear solve must reach.
+SOLVE_TOL = 1e-10
 
-    `norm` is ||A||_inf.  A zero solution of a zero right-hand side has
-    backward error 0 (the 0/0 case).
+
+def _checked(matrix, norm, rhs, x, kind):
+    """LinearSolveReport of a solution x of matrix @ x = rhs.
+
+    The report holds the normwise backward error
+    ||b - A x|| / (||A||_inf ||x|| + ||b||), `norm` being ||A||_inf, with
+    Frobenius norms when rhs holds several columns.  A zero solution of a
+    zero right-hand side has backward error 0 (the 0/0 case).
+    SingularSystemError is raised if x is not finite or its backward error
+    exceeds SOLVE_TOL.
     """
+    if not np.all(np.isfinite(x)):
+        raise SingularSystemError("factorization produced non-finite values")
     denom = norm * np.linalg.norm(x) + np.linalg.norm(rhs)
-    return np.linalg.norm(rhs - matrix @ x) / (denom if denom > 0 else 1.0)
+    res = np.linalg.norm(rhs - matrix @ x) / (denom if denom > 0 else 1.0)
+    if res > SOLVE_TOL:
+        raise SingularSystemError(
+            f"relative residual {res:.3e} exceeds {SOLVE_TOL:.1e}"
+        )
+    return LinearSolveReport(res, kind)
 
 
-def _check_backward_error(res, tol):
-    if res > tol:
-        raise SingularSystemError(f"relative residual {res:.3e} exceeds {tol:.1e}")
+def solve_sparse(matrix, rhs):
+    """Sparse LU (COLAMD ordering) factor-and-solve, checked by `_checked`.
 
-
-class Factorization:
-    """Sparse LU factorisation whose solves are residual-checked.
-
-    `solve` reports the normwise backward error (`_backward_error`) and
-    refines iteratively while it improves.  SingularSystemError is raised if
-    the factorisation fails or the final backward error exceeds `tol`.
+    rhs is a vector or an (n, k) block of right-hand sides.  Returns
+    (solution, LinearSolveReport); the factor is discarded.
+    SingularSystemError is raised if the factorisation or the check fails.
     """
-
-    def __init__(self, matrix):
-        self.matrix = matrix.tocsc()
-        try:
-            self.lu = sla.splu(self.matrix)
-        except RuntimeError as exc:
-            raise SingularSystemError(str(exc)) from exc
-        self.norm = _inf_norm(self.matrix)
-
-    def solve(self, rhs, tol=1e-10, max_refine=4):
-        """Returns (solution, LinearSolveReport)."""
-        a, lu = self.matrix, self.lu
-        try:
-            x = lu.solve(rhs)
-        except RuntimeError as exc:
-            raise SingularSystemError(str(exc)) from exc
-        if not np.all(np.isfinite(x)):
-            raise SingularSystemError("factorization produced non-finite values")
-        res = _backward_error(a, self.norm, rhs, x)
-        for _ in range(max_refine):
-            if res <= 1e-4 * tol:
-                break
-            x_new = x + lu.solve(rhs - a @ x)
-            res_new = _backward_error(a, self.norm, rhs, x_new)
-            if res_new >= res:
-                break
-            x, res = x_new, res_new
-        _check_backward_error(res, tol)
-        return x, LinearSolveReport(res, "superlu")
-
-
-def solve_sparse(matrix, rhs, tol=1e-10, max_refine=4):
-    """One-shot factor-and-solve: Factorization(matrix).solve(rhs, ...).
-
-    Returns (solution, LinearSolveReport); the factor is discarded.
-    """
-    return Factorization(matrix).solve(rhs, tol=tol, max_refine=max_refine)
+    matrix = matrix.tocsc()
+    try:
+        x = sla.splu(matrix).solve(rhs)
+    except RuntimeError as exc:
+        raise SingularSystemError(str(exc)) from exc
+    return x, _checked(matrix, _inf_norm(matrix), rhs, x, "superlu")
 
 
 # -- scalar building blocks ----------------------------------------------------
@@ -357,49 +338,63 @@ AL_MAX_ITER = 30
 
 
 class StokesSaddle:
-    """The CR-P0 Stokes saddle operator of one mesh and viscosity nu.
+    """The CR-P0 Stokes saddle operator of one mesh, for every viscosity.
 
-    a_full = nu * (vector CR stiffness) and b_full = -(q, div_h v), with q
-    the element pressures, act on all CR DOFs.  `matrix` is
-    [[A, B^T], [B, 0]] with A and B restricted to the free velocity DOFs
-    `vel_index`; with an empty Neumann set one extra Lagrange multiplier
+    a1_full = vector CR stiffness (the velocity block at nu = 1) and
+    b_full = -(q, div_h v), with q the element pressures, act on all CR
+    DOFs; a1 and b are their restrictions to the free velocity DOFs
+    `vel_index`.  With an empty Neumann set one extra Lagrange multiplier
     enforces the zero-mean pressure gauge.
 
-    `al_solve` never factors `matrix`; it only multiplies it to check each
-    solution.  Its one factor is the sparse SPD K_1 = A_1 + AL_GAMMA0
-    B^T M^-1 B of nu = 1, with M the diagonal of element areas.  Since
-    K_nu = nu K_1 for gamma = AL_GAMMA0 nu, the factor is built once per
-    mesh and serves every viscosity.
+    `al_solve` never factors the saddle `matrix(nu)`; it only multiplies it
+    to check each solution.  Its one factor `lu` is the sparse SPD
+    K_1 = A_1 + AL_GAMMA0 B^T M^-1 B, with M the diagonal of element areas.
+    Since K_nu = nu K_1 for gamma = AL_GAMMA0 nu, it serves every viscosity.
     """
 
-    def __init__(self, mesh, nu):
-        self.mesh = mesh
-        self.nu = nu
+    def __init__(self, mesh):
+        # the mesh caches its saddle; a strong reference back would make a
+        # cycle that keeps old meshes and factors until the cyclic collector runs
+        self._mesh = weakref.ref(mesh)
+        self.areas = mesh.areas
         self.free_sides, self.vel_index = _free_dofs(mesh)
         k_scal = cr_stiffness(mesh)
-        a1_full = sparse.block_diag([k_scal, k_scal]).tocsr()
-        self.a_full = nu * a1_full
+        self.a1_full = sparse.block_diag([k_scal, k_scal]).tocsr()
         # (q, div v) weighted by element areas
         self.b_full = sparse.diags(mesh.areas) @ -cr_divergence_matrix(mesh)
-        self.a1 = a1_full[self.vel_index][:, self.vel_index]
+        self.a1 = self.a1_full[self.vel_index][:, self.vel_index]
         self.b = self.b_full[:, self.vel_index]
-        a, b = nu * self.a1, self.b
-
         self.pure_dirichlet = len(mesh.sides_with_label(_mesh.NEUMANN)) == 0
-        blocks = [[a, b.T], [b, None]]
-        if self.pure_dirichlet:
-            gauge = sparse.csr_matrix(
-                (mesh.areas, (np.zeros(mesh.num_elements, dtype=int),
-                              np.arange(mesh.num_elements))),
-                shape=(1, mesh.num_elements),
+        self._checks = {}  # nu -> (saddle matrix, its row-sum norm)
+
+        k1 = self.a1 + AL_GAMMA0 * (
+            self.b.T @ sparse.diags(1.0 / mesh.areas) @ self.b
+        )
+        try:
+            self.lu = sla.splu(
+                k1.tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
             )
-            blocks = [
-                [a, b.T, None],
-                [b, None, gauge.T],
-                [None, gauge, None],
-            ]
-        self.matrix = sparse.bmat(blocks, format="csc")
-        self.norm = _inf_norm(self.matrix)
+        except RuntimeError as exc:
+            raise SingularSystemError(str(exc)) from exc
+
+    def _check(self, nu):
+        """The saddle matrix at nu and its row-sum norm, built once per nu."""
+        if nu not in self._checks:
+            a, b = nu * self.a1, self.b
+            blocks = [[a, b.T], [b, None]]
+            if self.pure_dirichlet:
+                gauge = sparse.csr_matrix(self.areas[None, :])
+                blocks = [[a, b.T, None], [b, None, gauge.T], [None, gauge, None]]
+            matrix = sparse.bmat(blocks, format="csc")
+            self._checks[nu] = (matrix, _inf_norm(matrix))
+        return self._checks[nu]
+
+    def matrix(self, nu):
+        """[[nu A_1, B^T], [B, 0]], bordered by the gauge row if present."""
+        return self._check(nu)[0]
 
     def restrict(self, load_v, load_p):
         """Right-hand side for a load on all CR DOFs and one per element."""
@@ -409,50 +404,29 @@ class StokesSaddle:
 
     def velocity(self, x):
         """Velocity part of a solution vector as a homogeneous CR field."""
-        return _free_field(self.mesh, self.free_sides, x)
+        return _free_field(self._mesh(), self.free_sides, x)
 
-    def _al_factor(self):
-        """Sparse LU of K_1 with a symmetric ordering, once per mesh."""
-
-        def build():
-            k1 = self.a1 + AL_GAMMA0 * (
-                self.b.T @ sparse.diags(1.0 / self.mesh.areas) @ self.b
-            )
-            try:
-                return sla.splu(
-                    k1.tocsc(),
-                    permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True},
-                )
-            except RuntimeError as exc:
-                raise SingularSystemError(str(exc)) from exc
-
-        return self.mesh.cached("stokes_al_factor", build)
-
-    def al_solve(self, rhs, tol=1e-10):
-        """Solve matrix @ x = rhs by augmented-Lagrangian Uzawa iteration.
+    def al_solve(self, rhs, nu):
+        """Solve matrix(nu) @ x = rhs by augmented-Lagrangian Uzawa iteration.
 
         Each step solves K u = f + gamma B^T M^-1 g - B^T p and updates
         p += gamma M^-1 (B u - g), while ||B u - g|| strictly decreases.
         The u of the last update and the updated p satisfy the momentum
         rows exactly.  On pure-Dirichlet meshes B u sums to zero, so the
         gauge multiplier is the mean of g, and p is shifted to the gauge.
-        Returns (x, LinearSolveReport); SingularSystemError is raised if
-        the backward error against `matrix` exceeds `tol`.
+        Returns (x, LinearSolveReport), checked against matrix(nu).
         """
-        lu = self._al_factor()
-        nv, areas = len(self.vel_index), self.mesh.areas
+        nv, areas = len(self.vel_index), self.areas
         f, g = rhs[:nv], rhs[nv: nv + len(areas)]
         if self.pure_dirichlet:
             lam = g.sum() / areas.sum()
             g = g - lam * areas
-        gamma = AL_GAMMA0 * self.nu
+        gamma = AL_GAMMA0 * nu
         load = f + gamma * (self.b.T @ (g / areas))
         p = np.zeros(len(areas))
         best = None
         for _ in range(AL_MAX_ITER):
-            u = lu.solve(load - self.b.T @ p) / self.nu
+            u = self.lu.solve(load - self.b.T @ p) / nu
             r = self.b @ u - g
             r_norm = np.linalg.norm(r)
             if best is not None and not r_norm < best[2]:
@@ -465,23 +439,27 @@ class StokesSaddle:
             p = p + (rhs[-1] - areas @ p) / areas.sum()
             gauge = [lam]
         x = np.concatenate([u, p, gauge])
-        if not np.all(np.isfinite(x)):
-            raise SingularSystemError("factorization produced non-finite values")
-        res = _backward_error(self.matrix, self.norm, rhs, x)
-        _check_backward_error(res, tol)
-        return x, LinearSolveReport(res, "augmented-lagrangian")
+        matrix, norm = self._check(nu)
+        return x, _checked(matrix, norm, rhs, x, "augmented-lagrangian")
 
 
-class StokesSystem(StokesSaddle, _LoadedSystem):
+def stokes_saddle(mesh):
+    """The mesh's one StokesSaddle, shared by every viscosity."""
+    return mesh.cached("stokes_saddle", lambda: StokesSaddle(mesh))
+
+
+class StokesSystem(_LoadedSystem):
     """Assembled discrete Stokes saddle-point system and its load.
 
     Unknowns: free velocity DOFs (both components) followed by element
-    pressures and, on pure-Dirichlet meshes, the gauge multiplier.
+    pressures and, on pure-Dirichlet meshes, the gauge multiplier; the
+    operator is the mesh's `saddle` at viscosity nu.
     """
 
     def __init__(self, mesh, nu, u_hat, f_h, big_f_h, g_h):
-        super().__init__(mesh, nu)
+        self.mesh = mesh
         self.nu = nu
+        self.saddle = stokes_saddle(mesh)
         self._assemble_load(u_hat, f_h, big_f_h, g_h)
 
         uhat_vec = u_hat.dofs()
@@ -491,24 +469,25 @@ class StokesSystem(StokesSaddle, _LoadedSystem):
                 "Dirichlet lift is not discretely divergence-free "
                 f"(max |div_h| = {np.abs(div_lift).max():.2e})"
             )
-        rhs_v = self.load_vector - self.a_full @ uhat_vec
-        self.rhs = self.restrict(rhs_v, -(self.b_full @ uhat_vec))
+        rhs_v = self.load_vector - nu * (self.saddle.a1_full @ uhat_vec)
+        self.rhs = self.saddle.restrict(rhs_v, -(self.saddle.b_full @ uhat_vec))
 
     def solve(self):
         """Solve; returns (u_h, p_h, report) with u_h in the homogeneous space."""
-        x, report = self.al_solve(self.rhs)
-        nfree = len(self.vel_index)
+        x, report = self.saddle.al_solve(self.rhs, self.nu)
+        nfree = len(self.saddle.vel_index)
         p_h = P0Field(self.mesh, x[nfree: nfree + self.mesh.num_elements])
-        return self.velocity(x), p_h, report
+        return self.saddle.velocity(x), p_h, report
 
     def residual(self, u_h, p_h):
         """Euler-Lagrange residual tested against every free CR basis function."""
+        saddle = self.saddle
         mom = (
-            self.a_full @ (u_h.dofs() + self.u_hat.dofs())
-            + self.b_full.T @ p_h.values
+            self.nu * (saddle.a1_full @ (u_h.dofs() + self.u_hat.dofs()))
+            + saddle.b_full.T @ p_h.values
             - self.load_vector
         )
-        return np.abs(mom[self.vel_index]).max()
+        return np.abs(mom[saddle.vel_index]).max()
 
 
 def assemble_stokes(mesh, nu, u_hat, f_h, big_f_h=None, g_h=None):
@@ -621,13 +600,16 @@ def solve_lifting(mesh, u_total, mu, dirichlet_datum=None):
 
     u_total is the full discrete displacement u_h + u_hat; the jump weights
     are 2 mu / h_S on interior and Dirichlet sides, where Dirichlet jumps
-    are deviations from the boundary datum.
+    are deviations from the boundary datum.  The operator is the scalar CR
+    stiffness on both components, so one factor solves both as the columns
+    of an (n, 2) right-hand side.
     """
-    free, idx = _free_dofs(mesh)
-    k_scal = cr_stiffness(mesh)
-    a = sparse.block_diag([k_scal, k_scal]).tocsr()[idx][:, idx].tocsc()
+    free, _ = _free_dofs(mesh)
+    k_free = cr_stiffness(mesh)[free][:, free]
     s_full = stabilization_jump_matrix(mesh, mu)
     datum_load = dirichlet_penalty_load(mesh, mu, dirichlet_datum)
-    rhs = (s_full @ u_total.dofs() - datum_load)[idx]
-    x, _ = solve_sparse(a, rhs)
-    return _free_field(mesh, free, x)
+    rhs = (s_full @ u_total.dofs() - datum_load).reshape(2, -1).T[free]
+    x, _ = solve_sparse(k_free, rhs)
+    vals = np.zeros((mesh.num_sides, 2))
+    vals[free] = x
+    return CRField(mesh, vals)

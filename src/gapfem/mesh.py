@@ -66,6 +66,12 @@ class Triangulation:
         self.vertices = vertices
         self.elements = elements
         self.refinement_edge = np.asarray(refinement_edge, dtype=np.int64)
+        if self.refinement_edge.shape != (len(elements),) or np.any(
+            (self.refinement_edge < 0) | (self.refinement_edge > 2)
+        ):
+            raise MeshError(
+                "refinement_edge must hold one local edge 0, 1 or 2 per element"
+            )
 
         areas = _signed_areas(vertices, elements)
         if np.any(areas <= 1e-14 * max(1.0, np.abs(areas).max(initial=1.0))):
@@ -192,8 +198,8 @@ class Triangulation:
         """Value of build() for `key`, computed once per mesh.
 
         The one per-mesh cache: geometry, the stabilisation jump matrix per
-        mu, the Stokes factor shared by every viscosity and the
-        divergence-free projector's saddle live here.
+        mu and the Stokes saddle (`forms.stokes_saddle`), whose one factor
+        serves every viscosity and the divergence-free projector, live here.
         """
         if key not in self._cache:
             self._cache[key] = build()
@@ -447,20 +453,26 @@ def save_mesh(mesh, path):
 
 
 def load_mesh(path):
+    """Read a `save_mesh` file; malformed content raises MeshError."""
     with open(path) as f:
         header = f.readline().split()
         if header[:1] != ["gapfem-mesh"]:
             raise MeshError("not a gapfem mesh file")
-        nv, ne = map(int, f.readline().split())
-        vertices = np.array(
-            [[float(w) for w in f.readline().split()] for _ in range(nv)]
-        )
-        rows = [[int(w) for w in f.readline().split()] for _ in range(ne)]
-        elements = np.array([r[:3] for r in rows], dtype=np.int64)
-        refedge = np.array([r[3] for r in rows], dtype=np.int64)
-        nb = int(f.readline())
-        labels = {}
-        for _ in range(nb):
-            w = f.readline().split()
-            labels[(int(w[0]), int(w[1]))] = _LABEL_IDS[w[2]]
+        try:
+            nv, ne = map(int, f.readline().split())
+            vertices = np.array(
+                [[float(w) for w in f.readline().split()] for _ in range(nv)]
+            )
+            rows = [[int(w) for w in f.readline().split()] for _ in range(ne)]
+            elements = np.array([r[:3] for r in rows], dtype=np.int64)
+            refedge = np.array([r[3] for r in rows], dtype=np.int64)
+            nb = int(f.readline())
+            labels = {}
+            for _ in range(nb):
+                w = f.readline().split()
+                labels[(int(w[0]), int(w[1]))] = _LABEL_IDS[w[2]]
+        except (ValueError, IndexError, KeyError) as exc:
+            raise MeshError(
+                f"malformed mesh file {path}: {type(exc).__name__}: {exc}"
+            ) from exc
     return Triangulation(vertices, elements, refedge, labels)

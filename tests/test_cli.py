@@ -58,6 +58,7 @@ class TestRun:
         for r in records:
             assert 0.0 <= r["backward_error"] <= 1e-10
             assert 0.0 <= r["reconstruction_jump"] <= JUMP_TOL
+            assert 0.0 <= r["optimality_residual"] <= 1e-10
 
     def test_csv_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

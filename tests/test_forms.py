@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapfem import (
     DIRICHLET,
@@ -25,12 +27,13 @@ from gapfem import (
 )
 from gapfem import forms
 from gapfem.forms import (
-    Factorization,
+    SOLVE_TOL,
     StokesSaddle,
     cr_stiffness,
     jump_form_value,
     stabilization_jump_matrix,
     stabilization_weights,
+    stokes_saddle,
 )
 from gapfem.spaces import norm_p0
 
@@ -66,19 +69,20 @@ class TestSolveSparse:
         with pytest.raises(SingularSystemError):
             solve_sparse(a, np.array([1.0, 0.0]))
 
-    def test_factor_serves_many_rhs(self):
+    def test_factor_serves_many_rhs(self, monkeypatch):
+        # one factor solves a block of three right-hand sides
         rng = np.random.default_rng(3)
         m = rng.standard_normal((30, 30))
         a = sparse.csc_matrix(m @ m.T + 30.0 * np.eye(30))
-        factor = Factorization(a)
-        for _ in range(3):
-            b = rng.standard_normal(30)
-            x, report = factor.solve(b, tol=1e-12)
-            assert report.residual_norm <= 1e-12
-            assert np.abs(x - np.linalg.solve(a.toarray(), b)).max() < 1e-12
+        b = rng.standard_normal((30, 3))
+        x, report = solve_sparse(a, b)
+        assert x.shape == (30, 3)
+        assert report.residual_norm <= 1e-12
+        assert np.abs(x - np.linalg.solve(a.toarray(), b)).max() < 1e-12
         # a backward error below roundoff cannot be reached
+        monkeypatch.setattr(forms, "SOLVE_TOL", 1e-30)
         with pytest.raises(SingularSystemError, match="exceeds"):
-            factor.solve(rng.standard_normal(30), tol=1e-30)
+            solve_sparse(a, rng.standard_normal(30))
 
 
 class TestStokesAssembly:
@@ -105,9 +109,9 @@ class TestStokesAssembly:
     def test_taylor_green_dof_count(self):
         mesh = structured_square_mesh(10, tg_labeler)
         system = assemble_stokes(mesh, 0.5, zero_lift(mesh), None, None, None)
-        nfree = len(system.vel_index)
+        nfree = len(system.saddle.vel_index)
         assert nfree + 2 * 20 == 640  # constrained Dirichlet DOFs excluded
-        assert system.matrix.shape[0] == nfree + mesh.num_elements
+        assert system.saddle.matrix(0.5).shape[0] == nfree + mesh.num_elements
         assert 2 * mesh.num_sides + mesh.num_elements == 840
 
     def test_divfree_precondition_enforced(self):
@@ -143,28 +147,29 @@ class TestStokesALSolve:
         # both viscosities share the mesh's one factor
         mesh = structured_square_mesh(6, labeler)
         rng = np.random.default_rng(7)
+        saddle = stokes_saddle(mesh)
+        assert saddle.pure_dirichlet == (labeler is all_dirichlet)
         for nu in (0.5, 1.0):
-            saddle = StokesSaddle(mesh, nu)
-            assert saddle.pure_dirichlet == (labeler is all_dirichlet)
-            rhs = rng.standard_normal(saddle.matrix.shape[0])
-            x, report = saddle.al_solve(rhs)
-            ref = sla.splu(saddle.matrix).solve(rhs)
+            rhs = rng.standard_normal(saddle.matrix(nu).shape[0])
+            x, report = saddle.al_solve(rhs, nu)
+            ref = sla.splu(saddle.matrix(nu)).solve(rhs)
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
             assert report.residual_norm <= 1e-10
 
     def test_zero_rhs_exact_zero(self):
-        saddle = StokesSaddle(structured_square_mesh(4, all_dirichlet), 0.5)
+        saddle = StokesSaddle(structured_square_mesh(4, all_dirichlet))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, report = saddle.al_solve(np.zeros(saddle.matrix.shape[0]))
+            x, report = saddle.al_solve(np.zeros(saddle.matrix(0.5).shape[0]), 0.5)
         assert not np.any(x)
         assert report.residual_norm == 0.0
 
-    def test_unreachable_tol_raises(self):
-        saddle = StokesSaddle(structured_square_mesh(4, tg_labeler), 1.0)
-        rhs = np.random.default_rng(1).standard_normal(saddle.matrix.shape[0])
+    def test_unreachable_tol_raises(self, monkeypatch):
+        saddle = StokesSaddle(structured_square_mesh(4, tg_labeler))
+        rhs = np.random.default_rng(1).standard_normal(saddle.matrix(1.0).shape[0])
+        monkeypatch.setattr(forms, "SOLVE_TOL", 1e-30)
         with pytest.raises(SingularSystemError, match="exceeds"):
-            saddle.al_solve(rhs, tol=1e-30)
+            saddle.al_solve(rhs, 1.0)
 
     def test_one_symmetric_factor_per_mesh(self, monkeypatch):
         from gapfem.duality import project_divfree_cr
@@ -186,6 +191,81 @@ class TestStokesALSolve:
         for _ in range(3):
             project_divfree_cr(CRField(mesh, rng.standard_normal((mesh.num_sides, 2))))
         assert len(factored) == 1
+
+    def test_one_saddle_per_mesh_in_identity_rows(self, monkeypatch):
+        # the Stokes solve at nu = 1/2 and the nu = 1 projector share it
+        from gapfem.adaptive import identity_rows
+        from gapfem.problems import taylor_green_stokes
+
+        built = []
+        init = StokesSaddle.__init__
+
+        def counting_init(self, mesh):
+            built.append(mesh)
+            init(self, mesh)
+
+        monkeypatch.setattr(StokesSaddle, "__init__", counting_init)
+        identity_rows(taylor_green_stokes(), levels=3, seeds=2)
+        assert len(built) == 3
+        assert len({id(m) for m in built}) == 3
+
+    def test_saddle_freed_with_its_mesh(self):
+        # the mesh caches the saddle; no cycle may keep the pair alive
+        # until the cyclic collector runs
+        import gc
+        import weakref
+
+        mesh = structured_square_mesh(3, tg_labeler)
+        saddle = weakref.ref(stokes_saddle(mesh))
+        gc.disable()
+        try:
+            del mesh
+            assert saddle() is None
+        finally:
+            gc.enable()
+
+
+def _perturbed_mesh(n, labeler, seed):
+    """Structured mesh with interior vertices moved by up to 0.3 h."""
+    mesh = structured_square_mesh(n, labeler)
+    verts = mesh.vertices.copy()
+    inner = np.all((verts > 1e-12) & (verts < 1.0 - 1e-12), axis=1)
+    rng = np.random.default_rng(seed)
+    radius = 0.3 / n * np.sqrt(rng.uniform(size=inner.sum()))
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=inner.sum())
+    verts[inner] += radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    return build_triangulation(verts, mesh.elements, labeler)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    labeler=st.sampled_from([all_dirichlet, tg_labeler]),
+    seed=st.integers(0, 2**32 - 1),
+    log_nus=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=3),
+)
+def test_viscosity_free_saddle(n, labeler, seed, log_nus):
+    """One saddle and one factor per mesh solve matrix(nu) for every nu."""
+    mesh = _perturbed_mesh(n, labeler, seed)
+    rng = np.random.default_rng(seed)
+    splu = sla.splu
+    factored = []
+
+    def counting_splu(a, *args, **kwargs):
+        factored.append(a.shape)
+        return splu(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forms.sla, "splu", counting_splu)
+        saddle = stokes_saddle(mesh)
+        for nu in 10.0 ** np.array(log_nus):
+            rhs = rng.standard_normal(saddle.matrix(nu).shape[0])
+            x, report = saddle.al_solve(rhs, nu)
+            ref = splu(saddle.matrix(nu)).solve(rhs)
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+            assert report.residual_norm <= SOLVE_TOL
+        assert stokes_saddle(mesh) is saddle
+    assert len(factored) == 1
 
 
 class TestElasticityAssembly:

@@ -256,3 +256,23 @@ class TestIO:
         assert np.array_equal(back.elements, mesh.elements)
         assert np.allclose(back.vertices, mesh.vertices, rtol=1e-15, atol=0)
         assert np.array_equal(back.side_labels, mesh.side_labels)
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda lines: lines[:-2],  # truncated label section
+            lambda lines: lines[:-1] + [lines[-1].rsplit(" ", 1)[0] + " wall"],
+            lambda lines: lines[:1] + ["16 x"] + lines[2:],  # non-integer count
+            lambda lines: lines[:18] + [lines[18].rsplit(" ", 1)[0] + " 7"]
+            + lines[19:],  # refinement edge out of range
+        ],
+        ids=["truncated-labels", "unknown-label", "bad-count", "refinement-edge-7"],
+    )
+    def test_malformed_file_raises_mesh_error(self, tmp_path, mangle):
+        path = tmp_path / "mesh.txt"
+        save_mesh(structured_square_mesh(3, tg_labeler), path)
+        lines = path.read_text().splitlines()
+        assert lines[18].count(" ") == 3  # the first element row
+        path.write_text("\n".join(mangle(lines)) + "\n")
+        with pytest.raises(MeshError):
+            load_mesh(path)
