@@ -9,7 +9,6 @@ adaptive refinement loop.
 from .adaptive import AdaptiveConfig, IterationRecord, RunReport, eoc, mark_max, run_adaptive
 from .duality import (
     AdmissibilityError,
-    AdmissiblePair,
     ElasticitySolution,
     ElasticityTensor,
     StokesSolution,

@@ -39,6 +39,8 @@ class AdaptiveConfig:
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
+        if not 0.0 <= self.eps_stop:
+            raise ValueError("eps_stop must be at least 0")
         if self.refinement_mode == "uniform":
             self.theta = 0.0
         elif self.refinement_mode != "adaptive":

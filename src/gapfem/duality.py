@@ -254,37 +254,6 @@ def check_stress_admissible(tau, f_h, g_h, mesh, tol=1e-10):
 # -- energies, gaps, strong convexity measures ------------------------------------
 
 
-class AdmissiblePair:
-    """Validated candidate pair for the discrete gap identity.
-
-    v_h must be discretely divergence-free with zero Dirichlet DOFs, tau_h
-    (relative to F_h) must satisfy the divergence and Neumann-trace
-    constraints of the system's data; construction raises
-    AdmissibilityError otherwise.
-    """
-
-    def __init__(self, v_h, tau_h, system, tol=1e-10):
-        ok_v, res_v = check_stokes_admissible_velocity(v_h, tol=tol)
-        if not ok_v:
-            raise AdmissibilityError(f"velocity constraint residual {res_v:.3e}")
-        ok_t, res_t = check_stress_admissible(
-            tau_h, system.f_h, system.g_h, system.mesh, tol=tol
-        )
-        if not ok_t:
-            raise AdmissibilityError(f"stress constraint residual {res_t:.3e}")
-        self.v_h = v_h
-        self.tau_h = tau_h
-        self.system = system
-
-    def gap(self):
-        return float(
-            gap_indicator_stokes_discrete(
-                self.v_h, self.tau_h, self.system.u_hat, self.system.nu,
-                self.system.mesh, big_f_h=self.system.big_f_h,
-            ).sum()
-        )
-
-
 def _total_dev_avg(tau_rel, big_f_h, mesh):
     avg = tau_rel.cell_average().values
     if big_f_h is not None:

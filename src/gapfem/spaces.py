@@ -166,10 +166,6 @@ def sym(a):
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def skew(a):
-    return 0.5 * (a - np.swapaxes(a, -1, -2))
-
-
 # -- projections and interpolation -------------------------------------------
 
 
@@ -270,12 +266,6 @@ def broken_sym_gradient(v):
 def broken_divergence(v):
     g = broken_gradient(v)
     return P0Field(v.mesh, g.values[:, 0, 0] + g.values[:, 1, 1])
-
-
-def cr_values_p0(v):
-    """Element averages Pi_h v of a CR field (exact: value at the centroid)."""
-    vv = v.values[v.mesh.element_sides]
-    return P0Field(v.mesh, vv.mean(axis=1))
 
 
 def _trace_coefficients(mesh, sides, slot):

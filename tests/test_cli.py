@@ -75,6 +75,8 @@ class TestRun:
         ["verify-identity", "--seeds", "0"],
         ["run", "taylor-green", "--theta", "2"],
         ["run", "taylor-green", "--max-iter", "0"],
+        ["run", "taylor-green", "--eps-stop", "nan"],
+        ["run", "taylor-green", "--eps-stop", "-1"],
         ["table1", "--max-iter", "0"],
         ["verify-identity", "--threshold", "nan"],
         ["verify-identity", "--threshold", "inf"],

@@ -26,7 +26,11 @@ from gapfem import (
     structured_square_mesh,
 )
 from gapfem.adaptive import refine_marked_twice
-from gapfem.duality import check_stress_admissible, project_divfree_cr
+from gapfem.duality import (
+    check_stokes_admissible_velocity,
+    check_stress_admissible,
+    project_divfree_cr,
+)
 from gapfem.problems import (
     cook_membrane,
     discretize_elasticity,
@@ -34,7 +38,16 @@ from gapfem.problems import (
     manufactured_elasticity,
     taylor_green_stokes,
 )
-from gapfem.spaces import cr_values_p0, norm_p0, skew, sym
+from gapfem.spaces import norm_p0, sym
+
+
+def cr_values_p0(v):
+    """Element averages Pi_h v of a CR field (exact: value at the centroid)."""
+    return P0Field(v.mesh, v.values[v.mesh.element_sides].mean(axis=1))
+
+
+def skew(a):
+    return 0.5 * (a - np.swapaxes(a, -1, -2))
 
 
 def all_dirichlet(mid):
@@ -339,23 +352,28 @@ class TestEnergies:
 
 class TestAdmissiblePair:
     def test_valid_pair_constructs_and_gap(self, tg_solution):
-        from gapfem.duality import AdmissiblePair
-
+        # a perturbed admissible pair passes both checks, and its discrete
+        # gap is I_h(v) - D_h(tau) = rho_primal + rho_dual
         prob, mesh, sol = tg_solution
+        system = sol.system
         v = sol.u_h + random_divfree_cr(mesh, 21, scale=0.05)
         tau = sol.t_h + random_divfree_rt(mesh, 22, scale=0.05)
-        pair = AdmissiblePair(v, tau, sol.system)
+        assert check_stokes_admissible_velocity(v)[0]
+        assert check_stress_admissible(tau, system.f_h, system.g_h, mesh)[0]
+        gap = gap_indicator_stokes_discrete(
+            v, tau, system.u_hat, system.nu, mesh, big_f_h=system.big_f_h
+        ).sum()
+        en = energies_stokes(v, tau, system)
         rho = strong_convexity_stokes(v, tau, sol)
-        assert pair.gap() == pytest.approx(rho["primal"] + rho["dual"], rel=1e-8)
+        assert gap == pytest.approx(rho["primal"] + rho["dual"], rel=1e-8)
+        assert en["primal"] - en["dual"] == pytest.approx(gap, rel=1e-8)
 
     def test_invalid_pair_rejected(self, tg_solution):
-        from gapfem.duality import AdmissiblePair
-
         prob, mesh, sol = tg_solution
         rng = np.random.default_rng(0)
         bad = CRField(mesh, rng.standard_normal((mesh.num_sides, 2)))
-        with pytest.raises(AdmissibilityError):
-            AdmissiblePair(bad, sol.t_h, sol.system)
+        assert not check_stokes_admissible_velocity(bad)[0]
+        assert energies_stokes(bad, sol.t_h, sol.system)["primal"] == np.inf
 
 
 class TestRandomFields:

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import warnings
 
 import numpy as np
@@ -30,7 +32,7 @@ from gapfem.forms import (
     SOLVE_TOL,
     StokesSaddle,
     cr_stiffness,
-    jump_form_value,
+    jump_penalty_matrix,
     stabilization_jump_matrix,
     stabilization_weights,
     stokes_saddle,
@@ -83,6 +85,107 @@ class TestSolveSparse:
         monkeypatch.setattr(forms, "SOLVE_TOL", 1e-30)
         with pytest.raises(SingularSystemError, match="exceeds"):
             solve_sparse(a, rng.standard_normal(30))
+
+    def test_one_factor_path_for_every_operator(self, monkeypatch):
+        # K_1, the elasticity matrix and the lifting's CR stiffness are all
+        # factored by spd_factor with the same options
+        from gapfem.problems import (
+            cook_membrane,
+            discretize_elasticity,
+            discretize_stokes,
+            taylor_green_stokes,
+        )
+
+        calls = []
+        splu = sla.splu
+
+        def recording_splu(a, *args, **kwargs):
+            calls.append((a.shape[0], args, kwargs))
+            return splu(a, *args, **kwargs)
+
+        monkeypatch.setattr(forms.sla, "splu", recording_splu)
+        stokes = taylor_green_stokes()
+        discretize_stokes(stokes, stokes.mesh_factory())
+        cook = cook_membrane(nx=3, ny=5)
+        mesh = cook.mesh_factory()
+        sol = discretize_elasticity(cook, mesh)
+        solve_lifting(mesh, sol.u_h + sol.u_hat, cook.material.mu)
+        nfree = len(sol.system.vel_index)
+        assert [n for n, _, _ in calls][1:] == [nfree, nfree // 2, nfree // 2]
+        assert all(
+            (args, kwargs) == ((), forms.SPD_FACTOR_OPTIONS) for _, args, kwargs in calls
+        )
+
+    def test_single_splu_call_site(self):
+        # a second ordering or factor path cannot return unnoticed
+        sites = []
+        for path in sorted(pathlib.Path(forms.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for fn in ast.walk(tree):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                for node in ast.walk(fn):
+                    func = getattr(node, "func", None)
+                    name = getattr(func, "attr", getattr(func, "id", None))
+                    if isinstance(node, ast.Call) and name == "splu":
+                        sites.append((path.name, fn.name))
+        assert sites == [("forms.py", "spd_factor")]
+
+
+def _random_sparse(rng, n, density):
+    return sparse.random(n, n, density=density, random_state=rng, format="csr",
+                         data_rvs=rng.standard_normal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    density=st.floats(0.02, 0.5),
+    shift=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_sparse_spd_matches_dense(n, density, shift, seed):
+    """On sparse SPD matrices solve_sparse agrees with a dense solve."""
+    rng = np.random.default_rng(seed)
+    r = _random_sparse(rng, n, density)
+    a = (r @ r.T + shift * sparse.identity(n)).tocsc()
+    b = rng.standard_normal(n)
+    x, report = solve_sparse(a, b)
+    ref = np.linalg.solve(a.toarray(), b)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert report.residual_norm <= SOLVE_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    density=st.floats(0.02, 0.5),
+    log_scale=st.floats(-14.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_sparse_indefinite_never_silent(n, density, log_scale, seed):
+    """On symmetric indefinite matrices solve_sparse raises or is backward stable.
+
+    A diagonal of either sign makes every sample indefinite; a small one
+    gives the diagonal pivots growth that the residual check must catch.
+    """
+    rng = np.random.default_rng(seed)
+    r = _random_sparse(rng, n, density)
+    scale = 10.0**log_scale
+    diag = scale * rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    diag[:2] = [scale, -scale]
+    a = (r + r.T + sparse.diags(diag)).tocsc()
+    b = rng.standard_normal(n)
+    try:
+        x, report = solve_sparse(a, b)
+    except SingularSystemError:
+        return
+    dense = a.toarray()
+    backward = np.linalg.norm(b - dense @ x) / (
+        np.abs(dense).sum(axis=1).max() * np.linalg.norm(x) + np.linalg.norm(b)
+    )
+    assert backward <= SOLVE_TOL
+    assert report.residual_norm <= SOLVE_TOL
 
 
 class TestStokesAssembly:
@@ -327,7 +430,7 @@ class TestElasticityAssembly:
         # || C^(1/2) grad v ||^2 <= c (|| C^(1/2) eps v ||^2 + s_h(v, v))
         mesh = structured_square_mesh(4, tg_labeler)
         mat = ElasticityTensor(1.0, 5.0)
-        weights = stabilization_weights(mesh, mat.mu)
+        jumps = jump_penalty_matrix(mesh, stabilization_weights(mesh, mat.mu))
         rng = np.random.default_rng(42)
         worst = 0.0
         for _ in range(100):
@@ -339,7 +442,7 @@ class TestElasticityAssembly:
             num = np.sum(mesh.areas * np.einsum("nij,nij->n", mat.apply(g), g))
             den = np.sum(
                 mesh.areas * np.einsum("nij,nij->n", mat.apply(e), e)
-            ) + jump_form_value(mesh, weights, v, v)
+            ) + np.einsum("ni,ni->", vals, jumps @ vals)
             worst = max(worst, num / den)
         print(f"empirical discrete Korn constant: {worst:.3f}")
         assert np.isfinite(worst) and worst > 0
