@@ -4,8 +4,10 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
 
 import argparse
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +33,17 @@ def _positive_float(text):
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be finite and above 0, got {value}")
     return value
+
+
+def _write_report(write, path):
+    """Call write(path): True on success, an error message and False if not."""
+    try:
+        write(path)
+    except OSError as exc:
+        print(f"error: cannot write report {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    print(f"report written to {path}")
+    return True
 
 
 def build_parser():
@@ -97,11 +110,9 @@ def cmd_run(args):
     for row in rows:
         print("  ".join(c.rjust(w) for c, w in zip(row, widths)))
     if args.out:
-        if args.format == "csv":
-            report.to_csv(args.out)
-        else:
-            report.to_json(args.out)
-        print(f"report written to {args.out}")
+        write = report.to_csv if args.format == "csv" else report.to_json
+        if not _write_report(write, args.out):
+            return USAGE_ERROR
     return 0
 
 
@@ -135,15 +146,11 @@ def cmd_verify_identity(args):
         print(line)
     if args.out:
         if args.format == "csv":
-            with open(args.out, "w") as f:
-                f.write("\n".join(lines) + "\n")
+            text = "\n".join(lines) + "\n"
         else:
-            import json
-
-            with open(args.out, "w") as f:
-                json.dump(rows, f, indent=2, default=float)
-                f.write("\n")
-        print(f"report written to {args.out}")
+            text = json.dumps(rows, indent=2, default=float) + "\n"
+        if not _write_report(lambda path: Path(path).write_text(text), args.out):
+            return USAGE_ERROR
     worst = max(r["err_iden"] for r in rows)
     print(f"worst relative identity error: {worst:.3e} (threshold {args.threshold:.1e})")
     if not np.isfinite(worst) or worst > args.threshold:
@@ -170,10 +177,9 @@ def cmd_table1(args):
         lines.append(",".join(cells))
     for line in lines:
         print(line)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write("\n".join(lines) + "\n")
-        print(f"table written to {args.out}")
+    text = "\n".join(lines) + "\n"
+    if args.out and not _write_report(lambda path: Path(path).write_text(text), args.out):
+        return USAGE_ERROR
     return 0
 
 

@@ -49,9 +49,13 @@ class Triangulation:
     element_side_signs : (ne, 3) int array
         +1 where the global side normal is the outward normal of the
         element, -1 otherwise.
+
+    `boundary_labels` is a callable midpoint -> label evaluated on boundary
+    side midpoints, or a pair (pairs (m, 2), labels (m,)) of arrays naming
+    every boundary side by its endpoints.
     """
 
-    def __init__(self, vertices, elements, refinement_edge, side_labels_by_pair):
+    def __init__(self, vertices, elements, refinement_edge, boundary_labels):
         vertices = np.asarray(vertices, dtype=float)
         elements = np.asarray(elements, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -79,49 +83,41 @@ class Triangulation:
             raise MeshError(f"degenerate element {bad} (signed area {areas[bad]:.3e})")
         self.areas = areas
 
-        self._build_sides(side_labels_by_pair)
+        self._build_sides(boundary_labels)
         self._check_conformity()
         self._cache = {}
 
     # -- construction helpers -------------------------------------------------
 
-    def _build_sides(self, side_labels_by_pair):
-        ne = len(self.elements)
-        # local edge j of element = (v_j, v_{j+1})
-        e0 = self.elements
-        pairs = np.stack(
-            [
-                np.stack([e0[:, 0], e0[:, 1]], axis=1),
-                np.stack([e0[:, 1], e0[:, 2]], axis=1),
-                np.stack([e0[:, 2], e0[:, 0]], axis=1),
-            ],
-            axis=1,
-        )  # (ne, 3, 2)
-        flat = pairs.reshape(-1, 2)
-        keys = np.sort(flat, axis=1)
-        uniq, inverse, counts = np.unique(
-            keys, axis=0, return_inverse=True, return_counts=True
-        )
+    def _build_sides(self, boundary_labels):
+        ne, nv = len(self.elements), len(self.vertices)
+        # local edge j of element = (v_j, v_{j+1}); the key min * nv + max
+        # orders sides lexicographically by their sorted endpoint pair
+        start = self.elements.ravel()
+        end = self.elements[:, [1, 2, 0]].ravel()
+        keys = np.minimum(start, end) * nv + np.maximum(start, end)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        starts = np.flatnonzero(first)
+        counts = np.diff(np.append(starts, len(keys)))
         if counts.max(initial=0) > 2:
             raise MeshError("non-conforming input: a side is shared by >2 elements")
 
-        ns = len(uniq)
+        ns = len(starts)
+        inverse = np.empty(len(keys), dtype=np.int64)
+        inverse[order] = np.cumsum(first) - 1
         self.element_sides = inverse.reshape(ne, 3)
 
-        side_elements = np.full((ns, 2), -1, dtype=np.int64)
-        owner_local = np.full((ns, 2), -1, dtype=np.int64)
-        elem_of_flat = np.repeat(np.arange(ne), 3)
-        local_of_flat = np.tile(np.arange(3), ne)
-        order = np.argsort(inverse, kind="stable")
-        for idx in order:
-            s = inverse[idx]
-            slot = 0 if side_elements[s, 0] < 0 else 1
-            side_elements[s, slot] = elem_of_flat[idx]
-            owner_local[s, slot] = local_of_flat[idx]
-        # lower element index first for interior sides
-        swap = (side_elements[:, 1] >= 0) & (side_elements[:, 1] < side_elements[:, 0])
-        side_elements[swap] = side_elements[swap][:, ::-1]
-        owner_local[swap] = owner_local[swap][:, ::-1]
+        # the stable sort lists a side's owners by increasing element index,
+        # so the first owner is the lower element of an interior side
+        owner = np.full((ns, 2), -1, dtype=np.int64)
+        owner[:, 0] = order[starts]
+        shared = counts == 2
+        owner[shared, 1] = order[starts[shared] + 1]
+        side_elements = np.where(owner >= 0, owner // 3, -1)
+        owner_local = np.where(owner >= 0, owner % 3, -1)
         self.side_elements = side_elements
         # local edge index of the side within each adjacent element
         self.side_local = owner_local
@@ -134,35 +130,44 @@ class Triangulation:
         self.side_vertices = np.stack([a, b], axis=1)
 
         signs = np.ones((ne, 3), dtype=np.int64)
-        sec = side_elements[:, 1]
-        has2 = sec >= 0
-        signs[sec[has2], owner_local[has2, 1]] = -1
+        signs[side_elements[shared, 1], owner_local[shared, 1]] = -1
         self.element_side_signs = signs
 
-        boundary = side_elements[:, 1] < 0
+        boundary = ~shared
         labels = np.full(ns, INTERIOR, dtype=np.int64)
-        if callable(side_labels_by_pair):
+        if callable(boundary_labels):
             mids = 0.5 * (
                 self.vertices[self.side_vertices[:, 0]]
                 + self.vertices[self.side_vertices[:, 1]]
             )
             for s in np.nonzero(boundary)[0]:
-                lab = side_labels_by_pair(mids[s])
+                lab = boundary_labels(mids[s])
                 if lab not in (DIRICHLET, NEUMANN):
                     raise MeshError(f"labeler returned {lab!r} for boundary side {s}")
                 labels[s] = lab
         else:
-            table = {}
-            for pair, lab in side_labels_by_pair.items():
-                table[tuple(sorted(pair))] = lab
-            for s in np.nonzero(boundary)[0]:
-                key = tuple(sorted(self.side_vertices[s]))
-                if key not in table:
-                    raise MeshError(f"unlabeled boundary side {key}")
-                lab = table[key]
-                if lab not in (DIRICHLET, NEUMANN):
-                    raise MeshError(f"invalid label {lab!r} for boundary side {key}")
-                labels[s] = lab
+            pairs, values = boundary_labels
+            lo, hi = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2)).T
+            values = np.asarray(values)
+            invalid = ~np.isin(values, (DIRICHLET, NEUMANN))
+            if invalid.any():
+                k = np.argmax(invalid)
+                raise MeshError(
+                    f"invalid label {values.tolist()[k]!r} for side ({lo[k]}, {hi[k]})"
+                )
+            row_keys = lo * nv + hi
+            bsides = np.flatnonzero(boundary)
+            bkeys = sorted_keys[starts[bsides]]
+            stale = (lo < 0) | (hi >= nv) | ~np.isin(row_keys, bkeys)
+            if stale.any():
+                k = np.argmax(stale)
+                raise MeshError(f"label row ({lo[k]}, {hi[k]}) names no boundary side")
+            labels[bsides[np.searchsorted(bkeys, row_keys)]] = values
+            unlabeled = boundary & (labels == INTERIOR)
+            if unlabeled.any():
+                s = np.argmax(unlabeled)
+                pair = tuple(int(v) for v in np.sort(self.side_vertices[s]))
+                raise MeshError(f"unlabeled boundary side {pair}")
         self.side_labels = labels
         if not np.any(labels == DIRICHLET):
             raise MeshError("the Dirichlet side set must be nonempty")
@@ -279,9 +284,12 @@ def build_triangulation(vertices, elements, boundary_labels):
     elements = np.asarray(elements, dtype=np.int64)
     if elements.ndim != 2 or elements.shape[1] != 3:
         raise MeshError("elements must be an (ne, 3) array")
-    for t, tri in enumerate(elements):
-        if len(set(tri.tolist())) != 3:
-            raise MeshError(f"degenerate element {t}: repeated vertex id")
+    ordered = np.sort(elements, axis=1)
+    repeated = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    if repeated.size:
+        raise MeshError(f"degenerate element {repeated[0]}: repeated vertex id")
+    if not callable(boundary_labels):
+        boundary_labels = (list(boundary_labels), list(boundary_labels.values()))
     areas = _signed_areas(vertices, elements)
     flip = areas < 0
     elements = elements.copy()
@@ -324,16 +332,6 @@ def structured_square_mesh(n, labeler, origin=(0.0, 0.0), size=1.0):
     return build_triangulation(vertices, np.array(tris), labeler)
 
 
-def _normalize_refedge_first(elements, refinement_edge):
-    """Rotate each triple so the refinement edge is (v0, v1)."""
-    out = elements.copy()
-    r = refinement_edge
-    for k in (1, 2):
-        rows = r == k
-        out[rows] = np.roll(elements[rows], -k, axis=1)
-    return out
-
-
 def refine_bisection(mesh, marked):
     """Bisect the marked elements with conforming closure.
 
@@ -346,24 +344,20 @@ def refine_bisection(mesh, marked):
     Returns
     -------
     (Triangulation, dict)
-        The refined mesh and a map parent element index -> list of child
-        element indices (absent keys were copied unchanged; their child
-        index list has length 1).
+        The refined mesh and a map bisected parent element index -> range
+        of its child element indices.  Parents absent from the map were
+        copied unchanged, in parent order, to the indices no range covers.
     """
-    marked = np.asarray(sorted(set(int(m) for m in marked)), dtype=np.int64)
-    if marked.size and (marked.min() < 0 or marked.max() >= mesh.num_elements):
+    marked = np.unique(np.asarray(marked, dtype=np.int64))
+    if marked.size and (marked[0] < 0 or marked[-1] >= mesh.num_elements):
         raise MeshError("marked element index out of range")
     if marked.size == 0:
         return mesh, {t: [t] for t in range(mesh.num_elements)}
 
-    ne = mesh.num_elements
-    elems = _normalize_refedge_first(mesh.elements, mesh.refinement_edge)
-    # side index of each local edge after normalisation
-    esides = np.empty((ne, 3), dtype=np.int64)
-    for k in range(3):
-        esides[:, k] = mesh.element_sides[
-            np.arange(ne), (mesh.refinement_edge + k) % 3
-        ]
+    # rotate each triple (and its sides) so the refinement edge is (v0, v1)
+    rotation = (mesh.refinement_edge[:, None] + np.arange(3)) % 3
+    elems = np.take_along_axis(mesh.elements, rotation, axis=1)
+    esides = np.take_along_axis(mesh.element_sides, rotation, axis=1)
 
     # mark edges: marked elements mark their refinement edge; closure marks
     # the refinement edge of any element owning a marked edge
@@ -387,52 +381,48 @@ def refine_bisection(mesh, marked):
     )
     new_vertices = np.vstack([mesh.vertices, midpoints])
 
-    new_elems = []
-    parent_map = {}
-    for t in range(ne):
-        a, b, c = elems[t]
-        s_ab, s_bc, s_ca = esides[t]
-        if not edge_marked[s_ab]:
-            parent_map[t] = [len(new_elems)]
-            new_elems.append((a, b, c))
-            continue
-        m_ab = mid_of_side[s_ab]
-        children = []
-        # first bisection: children in refinement-edge-first normal form
-        left = (c, a, m_ab)
-        right = (b, c, m_ab)
-        if edge_marked[s_ca]:
-            m_ca = mid_of_side[s_ca]
-            children.append((m_ab, c, m_ca))
-            children.append((a, m_ab, m_ca))
-        else:
-            children.append(left)
-        if edge_marked[s_bc]:
-            m_bc = mid_of_side[s_bc]
-            children.append((m_ab, b, m_bc))
-            children.append((c, m_ab, m_bc))
-        else:
-            children.append(right)
-        parent_map[t] = list(range(len(new_elems), len(new_elems) + len(children)))
-        new_elems.extend(children)
+    # children of each element in parent order: an unbisected copy, or the
+    # left half (split again if edge ca is marked) then the right half (split
+    # again if edge bc is marked), each in refinement-edge-first normal form;
+    # the closure makes a marked bc or ca imply a marked ab
+    a, b, c = elems.T
+    m_ab, m_bc, m_ca = mid_of_side[esides].T
+    split_ab, split_bc, split_ca = edge_marked[esides].T
+    count = np.where(split_ab, 2 + split_ca + split_bc, 1)
+    stop = np.cumsum(count)
+    first = stop - count
+    right = first + 1 + split_ca
+    new_elems = np.empty((stop[-1], 3), dtype=np.int64)
 
-    new_elems = np.asarray(new_elems, dtype=np.int64)
+    def put(rows, at, *corners):
+        new_elems[at[rows]] = np.stack([v[rows] for v in corners], axis=1)
+
+    put(~split_ab, first, a, b, c)
+    put(split_ab & ~split_ca, first, c, a, m_ab)
+    put(split_ca, first, m_ab, c, m_ca)
+    put(split_ca, first + 1, a, m_ab, m_ca)
+    put(split_ab & ~split_bc, right, b, c, m_ab)
+    put(split_bc, right, m_ab, b, m_bc)
+    put(split_bc, right + 1, c, m_ab, m_bc)
     refinement_edge = np.zeros(len(new_elems), dtype=np.int64)
+    parents = np.flatnonzero(split_ab)
+    parent_map = dict(
+        zip(parents.tolist(), map(range, first[parents].tolist(), stop[parents].tolist()))
+    )
 
-    # inherit boundary labels: a child boundary side is either a full or a
-    # half parent boundary side
-    label_table = {}
-    for s in np.nonzero(mesh.side_labels != INTERIOR)[0]:
-        v1, v2 = mesh.side_vertices[s]
-        lab = int(mesh.side_labels[s])
-        m = mid_of_side[s]
-        if m >= 0:
-            label_table[tuple(sorted((v1, m)))] = lab
-            label_table[tuple(sorted((m, v2)))] = lab
-        else:
-            label_table[tuple(sorted((v1, v2)))] = lab
+    # inherit boundary labels: a child boundary side is either a full parent
+    # boundary side (v1, v2) or one of its halves (v1, m) and (m, v2)
+    sides = np.flatnonzero(mesh.side_labels != INTERIOR)
+    v1, v2 = mesh.side_vertices[sides].T
+    mid, labels = mid_of_side[sides], mesh.side_labels[sides]
+    halved = mid >= 0
+    pairs = np.concatenate([
+        np.stack([v1, np.where(halved, mid, v2)], axis=1),
+        np.stack([mid[halved], v2[halved]], axis=1),
+    ])
+    labels = np.concatenate([labels, labels[halved]])
 
-    new_mesh = Triangulation(new_vertices, new_elems, refinement_edge, label_table)
+    new_mesh = Triangulation(new_vertices, new_elems, refinement_edge, (pairs, labels))
     return new_mesh, parent_map
 
 
@@ -466,13 +456,11 @@ def load_mesh(path):
             rows = [[int(w) for w in f.readline().split()] for _ in range(ne)]
             elements = np.array([r[:3] for r in rows], dtype=np.int64)
             refedge = np.array([r[3] for r in rows], dtype=np.int64)
-            nb = int(f.readline())
-            labels = {}
-            for _ in range(nb):
-                w = f.readline().split()
-                labels[(int(w[0]), int(w[1]))] = _LABEL_IDS[w[2]]
-        except (ValueError, IndexError, KeyError) as exc:
+            rows = [f.readline().split() for _ in range(int(f.readline()))]
+            pairs = np.array([[int(w[0]), int(w[1])] for w in rows], dtype=np.int64)
+            labels = np.array([_LABEL_IDS[w[2]] for w in rows], dtype=np.int64)
+        except (ValueError, IndexError, KeyError, OverflowError) as exc:
             raise MeshError(
                 f"malformed mesh file {path}: {type(exc).__name__}: {exc}"
             ) from exc
-    return Triangulation(vertices, elements, refedge, labels)
+    return Triangulation(vertices, elements, refedge, (pairs, labels))

@@ -96,6 +96,23 @@ class TestRun:
         assert out.read_bytes() == (REFERENCE / f"{name}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "taylor-green", "--mode", "uniform", "--max-iter", "1"],
+    ["run", "taylor-green", "--mode", "uniform", "--max-iter", "1", "--format", "json"],
+    ["verify-identity", "--levels", "1", "--seeds", "1"],
+    ["verify-identity", "--levels", "1", "--seeds", "1", "--format", "json"],
+    ["table1", "--max-iter", "1"],
+])
+def test_unwritable_out_path(argv, tmp_path, capsys):
+    """A report path in a missing directory exits 1 with a message."""
+    out = tmp_path / "missing" / "report.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write report {out}" in err
+    assert "Traceback" not in err
+    assert not out.parent.exists()
+
+
 class TestVerifyIdentity:
     def test_two_levels_row_count(self, tmp_path, capsys):
         out = tmp_path / "iden.csv"

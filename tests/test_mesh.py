@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gapfem import adaptive
+from gapfem.adaptive import AdaptiveConfig, run_adaptive
 from gapfem import (
     DIRICHLET,
     INTERIOR,
@@ -12,7 +16,7 @@ from gapfem import (
     save_mesh,
     structured_square_mesh,
 )
-from gapfem.problems import cook_mesh, lshape_mesh
+from gapfem.problems import cook_mesh, get_problem, lshape_mesh
 
 
 def all_dirichlet(mid):
@@ -265,8 +269,15 @@ class TestIO:
             lambda lines: lines[:1] + ["16 x"] + lines[2:],  # non-integer count
             lambda lines: lines[:18] + [lines[18].rsplit(" ", 1)[0] + " 7"]
             + lines[19:],  # refinement edge out of range
+            # an extra label row on the interior diagonal (0, 5) or on the
+            # non-edge (0, 15) between opposite corners
+            lambda lines: lines[:36] + [str(int(lines[36]) + 1)] + lines[37:]
+            + ["0 5 dirichlet"],
+            lambda lines: lines[:36] + [str(int(lines[36]) + 1)] + lines[37:]
+            + ["0 15 neumann"],
         ],
-        ids=["truncated-labels", "unknown-label", "bad-count", "refinement-edge-7"],
+        ids=["truncated-labels", "unknown-label", "bad-count", "refinement-edge-7",
+             "interior-side-label", "non-edge-label"],
     )
     def test_malformed_file_raises_mesh_error(self, tmp_path, mangle):
         path = tmp_path / "mesh.txt"
@@ -276,3 +287,207 @@ class TestIO:
         path.write_text("\n".join(mangle(lines)) + "\n")
         with pytest.raises(MeshError):
             load_mesh(path)
+
+
+# -- loop oracle: the side build and bisection as they were before the array
+# formulation; the library must reproduce them bit for bit
+
+
+def oracle_sides(elements):
+    """Side arrays of an element list by a loop over the element sides."""
+    ne = len(elements)
+    keys = np.sort(elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    side_elements = np.full((len(uniq), 2), -1)
+    side_local = np.full((len(uniq), 2), -1)
+    for idx in np.argsort(inverse, kind="stable"):
+        s = inverse[idx]
+        slot = 0 if side_elements[s, 0] < 0 else 1
+        side_elements[s, slot], side_local[s, slot] = divmod(idx, 3)
+    swap = (side_elements[:, 1] >= 0) & (side_elements[:, 1] < side_elements[:, 0])
+    side_elements[swap] = side_elements[swap][:, ::-1]
+    side_local[swap] = side_local[swap][:, ::-1]
+    prim, ploc = side_elements[:, 0], side_local[:, 0]
+    signs = np.ones((ne, 3), dtype=np.int64)
+    has2 = side_elements[:, 1] >= 0
+    signs[side_elements[has2, 1], side_local[has2, 1]] = -1
+    return {
+        "element_sides": inverse.reshape(ne, 3),
+        "side_elements": side_elements,
+        "side_local": side_local,
+        "side_vertices": np.stack(
+            [elements[prim, ploc], elements[prim, (ploc + 1) % 3]], axis=1
+        ),
+        "element_side_signs": signs,
+    }
+
+
+def oracle_refine(mesh, marked):
+    """Loop bisection: vertices, elements, {sorted pair: label}, parent map."""
+    ne, nv = mesh.num_elements, mesh.num_vertices
+    elems = [np.roll(mesh.elements[t], -mesh.refinement_edge[t]) for t in range(ne)]
+    esides = [np.roll(mesh.element_sides[t], -mesh.refinement_edge[t])
+              for t in range(ne)]
+    edge_marked = np.zeros(mesh.num_sides, dtype=bool)
+    for t in set(int(m) for m in marked):
+        edge_marked[esides[t][0]] = True
+    changed = True
+    while changed:
+        changed = False
+        for t in range(ne):
+            if edge_marked[esides[t]].any() and not edge_marked[esides[t][0]]:
+                edge_marked[esides[t][0]] = changed = True
+    mid, vertices = {}, list(mesh.vertices)
+    for s in np.flatnonzero(edge_marked):
+        mid[s] = len(vertices)
+        a, b = mesh.side_vertices[s]
+        vertices.append(0.5 * (mesh.vertices[a] + mesh.vertices[b]))
+
+    new_elems, parent_map = [], {}
+    for t in range(ne):
+        a, b, c = elems[t]
+        s_ab, s_bc, s_ca = esides[t]
+        if not edge_marked[s_ab]:
+            children = [(a, b, c)]
+        else:
+            m = mid[s_ab]
+            children = ([(m, c, mid[s_ca]), (a, m, mid[s_ca])] if edge_marked[s_ca]
+                        else [(c, a, m)])
+            children += ([(m, b, mid[s_bc]), (c, m, mid[s_bc])] if edge_marked[s_bc]
+                         else [(b, c, m)])
+        parent_map[t] = list(range(len(new_elems), len(new_elems) + len(children)))
+        new_elems.extend(children)
+
+    labels = {}
+    for s in np.flatnonzero(mesh.side_labels != INTERIOR):
+        v1, v2 = mesh.side_vertices[s]
+        halves = [(v1, mid[s]), (mid[s], v2)] if s in mid else [(v1, v2)]
+        for pair in halves:
+            labels[tuple(sorted(pair))] = mesh.side_labels[s]
+    return np.array(vertices), np.array(new_elems), labels, parent_map
+
+
+def assert_sides_match_oracle(mesh):
+    for name, want in oracle_sides(mesh.elements).items():
+        assert np.array_equal(getattr(mesh, name), want), name
+
+
+def assert_refine_matches_oracle(mesh, marked, refined, parent_map):
+    vertices, elements, labels, want_map = oracle_refine(mesh, marked)
+    assert np.array_equal(refined.vertices, vertices)
+    assert np.array_equal(refined.elements, elements)
+    assert np.array_equal(refined.refinement_edge, np.zeros(len(elements)))
+    assert_sides_match_oracle(refined)
+    want_labels = [labels.get(tuple(sorted(p)), INTERIOR)
+                   for p in refined.side_vertices.tolist()]
+    assert np.array_equal(refined.side_labels, want_labels)
+    assert {t: list(kids) for t, kids in parent_map.items()} == {
+        t: kids for t, kids in want_map.items() if len(kids) > 1
+    }
+
+
+class TestLoopOracle:
+    @pytest.mark.parametrize("factory", [
+        lambda: lshape_mesh(4), cook_mesh, lambda: structured_square_mesh(5, tg_labeler),
+    ], ids=["lshape", "cook", "structured"])
+    def test_initial_sides(self, factory):
+        assert_sides_match_oracle(factory())
+
+    @pytest.mark.parametrize("name", ["lshape", "cook"])
+    def test_adaptive_sequence(self, name, monkeypatch):
+        """Every refinement of 8 adaptive iterations matches the loop oracle."""
+        refine = adaptive.refine_bisection
+        marks = []
+
+        def checked(mesh, marked):
+            refined, parent_map = refine(mesh, marked)
+            assert_refine_matches_oracle(mesh, marked, refined, parent_map)
+            marks.append(len(marked))
+            return refined, parent_map
+
+        monkeypatch.setattr(adaptive, "refine_bisection", checked)
+        run_adaptive(get_problem(name), AdaptiveConfig(theta=0.5, max_iter=8))
+        assert len(marks) >= 14 and min(marks) > 0
+
+    def test_taylor_green_uniform(self):
+        mesh = get_problem("taylor-green").mesh_factory()
+        assert_sides_match_oracle(mesh)
+        for _ in range(2):
+            marked = range(mesh.num_elements)
+            refined, parent_map = refine_bisection(mesh, marked)
+            assert_refine_matches_oracle(mesh, marked, refined, parent_map)
+            mesh = refined
+
+
+def _perturbed_square(n, labeler, seed):
+    """Structured mesh with interior vertices moved by up to 0.2 h per axis.
+
+    A move stays below half the 0.71 h distance from a vertex to the
+    opposite side, so no element degenerates or turns over.
+    """
+    mesh = structured_square_mesh(n, labeler)
+    verts = mesh.vertices.copy()
+    inner = np.all((verts > 1e-12) & (verts < 1.0 - 1e-12), axis=1)
+    rng = np.random.default_rng(seed)
+    verts[inner] += rng.uniform(-0.2 / n, 0.2 / n, size=(inner.sum(), 2))
+    return build_triangulation(verts, mesh.elements, labeler)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    labeler=st.sampled_from([all_dirichlet, tg_labeler]),
+    seed=st.integers(0, 2**32 - 1),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+def test_bisection_properties(n, labeler, seed, fractions, tmp_path_factory):
+    """Conformity, area, label inheritance and file round trip after NVB."""
+    mesh = _perturbed_square(n, labeler, seed)
+    rng = np.random.default_rng(seed)
+    path = tmp_path_factory.mktemp("nvb") / "mesh.txt"
+    for fraction in fractions:
+        size = max(1, round(fraction * mesh.num_elements))
+        marked = rng.choice(mesh.num_elements, size=size, replace=False)
+        out, parent_map = refine_bisection(mesh, marked)
+
+        # conformity: an interior side's two elements see opposite signs,
+        # and every element side points back at its element
+        ends = out.side_elements, out.side_local
+        for slot, sign in ((0, 1), (1, -1)):
+            rows = out.side_elements[:, slot] >= 0
+            t, j = ends[0][rows, slot], ends[1][rows, slot]
+            assert np.array_equal(out.element_sides[t, j], np.flatnonzero(rows))
+            assert np.all(out.element_side_signs[t, j] == sign)
+        assert np.all((out.side_elements[:, 1] >= 0) == (out.side_labels == INTERIOR))
+
+        # children: marked parents split, areas add up, copies are unchanged
+        assert all(len(parent_map[t]) >= 2 for t in marked)
+        for t, kids in parent_map.items():
+            assert out.areas[kids].sum() == pytest.approx(mesh.areas[t], rel=1e-13)
+        copied = np.ones(out.num_elements, dtype=bool)
+        copied[[c for kids in parent_map.values() for c in kids]] = False
+        kept = np.setdiff1d(np.arange(mesh.num_elements), list(parent_map))
+        assert np.array_equal(np.sort(out.elements[copied], axis=1),
+                              np.sort(mesh.elements[kept], axis=1))
+
+        # every child boundary side lies on a parent boundary side (its two
+        # endpoints are among the parent's endpoints and midpoint) and
+        # carries that side's label
+        parent = np.flatnonzero(mesh.side_labels != INTERIOR)
+        pa, pb = mesh.vertices[mesh.side_vertices[parent]].transpose(1, 0, 2)
+        points = np.stack([pa, pb, 0.5 * (pa + pb)], axis=1)
+        child = np.flatnonzero(out.side_labels != INTERIOR)
+        child_ends = out.vertices[out.side_vertices[child]]
+        on = (child_ends[:, None, :, None] == points[None, :, None]).all(-1)
+        on = on.any(-1).all(-1)
+        assert np.all(on.sum(axis=1) == 1)
+        assert np.array_equal(out.side_labels[child],
+                              mesh.side_labels[parent[on.argmax(axis=1)]])
+
+        save_mesh(out, path)
+        back = load_mesh(path)
+        for name in ("vertices", "elements", "refinement_edge", "side_vertices",
+                     "side_elements", "side_labels", "element_sides"):
+            assert np.array_equal(getattr(back, name), getattr(out, name)), name
+        mesh = out
