@@ -195,12 +195,10 @@ def _estimate(problem, mesh, sol):
     if problem.kind == "stokes":
         vhat = nodal_average(sol.u_h, mesh)
         gap = gap_indicator_stokes(
-            vhat, sol.t_h, problem.grad_lift, problem.nu, mesh, big_f_h=big_f_h
+            vhat, sol.t_h, problem.grad_u, problem.nu, mesh, big_f_h=big_f_h
         )
     else:
-        vhat = nodal_average(
-            sol.u_h + sol.u_hat, mesh, dirichlet_values=problem.dirichlet_lift
-        )
+        vhat = nodal_average(sol.u_h + sol.u_hat, mesh, dirichlet_values=problem.u)
         gap = gap_indicator_elasticity(
             vhat, sol.sigma_star, problem.material, mesh, big_f_h=big_f_h
         )
@@ -208,7 +206,7 @@ def _estimate(problem, mesh, sol):
     if problem.f is not None or problem.big_f is not None:
         osc = oscillation_indicator(problem.f, f_h, problem.big_f, big_f_h, mesh)
     errors = {}
-    if problem.exact is not None:
+    if problem.grad_u is not None:
         errs = exact_errors(sol, problem, mesh)
         errors = {f"err_{k}": v for k, v in errs.items()}
     return gap, osc, errors
@@ -255,6 +253,8 @@ def run_adaptive(problem, config):
         records.append(record)
         if total < config.eps_stop or len(marked) == 0:
             break
+        # free this level's solution, factor and cached fields before the next
+        del sol, stress
         if k < config.max_iter:
             mesh = refine_marked_twice(mesh, marked)
     return RunReport(problem.name, config, records)

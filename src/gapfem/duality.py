@@ -12,7 +12,7 @@ import numpy as np
 
 from . import mesh as _mesh
 from .forms import stokes_saddle
-from .quadrature import physical_points, triangle_rule
+from .quadrature import physical_points, rule_values, triangle_rule
 from .spaces import (
     CRField,
     P0Field,
@@ -20,7 +20,6 @@ from .spaces import (
     broken_divergence,
     broken_gradient,
     broken_sym_gradient,
-    cr_interpolate,
     dev,
     inner_p0,
     norm_p0,
@@ -381,15 +380,18 @@ def gap_indicator_stokes(v, tau_h, grad_lift, nu, mesh, degree=10, big_f_h=None)
     grad_lift : callable or None
         Gradient of the exact Dirichlet lift; None means zero.
     """
-    bary, w = triangle_rule(degree)
-    pts = physical_points(mesh, bary)
+    w = triangle_rule(degree)[1]
+    tau = tau_h.evaluate(physical_points(mesh, degree))
+    if big_f_h is not None:
+        tau += _p0_values(big_f_h, mesh, (mesh.num_elements, 2, 2))[:, None]
+    # diff = gv - dev(tau) / nu, formed in place to keep the peak memory down
+    diff = dev(tau)
+    del tau
+    diff /= nu
     gv = v.gradient().values[:, None, :, :]
     if grad_lift is not None:
-        gv = gv + grad_lift(pts)
-    tau = tau_h.evaluate(pts)
-    if big_f_h is not None:
-        tau = tau + _p0_values(big_f_h, mesh, (mesh.num_elements, 2, 2))[:, None]
-    diff = gv - dev(tau) / nu
+        gv = gv + rule_values(grad_lift, mesh, degree)
+    np.subtract(gv, diff, out=diff)
     vals = np.einsum("q,nqij,nqij->n", w, diff, diff)
     return 0.5 * nu * mesh.areas * vals
 
@@ -402,11 +404,11 @@ def gap_indicator_elasticity(v, sigma, material, mesh, degree=10, grad_lift=None
     included); pass grad_lift to add an analytic lift gradient instead.
     sigma is relative to the tensor load F_h when one is present.
     """
-    bary, w = triangle_rule(degree)
-    pts = physical_points(mesh, bary)
+    w = triangle_rule(degree)[1]
+    pts = physical_points(mesh, degree)
     gv = v.gradient().values[:, None, :, :] + np.zeros(pts.shape[:2] + (2, 2))
     if grad_lift is not None:
-        gv = gv + grad_lift(pts)
+        gv = gv + rule_values(grad_lift, mesh, degree)
     sv = sigma.evaluate(pts)
     if big_f_h is not None:
         sv = sv + _p0_values(big_f_h, mesh, (mesh.num_elements, 2, 2))[:, None]
@@ -418,11 +420,10 @@ def gap_indicator_elasticity(v, sigma, material, mesh, degree=10, grad_lift=None
 def oscillation_indicator(f, f_h, big_f, big_f_h, mesh, degree=10):
     """Per-element data oscillation (h_T^2/pi^2)||f - f_h||_T^2 + ||F - F_h||_T^2."""
     geo = mesh.geometry()
-    bary, w = triangle_rule(degree)
-    pts = physical_points(mesh, bary)
+    w = triangle_rule(degree)[1]
     out = np.zeros(mesh.num_elements)
     if f is not None:
-        fv = np.asarray(f(pts))
+        fv = rule_values(f, mesh, degree)
         fhv = _p0_values(f_h, mesh, (mesh.num_elements, 2))
         diff = fv - fhv[:, None, :]
         out += (
@@ -431,7 +432,7 @@ def oscillation_indicator(f, f_h, big_f, big_f_h, mesh, degree=10):
             * np.einsum("q,nqi,nqi->n", w, diff, diff)
         )
     if big_f is not None:
-        fv = np.asarray(big_f(pts))
+        fv = rule_values(big_f, mesh, degree)
         fhv = _p0_values(big_f_h, mesh, (mesh.num_elements, 2, 2))
         diff = fv - fhv[:, None, :, :]
         out += mesh.areas * np.einsum("q,nqij,nqij->n", w, diff, diff)
@@ -515,17 +516,17 @@ def apriori_identity_check_stokes(problem, mesh, degree=14):
     The discrete problem is solved with f_h = Pi_h f, F_h = Pi_h F and the
     interpolated lift; returns a dict with lhs, rhs and the solution bundle.
     """
-    from .problems import discretize_stokes  # local import to avoid a cycle
+    from .problems import discretize_stokes, exact_stress  # avoids a cycle
 
     sol = discretize_stokes(problem, mesh)
     nu = problem.nu
-    exact = problem.exact
 
-    icr_u = _interpolate_homogeneous_velocity(problem, mesh)
-    lhs1 = 0.5 * nu * norm_p0(broken_gradient(icr_u - sol.u_h)) ** 2
+    # the exact velocity is the lift itself, so I_cr(u - u_hat) = 0
+    lhs1 = 0.5 * nu * norm_p0(broken_gradient(sol.u_h)) ** 2
 
     def t_minus_f(x):
-        return exact["stress"](x) - problem.big_f(x)
+        p = None if problem.p is None else problem.p(x)
+        return exact_stress(problem, problem.grad_u(x), p) - problem.big_f(x)
 
     irt = rt_interpolate(t_minus_f, mesh)
     pi_irt = P0Field(mesh, dev(irt.cell_average().values))
@@ -539,14 +540,3 @@ def apriori_identity_check_stokes(problem, mesh, degree=14):
     return {"lhs": lhs1 + lhs2, "lhs_primal": lhs1, "lhs_dual": lhs2, "rhs": rhs,
             "solution": sol}
 
-
-def _interpolate_homogeneous_velocity(problem, mesh):
-    """I_cr of the homogenised exact velocity u_orig - u_hat (zero when the
-    lift is the exact field itself)."""
-    exact_u = problem.exact["u"]
-    lift = problem.dirichlet_lift
-    icr = cr_interpolate(
-        lambda x: np.asarray(exact_u(x)) - np.asarray(lift(x)), mesh
-    )
-    icr.values[mesh.side_labels == _mesh.DIRICHLET] = 0.0
-    return icr

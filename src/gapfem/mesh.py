@@ -162,6 +162,10 @@ class Triangulation:
             if stale.any():
                 k = np.argmax(stale)
                 raise MeshError(f"label row ({lo[k]}, {hi[k]}) names no boundary side")
+            keys, counts = np.unique(row_keys, return_counts=True)
+            if counts.max(initial=1) > 1:
+                key = keys[np.argmax(counts > 1)]
+                raise MeshError(f"side ({key // nv}, {key % nv}) is labelled more than once")
             labels[bsides[np.searchsorted(bkeys, row_keys)]] = values
             unlabeled = boundary & (labels == INTERIOR)
             if unlabeled.any():
@@ -203,8 +207,10 @@ class Triangulation:
         """Value of build() for `key`, computed once per mesh.
 
         The one per-mesh cache: geometry, the stabilisation jump matrix per
-        mu and the Stokes saddle (`forms.stokes_saddle`), whose one factor
-        serves every viscosity and the divergence-free projector, live here.
+        mu, the Stokes saddle (`forms.stokes_saddle`), whose one factor
+        serves every viscosity and the divergence-free projector, and the
+        quadrature points and analytic field values of
+        `quadrature.physical_points`/`rule_values` live here.
         """
         if key not in self._cache:
             self._cache[key] = build()

@@ -1,12 +1,17 @@
 """Benchmark problem definitions and exact-error evaluation.
 
 Each problem bundles a mesh factory, boundary labeler, material constants,
-load data, a divergence-free Dirichlet lift (Stokes), and optional exact
-fields for error evaluation.  Loads are passed either as side tractions
-(g evaluated with the outward normal) or as an element-wise tensor part F;
-both enter the discrete load functional
+load data and one set of analytic fields: the Dirichlet lift u (the exact
+solution when its gradient grad_u is given) and the Stokes pressure p.  The
+exact stress is built from grad_u and p in one place, `exact_stress`.
+Loads are passed either as side tractions (g evaluated with the outward
+normal) or as an element-wise tensor part F; both enter the discrete load
+functional
 l(v) = (f_h, Pi_h v) + (F_h, grad_h v) + sum_N (g_S, pi_h v)_S.
 """
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -19,19 +24,21 @@ from .duality import (
 )
 from .forms import assemble_elasticity, assemble_stokes, solve_lifting
 from .mesh import DIRICHLET, NEUMANN, build_triangulation, structured_square_mesh
-from .quadrature import physical_points, segment_rule, side_points, triangle_rule
+from .quadrature import physical_points, rule_values, segment_rule, side_points, triangle_rule
 from .spaces import (
     broken_gradient,
     broken_sym_gradient,
     cr_interpolate,
     dev,
     pi0,
+    sym,
 )
 
 # quadrature degree of the element projections f_h = Pi_h f and F_h = Pi_h F
 DATA_DEGREE = 10
 
 
+@dataclass(eq=False)
 class ProblemSpec:
     """Data bundle describing a benchmark problem.
 
@@ -45,32 +52,48 @@ class ProblemSpec:
         Interior load and tensor load part.
     g : callable(x, n) or None
         Neumann traction with outward normal.
-    dirichlet_lift : callable
-        Lift of the boundary datum (divergence-free for Stokes).
-    grad_lift : callable or None
-        Analytic gradient of the lift, used by the continuous indicators.
+    u : callable
+        Lift of the boundary datum (divergence-free for Stokes).  When
+        grad_u is set, u is also the exact solution.
+    grad_u : callable or None
+        Analytic gradient of u; None means the problem has no exact
+        solution (no exact errors are computed).
+    p : callable or None
+        Exact Stokes pressure; None means 0.
     lift_stream : callable or None
         Scalar stream function of the lift (makes the interpolated lift
         discretely divergence-free to machine precision).
-    exact : dict or None
-        Optional exact fields: 'u', 'grad_u', 'p' (Stokes), 'stress'.
+
+    The exact stress is `exact_stress(problem, grad_u values, p values)`.
     """
 
-    def __init__(self, name, kind, mesh_factory, **kw):
-        self.name = name
-        self.kind = kind
-        self.mesh_factory = mesh_factory
-        self.nu = kw.pop("nu", None)
-        self.material = kw.pop("material", None)
-        self.f = kw.pop("f", None)
-        self.big_f = kw.pop("big_f", None)
-        self.g = kw.pop("g", None)
-        self.dirichlet_lift = kw.pop("dirichlet_lift", None)
-        self.grad_lift = kw.pop("grad_lift", None)
-        self.lift_stream = kw.pop("lift_stream", None)
-        self.exact = kw.pop("exact", None)
-        if kw:
-            raise TypeError(f"unknown ProblemSpec fields: {sorted(kw)}")
+    name: str
+    kind: str
+    mesh_factory: Callable
+    nu: float | None = None
+    material: ElasticityTensor | None = None
+    f: Callable | None = None
+    big_f: Callable | None = None
+    g: Callable | None = None
+    u: Callable | None = None
+    grad_u: Callable | None = None
+    p: Callable | None = None
+    lift_stream: Callable | None = None
+
+
+def exact_stress(problem, grad_u_values, p_values):
+    """Exact stress from values of grad u (and p): nu grad u - p I or C eps(u).
+
+    For Stokes, nu * grad u is formed first and p is then subtracted on the
+    diagonal (p_values None means 0).
+    """
+    if problem.kind == "elasticity":
+        return problem.material.apply(sym(grad_u_values))
+    out = problem.nu * grad_u_values
+    if p_values is not None:
+        out[..., 0, 0] -= p_values
+        out[..., 1, 1] -= p_values
+    return out
 
 
 # -- Taylor-Green vortex -------------------------------------------------------
@@ -120,14 +143,6 @@ def taylor_green_stokes(n=10, load="traction"):
     def labeler(mid):
         return DIRICHLET if min(abs(mid[0]), abs(mid[0] - 1.0)) < 1e-12 else NEUMANN
 
-    def stress(x):
-        g = _tg_grad_u(x)
-        p = _tg_p(x)
-        out = nu * g
-        out[..., 0, 0] -= p
-        out[..., 1, 1] -= p
-        return out
-
     def f_pde(x):
         pi = np.pi
         u = _tg_u(x)
@@ -138,23 +153,22 @@ def taylor_green_stokes(n=10, load="traction"):
         )
         return 2.0 * nu * pi**2 * u + gp
 
-    exact = {"u": _tg_u, "grad_u": _tg_grad_u, "p": _tg_p, "stress": stress}
-    common = dict(
-        nu=nu,
-        dirichlet_lift=_tg_u,
-        grad_lift=_tg_grad_u,
-        lift_stream=_tg_stream,
-        exact=exact,
-    )
+    common = dict(nu=nu, u=_tg_u, grad_u=_tg_grad_u, p=_tg_p, lift_stream=_tg_stream)
     if load == "traction":
-        return ProblemSpec(
+
+        def traction(x, nrm):
+            stress = exact_stress(spec, _tg_grad_u(x), _tg_p(x))
+            return np.einsum("...ij,...j->...i", stress, nrm)
+
+        spec = ProblemSpec(
             "taylor-green",
             "stokes",
             lambda: structured_square_mesh(n, labeler),
             f=f_pde,
-            g=lambda x, nrm: np.einsum("...ij,...j->...i", stress(x), nrm),
+            g=traction,
             **common,
         )
+        return spec
     if load == "tensor":
         pi = np.pi
 
@@ -188,47 +202,17 @@ _LSHAPE_ALPHA = 856399.0 / 1572864.0
 
 
 def _lshape_psi(theta, alpha=_LSHAPE_ALPHA):
+    """Angular stream profile psi and its first three derivatives, from one
+    sine and cosine each of (1 + alpha) theta and (alpha - 1) theta."""
     w = np.cos(1.5 * np.pi * alpha)
     ap, am = 1.0 + alpha, alpha - 1.0
-    return (
-        w / ap * np.sin(ap * theta)
-        - np.cos(ap * theta)
-        + w / (1.0 - alpha) * np.sin(am * theta)
-        + np.cos(am * theta)
-    )
-
-
-def _lshape_dpsi(theta, alpha=_LSHAPE_ALPHA):
-    w = np.cos(1.5 * np.pi * alpha)
-    ap, am = 1.0 + alpha, alpha - 1.0
-    return (
-        w * np.cos(ap * theta)
-        + ap * np.sin(ap * theta)
-        - w * np.cos(am * theta)
-        - am * np.sin(am * theta)
-    )
-
-
-def _lshape_d2psi(theta, alpha=_LSHAPE_ALPHA):
-    w = np.cos(1.5 * np.pi * alpha)
-    ap, am = 1.0 + alpha, alpha - 1.0
-    return (
-        -w * ap * np.sin(ap * theta)
-        + ap**2 * np.cos(ap * theta)
-        + w * am * np.sin(am * theta)
-        - am**2 * np.cos(am * theta)
-    )
-
-
-def _lshape_d3psi(theta, alpha=_LSHAPE_ALPHA):
-    w = np.cos(1.5 * np.pi * alpha)
-    ap, am = 1.0 + alpha, alpha - 1.0
-    return (
-        -w * ap**2 * np.cos(ap * theta)
-        - ap**3 * np.sin(ap * theta)
-        + w * am**2 * np.cos(am * theta)
-        + am**3 * np.sin(am * theta)
-    )
+    sp, cp = np.sin(ap * theta), np.cos(ap * theta)
+    sm, cm = np.sin(am * theta), np.cos(am * theta)
+    psi = w / ap * sp - cp + w / (1.0 - alpha) * sm + cm
+    dpsi = w * cp + ap * sp - w * cm - am * sm
+    d2psi = -w * ap * sp + ap**2 * cp + w * am * sm - am**2 * cm
+    d3psi = -w * ap**2 * cp - ap**3 * sp + w * am**2 * cm + am**3 * sm
+    return psi, dpsi, d2psi, d3psi
 
 
 def _polar(x):
@@ -241,7 +225,7 @@ def _polar(x):
 def _lshape_u(x, alpha=_LSHAPE_ALPHA):
     r, theta = _polar(x)
     ra = r**alpha
-    psi, dpsi = _lshape_psi(theta), _lshape_dpsi(theta)
+    psi, dpsi, _, _ = _lshape_psi(theta, alpha)
     s, c = np.sin(theta), np.cos(theta)
     u1 = ra * ((1 + alpha) * psi * s + dpsi * c)
     u2 = ra * (dpsi * s - (1 + alpha) * psi * c)
@@ -250,15 +234,14 @@ def _lshape_u(x, alpha=_LSHAPE_ALPHA):
 
 def _lshape_stream(x, alpha=_LSHAPE_ALPHA):
     r, theta = _polar(x)
-    return r ** (1.0 + alpha) * _lshape_psi(theta)
+    return r ** (1.0 + alpha) * _lshape_psi(theta, alpha)[0]
 
 
 def _lshape_grad_u(x, alpha=_LSHAPE_ALPHA):
     """Gradient of the singular velocity via stream-function second derivatives."""
     r, theta = _polar(x)
     s, c = np.sin(theta), np.cos(theta)
-    psi, dpsi = _lshape_psi(theta), _lshape_dpsi(theta)
-    d2psi = _lshape_d2psi(theta)
+    psi, dpsi, d2psi, _ = _lshape_psi(theta, alpha)
     ap = 1.0 + alpha
     ra1 = r ** (alpha - 1.0)
     f_rr = alpha * ap * ra1 * psi
@@ -284,11 +267,8 @@ def _lshape_grad_u(x, alpha=_LSHAPE_ALPHA):
 
 def _lshape_p(x, alpha=_LSHAPE_ALPHA):
     r, theta = _polar(x)
-    return (
-        r ** (alpha - 1.0)
-        / (alpha - 1.0)
-        * ((1 + alpha) ** 2 * _lshape_dpsi(theta) + _lshape_d3psi(theta))
-    )
+    _, dpsi, _, d3psi = _lshape_psi(theta, alpha)
+    return r ** (alpha - 1.0) / (alpha - 1.0) * ((1 + alpha) ** 2 * dpsi + d3psi)
 
 
 def lshape_mesh(n_per_unit=4):
@@ -327,13 +307,6 @@ def lshape_stokes(n_per_unit=2, prerefine=1):
     two cells per unit length, uniformly bisection-refined once, so the
     refinement-edge bookkeeping matches the bisection hierarchy used later.
     """
-    exact = {
-        "u": _lshape_u,
-        "grad_u": _lshape_grad_u,
-        "p": _lshape_p,
-        "stress": lambda x: _lshape_grad_u(x) - _pad_pressure(_lshape_p(x)),
-    }
-
     def factory():
         from .adaptive import refine_marked_twice
 
@@ -348,18 +321,11 @@ def lshape_stokes(n_per_unit=2, prerefine=1):
         factory,
         nu=1.0,
         f=None,
-        dirichlet_lift=_lshape_u,
-        grad_lift=_lshape_grad_u,
+        u=_lshape_u,
+        grad_u=_lshape_grad_u,
+        p=_lshape_p,
         lift_stream=_lshape_stream,
-        exact=exact,
     )
-
-
-def _pad_pressure(p):
-    out = np.zeros(p.shape + (2, 2))
-    out[..., 0, 0] = p
-    out[..., 1, 1] = p
-    return out
 
 
 # -- Cook's membrane --------------------------------------------------------------
@@ -409,9 +375,7 @@ def cook_membrane(nx=6, ny=10, gamma=0.01, mu=1.0, lam=5.0):
         material=ElasticityTensor(mu, lam),
         f=None,
         g=traction,
-        dirichlet_lift=lambda x: np.zeros(x.shape),
-        grad_lift=None,
-        exact=None,
+        u=lambda x: np.zeros(x.shape),
     )
 
 
@@ -462,11 +426,6 @@ def manufactured_elasticity(kind="smooth", mu=1.0, lam=5.0, n=4):
     else:
         raise ValueError(f"unknown manufactured elasticity kind {kind!r}")
 
-    def stress(x):
-        eps = grad_u(x)
-        eps = 0.5 * (eps + np.swapaxes(eps, -1, -2))
-        return material.apply(eps)
-
     # f = -div(C eps(u)) of the polynomial displacement, in closed form
     # (the test suite re-derives this symbolically as an oracle)
     if kind == "patch":
@@ -494,9 +453,8 @@ def manufactured_elasticity(kind="smooth", mu=1.0, lam=5.0, n=4):
         lambda: structured_square_mesh(n, lambda mid: DIRICHLET),
         material=material,
         f=f,
-        dirichlet_lift=u,
-        grad_lift=grad_u,
-        exact={"u": u, "grad_u": grad_u, "stress": stress},
+        u=u,
+        grad_u=grad_u,
     )
 
 
@@ -517,8 +475,7 @@ def get_problem(name, **kw):
 
 
 def interpolate_lift(problem, mesh):
-    u_hat = cr_interpolate(problem.dirichlet_lift, mesh, stream=problem.lift_stream)
-    return u_hat
+    return cr_interpolate(problem.u, mesh, stream=problem.lift_stream)
 
 
 def side_tractions(problem, mesh):
@@ -536,15 +493,10 @@ def side_tractions(problem, mesh):
 
 
 def project_data(problem, mesh):
-    f_h = (
-        pi0(problem.f, mesh, degree=DATA_DEGREE)
-        if problem.f is not None
-        else None
-    )
-    big_f_h = (
-        pi0(problem.big_f, mesh, degree=DATA_DEGREE)
-        if problem.big_f is not None
-        else None
+    """f_h = Pi_h f, F_h = Pi_h F (None where absent) and the side tractions g_h."""
+    f_h, big_f_h = (
+        None if f is None else pi0(f, mesh, degree=DATA_DEGREE)
+        for f in (problem.f, problem.big_f)
     )
     return f_h, big_f_h, side_tractions(problem, mesh)
 
@@ -565,12 +517,12 @@ def discretize_elasticity(problem, mesh):
     f_h, big_f_h, g_h = project_data(problem, mesh)
     system = assemble_elasticity(
         mesh, problem.material, u_hat, f_h, big_f_h, g_h,
-        dirichlet_datum=problem.dirichlet_lift,
+        dirichlet_datum=problem.u,
     )
     u_h, report = system.solve()
     r_h = solve_lifting(
         mesh, u_h + u_hat, problem.material.mu,
-        dirichlet_datum=problem.dirichlet_lift,
+        dirichlet_datum=problem.u,
     )
     sigma = marini_elasticity(
         u_h, u_hat, r_h, f_h, problem.material, mesh, big_f_h=big_f_h
@@ -595,29 +547,31 @@ def exact_errors(solution, problem, mesh, degree=10):
     Elasticity: energy error || u_h + u_hat - u_exact ||_h and complementary
     stress error || C^(-1/2)(sigma* - stress_exact) ||.
     """
-    if problem.exact is None:
+    if problem.grad_u is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
-    bary, w = triangle_rule(degree)
-    pts = physical_points(mesh, bary)
+    w = triangle_rule(degree)[1]
+    pts = physical_points(mesh, degree)
+    gu = rule_values(problem.grad_u, mesh, degree)
     if problem.kind == "stokes":
         nu = solution.nu
-        gu = problem.exact["grad_u"](pts)
+        pv = None if problem.p is None else rule_values(problem.p, mesh, degree)
         gh = broken_gradient(solution.u_h + solution.u_hat).values[:, None]
         diff = gh - gu
         primal = 0.5 * nu * np.sum(
             mesh.areas * np.einsum("q,nqij,nqij->n", w, diff, diff)
         )
-        sdiff = problem.exact["stress"](pts) - solution.t_h.evaluate(pts)
+        del diff  # keeps the peak memory at that of the stress terms
+        sdiff = exact_stress(problem, gu, pv)
+        sdiff -= solution.t_h.evaluate(pts)
         big_f_h = solution.system.big_f_h
         if big_f_h is not None:
-            sdiff = sdiff - big_f_h.values[:, None]
+            sdiff -= big_f_h.values[:, None]
         if len(mesh.sides_with_label(NEUMANN)) == 0:
             # remove the pressure-gauge component c I
             tr_mean = np.sum(
                 mesh.areas
                 * np.einsum("q,nq->n", w, sdiff[..., 0, 0] + sdiff[..., 1, 1])
             ) / (2.0 * mesh.total_area)
-            sdiff = sdiff.copy()
             sdiff[..., 0, 0] -= tr_mean
             sdiff[..., 1, 1] -= tr_mean
         dual = np.sum(
@@ -634,15 +588,14 @@ def exact_errors(solution, problem, mesh, degree=10):
         }
 
     mat = problem.material
-    gu = problem.exact["grad_u"](pts)
-    eps_exact = 0.5 * (gu + np.swapaxes(gu, -1, -2))
+    eps_exact = sym(gu)
     eps_h = broken_sym_gradient(solution.u_h + solution.u_hat).values[:, None]
     diff = eps_h - eps_exact
     energy = np.sum(
         mesh.areas * np.einsum("q,nq->n", w, mat.energy_product(diff, diff))
     )
     energy += solution.system.s_h_total(solution.u_h + solution.u_hat)
-    sdiff = solution.sigma_star.evaluate(pts) - problem.exact["stress"](pts)
+    sdiff = solution.sigma_star.evaluate(pts) - exact_stress(problem, gu, None)
     stress = np.sum(
         mesh.areas
         * np.einsum("q,nq->n", w, mat.complementary_product(sdiff, sdiff))

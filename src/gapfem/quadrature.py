@@ -5,6 +5,9 @@ physical integrals scale by the element area.  Three tiers are used
 throughout the package: the degree-2 side-midpoint rule for products of
 broken polynomials, a degree-10 symmetric rule for manufactured data, and
 a collapsed-coordinate Gauss rule of arbitrary degree for oracles.
+
+Every cached array (rules, per-mesh physical points and analytic field
+values) is handed out read-only, so no caller can alter a later quadrature.
 """
 
 from functools import lru_cache
@@ -12,11 +15,17 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
 # side-midpoint rule: exact for polynomials of degree 2
-_MIDPOINT_BARY = np.array(
-    [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
+_MIDPOINT_BARY = _frozen(
+    np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 )
-_MIDPOINT_W = np.full(3, 1.0 / 3.0)
+_MIDPOINT_W = _frozen(np.full(3, 1.0 / 3.0))
 
 
 def _dunavant10():
@@ -57,9 +66,9 @@ def _dunavant10():
 def triangle_rule(degree):
     """Barycentric points (nq, 3) and weights (nq,) summing to 1."""
     if degree <= 2:
-        return _MIDPOINT_BARY.copy(), _MIDPOINT_W.copy()
+        return _MIDPOINT_BARY, _MIDPOINT_W
     if degree <= 10:
-        return _dunavant10()
+        return tuple(map(_frozen, _dunavant10()))
     # collapsed (Duffy) tensor rule: Gauss-Legendre x Gauss-Jacobi(1,0)
     n = degree // 2 + 2
     xg, wg = roots_legendre(n)
@@ -73,20 +82,38 @@ def triangle_rule(degree):
     x = u * (1.0 - v)
     y = v
     bary = np.stack([1.0 - x - y, x, y], axis=-1).reshape(-1, 3)
-    return bary, 2.0 * w.ravel()
+    return _frozen(bary), _frozen(2.0 * w.ravel())
 
 
 @lru_cache(maxsize=None)
 def segment_rule(npoints):
     """Gauss-Legendre points on [0, 1] and weights summing to 1."""
     x, w = roots_legendre(npoints)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return _frozen(0.5 * (x + 1.0)), _frozen(0.5 * w)
 
 
-def physical_points(mesh, bary):
-    """Map barycentric points to all elements: (ne, nq, 2)."""
-    p = mesh.vertices[mesh.elements]  # (ne, 3, 2)
-    return np.einsum("qk,nkd->nqd", bary, p)
+def physical_points(mesh, degree):
+    """Points of `triangle_rule(degree)` on all elements: (ne, nq, 2), once per mesh."""
+
+    def build():
+        p = mesh.vertices[mesh.elements]  # (ne, 3, 2)
+        return _frozen(np.einsum("qk,nkd->nqd", triangle_rule(degree)[0], p))
+
+    return mesh.cached(("physical_points", degree), build)
+
+
+def rule_values(f, mesh, degree):
+    """f at `physical_points(mesh, degree)`, evaluated once per mesh, f and degree.
+
+    f maps an (..., 2) point array to values of shape (...,), (..., 2) or
+    (..., 2, 2); the result has shape (ne, nq, ...).
+    """
+
+    def build():
+        pts = physical_points(mesh, degree)
+        return _frozen(np.asarray(f(pts), dtype=float))
+
+    return mesh.cached(("rule_values", f, degree), build)
 
 
 def side_points(mesh, tpoints, sides=None):

@@ -16,7 +16,7 @@ vertex k), so theta_j is 1 on side j and has zero mean on the other two.
 
 import numpy as np
 
-from .quadrature import physical_points, segment_rule, side_points, triangle_rule
+from .quadrature import rule_values, segment_rule, side_points, triangle_rule
 
 # 8-point Gauss keeps side averages of smooth data well below the 1e-10
 # tolerances of the structure-preservation contracts; 4 points is not enough
@@ -101,9 +101,9 @@ class RTField:
 
     def evaluate(self, points):
         """Values at points of shape (ne, nq, 2) -> (ne, nq, 2, 2)."""
-        return self.a[:, None, :, :] + np.einsum(
-            "ni,nqd->nqid", self.c, points
-        )
+        out = np.einsum("ni,nqd->nqid", self.c, points)
+        out += self.a[:, None, :, :]
+        return out
 
     def cell_average(self):
         geo = self.mesh.geometry()
@@ -169,11 +169,6 @@ def sym(a):
 # -- projections and interpolation -------------------------------------------
 
 
-def _evaluate_callable(f, pts):
-    vals = np.asarray(f(pts), dtype=float)
-    return vals
-
-
 def pi0(f, mesh, degree=DEFAULT_VOLUME_DEGREE):
     """Element-wise L2 projection onto constants.
 
@@ -183,12 +178,11 @@ def pi0(f, mesh, degree=DEFAULT_VOLUME_DEGREE):
         Maps an (..., 2) point array to values of shape (...,), (..., 2) or
         (..., 2, 2).
     degree : int
-        Quadrature degree used for the element averages.
+        Quadrature degree used for the element averages; the values of f
+        at its points are computed once per mesh (`rule_values`).
     """
-    bary, w = triangle_rule(degree)
-    pts = physical_points(mesh, bary)
-    vals = _evaluate_callable(f, pts)  # (ne, nq, ...)
-    avg = np.einsum("q,nq...->n...", w, vals)
+    w = triangle_rule(degree)[1]
+    avg = np.einsum("q,nq...->n...", w, rule_values(f, mesh, degree))
     return P0Field(mesh, avg)
 
 
@@ -196,7 +190,7 @@ def pi_side(f, mesh, s, npoints=DEFAULT_SIDE_POINTS):
     """Side average of f over side s."""
     t, w = segment_rule(npoints)
     pts = side_points(mesh, t, sides=np.array([s]))[0]
-    vals = _evaluate_callable(f, pts)
+    vals = np.asarray(f(pts), dtype=float)
     return np.einsum("q,q...->...", w, vals)
 
 
@@ -204,7 +198,7 @@ def side_averages(f, mesh, npoints=DEFAULT_SIDE_POINTS):
     """Side averages of f over all sides: (ns, ...)."""
     t, w = segment_rule(npoints)
     pts = side_points(mesh, t)
-    vals = _evaluate_callable(f, pts)
+    vals = np.asarray(f(pts), dtype=float)
     return np.einsum("q,sq...->s...", w, vals)
 
 
@@ -235,7 +229,7 @@ def rt_interpolate(tau, mesh, npoints=DEFAULT_SIDE_POINTS):
     """Canonical RT interpolant: per-side, per-row normal-trace average."""
     t, w = segment_rule(npoints)
     pts = side_points(mesh, t)
-    vals = _evaluate_callable(tau, pts)  # (ns, nq, 2, 2)
+    vals = np.asarray(tau(pts), dtype=float)  # (ns, nq, 2, 2)
     geo = mesh.geometry()
     n = geo["side_normal"]
     flux = np.einsum("q,sqij,sj->is", w, vals, n)

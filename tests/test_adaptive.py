@@ -1,10 +1,12 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from gapfem.adaptive import AdaptiveConfig, eoc, mark_max, run_adaptive
 from gapfem.problems import lshape_stokes, manufactured_elasticity, taylor_green_stokes
+from gapfem.quadrature import triangle_rule
 
 
 class TestMarkMax:
@@ -112,6 +114,34 @@ class TestRunAdaptive:
         report = run_adaptive(prob, AdaptiveConfig(theta=0.5, max_iter=5))
         for r in report.records[:-1]:
             assert r.marked > 0
+
+
+@pytest.mark.parametrize("factory", [taylor_green_stokes, lshape_stokes])
+def test_analytic_fields_evaluated_once_per_mesh(factory):
+    """grad_u, p and f are evaluated at most once per mesh on the degree-10
+    rule, and counting them does not change the report."""
+    config = AdaptiveConfig(refinement_mode="uniform", max_iter=3)
+    plain = run_adaptive(factory(), config).csv_rows()
+    prob = factory()
+    nq = len(triangle_rule(10)[1])
+    calls = Counter()
+
+    def counted(name, fn):
+        def field(x):
+            if x.shape[1:] == (nq, 2):  # the rule's points on every element
+                calls[name, len(x)] += 1
+            return fn(x)
+
+        return field
+
+    names = [name for name in ("grad_u", "p", "f") if getattr(prob, name) is not None]
+    for name in names:
+        setattr(prob, name, counted(name, getattr(prob, name)))
+    report = run_adaptive(prob, config)
+    assert report.csv_rows() == plain
+    levels = [r.num_elements for r in report.records]
+    assert sorted(calls) == sorted((name, ne) for name in names for ne in levels)
+    assert max(calls.values()) == 1
 
 
 @pytest.fixture(scope="module")

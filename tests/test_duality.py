@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_forms import _perturbed_mesh
 
 from gapfem import (
     DIRICHLET,
@@ -35,6 +38,7 @@ from gapfem.problems import (
     cook_membrane,
     discretize_elasticity,
     discretize_stokes,
+    exact_stress,
     manufactured_elasticity,
     taylor_green_stokes,
 )
@@ -253,11 +257,13 @@ class TestGapIndicators:
         totals = []
         mesh = structured_square_mesh(5, lambda m: DIRICHLET)
         for _ in range(3):
-            icr = cr_interpolate(prob.exact["u"], mesh, stream=prob.lift_stream)
+            icr = cr_interpolate(prob.u, mesh, stream=prob.lift_stream)
             hom = CRField(mesh, np.zeros((mesh.num_sides, 2)))
             vhat = nodal_average(hom, mesh, dirichlet_values=None)
-            tau = rt_interpolate(prob.exact["stress"], mesh)
-            eta = gap_indicator_stokes(vhat, tau, prob.grad_lift, prob.nu, mesh)
+            tau = rt_interpolate(
+                lambda x: exact_stress(prob, prob.grad_u(x), prob.p(x)), mesh
+            )
+            eta = gap_indicator_stokes(vhat, tau, prob.grad_u, prob.nu, mesh)
             totals.append(eta.sum())
             mesh = refine_marked_twice(mesh, range(mesh.num_elements))
         # exact pair: indicator total decays ~ h^2
@@ -295,8 +301,8 @@ class TestOscillation:
         f_h = pi0(f, mesh, degree=20)
         osc = oscillation_indicator(f, f_h, None, None, mesh, degree=20)
         # oracle: degree-20 quadrature of (h^2/pi^2)|f - f_h|^2
-        bary, w = triangle_rule(24)
-        pts = physical_points(mesh, bary)
+        w = triangle_rule(24)[1]
+        pts = physical_points(mesh, 24)
         diff = f(pts) - f_h.values[:, None]
         h_t = mesh.geometry()["h_t"][0]
         oracle = (
@@ -376,6 +382,27 @@ class TestAdmissiblePair:
         assert energies_stokes(bad, sol.t_h, sol.system)["primal"] == np.inf
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 7),
+    labeler=st.sampled_from([all_dirichlet, mixed]),
+    seed=st.integers(0, 2**32 - 1),
+    log_scales=st.tuples(st.floats(-2.0, 1.0), st.floats(-2.0, 1.0)),
+)
+def test_discrete_identity_on_perturbed_meshes(n, labeler, seed, log_scales):
+    """gap = rho_primal + rho_dual for random admissible pairs around the
+    Taylor-Green solution on vertex-perturbed meshes."""
+    prob = taylor_green_stokes()
+    mesh = _perturbed_mesh(n, labeler, seed)
+    sol = discretize_stokes(prob, mesh)
+    v = sol.u_h + random_divfree_cr(mesh, seed, scale=10.0 ** log_scales[0])
+    tau = sol.t_h + random_divfree_rt(mesh, seed + 1, scale=10.0 ** log_scales[1])
+    en = energies_stokes(v, tau, sol.system)
+    rho = strong_convexity_stokes(v, tau, sol)
+    gap = en["primal"] - en["dual"]
+    assert gap == pytest.approx(rho["primal"] + rho["dual"], rel=1e-10, abs=0.0)
+
+
 class TestRandomFields:
     def test_divfree_cr_properties(self):
         # all-Dirichlet (pressure gauge row) and mixed Dirichlet/Neumann
@@ -407,26 +434,15 @@ class TestAprioriIdentity:
         from gapfem.problems import ProblemSpec
 
         a = np.array([[0.7, 0.4], [1.1, -0.7]])
-        nu = 0.5
-
-        def stress(x):
-            out = nu * (a + 0.0 * x[..., :1, None])
-            return out
-
         prob = ProblemSpec(
             "affine",
             "stokes",
             lambda: structured_square_mesh(3, all_dirichlet),
-            nu=nu,
+            nu=0.5,
             f=None,
             big_f=lambda x: np.zeros(x.shape[:-1] + (2, 2)),
-            dirichlet_lift=lambda x: x @ a.T,
-            grad_lift=lambda x: a + 0.0 * x[..., :1, None],
-            exact={
-                "u": lambda x: x @ a.T,
-                "grad_u": lambda x: a + 0.0 * x[..., :1, None],
-                "stress": stress,
-            },
+            u=lambda x: x @ a.T,
+            grad_u=lambda x: a + 0.0 * x[..., :1, None],
         )
         mesh = prob.mesh_factory()
         out = apriori_identity_check_stokes(prob, mesh)
@@ -458,19 +474,17 @@ class TestElasticityGapEquivalence:
         mesh = prob.mesh_factory()
         for _ in range(2):
             sol = discretize_elasticity(prob, mesh)
-            vhat = nodal_average(
-                sol.u_h + sol.u_hat, mesh, dirichlet_values=prob.exact["u"]
-            )
+            vhat = nodal_average(sol.u_h + sol.u_hat, mesh, dirichlet_values=prob.u)
             gap = gap_indicator_elasticity(vhat, sol.sigma_star, mat, mesh).sum()
-            bary, w = triangle_rule(12)
-            pts = physical_points(mesh, bary)
-            gu = prob.exact["grad_u"](pts)
+            w = triangle_rule(12)[1]
+            pts = physical_points(mesh, 12)
+            gu = prob.grad_u(pts)
             gv = vhat.gradient().values[:, None] + np.zeros_like(gu)
             ed = sym(gv) - sym(gu)
             rho_p = 0.5 * np.sum(
                 mesh.areas * np.einsum("q,nq->n", w, mat.energy_product(ed, ed))
             )
-            sd = sol.sigma_star.evaluate(pts) - prob.exact["stress"](pts)
+            sd = sol.sigma_star.evaluate(pts) - exact_stress(prob, gu, None)
             rho_d = 0.5 * np.sum(
                 mesh.areas
                 * np.einsum("q,nq->n", w, mat.complementary_product(sd, sd))
@@ -491,17 +505,17 @@ class TestElasticityGapEquivalence:
         sol = discretize_elasticity(prob, mesh)
         vhom = nodal_average(sol.u_h, mesh, dirichlet_values=None)
         gap = gap_indicator_elasticity(
-            vhom, sol.sigma_star, mat, mesh, grad_lift=prob.grad_lift, degree=12
+            vhom, sol.sigma_star, mat, mesh, grad_lift=prob.grad_u, degree=12
         ).sum()
-        bary, w = triangle_rule(12)
-        pts = physical_points(mesh, bary)
-        gu = prob.exact["grad_u"](pts)
-        gv = vhom.gradient().values[:, None] + prob.grad_lift(pts)
+        w = triangle_rule(12)[1]
+        pts = physical_points(mesh, 12)
+        gu = prob.grad_u(pts)
+        gv = vhom.gradient().values[:, None] + gu
         ed = sym(gv) - sym(gu)
         rho_p = 0.5 * np.sum(
             mesh.areas * np.einsum("q,nq->n", w, mat.energy_product(ed, ed))
         )
-        sd = sol.sigma_star.evaluate(pts) - prob.exact["stress"](pts)
+        sd = sol.sigma_star.evaluate(pts) - exact_stress(prob, gu, None)
         rho_d = 0.5 * np.sum(
             mesh.areas * np.einsum("q,nq->n", w, mat.complementary_product(sd, sd))
         )

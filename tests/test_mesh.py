@@ -275,9 +275,12 @@ class TestIO:
             + ["0 5 dirichlet"],
             lambda lines: lines[:36] + [str(int(lines[36]) + 1)] + lines[37:]
             + ["0 15 neumann"],
+            # the last boundary side labelled again, reversed and relabelled
+            lambda lines: lines[:36] + [str(int(lines[36]) + 1)] + lines[37:]
+            + [" ".join(lines[-1].split()[1::-1]) + " dirichlet"],
         ],
         ids=["truncated-labels", "unknown-label", "bad-count", "refinement-edge-7",
-             "interior-side-label", "non-edge-label"],
+             "interior-side-label", "non-edge-label", "repeated-side-label"],
     )
     def test_malformed_file_raises_mesh_error(self, tmp_path, mangle):
         path = tmp_path / "mesh.txt"

@@ -3,7 +3,8 @@ from math import factorial
 import numpy as np
 import pytest
 
-from gapfem.quadrature import segment_rule, triangle_rule
+from gapfem import DIRICHLET, structured_square_mesh
+from gapfem.quadrature import physical_points, rule_values, segment_rule, triangle_rule
 
 
 def monomial_integral(a, b):
@@ -32,3 +33,25 @@ def test_points_inside_reference_domain():
     bary, _ = triangle_rule(10)
     assert np.all(bary >= 0) and np.all(bary <= 1)
     assert np.allclose(bary.sum(axis=1), 1.0)
+
+
+def test_cached_arrays_are_read_only():
+    mesh = structured_square_mesh(2, lambda mid: DIRICHLET)
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return x[..., 0] * x[..., 1]
+
+    values = rule_values(f, mesh, 10)
+    assert values.shape == (mesh.num_elements, 25)
+    assert rule_values(f, mesh, 10) is values and len(calls) == 1
+    cached = [
+        *triangle_rule(10), *triangle_rule(2), *triangle_rule(16), *segment_rule(4),
+        physical_points(mesh, 10), values,
+    ]
+    for a in cached:
+        with pytest.raises(ValueError):
+            a *= 2.0
+    assert physical_points(mesh, 10) is cached[-2]
+    assert triangle_rule(10)[1].sum() == pytest.approx(1.0, abs=1e-13)
