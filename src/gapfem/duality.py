@@ -368,7 +368,7 @@ class ElasticitySolution:
 # -- continuous-level indicators ---------------------------------------------------
 
 
-def gap_indicator_stokes(v, tau_h, grad_lift, nu, mesh, degree=10, big_f_h=None):
+def gap_indicator_stokes(v, tau_h, grad_u, nu, mesh, degree=10, big_f_h=None):
     """Per-element indicator (nu/2) ||grad v + grad u_hat - dev(tau)/nu||_T^2.
 
     Parameters
@@ -377,8 +377,9 @@ def gap_indicator_stokes(v, tau_h, grad_lift, nu, mesh, degree=10, big_f_h=None)
         Conforming post-processed velocity (homogeneous part).
     tau_h : RTField
         Stress relative to the tensor load F_h (the stress itself without one).
-    grad_lift : callable or None
-        Gradient of the exact Dirichlet lift; None means zero.
+    grad_u : callable or None
+        Gradient of the Dirichlet lift u_hat (`ProblemSpec.grad_u`), cached
+        on the mesh by `rule_values`; None means zero.
     """
     w = triangle_rule(degree)[1]
     tau = tau_h.evaluate(physical_points(mesh, degree))
@@ -389,26 +390,26 @@ def gap_indicator_stokes(v, tau_h, grad_lift, nu, mesh, degree=10, big_f_h=None)
     del tau
     diff /= nu
     gv = v.gradient().values[:, None, :, :]
-    if grad_lift is not None:
-        gv = gv + rule_values(grad_lift, mesh, degree)
+    if grad_u is not None:
+        gv = gv + rule_values(grad_u, mesh, degree)
     np.subtract(gv, diff, out=diff)
     vals = np.einsum("q,nqij,nqij->n", w, diff, diff)
     return 0.5 * nu * mesh.areas * vals
 
 
-def gap_indicator_elasticity(v, sigma, material, mesh, degree=10, grad_lift=None,
+def gap_indicator_elasticity(v, sigma, material, mesh, degree=10, grad_u=None,
                              big_f_h=None):
     """Per-element indicator (1/2) ||C^(1/2)(eps(v) - C^-1 sigma)||_T^2.
 
     v is the conforming post-processed total displacement (Dirichlet lift
-    included); pass grad_lift to add an analytic lift gradient instead.
+    included); pass grad_u to add the gradient of an analytic lift instead.
     sigma is relative to the tensor load F_h when one is present.
     """
     w = triangle_rule(degree)[1]
     pts = physical_points(mesh, degree)
     gv = v.gradient().values[:, None, :, :] + np.zeros(pts.shape[:2] + (2, 2))
-    if grad_lift is not None:
-        gv = gv + rule_values(grad_lift, mesh, degree)
+    if grad_u is not None:
+        gv = gv + rule_values(grad_u, mesh, degree)
     sv = sigma.evaluate(pts)
     if big_f_h is not None:
         sv = sv + _p0_values(big_f_h, mesh, (mesh.num_elements, 2, 2))[:, None]

@@ -495,7 +495,7 @@ def side_tractions(problem, mesh):
 def project_data(problem, mesh):
     """f_h = Pi_h f, F_h = Pi_h F (None where absent) and the side tractions g_h."""
     f_h, big_f_h = (
-        None if f is None else pi0(f, mesh, degree=DATA_DEGREE)
+        None if f is None else pi0(rule_values(f, mesh, DATA_DEGREE), mesh, DATA_DEGREE)
         for f in (problem.f, problem.big_f)
     )
     return f_h, big_f_h, side_tractions(problem, mesh)

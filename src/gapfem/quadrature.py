@@ -106,7 +106,9 @@ def rule_values(f, mesh, degree):
     """f at `physical_points(mesh, degree)`, evaluated once per mesh, f and degree.
 
     f maps an (..., 2) point array to values of shape (...,), (..., 2) or
-    (..., 2, 2); the result has shape (ne, nq, ...).
+    (..., 2, 2); the result has shape (ne, nq, ...).  The cache is keyed by
+    the f object and lives as long as the mesh, so pass hashable, long-lived
+    callables (the `ProblemSpec` fields), not closures built per call.
     """
 
     def build():

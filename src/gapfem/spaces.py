@@ -16,7 +16,7 @@ vertex k), so theta_j is 1 on side j and has zero mean on the other two.
 
 import numpy as np
 
-from .quadrature import rule_values, segment_rule, side_points, triangle_rule
+from .quadrature import physical_points, segment_rule, side_points, triangle_rule
 
 # 8-point Gauss keeps side averages of smooth data well below the 1e-10
 # tolerances of the structure-preservation contracts; 4 points is not enough
@@ -174,16 +174,17 @@ def pi0(f, mesh, degree=DEFAULT_VOLUME_DEGREE):
 
     Parameters
     ----------
-    f : callable
+    f : callable or ndarray
         Maps an (..., 2) point array to values of shape (...,), (..., 2) or
-        (..., 2, 2).
+        (..., 2, 2); a callable is evaluated on every call.  An array holds
+        those values at `physical_points(mesh, degree)` already, e.g. from
+        `rule_values` for a field evaluated more than once per mesh.
     degree : int
-        Quadrature degree used for the element averages; the values of f
-        at its points are computed once per mesh (`rule_values`).
+        Quadrature degree used for the element averages.
     """
+    vals = f if isinstance(f, np.ndarray) else f(physical_points(mesh, degree))
     w = triangle_rule(degree)[1]
-    avg = np.einsum("q,nq...->n...", w, rule_values(f, mesh, degree))
-    return P0Field(mesh, avg)
+    return P0Field(mesh, np.einsum("q,nq...->n...", w, vals))
 
 
 def pi_side(f, mesh, s, npoints=DEFAULT_SIDE_POINTS):

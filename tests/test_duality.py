@@ -505,7 +505,7 @@ class TestElasticityGapEquivalence:
         sol = discretize_elasticity(prob, mesh)
         vhom = nodal_average(sol.u_h, mesh, dirichlet_values=None)
         gap = gap_indicator_elasticity(
-            vhom, sol.sigma_star, mat, mesh, grad_lift=prob.grad_u, degree=12
+            vhom, sol.sigma_star, mat, mesh, grad_u=prob.grad_u, degree=12
         ).sum()
         w = triangle_rule(12)[1]
         pts = physical_points(mesh, 12)

@@ -115,7 +115,7 @@ class TestLShape:
         for theta in (0.0, 0.7, 1.5, 2.9, 4.2):
             ours = _lshape_psi(theta)
             for k, fn in enumerate(fns):
-                assert ours[k] == pytest.approx(float(fn(theta)), abs=1e-12)
+                assert ours[k] == pytest.approx(float(fn(theta)), abs=1e-13)
 
     def test_interior_pde_residual(self):
         # zero load: -nu lap u + grad p ~ 0 away from the corner (the
