@@ -265,43 +265,53 @@ def identity_rows(problem, levels, seeds, seed_offset=0, tamper=False):
     mesh = problem.mesh_factory()
     rows = []
     for level in range(1, levels + 1):
-        sol = discretize_stokes(problem, mesh)
-        errs = exact_errors(sol, problem, mesh)
-        for i in range(1, seeds + 1):
-            seed = seed_offset + 1000 * level + i
-            # vary the perturbation size around the discretisation error
-            size = 0.5 + ((7 * seed) % 8) / 4.0
-            v = sol.u_h + random_divfree_cr(
-                mesh, seed, scale=size * np.sqrt(2.0 / problem.nu) * errs["primal"]
-            )
-            tau = sol.t_h + random_divfree_rt(
-                mesh, seed + 500000,
-                scale=size * np.sqrt(2.0 * problem.nu) * errs["dual"],
-            )
-            if tamper:
-                # break the divergence constraint on one element
-                flux = tau.flux.copy()
-                flux[0, mesh.element_sides[0, 0]] += 0.1 * (1.0 + flux.max())
-                tau = RTField(mesh, flux)
-            en = energies_stokes(v, tau, sol.system)
-            rho = strong_convexity_stokes(v, tau, sol)
-            gap = en["primal"] - en["dual"]
-            rho_tot = rho["primal"] + rho["dual"]
-            if not np.isfinite(gap):
-                rel = np.inf
-            else:
-                rel = abs(gap - rho_tot) / rho_tot
-            rows.append(
-                {
-                    "level": level,
-                    "sample": i,
-                    "num_dof": num_dof("stokes", mesh),
-                    "rho_primal": rho["primal"],
-                    "rho_dual": rho["dual"],
-                    "gap": gap,
-                    "err_iden": rel,
-                }
-            )
+        # the level's solution and fields are freed on return, so the old
+        # mesh and its factor go as soon as the refined mesh replaces it
+        rows += _identity_level(problem, mesh, level, seeds, seed_offset, tamper)
         if level < levels:
             mesh = refine_marked_twice(mesh, range(mesh.num_elements))
+    return rows
+
+
+def _identity_level(problem, mesh, level, seeds, seed_offset, tamper):
+    """The `identity_rows` rows of one mesh."""
+    sol = discretize_stokes(problem, mesh)
+    errs = exact_errors(sol, problem, mesh)
+    level_seeds = [seed_offset + 1000 * level + i for i in range(1, seeds + 1)]
+    # vary the perturbation size around the discretisation error
+    sizes = np.array([0.5 + ((7 * seed) % 8) / 4.0 for seed in level_seeds])
+    fields = random_divfree_cr(
+        mesh, level_seeds, sizes * np.sqrt(2.0 / problem.nu) * errs["primal"]
+    )
+    rows = []
+    for i, seed in enumerate(level_seeds, 1):
+        v = sol.u_h + fields[i - 1]
+        tau = sol.t_h + random_divfree_rt(
+            mesh, seed + 500000,
+            scale=sizes[i - 1] * np.sqrt(2.0 * problem.nu) * errs["dual"],
+        )
+        if tamper:
+            # break the divergence constraint on one element
+            flux = tau.flux.copy()
+            flux[0, mesh.element_sides[0, 0]] += 0.1 * (1.0 + flux.max())
+            tau = RTField(mesh, flux)
+        en = energies_stokes(v, tau, sol.system)
+        rho = strong_convexity_stokes(v, tau, sol)
+        gap = en["primal"] - en["dual"]
+        rho_tot = rho["primal"] + rho["dual"]
+        if not np.isfinite(gap):
+            rel = np.inf
+        else:
+            rel = abs(gap - rho_tot) / rho_tot
+        rows.append(
+            {
+                "level": level,
+                "sample": i,
+                "num_dof": num_dof("stokes", mesh),
+                "rho_primal": rho["primal"],
+                "rho_dual": rho["dual"],
+                "gap": gap,
+                "err_iden": rel,
+            }
+        )
     return rows

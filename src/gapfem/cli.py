@@ -27,6 +27,14 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    """argparse type for seeds: an int >= 0 (numpy rejects negative seeds)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _positive_float(text):
     """argparse type for thresholds: a finite float > 0 (nan is rejected)."""
     value = float(text)
@@ -67,7 +75,7 @@ def build_parser():
     ver.add_argument("--problem", default="taylor-green")
     ver.add_argument("--levels", type=_positive_int, default=6)
     ver.add_argument("--seeds", type=_positive_int, default=3)
-    ver.add_argument("--seed", type=int, default=0, help="seed offset")
+    ver.add_argument("--seed", type=_nonnegative_int, default=0, help="seed offset")
     ver.add_argument("--threshold", type=_positive_float, default=1e-6)
     ver.add_argument("--out", default=None)
     ver.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -382,12 +382,11 @@ def gap_indicator_stokes(v, tau_h, grad_u, nu, mesh, degree=10, big_f_h=None):
         on the mesh by `rule_values`; None means zero.
     """
     w = triangle_rule(degree)[1]
-    tau = tau_h.evaluate(physical_points(mesh, degree))
-    if big_f_h is not None:
-        tau += _p0_values(big_f_h, mesh, (mesh.num_elements, 2, 2))[:, None]
     # diff = gv - dev(tau) / nu, formed in place to keep the peak memory down
-    diff = dev(tau)
-    del tau
+    diff = tau_h.evaluate(physical_points(mesh, degree))
+    if big_f_h is not None:
+        diff += _p0_values(big_f_h, mesh, (mesh.num_elements, 2, 2))[:, None]
+    dev(diff, in_place=True)
     diff /= nu
     gv = v.gradient().values[:, None, :, :]
     if grad_u is not None:
@@ -443,37 +442,47 @@ def oscillation_indicator(f, f_h, big_f, big_f_h, mesh, degree=10):
 # -- random admissible fields ------------------------------------------------------
 
 
-def random_divfree_cr(mesh, seed, scale=1.0):
-    """Random field in the discretely divergence-free homogeneous CR space.
+def random_divfree_cr(mesh, seeds, scales):
+    """Random fields in the discretely divergence-free homogeneous CR space.
 
-    Uniform[-1,1] DOFs are zeroed on Dirichlet sides and projected onto
-    ker(div_h) orthogonally in the broken H1 seminorm (a Stokes-type saddle
-    solve); the output is normalised to broken-H1 seminorm `scale`.
+    Returns one CRField per seed: Uniform[-1,1] DOFs drawn from
+    default_rng(seed) are zeroed on Dirichlet sides and projected onto
+    ker(div_h) orthogonally in the broken H1 seminorm, all seeds in one
+    block projection; the field of seeds[k] is normalised to broken-H1
+    seminorm scales[k] (a scalar scales every field alike).
     """
-    rng = np.random.default_rng(seed)
+    scales = np.broadcast_to(np.asarray(scales, dtype=float), (len(seeds),))
     ns = mesh.num_sides
-    raw = rng.uniform(-1.0, 1.0, size=(ns, 2))
-    raw[mesh.side_labels == _mesh.DIRICHLET] = 0.0
-    projected = project_divfree_cr(CRField(mesh, raw))
-    g = broken_gradient(projected)
-    nrm = norm_p0(g)
-    if nrm == 0.0:
-        raise AdmissibilityError("random divergence-free sample degenerated to zero")
-    return (scale / nrm) * projected
+    dirichlet = mesh.side_labels == _mesh.DIRICHLET
+    raw = np.empty((2 * ns, len(seeds)))
+    for k, seed in enumerate(seeds):
+        vals = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(ns, 2))
+        vals[dirichlet] = 0.0
+        raw[:ns, k], raw[ns:, k] = vals.T
+    fields = project_divfree_cr(mesh, raw)
+    for k, field in enumerate(fields):
+        nrm = norm_p0(broken_gradient(field))
+        if nrm == 0.0:
+            raise AdmissibilityError("random divergence-free sample degenerated to zero")
+        fields[k] = (scales[k] / nrm) * field
+    return fields
 
 
-def project_divfree_cr(v):
-    """Broken-H1-orthogonal projection onto the divergence-free subspace.
+def project_divfree_cr(mesh, dofs):
+    """Broken-H1-orthogonal projections onto the divergence-free subspace.
 
-    Solves the nu = 1 Stokes saddle system with load A v through the mesh's
-    one `stokes_saddle`, so repeated projections (one per random sample)
-    and the Stokes solve share its factor; every solve is residual-checked.
+    dofs is a (2 ns, k) block of CR DOF vectors (`CRField.dofs` layout);
+    returns the k projected CRFields.  All columns go through one block
+    solve of the nu = 1 Stokes saddle system with load A v, by the mesh's
+    one `stokes_saddle`, so the projections and the Stokes solve share its
+    factor; every column is residual-checked.
     """
-    mesh = v.mesh
     saddle = stokes_saddle(mesh)
-    rhs = saddle.restrict(saddle.a1_full @ v.dofs(), np.zeros(mesh.num_elements))
+    rhs = saddle.restrict(
+        saddle.a1_full @ dofs, np.zeros((mesh.num_elements, dofs.shape[1]))
+    )
     x, _ = saddle.al_solve(rhs, 1.0)
-    return saddle.velocity(x)
+    return [saddle.velocity(col) for col in x.T]
 
 
 def random_divfree_rt(mesh, seed, scale=1.0):

@@ -53,6 +53,12 @@ def _inf_norm(matrix):
     return np.abs(matrix).sum(axis=1).max() if matrix.nnz else 1.0
 
 
+def _column_norms(a):
+    """2-norm of a vector, or of each column of an (n, k) block, formed
+    without a temporary the size of a."""
+    return np.sqrt(np.einsum("i...,i...->...", a, a))
+
+
 # Normwise backward error every linear solve must reach.
 SOLVE_TOL = 1e-10
 
@@ -61,16 +67,21 @@ def _checked(matrix, norm, rhs, x, kind):
     """LinearSolveReport of a solution x of matrix @ x = rhs.
 
     The report holds the normwise backward error
-    ||b - A x|| / (||A||_inf ||x|| + ||b||), `norm` being ||A||_inf, with
-    Frobenius norms when rhs holds several columns.  A zero solution of a
-    zero right-hand side has backward error 0 (the 0/0 case).
+    ||b - A x|| / (||A||_inf ||x|| + ||b||), `norm` being ||A||_inf; when
+    rhs holds several columns, it is the largest backward error of a
+    column, so one bad column cannot hide behind good ones.  A zero
+    solution of a zero right-hand side has backward error 0 (the 0/0 case).
     SingularSystemError is raised if x is not finite or its backward error
     exceeds SOLVE_TOL.
     """
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite values")
-    denom = norm * np.linalg.norm(x) + np.linalg.norm(rhs)
-    res = np.linalg.norm(rhs - matrix @ x) / (denom if denom > 0 else 1.0)
+    denom = norm * _column_norms(x) + _column_norms(rhs)
+    residual = matrix @ x
+    np.subtract(rhs, residual, out=residual)
+    res = np.max(
+        _column_norms(residual) / np.where(denom > 0, denom, 1.0), initial=0.0
+    )
     if res > SOLVE_TOL:
         raise SingularSystemError(
             f"relative residual {res:.3e} exceeds {SOLVE_TOL:.1e}"
@@ -353,6 +364,10 @@ def _free_field(mesh, free, x):
 # pass, 1e4 does not.
 AL_GAMMA0 = 1e3
 AL_MAX_ITER = 30
+# Uzawa stops a column once ||B u - g|| <= AL_ROUNDOFF eps (||B||_inf ||u|| + ||g||),
+# the roundoff floor of the constraint residual; below it the residual only
+# wanders in the noise
+AL_ROUNDOFF = 8.0
 
 
 class StokesSaddle:
@@ -382,6 +397,9 @@ class StokesSaddle:
         self.b_full = sparse.diags(mesh.areas) @ -cr_divergence_matrix(mesh)
         self.a1 = self.a1_full[self.vel_index][:, self.vel_index]
         self.b = self.b_full[:, self.vel_index]
+        # B^T as the CSC view of b: no copy, and no transpose per Uzawa step
+        self.bt = self.b.T
+        self.b_norm = _inf_norm(self.b)
         self.pure_dirichlet = len(mesh.sides_with_label(_mesh.NEUMANN)) == 0
         self._checks = {}  # nu -> (saddle matrix, its row-sum norm)
 
@@ -407,10 +425,12 @@ class StokesSaddle:
         return self._check(nu)[0]
 
     def restrict(self, load_v, load_p):
-        """Right-hand side for a load on all CR DOFs and one per element."""
-        return np.concatenate(
-            [load_v[self.vel_index], load_p, np.zeros(int(self.pure_dirichlet))]
-        )
+        """Right-hand side for a load on all CR DOFs and one per element.
+
+        load_v and load_p are vectors, or blocks of k columns each.
+        """
+        gauge = np.zeros((int(self.pure_dirichlet),) + load_p.shape[1:])
+        return np.concatenate([load_v[self.vel_index], load_p, gauge])
 
     def velocity(self, x):
         """Velocity part of a solution vector as a homogeneous CR field."""
@@ -419,38 +439,66 @@ class StokesSaddle:
     def al_solve(self, rhs, nu):
         """Solve matrix(nu) @ x = rhs by augmented-Lagrangian Uzawa iteration.
 
-        Each step solves K u = f + gamma B^T M^-1 g - B^T p and updates
-        p += gamma M^-1 (B u - g), while ||B u - g|| strictly decreases.
-        The u of the last update and the updated p satisfy the momentum
-        rows exactly.  On pure-Dirichlet meshes B u sums to zero, so the
-        gauge multiplier is the mean of g, and p is shifted to the gauge.
-        Returns (x, LinearSolveReport), checked against matrix(nu).
+        rhs is an (n,) vector or an (n, k) block of right-hand sides; each
+        step makes one triangular solve with the factor on the block of
+        active columns.  For each column, a step solves
+        K u = f + gamma B^T M^-1 g - B^T p and updates
+        p += gamma M^-1 (B u - g).  The u of an update and the updated p
+        satisfy the momentum rows exactly.  A column stops once its
+        constraint residual ||B u - g|| reaches the roundoff floor
+        AL_ROUNDOFF eps (||B||_inf ||u|| + ||g||), or stops decreasing; it
+        keeps its last decreasing iterate.  On pure-Dirichlet meshes B u
+        sums to zero, so the gauge multiplier is the mean of g, and p is
+        shifted to the gauge.  Returns (x, LinearSolveReport) of the shape
+        of rhs, checked column by column against matrix(nu).
         """
-        nv, areas = len(self.vel_index), self.areas
-        f, g = rhs[:nv], rhs[nv: nv + len(areas)]
-        if self.pure_dirichlet:
-            lam = g.sum() / areas.sum()
-            g = g - lam * areas
-        gamma = AL_GAMMA0 * nu
-        load = f + gamma * (self.b.T @ (g / areas))
-        p = np.zeros(len(areas))
-        best = None
-        for _ in range(AL_MAX_ITER):
-            u = self.lu.solve(load - self.b.T @ p) / nu
-            r = self.b @ u - g
-            r_norm = np.linalg.norm(r)
-            if best is not None and not r_norm < best[2]:
-                break
-            p = p + gamma * (r / areas)
-            best = (u, p, r_norm)
-        u, p, _ = best
-        gauge = []
-        if self.pure_dirichlet:
-            p = p + (rhs[-1] - areas @ p) / areas.sum()
-            gauge = [lam]
-        x = np.concatenate([u, p, gauge])
+        # the iteration's work arrays are freed before the check
+        x = self._uzawa(rhs.reshape(len(rhs), -1), nu).reshape(rhs.shape)
         matrix, norm = self._check(nu)
         return x, _checked(matrix, norm, rhs, x, "augmented-lagrangian")
+
+    def _uzawa(self, block, nu):
+        """The `al_solve` iterate of an (n, k) block of right-hand sides."""
+        nv, areas = len(self.vel_index), self.areas
+        ne = len(areas)
+        x = np.zeros(block.shape)
+        u_out, p = x[:nv], x[nv: nv + ne]
+        f, g = block[:nv], block[nv: nv + ne]
+        mass = areas[:, None]  # M, one column per right-hand side
+        if self.pure_dirichlet:
+            lam = g.sum(axis=0) / areas.sum()
+            g = g - mass * lam
+        gamma = AL_GAMMA0 * nu
+        load = f + gamma * (self.bt @ (g / mass))
+        g_norm = _column_norms(g)
+        best = np.full(block.shape[1], np.inf)
+        active = np.arange(block.shape[1])
+        for _ in range(AL_MAX_ITER):
+            if not len(active):
+                break
+            # in place: the block's copies set the identity workload's peak memory
+            u = load[:, active]
+            u -= self.bt @ p[:, active]
+            u = self.lu.solve(u)
+            u /= nu
+            r = self.b @ u
+            r -= g[:, active]
+            r_norm = _column_norms(r)
+            better = r_norm < best[active]
+            cols = active[better]
+            if not better.all():
+                u, r, r_norm = u[:, better], r[:, better], r_norm[better]
+            u_out[:, cols] = u
+            p[:, cols] += gamma * (r / mass)
+            best[cols] = r_norm
+            roundoff = AL_ROUNDOFF * np.finfo(float).eps * (
+                self.b_norm * _column_norms(u) + g_norm[cols]
+            )
+            active = cols[r_norm > roundoff]
+        if self.pure_dirichlet:
+            p += (block[-1] - areas @ p) / areas.sum()
+            x[-1] = lam
+        return x
 
 
 def stokes_saddle(mesh):

@@ -577,9 +577,10 @@ def exact_errors(solution, problem, mesh, degree=10):
         dual = np.sum(
             mesh.areas * np.einsum("q,nqij,nqij->n", w, sdiff, sdiff)
         ) / (2.0 * nu)
-        ddev = dev(sdiff)
+        # in place: a copy of sdiff would set the peak memory
+        dev(sdiff, in_place=True)
         dual_dev = np.sum(
-            mesh.areas * np.einsum("q,nqij,nqij->n", w, ddev, ddev)
+            mesh.areas * np.einsum("q,nqij,nqij->n", w, sdiff, sdiff)
         ) / (2.0 * nu)
         return {
             "primal": float(np.sqrt(primal)),

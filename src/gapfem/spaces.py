@@ -74,7 +74,8 @@ class RTField:
 
     flux[i, s] is the (constant) normal trace of row i on side s against the
     global side normal.  The element-wise representation
-    row_i|_T(x) = a[T, i] + c[T, i] * x is derived once at construction.
+    row_i|_T(x) = a[T, i] + c[T, i] * x is derived at construction; sums
+    and multiples combine their operands' (a, c) instead.
     """
 
     def __init__(self, mesh, flux):
@@ -86,18 +87,25 @@ class RTField:
         self._build_local()
 
     def _build_local(self):
+        coef, opp = self.mesh.cached("rt_local", self._local_factors)
+        fc = (self.flux[:, self.mesh.element_sides] * coef).transpose(1, 0, 2)
+        self.c = fc.sum(2)  # (ne, 2)
+        self.a = -(fc @ opp)  # (ne, 2, 2)
+
+    def _local_factors(self):
+        """Per-mesh factors of `_build_local`: the (ne, 3) flux weights and
+        the (ne, 3, 2) vertex opposite each local side."""
         m = self.mesh
-        geo = m.geometry()
-        ne = m.num_elements
-        es = m.element_sides  # (ne, 3)
-        sg = m.element_side_signs.astype(float)
-        ls = geo["side_length"][es]  # (ne, 3)
-        coef = sg * ls / (2.0 * m.areas)[:, None]  # (ne, 3)
+        ls = m.geometry()["side_length"][m.element_sides]  # (ne, 3)
+        coef = m.element_side_signs * ls / (2.0 * m.areas)[:, None]
         # vertex opposite local side j is vertex j+2
-        opp = m.vertices[m.elements[:, [2, 0, 1]]]  # (ne, 3, 2)
-        f = self.flux[:, es]  # (2, ne, 3)
-        self.c = np.einsum("int,nt->ni", f, coef)  # (ne, 2)
-        self.a = -np.einsum("int,nt,ntd->nid", f, coef, opp)  # (ne, 2, 2)
+        return coef, m.vertices[m.elements[:, [2, 0, 1]]]
+
+    def _combined(self, flux, a, c):
+        """RTField of `flux` whose local representation is (a, c)."""
+        out = RTField.__new__(RTField)
+        out.mesh, out.flux, out.a, out.c = self.mesh, flux, a, c
+        return out
 
     def evaluate(self, points):
         """Values at points of shape (ne, nq, 2) -> (ne, nq, 2, 2)."""
@@ -115,13 +123,17 @@ class RTField:
         return P0Field(self.mesh, 2.0 * self.c)
 
     def __add__(self, other):
-        return RTField(self.mesh, self.flux + other.flux)
+        return self._combined(
+            self.flux + other.flux, self.a + other.a, self.c + other.c
+        )
 
     def __sub__(self, other):
-        return RTField(self.mesh, self.flux - other.flux)
+        return self._combined(
+            self.flux - other.flux, self.a - other.a, self.c - other.c
+        )
 
     def __mul__(self, a):
-        return RTField(self.mesh, a * self.flux)
+        return self._combined(a * self.flux, a * self.a, a * self.c)
 
     __rmul__ = __mul__
 
@@ -152,11 +164,14 @@ class P1ConformingField:
 # -- tensor helpers ----------------------------------------------------------
 
 
-def dev(a):
-    """Deviatoric (trace-free) part of 2x2 tensors, any leading shape."""
+def dev(a, in_place=False):
+    """Deviatoric (trace-free) part of 2x2 tensors, any leading shape.
+
+    With in_place, a float array a is overwritten instead of copied.
+    """
     a = np.asarray(a, dtype=float)
     tr = a[..., 0, 0] + a[..., 1, 1]
-    out = a.copy()
+    out = a if in_place else a.copy()
     out[..., 0, 0] -= 0.5 * tr
     out[..., 1, 1] -= 0.5 * tr
     return out
@@ -249,8 +264,7 @@ def broken_gradient(v):
     """Element-wise gradient of a CR field as a P0 tensor field."""
     m = v.mesh
     vv = v.values[m.element_sides]  # (ne, 3, 2)
-    grads = np.einsum("nti,ntd->nid", vv, cr_basis_gradients(m))
-    return P0Field(m, grads)
+    return P0Field(m, vv.transpose(0, 2, 1) @ cr_basis_gradients(m))
 
 
 def broken_sym_gradient(v):

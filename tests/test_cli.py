@@ -73,6 +73,7 @@ class TestRun:
     @pytest.mark.parametrize("argv", [
         ["verify-identity", "--levels", "0"],
         ["verify-identity", "--seeds", "0"],
+        ["verify-identity", "--seed", "-5000"],
         ["run", "taylor-green", "--theta", "2"],
         ["run", "taylor-green", "--max-iter", "0"],
         ["run", "taylor-green", "--eps-stop", "nan"],

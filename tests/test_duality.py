@@ -231,7 +231,7 @@ class TestGapIndicators:
 
     def test_perturbed_pair_matches_rho_tot(self, tg_solution):
         prob, mesh, sol = tg_solution
-        v = sol.u_h + random_divfree_cr(mesh, 3, scale=0.1)
+        v = sol.u_h + random_divfree_cr(mesh, [3], [0.1])[0]
         tau = sol.t_h + random_divfree_rt(mesh, 4, scale=0.1)
         eta = gap_indicator_stokes_discrete(v, tau, sol.u_hat, prob.nu, mesh)
         rho = strong_convexity_stokes(v, tau, sol)
@@ -347,7 +347,7 @@ class TestEnergies:
     def test_taylor_expansion_of_primal_energy(self, tg_solution):
         # I_h(v) - I_h(u_h) equals the quadratic strong convexity measure
         prob, mesh, sol = tg_solution
-        v = sol.u_h + random_divfree_cr(mesh, 11, scale=0.2)
+        v = sol.u_h + random_divfree_cr(mesh, [11], [0.2])[0]
         en_v = energies_stokes(v, sol.t_h, sol.system)
         en_u = energies_stokes(sol.u_h, sol.t_h, sol.system)
         rho = strong_convexity_stokes(v, sol.t_h, sol)
@@ -362,7 +362,7 @@ class TestAdmissiblePair:
         # gap is I_h(v) - D_h(tau) = rho_primal + rho_dual
         prob, mesh, sol = tg_solution
         system = sol.system
-        v = sol.u_h + random_divfree_cr(mesh, 21, scale=0.05)
+        v = sol.u_h + random_divfree_cr(mesh, [21], [0.05])[0]
         tau = sol.t_h + random_divfree_rt(mesh, 22, scale=0.05)
         assert check_stokes_admissible_velocity(v)[0]
         assert check_stress_admissible(tau, system.f_h, system.g_h, mesh)[0]
@@ -395,7 +395,7 @@ def test_discrete_identity_on_perturbed_meshes(n, labeler, seed, log_scales):
     prob = taylor_green_stokes()
     mesh = _perturbed_mesh(n, labeler, seed)
     sol = discretize_stokes(prob, mesh)
-    v = sol.u_h + random_divfree_cr(mesh, seed, scale=10.0 ** log_scales[0])
+    v = sol.u_h + random_divfree_cr(mesh, [seed], [10.0 ** log_scales[0]])[0]
     tau = sol.t_h + random_divfree_rt(mesh, seed + 1, scale=10.0 ** log_scales[1])
     en = energies_stokes(v, tau, sol.system)
     rho = strong_convexity_stokes(v, tau, sol)
@@ -408,17 +408,26 @@ class TestRandomFields:
         # all-Dirichlet (pressure gauge row) and mixed Dirichlet/Neumann
         for labeler in (all_dirichlet, mixed):
             mesh = structured_square_mesh(5, labeler)
-            v1 = random_divfree_cr(mesh, 1)
-            v2 = random_divfree_cr(mesh, 2)
+            v1, v2 = random_divfree_cr(mesh, [1, 2], 1.0)
             assert np.abs(broken_divergence(v1).values).max() < 1e-10
             assert np.abs(v1.values[mesh.side_labels == DIRICHLET]).max() == 0.0
             assert norm_p0(broken_gradient(v1 - v2)) > 1e-3
 
+    def test_block_equals_single_seeds(self):
+        # each seed keeps its own stream through the one block projection
+        for labeler in (all_dirichlet, mixed):
+            mesh = structured_square_mesh(5, labeler)
+            both = random_divfree_cr(mesh, [7, 8], [0.3, 2.0])
+            for field, seed, scale in zip(both, [7, 8], [0.3, 2.0]):
+                (one,) = random_divfree_cr(mesh, [seed], [scale])
+                assert np.abs(field.values - one.values).max() <= 1e-12
+                assert norm_p0(broken_gradient(field)) == pytest.approx(scale)
+
     def test_projector_fixed_point(self):
         for labeler in (all_dirichlet, mixed):
             mesh = structured_square_mesh(4, labeler)
-            v = random_divfree_cr(mesh, 5)
-            w = project_divfree_cr(v)
+            (v,) = random_divfree_cr(mesh, [5], 1.0)
+            (w,) = project_divfree_cr(mesh, v.dofs()[:, None])
             assert norm_p0(broken_gradient(w - v)) < 1e-12
 
     def test_divfree_rt_properties(self):
