@@ -70,7 +70,6 @@ from .spaces import (
     jump_eval,
     nodal_average,
     pi0,
-    pi_side,
     rt_interpolate,
 )
 

@@ -89,15 +89,11 @@ def build_parser():
     tab.add_argument("--max-iter", type=_positive_int, default=4,
                      help="number of levels")
     tab.add_argument("--out", default=None)
+    tab.set_defaults(problem="taylor-green")
     return parser
 
 
-def cmd_run(args):
-    try:
-        problem = get_problem(args.problem)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+def cmd_run(args, problem):
     try:
         config = AdaptiveConfig(
             theta=args.theta,
@@ -108,11 +104,7 @@ def cmd_run(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    try:
-        report = run_adaptive(problem, config)
-    except SingularSystemError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
+    report = run_adaptive(problem, config)
     rows = report.csv_rows()
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     for row in rows:
@@ -124,22 +116,13 @@ def cmd_run(args):
     return 0
 
 
-def cmd_verify_identity(args):
-    try:
-        problem = get_problem(args.problem)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+def cmd_verify_identity(args, problem):
     if problem.kind != "stokes":
         print("error: verify-identity requires a Stokes problem", file=sys.stderr)
         return USAGE_ERROR
-    try:
-        rows = identity_rows(
-            problem, args.levels, args.seeds, args.seed, tamper=args.debug_tamper
-        )
-    except SingularSystemError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
+    rows = identity_rows(
+        problem, args.levels, args.seeds, args.seed, tamper=args.debug_tamper
+    )
     header = ["level", "sample", "num_dof", "rho_primal", "rho_dual", "gap", "err_iden"]
     lines = [",".join(header)]
     for r in rows:
@@ -168,14 +151,9 @@ def cmd_verify_identity(args):
     return 0
 
 
-def cmd_table1(args):
-    problem = get_problem("taylor-green")
+def cmd_table1(args, problem):
     config = AdaptiveConfig(refinement_mode="uniform", max_iter=args.max_iter)
-    try:
-        report = run_adaptive(problem, config)
-    except SingularSystemError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
+    report = run_adaptive(problem, config)
     lines = ["num_dof,err_u,eoc_u,err_T,eoc_T"]
     for k, r in enumerate(report.records):
         cells = [str(r.num_dof)]
@@ -197,13 +175,18 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "verify-identity":
-        return cmd_verify_identity(args)
-    if args.command == "table1":
-        return cmd_table1(args)
-    return USAGE_ERROR
+    command = {"run": cmd_run, "verify-identity": cmd_verify_identity,
+               "table1": cmd_table1}[args.command]
+    try:
+        problem = get_problem(args.problem)
+    except KeyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    try:
+        return command(args, problem)
+    except SingularSystemError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return NUMERICAL_ERROR
 
 
 if __name__ == "__main__":

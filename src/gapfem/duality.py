@@ -382,16 +382,16 @@ def gap_indicator_stokes(v, tau_h, grad_u, nu, mesh, degree=10, big_f_h=None):
         on the mesh by `rule_values`; None means zero.
     """
     w = triangle_rule(degree)[1]
-    # diff = gv - dev(tau) / nu, formed in place to keep the peak memory down
+    # diff = dev(tau) / nu - grad v - grad u_hat, the negated integrand,
+    # formed in place to keep the peak memory down
     diff = tau_h.evaluate(physical_points(mesh, degree))
     if big_f_h is not None:
         diff += _p0_values(big_f_h, mesh, (mesh.num_elements, 2, 2))[:, None]
     dev(diff, in_place=True)
     diff /= nu
-    gv = v.gradient().values[:, None, :, :]
+    diff -= v.gradient().values[:, None, :, :]
     if grad_u is not None:
-        gv = gv + rule_values(grad_u, mesh, degree)
-    np.subtract(gv, diff, out=diff)
+        diff -= rule_values(grad_u, mesh, degree)
     vals = np.einsum("q,nqij,nqij->n", w, diff, diff)
     return 0.5 * nu * mesh.areas * vals
 

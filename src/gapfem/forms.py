@@ -16,12 +16,15 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 
 from . import mesh as _mesh
+from .quadrature import segment_rule, side_points
 from .spaces import (
     CRField,
     P0Field,
-    _trace_coefficients,
+    _gradient_operator,
+    _jump_rows,
     broken_divergence,
-    cr_basis_gradients,
+    cr_gradient_operator,
+    cr_jump_operator,
     jump_eval,
 )
 
@@ -37,15 +40,11 @@ class SingularSystemError(Exception):
 class LinearSolveReport:
     """Outcome of a residual-checked sparse solve."""
 
-    def __init__(self, residual_norm, factorization_kind):
+    def __init__(self, residual_norm):
         self.residual_norm = residual_norm
-        self.factorization_kind = factorization_kind
 
     def __repr__(self):
-        return (
-            f"LinearSolveReport(residual_norm={self.residual_norm:.3e}, "
-            f"kind={self.factorization_kind!r})"
-        )
+        return f"LinearSolveReport(residual_norm={self.residual_norm:.3e})"
 
 
 def _inf_norm(matrix):
@@ -63,7 +62,7 @@ def _column_norms(a):
 SOLVE_TOL = 1e-10
 
 
-def _checked(matrix, norm, rhs, x, kind):
+def _checked(matrix, norm, rhs, x):
     """LinearSolveReport of a solution x of matrix @ x = rhs.
 
     The report holds the normwise backward error
@@ -86,7 +85,7 @@ def _checked(matrix, norm, rhs, x, kind):
         raise SingularSystemError(
             f"relative residual {res:.3e} exceeds {SOLVE_TOL:.1e}"
         )
-    return LinearSolveReport(res, kind)
+    return LinearSolveReport(res)
 
 
 # SuperLU options of every factorisation; each factored matrix is SPD, so
@@ -125,43 +124,28 @@ def solve_sparse(matrix, rhs):
     raised if the factorisation or the check fails.
     """
     x = spd_factor(matrix).solve(rhs)
-    return x, _checked(matrix, _inf_norm(matrix), rhs, x, "superlu")
+    return x, _checked(matrix, _inf_norm(matrix), rhs, x)
 
 
-# -- scalar building blocks ----------------------------------------------------
+# -- forms: products of the broken-gradient and side-jump operators -----------
 
 
-def cr_stiffness(mesh, weights=None):
-    """Scalar CR stiffness sum_T w_T (grad theta_i, grad theta_j)_T as CSR."""
-    dtheta = cr_basis_gradients(mesh)
-    w = mesh.areas if weights is None else mesh.areas * weights
-    local = np.einsum("n,nid,njd->nij", w, dtheta, dtheta)
-    es = mesh.element_sides
-    rows = np.repeat(es, 3, axis=1).ravel()
-    cols = np.tile(es, (1, 3)).ravel()
-    ns = mesh.num_sides
-    return sparse.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=(ns, ns)
-    ).tocsr()
+def _gram(op, weight):
+    """The form op^T weight op as CSR; weight is a symmetric sparse matrix.
+
+    The product is symmetrised: the sparse product sums the (i, j) and
+    (j, i) entries in different orders, and on Cook's first mesh that
+    roundoff-level asymmetry changed the fill of the elasticity factor.
+    """
+    form = op.T.tocsr() @ (weight @ op)
+    form = form + form.T
+    form.data *= 0.5
+    return form
 
 
-def cr_divergence_matrix(mesh):
-    """Map CR vector DOFs to element-wise divergence: (ne, 2 ns) CSR."""
-    dtheta = cr_basis_gradients(mesh)
-    es = mesh.element_sides
-    ne, ns = mesh.num_elements, mesh.num_sides
-    rows = np.repeat(np.arange(ne), 3)
-    data_x = dtheta[:, :, 0].ravel()
-    data_y = dtheta[:, :, 1].ravel()
-    cols_x = es.ravel()
-    cols_y = es.ravel() + ns
-    return sparse.coo_matrix(
-        (
-            np.concatenate([data_x, data_y]),
-            (np.concatenate([rows, rows]), np.concatenate([cols_x, cols_y])),
-        ),
-        shape=(ne, 2 * ns),
-    ).tocsr()
+def cr_stiffness(mesh):
+    """Scalar CR stiffness sum_T (grad theta_i, grad theta_j)_T as CSR (ns x ns)."""
+    return _gram(_gradient_operator(mesh, 1), sparse.diags(np.repeat(mesh.areas, 2)))
 
 
 # exact integrals over [0,1] of products of the endpoint hat functions;
@@ -172,43 +156,14 @@ _ENDPOINT_MASS = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
 def jump_penalty_matrix(mesh, weight_per_side):
     """Scalar jump form sum_S w_S int_S [u][v] ds as CSR (ns x ns).
 
-    weight_per_side is an (ns,) array; sides with weight zero are skipped.
-    Side integrals of products of P1 traces are exact (2-point Gauss).
+    weight_per_side is an (ns,) array.  The form is J^T W J, J the
+    `cr_jump_operator` and W the exact endpoint mass of each side times
+    w_S |S|, so side integrals of products of P1 traces are exact.
     """
-    geo = mesh.geometry()
-    ns = mesh.num_sides
-    w_eff = weight_per_side * geo["side_length"]
-    blocks_r, blocks_c, blocks_v = [], [], []
-    for interior in (True, False):
-        if interior:
-            sel = np.nonzero((mesh.side_elements[:, 1] >= 0) & (w_eff != 0))[0]
-        else:
-            sel = np.nonzero((mesh.side_elements[:, 1] < 0) & (w_eff != 0))[0]
-        if len(sel) == 0:
-            continue
-        d0, c0 = _trace_coefficients(mesh, sel, 0)
-        if interior:
-            d1, c1 = _trace_coefficients(mesh, sel, 1)
-            dofs = np.concatenate([d0, d1], axis=1)
-            coef = np.concatenate([c0, -c1], axis=2)
-        else:
-            dofs, coef = d0, c0
-        vals = np.einsum(
-            "m,mki,kl,mlj->mij", w_eff[sel], coef, _ENDPOINT_MASS, coef
-        )
-        nd = dofs.shape[1]
-        blocks_r.append(np.repeat(dofs, nd, axis=1).ravel())
-        blocks_c.append(np.tile(dofs, (1, nd)).ravel())
-        blocks_v.append(vals.ravel())
-    if not blocks_v:
-        return sparse.csr_matrix((ns, ns))
-    return sparse.coo_matrix(
-        (
-            np.concatenate(blocks_v),
-            (np.concatenate(blocks_r), np.concatenate(blocks_c)),
-        ),
-        shape=(ns, ns),
-    ).tocsr()
+    w = weight_per_side * mesh.geometry()["side_length"]
+    return _gram(
+        cr_jump_operator(mesh), sparse.kron(sparse.diags(w), _ENDPOINT_MASS, format="csr")
+    )
 
 
 def stabilization_jump_matrix(mesh, mu):
@@ -237,31 +192,19 @@ def dirichlet_penalty_load(mesh, mu, datum, npoints=8):
 
     On Dirichlet sides the jump of a total field v + u_hat is its deviation
     from the boundary datum, so the penalty contributes this datum-weighted
-    functional to the right-hand side.  Returns a (2 ns,) vector.
+    functional to the right-hand side.  It is J^T m, J the
+    `cr_jump_operator` and m the datum's moments against the two endpoint
+    hat functions of each Dirichlet side.  Returns a (2 ns,) vector.
     """
-    from .quadrature import segment_rule, side_points
-
-    ns = mesh.num_sides
-    out = np.zeros(2 * ns)
     if datum is None:
-        return out
+        return np.zeros(2 * mesh.num_sides)
     sel = mesh.sides_with_label(_mesh.DIRICHLET)
-    if len(sel) == 0:
-        return out
-    geo = mesh.geometry()
     t, w = segment_rule(npoints)
-    pts = side_points(mesh, t, sides=sel)  # (m, q, 2)
-    gvals = np.asarray(datum(pts))  # (m, q, 2)
-    dofs, coef = _trace_coefficients(mesh, sel, 0)  # (m,3), (m,2,3)
-    # basis trace at parameter t: coef0 (1-t) + coef1 t
-    basis = coef[:, 0, :][:, None, :] * (1 - t)[None, :, None] + coef[
-        :, 1, :
-    ][:, None, :] * t[None, :, None]  # (m, q, 3)
-    weight = 2.0 * mu  # (2 mu / h_S) * |S| = 2 mu
-    vals = weight * np.einsum("q,mqi,mqj->mji", w, gvals, basis)  # (m, 3, 2)
-    for comp in range(2):
-        np.add.at(out, dofs.ravel() + comp * ns, vals[:, :, comp].ravel())
-    return out
+    gvals = np.asarray(datum(side_points(mesh, t, sides=sel)))  # (m, q, 2)
+    hats = np.stack([1.0 - t, t], axis=1)  # (q, 2)
+    # (2 mu / h_S) * |S| = 2 mu
+    moments = (2.0 * mu) * np.einsum("q,qk,mqi->mki", w, hats, gvals)
+    return (_jump_rows(mesh, sel).T @ moments.reshape(-1, 2)).T.ravel()
 
 
 def stabilization_energy(mesh, mu, u_total, datum, npoints=8):
@@ -270,8 +213,6 @@ def stabilization_energy(mesh, mu, u_total, datum, npoints=8):
     Interior sides contribute (2 mu / h_S) int [u]^2; Dirichlet sides
     contribute (2 mu / h_S) int |u - datum|^2 (datum None means zero).
     """
-    from .quadrature import segment_rule, side_points
-
     total = 0.0
     t, w = segment_rule(npoints)
     for label in (_mesh.INTERIOR, _mesh.DIRICHLET):
@@ -304,18 +245,15 @@ def load_vector(mesh, f_h=None, big_f_h=None, g_h=None):
     """Assemble the load functional as a (2 ns,) vector over all CR DOFs."""
     ns = mesh.num_sides
     rhs = np.zeros(2 * ns)
-    es = mesh.element_sides
     if f_h is not None:
+        # Pi_h v on an element is the mean of v over its three sides
         fv = f_h.values if isinstance(f_h, P0Field) else np.asarray(f_h)
-        contrib = (mesh.areas / 3.0)[:, None] * fv  # (ne, 2)
-        for comp in range(2):
-            np.add.at(rhs, es.ravel() + comp * ns, np.repeat(contrib[:, comp], 3))
+        dofs = mesh.element_sides[:, :, None] + ns * np.arange(2)  # (ne, 3, 2)
+        contrib = np.broadcast_to(((mesh.areas / 3.0)[:, None] * fv)[:, None], dofs.shape)
+        rhs += np.bincount(dofs.ravel(), contrib.ravel(), minlength=2 * ns)
     if big_f_h is not None:
         fv = big_f_h.values if isinstance(big_f_h, P0Field) else np.asarray(big_f_h)
-        dtheta = cr_basis_gradients(mesh)
-        contrib = np.einsum("n,nid,ntd->nti", mesh.areas, fv, dtheta)
-        for comp in range(2):
-            np.add.at(rhs, es.ravel() + comp * ns, contrib[:, :, comp].ravel())
+        rhs += cr_gradient_operator(mesh).T @ (mesh.areas[:, None, None] * fv).ravel()
     if g_h is not None:
         geo = mesh.geometry()
         neumann = mesh.sides_with_label(_mesh.NEUMANN)
@@ -391,10 +329,12 @@ class StokesSaddle:
         self._mesh = weakref.ref(mesh)
         self.areas = mesh.areas
         self.free_sides, self.vel_index = _free_dofs(mesh)
+        # the vector stiffness G^T (|T| I) G acts on each component alone
         k_scal = cr_stiffness(mesh)
-        self.a1_full = sparse.block_diag([k_scal, k_scal]).tocsr()
-        # (q, div v) weighted by element areas
-        self.b_full = sparse.diags(mesh.areas) @ -cr_divergence_matrix(mesh)
+        self.a1_full = sparse.block_diag([k_scal, k_scal], format="csr")
+        # -(q, div_h v): div_h is the sum of the trace rows of G
+        grad = cr_gradient_operator(mesh)
+        self.b_full = sparse.diags(-mesh.areas) @ (grad[0::4] + grad[3::4])
         self.a1 = self.a1_full[self.vel_index][:, self.vel_index]
         self.b = self.b_full[:, self.vel_index]
         # B^T as the CSC view of b: no copy, and no transpose per Uzawa step
@@ -455,7 +395,7 @@ class StokesSaddle:
         # the iteration's work arrays are freed before the check
         x = self._uzawa(rhs.reshape(len(rhs), -1), nu).reshape(rhs.shape)
         matrix, norm = self._check(nu)
-        return x, _checked(matrix, norm, rhs, x, "augmented-lagrangian")
+        return x, _checked(matrix, norm, rhs, x)
 
     def _uzawa(self, block, nu):
         """The `al_solve` iterate of an (n, k) block of right-hand sides."""
@@ -584,39 +524,17 @@ class ElasticitySystem(_LoadedSystem):
         self._assemble_load(u_hat, f_h, big_f_h, g_h)
         self.dirichlet_datum = dirichlet_datum
 
-        ns = mesh.num_sides
         self.free_sides, self.vel_index = _free_dofs(mesh)
 
+        # (C eps_h u, eps_h v) with C g = 2 mu sym(g) + lam tr(g) I acting on
+        # the flattened gradient g = (g00, g01, g10, g11)
         mu, lam = material.mu, material.lam
-        dtheta = cr_basis_gradients(mesh)
-        es = mesh.element_sides
-
-        # (C eps(u), eps(v)) = 2 mu (eps(u), eps(v)) + lam (div u, div v);
-        # assemble the 6x6 local vector blocks directly
-        ne = mesh.num_elements
-        local = np.zeros((ne, 2, 3, 2, 3))
-        d = dtheta  # (ne, 3, 2)
-        area = mesh.areas
-        for i in range(2):
-            for j in range(2):
-                # eps(e_i theta_a) : eps(e_j theta_b)
-                term = 0.5 * np.einsum("nad,nbd->nab", d, d) * (i == j)
-                term = term + 0.5 * np.einsum("na,nb->nab", d[:, :, j], d[:, :, i])
-                div_term = np.einsum("na,nb->nab", d[:, :, i], d[:, :, j])
-                local[:, i, :, j, :] = (
-                    (2.0 * mu) * term + lam * div_term
-                ) * area[:, None, None]
-
-        rows = np.empty((ne, 2, 3, 2, 3), dtype=np.int64)
-        cols = np.empty_like(rows)
-        for i in range(2):
-            for j in range(2):
-                rows[:, i, :, j, :] = (es + i * ns)[:, :, None]
-                cols[:, i, :, j, :] = (es + j * ns)[:, None, :]
-        k_eps = sparse.coo_matrix(
-            (local.ravel(), (rows.ravel(), cols.ravel())),
-            shape=(2 * ns, 2 * ns),
-        ).tocsr()
+        tr = np.array([1.0, 0.0, 0.0, 1.0])
+        c_local = mu * (np.eye(4) + np.eye(4)[[0, 2, 1, 3]]) + lam * np.outer(tr, tr)
+        k_eps = _gram(
+            cr_gradient_operator(mesh),
+            sparse.kron(sparse.diags(mesh.areas), c_local, format="csr"),
+        )
 
         self.a_full = k_eps + stabilization_jump_matrix(mesh, mu)
         self.matrix = self.a_full[self.vel_index][:, self.vel_index].tocsc()

@@ -15,6 +15,7 @@ vertex k), so theta_j is 1 on side j and has zero mean on the other two.
 """
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .quadrature import physical_points, segment_rule, side_points, triangle_rule
 
@@ -155,11 +156,6 @@ class P1ConformingField:
         grads = np.einsum("nki,nkd->nid", vv, geo["grad_lambda"])
         return P0Field(self.mesh, grads)
 
-    def evaluate(self, bary):
-        """Values at barycentric points: (ne, nq, 2)."""
-        vv = self.values[self.mesh.elements]
-        return np.einsum("qk,nki->nqi", bary, vv)
-
 
 # -- tensor helpers ----------------------------------------------------------
 
@@ -200,14 +196,6 @@ def pi0(f, mesh, degree=DEFAULT_VOLUME_DEGREE):
     vals = f if isinstance(f, np.ndarray) else f(physical_points(mesh, degree))
     w = triangle_rule(degree)[1]
     return P0Field(mesh, np.einsum("q,nq...->n...", w, vals))
-
-
-def pi_side(f, mesh, s, npoints=DEFAULT_SIDE_POINTS):
-    """Side average of f over side s."""
-    t, w = segment_rule(npoints)
-    pts = side_points(mesh, t, sides=np.array([s]))[0]
-    vals = np.asarray(f(pts), dtype=float)
-    return np.einsum("q,q...->...", w, vals)
 
 
 def side_averages(f, mesh, npoints=DEFAULT_SIDE_POINTS):
@@ -277,42 +265,72 @@ def broken_divergence(v):
     return P0Field(v.mesh, g.values[:, 0, 0] + g.values[:, 1, 1])
 
 
-def _trace_coefficients(mesh, sides, slot):
-    """Endpoint trace coefficients of the three CR basis functions.
+# theta_j at local vertex k: 1 - 2 [j == k + 1 mod 3]
+_THETA_AT_VERTEX = 1.0 - 2.0 * np.eye(3)[[1, 2, 0]]
 
-    For each side in `sides` and the adjacent element in `slot` (0 primary,
-    1 secondary), returns (dofs (m,3), coef (m,2,3)) such that the trace of
-    the CR function at side endpoint k is sum_j coef[m,k,j] * value[dofs[m,j]].
+
+def cr_gradient_operator(mesh):
+    """Broken gradient as a (4 ne, 2 ns) CSR matrix acting on `CRField.dofs`.
+
+    Row 4 n + 2 i + d holds d_d v_i on element n, so G @ v.dofs() is
+    broken_gradient(v).values.ravel().
     """
-    elems = mesh.side_elements[sides, slot]
-    loc = mesh.side_local[sides, slot]
-    if slot == 0:
-        lv0, lv1 = loc, (loc + 1) % 3
-    else:
-        lv0, lv1 = (loc + 1) % 3, loc
-    # theta_j(vertex k) = 1 - 2 [j == k+1 mod 3]
-    j = np.arange(3)
-    coef0 = 1.0 - 2.0 * (j[None, :] == ((lv0 + 1) % 3)[:, None])
-    coef1 = 1.0 - 2.0 * (j[None, :] == ((lv1 + 1) % 3)[:, None])
-    return mesh.element_sides[elems], np.stack([coef0, coef1], axis=1)
+    return _gradient_operator(mesh, 2)
+
+
+def _gradient_operator(mesh, ncomp):
+    """Broken gradient of ncomp-component CR fields: (2 ncomp ne, ncomp ns) CSR.
+
+    Row (n, i, d) holds d_d of component i on element n, and column
+    i ns + s is component i of side s; a row has one entry per side of n.
+    """
+    ne, ns = mesh.num_elements, mesh.num_sides
+    shape = (ne, ncomp, 2, 3)
+    data = np.broadcast_to(cr_basis_gradients(mesh).transpose(0, 2, 1)[:, None], shape)
+    cols = mesh.element_sides[:, None, None, :] + ns * np.arange(ncomp)[:, None, None]
+    return sparse.csr_matrix(
+        (data.ravel(), np.broadcast_to(cols, shape).ravel(), np.arange(0, data.size + 1, 3)),
+        shape=(2 * ncomp * ne, ncomp * ns),
+    )
+
+
+def cr_jump_operator(mesh):
+    """Side jumps of scalar CR fields as a (2 ns, ns) CSR matrix.
+
+    Row 2 s + k is the jump at endpoint k of side s, in side_vertices order.
+    Interior sides: the trace from the element the global normal points out
+    of (side_elements slot 0) minus the trace from the other (slot 1).
+    Boundary sides: the trace itself.  A row holds the three coefficients of
+    each slot; on boundary sides those of slot 1 are zeros.
+    """
+    return _jump_rows(mesh, np.arange(mesh.num_sides))
+
+
+def _jump_rows(mesh, sides):
+    """The rows of `cr_jump_operator` at an array of sides: (2 m, ns) CSR."""
+    elems = mesh.side_elements[sides]
+    inner = elems[:, 1] >= 0
+    # endpoint k is local vertex loc + k of the slot-0 element and loc + 1 - k
+    # of the slot-1 element: ends[m, k, slot]
+    ends = (mesh.side_local[sides][:, None, :] + np.array([[0, 1], [1, 0]])) % 3
+    data = _THETA_AT_VERTEX[ends]  # (m, k, slot, j)
+    data[:, :, 1] *= np.where(inner, -1.0, 0.0)[:, None, None]
+    dofs = mesh.element_sides[np.where(inner[:, None], elems, elems[:, :1])]
+    cols = np.broadcast_to(dofs[:, None], data.shape)
+    return sparse.csr_matrix(
+        (data.ravel(), cols.ravel(), np.arange(0, data.size + 1, 6)),
+        shape=(2 * len(sides), mesh.num_sides),
+    )
 
 
 def jump_eval(v, sides):
     """Jumps of a CR field across an array of sides at their endpoints.
 
-    Returns (m, 2, 2): [m, k] is the jump at endpoint k of sides[m], in
-    side_vertices order.  Interior sides: difference of traces ordered by
-    the global normal (trace from the element the normal points out of,
-    minus the other).  Boundary sides: the trace itself.
+    Returns (m, 2, 2): [m, k] is the jump at endpoint k of sides[m], with
+    the order and signs of `cr_jump_operator`.
     """
-    m = v.mesh
-    sides = np.asarray(sides, dtype=np.int64)
-    dofs, coef = _trace_coefficients(m, sides, 0)
-    jump = np.einsum("mkj,mji->mki", coef, v.values[dofs])
-    inner = m.side_elements[sides, 1] >= 0
-    dofs, coef = _trace_coefficients(m, sides[inner], 1)
-    jump[inner] -= np.einsum("mkj,mji->mki", coef, v.values[dofs])
-    return jump
+    rows = _jump_rows(v.mesh, np.asarray(sides, dtype=np.int64))
+    return (rows @ v.values).reshape(-1, 2, 2)
 
 
 def nodal_average(v, mesh, dirichlet_values=None):

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from gapfem import cli
 from gapfem.cli import main
 from gapfem.duality import JUMP_TOL
+from gapfem.forms import SingularSystemError
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
 
@@ -112,6 +114,25 @@ def test_unwritable_out_path(argv, tmp_path, capsys):
     assert f"error: cannot write report {out}" in err
     assert "Traceback" not in err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "taylor-green", "--max-iter", "1"],
+    ["verify-identity", "--levels", "1", "--seeds", "1"],
+    ["table1", "--max-iter", "1"],
+])
+def test_singular_system_exit_code(argv, monkeypatch, capsys):
+    """A singular system in any command exits 2 with a message."""
+
+    def singular(*args, **kwargs):
+        raise SingularSystemError("factor is singular")
+
+    monkeypatch.setattr(cli, "run_adaptive", singular)
+    monkeypatch.setattr(cli, "identity_rows", singular)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: factor is singular" in err
+    assert "Traceback" not in err
 
 
 class TestVerifyIdentity:

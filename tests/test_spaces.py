@@ -17,12 +17,11 @@ from gapfem import (
     jump_eval,
     nodal_average,
     pi0,
-    pi_side,
     rt_interpolate,
     structured_square_mesh,
 )
 from gapfem.quadrature import physical_points, triangle_rule
-from gapfem.spaces import inner_p0
+from gapfem.spaces import inner_p0, side_averages
 
 ORACLE_DEGREE = 20
 
@@ -80,12 +79,11 @@ class TestProjections:
         assert np.abs(ours - oracle).max() < 1e-10
 
     def test_pi_side_constant_and_linear(self, square10):
-        c = pi_side(lambda x: np.full(x.shape[:-1], 2.5), square10, 0)
-        assert c == pytest.approx(2.5, abs=1e-14)
-        geo = square10.geometry()
-        lin = pi_side(lambda x: x[..., 0] + 2 * x[..., 1], square10, 7)
-        mid = geo["side_midpoint"][7]
-        assert lin == pytest.approx(mid[0] + 2 * mid[1], abs=1e-14)
+        c = side_averages(lambda x: np.full(x.shape[:-1], 2.5), square10)
+        assert np.abs(c - 2.5).max() < 1e-14
+        mid = square10.geometry()["side_midpoint"]
+        lin = side_averages(lambda x: x[..., 0] + 2 * x[..., 1], square10)
+        assert np.abs(lin - (mid[:, 0] + 2 * mid[:, 1])).max() < 1e-14
 
     def test_pi_side_sin_oracle(self):
         # unit horizontal side: compare against the closed-form average
@@ -94,7 +92,7 @@ class TestProjections:
         )
         s = mesh.element_sides[0, 0]
         assert np.allclose(mesh.geometry()["side_midpoint"][s], [0.5, 0.0])
-        val = pi_side(lambda x: np.sin(x[..., 0]), mesh, s, npoints=8)
+        val = side_averages(lambda x: np.sin(x[..., 0]), mesh, npoints=8)[s]
         assert val == pytest.approx(1.0 - np.cos(1.0), abs=1e-12)
 
 
