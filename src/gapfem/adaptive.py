@@ -274,44 +274,48 @@ def identity_rows(problem, levels, seeds, seed_offset=0, tamper=False):
 
 
 def _identity_level(problem, mesh, level, seeds, seed_offset, tamper):
-    """The `identity_rows` rows of one mesh."""
+    """The `identity_rows` rows of one mesh: its seeds' pairs as one block."""
     sol = discretize_stokes(problem, mesh)
     errs = exact_errors(sol, problem, mesh)
     level_seeds = [seed_offset + 1000 * level + i for i in range(1, seeds + 1)]
     # vary the perturbation size around the discretisation error
     sizes = np.array([0.5 + ((7 * seed) % 8) / 4.0 for seed in level_seeds])
-    fields = random_divfree_cr(
-        mesh, level_seeds, sizes * np.sqrt(2.0 / problem.nu) * errs["primal"]
-    )
-    rows = []
-    for i, seed in enumerate(level_seeds, 1):
-        v = sol.u_h + fields[i - 1]
-        tau = sol.t_h + random_divfree_rt(
-            mesh, seed + 500000,
-            scale=sizes[i - 1] * np.sqrt(2.0 * problem.nu) * errs["dual"],
+    vs = [
+        sol.u_h + w
+        for w in random_divfree_cr(
+            mesh, level_seeds, sizes * np.sqrt(2.0 / problem.nu) * errs["primal"]
         )
-        if tamper:
-            # break the divergence constraint on one element
-            flux = tau.flux.copy()
-            flux[0, mesh.element_sides[0, 0]] += 0.1 * (1.0 + flux.max())
-            tau = RTField(mesh, flux)
-        en = energies_stokes(v, tau, sol.system)
-        rho = strong_convexity_stokes(v, tau, sol)
-        gap = en["primal"] - en["dual"]
-        rho_tot = rho["primal"] + rho["dual"]
-        if not np.isfinite(gap):
-            rel = np.inf
-        else:
-            rel = abs(gap - rho_tot) / rho_tot
-        rows.append(
-            {
-                "level": level,
-                "sample": i,
-                "num_dof": num_dof("stokes", mesh),
-                "rho_primal": rho["primal"],
-                "rho_dual": rho["dual"],
-                "gap": gap,
-                "err_iden": rel,
-            }
+    ]
+    taus = [
+        sol.t_h + r
+        for r in random_divfree_rt(
+            mesh, [seed + 500000 for seed in level_seeds],
+            sizes * np.sqrt(2.0 * problem.nu) * errs["dual"],
         )
-    return rows
+    ]
+    if tamper:
+        taus = [_tampered(tau) for tau in taus]
+    en = energies_stokes(vs, taus, sol.system)
+    rho = strong_convexity_stokes(vs, taus, sol)
+    gap = en["primal"] - en["dual"]
+    rho_tot = rho["primal"] + rho["dual"]
+    rel = np.abs(gap - rho_tot) / rho_tot  # inf in an inadmissible column
+    return [
+        {
+            "level": level,
+            "sample": i,
+            "num_dof": num_dof("stokes", mesh),
+            "rho_primal": float(rho["primal"][i - 1]),
+            "rho_dual": float(rho["dual"][i - 1]),
+            "gap": float(gap[i - 1]),
+            "err_iden": float(rel[i - 1]),
+        }
+        for i in range(1, seeds + 1)
+    ]
+
+
+def _tampered(tau):
+    """tau with its divergence constraint broken on one element."""
+    flux = tau.flux.copy()
+    flux[0, tau.mesh.element_sides[0, 0]] += 0.1 * (1.0 + flux.max())
+    return RTField(tau.mesh, flux)

@@ -17,13 +17,15 @@ from .spaces import (
     CRField,
     P0Field,
     RTField,
-    broken_divergence,
     broken_gradient,
     broken_sym_gradient,
+    cr_gradient_operator,
+    curl_operator,
     dev,
-    inner_p0,
     norm_p0,
     pi0,
+    rt_average_operator,
+    rt_divergence_operator,
     rt_interpolate,
     sym,
 )
@@ -226,93 +228,155 @@ def _p0_values(f, mesh, shape):
 
 
 def check_stokes_admissible_velocity(v_h, tol=1e-10):
-    """Max |div_h v| and Dirichlet-side violation of a candidate velocity."""
-    div = np.abs(broken_divergence(v_h).values).max(initial=0.0)
-    bc = np.abs(v_h.values[v_h.mesh.side_labels == _mesh.DIRICHLET]).max(initial=0.0)
-    return max(div, bc) <= tol, max(div, bc)
+    """Max |div_h v| and Dirichlet-side violation of a candidate velocity.
+
+    v_h is a CRField, or a sequence of k of them checked column by column;
+    then the flag and the residual are (k,) arrays.
+    """
+    single = isinstance(v_h, CRField)
+    vs = [v_h] if single else v_h
+    mesh = vs[0].mesh
+    dofs = _cr_block(vs)
+    grads = _broken_gradients(mesh, dofs)
+    res = np.abs(grads[..., 0, 0] + grads[..., 1, 1]).max(axis=1, initial=0.0)
+    dirichlet = mesh.side_labels == _mesh.DIRICHLET
+    bc = np.abs(dofs.reshape(2, mesh.num_sides, -1)[:, dirichlet])
+    res = np.maximum(res, bc.max(axis=(0, 1), initial=0.0))
+    return _checked(res, tol, single)
 
 
 def check_stress_admissible(tau, f_h, g_h, mesh, tol=1e-10):
     """Constraint residual of a stress candidate (given relative to F_h).
 
     Checks div(tau) = -f_h element-wise and tau n = g_h on Neumann sides;
-    interior normal-flux continuity is structural for RTField storage.
+    interior normal-flux continuity is structural for RTField storage.  tau
+    may also be a sequence of k candidates checked column by column; then
+    the flag and the residual are (k,) arrays.
     """
+    single = isinstance(tau, RTField)
+    flux = _rt_block([tau] if single else tau)
     fv = _p0_values(f_h, mesh, (mesh.num_elements, 2))
-    div = tau.divergence().values
-    res = np.abs(div + fv).max(initial=0.0)
+    div = (rt_divergence_operator(mesh) @ flux).reshape(mesh.num_elements, -1, 2)
+    res = np.abs(div + fv[:, None]).max(axis=(0, 2), initial=0.0)
     neumann = mesh.sides_with_label(_mesh.NEUMANN)
     if len(neumann):
-        tn = tau.flux[:, neumann].T  # (m, 2)
+        tn = flux[neumann].reshape(len(neumann), -1, 2)
         if g_h is not None:
-            tn = tn - np.asarray(g_h)[neumann]
-        res = max(res, np.abs(tn).max(initial=0.0))
+            tn = tn - np.asarray(g_h)[neumann][:, None]
+        res = np.maximum(res, np.abs(tn).max(axis=(0, 2)))
+    return _checked(res, tol, single)
+
+
+def _checked(res, tol, single):
+    """(res <= tol, res) per column, or as scalars for a single field."""
+    if single:
+        return bool(res[0] <= tol), float(res[0])
     return res <= tol, res
 
 
 # -- energies, gaps, strong convexity measures ------------------------------------
+#
+# The candidates of a call are k columns.  Velocities go through the
+# broken-gradient operator and stresses through the RT cell-average
+# operator as one block each; a tensor block is (k, ne, 2, 2).
 
 
-def _total_dev_avg(tau_rel, big_f_h, mesh):
-    avg = tau_rel.cell_average().values
+def _cr_block(vs):
+    """(2 ns, k) block of the DOF vectors of k CR fields."""
+    return np.stack([v.dofs() for v in vs], axis=1)
+
+
+def _rt_block(taus):
+    """(ns, 2 k) block of the row fluxes of k RT fields: column 2 j + i is
+    row i of taus[j]."""
+    return np.stack([t.flux for t in taus]).reshape(2 * len(taus), -1).T
+
+
+def _broken_gradients(mesh, dofs):
+    """Broken gradients of a (2 ns, k) DOF block as a (k, ne, 2, 2) block."""
+    grads = cr_gradient_operator(mesh) @ dofs  # (4 ne, k)
+    return np.ascontiguousarray(grads.T).reshape(-1, mesh.num_elements, 2, 2)
+
+
+def _dev_averages(mesh, flux, big_f_h=None):
+    """dev Pi_h(tau + F_h) of a `_rt_block` of k RT fields: (k, ne, 2, 2)."""
+    avg = rt_average_operator(mesh) @ flux  # (2 ne, 2 k): rows (n, d), columns (j, i)
+    avg = np.ascontiguousarray(
+        avg.T.reshape(-1, 2, mesh.num_elements, 2).transpose(0, 2, 1, 3)
+    )
     if big_f_h is not None:
-        avg = avg + _p0_values(big_f_h, mesh, (mesh.num_elements, 2, 2))
-    return dev(avg)
+        avg += _p0_values(big_f_h, mesh, (mesh.num_elements, 2, 2))
+    return dev(avg, in_place=True)
 
 
-def energies_stokes(v_h, tau_h, system, admissibility_tol=1e-8):
-    """Discrete primal and dual energies of a candidate pair.
+def _dev_average(tau, big_f_h=None):
+    """dev Pi_h(tau + F_h) of one RT field: (ne, 2, 2)."""
+    return _dev_averages(tau.mesh, tau.flux.T, big_f_h)[0]
 
-    tau_h is given relative to the tensor load F_h (the identity mapping
-    when there is none).  Returns a dict with I_h(v_h) and D_h(tau_h); an
-    inadmissible velocity yields +inf for the primal energy, an
-    inadmissible stress -inf for the dual energy.
+
+def _inner(mesh, a, b):
+    """L2 products (a_j, b_j) of the columns of (k, ne, 2, 2) blocks (b may
+    be one (ne, 2, 2) field), each summed pairwise over the elements."""
+    per_element = np.einsum("...nij,...nij->...n", a, b, order="C")
+    return (per_element * mesh.areas).sum(axis=-1)
+
+
+def _squared_norms(mesh, block):
+    """Squared L2 norms ||.||^2 of the k columns of a (k, ne, 2, 2) block."""
+    return _inner(mesh, block, block)
+
+
+def energies_stokes(vs, taus, system, admissibility_tol=1e-8):
+    """Discrete primal and dual energies of the candidate pairs (vs[j], taus[j]).
+
+    The taus are given relative to the tensor load F_h (the identity
+    mapping when there is none).  Returns a dict of (k,) arrays I_h(v) and
+    D_h(tau); an inadmissible velocity yields +inf in its column of the
+    primal energy, an inadmissible stress -inf in its column of the dual.
     """
     mesh = system.mesh
     nu = system.nu
-    grad_tot = broken_gradient(v_h + system.u_hat)
-    ok_v, _ = check_stokes_admissible_velocity(v_h, tol=admissibility_tol)
-    if ok_v:
-        primal = 0.5 * nu * norm_p0(grad_tot) ** 2 - system.load(v_h)
-    else:
-        primal = np.inf
+    ok_v, _ = check_stokes_admissible_velocity(vs, tol=admissibility_tol)
     ok_t, _ = check_stress_admissible(
-        tau_h, system.f_h, system.g_h, mesh, tol=admissibility_tol
+        taus, system.f_h, system.g_h, mesh, tol=admissibility_tol
     )
-    if ok_t:
-        devavg = P0Field(mesh, _total_dev_avg(tau_h, system.big_f_h, mesh))
-        grad_hat = broken_gradient(system.u_hat)
-        dual = -norm_p0(devavg) ** 2 / (2.0 * nu) + inner_p0(devavg, grad_hat)
-    else:
-        dual = -np.inf
-    return {"primal": primal, "dual": dual}
+    grad_hat = broken_gradient(system.u_hat).values
+    dofs = _cr_block(vs)
+    grads = _broken_gradients(mesh, dofs)
+    grads += grad_hat
+    primal = 0.5 * nu * _squared_norms(mesh, grads) - system.load_vector @ dofs
+    del dofs, grads
+    devavg = _dev_averages(mesh, _rt_block(taus), system.big_f_h)
+    dual = -_squared_norms(mesh, devavg) / (2.0 * nu) + _inner(mesh, devavg, grad_hat)
+    return {
+        "primal": np.where(ok_v, primal, np.inf),
+        "dual": np.where(ok_t, dual, -np.inf),
+    }
 
 
 def gap_indicator_stokes_discrete(v_h, tau_h, u_hat, nu, mesh, big_f_h=None):
     """Per-element discrete gap (nu/2)||grad_h(v+u_hat) - dev(Pi_h tau)/nu||_T^2."""
     grads = broken_gradient(v_h + u_hat).values
-    devavg = _total_dev_avg(tau_h, big_f_h, mesh)
-    diff = grads - devavg / nu
+    diff = grads - _dev_average(tau_h, big_f_h) / nu
     per_element = 0.5 * nu * mesh.areas * np.einsum("nij,nij->n", diff, diff)
     return per_element
 
 
-def strong_convexity_stokes(v_h, tau_h, solution):
-    """Discrete strong convexity measures of a candidate pair.
+def strong_convexity_stokes(vs, taus, solution):
+    """Discrete strong convexity measures of the candidate pairs (vs[j], taus[j]).
 
     rho_primal^2 = (nu/2) ||grad_h v - grad_h u_h||^2 and
     rho_dual^2 = 1/(2 nu) ||dev Pi_h tau - dev Pi_h T_h||^2, with (u_h, T_h)
-    the discrete solution pair.
+    the discrete solution pair; returns a dict of (k,) arrays.
     """
     nu = solution.nu
-    dgrad = broken_gradient(v_h - solution.u_h)
-    rho_primal = 0.5 * nu * norm_p0(dgrad) ** 2
-    ddev = dev(tau_h.cell_average().values) - dev(
-        solution.t_h.cell_average().values
-    )
-    mesh = v_h.mesh
-    rho_dual = np.sum(mesh.areas * np.einsum("nij,nij->n", ddev, ddev)) / (2.0 * nu)
-    return {"primal": rho_primal, "dual": float(rho_dual)}
+    mesh = solution.mesh
+    dofs = _cr_block(vs) - solution.u_h.dofs()[:, None]
+    rho_primal = 0.5 * nu * _squared_norms(mesh, _broken_gradients(mesh, dofs))
+    del dofs
+    ddev = _dev_averages(mesh, _rt_block(taus)) - _dev_average(solution.t_h)
+    rho_dual = _squared_norms(mesh, ddev) / (2.0 * nu)
+    return {"primal": rho_primal, "dual": rho_dual}
 
 
 class StokesSolution:
@@ -335,7 +399,7 @@ class StokesSolution:
 
     def optimality_residual(self):
         """Max |dev Pi_h T_h - nu grad_h(u_h + u_hat)| over elements."""
-        devavg = _total_dev_avg(self.t_h, self.system.big_f_h, self.mesh)
+        devavg = _dev_average(self.t_h, self.system.big_f_h)
         grads = broken_gradient(self.u_h + self.u_hat).values
         return float(np.abs(devavg - self.nu * grads).max())
 
@@ -460,12 +524,11 @@ def random_divfree_cr(mesh, seeds, scales):
         vals[dirichlet] = 0.0
         raw[:ns, k], raw[ns:, k] = vals.T
     fields = project_divfree_cr(mesh, raw)
-    for k, field in enumerate(fields):
-        nrm = norm_p0(broken_gradient(field))
-        if nrm == 0.0:
-            raise AdmissibilityError("random divergence-free sample degenerated to zero")
-        fields[k] = (scales[k] / nrm) * field
-    return fields
+    del raw
+    nrm = np.sqrt(_squared_norms(mesh, _broken_gradients(mesh, _cr_block(fields))))
+    if np.any(nrm == 0.0):
+        raise AdmissibilityError("random divergence-free sample degenerated to zero")
+    return [(scale / n) * field for field, scale, n in zip(fields, scales, nrm)]
 
 
 def project_divfree_cr(mesh, dofs):
@@ -485,34 +548,34 @@ def project_divfree_cr(mesh, dofs):
     return [saddle.velocity(col) for col in x.T]
 
 
-def random_divfree_rt(mesh, seed, scale=1.0):
-    """Random RT tensor with exactly zero divergence and zero Neumann trace.
+def random_divfree_rt(mesh, seeds, scales):
+    """Random RT tensors with exactly zero divergence and zero Neumann trace.
 
-    Each row is the rotated gradient (d2 phi, -d1 phi) of a random conforming
-    P1 potential vanishing at all vertices on the closure of the Neumann
-    boundary, so the divergence vanishes identically and Neumann normal
-    traces are zero by construction.  Normalised so ||dev Pi_h .|| = scale
-    (unless the deviatoric part degenerates).
+    Returns one RTField per seed.  Row i of the field of seeds[k] has the
+    fluxes C phi_i, C the `curl_operator` and phi a Uniform[-1,1] conforming
+    P1 potential (nv, 2) drawn from default_rng(seeds[k]) and zero at every
+    vertex on the closure of the Neumann boundary: the normal traces of
+    rot phi, so the divergence vanishes identically and the Neumann traces
+    are zero by construction.  All seeds take one sparse product; the field
+    of seeds[k] is normalised to ||dev Pi_h .|| = scales[k] (a scalar
+    scales every field alike).
     """
-    rng = np.random.default_rng(seed)
+    scales = np.broadcast_to(np.asarray(scales, dtype=float), (len(seeds),))
     nv = mesh.num_vertices
-    phi = rng.uniform(-1.0, 1.0, size=(nv, 2))
+    phi = np.empty((nv, 2 * len(seeds)))
+    for k, seed in enumerate(seeds):
+        phi[:, 2 * k: 2 * k + 2] = np.random.default_rng(seed).uniform(
+            -1.0, 1.0, size=(nv, 2)
+        )
     neumann = mesh.sides_with_label(_mesh.NEUMANN)
-    pinned = np.unique(mesh.side_vertices[neumann]) if len(neumann) else []
-    phi[pinned] = 0.0
-    geo = mesh.geometry()
-    gl = geo["grad_lambda"]  # (ne, 3, 2)
-    pv = phi[mesh.elements]  # (ne, 3, 2) s: vertex, component=row
-    grads = np.einsum("nki,nkd->nid", pv, gl)  # (ne, row, d)
-    rows = np.stack([grads[:, :, 1], -grads[:, :, 0]], axis=2)  # rot
-    flux, jump = _flux_from_local(mesh, rows, np.zeros((mesh.num_elements, 2)))
-    if jump > 1e-12:
-        raise AdmissibilityError("rotated-gradient construction lost conformity")
-    field = RTField(mesh, flux)
-    nrm = norm_p0(P0Field(mesh, dev(field.cell_average().values)))
-    if nrm < 1e-14:
+    phi[mesh.side_vertices[neumann].ravel()] = 0.0
+    flux = curl_operator(mesh) @ phi  # (ns, 2 k), the layout of _rt_block
+    del phi
+    nrm = np.sqrt(_squared_norms(mesh, _dev_averages(mesh, flux)))
+    if np.any(nrm < 1e-14):
         raise AdmissibilityError("random stress perturbation has no deviatoric part")
-    return (scale / nrm) * field
+    flux *= np.repeat(scales / nrm, 2)
+    return [RTField(mesh, flux[:, 2 * k: 2 * k + 2].T) for k in range(len(seeds))]
 
 
 # -- a priori identity --------------------------------------------------------------

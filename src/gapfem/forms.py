@@ -273,10 +273,6 @@ class _LoadedSystem:
         self.g_h = g_h
         self.load_vector = load_vector(self.mesh, f_h, big_f_h, g_h)
 
-    def load(self, v):
-        """Value l(v) of the load functional at a CR field."""
-        return float(self.load_vector @ v.dofs())
-
 
 # -- Stokes --------------------------------------------------------------------
 
@@ -571,20 +567,23 @@ def assemble_elasticity(
     return ElasticitySystem(mesh, material, u_hat, f_h, big_f_h, g_h, dirichlet_datum)
 
 
-def solve_lifting(mesh, u_total, mu, dirichlet_datum=None):
+def solve_lifting(mesh, u_total, mu, datum_load=None):
     """Solve (grad_h r, grad_h v) = s_h(u_total, v) for r in the homogeneous space.
 
     u_total is the full discrete displacement u_h + u_hat; the jump weights
     are 2 mu / h_S on interior and Dirichlet sides, where Dirichlet jumps
-    are deviations from the boundary datum.  The operator is the scalar CR
+    are deviations from the boundary datum.  datum_load is that datum's
+    `dirichlet_penalty_load` (an `ElasticitySystem` holds it as
+    `datum_load`); None means a zero datum.  The operator is the scalar CR
     stiffness on both components, so one factor solves both as the columns
     of an (n, 2) right-hand side.
     """
     free, _ = _free_dofs(mesh)
     k_free = cr_stiffness(mesh)[free][:, free]
-    s_full = stabilization_jump_matrix(mesh, mu)
-    datum_load = dirichlet_penalty_load(mesh, mu, dirichlet_datum)
-    rhs = (s_full @ u_total.dofs() - datum_load).reshape(2, -1).T[free]
+    rhs = stabilization_jump_matrix(mesh, mu) @ u_total.dofs()
+    if datum_load is not None:
+        rhs -= datum_load
+    rhs = rhs.reshape(2, -1).T[free]
     x, _ = solve_sparse(k_free, rhs)
     vals = np.zeros((mesh.num_sides, 2))
     vals[free] = x

@@ -208,10 +208,10 @@ class Triangulation:
 
         The one per-mesh cache: geometry, the stabilisation jump matrix per
         mu, the Stokes saddle (`forms.stokes_saddle`), whose one factor
-        serves every viscosity and the divergence-free projector, the
-        element factors of `spaces.RTField`, and the quadrature points and
-        analytic field values of `quadrature.physical_points`/`rule_values`
-        live here.
+        serves every viscosity and the divergence-free projector, the RT
+        element factors (of `spaces.RTField` and the RT operators), and the
+        quadrature points and analytic field values of
+        `quadrature.physical_points`/`rule_values` live here.
         """
         if key not in self._cache:
             self._cache[key] = build()

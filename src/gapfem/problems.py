@@ -482,13 +482,12 @@ def side_tractions(problem, mesh):
     """Side-wise constant tractions g_h = pi_h(g(., n)) on Neumann sides."""
     if problem.g is None:
         return None
-    geo = mesh.geometry()
+    neumann = mesh.sides_with_label(NEUMANN)
     t, w = segment_rule(8)
-    pts = side_points(mesh, t)
-    nrm = geo["side_normal"][:, None, :] + np.zeros_like(pts)
-    vals = problem.g(pts, nrm)
-    g_h = np.einsum("q,sqi->si", w, vals)
-    g_h[mesh.side_labels != NEUMANN] = 0.0
+    pts = side_points(mesh, t, sides=neumann)
+    nrm = mesh.geometry()["side_normal"][neumann][:, None, :] + np.zeros_like(pts)
+    g_h = np.zeros((mesh.num_sides, 2))
+    g_h[neumann] = np.einsum("q,sqi->si", w, problem.g(pts, nrm))
     return g_h
 
 
@@ -521,8 +520,7 @@ def discretize_elasticity(problem, mesh):
     )
     u_h, report = system.solve()
     r_h = solve_lifting(
-        mesh, u_h + u_hat, problem.material.mu,
-        dirichlet_datum=problem.u,
+        mesh, u_h + u_hat, problem.material.mu, datum_load=system.datum_load
     )
     sigma = marini_elasticity(
         u_h, u_hat, r_h, f_h, problem.material, mesh, big_f_h=big_f_h

@@ -14,6 +14,8 @@ theta_j = 1 - 2 lambda_{j+2} (lambda_k the barycentric coordinate of
 vertex k), so theta_j is 1 on side j and has zero mean on the other two.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sparse
 
@@ -75,8 +77,9 @@ class RTField:
 
     flux[i, s] is the (constant) normal trace of row i on side s against the
     global side normal.  The element-wise representation
-    row_i|_T(x) = a[T, i] + c[T, i] * x is derived at construction; sums
-    and multiples combine their operands' (a, c) instead.
+    row_i|_T(x) = a[T, i] + c[T, i] * x is derived on first use, so fields
+    that are only summed, scaled or passed to the flux operators
+    (`rt_average_operator`, `rt_divergence_operator`) never build it.
     """
 
     def __init__(self, mesh, flux):
@@ -85,58 +88,55 @@ class RTField:
             raise ValueError("RTField flux must have shape (2, ns)")
         self.mesh = mesh
         self.flux = flux
-        self._build_local()
 
-    def _build_local(self):
-        coef, opp = self.mesh.cached("rt_local", self._local_factors)
+    @cached_property
+    def _local(self):
+        """(a, c): the (ne, 2, 2) and (ne, 2) element-wise coefficients."""
+        coef, opp = _rt_local_factors(self.mesh)
         fc = (self.flux[:, self.mesh.element_sides] * coef).transpose(1, 0, 2)
-        self.c = fc.sum(2)  # (ne, 2)
-        self.a = -(fc @ opp)  # (ne, 2, 2)
-
-    def _local_factors(self):
-        """Per-mesh factors of `_build_local`: the (ne, 3) flux weights and
-        the (ne, 3, 2) vertex opposite each local side."""
-        m = self.mesh
-        ls = m.geometry()["side_length"][m.element_sides]  # (ne, 3)
-        coef = m.element_side_signs * ls / (2.0 * m.areas)[:, None]
-        # vertex opposite local side j is vertex j+2
-        return coef, m.vertices[m.elements[:, [2, 0, 1]]]
-
-    def _combined(self, flux, a, c):
-        """RTField of `flux` whose local representation is (a, c)."""
-        out = RTField.__new__(RTField)
-        out.mesh, out.flux, out.a, out.c = self.mesh, flux, a, c
-        return out
+        return -(fc @ opp), fc.sum(2)
 
     def evaluate(self, points):
         """Values at points of shape (ne, nq, 2) -> (ne, nq, 2, 2)."""
-        out = np.einsum("ni,nqd->nqid", self.c, points)
-        out += self.a[:, None, :, :]
+        a, c = self._local
+        out = np.einsum("ni,nqd->nqid", c, points)
+        out += a[:, None, :, :]
         return out
 
     def cell_average(self):
-        geo = self.mesh.geometry()
-        cent = geo["centroids"]
-        vals = self.a + np.einsum("ni,nd->nid", self.c, cent)
-        return P0Field(self.mesh, vals)
+        a, c = self._local
+        cent = self.mesh.geometry()["centroids"]
+        return P0Field(self.mesh, a + np.einsum("ni,nd->nid", c, cent))
 
     def divergence(self):
-        return P0Field(self.mesh, 2.0 * self.c)
+        return P0Field(self.mesh, 2.0 * self._local[1])
 
     def __add__(self, other):
-        return self._combined(
-            self.flux + other.flux, self.a + other.a, self.c + other.c
-        )
+        return RTField(self.mesh, self.flux + other.flux)
 
     def __sub__(self, other):
-        return self._combined(
-            self.flux - other.flux, self.a - other.a, self.c - other.c
-        )
+        return RTField(self.mesh, self.flux - other.flux)
 
     def __mul__(self, a):
-        return self._combined(a * self.flux, a * self.a, a * self.c)
+        return RTField(self.mesh, a * self.flux)
 
     __rmul__ = __mul__
+
+
+def _rt_local_factors(mesh):
+    """Per-mesh factors of the RT basis: the (ne, 3) flux weights
+    sign * |S_j| / (2 |T|) and the (ne, 3, 2) vertex opposite each local side.
+
+    Row i of an RT field on T is sum_j weight_j * flux_i(S_j) * (x - opp_j).
+    """
+
+    def build():
+        ls = mesh.geometry()["side_length"][mesh.element_sides]  # (ne, 3)
+        coef = mesh.element_side_signs * ls / (2.0 * mesh.areas)[:, None]
+        # vertex opposite local side j is vertex j+2
+        return coef, mesh.vertices[mesh.elements[:, [2, 0, 1]]]
+
+    return mesh.cached("rt_local", build)
 
 
 class P1ConformingField:
@@ -320,6 +320,56 @@ def _jump_rows(mesh, sides):
     return sparse.csr_matrix(
         (data.ravel(), cols.ravel(), np.arange(0, data.size + 1, 6)),
         shape=(2 * len(sides), mesh.num_sides),
+    )
+
+
+def curl_operator(mesh):
+    """Side fluxes of rot phi = (d2 phi, -d1 phi) as an (ns, nv) CSR matrix.
+
+    phi is a conforming P1 potential given by its vertex values.  Side s
+    with endpoints (a, b) in side_vertices order has C[s, b] = 1/|S| and
+    C[s, a] = -1/|S|: the mean normal trace of rot phi against the global
+    side normal, the sign convention of `cr_interpolate(stream=)`.  C is the
+    first map of the exact sequence P1 -> RT0 -> P0, so an RT row with
+    fluxes C phi is divergence-free.
+    """
+    ns = mesh.num_sides
+    inv = 1.0 / mesh.geometry()["side_length"]
+    return sparse.csr_matrix(
+        (np.stack([-inv, inv], axis=1).ravel(), mesh.side_vertices.ravel(),
+         np.arange(0, 2 * ns + 1, 2)),
+        shape=(ns, mesh.num_vertices),
+    )
+
+
+def rt_average_operator(mesh):
+    """Cell averages of one RT row as a (2 ne, ns) CSR matrix on its fluxes.
+
+    Row 2 n + d is component d of the average on element n: the sum over
+    the element's sides of weight_j * flux(S_j) * (x_T - opp_j).  So
+    (A @ t.flux[i]).reshape(-1, 2) is t.cell_average().values[:, i].
+    """
+    coef, opp = _rt_local_factors(mesh)
+    data = coef[:, None, :] * (mesh.geometry()["centroids"][:, :, None]
+                               - opp.transpose(0, 2, 1))  # (ne, d, j)
+    return _element_side_rows(mesh, data)
+
+
+def rt_divergence_operator(mesh):
+    """Divergence of one RT row as an (ne, ns) CSR matrix on its fluxes.
+
+    Row n holds 2 weight_j on the element's sides, so D @ t.flux[i] is
+    t.divergence().values[:, i].
+    """
+    return _element_side_rows(mesh, 2.0 * _rt_local_factors(mesh)[0][:, None, :])
+
+
+def _element_side_rows(mesh, data):
+    """CSR matrix with rows (n, r) holding data[n, r, j] at side element_sides[n, j]."""
+    cols = np.broadcast_to(mesh.element_sides[:, None, :], data.shape)
+    return sparse.csr_matrix(
+        (data.ravel(), cols.ravel(), np.arange(0, data.size + 1, 3)),
+        shape=(data.shape[0] * data.shape[1], mesh.num_sides),
     )
 
 

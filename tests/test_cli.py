@@ -164,6 +164,15 @@ class TestVerifyIdentity:
         assert code == 2
         assert "FAILED" in capsys.readouterr().err
 
+    def test_tamper_breaks_every_sample(self, tmp_path, capsys):
+        out = tmp_path / "iden.csv"
+        args = ["verify-identity", "--levels", "2", "--seeds", "4", "--debug-tamper"]
+        assert main(args + ["--out", str(out)]) == 2
+        with open(out) as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 2 * 4
+        assert all(float(r["err_iden"]) == float("inf") for r in rows)
+
     def test_reference_columns(self, tmp_path):
         # the benchmark's identity workload at seed offset 0
         out = tmp_path / "iden.csv"

@@ -42,7 +42,7 @@ from gapfem.problems import (
     manufactured_elasticity,
     taylor_green_stokes,
 )
-from gapfem.spaces import norm_p0, sym
+from gapfem.spaces import dev, inner_p0, norm_p0, sym
 
 
 def cr_values_p0(v):
@@ -232,10 +232,10 @@ class TestGapIndicators:
     def test_perturbed_pair_matches_rho_tot(self, tg_solution):
         prob, mesh, sol = tg_solution
         v = sol.u_h + random_divfree_cr(mesh, [3], [0.1])[0]
-        tau = sol.t_h + random_divfree_rt(mesh, 4, scale=0.1)
+        tau = sol.t_h + random_divfree_rt(mesh, [4], [0.1])[0]
         eta = gap_indicator_stokes_discrete(v, tau, sol.u_hat, prob.nu, mesh)
-        rho = strong_convexity_stokes(v, tau, sol)
-        total = rho["primal"] + rho["dual"]
+        rho = strong_convexity_stokes([v], [tau], sol)
+        total = rho["primal"][0] + rho["dual"][0]
         assert eta.sum() == pytest.approx(total, rel=1e-8)
         assert np.all(eta >= 0)
 
@@ -332,28 +332,127 @@ class TestEnergies:
         prob, mesh, sol = tg_solution
         rng = np.random.default_rng(2)
         bad_v = CRField(mesh, rng.standard_normal((mesh.num_sides, 2)))
-        en = energies_stokes(bad_v, sol.t_h, sol.system)
-        assert en["primal"] == np.inf
+        en = energies_stokes([bad_v], [sol.t_h], sol.system)
+        assert en["primal"][0] == np.inf
         bad_tau = RTField(mesh, rng.standard_normal((2, mesh.num_sides)))
-        en = energies_stokes(sol.u_h, bad_tau, sol.system)
-        assert en["dual"] == -np.inf
+        en = energies_stokes([sol.u_h], [bad_tau], sol.system)
+        assert en["dual"][0] == -np.inf
 
     def test_strong_duality_at_solution(self, tg_solution):
         prob, mesh, sol = tg_solution
-        en = energies_stokes(sol.u_h, sol.t_h, sol.system)
-        scale = abs(en["primal"]) + abs(en["dual"])
-        assert abs(en["primal"] - en["dual"]) <= 1e-12 * max(scale, 1.0)
+        en = energies_stokes([sol.u_h], [sol.t_h], sol.system)
+        scale = abs(en["primal"][0]) + abs(en["dual"][0])
+        assert abs(en["primal"][0] - en["dual"][0]) <= 1e-12 * max(scale, 1.0)
 
     def test_taylor_expansion_of_primal_energy(self, tg_solution):
         # I_h(v) - I_h(u_h) equals the quadratic strong convexity measure
         prob, mesh, sol = tg_solution
         v = sol.u_h + random_divfree_cr(mesh, [11], [0.2])[0]
-        en_v = energies_stokes(v, sol.t_h, sol.system)
-        en_u = energies_stokes(sol.u_h, sol.t_h, sol.system)
-        rho = strong_convexity_stokes(v, sol.t_h, sol)
-        assert en_v["primal"] - en_u["primal"] == pytest.approx(
-            rho["primal"], rel=1e-10
+        en = energies_stokes([v, sol.u_h], [sol.t_h, sol.t_h], sol.system)
+        rho = strong_convexity_stokes([v], [sol.t_h], sol)
+        assert en["primal"][0] - en["primal"][1] == pytest.approx(
+            rho["primal"][0], rel=1e-10
         )
+
+
+def oracle_energies(v_h, tau_h, system, tol=1e-8):
+    """Former per-sample energies_stokes with the former admissibility checks."""
+    mesh, nu = system.mesh, system.nu
+    div = np.abs(broken_divergence(v_h).values).max(initial=0.0)
+    bc = np.abs(v_h.values[mesh.side_labels == DIRICHLET]).max(initial=0.0)
+    primal = np.inf
+    if max(div, bc) <= tol:
+        grad_tot = broken_gradient(v_h + system.u_hat)
+        primal = 0.5 * nu * norm_p0(grad_tot) ** 2 - system.load_vector @ v_h.dofs()
+    fv = 0.0 if system.f_h is None else system.f_h.values
+    res = np.abs(tau_h.divergence().values + fv).max()
+    neumann = mesh.sides_with_label(NEUMANN)
+    if len(neumann):
+        tn = tau_h.flux[:, neumann].T
+        if system.g_h is not None:
+            tn = tn - system.g_h[neumann]
+        res = max(res, np.abs(tn).max())
+    dual = -np.inf
+    if res <= tol:
+        avg = tau_h.cell_average().values
+        if system.big_f_h is not None:
+            avg = avg + system.big_f_h.values
+        devavg = P0Field(mesh, dev(avg))
+        grad_hat = broken_gradient(system.u_hat)
+        dual = -norm_p0(devavg) ** 2 / (2.0 * nu) + inner_p0(devavg, grad_hat)
+    return primal, dual
+
+
+def oracle_strong_convexity(v_h, tau_h, solution):
+    """Former per-sample strong_convexity_stokes."""
+    nu = solution.nu
+    rho_primal = 0.5 * nu * norm_p0(broken_gradient(v_h - solution.u_h)) ** 2
+    ddev = dev(tau_h.cell_average().values) - dev(solution.t_h.cell_average().values)
+    areas = solution.mesh.areas
+    rho_dual = np.sum(areas * np.einsum("nij,nij->n", ddev, ddev)) / (2.0 * nu)
+    return rho_primal, rho_dual
+
+
+class TestBlockFunctions:
+    """The block energies, convexity measures and checks equal the per-sample
+    oracles column by column."""
+
+    @pytest.fixture(scope="class", params=["traction", "tensor"])
+    def block(self, request):
+        # five pairs around the solution; column 1 has an inadmissible
+        # velocity and column 3 an inadmissible stress
+        prob = taylor_green_stokes(load=request.param)
+        mesh = refine_marked_twice(prob.mesh_factory(), range(200))
+        sol = discretize_stokes(prob, mesh)
+        seeds = [31, 32, 33, 34, 35]
+        scales = [0.01, 0.1, 1.0, 0.3, 0.03]
+        vs = [sol.u_h + w for w in random_divfree_cr(mesh, seeds, scales)]
+        taus = [sol.t_h + r for r in random_divfree_rt(mesh, seeds, scales)]
+        rng = np.random.default_rng(3)
+        vs[1] = CRField(mesh, rng.standard_normal((mesh.num_sides, 2)))
+        taus[3] = RTField(mesh, rng.standard_normal((2, mesh.num_sides)))
+        return sol, vs, taus
+
+    def test_energies_match_oracle(self, block):
+        sol, vs, taus = block
+        en = energies_stokes(vs, taus, sol.system)
+        assert en["primal"].shape == en["dual"].shape == (5,)
+        for k, (v, tau) in enumerate(zip(vs, taus)):
+            primal, dual = oracle_energies(v, tau, sol.system)
+            assert np.isinf(en["primal"][k]) == (k == 1) == np.isinf(primal)
+            assert np.isinf(en["dual"][k]) == (k == 3) == np.isinf(dual)
+            assert en["primal"][k] == pytest.approx(primal, rel=1e-12)
+            assert en["dual"][k] == pytest.approx(dual, rel=1e-12)
+        assert en["primal"][1] == np.inf and en["dual"][3] == -np.inf
+
+    def test_strong_convexity_matches_oracle(self, block):
+        sol, vs, taus = block
+        rho = strong_convexity_stokes(vs, taus, sol)
+        for k, (v, tau) in enumerate(zip(vs, taus)):
+            primal, dual = oracle_strong_convexity(v, tau, sol)
+            assert rho["primal"][k] == pytest.approx(primal, rel=1e-12)
+            assert rho["dual"][k] == pytest.approx(dual, rel=1e-12)
+
+    def test_checks_per_column(self, block):
+        sol, vs, taus = block
+        system = sol.system
+        ok_v, res_v = check_stokes_admissible_velocity(vs)
+        ok_t, res_t = check_stress_admissible(taus, system.f_h, system.g_h, sol.mesh)
+        assert list(ok_v) == [True, False, True, True, True]
+        assert list(ok_t) == [True, True, True, False, True]
+        for k, (v, tau) in enumerate(zip(vs, taus)):
+            assert check_stokes_admissible_velocity(v) == (ok_v[k], res_v[k])
+            assert check_stress_admissible(
+                tau, system.f_h, system.g_h, sol.mesh
+            ) == (ok_t[k], res_t[k])
+
+    def test_identity_per_column(self, block):
+        sol, vs, taus = block
+        en = energies_stokes(vs, taus, sol.system)
+        rho = strong_convexity_stokes(vs, taus, sol)
+        gap = en["primal"] - en["dual"]
+        ok = [0, 2, 4]
+        assert gap[ok] == pytest.approx((rho["primal"] + rho["dual"])[ok], rel=1e-10)
 
 
 class TestAdmissiblePair:
@@ -363,23 +462,23 @@ class TestAdmissiblePair:
         prob, mesh, sol = tg_solution
         system = sol.system
         v = sol.u_h + random_divfree_cr(mesh, [21], [0.05])[0]
-        tau = sol.t_h + random_divfree_rt(mesh, 22, scale=0.05)
+        tau = sol.t_h + random_divfree_rt(mesh, [22], [0.05])[0]
         assert check_stokes_admissible_velocity(v)[0]
         assert check_stress_admissible(tau, system.f_h, system.g_h, mesh)[0]
         gap = gap_indicator_stokes_discrete(
             v, tau, system.u_hat, system.nu, mesh, big_f_h=system.big_f_h
         ).sum()
-        en = energies_stokes(v, tau, system)
-        rho = strong_convexity_stokes(v, tau, sol)
-        assert gap == pytest.approx(rho["primal"] + rho["dual"], rel=1e-8)
-        assert en["primal"] - en["dual"] == pytest.approx(gap, rel=1e-8)
+        en = energies_stokes([v], [tau], system)
+        rho = strong_convexity_stokes([v], [tau], sol)
+        assert gap == pytest.approx(rho["primal"][0] + rho["dual"][0], rel=1e-8)
+        assert en["primal"][0] - en["dual"][0] == pytest.approx(gap, rel=1e-8)
 
     def test_invalid_pair_rejected(self, tg_solution):
         prob, mesh, sol = tg_solution
         rng = np.random.default_rng(0)
         bad = CRField(mesh, rng.standard_normal((mesh.num_sides, 2)))
         assert not check_stokes_admissible_velocity(bad)[0]
-        assert energies_stokes(bad, sol.t_h, sol.system)["primal"] == np.inf
+        assert energies_stokes([bad], [sol.t_h], sol.system)["primal"][0] == np.inf
 
 
 @settings(max_examples=40, deadline=None)
@@ -396,11 +495,11 @@ def test_discrete_identity_on_perturbed_meshes(n, labeler, seed, log_scales):
     mesh = _perturbed_mesh(n, labeler, seed)
     sol = discretize_stokes(prob, mesh)
     v = sol.u_h + random_divfree_cr(mesh, [seed], [10.0 ** log_scales[0]])[0]
-    tau = sol.t_h + random_divfree_rt(mesh, seed + 1, scale=10.0 ** log_scales[1])
-    en = energies_stokes(v, tau, sol.system)
-    rho = strong_convexity_stokes(v, tau, sol)
-    gap = en["primal"] - en["dual"]
-    assert gap == pytest.approx(rho["primal"] + rho["dual"], rel=1e-10, abs=0.0)
+    tau = sol.t_h + random_divfree_rt(mesh, [seed + 1], [10.0 ** log_scales[1]])[0]
+    en = energies_stokes([v], [tau], sol.system)
+    rho = strong_convexity_stokes([v], [tau], sol)
+    gap = en["primal"][0] - en["dual"][0]
+    assert gap == pytest.approx(rho["primal"][0] + rho["dual"][0], rel=1e-10, abs=0.0)
 
 
 class TestRandomFields:
@@ -430,9 +529,19 @@ class TestRandomFields:
             (w,) = project_divfree_cr(mesh, v.dofs()[:, None])
             assert norm_p0(broken_gradient(w - v)) < 1e-12
 
+    def test_divfree_rt_block_equals_single_seeds(self):
+        for labeler in (all_dirichlet, mixed):
+            mesh = structured_square_mesh(5, labeler)
+            both = random_divfree_rt(mesh, [7, 8], [0.3, 2.0])
+            for field, seed, scale in zip(both, [7, 8], [0.3, 2.0]):
+                (one,) = random_divfree_rt(mesh, [seed], [scale])
+                assert np.abs(field.flux - one.flux).max() <= 1e-14
+                devavg = P0Field(mesh, dev(field.cell_average().values))
+                assert norm_p0(devavg) == pytest.approx(scale)
+
     def test_divfree_rt_properties(self):
         mesh = structured_square_mesh(5, mixed)
-        tau = random_divfree_rt(mesh, 3)
+        (tau,) = random_divfree_rt(mesh, [3], 1.0)
         assert np.abs(tau.divergence().values).max() < 1e-13
         neumann = mesh.sides_with_label(NEUMANN)
         assert np.abs(tau.flux[:, neumann]).max() < 1e-12

@@ -16,7 +16,7 @@ from gapfem.problems import (
     side_tractions,
     taylor_green_stokes,
 )
-from gapfem.quadrature import physical_points, triangle_rule
+from gapfem.quadrature import physical_points, segment_rule, side_points, triangle_rule
 from gapfem.spaces import broken_divergence
 
 
@@ -153,6 +153,25 @@ class TestLShape:
             lift = interpolate_lift(prob, mesh)
             assert np.abs(broken_divergence(lift).values).max() < 1e-11
             mesh = refine_marked_twice(mesh, range(mesh.num_elements))
+
+
+def oracle_side_tractions(problem, mesh):
+    """Former side_tractions: g on every side, then zero off the Neumann sides."""
+    t, w = segment_rule(8)
+    pts = side_points(mesh, t)
+    nrm = mesh.geometry()["side_normal"][:, None, :] + np.zeros_like(pts)
+    g_h = np.einsum("q,sqi->si", w, problem.g(pts, nrm))
+    g_h[mesh.side_labels != NEUMANN] = 0.0
+    return g_h
+
+
+@pytest.mark.parametrize("prob", [taylor_green_stokes(), cook_membrane()],
+                         ids=["taylor-green", "cook"])
+def test_side_tractions_bit_identical(prob):
+    mesh = prob.mesh_factory()
+    for _ in range(2):
+        assert np.array_equal(side_tractions(prob, mesh), oracle_side_tractions(prob, mesh))
+        mesh = refine_marked_twice(mesh, range(mesh.num_elements))
 
 
 class TestCook:

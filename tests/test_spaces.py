@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_forms import _perturbed_mesh, assert_close
 
 from gapfem import (
     DIRICHLET,
@@ -21,7 +24,13 @@ from gapfem import (
     structured_square_mesh,
 )
 from gapfem.quadrature import physical_points, triangle_rule
-from gapfem.spaces import inner_p0, side_averages
+from gapfem.spaces import (
+    curl_operator,
+    inner_p0,
+    rt_average_operator,
+    rt_divergence_operator,
+    side_averages,
+)
 
 ORACLE_DEGREE = 20
 
@@ -162,7 +171,7 @@ class TestRT:
         # rows rot(phi) of a conforming P1 potential have zero divergence
         from gapfem.duality import random_divfree_rt
 
-        tau = random_divfree_rt(square10, seed=2)
+        (tau,) = random_divfree_rt(square10, [2], 1.0)
         assert np.abs(tau.divergence().values).max() < 1e-13
 
     def test_divergence_preservation_oracle(self, square10):
@@ -343,3 +352,66 @@ class TestDiscreteIdentities:
         w = np.repeat(mesh.areas, 4)
         gram = (ker_avgs * w[:, None]).T @ grads
         assert np.abs(gram).max() < 1e-12
+
+
+# -- the side-vertex curl operator and the RT operators ---------------------------
+
+
+def rotated_gradient_fluxes(mesh, phi):
+    """Oracle: side fluxes (ns, m) of the rows rot phi_i = (d2 phi_i, -d1 phi_i)
+    of conforming P1 potentials phi (nv, m), read from the element-wise
+    gradients on both sides of every side and averaged; the two views of an
+    interior side must agree."""
+    geo = mesh.geometry()
+    grads = np.einsum("nkm,nkd->nmd", phi[mesh.elements], geo["grad_lambda"])
+    rows = np.stack([grads[..., 1], -grads[..., 0]], axis=-1)  # (ne, m, 2)
+    out = np.zeros((mesh.num_sides, phi.shape[1]))
+    count = np.zeros(mesh.num_sides)
+    for slot in (0, 1):
+        sel = np.nonzero(mesh.side_elements[:, slot] >= 0)[0]
+        vals = np.einsum("smd,sd->sm", rows[mesh.side_elements[sel, slot]],
+                         geo["side_normal"][sel])
+        if slot == 1:
+            assert np.abs(out[sel] - vals).max(initial=0.0) <= 1e-12 * np.abs(vals).max()
+        out[sel] += vals
+        count[sel] += 1.0
+    return out / count[:, None]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    labeler=st.sampled_from([lambda mid: DIRICHLET, tg_labeler]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_curl_operator_on_perturbed_meshes(n, labeler, seed):
+    """C phi, phi pinned on the Neumann closure, is divergence-free under the
+    RT divergence map, has zero Neumann traces and equals the rotated
+    gradients' fluxes."""
+    mesh = _perturbed_mesh(n, labeler, seed)
+    phi = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(mesh.num_vertices, 4))
+    neumann = mesh.sides_with_label(NEUMANN)
+    phi[mesh.side_vertices[neumann].ravel()] = 0.0
+    flux = curl_operator(mesh) @ phi
+    div_op = rt_divergence_operator(mesh)
+    # relative to the magnitudes that cancel in each element
+    assert np.all(np.abs(div_op @ flux) <= 1e-14 * (abs(div_op) @ np.abs(flux)))
+    assert np.abs(flux[neumann]).max(initial=0.0) == 0.0
+    assert_close(flux, rotated_gradient_fluxes(mesh, phi))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    labeler=st.sampled_from([lambda mid: DIRICHLET, tg_labeler]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rt_operators_match_field(n, labeler, seed):
+    """The cell-average and divergence maps act on one RT row as
+    RTField.cell_average() and RTField.divergence() do."""
+    mesh = _perturbed_mesh(n, labeler, seed)
+    tau = RTField(mesh, np.random.default_rng(seed).standard_normal((2, mesh.num_sides)))
+    avg = rt_average_operator(mesh) @ tau.flux.T  # (2 ne, 2): rows (n, d), columns i
+    avg = avg.reshape(-1, 2, 2).transpose(0, 2, 1)
+    assert_close(avg, tau.cell_average().values)
+    assert_close(rt_divergence_operator(mesh) @ tau.flux.T, tau.divergence().values)
