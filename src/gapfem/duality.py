@@ -11,7 +11,6 @@ stress-tests with randomized admissible perturbations.
 import numpy as np
 
 from . import mesh as _mesh
-from .forms import stokes_saddle
 from .quadrature import physical_points, rule_values, triangle_rule
 from .spaces import (
     CRField,
@@ -27,6 +26,7 @@ from .spaces import (
     rt_average_operator,
     rt_divergence_operator,
     rt_interpolate,
+    side_frame_values,
     sym,
 )
 
@@ -237,12 +237,17 @@ def check_stokes_admissible_velocity(v_h, tol=1e-10):
     vs = [v_h] if single else v_h
     mesh = vs[0].mesh
     dofs = _cr_block(vs)
-    grads = _broken_gradients(mesh, dofs)
+    res = _velocity_residuals(mesh, dofs, _broken_gradients(mesh, dofs))
+    return _checked(res, tol, single)
+
+
+def _velocity_residuals(mesh, dofs, grads):
+    """Per-column residual of `check_stokes_admissible_velocity`, from a
+    `_cr_block` and its `_broken_gradients`."""
     res = np.abs(grads[..., 0, 0] + grads[..., 1, 1]).max(axis=1, initial=0.0)
     dirichlet = mesh.side_labels == _mesh.DIRICHLET
     bc = np.abs(dofs.reshape(2, mesh.num_sides, -1)[:, dirichlet])
-    res = np.maximum(res, bc.max(axis=(0, 1), initial=0.0))
-    return _checked(res, tol, single)
+    return np.maximum(res, bc.max(axis=(0, 1), initial=0.0))
 
 
 def check_stress_admissible(tau, f_h, g_h, mesh, tol=1e-10):
@@ -255,6 +260,11 @@ def check_stress_admissible(tau, f_h, g_h, mesh, tol=1e-10):
     """
     single = isinstance(tau, RTField)
     flux = _rt_block([tau] if single else tau)
+    return _checked(_stress_residuals(mesh, flux, f_h, g_h), tol, single)
+
+
+def _stress_residuals(mesh, flux, f_h, g_h):
+    """Per-candidate residual of `check_stress_admissible`, from a `_rt_block`."""
     fv = _p0_values(f_h, mesh, (mesh.num_elements, 2))
     div = (rt_divergence_operator(mesh) @ flux).reshape(mesh.num_elements, -1, 2)
     res = np.abs(div + fv[:, None]).max(axis=(0, 2), initial=0.0)
@@ -264,7 +274,7 @@ def check_stress_admissible(tau, f_h, g_h, mesh, tol=1e-10):
         if g_h is not None:
             tn = tn - np.asarray(g_h)[neumann][:, None]
         res = np.maximum(res, np.abs(tn).max(axis=(0, 2)))
-    return _checked(res, tol, single)
+    return res
 
 
 def _checked(res, tol, single):
@@ -336,17 +346,17 @@ def energies_stokes(vs, taus, system, admissibility_tol=1e-8):
     """
     mesh = system.mesh
     nu = system.nu
-    ok_v, _ = check_stokes_admissible_velocity(vs, tol=admissibility_tol)
-    ok_t, _ = check_stress_admissible(
-        taus, system.f_h, system.g_h, mesh, tol=admissibility_tol
-    )
     grad_hat = broken_gradient(system.u_hat).values
     dofs = _cr_block(vs)
     grads = _broken_gradients(mesh, dofs)
+    ok_v = _velocity_residuals(mesh, dofs, grads) <= admissibility_tol
     grads += grad_hat
     primal = 0.5 * nu * _squared_norms(mesh, grads) - system.load_vector @ dofs
     del dofs, grads
-    devavg = _dev_averages(mesh, _rt_block(taus), system.big_f_h)
+    flux = _rt_block(taus)
+    ok_t = _stress_residuals(mesh, flux, system.f_h, system.g_h) <= admissibility_tol
+    devavg = _dev_averages(mesh, flux, system.big_f_h)
+    del flux
     dual = -_squared_norms(mesh, devavg) / (2.0 * nu) + _inner(mesh, devavg, grad_hat)
     return {
         "primal": np.where(ok_v, primal, np.inf),
@@ -509,43 +519,33 @@ def oscillation_indicator(f, f_h, big_f, big_f_h, mesh, degree=10):
 def random_divfree_cr(mesh, seeds, scales):
     """Random fields in the discretely divergence-free homogeneous CR space.
 
-    Returns one CRField per seed: Uniform[-1,1] DOFs drawn from
-    default_rng(seed) are zeroed on Dirichlet sides and projected onto
-    ker(div_h) orthogonally in the broken H1 seminorm, all seeds in one
-    block projection; the field of seeds[k] is normalised to broken-H1
+    Returns one CRField per seed, the curl of a random Morley potential:
+    the field of seeds[k] has the midpoint values (C phi)_S n_S + psi_S t_S
+    (`side_frame_values`, C the `curl_operator`), phi (nv,) and then psi
+    (ns,) drawn Uniform[-1,1] from default_rng(seeds[k]), phi zero at every
+    vertex of a Dirichlet side and psi zero on the Dirichlet sides.  The
+    element sum of |S| v . n telescopes, so div_h v = 0 whatever psi, and
+    no solve is needed.  The field of seeds[k] is normalised to broken-H1
     seminorm scales[k] (a scalar scales every field alike).
     """
     scales = np.broadcast_to(np.asarray(scales, dtype=float), (len(seeds),))
-    ns = mesh.num_sides
-    dirichlet = mesh.side_labels == _mesh.DIRICHLET
-    raw = np.empty((2 * ns, len(seeds)))
+    nv, ns = mesh.num_vertices, mesh.num_sides
+    phi = np.empty((nv, len(seeds)))
+    psi = np.empty((ns, len(seeds)))
     for k, seed in enumerate(seeds):
-        vals = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(ns, 2))
-        vals[dirichlet] = 0.0
-        raw[:ns, k], raw[ns:, k] = vals.T
-    fields = project_divfree_cr(mesh, raw)
-    del raw
-    nrm = np.sqrt(_squared_norms(mesh, _broken_gradients(mesh, _cr_block(fields))))
+        rng = np.random.default_rng(seed)
+        phi[:, k] = rng.uniform(-1.0, 1.0, size=nv)
+        psi[:, k] = rng.uniform(-1.0, 1.0, size=ns)
+    dirichlet = mesh.sides_with_label(_mesh.DIRICHLET)
+    phi[mesh.side_vertices[dirichlet].ravel()] = 0.0
+    psi[dirichlet] = 0.0
+    vals = side_frame_values(mesh, curl_operator(mesh) @ phi, psi)  # (2, ns, k)
+    grads = _broken_gradients(mesh, vals.reshape(2 * ns, -1))
+    nrm = np.sqrt(_squared_norms(mesh, grads))
     if np.any(nrm == 0.0):
         raise AdmissibilityError("random divergence-free sample degenerated to zero")
-    return [(scale / n) * field for field, scale, n in zip(fields, scales, nrm)]
-
-
-def project_divfree_cr(mesh, dofs):
-    """Broken-H1-orthogonal projections onto the divergence-free subspace.
-
-    dofs is a (2 ns, k) block of CR DOF vectors (`CRField.dofs` layout);
-    returns the k projected CRFields.  All columns go through one block
-    solve of the nu = 1 Stokes saddle system with load A v, by the mesh's
-    one `stokes_saddle`, so the projections and the Stokes solve share its
-    factor; every column is residual-checked.
-    """
-    saddle = stokes_saddle(mesh)
-    rhs = saddle.restrict(
-        saddle.a1_full @ dofs, np.zeros((mesh.num_elements, dofs.shape[1]))
-    )
-    x, _ = saddle.al_solve(rhs, 1.0)
-    return [saddle.velocity(col) for col in x.T]
+    vals *= scales / nrm
+    return [CRField(mesh, vals[:, :, k].T) for k in range(len(seeds))]
 
 
 def random_divfree_rt(mesh, seeds, scales):

@@ -298,7 +298,7 @@ def _free_field(mesh, free, x):
 # pass, 1e4 does not.
 AL_GAMMA0 = 1e3
 AL_MAX_ITER = 30
-# Uzawa stops a column once ||B u - g|| <= AL_ROUNDOFF eps (||B||_inf ||u|| + ||g||),
+# Uzawa stops once ||B u - g|| <= AL_ROUNDOFF eps (||B||_inf ||u|| + ||g||),
 # the roundoff floor of the constraint residual; below it the residual only
 # wanders in the noise
 AL_ROUNDOFF = 8.0
@@ -361,11 +361,8 @@ class StokesSaddle:
         return self._check(nu)[0]
 
     def restrict(self, load_v, load_p):
-        """Right-hand side for a load on all CR DOFs and one per element.
-
-        load_v and load_p are vectors, or blocks of k columns each.
-        """
-        gauge = np.zeros((int(self.pure_dirichlet),) + load_p.shape[1:])
+        """Right-hand side for a load on all CR DOFs and one per element."""
+        gauge = np.zeros(int(self.pure_dirichlet))
         return np.concatenate([load_v[self.vel_index], load_p, gauge])
 
     def velocity(self, x):
@@ -375,66 +372,50 @@ class StokesSaddle:
     def al_solve(self, rhs, nu):
         """Solve matrix(nu) @ x = rhs by augmented-Lagrangian Uzawa iteration.
 
-        rhs is an (n,) vector or an (n, k) block of right-hand sides; each
-        step makes one triangular solve with the factor on the block of
-        active columns.  For each column, a step solves
+        Each step makes one triangular solve with the factor: it solves
         K u = f + gamma B^T M^-1 g - B^T p and updates
         p += gamma M^-1 (B u - g).  The u of an update and the updated p
-        satisfy the momentum rows exactly.  A column stops once its
+        satisfy the momentum rows exactly.  The iteration stops once the
         constraint residual ||B u - g|| reaches the roundoff floor
         AL_ROUNDOFF eps (||B||_inf ||u|| + ||g||), or stops decreasing; it
         keeps its last decreasing iterate.  On pure-Dirichlet meshes B u
         sums to zero, so the gauge multiplier is the mean of g, and p is
-        shifted to the gauge.  Returns (x, LinearSolveReport) of the shape
-        of rhs, checked column by column against matrix(nu).
+        shifted to the gauge.  Returns (x, LinearSolveReport), x checked
+        against matrix(nu).
         """
-        # the iteration's work arrays are freed before the check
-        x = self._uzawa(rhs.reshape(len(rhs), -1), nu).reshape(rhs.shape)
-        matrix, norm = self._check(nu)
-        return x, _checked(matrix, norm, rhs, x)
-
-    def _uzawa(self, block, nu):
-        """The `al_solve` iterate of an (n, k) block of right-hand sides."""
         nv, areas = len(self.vel_index), self.areas
         ne = len(areas)
-        x = np.zeros(block.shape)
-        u_out, p = x[:nv], x[nv: nv + ne]
-        f, g = block[:nv], block[nv: nv + ne]
-        mass = areas[:, None]  # M, one column per right-hand side
+        x = np.zeros(len(rhs))
+        u_best, p = x[:nv], x[nv: nv + ne]
+        f, g = rhs[:nv], rhs[nv: nv + ne]
         if self.pure_dirichlet:
-            lam = g.sum(axis=0) / areas.sum()
-            g = g - mass * lam
+            lam = g.sum() / areas.sum()
+            g = g - areas * lam
         gamma = AL_GAMMA0 * nu
-        load = f + gamma * (self.bt @ (g / mass))
+        load = f + gamma * (self.bt @ (g / areas))
         g_norm = _column_norms(g)
-        best = np.full(block.shape[1], np.inf)
-        active = np.arange(block.shape[1])
+        best = np.inf
         for _ in range(AL_MAX_ITER):
-            if not len(active):
-                break
-            # in place: the block's copies set the identity workload's peak memory
-            u = load[:, active]
-            u -= self.bt @ p[:, active]
-            u = self.lu.solve(u)
+            u = self.lu.solve(load - self.bt @ p)
             u /= nu
             r = self.b @ u
-            r -= g[:, active]
+            r -= g
             r_norm = _column_norms(r)
-            better = r_norm < best[active]
-            cols = active[better]
-            if not better.all():
-                u, r, r_norm = u[:, better], r[:, better], r_norm[better]
-            u_out[:, cols] = u
-            p[:, cols] += gamma * (r / mass)
-            best[cols] = r_norm
+            if not r_norm < best:
+                break
+            u_best[:] = u
+            p += gamma * (r / areas)
+            best = r_norm
             roundoff = AL_ROUNDOFF * np.finfo(float).eps * (
-                self.b_norm * _column_norms(u) + g_norm[cols]
+                self.b_norm * _column_norms(u) + g_norm
             )
-            active = cols[r_norm > roundoff]
+            if r_norm <= roundoff:
+                break
         if self.pure_dirichlet:
-            p += (block[-1] - areas @ p) / areas.sum()
+            p += (rhs[-1] - areas @ p) / areas.sum()
             x[-1] = lam
-        return x
+        matrix, norm = self._check(nu)
+        return x, _checked(matrix, norm, rhs, x)
 
 
 def stokes_saddle(mesh):

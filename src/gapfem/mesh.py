@@ -208,10 +208,9 @@ class Triangulation:
 
         The one per-mesh cache: geometry, the stabilisation jump matrix per
         mu, the Stokes saddle (`forms.stokes_saddle`), whose one factor
-        serves every viscosity and the divergence-free projector, the RT
-        element factors (of `spaces.RTField` and the RT operators), and the
-        quadrature points and analytic field values of
-        `quadrature.physical_points`/`rule_values` live here.
+        serves every viscosity, the RT element factors (of `spaces.RTField`
+        and the RT operators), and the quadrature points and analytic field
+        values of `quadrature.physical_points`/`rule_values` live here.
         """
         if key not in self._cache:
             self._cache[key] = build()
@@ -221,8 +220,9 @@ class Triangulation:
         """Per-element/per-side geometric arrays, computed once per mesh.
 
         Returns a dict with centroids (ne,2), diameters h_T (ne,), side
-        lengths (ns,), side midpoints (ns,2), unit normals (ns,2), and the
-        P1 barycentric gradients grad_lambda (ne,3,2).
+        lengths (ns,), side midpoints (ns,2), unit normals (ns,2), unit
+        tangents (ns,2) from the first to the second of side_vertices, and
+        the P1 barycentric gradients grad_lambda (ne,3,2).
         """
         return self.cached("geometry", self._geometry)
 
@@ -254,6 +254,7 @@ class Triangulation:
             "side_length": lengths,
             "side_midpoint": midpoints,
             "side_normal": normals,
+            "side_tangent": tang / lengths[:, None],
         }
 
     def sides_with_label(self, label):
@@ -451,21 +452,22 @@ def save_mesh(mesh, path):
 
 def load_mesh(path):
     """Read a `save_mesh` file; malformed content raises MeshError."""
-    with open(path) as f:
-        header = f.readline().split()
-        if header[:1] != ["gapfem-mesh"]:
-            raise MeshError("not a gapfem mesh file")
+    with open(path, encoding="utf-8") as f:
         try:
+            header = f.readline().split()
+            if header[:1] != ["gapfem-mesh"]:
+                raise MeshError("not a gapfem mesh file")
             nv, ne = map(int, f.readline().split())
             vertices = np.array(
                 [[float(w) for w in f.readline().split()] for _ in range(nv)]
             )
+            # unpacking rejects a row with a missing or an extra field
             rows = [[int(w) for w in f.readline().split()] for _ in range(ne)]
-            elements = np.array([r[:3] for r in rows], dtype=np.int64)
-            refedge = np.array([r[3] for r in rows], dtype=np.int64)
+            elements = np.array([[a, b, c] for a, b, c, _ in rows], dtype=np.int64)
+            refedge = np.array([r for *_, r in rows], dtype=np.int64)
             rows = [f.readline().split() for _ in range(int(f.readline()))]
-            pairs = np.array([[int(w[0]), int(w[1])] for w in rows], dtype=np.int64)
-            labels = np.array([_LABEL_IDS[w[2]] for w in rows], dtype=np.int64)
+            pairs = np.array([[int(a), int(b)] for a, b, _ in rows], dtype=np.int64)
+            labels = np.array([_LABEL_IDS[name] for *_, name in rows], dtype=np.int64)
         except (ValueError, IndexError, KeyError, OverflowError) as exc:
             raise MeshError(
                 f"malformed mesh file {path}: {type(exc).__name__}: {exc}"

@@ -220,13 +220,25 @@ def cr_interpolate(v, mesh, npoints=DEFAULT_SIDE_POINTS, stream=None):
         geo = mesh.geometry()
         sv = mesh.side_vertices
         phi = np.asarray(stream(mesh.vertices), dtype=float)
-        ls = geo["side_length"]
-        n = geo["side_normal"]
-        tvec = (mesh.vertices[sv[:, 1]] - mesh.vertices[sv[:, 0]]) / ls[:, None]
-        flux = (phi[sv[:, 1]] - phi[sv[:, 0]]) / ls  # mean of v . n
-        tang = np.einsum("si,si->s", avg, tvec)
-        avg = flux[:, None] * n + tang[:, None] * tvec
+        flux = (phi[sv[:, 1]] - phi[sv[:, 0]]) / geo["side_length"]  # mean of v . n
+        tang = np.einsum("si,si->s", avg, geo["side_tangent"])
+        avg = side_frame_values(mesh, flux, tang).T
     return CRField(mesh, avg)
+
+
+def side_frame_values(mesh, normal, tangential):
+    """Side vectors normal * n_S + tangential * t_S as (2, ns, ...) components.
+
+    n_S is the global side normal and t_S the unit tangent of the mesh
+    geometry; normal and tangential are (ns,) arrays or (ns, k) blocks.  So
+    the result of (ns,) parts, transposed, is the values of a CRField, and
+    that of (ns, k) parts, reshaped to (2 ns, k), is a block of k
+    `CRField.dofs` vectors.
+    """
+    geo = mesh.geometry()
+    out = np.einsum("sd,s...->ds...", geo["side_normal"], normal)
+    out += np.einsum("sd,s...->ds...", geo["side_tangent"], tangential)
+    return out
 
 
 def rt_interpolate(tau, mesh, npoints=DEFAULT_SIDE_POINTS):

@@ -270,51 +270,21 @@ class TestStokesALSolve:
         assert not np.any(x)
         assert report.residual_norm == 0.0
 
-    @pytest.mark.parametrize("labeler", [all_dirichlet, tg_labeler])
-    def test_block_matches_columns_and_saddle_lu(self, labeler):
-        # columns of scales 1e-6 ... 1e6 stop on their own roundoff floors
-        mesh = structured_square_mesh(6, labeler)
-        rng = np.random.default_rng(11)
-        saddle = stokes_saddle(mesh)
-        for nu in (0.5, 1.0):
-            n = saddle.matrix(nu).shape[0]
-            rhs = rng.standard_normal((n, 4)) * 10.0 ** np.arange(-6, 7, 4)
-            x, report = saddle.al_solve(rhs, nu)
-            ref = sla.splu(saddle.matrix(nu)).solve(rhs)
-            assert report.residual_norm <= SOLVE_TOL
-            for k in range(4):
-                col, _ = saddle.al_solve(rhs[:, k], nu)
-                scale = np.linalg.norm(ref[:, k])
-                assert np.linalg.norm(x[:, k] - col) <= 1e-10 * scale
-                assert np.linalg.norm(x[:, k] - ref[:, k]) <= 1e-10 * scale
-
-    @pytest.mark.parametrize("labeler", [all_dirichlet, tg_labeler])
-    def test_zero_column_in_block_exact_zero(self, labeler):
-        saddle = StokesSaddle(structured_square_mesh(4, labeler))
-        rhs = np.random.default_rng(5).standard_normal((saddle.matrix(0.5).shape[0], 3))
-        rhs[:, 1] = 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            x, report = saddle.al_solve(rhs, 0.5)
-        assert not np.any(x[:, 1])
-        assert np.all(x[:, [0, 2]].any(axis=0))
-        assert report.residual_norm <= SOLVE_TOL
-
     @pytest.mark.parametrize("problem", ["taylor-green", "lshape"])
     def test_at_most_seven_solves_per_system(self, problem):
-        # the Uzawa loop stops at roundoff: one Stokes solve and a block of
-        # 16 projections per mesh each take at most 7 triangular solves
+        # the Uzawa loop stops at roundoff: one Stokes solve per mesh takes
+        # at most 7 triangular solves, and 16 random divergence-free
+        # samples on the same mesh take none
         from gapfem.adaptive import refine_marked_twice
         from gapfem.duality import random_divfree_cr
         from gapfem.problems import discretize_stokes, get_problem
 
         class CountingFactor:
             def __init__(self, lu):
-                self.lu, self.solves, self.columns = lu, 0, 0
+                self.lu, self.solves = lu, 0
 
             def solve(self, rhs):
                 self.solves += 1
-                self.columns += 1 if rhs.ndim == 1 else rhs.shape[1]
                 return self.lu.solve(rhs)
 
         prob = get_problem(problem)
@@ -324,10 +294,9 @@ class TestStokesALSolve:
             saddle.lu = counter = CountingFactor(saddle.lu)
             discretize_stokes(prob, mesh)
             assert 1 <= counter.solves <= 7
-            counter.solves = counter.columns = 0
+            counter.solves = 0
             random_divfree_cr(mesh, range(1, 17), 1.0)
-            assert 1 <= counter.solves <= 7
-            assert 16 <= counter.columns <= 7 * 16
+            assert counter.solves == 0
             mesh = refine_marked_twice(mesh, range(mesh.num_elements))
 
     def test_checked_flags_one_bad_column(self):
@@ -340,8 +309,8 @@ class TestStokesALSolve:
         rng = np.random.default_rng(9)
         rhs = rng.standard_normal((matrix.shape[0], 16))
         rhs[:, 1:] *= 1e3
-        x, report = saddle.al_solve(rhs, 1.0)
-        assert report.residual_norm <= SOLVE_TOL
+        x = sla.splu(matrix).solve(rhs)
+        assert forms._checked(matrix, norm, rhs, x).residual_norm <= SOLVE_TOL
         noise = rng.standard_normal(len(x)) / np.sqrt(len(x))
         x[:, 0] += 1e-7 * np.linalg.norm(x[:, 0]) * noise
         frobenius = np.linalg.norm(rhs - matrix @ x) / (
@@ -359,7 +328,9 @@ class TestStokesALSolve:
             saddle.al_solve(rhs, 1.0)
 
     def test_one_symmetric_factor_per_mesh(self, monkeypatch):
-        from gapfem.duality import project_divfree_cr
+        # the Stokes solve factors the one symmetric K_1; the random
+        # divergence-free samples factor nothing
+        from gapfem.duality import random_divfree_cr
         from gapfem.problems import discretize_stokes, taylor_green_stokes
 
         factored = []
@@ -373,14 +344,15 @@ class TestStokesALSolve:
         monkeypatch.setattr(forms.sla, "splu", counting_splu)
         prob = taylor_green_stokes()
         mesh = prob.mesh_factory()
+        random_divfree_cr(mesh, range(1, 17), 1.0)
+        assert factored == []
         discretize_stokes(prob, mesh)
-        rng = np.random.default_rng(2)
-        for _ in range(3):
-            project_divfree_cr(mesh, rng.standard_normal((2 * mesh.num_sides, 1)))
+        for seed in range(3):
+            random_divfree_cr(mesh, [seed], 1.0)
         assert len(factored) == 1
 
     def test_one_saddle_per_mesh_in_identity_rows(self, monkeypatch):
-        # the Stokes solve at nu = 1/2 and the nu = 1 projector share it
+        # each level's Stokes solve builds the saddle of its own mesh once
         from gapfem.adaptive import identity_rows
         from gapfem.problems import taylor_green_stokes
 

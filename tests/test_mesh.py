@@ -278,16 +278,22 @@ class TestIO:
             # the last boundary side labelled again, reversed and relabelled
             lambda lines: lines[:36] + [str(int(lines[36]) + 1)] + lines[37:]
             + [" ".join(lines[-1].split()[1::-1]) + " dirichlet"],
+            # the byte 0xff, which no UTF-8 text holds, in the header
+            lambda lines: [lines[0] + " \xff"] + lines[1:],
+            lambda lines: lines[:18] + [lines[18] + " 9"] + lines[19:],
+            lambda lines: lines[:-1] + [lines[-1] + " 9"],
         ],
         ids=["truncated-labels", "unknown-label", "bad-count", "refinement-edge-7",
-             "interior-side-label", "non-edge-label", "repeated-side-label"],
+             "interior-side-label", "non-edge-label", "repeated-side-label",
+             "not-utf8", "element-row-fifth-field", "label-row-fourth-field"],
     )
     def test_malformed_file_raises_mesh_error(self, tmp_path, mangle):
         path = tmp_path / "mesh.txt"
         save_mesh(structured_square_mesh(3, tg_labeler), path)
         lines = path.read_text().splitlines()
         assert lines[18].count(" ") == 3  # the first element row
-        path.write_text("\n".join(mangle(lines)) + "\n")
+        # Latin-1 writes the ASCII lines as they are and \xff as that byte
+        path.write_text("\n".join(mangle(lines)) + "\n", encoding="latin-1")
         with pytest.raises(MeshError):
             load_mesh(path)
 
