@@ -67,7 +67,6 @@ from .spaces import (
     broken_sym_gradient,
     cr_interpolate,
     dev,
-    jump_eval,
     nodal_average,
     pi0,
     rt_interpolate,

@@ -69,7 +69,7 @@ def build_parser():
     run.add_argument("--max-iter", type=_positive_int, default=10)
     run.add_argument("--eps-stop", type=float, default=0.0)
     run.add_argument("--out", default=None, help="report file path")
-    run.add_argument("--format", choices=["csv", "json"], default="csv")
+    run.add_argument("--format", choices=["csv", "json"], help="--out report format")
 
     ver = sub.add_parser("verify-identity", help="randomized Prager-Synge check")
     ver.add_argument("--problem", default="taylor-green")
@@ -78,7 +78,7 @@ def build_parser():
     ver.add_argument("--seed", type=_nonnegative_int, default=0, help="seed offset")
     ver.add_argument("--threshold", type=_positive_float, default=1e-6)
     ver.add_argument("--out", default=None)
-    ver.add_argument("--format", choices=["csv", "json"], default="csv")
+    ver.add_argument("--format", choices=["csv", "json"], help="--out report format")
     ver.add_argument(
         "--debug-tamper",
         action="store_true",
@@ -110,7 +110,7 @@ def cmd_run(args, problem):
     for row in rows:
         print("  ".join(c.rjust(w) for c, w in zip(row, widths)))
     if args.out:
-        write = report.to_csv if args.format == "csv" else report.to_json
+        write = report.to_json if args.format == "json" else report.to_csv
         if not _write_report(write, args.out):
             return USAGE_ERROR
     return 0
@@ -136,10 +136,10 @@ def cmd_verify_identity(args, problem):
     for line in lines:
         print(line)
     if args.out:
-        if args.format == "csv":
-            text = "\n".join(lines) + "\n"
-        else:
+        if args.format == "json":
             text = json.dumps(rows, indent=2, default=float) + "\n"
+        else:
+            text = "\n".join(lines) + "\n"
         if not _write_report(lambda path: Path(path).write_text(text), args.out):
             return USAGE_ERROR
     worst = max(r["err_iden"] for r in rows)
@@ -173,6 +173,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "format", None) and args.out is None:
+            parser.error("--format needs --out: the format is that of the report file")
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     command = {"run": cmd_run, "verify-identity": cmd_verify_identity,

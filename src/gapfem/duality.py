@@ -9,6 +9,7 @@ stress-tests with randomized admissible perturbations.
 """
 
 import numpy as np
+import scipy.sparse as sparse
 
 from . import mesh as _mesh
 from .quadrature import physical_points, rule_values, triangle_rule
@@ -82,50 +83,30 @@ class ElasticityTensor:
 JUMP_TOL = 1e-8
 
 
-def _two_sided(mesh, side_values):
-    """Average of per-side values over the views of the adjacent elements.
+def _side_average(mesh, table):
+    """Side values of an element-side table and their largest interior discrepancy.
 
-    side_values(sel, e) returns the (m, 2) values that element e[k] gives
-    side sel[k].  Returns the (ns, 2) averages and the largest discrepancy
-    between the two views of an interior side.
+    table is (ne, 3, r): table[n, j] is the value element n gives side
+    element_sides[n, j].  Each side value is the mean over the side's
+    adjacent elements, one sparse product with weights 1/count.  Returns the
+    (ns, r) means and the largest difference between the two views of an
+    interior side, 2 max |table - mean| (a boundary side deviates by 0).
     """
-    ns = mesh.num_sides
-    out = np.zeros((ns, 2))
-    count = np.zeros(ns)
-    jump = 0.0
-    for slot in (0, 1):
-        sel = np.nonzero(mesh.side_elements[:, slot] >= 0)[0]
-        vals = side_values(sel, mesh.side_elements[sel, slot])
-        if slot == 0:
-            out[sel] = vals
-        else:
-            jump = np.abs(out[sel] - vals).max(initial=0.0)
-            out[sel] += vals
-        count[sel] += 1.0
-    return out / count[:, None], jump
+    ne, ns = mesh.num_elements, mesh.num_sides
+    sides = mesh.element_sides.ravel()
+    count = 1.0 + (mesh.side_elements[:, 1] >= 0)
+    mean = sparse.csr_matrix(
+        (1.0 / count[sides], (sides, np.arange(3 * ne))), shape=(ns, 3 * ne)
+    )
+    avg = mean @ table.reshape(3 * ne, -1)
+    jump = 2.0 * np.abs(table - avg[mesh.element_sides]).max(initial=0.0)
+    return avg, jump
 
 
-def _flux_from_local(mesh, p0_part, slope):
-    """Side fluxes of the local fields row_i(x) = p0_part[T,i,:] + slope[T,i]*(x-x_T).
-
-    Interior fluxes are taken from the two element views and must agree;
-    their maximum discrepancy is returned along with the (2, ns) averaged
-    fluxes.
-    """
+def _side_offsets(mesh):
+    """(ne, 3, 2) offsets m_S - x_T of an element's side midpoints from its centroid."""
     geo = mesh.geometry()
-    mid = geo["side_midpoint"]
-    nrm = geo["side_normal"]
-    cent = geo["centroids"]
-
-    def side_flux(sel, e):
-        rel = mid[sel] - cent[e]  # (m, 2)
-        return (
-            np.einsum("mid,md->im", p0_part[e], nrm[sel])
-            + slope[e].T * np.einsum("md,md->m", rel, nrm[sel])
-        ).T
-
-    flux, jump = _two_sided(mesh, side_flux)
-    return np.ascontiguousarray(flux.T), jump
+    return geo["side_midpoint"][mesh.element_sides] - geo["centroids"][:, None, :]
 
 
 def _equilibrate(mesh, p0_part, f_h, big_f_h, cause):
@@ -139,12 +120,17 @@ def _equilibrate(mesh, p0_part, f_h, big_f_h, cause):
         p0_part = p0_part - _p0_values(big_f_h, mesh, (mesh.num_elements, 2, 2))
     fv = _p0_values(f_h, mesh, (mesh.num_elements, 2))
     slope = -0.5 * fv  # row slopes of -(1/d) f (x - x_T)
-    flux, jump = _flux_from_local(mesh, p0_part, slope)
+    # row i's flux through local side j: p0_part_i . n + slope_i (m_S - x_T) . n
+    nrm = mesh.geometry()["side_normal"][mesh.element_sides]  # (ne, 3, 2)
+    reach = np.einsum("njd,njd->nj", _side_offsets(mesh), nrm)
+    table = np.einsum("nid,njd->nji", p0_part, nrm)
+    table += slope[:, None, :] * reach[..., None]
+    flux, jump = _side_average(mesh, table)
     if jump > JUMP_TOL:
         raise AdmissibilityError(
             f"stress reconstruction has interior flux jumps {jump:.3e}; {cause}"
         )
-    field = RTField(mesh, flux)
+    field = RTField(mesh, np.ascontiguousarray(flux.T))
     field.reconstruction_jump = jump
     return field
 
@@ -181,16 +167,10 @@ def marini_stokes_inverse(t_h, u_bar, u_hat, nu, mesh):
     CR space: each interior side midpoint receives the same value from both
     adjacent elements, up to JUMP_TOL.
     """
-    geo = mesh.geometry()
-    mid = geo["side_midpoint"]
-    cent = geo["centroids"]
     dv = dev(t_h.cell_average().values) / nu - broken_gradient(u_hat).values
     ubv = u_bar.values if isinstance(u_bar, P0Field) else np.asarray(u_bar)
-
-    def side_value(sel, e):
-        return ubv[e] + np.einsum("mij,mj->mi", dv[e], mid[sel] - cent[e])
-
-    vals, jump = _two_sided(mesh, side_value)
+    table = ubv[:, None, :] + np.einsum("nij,nkj->nki", dv, _side_offsets(mesh))
+    vals, jump = _side_average(mesh, table)
     if jump > JUMP_TOL:
         raise AdmissibilityError(
             f"velocity reconstruction jumps {jump:.3e}: input does not solve "

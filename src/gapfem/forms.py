@@ -25,7 +25,6 @@ from .spaces import (
     broken_divergence,
     cr_gradient_operator,
     cr_jump_operator,
-    jump_eval,
 )
 
 
@@ -187,55 +186,50 @@ def stabilization_weights(mesh, mu):
     return w
 
 
-def dirichlet_penalty_load(mesh, mu, datum, npoints=8):
+# Gauss points per side of the Dirichlet datum in the penalty integrals
+DATUM_POINTS = 8
+
+
+def dirichlet_penalty_load(mesh, mu, datum_values):
     """Load vector c with c_dof = sum_{S Dirichlet} (2 mu / h_S) int_S datum . theta.
 
     On Dirichlet sides the jump of a total field v + u_hat is its deviation
     from the boundary datum, so the penalty contributes this datum-weighted
-    functional to the right-hand side.  It is J^T m, J the
-    `cr_jump_operator` and m the datum's moments against the two endpoint
-    hat functions of each Dirichlet side.  Returns a (2 ns,) vector.
+    functional to the right-hand side.  datum_values (m, DATUM_POINTS, 2)
+    holds the datum at the `segment_rule(DATUM_POINTS)` points of the m
+    Dirichlet sides, in side order (None means a zero datum).  The load is
+    J^T m, J the `cr_jump_operator` and m the datum's moments against the
+    two endpoint hat functions of each Dirichlet side.  Returns a (2 ns,)
+    vector.
     """
-    if datum is None:
+    if datum_values is None:
         return np.zeros(2 * mesh.num_sides)
     sel = mesh.sides_with_label(_mesh.DIRICHLET)
-    t, w = segment_rule(npoints)
-    gvals = np.asarray(datum(side_points(mesh, t, sides=sel)))  # (m, q, 2)
+    t, w = segment_rule(DATUM_POINTS)
     hats = np.stack([1.0 - t, t], axis=1)  # (q, 2)
     # (2 mu / h_S) * |S| = 2 mu
-    moments = (2.0 * mu) * np.einsum("q,qk,mqi->mki", w, hats, gvals)
+    moments = (2.0 * mu) * np.einsum("q,qk,mqi->mki", w, hats, datum_values)
     return (_jump_rows(mesh, sel).T @ moments.reshape(-1, 2)).T.ravel()
 
 
-def stabilization_energy(mesh, mu, u_total, datum, npoints=8):
+def stabilization_energy(mesh, mu, u_total, datum_values):
     """Value of the data-consistent jump penalty at a total field.
 
-    Interior sides contribute (2 mu / h_S) int [u]^2; Dirichlet sides
-    contribute (2 mu / h_S) int |u - datum|^2 (datum None means zero).
+    s_h = sum_S (2 mu / h_S) int_S |[u] - g|^2 over the interior and
+    Dirichlet sides, g zero on interior sides and the datum on Dirichlet
+    ones: datum_values as for `dirichlet_penalty_load` (None means zero).
+    The jumps are interpolated from their endpoint values to the datum's
+    Gauss points, which integrate the interior squares exactly.
     """
-    total = 0.0
-    t, w = segment_rule(npoints)
-    for label in (_mesh.INTERIOR, _mesh.DIRICHLET):
-        sel = mesh.sides_with_label(label)
-        if len(sel) == 0:
-            continue
-        jump_end = jump_eval(u_total, sel)  # (m, 2, 2) endpoint values
-        if label == _mesh.INTERIOR:
-            total += np.sum(
-                (2.0 * mu)
-                * np.einsum("mki,kl,mli->m", jump_end, _ENDPOINT_MASS, jump_end)
-            )
-        else:
-            tq = jump_end[:, 0, :][:, None] * (1 - t)[None, :, None] + jump_end[
-                :, 1, :
-            ][:, None] * t[None, :, None]  # (m, q, 2)
-            if datum is not None:
-                pts = side_points(mesh, t, sides=sel)
-                tq = tq - np.asarray(datum(pts))
-            total += np.sum(
-                (2.0 * mu) * np.einsum("q,mqi,mqi->", w, tq, tq)
-            )
-    return float(total)
+    labels = mesh.side_labels
+    sides = np.nonzero(labels != _mesh.NEUMANN)[0]
+    t, w = segment_rule(DATUM_POINTS)
+    ends = (_jump_rows(mesh, sides) @ u_total.values).reshape(-1, 2, 2)  # (m, k, i)
+    resid = np.einsum("qk,mki->mqi", np.stack([1.0 - t, t], axis=1), ends)
+    if datum_values is not None:
+        resid[labels[sides] == _mesh.DIRICHLET] -= datum_values
+    # (2 mu / h_S) * |S| = 2 mu
+    return float((2.0 * mu) * np.einsum("q,mqi,mqi->", w, resid, resid))
 
 
 # -- load functional -----------------------------------------------------------
@@ -499,7 +493,15 @@ class ElasticitySystem(_LoadedSystem):
         self.mesh = mesh
         self.material = material
         self._assemble_load(u_hat, f_h, big_f_h, g_h)
-        self.dirichlet_datum = dirichlet_datum
+        # the datum at the Gauss points of the Dirichlet sides, evaluated once
+        # for the load and every penalty energy
+        self.datum_values = None
+        if dirichlet_datum is not None:
+            pts = side_points(
+                mesh, segment_rule(DATUM_POINTS)[0],
+                sides=mesh.sides_with_label(_mesh.DIRICHLET),
+            )
+            self.datum_values = np.asarray(dirichlet_datum(pts), dtype=float)
 
         self.free_sides, self.vel_index = _free_dofs(mesh)
 
@@ -515,15 +517,15 @@ class ElasticitySystem(_LoadedSystem):
 
         self.a_full = k_eps + stabilization_jump_matrix(mesh, mu)
         self.matrix = self.a_full[self.vel_index][:, self.vel_index].tocsc()
-        self.datum_load = dirichlet_penalty_load(mesh, mu, dirichlet_datum)
+        self.datum_load = dirichlet_penalty_load(mesh, mu, self.datum_values)
 
         rhs = self.load_vector - self.a_full @ u_hat.dofs() + self.datum_load
         self.rhs = rhs[self.vel_index]
 
     def s_h_total(self, u_total):
-        """Penalty energy of a total field against the stored datum."""
+        """Penalty energy of a total field against the stored datum values."""
         return stabilization_energy(
-            self.mesh, self.material.mu, u_total, self.dirichlet_datum
+            self.mesh, self.material.mu, u_total, self.datum_values
         )
 
     def solve(self):

@@ -385,16 +385,6 @@ def _element_side_rows(mesh, data):
     )
 
 
-def jump_eval(v, sides):
-    """Jumps of a CR field across an array of sides at their endpoints.
-
-    Returns (m, 2, 2): [m, k] is the jump at endpoint k of sides[m], with
-    the order and signs of `cr_jump_operator`.
-    """
-    rows = _jump_rows(v.mesh, np.asarray(sides, dtype=np.int64))
-    return (rows @ v.values).reshape(-1, 2, 2)
-
-
 def nodal_average(v, mesh, dirichlet_values=None):
     """Average a broken CR field to a conforming P1 field.
 

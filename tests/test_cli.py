@@ -117,6 +117,19 @@ def test_unwritable_out_path(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["run", "taylor-green", "--max-iter", "1", "--format", "json"],
+    ["run", "taylor-green", "--max-iter", "1", "--format", "csv"],
+    ["verify-identity", "--levels", "1", "--seeds", "1", "--format", "json"],
+])
+def test_format_without_out_rejected(argv, capsys):
+    """A report format without a report file is a usage error, not ignored."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "error: --format needs --out" in err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
     ["run", "taylor-green", "--max-iter", "1"],
     ["verify-identity", "--levels", "1", "--seeds", "1"],
     ["table1", "--max-iter", "1"],

@@ -2,19 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_forms import _perturbed_mesh, tg_labeler
+from test_forms import ORACLE_MESHES, _perturbed_mesh, assert_close, tg_labeler
 
 from gapfem import (
     DIRICHLET,
     NEUMANN,
     AdmissibilityError,
     CRField,
+    ElasticitySolution,
     ElasticityTensor,
     P0Field,
     RTField,
+    StokesSolution,
     apriori_identity_check_stokes,
+    assemble_elasticity,
+    assemble_stokes,
     broken_divergence,
     broken_gradient,
+    broken_sym_gradient,
     cr_interpolate,
     energies_stokes,
     gap_indicator_stokes,
@@ -25,11 +30,14 @@ from gapfem import (
     oscillation_indicator,
     random_divfree_cr,
     random_divfree_rt,
+    refine_bisection,
+    solve_lifting,
     strong_convexity_stokes,
     structured_square_mesh,
 )
 from gapfem.adaptive import refine_marked_twice
 from gapfem.duality import (
+    JUMP_TOL,
     check_stokes_admissible_velocity,
     check_stress_admissible,
 )
@@ -683,3 +691,132 @@ class TestElasticityGapEquivalence:
             )
         )
         assert rho_p + rho_d == pytest.approx(gap + skew_term, rel=1e-9)
+
+
+# -- the two-sided oracle: the per-slot reconstructions that the one
+# element-side average replaces ----------------------------------------------
+
+
+def oracle_two_sided(mesh, side_values):
+    """Average of per-side values over the views of the adjacent elements.
+
+    side_values(sel, e) returns the (m, 2) values that element e[k] gives
+    side sel[k].  Returns the (ns, 2) averages and the largest discrepancy
+    between the two views of an interior side.
+    """
+    ns = mesh.num_sides
+    out = np.zeros((ns, 2))
+    count = np.zeros(ns)
+    jump = 0.0
+    for slot in (0, 1):
+        sel = np.nonzero(mesh.side_elements[:, slot] >= 0)[0]
+        vals = side_values(sel, mesh.side_elements[sel, slot])
+        if slot == 0:
+            out[sel] = vals
+        else:
+            jump = np.abs(out[sel] - vals).max(initial=0.0)
+            out[sel] += vals
+        count[sel] += 1.0
+    return out / count[:, None], jump
+
+
+def oracle_flux(mesh, p0_part, slope):
+    """(2, ns) side fluxes of row_i(x) = p0_part[T, i] + slope[T, i] (x - x_T)."""
+    geo = mesh.geometry()
+    mid, nrm, cent = geo["side_midpoint"], geo["side_normal"], geo["centroids"]
+
+    def side_flux(sel, e):
+        rel = mid[sel] - cent[e]
+        return (
+            np.einsum("mid,md->im", p0_part[e], nrm[sel])
+            + slope[e].T * np.einsum("md,md->m", rel, nrm[sel])
+        ).T
+
+    return oracle_two_sided(mesh, side_flux)[0].T
+
+
+def oracle_inverse(t_h, u_bar, u_hat, nu, mesh):
+    """Midpoint values of u_bar + [(1/nu) dev Pi_h T_h - grad_h u_hat](x - x_T)."""
+    geo = mesh.geometry()
+    dv = dev(t_h.cell_average().values) / nu - broken_gradient(u_hat).values
+
+    def side_value(sel, e):
+        rel = geo["side_midpoint"][sel] - geo["centroids"][e]
+        return u_bar.values[e] + np.einsum("mij,mj->mi", dv[e], rel)
+
+    return oracle_two_sided(mesh, side_value)[0]
+
+
+def solve_affine(mesh, seed):
+    """Stokes and elasticity solutions for an affine trace-free lift, a
+    constant f_h and random Neumann tractions: (StokesSolution,
+    ElasticitySolution), each with its Marini reconstruction."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, (2, 2))
+    a[1, 1] = -a[0, 0]  # div u_hat = 0
+    affine = lambda x: x @ a.T
+    u_hat = cr_interpolate(affine, mesh)
+    f_h = P0Field(mesh, np.tile(rng.uniform(-1.0, 1.0, 2), (mesh.num_elements, 1)))
+    g_h = rng.uniform(-1.0, 1.0, (mesh.num_sides, 2))
+    nu = 0.7
+    system = assemble_stokes(mesh, nu, u_hat, f_h, None, g_h)
+    u_h, p_h, report = system.solve()
+    t_h = marini_stokes(u_h, p_h, u_hat, f_h, nu, mesh)
+    stokes = StokesSolution(mesh, nu, u_h, p_h, t_h, u_hat, system, report)
+    mat = ElasticityTensor(0.7, 5.0)
+    system = assemble_elasticity(mesh, mat, u_hat, f_h, None, g_h, dirichlet_datum=affine)
+    u_h, report = system.solve()
+    r_h = solve_lifting(mesh, u_h + u_hat, mat.mu, datum_load=system.datum_load)
+    sigma = marini_elasticity(u_h, u_hat, r_h, f_h, mat, mesh)
+    elastic = ElasticitySolution(mesh, mat, u_h, r_h, sigma, u_hat, system, report)
+    return stokes, elastic
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+def test_marini_matches_two_sided_oracle(name):
+    """Both reconstructions through the one element-side average give the
+    fluxes and velocities of the per-slot oracle."""
+    mesh = ORACLE_MESHES[name]()
+    stokes, elastic = solve_affine(mesh, 5)
+    slope = -0.5 * stokes.system.f_h.values
+    p0_part = stokes.nu * broken_gradient(stokes.u_h + stokes.u_hat).values
+    p0_part -= stokes.p_h.values[:, None, None] * np.eye(2)
+    assert_close(stokes.t_h.flux, oracle_flux(mesh, p0_part, slope))
+    mat = elastic.material
+    p0_part = (mat.apply(broken_sym_gradient(elastic.u_h + elastic.u_hat).values)
+               + broken_gradient(elastic.r_h).values)
+    assert_close(elastic.sigma_star.flux, oracle_flux(mesh, p0_part, slope))
+    u_bar = cr_values_p0(stokes.u_h)
+    assert_close(
+        marini_stokes_inverse(stokes.t_h, u_bar, stokes.u_hat, stokes.nu, mesh).values,
+        oracle_inverse(stokes.t_h, u_bar, stokes.u_hat, stokes.nu, mesh),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    labeler=st.sampled_from([all_dirichlet, mixed]),
+    seed=st.integers(0, 2**32 - 1),
+    rounds=st.integers(1, 2),
+)
+def test_reconstruction_contracts_on_refined_meshes(n, labeler, seed, rounds):
+    """Criterion 3's contracts on vertex-perturbed meshes after random
+    bisection: flux jump, divergence, Neumann trace, optimality and the
+    inverse round trip, for Stokes and elasticity."""
+    mesh = _perturbed_mesh(n, labeler, seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        marked = np.nonzero(rng.uniform(size=mesh.num_elements) < 0.4)[0]
+        mesh, _ = refine_bisection(mesh, marked)
+    stokes, elastic = solve_affine(mesh, seed)
+    for sol, tau in ((stokes, stokes.t_h), (elastic, elastic.sigma_star)):
+        assert tau.reconstruction_jump <= JUMP_TOL
+        # div tau + f_h = 0 and tau n = g_h on the Neumann sides
+        _, res = check_stress_admissible(tau, sol.system.f_h, sol.system.g_h, mesh)
+        assert res <= 1e-10
+        assert sol.optimality_residual() <= 1e-10
+    back = marini_stokes_inverse(
+        stokes.t_h, cr_values_p0(stokes.u_h), stokes.u_hat, stokes.nu, mesh
+    )
+    assert np.abs(back.values - stokes.u_h.values).max() <= 1e-11

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gapfem import (
     DIRICHLET,
+    INTERIOR,
     NEUMANN,
     AssemblyError,
     CRField,
@@ -40,7 +41,12 @@ from gapfem.forms import (
 )
 from gapfem.problems import cook_mesh, lshape_mesh
 from gapfem.quadrature import segment_rule, side_points
-from gapfem.spaces import cr_basis_gradients, cr_gradient_operator, jump_eval, norm_p0
+from gapfem.spaces import (
+    cr_basis_gradients,
+    cr_gradient_operator,
+    cr_jump_operator,
+    norm_p0,
+)
 
 
 def all_dirichlet(mid):
@@ -453,6 +459,9 @@ class TestElasticityAssembly:
         assert energy < 1e-8
         g = broken_gradient(total).values
         assert np.abs(g + np.swapaxes(g, 1, 2)).max() < 1e-8  # skew only
+        # the penalty of a conforming total field against its own datum is a
+        # sum of squares of roundoff, never a cancelled difference
+        assert 0.0 <= system.s_h_total(total) <= 1e-20
 
     def test_operator_spd_two_elements(self):
         verts = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -679,6 +688,31 @@ def oracle_datum_load(mesh, mu, datum, npoints=8):
     return out
 
 
+def oracle_stabilization_energy(mesh, mu, u_total, datum, npoints=8):
+    """s_h by side label: interior sides by the exact endpoint mass, Dirichlet
+    sides by Gauss quadrature of |u - datum|^2 (datum None means zero)."""
+    mass = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
+    total = 0.0
+    t, w = segment_rule(npoints)
+    for label in (INTERIOR, DIRICHLET):
+        sel = mesh.sides_with_label(label)
+        if len(sel) == 0:
+            continue
+        jump_end = oracle_jump_eval(u_total, sel)  # (m, 2, 2) endpoint values
+        if label == INTERIOR:
+            total += np.sum(
+                (2.0 * mu) * np.einsum("mki,kl,mli->m", jump_end, mass, jump_end)
+            )
+        else:
+            tq = jump_end[:, 0, :][:, None] * (1 - t)[None, :, None] + jump_end[
+                :, 1, :
+            ][:, None] * t[None, :, None]  # (m, q, 2)
+            if datum is not None:
+                tq = tq - np.asarray(datum(side_points(mesh, t, sides=sel)))
+            total += np.sum((2.0 * mu) * np.einsum("q,mqi,mqi->", w, tq, tq))
+    return float(total)
+
+
 def assert_close(new, old, rtol=1e-13):
     """Entrywise agreement relative to the largest entry of the oracle."""
     diff = new - old
@@ -727,8 +761,27 @@ class TestAssemblyOracle:
         assert_close(system.a_full, want)
         assert abs(system.matrix - system.matrix.T).max() == 0.0
         assert_close(
-            dirichlet_penalty_load(mesh, mat.mu, rot), oracle_datum_load(mesh, mat.mu, rot)
+            dirichlet_penalty_load(mesh, mat.mu, system.datum_values),
+            oracle_datum_load(mesh, mat.mu, rot),
         )
+
+    def test_stabilization_energy(self, name):
+        """s_h as one residual pass equals the label loop, against the datum
+        at the system's solution and against zero at a random field."""
+        mesh = ORACLE_MESHES[name]()
+        mat = ElasticityTensor(0.7, 5.0)
+        rot = lambda x: np.stack([np.sin(x[..., 1]), x[..., 0] ** 2], axis=-1)
+        system = assemble_elasticity(
+            mesh, mat, zero_lift(mesh), None, None, None, dirichlet_datum=rot
+        )
+        u, _ = system.solve()
+        want = oracle_stabilization_energy(mesh, mat.mu, u, rot)
+        assert 0.0 < want
+        assert abs(system.s_h_total(u) - want) <= 1e-13 * want
+        v = CRField(mesh, np.random.default_rng(2).standard_normal((mesh.num_sides, 2)))
+        want = oracle_stabilization_energy(mesh, mat.mu, v, None)
+        got = forms.stabilization_energy(mesh, mat.mu, v, None)
+        assert abs(got - want) <= 1e-13 * want
 
 
 @settings(max_examples=40, deadline=None)
@@ -743,5 +796,5 @@ def test_operators_match_field_evaluation(n, labeler, seed):
     v = CRField(mesh, np.random.default_rng(seed).standard_normal((mesh.num_sides, 2)))
     grads = (cr_gradient_operator(mesh) @ v.dofs()).reshape(-1, 2, 2)
     assert_close(grads, broken_gradient(v).values)
-    sides = np.arange(mesh.num_sides)
-    assert_close(jump_eval(v, sides), oracle_jump_eval(v, sides))
+    jumps = (cr_jump_operator(mesh) @ v.values).reshape(-1, 2, 2)
+    assert_close(jumps, oracle_jump_eval(v, np.arange(mesh.num_sides)))
