@@ -12,7 +12,6 @@ from .duality import (
     ElasticitySolution,
     ElasticityTensor,
     StokesSolution,
-    apriori_identity_check_stokes,
     energies_stokes,
     gap_indicator_elasticity,
     gap_indicator_stokes,
@@ -48,6 +47,7 @@ from .mesh import (
 )
 from .problems import (
     ProblemSpec,
+    apriori_identity_check_stokes,
     cook_membrane,
     discretize_elasticity,
     discretize_stokes,

@@ -9,7 +9,7 @@ Prager-Synge identity on the same uniform refinement sequence.
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .duality import (
     random_divfree_rt,
     strong_convexity_stokes,
 )
-from .mesh import refine_bisection
+from .mesh import refine_marked_twice
 from .problems import discretize_elasticity, discretize_stokes, exact_errors
 from .spaces import RTField, nodal_average
 
@@ -65,22 +65,9 @@ class IterationRecord:
     optimality_residual: float = 0.0  # of the solution, JSON report only
 
     def to_dict(self):
-        out = {
-            "k": self.k,
-            "num_elements": self.num_elements,
-            "num_dof": self.num_dof,
-            "h": self.h,
-            "estimator_total": self.estimator_total,
-            "osc_total": self.osc_total,
-            "eta_max": self.eta_max,
-            "eta_min": self.eta_min,
-            "marked": self.marked,
-            "wall_time": self.wall_time,
-            "backward_error": self.backward_error,
-            "reconstruction_jump": self.reconstruction_jump,
-            "optimality_residual": self.optimality_residual,
-        }
-        out.update(self.errors)
+        """The record's fields in declaration order, the errors last."""
+        out = asdict(self)
+        out.update(out.pop("errors"))
         return out
 
 
@@ -113,12 +100,7 @@ class RunReport:
     def to_json(self, path):
         payload = {
             "problem": self.problem_name,
-            "config": {
-                "theta": self.config.theta,
-                "max_iter": self.config.max_iter,
-                "eps_stop": self.config.eps_stop,
-                "refinement_mode": self.config.refinement_mode,
-            },
+            "config": asdict(self.config),
             "records": [r.to_dict() for r in self.records],
             "eoc": {k: list(v) for k, v in self.eoc.items()},
         }
@@ -179,14 +161,6 @@ def mark_max(indicators, theta):
     if top <= 0.0:
         return np.array([], dtype=np.int64)
     return np.nonzero(indicators >= theta * top)[0]
-
-
-def refine_marked_twice(mesh, marked):
-    """Two newest-vertex bisection generations of the marked elements."""
-    mesh1, pmap1 = refine_bisection(mesh, marked)
-    marked2 = [c for t in marked for c in pmap1[t]]
-    mesh2, _ = refine_bisection(mesh1, marked2)
-    return mesh2
 
 
 def _estimate(problem, mesh, sol):
@@ -265,8 +239,9 @@ def identity_rows(problem, levels, seeds, seed_offset=0, tamper=False):
     mesh = problem.mesh_factory()
     rows = []
     for level in range(1, levels + 1):
-        # the level's solution and fields are freed on return, so the old
-        # mesh and its factor go as soon as the refined mesh replaces it
+        # the level's solution, with its system and factor, is freed on
+        # return, before the refinement; the old mesh and its cached fields
+        # go as soon as the refined mesh replaces it
         rows += _identity_level(problem, mesh, level, seeds, seed_offset, tamper)
         if level < levels:
             mesh = refine_marked_twice(mesh, range(mesh.num_elements))

@@ -142,8 +142,13 @@ def cmd_verify_identity(args, problem):
             text = "\n".join(lines) + "\n"
         if not _write_report(lambda path: Path(path).write_text(text), args.out):
             return USAGE_ERROR
-    worst = max(r["err_iden"] for r in rows)
-    print(f"worst relative identity error: {worst:.3e} (threshold {args.threshold:.1e})")
+    # a nan error ranks above every number, so it is the one reported
+    at = max(rows, key=lambda r: (math.isnan(r["err_iden"]), r["err_iden"]))
+    worst = at["err_iden"]
+    print(
+        f"worst relative identity error: {worst:.3e} at level {at['level']}, "
+        f"sample {at['sample']} (threshold {args.threshold:.1e})"
+    )
     if not np.isfinite(worst) or worst > args.threshold:
         print("identity check FAILED", file=sys.stderr)
         return NUMERICAL_ERROR

@@ -22,11 +22,8 @@ from .spaces import (
     cr_gradient_operator,
     curl_operator,
     dev,
-    norm_p0,
-    pi0,
     rt_average_operator,
     rt_divergence_operator,
-    rt_interpolate,
     side_frame_values,
     sym,
 )
@@ -556,40 +553,3 @@ def random_divfree_rt(mesh, seeds, scales):
         raise AdmissibilityError("random stress perturbation has no deviatoric part")
     flux *= np.repeat(scales / nrm, 2)
     return [RTField(mesh, flux[:, 2 * k: 2 * k + 2].T) for k in range(len(seeds))]
-
-
-# -- a priori identity --------------------------------------------------------------
-
-
-def apriori_identity_check_stokes(problem, mesh, degree=14):
-    """Evaluate both sides of the a priori error identity on one mesh.
-
-    Requires a Stokes problem in tensor-load form (exact stress T, tensor
-    part F with (T - F) n = 0 on the Neumann boundary, f = -div(T - F)).
-    The discrete problem is solved with f_h = Pi_h f, F_h = Pi_h F and the
-    interpolated lift; returns a dict with lhs, rhs and the solution bundle.
-    """
-    from .problems import discretize_stokes, exact_stress  # avoids a cycle
-
-    sol = discretize_stokes(problem, mesh)
-    nu = problem.nu
-
-    # the exact velocity is the lift itself, so I_cr(u - u_hat) = 0
-    lhs1 = 0.5 * nu * norm_p0(broken_gradient(sol.u_h)) ** 2
-
-    def t_minus_f(x):
-        p = None if problem.p is None else problem.p(x)
-        return exact_stress(problem, problem.grad_u(x), p) - problem.big_f(x)
-
-    irt = rt_interpolate(t_minus_f, mesh)
-    pi_irt = P0Field(mesh, dev(irt.cell_average().values))
-    # sol.t_h already stores the stress relative to F_h
-    pi_th = P0Field(mesh, dev(sol.t_h.cell_average().values))
-    lhs2 = norm_p0(P0Field(mesh, pi_irt.values - pi_th.values)) ** 2 / (2.0 * nu)
-
-    pi_exact = pi0(t_minus_f, mesh, degree=degree)
-    diff = P0Field(mesh, dev(pi_exact.values) - pi_irt.values)
-    rhs = norm_p0(diff) ** 2 / (2.0 * nu)
-    return {"lhs": lhs1 + lhs2, "lhs_primal": lhs1, "lhs_dual": lhs2, "rhs": rhs,
-            "solution": sol}
-

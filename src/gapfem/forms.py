@@ -9,8 +9,6 @@ The load functional is
 with element-wise constant f_h, F_h and side-wise constant tractions g_S.
 """
 
-import weakref
-
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
@@ -298,26 +296,34 @@ AL_MAX_ITER = 30
 AL_ROUNDOFF = 8.0
 
 
-class StokesSaddle:
-    """The CR-P0 Stokes saddle operator of one mesh, for every viscosity.
+class StokesSystem(_LoadedSystem):
+    """Assembled CR-P0 Stokes saddle-point system at viscosity nu, and its load.
 
     a1_full = vector CR stiffness (the velocity block at nu = 1) and
     b_full = -(q, div_h v), with q the element pressures, act on all CR
     DOFs; a1 and b are their restrictions to the free velocity DOFs
-    `vel_index`.  With an empty Neumann set one extra Lagrange multiplier
-    enforces the zero-mean pressure gauge.
+    `vel_index`.  The unknowns are the free velocity DOFs (both components)
+    followed by the element pressures and, with an empty Neumann set, one
+    Lagrange multiplier enforcing the zero-mean pressure gauge.
 
-    `al_solve` never factors the saddle `matrix(nu)`; it only multiplies it
-    to check each solution.  Its one factor `lu` is the sparse SPD
-    K_1 = A_1 + AL_GAMMA0 B^T M^-1 B, with M the diagonal of element areas.
-    Since K_nu = nu K_1 for gamma = AL_GAMMA0 nu, it serves every viscosity.
+    `al_solve` never factors the saddle `matrix`; it only multiplies it to
+    check each solution.  Its one factor `lu` is the sparse SPD
+    K_1 = A_1 + AL_GAMMA0 B^T M^-1 B, with M the diagonal of element areas;
+    K_nu = nu K_1 for gamma = AL_GAMMA0 nu, so each Uzawa step solves with
+    K_1 and divides by nu.
     """
 
-    def __init__(self, mesh):
-        # the mesh caches its saddle; a strong reference back would make a
-        # cycle that keeps old meshes and factors until the cyclic collector runs
-        self._mesh = weakref.ref(mesh)
-        self.areas = mesh.areas
+    def __init__(self, mesh, nu, u_hat, f_h, big_f_h, g_h):
+        self.mesh = mesh
+        self.nu = nu
+        self._assemble_load(u_hat, f_h, big_f_h, g_h)
+        div_lift = broken_divergence(u_hat).values
+        if np.abs(div_lift).max() > 1e-10:
+            raise AssemblyError(
+                "Dirichlet lift is not discretely divergence-free "
+                f"(max |div_h| = {np.abs(div_lift).max():.2e})"
+            )
+
         self.free_sides, self.vel_index = _free_dofs(mesh)
         # the vector stiffness G^T (|T| I) G acts on each component alone
         k_scal = cr_stiffness(mesh)
@@ -331,40 +337,29 @@ class StokesSaddle:
         self.bt = self.b.T
         self.b_norm = _inf_norm(self.b)
         self.pure_dirichlet = len(mesh.sides_with_label(_mesh.NEUMANN)) == 0
-        self._checks = {}  # nu -> (saddle matrix, its row-sum norm)
-
-        k1 = self.a1 + AL_GAMMA0 * (
-            self.b.T @ sparse.diags(1.0 / mesh.areas) @ self.b
+        self.lu = spd_factor(
+            self.a1 + AL_GAMMA0 * (self.b.T @ sparse.diags(1.0 / mesh.areas) @ self.b)
         )
-        self.lu = spd_factor(k1)
 
-    def _check(self, nu):
-        """The saddle matrix at nu and its row-sum norm, built once per nu."""
-        if nu not in self._checks:
-            a, b = nu * self.a1, self.b
-            blocks = [[a, b.T], [b, None]]
-            if self.pure_dirichlet:
-                gauge = sparse.csr_matrix(self.areas[None, :])
-                blocks = [[a, b.T, None], [b, None, gauge.T], [None, gauge, None]]
-            matrix = sparse.bmat(blocks, format="csc")
-            self._checks[nu] = (matrix, _inf_norm(matrix))
-        return self._checks[nu]
+        # [[nu A_1, B^T], [B, 0]], bordered by the gauge row if present
+        a, b = nu * self.a1, self.b
+        blocks = [[a, b.T], [b, None]]
+        if self.pure_dirichlet:
+            gauge = sparse.csr_matrix(mesh.areas[None, :])
+            blocks = [[a, b.T, None], [b, None, gauge.T], [None, gauge, None]]
+        self.matrix = sparse.bmat(blocks, format="csc")
+        self.matrix_norm = _inf_norm(self.matrix)
 
-    def matrix(self, nu):
-        """[[nu A_1, B^T], [B, 0]], bordered by the gauge row if present."""
-        return self._check(nu)[0]
+        uhat_vec = u_hat.dofs()
+        rhs_v = self.load_vector - nu * (self.a1_full @ uhat_vec)
+        self.rhs = np.concatenate([
+            rhs_v[self.vel_index],
+            -(self.b_full @ uhat_vec),
+            np.zeros(int(self.pure_dirichlet)),
+        ])
 
-    def restrict(self, load_v, load_p):
-        """Right-hand side for a load on all CR DOFs and one per element."""
-        gauge = np.zeros(int(self.pure_dirichlet))
-        return np.concatenate([load_v[self.vel_index], load_p, gauge])
-
-    def velocity(self, x):
-        """Velocity part of a solution vector as a homogeneous CR field."""
-        return _free_field(self._mesh(), self.free_sides, x)
-
-    def al_solve(self, rhs, nu):
-        """Solve matrix(nu) @ x = rhs by augmented-Lagrangian Uzawa iteration.
+    def al_solve(self, rhs):
+        """Solve matrix @ x = rhs by augmented-Lagrangian Uzawa iteration.
 
         Each step makes one triangular solve with the factor: it solves
         K u = f + gamma B^T M^-1 g - B^T p and updates
@@ -375,9 +370,9 @@ class StokesSaddle:
         keeps its last decreasing iterate.  On pure-Dirichlet meshes B u
         sums to zero, so the gauge multiplier is the mean of g, and p is
         shifted to the gauge.  Returns (x, LinearSolveReport), x checked
-        against matrix(nu).
+        against matrix.
         """
-        nv, areas = len(self.vel_index), self.areas
+        nu, nv, areas = self.nu, len(self.vel_index), self.mesh.areas
         ne = len(areas)
         x = np.zeros(len(rhs))
         u_best, p = x[:nv], x[nv: nv + ne]
@@ -408,55 +403,23 @@ class StokesSaddle:
         if self.pure_dirichlet:
             p += (rhs[-1] - areas @ p) / areas.sum()
             x[-1] = lam
-        matrix, norm = self._check(nu)
-        return x, _checked(matrix, norm, rhs, x)
-
-
-def stokes_saddle(mesh):
-    """The mesh's one StokesSaddle, shared by every viscosity."""
-    return mesh.cached("stokes_saddle", lambda: StokesSaddle(mesh))
-
-
-class StokesSystem(_LoadedSystem):
-    """Assembled discrete Stokes saddle-point system and its load.
-
-    Unknowns: free velocity DOFs (both components) followed by element
-    pressures and, on pure-Dirichlet meshes, the gauge multiplier; the
-    operator is the mesh's `saddle` at viscosity nu.
-    """
-
-    def __init__(self, mesh, nu, u_hat, f_h, big_f_h, g_h):
-        self.mesh = mesh
-        self.nu = nu
-        self.saddle = stokes_saddle(mesh)
-        self._assemble_load(u_hat, f_h, big_f_h, g_h)
-
-        uhat_vec = u_hat.dofs()
-        div_lift = broken_divergence(u_hat).values
-        if np.abs(div_lift).max() > 1e-10:
-            raise AssemblyError(
-                "Dirichlet lift is not discretely divergence-free "
-                f"(max |div_h| = {np.abs(div_lift).max():.2e})"
-            )
-        rhs_v = self.load_vector - nu * (self.saddle.a1_full @ uhat_vec)
-        self.rhs = self.saddle.restrict(rhs_v, -(self.saddle.b_full @ uhat_vec))
+        return x, _checked(self.matrix, self.matrix_norm, rhs, x)
 
     def solve(self):
         """Solve; returns (u_h, p_h, report) with u_h in the homogeneous space."""
-        x, report = self.saddle.al_solve(self.rhs, self.nu)
-        nfree = len(self.saddle.vel_index)
+        x, report = self.al_solve(self.rhs)
+        nfree = len(self.vel_index)
         p_h = P0Field(self.mesh, x[nfree: nfree + self.mesh.num_elements])
-        return self.saddle.velocity(x), p_h, report
+        return _free_field(self.mesh, self.free_sides, x), p_h, report
 
     def residual(self, u_h, p_h):
         """Euler-Lagrange residual tested against every free CR basis function."""
-        saddle = self.saddle
         mom = (
-            self.nu * (saddle.a1_full @ (u_h.dofs() + self.u_hat.dofs()))
-            + saddle.b_full.T @ p_h.values
+            self.nu * (self.a1_full @ (u_h.dofs() + self.u_hat.dofs()))
+            + self.b_full.T @ p_h.values
             - self.load_vector
         )
-        return np.abs(mom[saddle.vel_index]).max()
+        return np.abs(mom[self.vel_index]).max()
 
 
 def assemble_stokes(mesh, nu, u_hat, f_h, big_f_h=None, g_h=None):
@@ -545,8 +508,6 @@ def assemble_elasticity(
     mesh, material, u_hat, f_h, big_f_h=None, g_h=None, dirichlet_datum=None
 ):
     """Assemble the jump-stabilised elasticity operator and right-hand side."""
-    if len(mesh.sides_with_label(_mesh.DIRICHLET)) == 0:
-        raise AssemblyError("elasticity requires a nonempty Dirichlet boundary")
     return ElasticitySystem(mesh, material, u_hat, f_h, big_f_h, g_h, dirichlet_datum)
 
 

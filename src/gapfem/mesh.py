@@ -207,10 +207,9 @@ class Triangulation:
         """Value of build() for `key`, computed once per mesh.
 
         The one per-mesh cache: geometry, the stabilisation jump matrix per
-        mu, the Stokes saddle (`forms.stokes_saddle`), whose one factor
-        serves every viscosity, the RT element factors (of `spaces.RTField`
-        and the RT operators), and the quadrature points and analytic field
-        values of `quadrature.physical_points`/`rule_values` live here.
+        mu, the RT element factors (of `spaces.RTField` and the RT
+        operators), and the quadrature points and analytic field values of
+        `quadrature.physical_points`/`rule_values` live here.
         """
         if key not in self._cache:
             self._cache[key] = build()
@@ -326,18 +325,20 @@ def structured_square_mesh(n, labeler, origin=(0.0, 0.0), size=1.0):
     ys = y0 + size * np.arange(n + 1) / n
     xx, yy = np.meshgrid(xs, ys, indexing="ij")
     vertices = np.stack([xx.ravel(), yy.ravel()], axis=1)
+    return build_triangulation(vertices, grid_triangles(n, n), labeler)
 
-    def vid(i, j):
-        return i * (n + 1) + j
 
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    return build_triangulation(vertices, np.array(tris), labeler)
+def grid_triangles(nx, ny):
+    """Triangles of an nx-by-ny grid of cells, each cut along its diagonal.
+
+    Grid vertex (i, j) has index i (ny + 1) + j.  Cell (i, j), taken in
+    i-major order, gives the triangles (a, b, c) and (a, c, d) of its
+    corners a, b, c, d = (i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1).
+    Returns a (2 nx ny, 3) array.
+    """
+    a = (np.arange(nx)[:, None] * (ny + 1) + np.arange(ny)).ravel()
+    b, c, d = a + ny + 1, a + ny + 2, a + 1
+    return np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
 
 
 def refine_bisection(mesh, marked):
@@ -432,6 +433,14 @@ def refine_bisection(mesh, marked):
 
     new_mesh = Triangulation(new_vertices, new_elems, refinement_edge, (pairs, labels))
     return new_mesh, parent_map
+
+
+def refine_marked_twice(mesh, marked):
+    """Two newest-vertex bisection generations of the marked elements."""
+    mesh1, pmap1 = refine_bisection(mesh, marked)
+    marked2 = [c for t in marked for c in pmap1[t]]
+    mesh2, _ = refine_bisection(mesh1, marked2)
+    return mesh2
 
 
 def save_mesh(mesh, path):

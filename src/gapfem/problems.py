@@ -23,14 +23,24 @@ from .duality import (
     marini_stokes,
 )
 from .forms import assemble_elasticity, assemble_stokes, solve_lifting
-from .mesh import DIRICHLET, NEUMANN, build_triangulation, structured_square_mesh
+from .mesh import (
+    DIRICHLET,
+    NEUMANN,
+    build_triangulation,
+    grid_triangles,
+    refine_marked_twice,
+    structured_square_mesh,
+)
 from .quadrature import physical_points, rule_values, segment_rule, side_points, triangle_rule
 from .spaces import (
+    P0Field,
     broken_gradient,
     broken_sym_gradient,
     cr_interpolate,
     dev,
+    norm_p0,
     pi0,
+    rt_interpolate,
     sym,
 )
 
@@ -272,32 +282,23 @@ def _lshape_p(x, alpha=_LSHAPE_ALPHA):
 
 
 def lshape_mesh(n_per_unit=4):
-    """Structured triangulation of (-1,1)^2 minus the fourth quadrant."""
+    """Structured triangulation of (-1,1)^2 minus the fourth quadrant.
+
+    The grid vertices are numbered in the order the cells first use them.
+    """
     n = n_per_unit
     h = 1.0 / n
-    coords = {}
-    vertices = []
-
-    def vid(i, j):
-        key = (i, j)
-        if key not in coords:
-            coords[key] = len(vertices)
-            vertices.append((i * h, j * h))
-        return coords[key]
-
-    tris = []
-    for i in range(-n, n):
-        for j in range(-n, n):
-            if i >= 0 and j < 0:
-                continue  # the removed quadrant
-            a = vid(i, j)
-            b = vid(i + 1, j)
-            c = vid(i + 1, j + 1)
-            d = vid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    return build_triangulation(np.array(vertices), np.array(tris),
-                               lambda mid: DIRICHLET)
+    # the cells (i, j) of the grid on [-1, 1]^2, shifted by n, less the
+    # removed quadrant i >= n, j < n
+    i, j = np.divmod(np.arange(4 * n * n), 2 * n)
+    tris = grid_triangles(2 * n, 2 * n)[np.repeat((i < n) | (j >= n), 2)]
+    used, first = np.unique(tris, return_index=True)
+    used = used[np.argsort(first)]
+    number = np.empty((2 * n + 1) ** 2, dtype=np.int64)
+    number[used] = np.arange(len(used))
+    gi, gj = np.divmod(used, 2 * n + 1)
+    vertices = np.stack([(gi - n) * h, (gj - n) * h], axis=1)
+    return build_triangulation(vertices, number[tris], lambda mid: DIRICHLET)
 
 
 def lshape_stokes(n_per_unit=2, prerefine=1):
@@ -308,8 +309,6 @@ def lshape_stokes(n_per_unit=2, prerefine=1):
     refinement-edge bookkeeping matches the bisection hierarchy used later.
     """
     def factory():
-        from .adaptive import refine_marked_twice
-
         m = lshape_mesh(n_per_unit)
         for _ in range(prerefine):
             m = refine_marked_twice(m, range(m.num_elements))
@@ -333,30 +332,16 @@ def lshape_stokes(n_per_unit=2, prerefine=1):
 
 def cook_mesh(nx=6, ny=10):
     """Mapped structured grid on the Cook trapezoid (0,0)-(.48,.44)-(.48,.6)-(0,.44)."""
-    verts = []
-    for i in range(nx + 1):
-        xi = i / nx
-        x = 0.48 * xi
-        y_b = 0.44 * xi
-        y_t = 0.44 + 0.16 * xi
-        for j in range(ny + 1):
-            verts.append((x, y_b + (y_t - y_b) * j / ny))
-
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
+    xi = np.arange(nx + 1) / nx
+    y_b = 0.44 * xi
+    y_t = 0.44 + 0.16 * xi
+    y = y_b[:, None] + (y_t - y_b)[:, None] * np.arange(ny + 1) / ny
+    verts = np.stack([np.repeat(0.48 * xi, ny + 1), y.ravel()], axis=1)
 
     def labeler(mid):
         return DIRICHLET if abs(mid[0]) < 1e-12 else NEUMANN
 
-    return build_triangulation(np.array(verts), np.array(tris), labeler)
+    return build_triangulation(verts, grid_triangles(nx, ny), labeler)
 
 
 def cook_membrane(nx=6, ny=10, gamma=0.01, mu=1.0, lam=5.0):
@@ -528,6 +513,40 @@ def discretize_elasticity(problem, mesh):
     return ElasticitySolution(
         mesh, problem.material, u_h, r_h, sigma, u_hat, system, report
     )
+
+
+# -- a priori identity --------------------------------------------------------------
+
+
+def apriori_identity_check_stokes(problem, mesh, degree=14):
+    """Evaluate both sides of the a priori error identity on one mesh.
+
+    Requires a Stokes problem in tensor-load form (exact stress T, tensor
+    part F with (T - F) n = 0 on the Neumann boundary, f = -div(T - F)).
+    The discrete problem is solved with f_h = Pi_h f, F_h = Pi_h F and the
+    interpolated lift; returns a dict with lhs, rhs and the solution bundle.
+    """
+    sol = discretize_stokes(problem, mesh)
+    nu = problem.nu
+
+    # the exact velocity is the lift itself, so I_cr(u - u_hat) = 0
+    lhs1 = 0.5 * nu * norm_p0(broken_gradient(sol.u_h)) ** 2
+
+    def t_minus_f(x):
+        p = None if problem.p is None else problem.p(x)
+        return exact_stress(problem, problem.grad_u(x), p) - problem.big_f(x)
+
+    irt = rt_interpolate(t_minus_f, mesh)
+    pi_irt = P0Field(mesh, dev(irt.cell_average().values))
+    # sol.t_h already stores the stress relative to F_h
+    pi_th = P0Field(mesh, dev(sol.t_h.cell_average().values))
+    lhs2 = norm_p0(P0Field(mesh, pi_irt.values - pi_th.values)) ** 2 / (2.0 * nu)
+
+    pi_exact = pi0(t_minus_f, mesh, degree=degree)
+    diff = P0Field(mesh, dev(pi_exact.values) - pi_irt.values)
+    rhs = norm_p0(diff) ** 2 / (2.0 * nu)
+    return {"lhs": lhs1 + lhs2, "lhs_primal": lhs1, "lhs_dual": lhs2, "rhs": rhs,
+            "solution": sol}
 
 
 # -- exact errors -------------------------------------------------------------------

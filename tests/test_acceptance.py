@@ -26,11 +26,9 @@ from gapfem.adaptive import (
     refine_marked_twice,
     run_adaptive,
 )
-from gapfem.duality import (
-    apriori_identity_check_stokes,
-    gap_indicator_elasticity,
-)
+from gapfem.duality import gap_indicator_elasticity
 from gapfem.problems import (
+    apriori_identity_check_stokes,
     cook_membrane,
     discretize_elasticity,
     discretize_stokes,

@@ -175,7 +175,10 @@ class TestVerifyIdentity:
             ["verify-identity", "--levels", "1", "--seeds", "1", "--debug-tamper"]
         )
         assert code == 2
-        assert "FAILED" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "FAILED" in captured.err
+        # the failure names where it broke
+        assert "identity error: inf at level 1, sample 1 " in captured.out
 
     def test_tamper_breaks_every_sample(self, tmp_path, capsys):
         out = tmp_path / "iden.csv"
@@ -186,7 +189,7 @@ class TestVerifyIdentity:
         assert len(rows) == 2 * 4
         assert all(float(r["err_iden"]) == float("inf") for r in rows)
 
-    def test_reference_columns(self, tmp_path):
+    def test_reference_columns(self, tmp_path, capsys):
         # the benchmark's identity workload at seed offset 0
         out = tmp_path / "iden.csv"
         args = ["verify-identity", "--levels", "3", "--seeds", "16"]
@@ -198,6 +201,9 @@ class TestVerifyIdentity:
         keys = ("level", "sample", "num_dof")
         assert [[r[k] for k in keys] for r in got] == [[r[k] for k in keys] for r in want]
         assert all(float(r["err_iden"]) <= 1e-6 for r in got)
+        worst = max(got, key=lambda r: float(r["err_iden"]))
+        where = f"at level {worst['level']}, sample {worst['sample']} "
+        assert where in capsys.readouterr().out
 
     def test_non_stokes_rejected(self, capsys):
         assert main(["verify-identity", "--problem", "cook"]) == 1

@@ -31,13 +31,11 @@ from gapfem import (
 from gapfem import forms
 from gapfem.forms import (
     SOLVE_TOL,
-    StokesSaddle,
     cr_stiffness,
     dirichlet_penalty_load,
     jump_penalty_matrix,
     stabilization_jump_matrix,
     stabilization_weights,
-    stokes_saddle,
 )
 from gapfem.problems import cook_mesh, lshape_mesh
 from gapfem.quadrature import segment_rule, side_points
@@ -59,6 +57,11 @@ def tg_labeler(mid):
 
 def zero_lift(mesh):
     return CRField(mesh, np.zeros((mesh.num_sides, 2)))
+
+
+def stokes_system(mesh, nu):
+    """The Stokes system of a mesh at nu with zero lift and load."""
+    return assemble_stokes(mesh, nu, zero_lift(mesh), None, None, None)
 
 
 class TestSolveSparse:
@@ -141,6 +144,26 @@ class TestSolveSparse:
         assert sites == [("forms.py", "spd_factor")]
 
 
+def test_no_function_level_package_imports():
+    """gapfem modules import each other at module level only, so no import
+    inside a function hides an upward edge of the module graph."""
+    found = []
+    for path in sorted(pathlib.Path(forms.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    names = ["." if node.level else node.module]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(n == "." or n.split(".")[0] == "gapfem" for n in names):
+                    found.append((path.name, fn.name, node.lineno))
+    assert found == []
+
+
 def _random_sparse(rng, n, density):
     return sparse.random(n, n, density=density, random_state=rng, format="csr",
                          data_rvs=rng.standard_normal)
@@ -221,9 +244,9 @@ class TestStokesAssembly:
     def test_taylor_green_dof_count(self):
         mesh = structured_square_mesh(10, tg_labeler)
         system = assemble_stokes(mesh, 0.5, zero_lift(mesh), None, None, None)
-        nfree = len(system.saddle.vel_index)
+        nfree = len(system.vel_index)
         assert nfree + 2 * 20 == 640  # constrained Dirichlet DOFs excluded
-        assert system.saddle.matrix(0.5).shape[0] == nfree + mesh.num_elements
+        assert system.matrix.shape[0] == nfree + mesh.num_elements
         assert 2 * mesh.num_sides + mesh.num_elements == 840
 
     def test_divfree_precondition_enforced(self):
@@ -256,33 +279,33 @@ class TestStokesALSolve:
 
     @pytest.mark.parametrize("labeler", [all_dirichlet, tg_labeler])
     def test_matches_saddle_lu(self, labeler):
-        # both viscosities share the mesh's one factor
+        # each viscosity's system solves its own saddle matrix
         mesh = structured_square_mesh(6, labeler)
         rng = np.random.default_rng(7)
-        saddle = stokes_saddle(mesh)
-        assert saddle.pure_dirichlet == (labeler is all_dirichlet)
         for nu in (0.5, 1.0):
-            rhs = rng.standard_normal(saddle.matrix(nu).shape[0])
-            x, report = saddle.al_solve(rhs, nu)
-            ref = sla.splu(saddle.matrix(nu)).solve(rhs)
+            system = stokes_system(mesh, nu)
+            assert system.pure_dirichlet == (labeler is all_dirichlet)
+            rhs = rng.standard_normal(system.matrix.shape[0])
+            x, report = system.al_solve(rhs)
+            ref = sla.splu(system.matrix).solve(rhs)
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
             assert report.residual_norm <= 1e-10
 
     def test_zero_rhs_exact_zero(self):
-        saddle = StokesSaddle(structured_square_mesh(4, all_dirichlet))
+        system = stokes_system(structured_square_mesh(4, all_dirichlet), 0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, report = saddle.al_solve(np.zeros(saddle.matrix(0.5).shape[0]), 0.5)
+            x, report = system.al_solve(np.zeros(system.matrix.shape[0]))
         assert not np.any(x)
         assert report.residual_norm == 0.0
 
     @pytest.mark.parametrize("problem", ["taylor-green", "lshape"])
-    def test_at_most_seven_solves_per_system(self, problem):
+    def test_at_most_seven_solves_per_system(self, problem, monkeypatch):
         # the Uzawa loop stops at roundoff: one Stokes solve per mesh takes
         # at most 7 triangular solves, and 16 random divergence-free
         # samples on the same mesh take none
-        from gapfem.adaptive import refine_marked_twice
         from gapfem.duality import random_divfree_cr
+        from gapfem.mesh import refine_marked_twice
         from gapfem.problems import discretize_stokes, get_problem
 
         class CountingFactor:
@@ -293,24 +316,30 @@ class TestStokesALSolve:
                 self.solves += 1
                 return self.lu.solve(rhs)
 
+        factors = []
+        spd_factor = forms.spd_factor
+
+        def counting_factor(matrix):
+            factors.append(CountingFactor(spd_factor(matrix)))
+            return factors[-1]
+
+        monkeypatch.setattr(forms, "spd_factor", counting_factor)
         prob = get_problem(problem)
         mesh = prob.mesh_factory()
-        for _ in range(2):
-            saddle = stokes_saddle(mesh)
-            saddle.lu = counter = CountingFactor(saddle.lu)
+        for level in range(1, 3):
             discretize_stokes(prob, mesh)
-            assert 1 <= counter.solves <= 7
-            counter.solves = 0
+            assert len(factors) == level
+            assert 1 <= factors[-1].solves <= 7
+            factors[-1].solves = 0
             random_divfree_cr(mesh, range(1, 17), 1.0)
-            assert counter.solves == 0
+            assert len(factors) == level and factors[-1].solves == 0
             mesh = refine_marked_twice(mesh, range(mesh.num_elements))
 
     def test_checked_flags_one_bad_column(self):
         # a block is checked column by column: one corrupted column of a
         # small right-hand side cannot hide behind fifteen large ones, as
         # it would in one Frobenius norm over the block
-        saddle = stokes_saddle(structured_square_mesh(6, tg_labeler))
-        matrix = saddle.matrix(1.0)
+        matrix = stokes_system(structured_square_mesh(6, tg_labeler), 1.0).matrix
         norm = forms._inf_norm(matrix)
         rng = np.random.default_rng(9)
         rhs = rng.standard_normal((matrix.shape[0], 16))
@@ -327,11 +356,11 @@ class TestStokesALSolve:
             forms._checked(matrix, norm, rhs, x)
 
     def test_unreachable_tol_raises(self, monkeypatch):
-        saddle = StokesSaddle(structured_square_mesh(4, tg_labeler))
-        rhs = np.random.default_rng(1).standard_normal(saddle.matrix(1.0).shape[0])
+        system = stokes_system(structured_square_mesh(4, tg_labeler), 1.0)
+        rhs = np.random.default_rng(1).standard_normal(system.matrix.shape[0])
         monkeypatch.setattr(forms, "SOLVE_TOL", 1e-30)
         with pytest.raises(SingularSystemError, match="exceeds"):
-            saddle.al_solve(rhs, 1.0)
+            system.al_solve(rhs)
 
     def test_one_symmetric_factor_per_mesh(self, monkeypatch):
         # the Stokes solve factors the one symmetric K_1; the random
@@ -358,34 +387,39 @@ class TestStokesALSolve:
         assert len(factored) == 1
 
     def test_one_saddle_per_mesh_in_identity_rows(self, monkeypatch):
-        # each level's Stokes solve builds the saddle of its own mesh once
+        # each level's Stokes solve builds the system of its own mesh once
         from gapfem.adaptive import identity_rows
         from gapfem.problems import taylor_green_stokes
 
         built = []
-        init = StokesSaddle.__init__
+        init = forms.StokesSystem.__init__
 
-        def counting_init(self, mesh):
+        def counting_init(self, mesh, *args):
             built.append(mesh)
-            init(self, mesh)
+            init(self, mesh, *args)
 
-        monkeypatch.setattr(StokesSaddle, "__init__", counting_init)
+        monkeypatch.setattr(forms.StokesSystem, "__init__", counting_init)
         identity_rows(taylor_green_stokes(), levels=3, seeds=2)
         assert len(built) == 3
         assert len({id(m) for m in built}) == 3
 
-    def test_saddle_freed_with_its_mesh(self):
-        # the mesh caches the saddle; no cycle may keep the pair alive
-        # until the cyclic collector runs
+    def test_solved_system_freed_without_gc(self):
+        # the system owns its factor, and nothing else keeps it: with the
+        # cyclic collector off, dropping the solution frees the system
+        # while its mesh lives on
         import gc
         import weakref
 
-        mesh = structured_square_mesh(3, tg_labeler)
-        saddle = weakref.ref(stokes_saddle(mesh))
+        from gapfem.problems import discretize_stokes, taylor_green_stokes
+
+        prob = taylor_green_stokes(n=3)
+        mesh = prob.mesh_factory()
         gc.disable()
         try:
-            del mesh
-            assert saddle() is None
+            sol = discretize_stokes(prob, mesh)
+            system = weakref.ref(sol.system)
+            del sol
+            assert system() is None
         finally:
             gc.enable()
 
@@ -410,7 +444,7 @@ def _perturbed_mesh(n, labeler, seed):
     log_nus=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=3),
 )
 def test_viscosity_free_saddle(n, labeler, seed, log_nus):
-    """One saddle and one factor per mesh solve matrix(nu) for every nu."""
+    """At every nu, one system with one factor of K_1 solves its matrix."""
     mesh = _perturbed_mesh(n, labeler, seed)
     rng = np.random.default_rng(seed)
     splu = sla.splu
@@ -422,15 +456,15 @@ def test_viscosity_free_saddle(n, labeler, seed, log_nus):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(forms.sla, "splu", counting_splu)
-        saddle = stokes_saddle(mesh)
-        for nu in 10.0 ** np.array(log_nus):
-            rhs = rng.standard_normal(saddle.matrix(nu).shape[0])
-            x, report = saddle.al_solve(rhs, nu)
-            ref = splu(saddle.matrix(nu)).solve(rhs)
+        for k, nu in enumerate(10.0 ** np.array(log_nus), start=1):
+            system = stokes_system(mesh, nu)
+            assert len(factored) == k
+            rhs = rng.standard_normal(system.matrix.shape[0])
+            x, report = system.al_solve(rhs)
+            ref = splu(system.matrix).solve(rhs)
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
             assert report.residual_norm <= SOLVE_TOL
-        assert stokes_saddle(mesh) is saddle
-    assert len(factored) == 1
+    assert len(factored) == len(log_nus)
 
 
 class TestElasticityAssembly:
@@ -480,16 +514,6 @@ class TestElasticityAssembly:
         mesh = prob.mesh_factory()
         sol = discretize_elasticity(prob, mesh)
         assert sol.system.residual(sol.u_h) < 1e-10
-
-    def test_empty_dirichlet_rejected(self):
-        # meshes themselves require a Dirichlet side, so the assembly guard
-        # is unreachable through public constructors; exercise it directly
-        mesh = structured_square_mesh(2, all_dirichlet)
-        mesh.side_labels[mesh.side_labels == DIRICHLET] = NEUMANN
-        with pytest.raises(AssemblyError, match="Dirichlet"):
-            assemble_elasticity(
-                mesh, ElasticityTensor(1.0, 1.0), zero_lift(mesh), None, None, None
-            )
 
     def test_empirical_korn(self):
         # || C^(1/2) grad v ||^2 <= c (|| C^(1/2) eps v ||^2 + s_h(v, v))
@@ -736,9 +760,9 @@ class TestAssemblyOracle:
         mesh = ORACLE_MESHES[name]()
         k = oracle_stiffness(mesh)
         assert_close(cr_stiffness(mesh), k)
-        saddle = StokesSaddle(mesh)
-        assert_close(saddle.a1_full, sparse.block_diag([k, k]).tocsr())
-        assert_close(saddle.b_full, sparse.diags(mesh.areas) @ -oracle_divergence(mesh))
+        system = stokes_system(mesh, 1.0)
+        assert_close(system.a1_full, sparse.block_diag([k, k]).tocsr())
+        assert_close(system.b_full, sparse.diags(mesh.areas) @ -oracle_divergence(mesh))
 
     def test_jump_penalty(self, name):
         mesh = ORACLE_MESHES[name]()

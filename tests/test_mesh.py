@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapfem import adaptive
+from gapfem import mesh as gapfem_mesh
 from gapfem.adaptive import AdaptiveConfig, run_adaptive
 from gapfem import (
     DIRICHLET,
@@ -16,6 +16,7 @@ from gapfem import (
     save_mesh,
     structured_square_mesh,
 )
+from gapfem.mesh import refine_marked_twice
 from gapfem.problems import cook_mesh, get_problem, lshape_mesh
 
 
@@ -406,7 +407,7 @@ class TestLoopOracle:
     @pytest.mark.parametrize("name", ["lshape", "cook"])
     def test_adaptive_sequence(self, name, monkeypatch):
         """Every refinement of 8 adaptive iterations matches the loop oracle."""
-        refine = adaptive.refine_bisection
+        refine = gapfem_mesh.refine_bisection
         marks = []
 
         def checked(mesh, marked):
@@ -415,7 +416,7 @@ class TestLoopOracle:
             marks.append(len(marked))
             return refined, parent_map
 
-        monkeypatch.setattr(adaptive, "refine_bisection", checked)
+        monkeypatch.setattr(gapfem_mesh, "refine_bisection", checked)
         run_adaptive(get_problem(name), AdaptiveConfig(theta=0.5, max_iter=8))
         assert len(marks) >= 14 and min(marks) > 0
 
@@ -427,6 +428,95 @@ class TestLoopOracle:
             refined, parent_map = refine_bisection(mesh, marked)
             assert_refine_matches_oracle(mesh, marked, refined, parent_map)
             mesh = refined
+
+
+# -- loop oracles of the structured meshes, as built before `grid_triangles`
+
+
+def oracle_square(n, labeler, origin=(0.0, 0.0), size=1.0):
+    xs = origin[0] + size * np.arange(n + 1) / n
+    ys = origin[1] + size * np.arange(n + 1) / n
+    xx, yy = np.meshgrid(xs, ys, indexing="ij")
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a, b = i * (n + 1) + j, (i + 1) * (n + 1) + j
+            tris += [(a, b, b + 1), (a, b + 1, a + 1)]
+    vertices = np.stack([xx.ravel(), yy.ravel()], axis=1)
+    return build_triangulation(vertices, np.array(tris), labeler)
+
+
+def oracle_lshape(n):
+    """Vertices numbered by first use while the cells are visited i-major."""
+    h = 1.0 / n
+    coords, vertices, tris = {}, [], []
+
+    def vid(i, j):
+        if (i, j) not in coords:
+            coords[(i, j)] = len(vertices)
+            vertices.append((i * h, j * h))
+        return coords[(i, j)]
+
+    for i in range(-n, n):
+        for j in range(-n, n):
+            if i >= 0 and j < 0:
+                continue
+            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            tris += [(a, b, c), (a, c, d)]
+    return build_triangulation(np.array(vertices), np.array(tris), all_dirichlet)
+
+
+def oracle_cook(nx=6, ny=10):
+    verts = []
+    for i in range(nx + 1):
+        xi = i / nx
+        y_b, y_t = 0.44 * xi, 0.44 + 0.16 * xi
+        for j in range(ny + 1):
+            verts.append((0.48 * xi, y_b + (y_t - y_b) * j / ny))
+    tris = []
+    for i in range(nx):
+        for j in range(ny):
+            a, b = i * (ny + 1) + j, (i + 1) * (ny + 1) + j
+            tris += [(a, b, b + 1), (a, b + 1, a + 1)]
+    return build_triangulation(
+        np.array(verts), np.array(tris),
+        lambda mid: DIRICHLET if abs(mid[0]) < 1e-12 else NEUMANN,
+    )
+
+
+def _oracle_lshape_problem_mesh():
+    mesh = oracle_lshape(2)
+    return refine_marked_twice(mesh, range(mesh.num_elements))
+
+
+GRID_MESHES = {
+    "lshape-1": (lambda: lshape_mesh(1), lambda: oracle_lshape(1)),
+    "lshape-2": (lambda: lshape_mesh(2), lambda: oracle_lshape(2)),
+    "lshape-4": (lambda: lshape_mesh(4), lambda: oracle_lshape(4)),
+    "cook": (cook_mesh, oracle_cook),
+    "cook-3x7": (lambda: cook_mesh(3, 7), lambda: oracle_cook(3, 7)),
+    "square": (lambda: structured_square_mesh(5, tg_labeler),
+               lambda: oracle_square(5, tg_labeler)),
+    "square-offset": (
+        lambda: structured_square_mesh(4, all_dirichlet, origin=(-1.0, 0.5), size=2.5),
+        lambda: oracle_square(4, all_dirichlet, origin=(-1.0, 0.5), size=2.5),
+    ),
+    "taylor-green-problem": (get_problem("taylor-green").mesh_factory,
+                             lambda: oracle_square(10, tg_labeler)),
+    "lshape-problem": (get_problem("lshape").mesh_factory, _oracle_lshape_problem_mesh),
+    "cook-problem": (get_problem("cook").mesh_factory, oracle_cook),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_MESHES))
+def test_grid_meshes_match_loop_oracle(name):
+    """The array-built structured meshes equal their loop builders bit for bit."""
+    build, oracle = GRID_MESHES[name]
+    got, want = build(), oracle()
+    for attr in ("vertices", "elements", "refinement_edge", "side_vertices",
+                 "side_elements", "side_local", "side_labels", "element_sides",
+                 "element_side_signs"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
 
 
 def _perturbed_square(n, labeler, seed):
