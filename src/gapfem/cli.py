@@ -65,7 +65,7 @@ def build_parser():
     run = sub.add_parser("run", help="run a benchmark problem")
     run.add_argument("problem", help="taylor-green, lshape, or cook")
     run.add_argument("--mode", choices=["uniform", "adaptive"], default="adaptive")
-    run.add_argument("--theta", type=float, default=0.5)
+    run.add_argument("--theta", type=float, help="adaptive marking fraction (default 0.5)")
     run.add_argument("--max-iter", type=_positive_int, default=10)
     run.add_argument("--eps-stop", type=float, default=0.0)
     run.add_argument("--out", default=None, help="report file path")
@@ -96,7 +96,7 @@ def build_parser():
 def cmd_run(args, problem):
     try:
         config = AdaptiveConfig(
-            theta=args.theta,
+            theta=0.5 if args.theta is None else args.theta,
             max_iter=args.max_iter,
             eps_stop=args.eps_stop,
             refinement_mode=args.mode,
@@ -180,6 +180,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if getattr(args, "format", None) and args.out is None:
             parser.error("--format needs --out: the format is that of the report file")
+        if getattr(args, "theta", None) is not None and args.mode == "uniform":
+            parser.error("--theta needs --mode adaptive: uniform mode refines every element")
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     command = {"run": cmd_run, "verify-identity": cmd_verify_identity,

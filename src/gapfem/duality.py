@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from . import mesh as _mesh
-from .quadrature import physical_points, rule_values, triangle_rule
+from .quadrature import VOLUME_DEGREE, physical_points, rule_values, triangle_rule
 from .spaces import (
     CRField,
     P0Field,
@@ -204,8 +204,9 @@ def _p0_values(f, mesh, shape):
 # -- admissibility checks --------------------------------------------------------
 
 
-def check_stokes_admissible_velocity(v_h, tol=1e-10):
-    """Max |div_h v| and Dirichlet-side violation of a candidate velocity.
+def check_stokes_admissible_velocity(v_h):
+    """Max |div_h v| and Dirichlet-side violation of a candidate velocity,
+    admissible up to 1e-10.
 
     v_h is a CRField, or a sequence of k of them checked column by column;
     then the flag and the residual are (k,) arrays.
@@ -215,7 +216,7 @@ def check_stokes_admissible_velocity(v_h, tol=1e-10):
     mesh = vs[0].mesh
     dofs = _cr_block(vs)
     res = _velocity_residuals(mesh, dofs, _broken_gradients(mesh, dofs))
-    return _checked(res, tol, single)
+    return _checked(res, single)
 
 
 def _velocity_residuals(mesh, dofs, grads):
@@ -227,8 +228,9 @@ def _velocity_residuals(mesh, dofs, grads):
     return np.maximum(res, bc.max(axis=(0, 1), initial=0.0))
 
 
-def check_stress_admissible(tau, f_h, g_h, mesh, tol=1e-10):
-    """Constraint residual of a stress candidate (given relative to F_h).
+def check_stress_admissible(tau, f_h, g_h, mesh):
+    """Constraint residual of a stress candidate (given relative to F_h),
+    admissible up to 1e-10.
 
     Checks div(tau) = -f_h element-wise and tau n = g_h on Neumann sides;
     interior normal-flux continuity is structural for RTField storage.  tau
@@ -237,7 +239,7 @@ def check_stress_admissible(tau, f_h, g_h, mesh, tol=1e-10):
     """
     single = isinstance(tau, RTField)
     flux = _rt_block([tau] if single else tau)
-    return _checked(_stress_residuals(mesh, flux, f_h, g_h), tol, single)
+    return _checked(_stress_residuals(mesh, flux, f_h, g_h), single)
 
 
 def _stress_residuals(mesh, flux, f_h, g_h):
@@ -254,11 +256,11 @@ def _stress_residuals(mesh, flux, f_h, g_h):
     return res
 
 
-def _checked(res, tol, single):
-    """(res <= tol, res) per column, or as scalars for a single field."""
+def _checked(res, single):
+    """(res <= 1e-10, res) per column, or as scalars for a single field."""
     if single:
-        return bool(res[0] <= tol), float(res[0])
-    return res <= tol, res
+        return bool(res[0] <= 1e-10), float(res[0])
+    return res <= 1e-10, res
 
 
 # -- energies, gaps, strong convexity measures ------------------------------------
@@ -313,25 +315,26 @@ def _squared_norms(mesh, block):
     return _inner(mesh, block, block)
 
 
-def energies_stokes(vs, taus, system, admissibility_tol=1e-8):
+def energies_stokes(vs, taus, system):
     """Discrete primal and dual energies of the candidate pairs (vs[j], taus[j]).
 
     The taus are given relative to the tensor load F_h (the identity
     mapping when there is none).  Returns a dict of (k,) arrays I_h(v) and
     D_h(tau); an inadmissible velocity yields +inf in its column of the
-    primal energy, an inadmissible stress -inf in its column of the dual.
+    primal energy, an inadmissible stress -inf in its column of the dual; a
+    candidate is admissible when its residual is at most 1e-8.
     """
     mesh = system.mesh
     nu = system.nu
     grad_hat = broken_gradient(system.u_hat).values
     dofs = _cr_block(vs)
     grads = _broken_gradients(mesh, dofs)
-    ok_v = _velocity_residuals(mesh, dofs, grads) <= admissibility_tol
+    ok_v = _velocity_residuals(mesh, dofs, grads) <= 1e-8
     grads += grad_hat
     primal = 0.5 * nu * _squared_norms(mesh, grads) - system.load_vector @ dofs
     del dofs, grads
     flux = _rt_block(taus)
-    ok_t = _stress_residuals(mesh, flux, system.f_h, system.g_h) <= admissibility_tol
+    ok_t = _stress_residuals(mesh, flux, system.f_h, system.g_h) <= 1e-8
     devavg = _dev_averages(mesh, flux, system.big_f_h)
     del flux
     dual = -_squared_norms(mesh, devavg) / (2.0 * nu) + _inner(mesh, devavg, grad_hat)
@@ -419,7 +422,7 @@ class ElasticitySolution:
 # -- continuous-level indicators ---------------------------------------------------
 
 
-def gap_indicator_stokes(v, tau_h, grad_u, nu, mesh, degree=10, big_f_h=None):
+def gap_indicator_stokes(v, tau_h, grad_u, nu, mesh, big_f_h=None):
     """Per-element indicator (nu/2) ||grad v + grad u_hat - dev(tau)/nu||_T^2.
 
     Parameters
@@ -432,23 +435,23 @@ def gap_indicator_stokes(v, tau_h, grad_u, nu, mesh, degree=10, big_f_h=None):
         Gradient of the Dirichlet lift u_hat (`ProblemSpec.grad_u`), cached
         on the mesh by `rule_values`; None means zero.
     """
-    w = triangle_rule(degree)[1]
+    w = triangle_rule(VOLUME_DEGREE)[1]
     # diff = dev(tau) / nu - grad v - grad u_hat, the negated integrand,
     # formed in place to keep the peak memory down
-    diff = tau_h.evaluate(physical_points(mesh, degree))
+    diff = tau_h.evaluate(physical_points(mesh, VOLUME_DEGREE))
     if big_f_h is not None:
         diff += _p0_values(big_f_h, mesh, (mesh.num_elements, 2, 2))[:, None]
     dev(diff, in_place=True)
     diff /= nu
     diff -= v.gradient().values[:, None, :, :]
     if grad_u is not None:
-        diff -= rule_values(grad_u, mesh, degree)
+        diff -= rule_values(grad_u, mesh, VOLUME_DEGREE)
     vals = np.einsum("q,nqij,nqij->n", w, diff, diff)
     return 0.5 * nu * mesh.areas * vals
 
 
-def gap_indicator_elasticity(v, sigma, material, mesh, degree=10, grad_u=None,
-                             big_f_h=None):
+def gap_indicator_elasticity(v, sigma, material, mesh, degree=VOLUME_DEGREE,
+                             grad_u=None, big_f_h=None):
     """Per-element indicator (1/2) ||C^(1/2)(eps(v) - C^-1 sigma)||_T^2.
 
     v is the conforming post-processed total displacement (Dirichlet lift
@@ -468,7 +471,7 @@ def gap_indicator_elasticity(v, sigma, material, mesh, degree=10, grad_u=None,
     return 0.5 * mesh.areas * np.einsum("q,nq->n", w, vals)
 
 
-def oscillation_indicator(f, f_h, big_f, big_f_h, mesh, degree=10):
+def oscillation_indicator(f, f_h, big_f, big_f_h, mesh, degree=VOLUME_DEGREE):
     """Per-element data oscillation (h_T^2/pi^2)||f - f_h||_T^2 + ||F - F_h||_T^2."""
     geo = mesh.geometry()
     w = triangle_rule(degree)[1]

@@ -14,7 +14,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 
 from . import mesh as _mesh
-from .quadrature import segment_rule, side_points
+from .quadrature import SIDE_POINTS, segment_rule, side_points
 from .spaces import (
     CRField,
     P0Field,
@@ -184,17 +184,13 @@ def stabilization_weights(mesh, mu):
     return w
 
 
-# Gauss points per side of the Dirichlet datum in the penalty integrals
-DATUM_POINTS = 8
-
-
 def dirichlet_penalty_load(mesh, mu, datum_values):
     """Load vector c with c_dof = sum_{S Dirichlet} (2 mu / h_S) int_S datum . theta.
 
     On Dirichlet sides the jump of a total field v + u_hat is its deviation
     from the boundary datum, so the penalty contributes this datum-weighted
-    functional to the right-hand side.  datum_values (m, DATUM_POINTS, 2)
-    holds the datum at the `segment_rule(DATUM_POINTS)` points of the m
+    functional to the right-hand side.  datum_values (m, SIDE_POINTS, 2)
+    holds the datum at the `segment_rule(SIDE_POINTS)` points of the m
     Dirichlet sides, in side order (None means a zero datum).  The load is
     J^T m, J the `cr_jump_operator` and m the datum's moments against the
     two endpoint hat functions of each Dirichlet side.  Returns a (2 ns,)
@@ -203,7 +199,7 @@ def dirichlet_penalty_load(mesh, mu, datum_values):
     if datum_values is None:
         return np.zeros(2 * mesh.num_sides)
     sel = mesh.sides_with_label(_mesh.DIRICHLET)
-    t, w = segment_rule(DATUM_POINTS)
+    t, w = segment_rule(SIDE_POINTS)
     hats = np.stack([1.0 - t, t], axis=1)  # (q, 2)
     # (2 mu / h_S) * |S| = 2 mu
     moments = (2.0 * mu) * np.einsum("q,qk,mqi->mki", w, hats, datum_values)
@@ -221,7 +217,7 @@ def stabilization_energy(mesh, mu, u_total, datum_values):
     """
     labels = mesh.side_labels
     sides = np.nonzero(labels != _mesh.NEUMANN)[0]
-    t, w = segment_rule(DATUM_POINTS)
+    t, w = segment_rule(SIDE_POINTS)
     ends = (_jump_rows(mesh, sides) @ u_total.values).reshape(-1, 2, 2)  # (m, k, i)
     resid = np.einsum("qk,mki->mqi", np.stack([1.0 - t, t], axis=1), ends)
     if datum_values is not None:
@@ -461,7 +457,7 @@ class ElasticitySystem(_LoadedSystem):
         self.datum_values = None
         if dirichlet_datum is not None:
             pts = side_points(
-                mesh, segment_rule(DATUM_POINTS)[0],
+                mesh, segment_rule(SIDE_POINTS)[0],
                 sides=mesh.sides_with_label(_mesh.DIRICHLET),
             )
             self.datum_values = np.asarray(dirichlet_datum(pts), dtype=float)

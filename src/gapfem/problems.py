@@ -31,7 +31,8 @@ from .mesh import (
     refine_marked_twice,
     structured_square_mesh,
 )
-from .quadrature import physical_points, rule_values, segment_rule, side_points, triangle_rule
+from .quadrature import (SIDE_POINTS, VOLUME_DEGREE, physical_points, rule_values,
+                         segment_rule, side_points, triangle_rule)
 from .spaces import (
     P0Field,
     broken_gradient,
@@ -43,10 +44,6 @@ from .spaces import (
     rt_interpolate,
     sym,
 )
-
-# quadrature degree of the element projections f_h = Pi_h f and F_h = Pi_h F
-DATA_DEGREE = 10
-
 
 @dataclass(eq=False)
 class ProblemSpec:
@@ -250,28 +247,39 @@ def _lshape_stream(x, alpha=_LSHAPE_ALPHA):
 def _lshape_grad_u(x, alpha=_LSHAPE_ALPHA):
     """Gradient of the singular velocity via stream-function second derivatives."""
     r, theta = _polar(x)
-    s, c = np.sin(theta), np.cos(theta)
     psi, dpsi, d2psi, _ = _lshape_psi(theta, alpha)
+    s, c = np.sin(theta), np.cos(theta)
+    ss, cc, sc = s * s, c * c, s * c
+    del theta, s, c
     ap = 1.0 + alpha
     ra1 = r ** (alpha - 1.0)
-    f_rr = alpha * ap * ra1 * psi
-    f_rt_r = ap * ra1 * dpsi        # f_rtheta / r
-    f_tt_rr = ra1 * d2psi           # f_thetatheta / r^2
-    f_r_r = ap * ra1 * psi          # f_r / r
-    f_t_rr = ra1 * dpsi             # f_theta / r^2
-
-    phi_xx = c * c * f_rr - 2 * s * c * f_rt_r + s * s * f_tt_rr \
-        + s * s * f_r_r + 2 * s * c * f_t_rr
-    phi_yy = s * s * f_rr + 2 * s * c * f_rt_r + c * c * f_tt_rr \
-        + c * c * f_r_r - 2 * s * c * f_t_rr
-    phi_xy = s * c * f_rr + (c * c - s * s) * f_rt_r - s * c * f_tt_rr \
-        - s * c * f_r_r + (s * s - c * c) * f_t_rr
-
+    del r
+    # g = [[phi_xy, phi_yy], [-phi_xx, -phi_xy]]: the phi are summed in its
+    # slices one closed-form term f at a time, each f dropped once used
     g = np.empty(x.shape[:-1] + (2, 2))
-    g[..., 0, 0] = phi_xy
-    g[..., 0, 1] = phi_yy
-    g[..., 1, 0] = -phi_xx
-    g[..., 1, 1] = -phi_xy
+    xx, yy, xy = g[..., 1, 0], g[..., 0, 1], g[..., 0, 0]
+    f = alpha * ap * ra1 * psi  # f_rr
+    np.multiply(cc, f, out=xx)
+    np.multiply(ss, f, out=yy)
+    np.multiply(sc, f, out=xy)
+    f = ap * ra1 * dpsi  # f_rtheta / r
+    xx -= 2 * sc * f
+    yy += 2 * sc * f
+    xy += (cc - ss) * f
+    f = ra1 * d2psi  # f_thetatheta / r^2
+    xx += ss * f
+    yy += cc * f
+    xy -= sc * f
+    f = ap * ra1 * psi  # f_r / r
+    xx += ss * f
+    yy += cc * f
+    xy -= sc * f
+    f = ra1 * dpsi  # f_theta / r^2
+    xx += 2 * sc * f
+    yy -= 2 * sc * f
+    xy += (ss - cc) * f
+    np.negative(xx, out=xx)
+    np.negative(xy, out=g[..., 1, 1])
     return g
 
 
@@ -468,7 +476,7 @@ def side_tractions(problem, mesh):
     if problem.g is None:
         return None
     neumann = mesh.sides_with_label(NEUMANN)
-    t, w = segment_rule(8)
+    t, w = segment_rule(SIDE_POINTS)
     pts = side_points(mesh, t, sides=neumann)
     nrm = mesh.geometry()["side_normal"][neumann][:, None, :] + np.zeros_like(pts)
     g_h = np.zeros((mesh.num_sides, 2))
@@ -479,7 +487,7 @@ def side_tractions(problem, mesh):
 def project_data(problem, mesh):
     """f_h = Pi_h f, F_h = Pi_h F (None where absent) and the side tractions g_h."""
     f_h, big_f_h = (
-        None if f is None else pi0(rule_values(f, mesh, DATA_DEGREE), mesh, DATA_DEGREE)
+        None if f is None else pi0(rule_values(f, mesh, VOLUME_DEGREE), mesh)
         for f in (problem.f, problem.big_f)
     )
     return f_h, big_f_h, side_tractions(problem, mesh)
@@ -518,7 +526,7 @@ def discretize_elasticity(problem, mesh):
 # -- a priori identity --------------------------------------------------------------
 
 
-def apriori_identity_check_stokes(problem, mesh, degree=14):
+def apriori_identity_check_stokes(problem, mesh):
     """Evaluate both sides of the a priori error identity on one mesh.
 
     Requires a Stokes problem in tensor-load form (exact stress T, tensor
@@ -542,7 +550,8 @@ def apriori_identity_check_stokes(problem, mesh, degree=14):
     pi_th = P0Field(mesh, dev(sol.t_h.cell_average().values))
     lhs2 = norm_p0(P0Field(mesh, pi_irt.values - pi_th.values)) ** 2 / (2.0 * nu)
 
-    pi_exact = pi0(t_minus_f, mesh, degree=degree)
+    # a rule above the data's degree, so the projection error stays negligible
+    pi_exact = pi0(t_minus_f, mesh, degree=14)
     diff = P0Field(mesh, dev(pi_exact.values) - pi_irt.values)
     rhs = norm_p0(diff) ** 2 / (2.0 * nu)
     return {"lhs": lhs1 + lhs2, "lhs_primal": lhs1, "lhs_dual": lhs2, "rhs": rhs,
@@ -552,7 +561,7 @@ def apriori_identity_check_stokes(problem, mesh, degree=14):
 # -- exact errors -------------------------------------------------------------------
 
 
-def exact_errors(solution, problem, mesh, degree=10):
+def exact_errors(solution, problem, mesh):
     """Exact error measures against the problem's manufactured solution.
 
     Stokes: primal error sqrt(nu/2) || grad u_orig - grad_h(u_h + u_hat) ||
@@ -566,12 +575,12 @@ def exact_errors(solution, problem, mesh, degree=10):
     """
     if problem.grad_u is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
-    w = triangle_rule(degree)[1]
-    pts = physical_points(mesh, degree)
-    gu = rule_values(problem.grad_u, mesh, degree)
+    w = triangle_rule(VOLUME_DEGREE)[1]
+    pts = physical_points(mesh, VOLUME_DEGREE)
+    gu = rule_values(problem.grad_u, mesh, VOLUME_DEGREE)
     if problem.kind == "stokes":
         nu = solution.nu
-        pv = None if problem.p is None else rule_values(problem.p, mesh, degree)
+        pv = None if problem.p is None else rule_values(problem.p, mesh, VOLUME_DEGREE)
         gh = broken_gradient(solution.u_h + solution.u_hat).values[:, None]
         diff = gh - gu
         primal = 0.5 * nu * np.sum(

@@ -5,27 +5,24 @@ Four discrete spaces are provided:
 * P0Field -- one value per element (scalar, 2-vector, or 2x2 tensor),
 * CRField -- vector Crouzeix-Raviart: one 2-vector per side (midpoint value),
 * RTField -- tensor lowest-order Raviart-Thomas: one normal flux per side
-  and row, stored against the mesh's global side normal, together with the
-  element-wise representation row_i(x) = a_i + c_i * x,
+  and row, stored against the mesh's global side normal,
 * P1ConformingField -- one 2-vector per vertex.
 
 The scalar CR basis attached to local side j of an element is
 theta_j = 1 - 2 lambda_{j+2} (lambda_k the barycentric coordinate of
 vertex k), so theta_j is 1 on side j and has zero mean on the other two.
-"""
 
-from functools import cached_property
+Each derived value of a field comes from the one sparse operator that
+defines it: broken CR gradients from G (`cr_gradient_operator`), RT cell
+averages and divergences from A and D (`rt_average_operator`,
+`rt_divergence_operator`), and RT point values from those two.
+"""
 
 import numpy as np
 import scipy.sparse as sparse
 
-from .quadrature import physical_points, segment_rule, side_points, triangle_rule
-
-# 8-point Gauss keeps side averages of smooth data well below the 1e-10
-# tolerances of the structure-preservation contracts; 4 points is not enough
-# on the coarse benchmark meshes
-DEFAULT_SIDE_POINTS = 8
-DEFAULT_VOLUME_DEGREE = 10
+from .quadrature import (SIDE_POINTS, VOLUME_DEGREE, physical_points, segment_rule,
+                         side_points, triangle_rule)
 
 
 class P0Field:
@@ -76,10 +73,9 @@ class RTField:
     """Tensor Raviart-Thomas field stored as per-side, per-row normal fluxes.
 
     flux[i, s] is the (constant) normal trace of row i on side s against the
-    global side normal.  The element-wise representation
-    row_i|_T(x) = a[T, i] + c[T, i] * x is derived on first use, so fields
-    that are only summed, scaled or passed to the flux operators
-    (`rt_average_operator`, `rt_divergence_operator`) never build it.
+    global side normal; the field holds nothing else.  Its cell averages and
+    divergences are the flux operators A and D applied to the rows, and row i
+    on T is the affine field c_i x + (avg_i - c_i x_T) with c_i = div_i / 2.
     """
 
     def __init__(self, mesh, flux):
@@ -89,27 +85,21 @@ class RTField:
         self.mesh = mesh
         self.flux = flux
 
-    @cached_property
-    def _local(self):
-        """(a, c): the (ne, 2, 2) and (ne, 2) element-wise coefficients."""
-        coef, opp = _rt_local_factors(self.mesh)
-        fc = (self.flux[:, self.mesh.element_sides] * coef).transpose(1, 0, 2)
-        return -(fc @ opp), fc.sum(2)
-
     def evaluate(self, points):
         """Values at points of shape (ne, nq, 2) -> (ne, nq, 2, 2)."""
-        a, c = self._local
+        c = 0.5 * self.divergence().values
+        cent = self.mesh.geometry()["centroids"]
+        a = self.cell_average().values - np.einsum("ni,nd->nid", c, cent)
         out = np.einsum("ni,nqd->nqid", c, points)
-        out += a[:, None, :, :]
+        out += a[:, None]
         return out
 
     def cell_average(self):
-        a, c = self._local
-        cent = self.mesh.geometry()["centroids"]
-        return P0Field(self.mesh, a + np.einsum("ni,nd->nid", c, cent))
+        avg = rt_average_operator(self.mesh) @ self.flux.T  # (2 ne, 2): rows (n, d)
+        return P0Field(self.mesh, avg.reshape(-1, 2, 2).transpose(0, 2, 1))
 
     def divergence(self):
-        return P0Field(self.mesh, 2.0 * self._local[1])
+        return P0Field(self.mesh, rt_divergence_operator(self.mesh) @ self.flux.T)
 
     def __add__(self, other):
         return RTField(self.mesh, self.flux + other.flux)
@@ -180,7 +170,7 @@ def sym(a):
 # -- projections and interpolation -------------------------------------------
 
 
-def pi0(f, mesh, degree=DEFAULT_VOLUME_DEGREE):
+def pi0(f, mesh, degree=VOLUME_DEGREE):
     """Element-wise L2 projection onto constants.
 
     Parameters
@@ -198,15 +188,15 @@ def pi0(f, mesh, degree=DEFAULT_VOLUME_DEGREE):
     return P0Field(mesh, np.einsum("q,nq...->n...", w, vals))
 
 
-def side_averages(f, mesh, npoints=DEFAULT_SIDE_POINTS):
+def side_averages(f, mesh):
     """Side averages of f over all sides: (ns, ...)."""
-    t, w = segment_rule(npoints)
+    t, w = segment_rule(SIDE_POINTS)
     pts = side_points(mesh, t)
     vals = np.asarray(f(pts), dtype=float)
     return np.einsum("q,sq...->s...", w, vals)
 
 
-def cr_interpolate(v, mesh, npoints=DEFAULT_SIDE_POINTS, stream=None):
+def cr_interpolate(v, mesh, stream=None):
     """Canonical CR interpolant: side DOF = side average of v.
 
     When a scalar stream function with v = (d2 stream, -d1 stream) is
@@ -215,7 +205,7 @@ def cr_interpolate(v, mesh, npoints=DEFAULT_SIDE_POINTS, stream=None):
     divergence of the interpolant vanish to machine precision even for
     fields that quadrature does not capture well.
     """
-    avg = side_averages(v, mesh, npoints=npoints)
+    avg = side_averages(v, mesh)
     if stream is not None:
         geo = mesh.geometry()
         sv = mesh.side_vertices
@@ -241,15 +231,10 @@ def side_frame_values(mesh, normal, tangential):
     return out
 
 
-def rt_interpolate(tau, mesh, npoints=DEFAULT_SIDE_POINTS):
+def rt_interpolate(tau, mesh):
     """Canonical RT interpolant: per-side, per-row normal-trace average."""
-    t, w = segment_rule(npoints)
-    pts = side_points(mesh, t)
-    vals = np.asarray(tau(pts), dtype=float)  # (ns, nq, 2, 2)
-    geo = mesh.geometry()
-    n = geo["side_normal"]
-    flux = np.einsum("q,sqij,sj->is", w, vals, n)
-    return RTField(mesh, flux)
+    avg = side_averages(tau, mesh)  # (ns, 2, 2)
+    return RTField(mesh, np.einsum("sij,sj->is", avg, mesh.geometry()["side_normal"]))
 
 
 def cr_basis_gradients(mesh):
@@ -261,10 +246,8 @@ def cr_basis_gradients(mesh):
 
 
 def broken_gradient(v):
-    """Element-wise gradient of a CR field as a P0 tensor field."""
-    m = v.mesh
-    vv = v.values[m.element_sides]  # (ne, 3, 2)
-    return P0Field(m, vv.transpose(0, 2, 1) @ cr_basis_gradients(m))
+    """Element-wise gradient of a CR field as a P0 tensor field: G @ v.dofs()."""
+    return P0Field(v.mesh, (cr_gradient_operator(v.mesh) @ v.dofs()).reshape(-1, 2, 2))
 
 
 def broken_sym_gradient(v):
@@ -400,16 +383,10 @@ def nodal_average(v, mesh, dirichlet_values=None):
     adjacent elements of the local affine evaluated at the vertex.
     """
     nv = mesh.num_vertices
-    acc = np.zeros((nv, 2))
-    cnt = np.zeros(nv)
-    vv = v.values[mesh.element_sides]  # (ne, 3, 2)
-    total = vv.sum(axis=1)  # (ne, 2)
-    for lv in range(3):
-        verts = mesh.elements[:, lv]
-        vals = total - 2.0 * vv[:, (lv + 1) % 3]
-        np.add.at(acc, verts, vals)
-        np.add.at(cnt, verts, 1.0)
-    out = acc / cnt[:, None]
+    verts = mesh.elements.ravel()
+    vals = _THETA_AT_VERTEX @ v.values[mesh.element_sides]  # (ne, 3, 2) at the vertices
+    out = np.stack([np.bincount(verts, vals[..., i].ravel(), nv) for i in (0, 1)], axis=1)
+    out /= np.bincount(verts, minlength=nv)[:, None]
 
     dv = mesh.dirichlet_vertices()
     if dirichlet_values is None:

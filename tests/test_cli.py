@@ -129,6 +129,35 @@ def test_format_without_out_rejected(argv, capsys):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("theta", ["0.7", "7"])
+def test_theta_with_uniform_mode_rejected(theta, capsys):
+    """Uniform refinement uses no marking fraction, so --theta is a usage
+    error there, whether or not its value is in range."""
+    assert main(["run", "taylor-green", "--mode", "uniform", "--theta", theta]) == 1
+    out, err = capsys.readouterr()
+    assert "error: --theta needs --mode adaptive" in err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("argv, theta", [
+    (["--mode", "adaptive"], 0.5),
+    (["--mode", "adaptive", "--theta", "0.25"], 0.25),
+    (["--mode", "uniform"], 0.0),
+])
+def test_theta_reaches_config(argv, theta, monkeypatch):
+    """Adaptive mode marks with --theta, 0.5 when it is not given."""
+    seen = []
+
+    def fake_run(problem, config):
+        seen.append(config)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(cli, "run_adaptive", fake_run)
+    with pytest.raises(SystemExit):
+        main(["run", "taylor-green"] + argv)
+    assert seen[0].theta == theta
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "taylor-green", "--max-iter", "1"],
     ["verify-identity", "--levels", "1", "--seeds", "1"],

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_forms import ORACLE_MESHES, _perturbed_mesh, assert_close, tg_labeler
+from test_forms import (
+    ORACLE_MESHES,
+    _bisected_mesh,
+    _perturbed_mesh,
+    assert_close,
+    tg_labeler,
+)
 
 from gapfem import (
     DIRICHLET,
@@ -30,7 +36,6 @@ from gapfem import (
     oscillation_indicator,
     random_divfree_cr,
     random_divfree_rt,
-    refine_bisection,
     solve_lifting,
     strong_convexity_stokes,
     structured_square_mesh,
@@ -804,11 +809,7 @@ def test_reconstruction_contracts_on_refined_meshes(n, labeler, seed, rounds):
     """Criterion 3's contracts on vertex-perturbed meshes after random
     bisection: flux jump, divergence, Neumann trace, optimality and the
     inverse round trip, for Stokes and elasticity."""
-    mesh = _perturbed_mesh(n, labeler, seed)
-    rng = np.random.default_rng(seed)
-    for _ in range(rounds):
-        marked = np.nonzero(rng.uniform(size=mesh.num_elements) < 0.4)[0]
-        mesh, _ = refine_bisection(mesh, marked)
+    mesh = _bisected_mesh(n, labeler, seed, rounds)
     stokes, elastic = solve_affine(mesh, seed)
     for sol, tau in ((stokes, stokes.t_h), (elastic, elastic.sigma_star)):
         assert tau.reconstruction_jump <= JUMP_TOL

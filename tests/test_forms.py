@@ -24,6 +24,7 @@ from gapfem import (
     broken_sym_gradient,
     build_triangulation,
     cr_interpolate,
+    refine_bisection,
     solve_lifting,
     solve_sparse,
     structured_square_mesh,
@@ -434,6 +435,16 @@ def _perturbed_mesh(n, labeler, seed):
     angle = rng.uniform(0.0, 2.0 * np.pi, size=inner.sum())
     verts[inner] += radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
     return build_triangulation(verts, mesh.elements, labeler)
+
+
+def _bisected_mesh(n, labeler, seed, rounds):
+    """`_perturbed_mesh` after rounds of bisecting a random 40% of the elements."""
+    mesh = _perturbed_mesh(n, labeler, seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        marked = np.nonzero(rng.uniform(size=mesh.num_elements) < 0.4)[0]
+        mesh, _ = refine_bisection(mesh, marked)
+    return mesh
 
 
 @settings(max_examples=40, deadline=None)

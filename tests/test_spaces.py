@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_forms import _perturbed_mesh, assert_close
+from test_forms import ORACLE_MESHES, _bisected_mesh, _perturbed_mesh, assert_close
 
 from gapfem import (
     DIRICHLET,
@@ -22,8 +22,16 @@ from gapfem import (
     rt_interpolate,
     structured_square_mesh,
 )
-from gapfem.quadrature import physical_points, triangle_rule
+from gapfem.quadrature import (
+    VOLUME_DEGREE,
+    physical_points,
+    segment_rule,
+    side_points,
+    triangle_rule,
+)
 from gapfem.spaces import (
+    _rt_local_factors,
+    cr_basis_gradients,
     cr_jump_operator,
     curl_operator,
     inner_p0,
@@ -101,7 +109,7 @@ class TestProjections:
         )
         s = mesh.element_sides[0, 0]
         assert np.allclose(mesh.geometry()["side_midpoint"][s], [0.5, 0.0])
-        val = side_averages(lambda x: np.sin(x[..., 0]), mesh, npoints=8)[s]
+        val = side_averages(lambda x: np.sin(x[..., 0]), mesh)[s]
         assert val == pytest.approx(1.0 - np.cos(1.0), abs=1e-12)
 
 
@@ -424,3 +432,104 @@ def test_rt_operators_match_field(n, labeler, seed):
     avg = avg.reshape(-1, 2, 2).transpose(0, 2, 1)
     assert_close(avg, tau.cell_average().values)
     assert_close(rt_divergence_operator(mesh) @ tau.flux.T, tau.divergence().values)
+
+
+# -- the former per-field evaluations, kept as oracles ------------------------------
+
+
+def oracle_broken_gradient(v):
+    """Broken gradient (ne, 2, 2) by gathering the side values of each element
+    and multiplying by the CR basis gradients."""
+    m = v.mesh
+    return v.values[m.element_sides].transpose(0, 2, 1) @ cr_basis_gradients(m)
+
+
+def oracle_rt_local(tau):
+    """(a, c), the (ne, 2, 2) and (ne, 2) coefficients of row_i|_T(x) = a_i + c_i x."""
+    coef, opp = _rt_local_factors(tau.mesh)
+    fc = (tau.flux[:, tau.mesh.element_sides] * coef).transpose(1, 0, 2)
+    return -(fc @ opp), fc.sum(2)
+
+
+def oracle_rt_evaluate(tau, points):
+    a, c = oracle_rt_local(tau)
+    return np.einsum("ni,nqd->nqid", c, points) + a[:, None]
+
+
+def oracle_cell_average(tau):
+    a, c = oracle_rt_local(tau)
+    return a + np.einsum("ni,nd->nid", c, tau.mesh.geometry()["centroids"])
+
+
+def oracle_divergence(tau):
+    return 2.0 * oracle_rt_local(tau)[1]
+
+
+def oracle_nodal_average(v, mesh, dirichlet_values=None):
+    """Nodal average accumulated one local vertex at a time with np.add.at."""
+    nv = mesh.num_vertices
+    acc = np.zeros((nv, 2))
+    cnt = np.zeros(nv)
+    vv = v.values[mesh.element_sides]
+    total = vv.sum(axis=1)
+    for lv in range(3):
+        verts = mesh.elements[:, lv]
+        np.add.at(acc, verts, total - 2.0 * vv[:, (lv + 1) % 3])
+        np.add.at(cnt, verts, 1.0)
+    out = acc / cnt[:, None]
+    dv = mesh.dirichlet_vertices()
+    out[dv] = 0.0 if dirichlet_values is None else dirichlet_values(mesh.vertices[dv])
+    return out
+
+
+def oracle_rt_interpolate(tau, mesh):
+    """RT fluxes (2, ns) from the side quadrature of the normal traces."""
+    t, w = segment_rule(8)
+    normal = mesh.geometry()["side_normal"]
+    return np.einsum("q,sqij,sj->is", w, tau(side_points(mesh, t)), normal)
+
+
+def trig_stress(x):
+    out = trig_velocity_grad(x)
+    out[..., 0, 0] -= np.cos(2 * np.pi * x[..., 0])
+    out[..., 1, 1] -= np.cos(2 * np.pi * x[..., 0])
+    return out
+
+
+def assert_fields_match_oracles(mesh, seed):
+    """Every field evaluation of the operator path equals its former
+    implementation, and an RTField keeps no per-field state."""
+    rng = np.random.default_rng(seed)
+    v = CRField(mesh, rng.standard_normal((mesh.num_sides, 2)))
+    grads = oracle_broken_gradient(v)
+    assert_close(broken_gradient(v).values, grads)
+    assert_close(broken_sym_gradient(v).values, 0.5 * (grads + grads.transpose(0, 2, 1)))
+    assert_close(broken_divergence(v).values, grads[:, 0, 0] + grads[:, 1, 1])
+    for datum in (None, trig_velocity):
+        assert_close(nodal_average(v, mesh, datum).values,
+                     oracle_nodal_average(v, mesh, datum))
+
+    tau = RTField(mesh, rng.standard_normal((2, mesh.num_sides)))
+    pts = physical_points(mesh, VOLUME_DEGREE)
+    assert_close(tau.evaluate(pts), oracle_rt_evaluate(tau, pts))
+    assert vars(tau).keys() == {"mesh", "flux"}
+    assert_close(tau.cell_average().values, oracle_cell_average(tau))
+    assert_close(tau.divergence().values, oracle_divergence(tau))
+    assert_close(rt_interpolate(trig_stress, mesh).flux,
+                 oracle_rt_interpolate(trig_stress, mesh))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+def test_field_evaluations_match_oracles(name):
+    assert_fields_match_oracles(ORACLE_MESHES[name](), 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    labeler=st.sampled_from([lambda mid: DIRICHLET, tg_labeler]),
+    seed=st.integers(0, 2**32 - 1),
+    rounds=st.integers(1, 2),
+)
+def test_field_evaluations_match_oracles_on_refined_meshes(n, labeler, seed, rounds):
+    assert_fields_match_oracles(_bisected_mesh(n, labeler, seed, rounds), seed)
