@@ -303,10 +303,11 @@ class StokesSystem(_LoadedSystem):
     Lagrange multiplier enforcing the zero-mean pressure gauge.
 
     `al_solve` never factors the saddle `matrix`; it only multiplies it to
-    check each solution.  Its one factor `lu` is the sparse SPD
+    check each solution.  Each call makes one factor, of the sparse SPD
     K_1 = A_1 + AL_GAMMA0 B^T M^-1 B, with M the diagonal of element areas;
     K_nu = nu K_1 for gamma = AL_GAMMA0 nu, so each Uzawa step solves with
-    K_1 and divides by nu.
+    K_1 and divides by nu.  The factor is local to the call and freed when
+    it returns, so no later phase on the mesh holds it.
     """
 
     def __init__(self, mesh, nu, u_hat, f_h, big_f_h, g_h):
@@ -333,9 +334,6 @@ class StokesSystem(_LoadedSystem):
         self.bt = self.b.T
         self.b_norm = _inf_norm(self.b)
         self.pure_dirichlet = len(mesh.sides_with_label(_mesh.NEUMANN)) == 0
-        self.lu = spd_factor(
-            self.a1 + AL_GAMMA0 * (self.b.T @ sparse.diags(1.0 / mesh.areas) @ self.b)
-        )
 
         # [[nu A_1, B^T], [B, 0]], bordered by the gauge row if present
         a, b = nu * self.a1, self.b
@@ -357,10 +355,10 @@ class StokesSystem(_LoadedSystem):
     def al_solve(self, rhs):
         """Solve matrix @ x = rhs by augmented-Lagrangian Uzawa iteration.
 
-        Each step makes one triangular solve with the factor: it solves
-        K u = f + gamma B^T M^-1 g - B^T p and updates
-        p += gamma M^-1 (B u - g).  The u of an update and the updated p
-        satisfy the momentum rows exactly.  The iteration stops once the
+        Each call factors K_1 once, and each step makes one triangular
+        solve with the factor: it solves K u = f + gamma B^T M^-1 g - B^T p
+        and updates p += gamma M^-1 (B u - g).  The u of an update and the
+        updated p satisfy the momentum rows exactly.  The iteration stops once the
         constraint residual ||B u - g|| reaches the roundoff floor
         AL_ROUNDOFF eps (||B||_inf ||u|| + ||g||), or stops decreasing; it
         keeps its last decreasing iterate.  On pure-Dirichlet meshes B u
@@ -379,9 +377,13 @@ class StokesSystem(_LoadedSystem):
         gamma = AL_GAMMA0 * nu
         load = f + gamma * (self.bt @ (g / areas))
         g_norm = _column_norms(g)
+        # local: the factor is freed on return, not kept with the solution
+        lu = spd_factor(
+            self.a1 + AL_GAMMA0 * (self.bt @ sparse.diags(1.0 / areas) @ self.b)
+        )
         best = np.inf
         for _ in range(AL_MAX_ITER):
-            u = self.lu.solve(load - self.bt @ p)
+            u = lu.solve(load - self.bt @ p)
             u /= nu
             r = self.b @ u
             r -= g

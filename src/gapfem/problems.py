@@ -118,11 +118,14 @@ def _tg_u(x):
 def _tg_grad_u(x):
     pi = np.pi
     x1, x2 = x[..., 0], x[..., 1]
+    # each product once, in the closed form's order; negation is exact
+    cc = pi * np.cos(pi * x1) * np.cos(pi * x2)
+    ss = pi * np.sin(pi * x1) * np.sin(pi * x2)
     g = np.empty(x.shape[:-1] + (2, 2))
-    g[..., 0, 0] = pi * np.cos(pi * x1) * np.cos(pi * x2)
-    g[..., 0, 1] = -pi * np.sin(pi * x1) * np.sin(pi * x2)
-    g[..., 1, 0] = pi * np.sin(pi * x1) * np.sin(pi * x2)
-    g[..., 1, 1] = -pi * np.cos(pi * x1) * np.cos(pi * x2)
+    g[..., 0, 0] = cc
+    g[..., 0, 1] = -ss
+    g[..., 1, 0] = ss
+    g[..., 1, 1] = -cc
     return g
 
 
@@ -588,7 +591,10 @@ def exact_errors(solution, problem, mesh):
         )
         del diff  # keeps the peak memory at that of the stress terms
         sdiff = exact_stress(problem, gu, pv)
-        sdiff -= solution.t_h.evaluate(pts)
+        # one entry at a time: a second (ne, nq, 2, 2) array of T_h values
+        # would set the peak memory
+        for (i, j), t_ij in solution.t_h.entries(pts):
+            sdiff[..., i, j] -= t_ij
         big_f_h = solution.system.big_f_h
         if big_f_h is not None:
             sdiff -= big_f_h.values[:, None]

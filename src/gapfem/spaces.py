@@ -87,12 +87,22 @@ class RTField:
 
     def evaluate(self, points):
         """Values at points of shape (ne, nq, 2) -> (ne, nq, 2, 2)."""
+        out = np.empty(points.shape + (2,))
+        for (i, d), value in self.entries(points):
+            out[..., i, d] = value
+        return out
+
+    def entries(self, points):
+        """Yield ((i, d), entry (i, d) of the values at points, (ne, nq)),
+        one entry at a time: c_i x_d + (avg - c x_T)_id with c = div / 2."""
         c = 0.5 * self.divergence().values
         cent = self.mesh.geometry()["centroids"]
         a = self.cell_average().values - np.einsum("ni,nd->nid", c, cent)
-        out = np.einsum("ni,nqd->nqid", c, points)
-        out += a[:, None]
-        return out
+        for i in range(2):
+            for d in range(2):
+                value = c[:, i, None] * points[..., d]
+                value += a[:, None, i, d]
+                yield (i, d), value
 
     def cell_average(self):
         avg = rt_average_operator(self.mesh) @ self.flux.T  # (2 ne, 2): rows (n, d)
@@ -403,10 +413,3 @@ def norm_p0(field):
     """L2 norm of a P0 field (Frobenius norm point-wise for tensors)."""
     v = field.values.reshape(field.mesh.num_elements, -1)
     return float(np.sqrt(np.sum(field.mesh.areas * np.sum(v * v, axis=1))))
-
-
-def inner_p0(f1, f2):
-    v1 = f1.values.reshape(f1.mesh.num_elements, -1)
-    v2 = f2.values.reshape(f2.mesh.num_elements, -1)
-    return float(np.sum(f1.mesh.areas * np.sum(v1 * v2, axis=1)))
-

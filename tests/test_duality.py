@@ -9,6 +9,7 @@ from test_forms import (
     assert_close,
     tg_labeler,
 )
+from test_spaces import inner_p0
 
 from gapfem import (
     DIRICHLET,
@@ -57,7 +58,6 @@ from gapfem.problems import (
 from gapfem.spaces import (
     curl_operator,
     dev,
-    inner_p0,
     norm_p0,
     rt_divergence_operator,
     sym,

@@ -65,6 +65,19 @@ def stokes_system(mesh, nu):
     return assemble_stokes(mesh, nu, zero_lift(mesh), None, None, None)
 
 
+def record_spd_factors(monkeypatch):
+    """Have forms.spd_factor append each matrix's shape to the returned list."""
+    factored = []
+    spd_factor = forms.spd_factor
+
+    def recording(matrix):
+        factored.append(matrix.shape)
+        return spd_factor(matrix)
+
+    monkeypatch.setattr(forms, "spd_factor", recording)
+    return factored
+
+
 class TestSolveSparse:
     def test_identity_system(self):
         eye = sparse.identity(5, format="csc")
@@ -101,7 +114,8 @@ class TestSolveSparse:
 
     def test_one_factor_path_for_every_operator(self, monkeypatch):
         # K_1, the elasticity matrix and the lifting's CR stiffness are all
-        # factored by spd_factor with the same options
+        # factored by spd_factor with the same options; K_1 once, when the
+        # Stokes solve runs
         from gapfem.problems import (
             cook_membrane,
             discretize_elasticity,
@@ -118,13 +132,13 @@ class TestSolveSparse:
 
         monkeypatch.setattr(forms.sla, "splu", recording_splu)
         stokes = taylor_green_stokes()
-        discretize_stokes(stokes, stokes.mesh_factory())
+        nvel = len(discretize_stokes(stokes, stokes.mesh_factory()).system.vel_index)
         cook = cook_membrane(nx=3, ny=5)
         mesh = cook.mesh_factory()
         sol = discretize_elasticity(cook, mesh)
         solve_lifting(mesh, sol.u_h + sol.u_hat, cook.material.mu)
         nfree = len(sol.system.vel_index)
-        assert [n for n, _, _ in calls][1:] == [nfree, nfree // 2, nfree // 2]
+        assert [n for n, _, _ in calls] == [nvel, nfree, nfree // 2, nfree // 2]
         assert all(
             (args, kwargs) == ((), forms.SPD_FACTOR_OPTIONS) for _, args, kwargs in calls
         )
@@ -143,6 +157,40 @@ class TestSolveSparse:
                     if isinstance(node, ast.Call) and name == "splu":
                         sites.append((path.name, fn.name))
         assert sites == [("forms.py", "spd_factor")]
+
+
+def _factor_call(node):
+    func = getattr(node, "func", None)
+    name = getattr(func, "attr", getattr(func, "id", None))
+    return isinstance(node, ast.Call) and name in ("spd_factor", "splu")
+
+
+def test_no_factor_kept_as_attribute():
+    """No function stores a factor on an object: a factor lives only as
+    long as the call that made it, so no later phase on the mesh holds it."""
+    found = []
+    for path in sorted(pathlib.Path(forms.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                    targets = [node.target]
+                elif getattr(getattr(node, "func", None), "id", None) == "setattr":
+                    if any(_factor_call(arg) for arg in node.args[2:]):
+                        found.append((path.name, fn.name, node.lineno))
+                    continue
+                else:
+                    continue
+                if _factor_call(node.value) and any(
+                    isinstance(t, ast.Attribute)
+                    for target in targets
+                    for t in ast.walk(target)
+                ):
+                    found.append((path.name, fn.name, node.lineno))
+    assert found == []
 
 
 def test_no_function_level_package_imports():
@@ -279,32 +327,78 @@ class TestStokesALSolve:
     """The augmented-Lagrangian Uzawa solve of the CR-P0 saddle."""
 
     @pytest.mark.parametrize("labeler", [all_dirichlet, tg_labeler])
-    def test_matches_saddle_lu(self, labeler):
-        # each viscosity's system solves its own saddle matrix
+    def test_matches_saddle_lu(self, labeler, monkeypatch):
+        # each viscosity's system solves its own saddle matrix, with one
+        # factor of K_1 per solve and none when the system is built
         mesh = structured_square_mesh(6, labeler)
         rng = np.random.default_rng(7)
-        for nu in (0.5, 1.0):
+        factored = record_spd_factors(monkeypatch)
+        for k, nu in enumerate((0.5, 1.0)):
             system = stokes_system(mesh, nu)
+            assert len(factored) == k
             assert system.pure_dirichlet == (labeler is all_dirichlet)
             rhs = rng.standard_normal(system.matrix.shape[0])
             x, report = system.al_solve(rhs)
+            nv = len(system.vel_index)
+            assert factored[k:] == [(nv, nv)]
             ref = sla.splu(system.matrix).solve(rhs)
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
             assert report.residual_norm <= 1e-10
 
-    def test_zero_rhs_exact_zero(self):
+    def test_factor_freed_when_solve_returns(self, monkeypatch):
+        # the factor is local to al_solve: once a solve returns nothing
+        # holds it, while the system lives on with its solution and can
+        # solve again with a factor of its own
+        import gc
+        import weakref
+
+        from gapfem.problems import discretize_stokes, taylor_green_stokes
+
+        class Factor:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                return self.lu.solve(rhs)
+
+        refs = []
+        spd_factor = forms.spd_factor
+
+        def weak_factor(matrix):
+            factor = Factor(spd_factor(matrix))
+            refs.append(weakref.ref(factor))
+            return factor
+
+        monkeypatch.setattr(forms, "spd_factor", weak_factor)
+        prob = taylor_green_stokes(n=3)
+        mesh = prob.mesh_factory()
+        gc.disable()
+        try:
+            sol = discretize_stokes(prob, mesh)
+            assert len(refs) == 1 and refs[0]() is None
+            assert not hasattr(sol.system, "lu")
+            u_h, p_h, _ = sol.system.solve()
+            assert len(refs) == 2 and refs[1]() is None
+            assert np.array_equal(u_h.values, sol.u_h.values)
+            assert np.array_equal(p_h.values, sol.p_h.values)
+        finally:
+            gc.enable()
+
+    def test_zero_rhs_exact_zero(self, monkeypatch):
         system = stokes_system(structured_square_mesh(4, all_dirichlet), 0.5)
+        factored = record_spd_factors(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             x, report = system.al_solve(np.zeros(system.matrix.shape[0]))
+        assert len(factored) == 1
         assert not np.any(x)
         assert report.residual_norm == 0.0
 
     @pytest.mark.parametrize("problem", ["taylor-green", "lshape"])
     def test_at_most_seven_solves_per_system(self, problem, monkeypatch):
-        # the Uzawa loop stops at roundoff: one Stokes solve per mesh takes
-        # at most 7 triangular solves, and 16 random divergence-free
-        # samples on the same mesh take none
+        # the Uzawa loop stops at roundoff: one Stokes solve per mesh makes
+        # one factor and at most 7 triangular solves with it, and 16 random
+        # divergence-free samples on the same mesh make neither
         from gapfem.duality import random_divfree_cr
         from gapfem.mesh import refine_marked_twice
         from gapfem.problems import discretize_stokes, get_problem
@@ -364,8 +458,8 @@ class TestStokesALSolve:
             system.al_solve(rhs)
 
     def test_one_symmetric_factor_per_mesh(self, monkeypatch):
-        # the Stokes solve factors the one symmetric K_1; the random
-        # divergence-free samples factor nothing
+        # the Stokes solve factors the one symmetric K_1, of the free
+        # velocity DOFs; the random divergence-free samples factor nothing
         from gapfem.duality import random_divfree_cr
         from gapfem.problems import discretize_stokes, taylor_green_stokes
 
@@ -382,10 +476,11 @@ class TestStokesALSolve:
         mesh = prob.mesh_factory()
         random_divfree_cr(mesh, range(1, 17), 1.0)
         assert factored == []
-        discretize_stokes(prob, mesh)
+        nv = len(discretize_stokes(prob, mesh).system.vel_index)
+        assert factored == [(nv, nv)]
         for seed in range(3):
             random_divfree_cr(mesh, [seed], 1.0)
-        assert len(factored) == 1
+        assert factored == [(nv, nv)]
 
     def test_one_saddle_per_mesh_in_identity_rows(self, monkeypatch):
         # each level's Stokes solve builds the system of its own mesh once
@@ -405,9 +500,9 @@ class TestStokesALSolve:
         assert len({id(m) for m in built}) == 3
 
     def test_solved_system_freed_without_gc(self):
-        # the system owns its factor, and nothing else keeps it: with the
-        # cyclic collector off, dropping the solution frees the system
-        # while its mesh lives on
+        # nothing but the solution keeps the system: with the cyclic
+        # collector off, dropping the solution frees the system while its
+        # mesh lives on
         import gc
         import weakref
 
@@ -455,7 +550,8 @@ def _bisected_mesh(n, labeler, seed, rounds):
     log_nus=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=3),
 )
 def test_viscosity_free_saddle(n, labeler, seed, log_nus):
-    """At every nu, one system with one factor of K_1 solves its matrix."""
+    """At every nu, one system solves its matrix with one factor of K_1 per
+    solve, and building the system factors nothing."""
     mesh = _perturbed_mesh(n, labeler, seed)
     rng = np.random.default_rng(seed)
     splu = sla.splu
@@ -467,15 +563,21 @@ def test_viscosity_free_saddle(n, labeler, seed, log_nus):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(forms.sla, "splu", counting_splu)
-        for k, nu in enumerate(10.0 ** np.array(log_nus), start=1):
+        for k, nu in enumerate(10.0 ** np.array(log_nus)):
             system = stokes_system(mesh, nu)
-            assert len(factored) == k
+            assert len(factored) == 2 * k
             rhs = rng.standard_normal(system.matrix.shape[0])
             x, report = system.al_solve(rhs)
+            nv = len(system.vel_index)
+            assert factored[2 * k:] == [(nv, nv)]
             ref = splu(system.matrix).solve(rhs)
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
             assert report.residual_norm <= SOLVE_TOL
-    assert len(factored) == len(log_nus)
+            # a second solve of the same system factors K_1 again
+            again, _ = system.al_solve(rhs)
+            assert np.array_equal(again, x)
+            assert len(factored) == 2 * k + 2
+    assert len(factored) == 2 * len(log_nus)
 
 
 class TestElasticityAssembly:

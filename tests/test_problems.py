@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gapfem import DIRICHLET, NEUMANN
+from gapfem import problems
 from gapfem.adaptive import refine_marked_twice
 from gapfem.problems import (
     cook_membrane,
@@ -17,7 +18,7 @@ from gapfem.problems import (
     taylor_green_stokes,
 )
 from gapfem.quadrature import physical_points, segment_rule, side_points, triangle_rule
-from gapfem.spaces import broken_divergence
+from gapfem.spaces import broken_divergence, dev
 
 
 class TestTaylorGreen:
@@ -73,6 +74,20 @@ class TestTaylorGreen:
             )
         res = -nu * lap + gp - prob.f(pts)
         assert np.abs(res).max() < 1e-5
+
+    def test_grad_u_equals_former_expression(self):
+        # pi cos cos and pi sin sin are formed once each, bit for bit as the
+        # four closed-form entries were
+        pi = np.pi
+        x = np.random.default_rng(5).uniform(-3.0, 3.0, (400, 25, 2))
+        x1, x2 = x[..., 0], x[..., 1]
+        former = np.stack([
+            pi * np.cos(pi * x1) * np.cos(pi * x2),
+            -pi * np.sin(pi * x1) * np.sin(pi * x2),
+            pi * np.sin(pi * x1) * np.sin(pi * x2),
+            -pi * np.cos(pi * x1) * np.cos(pi * x2),
+        ], axis=-1).reshape(x.shape[:-1] + (2, 2))
+        assert np.array_equal(taylor_green_stokes().grad_u(x), former)
 
     def test_tensor_load_equivalent_traction(self):
         # (stress - F) n = 0 on the Neumann walls for the tensor-load variant
@@ -276,6 +291,43 @@ class TestExactErrors:
         errs = exact_errors(sol, prob, mesh)
         assert errs["primal"] < 1e-12
         assert errs["dual"] < 1e-12
+
+    @pytest.mark.parametrize("prob", [
+        taylor_green_stokes(), taylor_green_stokes(load="tensor"), lshape_stokes(),
+    ], ids=["traction", "tensor", "lshape"])
+    def test_dual_error_equals_whole_array_form(self, prob, monkeypatch):
+        # the stress error is formed in the exact stress's own array, entry
+        # by entry, bit for bit as the former whole-array difference, with
+        # the tensor load and the pure-Dirichlet gauge shift
+        mesh = refine_marked_twice(prob.mesh_factory(), [0, 1, 2])
+        sol = discretize_stokes(prob, mesh)
+        kept = []
+
+        def keep_exact_stress(*args):
+            kept.append(exact_stress(*args))
+            return kept[-1]
+
+        monkeypatch.setattr(problems, "exact_stress", keep_exact_stress)
+        errs = exact_errors(sol, prob, mesh)
+        w = triangle_rule(10)[1]
+        pts = physical_points(mesh, 10)
+        sdiff = exact_stress(prob, prob.grad_u(pts), prob.p(pts)) - sol.t_h.evaluate(pts)
+        if sol.system.big_f_h is not None:
+            sdiff -= sol.system.big_f_h.values[:, None]
+        if len(mesh.sides_with_label(NEUMANN)) == 0:
+            tr_mean = np.sum(
+                mesh.areas
+                * np.einsum("q,nq->n", w, sdiff[..., 0, 0] + sdiff[..., 1, 1])
+            ) / (2.0 * mesh.total_area)
+            sdiff[..., 0, 0] -= tr_mean
+            sdiff[..., 1, 1] -= tr_mean
+        dual = np.sum(
+            mesh.areas * np.einsum("q,nqij,nqij->n", w, sdiff, sdiff)
+        ) / (2.0 * sol.nu)
+        assert errs["dual"] == float(np.sqrt(dual))
+        # the array ends as the deviatoric part of the stress error
+        assert len(kept) == 1
+        assert np.array_equal(kept[0], dev(sdiff))
 
     def test_taylor_green_level1_table_values(self):
         prob = taylor_green_stokes()
