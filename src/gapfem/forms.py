@@ -12,6 +12,7 @@ with element-wise constant f_h, F_h and side-wise constant tractions g_S.
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
+from scipy.sparse.csgraph import connected_components
 
 from . import mesh as _mesh
 from .quadrature import SIDE_POINTS, segment_rule, side_points
@@ -274,22 +275,39 @@ def _free_dofs(mesh):
 def _free_field(mesh, free, x):
     """CR field holding x's two component blocks on the free sides, zero elsewhere."""
     vals = np.zeros((mesh.num_sides, 2))
-    nf = len(free)
-    vals[free, 0] = x[:nf]
-    vals[free, 1] = x[nf: 2 * nf]
+    vals[free] = x[: 2 * len(free)].reshape(2, -1).T
     return CRField(mesh, vals)
 
 
-# Augmented-Lagrangian penalty per unit viscosity, gamma = AL_GAMMA0 * nu.
-# A larger gamma contracts the Uzawa iteration faster but worsens the
-# condition of K; 1e3 reaches roundoff in a few steps without a refinement
-# pass, 1e4 does not.
-AL_GAMMA0 = 1e3
-AL_MAX_ITER = 30
-# Uzawa stops once ||B u - g|| <= AL_ROUNDOFF eps (||B||_inf ||u|| + ||g||),
-# the roundoff floor of the constraint residual; below it the residual only
-# wanders in the noise
-AL_ROUNDOFF = 8.0
+def _potential_columns(mesh):
+    """Column of each vertex's stream-function unknown, -1 where pinned: one
+    per connected piece of the Dirichlet boundary (a component of the graph
+    of the Dirichlet sides), the first pinned to 0, and one per other vertex."""
+    ends = mesh.side_vertices[mesh.sides_with_label(_mesh.DIRICHLET)]
+    graph = sparse.csr_matrix((np.ones(len(ends)), ends.T), shape=(mesh.num_vertices,) * 2)
+    labels = connected_components(graph, directed=False)[1]
+    pin = labels[ends[0, 0]]
+    return np.where(labels == pin, -1, labels - (labels > pin))
+
+
+def _divfree_basis(mesh, free, potential):
+    """The map Z of (phi, psi) to the free velocity DOFs, as CSR.
+
+    v(m_S) = (C phi)_S n_S + psi_S t_S on each free side S, C the
+    `curl_operator`, phi in the columns `potential` gives and then psi, one
+    per free side.  Z holds no zero entries.
+    """
+    geo = mesh.geometry()
+    nf, nphi = len(free), potential.max() + 1
+    ends = potential[mesh.side_vertices[free]]
+    normal = geo["side_normal"][free].T / geo["side_length"][free]
+    data = np.stack([-normal, normal, geo["side_tangent"][free].T], axis=2).reshape(-1, 3)
+    cols = np.tile(np.column_stack([ends, nphi + np.arange(nf)]), (2, 1))
+    keep = (data != 0.0) & (cols >= 0)
+    # C[s, a] + C[s, b] = 0 on a side whose two ends share an unknown
+    keep[:, :2] &= np.tile(ends[:, :1] != ends[:, 1:], (2, 1))
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sparse.csr_matrix((data[keep], cols[keep], indptr), (2 * nf, nphi + nf))
 
 
 class StokesSystem(_LoadedSystem):
@@ -302,12 +320,14 @@ class StokesSystem(_LoadedSystem):
     followed by the element pressures and, with an empty Neumann set, one
     Lagrange multiplier enforcing the zero-mean pressure gauge.
 
-    `al_solve` never factors the saddle `matrix`; it only multiplies it to
-    check each solution.  Each call makes one factor, of the sparse SPD
-    K_1 = A_1 + AL_GAMMA0 B^T M^-1 B, with M the diagonal of element areas;
-    K_nu = nu K_1 for gamma = AL_GAMMA0 nu, so each Uzawa step solves with
-    K_1 and divides by nu.  The factor is local to the call and freed when
-    it returns, so no later phase on the mesh holds it.
+    `solve_saddle` solves in the stream-function basis Z of the
+    divergence-free CR fields (`_divfree_basis`; Griffiths, Math. Methods
+    Appl. Sci. 1, 1979; Thomasset, 1981) and only multiplies the saddle
+    `matrix`, to check the solution.  Z spans the kernel of b, and has its
+    2 n_free - ne + [pure Dirichlet] columns (Euler's formula), only if all
+    boundary curves (the outer one, each hole's) but at most one are
+    entirely Dirichlet; other meshes, e.g. a Neumann hole in a partly
+    Neumann outer boundary, raise AssemblyError.
     """
 
     def __init__(self, mesh, nu, u_hat, f_h, big_f_h, g_h):
@@ -322,6 +342,15 @@ class StokesSystem(_LoadedSystem):
             )
 
         self.free_sides, self.vel_index = _free_dofs(mesh)
+        self.pure_dirichlet = len(mesh.sides_with_label(_mesh.NEUMANN)) == 0
+        self.potential_columns = _potential_columns(mesh)
+        # Z has nphi + n_free columns, the kernel 2 n_free - ne + [pure Dirichlet]
+        nphi = self.potential_columns.max() + 1
+        if nphi != len(self.free_sides) - mesh.num_elements + self.pure_dirichlet:
+            raise AssemblyError(
+                "the divergence-free CR basis does not span the discrete kernel: "
+                "every boundary curve but at most one must be entirely Dirichlet"
+            )
         # the vector stiffness G^T (|T| I) G acts on each component alone
         k_scal = cr_stiffness(mesh)
         self.a1_full = sparse.block_diag([k_scal, k_scal], format="csr")
@@ -330,10 +359,6 @@ class StokesSystem(_LoadedSystem):
         self.b_full = sparse.diags(-mesh.areas) @ (grad[0::4] + grad[3::4])
         self.a1 = self.a1_full[self.vel_index][:, self.vel_index]
         self.b = self.b_full[:, self.vel_index]
-        # B^T as the CSC view of b: no copy, and no transpose per Uzawa step
-        self.bt = self.b.T
-        self.b_norm = _inf_norm(self.b)
-        self.pure_dirichlet = len(mesh.sides_with_label(_mesh.NEUMANN)) == 0
 
         # [[nu A_1, B^T], [B, 0]], bordered by the gauge row if present
         a, b = nu * self.a1, self.b
@@ -345,69 +370,46 @@ class StokesSystem(_LoadedSystem):
         self.matrix_norm = _inf_norm(self.matrix)
 
         uhat_vec = u_hat.dofs()
-        rhs_v = self.load_vector - nu * (self.a1_full @ uhat_vec)
-        self.rhs = np.concatenate([
-            rhs_v[self.vel_index],
-            -(self.b_full @ uhat_vec),
-            np.zeros(int(self.pure_dirichlet)),
-        ])
+        rhs_v = (self.load_vector - nu * (self.a1_full @ uhat_vec))[self.vel_index]
+        gauge_rhs = np.zeros(int(self.pure_dirichlet))
+        self.rhs = np.concatenate([rhs_v, -(self.b_full @ uhat_vec), gauge_rhs])
 
-    def al_solve(self, rhs):
-        """Solve matrix @ x = rhs by augmented-Lagrangian Uzawa iteration.
+    def solve_saddle(self, rhs):
+        """Solve matrix @ x = rhs directly in the divergence-free basis Z.
 
-        Each call factors K_1 once, and each step makes one triangular
-        solve with the factor: it solves K u = f + gamma B^T M^-1 g - B^T p
-        and updates p += gamma M^-1 (B u - g).  The u of an update and the
-        updated p satisfy the momentum rows exactly.  The iteration stops once the
-        constraint residual ||B u - g|| reaches the roundoff floor
-        AL_ROUNDOFF eps (||B||_inf ||u|| + ||g||), or stops decreasing; it
-        keeps its last decreasing iterate.  On pure-Dirichlet meshes B u
-        sums to zero, so the gauge multiplier is the mean of g, and p is
-        shifted to the gauge.  Returns (x, LinearSolveReport), x checked
-        against matrix.
+        With f, g the velocity and pressure rows of rhs: u_g = B^T y with
+        (B B^T) y = g, nu (Z^T A_1 Z) c = Z^T (f - nu A_1 u_g), u = u_g + Z c
+        and (B B^T) p = B (f - nu A_1 u), three SPD factors that are each a
+        temporary of their one solve.  On pure-Dirichlet meshes 1^T B = 0, so
+        the gauge multiplier is sum(g) / sum(|T|), and its part of g is
+        subtracted first; element 0's pressure is pinned, making B B^T SPD,
+        and p is shifted to the gauge.
+        Returns (x, LinearSolveReport), x checked against matrix.
         """
-        nu, nv, areas = self.nu, len(self.vel_index), self.mesh.areas
-        ne = len(areas)
+        nu, nv, ne = self.nu, len(self.vel_index), self.mesh.num_elements
+        pin, areas = int(self.pure_dirichlet), self.mesh.areas
         x = np.zeros(len(rhs))
-        u_best, p = x[:nv], x[nv: nv + ne]
+        u, p = x[:nv], x[nv: nv + ne]
         f, g = rhs[:nv], rhs[nv: nv + ne]
         if self.pure_dirichlet:
-            lam = g.sum() / areas.sum()
-            g = g - areas * lam
-        gamma = AL_GAMMA0 * nu
-        load = f + gamma * (self.bt @ (g / areas))
-        g_norm = _column_norms(g)
-        # local: the factor is freed on return, not kept with the solution
-        lu = spd_factor(
-            self.a1 + AL_GAMMA0 * (self.bt @ sparse.diags(1.0 / areas) @ self.b)
-        )
-        best = np.inf
-        for _ in range(AL_MAX_ITER):
-            u = lu.solve(load - self.bt @ p)
-            u /= nu
-            r = self.b @ u
-            r -= g
-            r_norm = _column_norms(r)
-            if not r_norm < best:
-                break
-            u_best[:] = u
-            p += gamma * (r / areas)
-            best = r_norm
-            roundoff = AL_ROUNDOFF * np.finfo(float).eps * (
-                self.b_norm * _column_norms(u) + g_norm
-            )
-            if r_norm <= roundoff:
-                break
+            x[-1] = g.sum() / areas.sum()
+            g = g - areas * x[-1]
+        b = self.b[pin:]
+        # exactly symmetric: two elements share at most one side
+        bbt = b @ b.T
+        u[:] = b.T @ spd_factor(bbt).solve(g[pin:])
+        z = _divfree_basis(self.mesh, self.free_sides, self.potential_columns)
+        c = spd_factor(_gram(z, self.a1)).solve(z.T @ (f - nu * (self.a1 @ u)))
+        u += z @ (c / nu)
+        p[pin:] = spd_factor(bbt).solve(b @ (f - nu * (self.a1 @ u)))
         if self.pure_dirichlet:
             p += (rhs[-1] - areas @ p) / areas.sum()
-            x[-1] = lam
         return x, _checked(self.matrix, self.matrix_norm, rhs, x)
 
     def solve(self):
         """Solve; returns (u_h, p_h, report) with u_h in the homogeneous space."""
-        x, report = self.al_solve(self.rhs)
-        nfree = len(self.vel_index)
-        p_h = P0Field(self.mesh, x[nfree: nfree + self.mesh.num_elements])
+        x, report = self.solve_saddle(self.rhs)
+        p_h = P0Field(self.mesh, x[len(self.vel_index):][: self.mesh.num_elements])
         return _free_field(self.mesh, self.free_sides, x), p_h, report
 
     def residual(self, u_h, p_h):
@@ -527,6 +529,4 @@ def solve_lifting(mesh, u_total, mu, datum_load=None):
         rhs -= datum_load
     rhs = rhs.reshape(2, -1).T[free]
     x, _ = solve_sparse(k_free, rhs)
-    vals = np.zeros((mesh.num_sides, 2))
-    vals[free] = x
-    return CRField(mesh, vals)
+    return _free_field(mesh, free, x.T.ravel())

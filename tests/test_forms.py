@@ -1,4 +1,5 @@
 import ast
+import functools
 import pathlib
 import warnings
 
@@ -38,6 +39,7 @@ from gapfem.forms import (
     stabilization_jump_matrix,
     stabilization_weights,
 )
+from gapfem.mesh import grid_triangles
 from gapfem.problems import cook_mesh, lshape_mesh
 from gapfem.quadrature import segment_rule, side_points
 from gapfem.spaces import (
@@ -63,6 +65,31 @@ def zero_lift(mesh):
 def stokes_system(mesh, nu):
     """The Stokes system of a mesh at nu with zero lift and load."""
     return assemble_stokes(mesh, nu, zero_lift(mesh), None, None, None)
+
+
+def holed_square_mesh(outer, hole):
+    """The unit square's 3-by-3 grid of cells without its centre cell.
+
+    The four sides around the hole take the label `hole`; the outer sides
+    take the one the labeler `outer` gives.
+    """
+    i, j = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
+    vertices = np.stack([i.ravel(), j.ravel()], axis=1) / 3.0
+    elements = np.delete(grid_triangles(3, 3), [8, 9], axis=0)  # cell (1, 1)
+
+    def labeler(mid):
+        inner = np.all((mid > 1e-12) & (mid < 1.0 - 1e-12))
+        return hole if inner else outer(mid)
+
+    return build_triangulation(vertices, elements, labeler)
+
+
+def stokes_factor_shapes(system):
+    """Shapes of the three factors of one `solve_saddle`: B B^T (one element
+    pressure pinned on pure-Dirichlet meshes), Z^T A_1 Z and B B^T again."""
+    m = system.mesh.num_elements - system.pure_dirichlet
+    nz = len(system.vel_index) - m
+    return [(m, m), (nz, nz), (m, m)]
 
 
 def record_spd_factors(monkeypatch):
@@ -113,9 +140,9 @@ class TestSolveSparse:
             solve_sparse(a, rng.standard_normal(30))
 
     def test_one_factor_path_for_every_operator(self, monkeypatch):
-        # K_1, the elasticity matrix and the lifting's CR stiffness are all
-        # factored by spd_factor with the same options; K_1 once, when the
-        # Stokes solve runs
+        # the three Stokes factors, the elasticity matrix and the lifting's
+        # CR stiffness are all factored by spd_factor with the same options;
+        # the Stokes ones once each, when the Stokes solve runs
         from gapfem.problems import (
             cook_membrane,
             discretize_elasticity,
@@ -132,13 +159,16 @@ class TestSolveSparse:
 
         monkeypatch.setattr(forms.sla, "splu", recording_splu)
         stokes = taylor_green_stokes()
-        nvel = len(discretize_stokes(stokes, stokes.mesh_factory()).system.vel_index)
+        stokes_shapes = stokes_factor_shapes(
+            discretize_stokes(stokes, stokes.mesh_factory()).system
+        )
         cook = cook_membrane(nx=3, ny=5)
         mesh = cook.mesh_factory()
         sol = discretize_elasticity(cook, mesh)
         solve_lifting(mesh, sol.u_h + sol.u_hat, cook.material.mu)
         nfree = len(sol.system.vel_index)
-        assert [n for n, _, _ in calls] == [nvel, nfree, nfree // 2, nfree // 2]
+        stokes_sizes = [n for n, _ in stokes_shapes]
+        assert [n for n, _, _ in calls] == stokes_sizes + [nfree, nfree // 2, nfree // 2]
         assert all(
             (args, kwargs) == ((), forms.SPD_FACTOR_OPTIONS) for _, args, kwargs in calls
         )
@@ -324,31 +354,58 @@ class TestStokesAssembly:
 
 
 class TestStokesALSolve:
-    """The augmented-Lagrangian Uzawa solve of the CR-P0 saddle."""
+    """The direct solve of the CR-P0 saddle in the divergence-free basis."""
+
+    @pytest.mark.parametrize("outer, hole", [
+        (tg_labeler, DIRICHLET), (all_dirichlet, DIRICHLET), (all_dirichlet, NEUMANN),
+    ], ids=["tg-dirichlet-hole", "dirichlet-dirichlet-hole", "dirichlet-neumann-hole"])
+    def test_hole_matches_saddle_lu(self, outer, hole):
+        # at most one boundary curve carries Neumann sides, so the
+        # divergence-free basis spans the kernel, here and after refinement
+        mesh = holed_square_mesh(outer, hole)
+        rng = np.random.default_rng(11)
+        for _ in range(2):
+            system = stokes_system(mesh, 1.0)
+            rhs = rng.standard_normal(system.matrix.shape[0])
+            x, report = system.solve_saddle(rhs)
+            ref = sla.splu(system.matrix).solve(rhs)
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+            assert report.residual_norm <= SOLVE_TOL
+            mesh, _ = refine_bisection(mesh, np.arange(mesh.num_elements))
+
+    def test_neumann_hole_raises(self):
+        # two boundary curves with Neumann sides: the flux through the hole
+        # is free, which no single-valued stream function gives, so the
+        # basis misses a kernel direction and the system is refused by name
+        # rather than solved wrongly
+        mesh = holed_square_mesh(tg_labeler, NEUMANN)
+        with pytest.raises(AssemblyError, match="every boundary curve but at most one"):
+            stokes_system(mesh, 1.0)
 
     @pytest.mark.parametrize("labeler", [all_dirichlet, tg_labeler])
     def test_matches_saddle_lu(self, labeler, monkeypatch):
-        # each viscosity's system solves its own saddle matrix, with one
-        # factor of K_1 per solve and none when the system is built
+        # each viscosity's system solves its own saddle matrix, with the
+        # three factors B B^T, Z^T A_1 Z and B B^T per solve and none when
+        # the system is built
         mesh = structured_square_mesh(6, labeler)
         rng = np.random.default_rng(7)
         factored = record_spd_factors(monkeypatch)
         for k, nu in enumerate((0.5, 1.0)):
             system = stokes_system(mesh, nu)
-            assert len(factored) == k
+            assert len(factored) == 3 * k
             assert system.pure_dirichlet == (labeler is all_dirichlet)
             rhs = rng.standard_normal(system.matrix.shape[0])
-            x, report = system.al_solve(rhs)
-            nv = len(system.vel_index)
-            assert factored[k:] == [(nv, nv)]
+            x, report = system.solve_saddle(rhs)
+            assert factored[3 * k:] == stokes_factor_shapes(system)
             ref = sla.splu(system.matrix).solve(rhs)
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
             assert report.residual_norm <= 1e-10
 
     def test_factor_freed_when_solve_returns(self, monkeypatch):
-        # the factor is local to al_solve: once a solve returns nothing
-        # holds it, while the system lives on with its solution and can
-        # solve again with a factor of its own
+        # each factor is a temporary of its one triangular solve: it is dead
+        # before the next factor is made, so at most one lives at a time,
+        # and none once a solve returns, while the system lives on with its
+        # solution and can solve again with factors of its own
         import gc
         import weakref
 
@@ -365,6 +422,7 @@ class TestStokesALSolve:
         spd_factor = forms.spd_factor
 
         def weak_factor(matrix):
+            assert all(ref() is None for ref in refs)
             factor = Factor(spd_factor(matrix))
             refs.append(weakref.ref(factor))
             return factor
@@ -375,10 +433,10 @@ class TestStokesALSolve:
         gc.disable()
         try:
             sol = discretize_stokes(prob, mesh)
-            assert len(refs) == 1 and refs[0]() is None
+            assert len(refs) == 3 and all(ref() is None for ref in refs)
             assert not hasattr(sol.system, "lu")
             u_h, p_h, _ = sol.system.solve()
-            assert len(refs) == 2 and refs[1]() is None
+            assert len(refs) == 6 and all(ref() is None for ref in refs)
             assert np.array_equal(u_h.values, sol.u_h.values)
             assert np.array_equal(p_h.values, sol.p_h.values)
         finally:
@@ -389,15 +447,15 @@ class TestStokesALSolve:
         factored = record_spd_factors(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, report = system.al_solve(np.zeros(system.matrix.shape[0]))
-        assert len(factored) == 1
+            x, report = system.solve_saddle(np.zeros(system.matrix.shape[0]))
+        assert factored == stokes_factor_shapes(system)
         assert not np.any(x)
         assert report.residual_norm == 0.0
 
     @pytest.mark.parametrize("problem", ["taylor-green", "lshape"])
-    def test_at_most_seven_solves_per_system(self, problem, monkeypatch):
-        # the Uzawa loop stops at roundoff: one Stokes solve per mesh makes
-        # one factor and at most 7 triangular solves with it, and 16 random
+    def test_three_factors_one_solve_each(self, problem, monkeypatch):
+        # one Stokes solve per mesh makes the factors of B B^T, Z^T A_1 Z
+        # and B B^T with one triangular solve each, and 16 random
         # divergence-free samples on the same mesh make neither
         from gapfem.duality import random_divfree_cr
         from gapfem.mesh import refine_marked_twice
@@ -423,11 +481,11 @@ class TestStokesALSolve:
         mesh = prob.mesh_factory()
         for level in range(1, 3):
             discretize_stokes(prob, mesh)
-            assert len(factors) == level
-            assert 1 <= factors[-1].solves <= 7
-            factors[-1].solves = 0
+            assert len(factors) == 3 * level
+            assert [f.solves for f in factors] == [1] * len(factors)
             random_divfree_cr(mesh, range(1, 17), 1.0)
-            assert len(factors) == level and factors[-1].solves == 0
+            assert len(factors) == 3 * level
+            assert [f.solves for f in factors] == [1] * len(factors)
             mesh = refine_marked_twice(mesh, range(mesh.num_elements))
 
     def test_checked_flags_one_bad_column(self):
@@ -455,11 +513,11 @@ class TestStokesALSolve:
         rhs = np.random.default_rng(1).standard_normal(system.matrix.shape[0])
         monkeypatch.setattr(forms, "SOLVE_TOL", 1e-30)
         with pytest.raises(SingularSystemError, match="exceeds"):
-            system.al_solve(rhs)
+            system.solve_saddle(rhs)
 
     def test_one_symmetric_factor_per_mesh(self, monkeypatch):
-        # the Stokes solve factors the one symmetric K_1, of the free
-        # velocity DOFs; the random divergence-free samples factor nothing
+        # the Stokes solve factors the symmetric B B^T, Z^T A_1 Z and B B^T
+        # once each; the random divergence-free samples factor nothing
         from gapfem.duality import random_divfree_cr
         from gapfem.problems import discretize_stokes, taylor_green_stokes
 
@@ -476,11 +534,11 @@ class TestStokesALSolve:
         mesh = prob.mesh_factory()
         random_divfree_cr(mesh, range(1, 17), 1.0)
         assert factored == []
-        nv = len(discretize_stokes(prob, mesh).system.vel_index)
-        assert factored == [(nv, nv)]
+        shapes = stokes_factor_shapes(discretize_stokes(prob, mesh).system)
+        assert factored == shapes
         for seed in range(3):
             random_divfree_cr(mesh, [seed], 1.0)
-        assert factored == [(nv, nv)]
+        assert factored == shapes
 
     def test_one_saddle_per_mesh_in_identity_rows(self, monkeypatch):
         # each level's Stokes solve builds the system of its own mesh once
@@ -542,17 +600,56 @@ def _bisected_mesh(n, labeler, seed, rounds):
     return mesh
 
 
+def square_boundary_labeler(n, cuts, mid):
+    """DIRICHLET on each boundary side k of the unit square's n-by-n grid
+    that has an odd number of cuts <= k, NEUMANN on the others; the sides
+    are numbered 0 to 4 n - 1 counterclockwise from the origin."""
+    x, y = mid
+    if y < 1e-12:
+        arc = x
+    elif x > 1.0 - 1e-12:
+        arc = 1.0 + y
+    elif y > 1.0 - 1e-12:
+        arc = 3.0 - x
+    else:
+        arc = 4.0 - y
+    return DIRICHLET if np.searchsorted(cuts, int(arc * n), side="right") % 2 else NEUMANN
+
+
+@st.composite
+def square_partitions(draw):
+    """(n, labeler): a grid size and a random partition of the unit square's
+    boundary, all Dirichlet, a single Dirichlet side, or one, two or three
+    Dirichlet pieces (each of one or more sides) between Neumann gaps."""
+    n = draw(st.integers(2, 8))
+    pieces = draw(st.sampled_from(["all", "side", 1, 2, 3]))
+    if pieces == "all":
+        cuts = [0, 4 * n]
+    elif pieces == "side":
+        first = draw(st.integers(0, 4 * n - 1))
+        cuts = [first, first + 1]
+    else:
+        size = 2 * pieces
+        cuts = sorted(draw(st.lists(
+            st.integers(0, 4 * n - 1), min_size=size, max_size=size, unique=True
+        )))
+    return n, functools.partial(square_boundary_labeler, n, tuple(cuts))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    n=st.integers(2, 8),
-    labeler=st.sampled_from([all_dirichlet, tg_labeler]),
+    partition=square_partitions(),
     seed=st.integers(0, 2**32 - 1),
+    rounds=st.integers(0, 2),
     log_nus=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=3),
 )
-def test_viscosity_free_saddle(n, labeler, seed, log_nus):
-    """At every nu, one system solves its matrix with one factor of K_1 per
-    solve, and building the system factors nothing."""
-    mesh = _perturbed_mesh(n, labeler, seed)
+def test_viscosity_free_saddle(partition, seed, rounds, log_nus):
+    """On any partition of the boundary, on perturbed and randomly bisected
+    meshes and at every nu, one system solves its matrix with the factors
+    of B B^T, Z^T A_1 Z and B B^T per solve, and building the system
+    factors nothing."""
+    n, labeler = partition
+    mesh = _bisected_mesh(n, labeler, seed, rounds)
     rng = np.random.default_rng(seed)
     splu = sla.splu
     factored = []
@@ -565,19 +662,18 @@ def test_viscosity_free_saddle(n, labeler, seed, log_nus):
         mp.setattr(forms.sla, "splu", counting_splu)
         for k, nu in enumerate(10.0 ** np.array(log_nus)):
             system = stokes_system(mesh, nu)
-            assert len(factored) == 2 * k
+            assert len(factored) == 6 * k
             rhs = rng.standard_normal(system.matrix.shape[0])
-            x, report = system.al_solve(rhs)
-            nv = len(system.vel_index)
-            assert factored[2 * k:] == [(nv, nv)]
+            x, report = system.solve_saddle(rhs)
+            assert factored[6 * k:] == stokes_factor_shapes(system)
             ref = splu(system.matrix).solve(rhs)
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
             assert report.residual_norm <= SOLVE_TOL
-            # a second solve of the same system factors K_1 again
-            again, _ = system.al_solve(rhs)
+            # a second solve of the same system factors all three again
+            again, _ = system.solve_saddle(rhs)
             assert np.array_equal(again, x)
-            assert len(factored) == 2 * k + 2
-    assert len(factored) == 2 * len(log_nus)
+            assert len(factored) == 6 * k + 6
+    assert len(factored) == 6 * len(log_nus)
 
 
 class TestElasticityAssembly:
