@@ -15,7 +15,6 @@ from . import mesh as _mesh
 from .quadrature import VOLUME_DEGREE, physical_points, rule_values, triangle_rule
 from .spaces import (
     CRField,
-    P0Field,
     RTField,
     broken_gradient,
     broken_sym_gradient,
@@ -142,11 +141,9 @@ def marini_stokes(u_h, p_h, u_hat, f_h, nu, mesh, big_f_h=None):
     is the stress itself.  An interior-flux discrepancy above JUMP_TOL
     signals that (u_h, p_h) does not solve the discrete system.
     """
-    grads = broken_gradient(u_h + u_hat).values
-    pvals = p_h.values if isinstance(p_h, P0Field) else np.asarray(p_h)
-    p0_part = nu * grads
-    p0_part[:, 0, 0] -= pvals
-    p0_part[:, 1, 1] -= pvals
+    p0_part = nu * broken_gradient(u_h + u_hat).values
+    p0_part[:, 0, 0] -= p_h.values
+    p0_part[:, 1, 1] -= p_h.values
     return _equilibrate(
         mesh, p0_part, f_h, big_f_h,
         "the input pair does not solve the discrete system",
@@ -165,8 +162,7 @@ def marini_stokes_inverse(t_h, u_bar, u_hat, nu, mesh):
     adjacent elements, up to JUMP_TOL.
     """
     dv = dev(t_h.cell_average().values) / nu - broken_gradient(u_hat).values
-    ubv = u_bar.values if isinstance(u_bar, P0Field) else np.asarray(u_bar)
-    table = ubv[:, None, :] + np.einsum("nij,nkj->nki", dv, _side_offsets(mesh))
+    table = u_bar.values[:, None, :] + np.einsum("nij,nkj->nki", dv, _side_offsets(mesh))
     vals, jump = _side_average(mesh, table)
     if jump > JUMP_TOL:
         raise AdmissibilityError(
@@ -194,11 +190,8 @@ def marini_elasticity(u_h, u_hat, r_h, f_h, material, mesh, big_f_h=None):
 
 
 def _p0_values(f, mesh, shape):
-    if f is None:
-        return np.zeros(shape)
-    if isinstance(f, P0Field):
-        return f.values
-    return np.asarray(f, dtype=float)
+    """Values of a P0Field f, zeros of the given shape for None."""
+    return np.zeros(shape) if f is None else f.values
 
 
 # -- admissibility checks --------------------------------------------------------

@@ -60,20 +60,20 @@ def _column_norms(a):
 SOLVE_TOL = 1e-10
 
 
-def _checked(matrix, norm, rhs, x):
+def _checked(matrix, rhs, x):
     """LinearSolveReport of a solution x of matrix @ x = rhs.
 
     The report holds the normwise backward error
-    ||b - A x|| / (||A||_inf ||x|| + ||b||), `norm` being ||A||_inf; when
-    rhs holds several columns, it is the largest backward error of a
-    column, so one bad column cannot hide behind good ones.  A zero
-    solution of a zero right-hand side has backward error 0 (the 0/0 case).
+    ||b - A x|| / (||A||_inf ||x|| + ||b||); when rhs holds several
+    columns, it is the largest backward error of a column, so one bad
+    column cannot hide behind good ones.  A zero solution of a zero
+    right-hand side has backward error 0 (the 0/0 case).
     SingularSystemError is raised if x is not finite or its backward error
     exceeds SOLVE_TOL.
     """
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite values")
-    denom = norm * _column_norms(x) + _column_norms(rhs)
+    denom = _inf_norm(matrix) * _column_norms(x) + _column_norms(rhs)
     residual = matrix @ x
     np.subtract(rhs, residual, out=residual)
     res = np.max(
@@ -122,7 +122,7 @@ def solve_sparse(matrix, rhs):
     raised if the factorisation or the check fails.
     """
     x = spd_factor(matrix).solve(rhs)
-    return x, _checked(matrix, _inf_norm(matrix), rhs, x)
+    return x, _checked(matrix, rhs, x)
 
 
 # -- forms: products of the broken-gradient and side-jump operators -----------
@@ -236,13 +236,13 @@ def load_vector(mesh, f_h=None, big_f_h=None, g_h=None):
     rhs = np.zeros(2 * ns)
     if f_h is not None:
         # Pi_h v on an element is the mean of v over its three sides
-        fv = f_h.values if isinstance(f_h, P0Field) else np.asarray(f_h)
         dofs = mesh.element_sides[:, :, None] + ns * np.arange(2)  # (ne, 3, 2)
-        contrib = np.broadcast_to(((mesh.areas / 3.0)[:, None] * fv)[:, None], dofs.shape)
+        weighted = (mesh.areas / 3.0)[:, None, None] * f_h.values[:, None]  # (ne, 1, 2)
+        contrib = np.broadcast_to(weighted, dofs.shape)
         rhs += np.bincount(dofs.ravel(), contrib.ravel(), minlength=2 * ns)
     if big_f_h is not None:
-        fv = big_f_h.values if isinstance(big_f_h, P0Field) else np.asarray(big_f_h)
-        rhs += cr_gradient_operator(mesh).T @ (mesh.areas[:, None, None] * fv).ravel()
+        weighted = mesh.areas[:, None, None] * big_f_h.values
+        rhs += cr_gradient_operator(mesh).T @ weighted.ravel()
     if g_h is not None:
         geo = mesh.geometry()
         neumann = mesh.sides_with_label(_mesh.NEUMANN)
@@ -313,21 +313,22 @@ def _divfree_basis(mesh, free, potential):
 class StokesSystem(_LoadedSystem):
     """Assembled CR-P0 Stokes saddle-point system at viscosity nu, and its load.
 
-    a1_full = vector CR stiffness (the velocity block at nu = 1) and
-    b_full = -(q, div_h v), with q the element pressures, act on all CR
-    DOFs; a1 and b are their restrictions to the free velocity DOFs
-    `vel_index`.  The unknowns are the free velocity DOFs (both components)
-    followed by the element pressures and, with an empty Neumann set, one
-    Lagrange multiplier enforcing the zero-mean pressure gauge.
+    a1 (the vector CR stiffness, the velocity block at nu = 1) and
+    b = -(q, div_h v), with q the element pressures, act on the free
+    velocity DOFs `vel_index`; their Dirichlet columns enter only `rhs`,
+    through the lift.  The unknowns are the free velocity DOFs (both
+    components) followed by the element pressures and, with an empty
+    Neumann set, one Lagrange multiplier enforcing the zero-mean pressure
+    gauge: `saddle_matrix()` @ x = rhs.
 
     `solve_saddle` solves in the stream-function basis Z of the
     divergence-free CR fields (`_divfree_basis`; Griffiths, Math. Methods
-    Appl. Sci. 1, 1979; Thomasset, 1981) and only multiplies the saddle
-    `matrix`, to check the solution.  Z spans the kernel of b, and has its
-    2 n_free - ne + [pure Dirichlet] columns (Euler's formula), only if all
-    boundary curves (the outer one, each hole's) but at most one are
-    entirely Dirichlet; other meshes, e.g. a Neumann hole in a partly
-    Neumann outer boundary, raise AssemblyError.
+    Appl. Sci. 1, 1979; Thomasset, 1981) and builds the saddle matrix only
+    to check the solution, after its three factor solves.  Z spans the
+    kernel of b, and has its 2 n_free - ne + [pure Dirichlet] columns
+    (Euler's formula), only if all boundary curves (the outer one, each
+    hole's) but at most one are entirely Dirichlet; other meshes, e.g. a
+    Neumann hole in a partly Neumann outer boundary, raise AssemblyError.
     """
 
     def __init__(self, mesh, nu, u_hat, f_h, big_f_h, g_h):
@@ -353,29 +354,29 @@ class StokesSystem(_LoadedSystem):
             )
         # the vector stiffness G^T (|T| I) G acts on each component alone
         k_scal = cr_stiffness(mesh)
-        self.a1_full = sparse.block_diag([k_scal, k_scal], format="csr")
+        a1_full = sparse.block_diag([k_scal, k_scal], format="csr")
         # -(q, div_h v): div_h is the sum of the trace rows of G
         grad = cr_gradient_operator(mesh)
-        self.b_full = sparse.diags(-mesh.areas) @ (grad[0::4] + grad[3::4])
-        self.a1 = self.a1_full[self.vel_index][:, self.vel_index]
-        self.b = self.b_full[:, self.vel_index]
-
-        # [[nu A_1, B^T], [B, 0]], bordered by the gauge row if present
-        a, b = nu * self.a1, self.b
-        blocks = [[a, b.T], [b, None]]
-        if self.pure_dirichlet:
-            gauge = sparse.csr_matrix(mesh.areas[None, :])
-            blocks = [[a, b.T, None], [b, None, gauge.T], [None, gauge, None]]
-        self.matrix = sparse.bmat(blocks, format="csc")
-        self.matrix_norm = _inf_norm(self.matrix)
+        b_full = sparse.diags(-mesh.areas) @ (grad[0::4] + grad[3::4])
+        self.a1 = a1_full[self.vel_index][:, self.vel_index]
+        self.b = b_full[:, self.vel_index]
 
         uhat_vec = u_hat.dofs()
-        rhs_v = (self.load_vector - nu * (self.a1_full @ uhat_vec))[self.vel_index]
+        rhs_v = (self.load_vector - nu * (a1_full @ uhat_vec))[self.vel_index]
         gauge_rhs = np.zeros(int(self.pure_dirichlet))
-        self.rhs = np.concatenate([rhs_v, -(self.b_full @ uhat_vec), gauge_rhs])
+        self.rhs = np.concatenate([rhs_v, -(b_full @ uhat_vec), gauge_rhs])
+
+    def saddle_matrix(self):
+        """[[nu A_1, B^T], [B, 0]] as CSC, bordered by the gauge row if present."""
+        a, b = self.nu * self.a1, self.b
+        blocks = [[a, b.T], [b, None]]
+        if self.pure_dirichlet:
+            gauge = sparse.csr_matrix(self.mesh.areas[None, :])
+            blocks = [[a, b.T, None], [b, None, gauge.T], [None, gauge, None]]
+        return sparse.bmat(blocks, format="csc")
 
     def solve_saddle(self, rhs):
-        """Solve matrix @ x = rhs directly in the divergence-free basis Z.
+        """Solve `saddle_matrix()` @ x = rhs in the divergence-free basis Z.
 
         With f, g the velocity and pressure rows of rhs: u_g = B^T y with
         (B B^T) y = g, nu (Z^T A_1 Z) c = Z^T (f - nu A_1 u_g), u = u_g + Z c
@@ -384,7 +385,8 @@ class StokesSystem(_LoadedSystem):
         the gauge multiplier is sum(g) / sum(|T|), and its part of g is
         subtracted first; element 0's pressure is pinned, making B B^T SPD,
         and p is shifted to the gauge.
-        Returns (x, LinearSolveReport), x checked against matrix.
+        Returns (x, LinearSolveReport), x checked against `saddle_matrix()`,
+        which lives only as long as the check.
         """
         nu, nv, ne = self.nu, len(self.vel_index), self.mesh.num_elements
         pin, areas = int(self.pure_dirichlet), self.mesh.areas
@@ -404,22 +406,13 @@ class StokesSystem(_LoadedSystem):
         p[pin:] = spd_factor(bbt).solve(b @ (f - nu * (self.a1 @ u)))
         if self.pure_dirichlet:
             p += (rhs[-1] - areas @ p) / areas.sum()
-        return x, _checked(self.matrix, self.matrix_norm, rhs, x)
+        return x, _checked(self.saddle_matrix(), rhs, x)
 
     def solve(self):
         """Solve; returns (u_h, p_h, report) with u_h in the homogeneous space."""
         x, report = self.solve_saddle(self.rhs)
         p_h = P0Field(self.mesh, x[len(self.vel_index):][: self.mesh.num_elements])
         return _free_field(self.mesh, self.free_sides, x), p_h, report
-
-    def residual(self, u_h, p_h):
-        """Euler-Lagrange residual tested against every free CR basis function."""
-        mom = (
-            self.nu * (self.a1_full @ (u_h.dofs() + self.u_hat.dofs()))
-            + self.b_full.T @ p_h.values
-            - self.load_vector
-        )
-        return np.abs(mom[self.vel_index]).max()
 
 
 def assemble_stokes(mesh, nu, u_hat, f_h, big_f_h=None, g_h=None):
@@ -432,8 +425,8 @@ def assemble_stokes(mesh, nu, u_hat, f_h, big_f_h=None, g_h=None):
         Kinematic viscosity.
     u_hat : CRField
         Discrete Dirichlet lift; must satisfy div_h u_hat = 0 to 1e-10.
-    f_h : P0Field or (ne, 2) array or None
-    big_f_h : P0Field or (ne, 2, 2) array or None
+    f_h : P0Field or None
+    big_f_h : P0Field or None
         Element-wise constant tensor part of the load.
     g_h : (ns, 2) array or None
         Side-wise constant Neumann tractions (used on Neumann sides only).
@@ -478,11 +471,11 @@ class ElasticitySystem(_LoadedSystem):
             sparse.kron(sparse.diags(mesh.areas), c_local, format="csr"),
         )
 
-        self.a_full = k_eps + stabilization_jump_matrix(mesh, mu)
-        self.matrix = self.a_full[self.vel_index][:, self.vel_index].tocsc()
+        a_full = k_eps + stabilization_jump_matrix(mesh, mu)
+        self.matrix = a_full[self.vel_index][:, self.vel_index].tocsc()
         self.datum_load = dirichlet_penalty_load(mesh, mu, self.datum_values)
 
-        rhs = self.load_vector - self.a_full @ u_hat.dofs() + self.datum_load
+        rhs = self.load_vector - a_full @ u_hat.dofs() + self.datum_load
         self.rhs = rhs[self.vel_index]
 
     def s_h_total(self, u_total):
@@ -494,14 +487,6 @@ class ElasticitySystem(_LoadedSystem):
     def solve(self):
         x, report = solve_sparse(self.matrix, self.rhs)
         return _free_field(self.mesh, self.free_sides, x), report
-
-    def residual(self, u_h):
-        r = (
-            self.a_full @ (u_h.dofs() + self.u_hat.dofs())
-            - self.datum_load
-            - self.load_vector
-        )
-        return np.abs(r[self.vel_index]).max()
 
 
 def assemble_elasticity(

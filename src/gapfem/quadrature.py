@@ -1,10 +1,10 @@
 """Fixed quadrature rules on the reference triangle and on segments.
 
 Triangle rules are given as barycentric points and weights summing to one;
-physical integrals scale by the element area.  Three tiers are used
-throughout the package: the degree-2 side-midpoint rule for products of
-broken polynomials, a degree-10 symmetric rule for manufactured data, and
-a collapsed-coordinate Gauss rule of arbitrary degree for oracles.
+physical integrals scale by the element area.  Two tiers are used: the
+degree-10 symmetric rule, for every degree up to 10 and so for all
+analytic data, and a collapsed-coordinate Gauss rule of any higher degree,
+for the a priori identity check and for oracles.
 
 Every cached array (rules, per-mesh physical points and analytic field
 values) is handed out read-only, so no caller can alter a later quadrature.
@@ -26,13 +26,6 @@ VOLUME_DEGREE = 10
 def _frozen(a):
     a.flags.writeable = False
     return a
-
-
-# side-midpoint rule: exact for polynomials of degree 2
-_MIDPOINT_BARY = _frozen(
-    np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-)
-_MIDPOINT_W = _frozen(np.full(3, 1.0 / 3.0))
 
 
 def _dunavant10():
@@ -72,8 +65,6 @@ def _dunavant10():
 @lru_cache(maxsize=None)
 def triangle_rule(degree):
     """Barycentric points (nq, 3) and weights (nq,) summing to 1."""
-    if degree <= 2:
-        return _MIDPOINT_BARY, _MIDPOINT_W
     if degree <= 10:
         return tuple(map(_frozen, _dunavant10()))
     # collapsed (Duffy) tensor rule: Gauss-Legendre x Gauss-Jacobi(1,0)

@@ -29,6 +29,7 @@ from gapfem import (
     broken_sym_gradient,
     cr_interpolate,
     energies_stokes,
+    gap_indicator_elasticity,
     gap_indicator_stokes,
     gap_indicator_stokes_discrete,
     marini_elasticity,
@@ -226,10 +227,24 @@ class TestMariniElasticity:
         prob.big_f = lambda x: c0 + 0.0 * x[..., :1, None]
         mesh = prob.mesh_factory()
         sol = discretize_elasticity(prob, mesh)
-        assert sol.system.residual(sol.u_h) < 1e-10
+        system = sol.system
+        res = system.matrix @ sol.u_h.dofs()[system.vel_index] - system.rhs
+        assert np.abs(res).max() < 1e-10
         div = sol.sigma_star.divergence().values + sol.system.f_h.values
         assert np.abs(div).max() < 1e-10
         assert sol.sigma_star.reconstruction_jump < 1e-10
+        # on the all-Dirichlet square the constant tensor load leaves u_h
+        # as it is, so sigma* + F_h is the stress of the problem without
+        # it, and so is the gap indicator given F_h
+        from gapfem.spaces import nodal_average
+
+        ref = discretize_elasticity(manufactured_elasticity("smooth", n=3), mesh)
+        v = nodal_average(ref.u_h + ref.u_hat, mesh, dirichlet_values=prob.u)
+        want = gap_indicator_elasticity(v, ref.sigma_star, prob.material, mesh)
+        got = gap_indicator_elasticity(
+            v, sol.sigma_star, prob.material, mesh, big_f_h=system.big_f_h
+        )
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
 
     def test_manufactured_contracts(self):
         prob = manufactured_elasticity("smooth", n=4)
@@ -269,20 +284,35 @@ class TestGapIndicators:
         e2 = gap_indicator_stokes_discrete(v, 2.0 * tau, zero_hat, 2.0, mesh)
         assert np.allclose(e2, 2.0 * e1, rtol=1e-12)
 
-    def test_continuous_indicator_zero_and_decay(self):
-        from gapfem.spaces import nodal_average, rt_interpolate
+    @pytest.mark.parametrize("load", ["traction", "tensor"])
+    def test_continuous_indicator_zero_and_decay(self, load):
+        # with a tensor load the stress is given relative to F, and F_h is
+        # added back inside the indicator; Taylor-Green's F is a multiple
+        # of I, which dev removes, so a skew part is added to it
+        from gapfem.spaces import nodal_average, pi0, rt_interpolate
 
-        prob = taylor_green_stokes()
+        prob = taylor_green_stokes(load=load)
+
+        def big_f(x):
+            out = prob.big_f(x)
+            out[..., 0, 1] += np.sin(np.pi * x[..., 0]) * x[..., 1]
+            out[..., 1, 0] -= np.sin(np.pi * x[..., 0]) * x[..., 1]
+            return out
+
+        def stress(x):
+            t = exact_stress(prob, prob.grad_u(x), prob.p(x))
+            return t if prob.big_f is None else t - big_f(x)
+
         totals = []
         mesh = structured_square_mesh(5, lambda m: DIRICHLET)
         for _ in range(3):
-            icr = cr_interpolate(prob.u, mesh, stream=prob.lift_stream)
             hom = CRField(mesh, np.zeros((mesh.num_sides, 2)))
             vhat = nodal_average(hom, mesh, dirichlet_values=None)
-            tau = rt_interpolate(
-                lambda x: exact_stress(prob, prob.grad_u(x), prob.p(x)), mesh
+            tau = rt_interpolate(stress, mesh)
+            big_f_h = None if prob.big_f is None else pi0(big_f, mesh)
+            eta = gap_indicator_stokes(
+                vhat, tau, prob.grad_u, prob.nu, mesh, big_f_h=big_f_h
             )
-            eta = gap_indicator_stokes(vhat, tau, prob.grad_u, prob.nu, mesh)
             totals.append(eta.sum())
             mesh = refine_marked_twice(mesh, range(mesh.num_elements))
         # exact pair: indicator total decays ~ h^2
@@ -308,7 +338,8 @@ class TestOscillation:
         osc = oscillation_indicator(f, pi0(f, mesh), None, None, mesh)
         assert np.abs(osc).max() < 1e-26
 
-    def test_single_element_oracle(self):
+    @pytest.mark.parametrize("tensor", [False, True], ids=["f", "big-f"])
+    def test_single_element_oracle(self, tensor):
         from gapfem import build_triangulation
         from gapfem.quadrature import physical_points, triangle_rule
         from gapfem.spaces import pi0
@@ -316,19 +347,24 @@ class TestOscillation:
         mesh = build_triangulation(
             [(0, 0), (1, 0), (0, 1)], [(0, 1, 2)], all_dirichlet
         )
-        f = lambda x: np.stack([np.sin(np.pi * x[..., 0]), 0 * x[..., 1]], -1)
-        f_h = pi0(f, mesh, degree=20)
-        osc = oscillation_indicator(f, f_h, None, None, mesh, degree=20)
-        # oracle: degree-20 quadrature of (h^2/pi^2)|f - f_h|^2
+        if tensor:
+            data = lambda x: np.stack(
+                [np.cos(np.pi * x[..., 1]), x[..., 0] ** 2,
+                 x[..., 0] * x[..., 1], np.sin(x[..., 0])], -1,
+            ).reshape(x.shape[:-1] + (2, 2))
+        else:
+            data = lambda x: np.stack([np.sin(np.pi * x[..., 0]), 0 * x[..., 1]], -1)
+        data_h = pi0(data, mesh, degree=20)
+        args = (None, None, data, data_h) if tensor else (data, data_h, None, None)
+        osc = oscillation_indicator(*args, mesh, degree=20)
+        # oracle: degree-24 quadrature of (h^2/pi^2)|f - f_h|^2, or of
+        # |F - F_h|^2 without the h^2/pi^2 factor
         w = triangle_rule(24)[1]
         pts = physical_points(mesh, 24)
-        diff = f(pts) - f_h.values[:, None]
-        h_t = mesh.geometry()["h_t"][0]
-        oracle = (
-            h_t**2 / np.pi**2
-            * mesh.areas[0]
-            * np.einsum("q,nqi,nqi->n", w, diff, diff)[0]
-        )
+        diff = (data(pts) - data_h.values[:, None]).reshape(1, len(w), -1)
+        weight = 1.0 if tensor else mesh.geometry()["h_t"][0] ** 2 / np.pi**2
+        oracle = weight * mesh.areas[0] * np.einsum("q,nqi,nqi->n", w, diff, diff)[0]
+        assert oracle > 0.0
         assert osc[0] == pytest.approx(oracle, rel=1e-10)
 
     def test_refinement_scaling(self):

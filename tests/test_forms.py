@@ -17,6 +17,7 @@ from gapfem import (
     AssemblyError,
     CRField,
     ElasticityTensor,
+    P0Field,
     SingularSystemError,
     assemble_elasticity,
     assemble_stokes,
@@ -40,7 +41,7 @@ from gapfem.forms import (
     stabilization_weights,
 )
 from gapfem.mesh import grid_triangles
-from gapfem.problems import cook_mesh, lshape_mesh
+from gapfem.problems import cook_mesh, lshape_mesh, taylor_green_stokes
 from gapfem.quadrature import segment_rule, side_points
 from gapfem.spaces import (
     cr_basis_gradients,
@@ -192,12 +193,13 @@ class TestSolveSparse:
 def _factor_call(node):
     func = getattr(node, "func", None)
     name = getattr(func, "attr", getattr(func, "id", None))
-    return isinstance(node, ast.Call) and name in ("spd_factor", "splu")
+    return isinstance(node, ast.Call) and name in ("spd_factor", "splu", "bmat")
 
 
 def test_no_factor_kept_as_attribute():
-    """No function stores a factor on an object: a factor lives only as
-    long as the call that made it, so no later phase on the mesh holds it."""
+    """No function stores a factor or a bordered saddle matrix on an object:
+    each lives only as long as the call that made it, so no later phase on
+    the mesh holds it."""
     found = []
     for path in sorted(pathlib.Path(forms.__file__).parent.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text())):
@@ -325,7 +327,7 @@ class TestStokesAssembly:
         system = assemble_stokes(mesh, 0.5, zero_lift(mesh), None, None, None)
         nfree = len(system.vel_index)
         assert nfree + 2 * 20 == 640  # constrained Dirichlet DOFs excluded
-        assert system.matrix.shape[0] == nfree + mesh.num_elements
+        assert system.saddle_matrix().shape[0] == nfree + mesh.num_elements
         assert 2 * mesh.num_sides + mesh.num_elements == 840
 
     def test_divfree_precondition_enforced(self):
@@ -341,7 +343,11 @@ class TestStokesAssembly:
         mesh = prob.mesh_factory()
         sol = discretize_stokes(prob, mesh)
         assert np.abs(broken_divergence(sol.u_h).values).max() < 1e-10
-        assert sol.system.residual(sol.u_h, sol.p_h) < 1e-10
+        # the momentum rows on the free DOFs: nu a1 u_f + b^T p = rhs_v
+        system = sol.system
+        u_f = sol.u_h.dofs()[system.vel_index]
+        mom = system.nu * (system.a1 @ u_f) + system.b.T @ sol.p_h.values
+        assert np.abs(mom - system.rhs[: len(u_f)]).max() < 1e-10
 
     def test_pressure_gauge_pure_dirichlet(self):
         mesh = structured_square_mesh(3, all_dirichlet)
@@ -366,9 +372,9 @@ class TestStokesALSolve:
         rng = np.random.default_rng(11)
         for _ in range(2):
             system = stokes_system(mesh, 1.0)
-            rhs = rng.standard_normal(system.matrix.shape[0])
+            rhs = rng.standard_normal(system.saddle_matrix().shape[0])
             x, report = system.solve_saddle(rhs)
-            ref = sla.splu(system.matrix).solve(rhs)
+            ref = sla.splu(system.saddle_matrix()).solve(rhs)
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
             assert report.residual_norm <= SOLVE_TOL
             mesh, _ = refine_bisection(mesh, np.arange(mesh.num_elements))
@@ -394,10 +400,10 @@ class TestStokesALSolve:
             system = stokes_system(mesh, nu)
             assert len(factored) == 3 * k
             assert system.pure_dirichlet == (labeler is all_dirichlet)
-            rhs = rng.standard_normal(system.matrix.shape[0])
+            rhs = rng.standard_normal(system.saddle_matrix().shape[0])
             x, report = system.solve_saddle(rhs)
             assert factored[3 * k:] == stokes_factor_shapes(system)
-            ref = sla.splu(system.matrix).solve(rhs)
+            ref = sla.splu(system.saddle_matrix()).solve(rhs)
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
             assert report.residual_norm <= 1e-10
 
@@ -405,7 +411,8 @@ class TestStokesALSolve:
         # each factor is a temporary of its one triangular solve: it is dead
         # before the next factor is made, so at most one lives at a time,
         # and none once a solve returns, while the system lives on with its
-        # solution and can solve again with factors of its own
+        # solution and can solve again with factors of its own; the
+        # bordered saddle matrix of the check is dead once the solve returns
         import gc
         import weakref
 
@@ -427,16 +434,27 @@ class TestStokesALSolve:
             refs.append(weakref.ref(factor))
             return factor
 
+        matrices = []
+        saddle_matrix = forms.StokesSystem.saddle_matrix
+
+        def weak_saddle(system):
+            matrix = saddle_matrix(system)
+            matrices.append(weakref.ref(matrix))
+            return matrix
+
         monkeypatch.setattr(forms, "spd_factor", weak_factor)
+        monkeypatch.setattr(forms.StokesSystem, "saddle_matrix", weak_saddle)
         prob = taylor_green_stokes(n=3)
         mesh = prob.mesh_factory()
         gc.disable()
         try:
             sol = discretize_stokes(prob, mesh)
             assert len(refs) == 3 and all(ref() is None for ref in refs)
+            assert len(matrices) == 1 and matrices[0]() is None
             assert not hasattr(sol.system, "lu")
             u_h, p_h, _ = sol.system.solve()
             assert len(refs) == 6 and all(ref() is None for ref in refs)
+            assert len(matrices) == 2 and all(ref() is None for ref in matrices)
             assert np.array_equal(u_h.values, sol.u_h.values)
             assert np.array_equal(p_h.values, sol.p_h.values)
         finally:
@@ -447,7 +465,7 @@ class TestStokesALSolve:
         factored = record_spd_factors(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, report = system.solve_saddle(np.zeros(system.matrix.shape[0]))
+            x, report = system.solve_saddle(np.zeros(system.saddle_matrix().shape[0]))
         assert factored == stokes_factor_shapes(system)
         assert not np.any(x)
         assert report.residual_norm == 0.0
@@ -492,13 +510,13 @@ class TestStokesALSolve:
         # a block is checked column by column: one corrupted column of a
         # small right-hand side cannot hide behind fifteen large ones, as
         # it would in one Frobenius norm over the block
-        matrix = stokes_system(structured_square_mesh(6, tg_labeler), 1.0).matrix
+        matrix = stokes_system(structured_square_mesh(6, tg_labeler), 1.0).saddle_matrix()
         norm = forms._inf_norm(matrix)
         rng = np.random.default_rng(9)
         rhs = rng.standard_normal((matrix.shape[0], 16))
         rhs[:, 1:] *= 1e3
         x = sla.splu(matrix).solve(rhs)
-        assert forms._checked(matrix, norm, rhs, x).residual_norm <= SOLVE_TOL
+        assert forms._checked(matrix, rhs, x).residual_norm <= SOLVE_TOL
         noise = rng.standard_normal(len(x)) / np.sqrt(len(x))
         x[:, 0] += 1e-7 * np.linalg.norm(x[:, 0]) * noise
         frobenius = np.linalg.norm(rhs - matrix @ x) / (
@@ -506,11 +524,11 @@ class TestStokesALSolve:
         )
         assert frobenius <= SOLVE_TOL
         with pytest.raises(SingularSystemError, match="exceeds"):
-            forms._checked(matrix, norm, rhs, x)
+            forms._checked(matrix, rhs, x)
 
     def test_unreachable_tol_raises(self, monkeypatch):
         system = stokes_system(structured_square_mesh(4, tg_labeler), 1.0)
-        rhs = np.random.default_rng(1).standard_normal(system.matrix.shape[0])
+        rhs = np.random.default_rng(1).standard_normal(system.saddle_matrix().shape[0])
         monkeypatch.setattr(forms, "SOLVE_TOL", 1e-30)
         with pytest.raises(SingularSystemError, match="exceeds"):
             system.solve_saddle(rhs)
@@ -663,10 +681,10 @@ def test_viscosity_free_saddle(partition, seed, rounds, log_nus):
         for k, nu in enumerate(10.0 ** np.array(log_nus)):
             system = stokes_system(mesh, nu)
             assert len(factored) == 6 * k
-            rhs = rng.standard_normal(system.matrix.shape[0])
+            rhs = rng.standard_normal(system.saddle_matrix().shape[0])
             x, report = system.solve_saddle(rhs)
             assert factored[6 * k:] == stokes_factor_shapes(system)
-            ref = splu(system.matrix).solve(rhs)
+            ref = splu(system.saddle_matrix()).solve(rhs)
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
             assert report.residual_norm <= SOLVE_TOL
             # a second solve of the same system factors all three again
@@ -722,7 +740,9 @@ class TestElasticityAssembly:
         prob = cook_membrane()
         mesh = prob.mesh_factory()
         sol = discretize_elasticity(prob, mesh)
-        assert sol.system.residual(sol.u_h) < 1e-10
+        system = sol.system
+        res = system.matrix @ sol.u_h.dofs()[system.vel_index] - system.rhs
+        assert np.abs(res).max() < 1e-10
 
     def test_empirical_korn(self):
         # || C^(1/2) grad v ||^2 <= c (|| C^(1/2) eps v ||^2 + s_h(v, v))
@@ -831,6 +851,24 @@ def oracle_divergence(mesh):
         ),
         shape=(ne, 2 * ns),
     ).tocsr()
+
+
+def oracle_p0_load(mesh, fv):
+    """(f_h, Pi_h v) for element values fv (ne, 2): |T| f_T / 3 on each side of T."""
+    ns = mesh.num_sides
+    out = np.zeros(2 * ns)
+    for comp in range(2):
+        for j in range(3):
+            sides = mesh.element_sides[:, j] + comp * ns
+            np.add.at(out, sides, mesh.areas * fv[:, comp] / 3.0)
+    return out
+
+
+def tg_lift(mesh):
+    """The Taylor-Green velocity's CR interpolant from its stream function,
+    a discretely divergence-free lift that is nonzero on every side."""
+    prob = taylor_green_stokes()
+    return cr_interpolate(prob.u, mesh, stream=prob.lift_stream)
 
 
 def oracle_elasticity(mesh, mu, lam):
@@ -969,9 +1007,18 @@ class TestAssemblyOracle:
         mesh = ORACLE_MESHES[name]()
         k = oracle_stiffness(mesh)
         assert_close(cr_stiffness(mesh), k)
-        system = stokes_system(mesh, 1.0)
-        assert_close(system.a1_full, sparse.block_diag([k, k]).tocsr())
-        assert_close(system.b_full, sparse.diags(mesh.areas) @ -oracle_divergence(mesh))
+        nu, lift = 0.7, tg_lift(mesh)
+        fv = np.random.default_rng(5).standard_normal((mesh.num_elements, 2))
+        system = assemble_stokes(mesh, nu, lift, P0Field(mesh, fv), None, None)
+        a1 = sparse.block_diag([k, k]).tocsr()
+        b = sparse.diags(mesh.areas) @ -oracle_divergence(mesh)
+        free = system.vel_index
+        assert_close(system.a1, a1[free][:, free])
+        assert_close(system.b, b[:, free])
+        # the Dirichlet columns of a1 and b enter rhs through the lift
+        rhs_v = (oracle_p0_load(mesh, fv) - nu * (a1 @ lift.dofs()))[free]
+        gauge = np.zeros(int(system.pure_dirichlet))
+        assert_close(system.rhs, np.concatenate([rhs_v, -(b @ lift.dofs()), gauge]))
 
     def test_jump_penalty(self, name):
         mesh = ORACLE_MESHES[name]()
@@ -986,17 +1033,19 @@ class TestAssemblyOracle:
         mesh = ORACLE_MESHES[name]()
         mat = ElasticityTensor(0.7, 5.0)
         rot = lambda x: np.stack([np.sin(x[..., 1]), x[..., 0] ** 2], axis=-1)
+        lift = tg_lift(mesh)
         system = assemble_elasticity(
-            mesh, mat, zero_lift(mesh), None, None, None, dirichlet_datum=rot
+            mesh, mat, lift, None, None, None, dirichlet_datum=rot
         )
         jumps = oracle_jump_penalty(mesh, stabilization_weights(mesh, mat.mu))
         want = oracle_elasticity(mesh, mat.mu, mat.lam) + sparse.block_diag([jumps, jumps])
-        assert_close(system.a_full, want)
+        free = system.vel_index
+        assert_close(system.matrix, want.tocsr()[free][:, free])
         assert abs(system.matrix - system.matrix.T).max() == 0.0
-        assert_close(
-            dirichlet_penalty_load(mesh, mat.mu, system.datum_values),
-            oracle_datum_load(mesh, mat.mu, rot),
-        )
+        datum_load = oracle_datum_load(mesh, mat.mu, rot)
+        assert_close(dirichlet_penalty_load(mesh, mat.mu, system.datum_values), datum_load)
+        # the Dirichlet columns enter rhs through the lift
+        assert_close(system.rhs, (datum_load - want @ lift.dofs())[free])
 
     def test_stabilization_energy(self, name):
         """s_h as one residual pass equals the label loop, against the datum
