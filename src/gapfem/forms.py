@@ -12,7 +12,6 @@ with element-wise constant f_h, F_h and side-wise constant tractions g_S.
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
-from scipy.sparse.csgraph import connected_components
 
 from . import mesh as _mesh
 from .quadrature import SIDE_POINTS, segment_rule, side_points
@@ -282,10 +281,26 @@ def _free_field(mesh, free, x):
 def _potential_columns(mesh):
     """Column of each vertex's stream-function unknown, -1 where pinned: one
     per connected piece of the Dirichlet boundary (a component of the graph
-    of the Dirichlet sides), the first pinned to 0, and one per other vertex."""
+    of the Dirichlet sides), the first pinned to 0, and one per other vertex.
+
+    Pieces and free vertices are numbered in the order of their smallest
+    vertex, the numbering of scipy's `connected_components`, so Z's columns,
+    and with them every factor and solve, do not depend on how the pieces
+    are found.  Each vertex's label starts as itself; each round lowers the
+    label of the larger end label of every Dirichlet side to the smaller,
+    then replaces each label by that label's label.  Labels only fall and
+    stay within their piece, so once both ends of every side agree, all of
+    a piece's labels are the one vertex labelled by itself, its smallest.
+    """
     ends = mesh.side_vertices[mesh.sides_with_label(_mesh.DIRICHLET)]
-    graph = sparse.csr_matrix((np.ones(len(ends)), ends.T), shape=(mesh.num_vertices,) * 2)
-    labels = connected_components(graph, directed=False)[1]
+    root = np.arange(mesh.num_vertices)
+    while True:
+        ra, rb = root[ends[:, 0]], root[ends[:, 1]]
+        if np.array_equal(ra, rb):
+            break
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        root = root[root]
+    labels = np.cumsum(root == np.arange(mesh.num_vertices))[root] - 1
     pin = labels[ends[0, 0]]
     return np.where(labels == pin, -1, labels - (labels > pin))
 

@@ -4,7 +4,8 @@ Triangle rules are given as barycentric points and weights summing to one;
 physical integrals scale by the element area.  Two tiers are used: the
 degree-10 symmetric rule, for every degree up to 10 and so for all
 analytic data, and a collapsed-coordinate Gauss rule of any higher degree,
-for the a priori identity check and for oracles.
+for the a priori identity check and for oracles.  Every Gauss rule comes
+from numpy's Gauss-Legendre nodes (`leggauss`).
 
 Every cached array (rules, per-mesh physical points and analytic field
 values) is handed out read-only, so no caller can alter a later quadrature.
@@ -13,7 +14,7 @@ values) is handed out read-only, so no caller can alter a later quadrature.
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 # Gauss points of every side rule for analytic data: 8 keeps side averages
 # well below the 1e-10 contract tolerances, 4 does not on coarse meshes
@@ -67,16 +68,14 @@ def triangle_rule(degree):
     """Barycentric points (nq, 3) and weights (nq,) summing to 1."""
     if degree <= 10:
         return tuple(map(_frozen, _dunavant10()))
-    # collapsed (Duffy) tensor rule: Gauss-Legendre x Gauss-Jacobi(1,0)
+    # collapsed (Duffy) tensor rule x = u (1 - v), y = v: n Gauss points in u
+    # and n + 1 in v, whose weights take the (1 - v) Jacobian; exact to
+    # degree 2n - 1 >= degree + 2
     n = degree // 2 + 2
-    xg, wg = roots_legendre(n)
-    xg = 0.5 * (xg + 1.0)
-    wg = 0.5 * wg
-    xj, wj = roots_jacobi(n, 1.0, 0.0)
-    xj = 0.5 * (xj + 1.0)
-    wj = 0.25 * wj  # absorbs the (1 - v) Jacobian
-    u, v = np.meshgrid(xg, xj, indexing="ij")
-    w = np.outer(wg, wj)
+    xu, wu = segment_rule(n)
+    xv, wv = segment_rule(n + 1)
+    u, v = np.meshgrid(xu, xv, indexing="ij")
+    w = np.outer(wu, wv * (1.0 - xv))
     x = u * (1.0 - v)
     y = v
     bary = np.stack([1.0 - x - y, x, y], axis=-1).reshape(-1, 3)
@@ -86,7 +85,7 @@ def triangle_rule(degree):
 @lru_cache(maxsize=None)
 def segment_rule(npoints):
     """Gauss-Legendre points on [0, 1] and weights summing to 1."""
-    x, w = roots_legendre(npoints)
+    x, w = leggauss(npoints)
     return _frozen(0.5 * (x + 1.0)), _frozen(0.5 * w)
 
 

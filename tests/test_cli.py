@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,31 @@ REFERENCE_RUNS = {
     "cook-adaptive": ["cook", "--mode", "adaptive", "--theta", "0.5",
                       "--max-iter", "24"],
 }
+
+
+# what `import gapfem.cli` adds to a fresh interpreter that has numpy and
+# scipy's sparse modules loaded
+IMPORT_BUDGET = """
+import sys
+import numpy, scipy.sparse, scipy.sparse.linalg
+before = set(sys.modules)
+import gapfem.cli
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_adds_only_gapfem_modules():
+    # numpy's Gauss-Legendre nodes replace scipy.special, and a numpy loop
+    # finds the Dirichlet pieces in place of scipy.sparse.csgraph: neither
+    # import may come back, nor any other beyond the sparse modules
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    added = subprocess.run(
+        [sys.executable, "-c", IMPORT_BUDGET], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "gapfem.cli" in added
+    assert [m for m in added if m != "gapfem" and not m.startswith("gapfem.")] == []
 
 
 class TestRun:

@@ -2,6 +2,7 @@ import ast
 import functools
 import pathlib
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from gapfem import (
     DIRICHLET,
@@ -41,7 +43,13 @@ from gapfem.forms import (
     stabilization_weights,
 )
 from gapfem.mesh import grid_triangles
-from gapfem.problems import cook_mesh, lshape_mesh, taylor_green_stokes
+from gapfem.problems import (
+    cook_membrane,
+    cook_mesh,
+    lshape_mesh,
+    lshape_stokes,
+    taylor_green_stokes,
+)
 from gapfem.quadrature import segment_rule, side_points
 from gapfem.spaces import (
     cr_basis_gradients,
@@ -594,6 +602,55 @@ class TestStokesALSolve:
             assert system() is None
         finally:
             gc.enable()
+
+
+def potential_columns_oracle(mesh):
+    """`forms._potential_columns` with scipy's `connected_components`
+    numbering the Dirichlet pieces by their smallest vertex."""
+    ends = mesh.side_vertices[mesh.sides_with_label(DIRICHLET)]
+    graph = sparse.csr_matrix((np.ones(len(ends)), ends.T), shape=(mesh.num_vertices,) * 2)
+    labels = connected_components(graph, directed=False)[1]
+    pin = labels[ends[0, 0]]
+    return np.where(labels == pin, -1, labels - (labels > pin))
+
+
+class TestPotentialColumns:
+    """The Dirichlet pieces, and so Z's column order, match the graph oracle."""
+
+    @pytest.mark.parametrize("problem", [
+        taylor_green_stokes, lshape_stokes, cook_membrane,
+    ], ids=["taylor-green", "lshape", "cook"])
+    def test_problem_meshes(self, problem):
+        mesh = problem().mesh_factory()
+        for _ in range(3):
+            assert np.array_equal(forms._potential_columns(mesh), potential_columns_oracle(mesh))
+            mesh, _ = refine_bisection(mesh, np.arange(mesh.num_elements))
+
+    @pytest.mark.parametrize("outer, hole, pieces", [
+        (tg_labeler, DIRICHLET, 3), (all_dirichlet, DIRICHLET, 2), (all_dirichlet, NEUMANN, 1),
+    ], ids=["tg-dirichlet-hole", "dirichlet-dirichlet-hole", "dirichlet-neumann-hole"])
+    def test_holed_meshes(self, outer, hole, pieces):
+        # the meshes of TestStokesALSolve::test_hole_matches_saddle_lu; the
+        # Taylor-Green walls are two pieces, the hole's sides one more
+        mesh = holed_square_mesh(outer, hole)
+        for _ in range(3):
+            columns = forms._potential_columns(mesh)
+            assert np.array_equal(columns, potential_columns_oracle(mesh))
+            ends = mesh.side_vertices[mesh.sides_with_label(DIRICHLET)]
+            assert len(np.unique(columns[ends])) == pieces
+            mesh, _ = refine_bisection(mesh, np.arange(mesh.num_elements))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), nv=st.integers(1, 40))
+    def test_random_edge_lists(self, data, nv):
+        # any edge list, with repeated and reversed edges, and vertices on
+        # no edge, which keep one column each
+        vertex = st.integers(0, nv - 1)
+        ends = np.array(data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=60)))
+        graph = SimpleNamespace(
+            num_vertices=nv, side_vertices=ends, sides_with_label=lambda label: slice(None)
+        )
+        assert np.array_equal(forms._potential_columns(graph), potential_columns_oracle(graph))
 
 
 def _perturbed_mesh(n, labeler, seed):
