@@ -153,10 +153,14 @@ def eoc(values, hs):
 
 
 def mark_max(indicators, theta):
-    """Elements T with eta_T^2 >= theta * max eta^2; empty if all zero."""
+    """Elements T with eta_T^2 >= theta * max eta^2; empty if all zero.
+
+    A negative, nan or infinite indicator raises ValueError: the marking of
+    a non-finite one would be empty and read as convergence.
+    """
     indicators = np.asarray(indicators, dtype=float)
-    if np.any(indicators < 0):
-        raise ValueError("indicators must be nonnegative")
+    if not np.all(np.isfinite(indicators) & (indicators >= 0)):
+        raise ValueError("indicators must be finite and nonnegative")
     top = indicators.max(initial=0.0)
     if top <= 0.0:
         return np.array([], dtype=np.int64)

@@ -198,18 +198,13 @@ def _p0_values(f, mesh, shape):
 
 
 def check_stokes_admissible_velocity(v_h):
-    """Max |div_h v| and Dirichlet-side violation of a candidate velocity,
-    admissible up to 1e-10.
-
-    v_h is a CRField, or a sequence of k of them checked column by column;
-    then the flag and the residual are (k,) arrays.
+    """(admissible, residual) of a CRField candidate velocity: the residual
+    is the larger of max |div_h v| and the Dirichlet-side violation, and the
+    candidate is admissible when it is at most 1e-10.
     """
-    single = isinstance(v_h, CRField)
-    vs = [v_h] if single else v_h
-    mesh = vs[0].mesh
-    dofs = _cr_block(vs)
-    res = _velocity_residuals(mesh, dofs, _broken_gradients(mesh, dofs))
-    return _checked(res, single)
+    mesh, dofs = v_h.mesh, _cr_block([v_h])
+    res = float(_velocity_residuals(mesh, dofs, _broken_gradients(mesh, dofs))[0])
+    return res <= 1e-10, res
 
 
 def _velocity_residuals(mesh, dofs, grads):
@@ -222,17 +217,14 @@ def _velocity_residuals(mesh, dofs, grads):
 
 
 def check_stress_admissible(tau, f_h, g_h, mesh):
-    """Constraint residual of a stress candidate (given relative to F_h),
-    admissible up to 1e-10.
+    """(admissible, residual) of an RTField stress candidate (given relative
+    to F_h), admissible when the residual is at most 1e-10.
 
     Checks div(tau) = -f_h element-wise and tau n = g_h on Neumann sides;
-    interior normal-flux continuity is structural for RTField storage.  tau
-    may also be a sequence of k candidates checked column by column; then
-    the flag and the residual are (k,) arrays.
+    interior normal-flux continuity is structural for RTField storage.
     """
-    single = isinstance(tau, RTField)
-    flux = _rt_block([tau] if single else tau)
-    return _checked(_stress_residuals(mesh, flux, f_h, g_h), single)
+    res = float(_stress_residuals(mesh, _rt_block([tau]), f_h, g_h)[0])
+    return res <= 1e-10, res
 
 
 def _stress_residuals(mesh, flux, f_h, g_h):
@@ -247,13 +239,6 @@ def _stress_residuals(mesh, flux, f_h, g_h):
             tn = tn - np.asarray(g_h)[neumann][:, None]
         res = np.maximum(res, np.abs(tn).max(axis=(0, 2)))
     return res
-
-
-def _checked(res, single):
-    """(res <= 1e-10, res) per column, or as scalars for a single field."""
-    if single:
-        return bool(res[0] <= 1e-10), float(res[0])
-    return res <= 1e-10, res
 
 
 # -- energies, gaps, strong convexity measures ------------------------------------
@@ -443,19 +428,16 @@ def gap_indicator_stokes(v, tau_h, grad_u, nu, mesh, big_f_h=None):
     return 0.5 * nu * mesh.areas * vals
 
 
-def gap_indicator_elasticity(v, sigma, material, mesh, degree=VOLUME_DEGREE,
-                             grad_u=None, big_f_h=None):
+def gap_indicator_elasticity(v, sigma, material, mesh, big_f_h=None):
     """Per-element indicator (1/2) ||C^(1/2)(eps(v) - C^-1 sigma)||_T^2.
 
     v is the conforming post-processed total displacement (Dirichlet lift
-    included); pass grad_u to add the gradient of an analytic lift instead.
-    sigma is relative to the tensor load F_h when one is present.
+    included), sigma is relative to the tensor load F_h when one is present,
+    and the rule is of degree VOLUME_DEGREE.
     """
-    w = triangle_rule(degree)[1]
-    pts = physical_points(mesh, degree)
+    w = triangle_rule(VOLUME_DEGREE)[1]
+    pts = physical_points(mesh, VOLUME_DEGREE)
     gv = v.gradient().values[:, None, :, :] + np.zeros(pts.shape[:2] + (2, 2))
-    if grad_u is not None:
-        gv = gv + rule_values(grad_u, mesh, degree)
     sv = sigma.evaluate(pts)
     if big_f_h is not None:
         sv = sv + _p0_values(big_f_h, mesh, (mesh.num_elements, 2, 2))[:, None]

@@ -191,13 +191,11 @@ def dirichlet_penalty_load(mesh, mu, datum_values):
     from the boundary datum, so the penalty contributes this datum-weighted
     functional to the right-hand side.  datum_values (m, SIDE_POINTS, 2)
     holds the datum at the `segment_rule(SIDE_POINTS)` points of the m
-    Dirichlet sides, in side order (None means a zero datum).  The load is
+    Dirichlet sides, in side order (zeros for a zero datum).  The load is
     J^T m, J the `cr_jump_operator` and m the datum's moments against the
     two endpoint hat functions of each Dirichlet side.  Returns a (2 ns,)
     vector.
     """
-    if datum_values is None:
-        return np.zeros(2 * mesh.num_sides)
     sel = mesh.sides_with_label(_mesh.DIRICHLET)
     t, w = segment_rule(SIDE_POINTS)
     hats = np.stack([1.0 - t, t], axis=1)  # (q, 2)
@@ -211,7 +209,7 @@ def stabilization_energy(mesh, mu, u_total, datum_values):
 
     s_h = sum_S (2 mu / h_S) int_S |[u] - g|^2 over the interior and
     Dirichlet sides, g zero on interior sides and the datum on Dirichlet
-    ones: datum_values as for `dirichlet_penalty_load` (None means zero).
+    ones: datum_values as for `dirichlet_penalty_load`.
     The jumps are interpolated from their endpoint values to the datum's
     Gauss points, which integrate the interior squares exactly.
     """
@@ -220,8 +218,7 @@ def stabilization_energy(mesh, mu, u_total, datum_values):
     t, w = segment_rule(SIDE_POINTS)
     ends = (_jump_rows(mesh, sides) @ u_total.values).reshape(-1, 2, 2)  # (m, k, i)
     resid = np.einsum("qk,mki->mqi", np.stack([1.0 - t, t], axis=1), ends)
-    if datum_values is not None:
-        resid[labels[sides] == _mesh.DIRICHLET] -= datum_values
+    resid[labels[sides] == _mesh.DIRICHLET] -= datum_values
     # (2 mu / h_S) * |S| = 2 mu
     return float((2.0 * mu) * np.einsum("q,mqi,mqi->", w, resid, resid))
 
@@ -460,19 +457,17 @@ class ElasticitySystem(_LoadedSystem):
     carry no spurious penalty energy.
     """
 
-    def __init__(self, mesh, material, u_hat, f_h, big_f_h, g_h, dirichlet_datum=None):
+    def __init__(self, mesh, material, u_hat, f_h, big_f_h, g_h, dirichlet_datum):
         self.mesh = mesh
         self.material = material
         self._assemble_load(u_hat, f_h, big_f_h, g_h)
         # the datum at the Gauss points of the Dirichlet sides, evaluated once
         # for the load and every penalty energy
-        self.datum_values = None
-        if dirichlet_datum is not None:
-            pts = side_points(
-                mesh, segment_rule(SIDE_POINTS)[0],
-                sides=mesh.sides_with_label(_mesh.DIRICHLET),
-            )
-            self.datum_values = np.asarray(dirichlet_datum(pts), dtype=float)
+        pts = side_points(
+            mesh, segment_rule(SIDE_POINTS)[0],
+            sides=mesh.sides_with_label(_mesh.DIRICHLET),
+        )
+        self.datum_values = np.asarray(dirichlet_datum(pts), dtype=float)
 
         self.free_sides, self.vel_index = _free_dofs(mesh)
 
@@ -505,28 +500,30 @@ class ElasticitySystem(_LoadedSystem):
 
 
 def assemble_elasticity(
-    mesh, material, u_hat, f_h, big_f_h=None, g_h=None, dirichlet_datum=None
+    mesh, material, u_hat, f_h, big_f_h=None, g_h=None, *, dirichlet_datum
 ):
-    """Assemble the jump-stabilised elasticity operator and right-hand side."""
+    """Assemble the jump-stabilised elasticity operator and right-hand side.
+
+    dirichlet_datum is the boundary datum g, a callable of (..., 2) points
+    (`lambda x: np.zeros(x.shape)` for a clamped boundary).
+    """
     return ElasticitySystem(mesh, material, u_hat, f_h, big_f_h, g_h, dirichlet_datum)
 
 
-def solve_lifting(mesh, u_total, mu, datum_load=None):
+def solve_lifting(mesh, u_total, mu, datum_load):
     """Solve (grad_h r, grad_h v) = s_h(u_total, v) for r in the homogeneous space.
 
     u_total is the full discrete displacement u_h + u_hat; the jump weights
     are 2 mu / h_S on interior and Dirichlet sides, where Dirichlet jumps
     are deviations from the boundary datum.  datum_load is that datum's
     `dirichlet_penalty_load` (an `ElasticitySystem` holds it as
-    `datum_load`); None means a zero datum.  The operator is the scalar CR
-    stiffness on both components, so one factor solves both as the columns
-    of an (n, 2) right-hand side.
+    `datum_load`; a zero vector for a zero datum).  The operator is the
+    scalar CR stiffness on both components, so one factor solves both as
+    the columns of an (n, 2) right-hand side.
     """
     free, _ = _free_dofs(mesh)
     k_free = cr_stiffness(mesh)[free][:, free]
-    rhs = stabilization_jump_matrix(mesh, mu) @ u_total.dofs()
-    if datum_load is not None:
-        rhs -= datum_load
+    rhs = stabilization_jump_matrix(mesh, mu) @ u_total.dofs() - datum_load
     rhs = rhs.reshape(2, -1).T[free]
     x, _ = solve_sparse(k_free, rhs)
     return _free_field(mesh, free, x.T.ravel())

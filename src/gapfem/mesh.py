@@ -280,9 +280,10 @@ def build_triangulation(vertices, elements, boundary_labels):
     vertices : (nv, 2) array_like
     elements : (ne, 3) array_like
         Vertex index triples; orientation is fixed to counterclockwise.
-    boundary_labels : mapping or callable
-        Either a map {(v1, v2): label} covering every boundary side or a
-        callable midpoint -> label evaluated on boundary side midpoints.
+    boundary_labels : callable or (pairs, labels)
+        As for `Triangulation`: a callable midpoint -> label evaluated on
+        boundary side midpoints, or arrays (m, 2) and (m,) naming every
+        boundary side by its endpoints.
 
     The refinement edge of every element is initialised to its longest
     edge (ties broken by the lowest local index).
@@ -295,8 +296,6 @@ def build_triangulation(vertices, elements, boundary_labels):
     repeated = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
     if repeated.size:
         raise MeshError(f"degenerate element {repeated[0]}: repeated vertex id")
-    if not callable(boundary_labels):
-        boundary_labels = (list(boundary_labels), list(boundary_labels.values()))
     areas = _signed_areas(vertices, elements)
     flip = areas < 0
     elements = elements.copy()
@@ -308,8 +307,9 @@ def build_triangulation(vertices, elements, boundary_labels):
     return Triangulation(vertices, elements, refinement_edge, boundary_labels)
 
 
-def structured_square_mesh(n, labeler, origin=(0.0, 0.0), size=1.0):
-    """Uniform n-by-n grid of squares, each split along its main diagonal.
+def structured_square_mesh(n, labeler):
+    """Uniform n-by-n grid of squares on the unit square, each split along
+    its main diagonal.
 
     Parameters
     ----------
@@ -320,10 +320,8 @@ def structured_square_mesh(n, labeler, origin=(0.0, 0.0), size=1.0):
     """
     if n < 1:
         raise MeshError("subdivision count must be >= 1")
-    x0, y0 = origin
-    xs = x0 + size * np.arange(n + 1) / n
-    ys = y0 + size * np.arange(n + 1) / n
-    xx, yy = np.meshgrid(xs, ys, indexing="ij")
+    xs = np.arange(n + 1) / n
+    xx, yy = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.stack([xx.ravel(), yy.ravel()], axis=1)
     return build_triangulation(vertices, grid_triangles(n, n), labeler)
 
@@ -361,7 +359,7 @@ def refine_bisection(mesh, marked):
     if marked.size and (marked[0] < 0 or marked[-1] >= mesh.num_elements):
         raise MeshError("marked element index out of range")
     if marked.size == 0:
-        return mesh, {t: [t] for t in range(mesh.num_elements)}
+        return mesh, {}
 
     # rotate each triple (and its sides) so the refinement edge is (v0, v1)
     rotation = (mesh.refinement_edge[:, None] + np.arange(3)) % 3
@@ -445,18 +443,16 @@ def refine_marked_twice(mesh, marked):
 
 def save_mesh(mesh, path):
     """Write a plain-text mesh file (round-trips to 1e-15 relative)."""
+    boundary = np.nonzero(mesh.side_labels != INTERIOR)[0]
+    rows = np.column_stack([mesh.elements, mesh.refinement_edge]).tolist()
+    ends = mesh.side_vertices[boundary].tolist()
+    names = [_LABEL_NAMES[lab] for lab in mesh.side_labels[boundary].tolist()]
     with open(path, "w") as f:
-        f.write("gapfem-mesh 1\n")
-        f.write(f"{mesh.num_vertices} {mesh.num_elements}\n")
-        for x, y in mesh.vertices:
-            f.write(f"{x:.17g} {y:.17g}\n")
-        for (a, b, c), r in zip(mesh.elements, mesh.refinement_edge):
-            f.write(f"{a} {b} {c} {r}\n")
-        boundary = np.nonzero(mesh.side_labels != INTERIOR)[0]
+        f.write(f"gapfem-mesh 1\n{mesh.num_vertices} {mesh.num_elements}\n")
+        f.write("".join(f"{x:.17g} {y:.17g}\n" for x, y in mesh.vertices.tolist()))
+        f.write("".join(f"{a} {b} {c} {r}\n" for a, b, c, r in rows))
         f.write(f"{len(boundary)}\n")
-        for s in boundary:
-            v1, v2 = mesh.side_vertices[s]
-            f.write(f"{v1} {v2} {_LABEL_NAMES[int(mesh.side_labels[s])]}\n")
+        f.write("".join(f"{a} {b} {n}\n" for (a, b), n in zip(ends, names)))
 
 
 def load_mesh(path):

@@ -211,14 +211,15 @@ def taylor_green_stokes(n=10, load="traction"):
 _LSHAPE_ALPHA = 856399.0 / 1572864.0
 
 
-def _lshape_psi(theta, alpha=_LSHAPE_ALPHA):
+def _lshape_psi(theta):
     """Angular stream profile psi and its first three derivatives, from one
-    sine and cosine each of (1 + alpha) theta and (alpha - 1) theta."""
-    w = np.cos(1.5 * np.pi * alpha)
-    ap, am = 1.0 + alpha, alpha - 1.0
+    sine and cosine each of (1 + alpha) theta and (alpha - 1) theta, with
+    alpha = _LSHAPE_ALPHA."""
+    w = np.cos(1.5 * np.pi * _LSHAPE_ALPHA)
+    ap, am = 1.0 + _LSHAPE_ALPHA, _LSHAPE_ALPHA - 1.0
     sp, cp = np.sin(ap * theta), np.cos(ap * theta)
     sm, cm = np.sin(am * theta), np.cos(am * theta)
-    psi = w / ap * sp - cp + w / (1.0 - alpha) * sm + cm
+    psi = w / ap * sp - cp + w / (1.0 - _LSHAPE_ALPHA) * sm + cm
     dpsi = w * cp + ap * sp - w * cm - am * sm
     d2psi = -w * ap * sp + ap**2 * cp + w * am * sm - am**2 * cm
     d3psi = -w * ap**2 * cp - ap**3 * sp + w * am**2 * cm + am**3 * sm
@@ -232,36 +233,36 @@ def _polar(x):
     return r, theta
 
 
-def _lshape_u(x, alpha=_LSHAPE_ALPHA):
+def _lshape_u(x):
     r, theta = _polar(x)
-    ra = r**alpha
-    psi, dpsi, _, _ = _lshape_psi(theta, alpha)
+    ra = r**_LSHAPE_ALPHA
+    psi, dpsi, _, _ = _lshape_psi(theta)
     s, c = np.sin(theta), np.cos(theta)
-    u1 = ra * ((1 + alpha) * psi * s + dpsi * c)
-    u2 = ra * (dpsi * s - (1 + alpha) * psi * c)
+    u1 = ra * ((1 + _LSHAPE_ALPHA) * psi * s + dpsi * c)
+    u2 = ra * (dpsi * s - (1 + _LSHAPE_ALPHA) * psi * c)
     return np.stack([u1, u2], axis=-1)
 
 
-def _lshape_stream(x, alpha=_LSHAPE_ALPHA):
+def _lshape_stream(x):
     r, theta = _polar(x)
-    return r ** (1.0 + alpha) * _lshape_psi(theta, alpha)[0]
+    return r ** (1.0 + _LSHAPE_ALPHA) * _lshape_psi(theta)[0]
 
 
-def _lshape_grad_u(x, alpha=_LSHAPE_ALPHA):
+def _lshape_grad_u(x):
     """Gradient of the singular velocity via stream-function second derivatives."""
     r, theta = _polar(x)
-    psi, dpsi, d2psi, _ = _lshape_psi(theta, alpha)
+    psi, dpsi, d2psi, _ = _lshape_psi(theta)
     s, c = np.sin(theta), np.cos(theta)
     ss, cc, sc = s * s, c * c, s * c
     del theta, s, c
-    ap = 1.0 + alpha
-    ra1 = r ** (alpha - 1.0)
+    ap = 1.0 + _LSHAPE_ALPHA
+    ra1 = r ** (_LSHAPE_ALPHA - 1.0)
     del r
     # g = [[phi_xy, phi_yy], [-phi_xx, -phi_xy]]: the phi are summed in its
     # slices one closed-form term f at a time, each f dropped once used
     g = np.empty(x.shape[:-1] + (2, 2))
     xx, yy, xy = g[..., 1, 0], g[..., 0, 1], g[..., 0, 0]
-    f = alpha * ap * ra1 * psi  # f_rr
+    f = _LSHAPE_ALPHA * ap * ra1 * psi  # f_rr
     np.multiply(cc, f, out=xx)
     np.multiply(ss, f, out=yy)
     np.multiply(sc, f, out=xy)
@@ -286,13 +287,14 @@ def _lshape_grad_u(x, alpha=_LSHAPE_ALPHA):
     return g
 
 
-def _lshape_p(x, alpha=_LSHAPE_ALPHA):
+def _lshape_p(x):
     r, theta = _polar(x)
-    _, dpsi, _, d3psi = _lshape_psi(theta, alpha)
-    return r ** (alpha - 1.0) / (alpha - 1.0) * ((1 + alpha) ** 2 * dpsi + d3psi)
+    _, dpsi, _, d3psi = _lshape_psi(theta)
+    return (r ** (_LSHAPE_ALPHA - 1.0) / (_LSHAPE_ALPHA - 1.0)
+            * ((1 + _LSHAPE_ALPHA) ** 2 * dpsi + d3psi))
 
 
-def lshape_mesh(n_per_unit=4):
+def lshape_mesh(n_per_unit):
     """Structured triangulation of (-1,1)^2 minus the fourth quadrant.
 
     The grid vertices are numbered in the order the cells first use them.
@@ -312,7 +314,7 @@ def lshape_mesh(n_per_unit=4):
     return build_triangulation(vertices, number[tris], lambda mid: DIRICHLET)
 
 
-def lshape_stokes(n_per_unit=2, prerefine=1):
+def lshape_stokes():
     """Singular vortex on the L-shaped domain: zero load, nu = 1, Gamma_D = boundary.
 
     The initial 96-element mesh is built in two levels: a coarse grid with
@@ -320,10 +322,8 @@ def lshape_stokes(n_per_unit=2, prerefine=1):
     refinement-edge bookkeeping matches the bisection hierarchy used later.
     """
     def factory():
-        m = lshape_mesh(n_per_unit)
-        for _ in range(prerefine):
-            m = refine_marked_twice(m, range(m.num_elements))
-        return m
+        m = lshape_mesh(2)
+        return refine_marked_twice(m, range(m.num_elements))
 
     return ProblemSpec(
         "lshape",
@@ -355,20 +355,21 @@ def cook_mesh(nx=6, ny=10):
     return build_triangulation(verts, grid_triangles(nx, ny), labeler)
 
 
-def cook_membrane(nx=6, ny=10, gamma=0.01, mu=1.0, lam=5.0):
-    """Cook's membrane: clamped left wall, shear traction on the right edge."""
+def cook_membrane(nx=6, ny=10):
+    """Cook's membrane: clamped left wall, shear traction gamma = 0.01 on the
+    right edge, mu = 1, lambda = 5."""
 
     def traction(x, nrm):
         out = np.zeros(x.shape)
         on_right = np.abs(x[..., 0] - 0.48) < 1e-12
-        out[..., 1] = np.where(on_right, gamma, 0.0)
+        out[..., 1] = np.where(on_right, 0.01, 0.0)
         return out
 
     return ProblemSpec(
         "cook",
         "elasticity",
         lambda: cook_mesh(nx, ny),
-        material=ElasticityTensor(mu, lam),
+        material=ElasticityTensor(1.0, 5.0),
         f=None,
         g=traction,
         u=lambda x: np.zeros(x.shape),
@@ -378,14 +379,17 @@ def cook_membrane(nx=6, ny=10, gamma=0.01, mu=1.0, lam=5.0):
 # -- manufactured elasticity -------------------------------------------------------
 
 
-def manufactured_elasticity(kind="smooth", mu=1.0, lam=5.0, n=4):
-    """Polynomial elasticity problems on the unit square, Gamma_D = boundary.
+def manufactured_elasticity(kind="smooth", n=4):
+    """Polynomial elasticity problems on the unit square, Gamma_D = boundary,
+    mu = 1, lambda = 5.
 
     kind='patch': quadratic displacement with element-wise constant load
     (zero data oscillation, so the reconstructed stress is exactly
     admissible); kind='smooth': cubic displacement with varying load.
+    Each load is f = -div(C eps(u)) in closed form (the test suite
+    re-derives it symbolically as an oracle).
     """
-    material = ElasticityTensor(mu, lam)
+    mu, lam = 1.0, 5.0
 
     if kind == "patch":
 
@@ -401,6 +405,12 @@ def manufactured_elasticity(kind="smooth", mu=1.0, lam=5.0, n=4):
             g[..., 1, 0] = x2
             g[..., 1, 1] = x1 - 2 * x2
             return g
+
+        def f(x):
+            out = np.empty(x.shape)
+            out[..., 0] = -(6.0 * mu + 3.0 * lam)
+            out[..., 1] = 4.0 * mu + 2.0 * lam
+            return out
 
     elif kind == "smooth":
 
@@ -419,21 +429,6 @@ def manufactured_elasticity(kind="smooth", mu=1.0, lam=5.0, n=4):
             g[..., 1, 1] = x1**2 + 3 * x2**2
             return g
 
-    else:
-        raise ValueError(f"unknown manufactured elasticity kind {kind!r}")
-
-    # f = -div(C eps(u)) of the polynomial displacement, in closed form
-    # (the test suite re-derives this symbolically as an oracle)
-    if kind == "patch":
-
-        def f(x):
-            out = np.empty(x.shape)
-            out[..., 0] = -(6.0 * mu + 3.0 * lam)
-            out[..., 1] = 4.0 * mu + 2.0 * lam
-            return out
-
-    else:
-
         def f(x):
             return np.stack(
                 [
@@ -443,11 +438,14 @@ def manufactured_elasticity(kind="smooth", mu=1.0, lam=5.0, n=4):
                 axis=-1,
             )
 
+    else:
+        raise ValueError(f"unknown manufactured elasticity kind {kind!r}")
+
     return ProblemSpec(
         f"elasticity-{kind}",
         "elasticity",
         lambda: structured_square_mesh(n, lambda mid: DIRICHLET),
-        material=material,
+        material=ElasticityTensor(mu, lam),
         f=f,
         u=u,
         grad_u=grad_u,
@@ -461,10 +459,10 @@ PROBLEMS = {
 }
 
 
-def get_problem(name, **kw):
+def get_problem(name):
     if name not in PROBLEMS:
         raise KeyError(f"unknown problem {name!r}; available: {sorted(PROBLEMS)}")
-    return PROBLEMS[name](**kw)
+    return PROBLEMS[name]()
 
 
 # -- discretisation drivers --------------------------------------------------------

@@ -29,6 +29,13 @@ class TestMarkMax:
         with pytest.raises(ValueError):
             mark_max([-1.0, 2.0], 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a nan maximum marks nothing, which the loop would read as converged
+        for indicators in ([bad, 1.0], [1.0, bad], [bad]):
+            with pytest.raises(ValueError):
+                mark_max(indicators, 0.5)
+
 
 class TestEOC:
     def test_linear(self):

@@ -1,6 +1,7 @@
 import ast
 import functools
 import pathlib
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -69,6 +70,15 @@ def tg_labeler(mid):
 
 def zero_lift(mesh):
     return CRField(mesh, np.zeros((mesh.num_sides, 2)))
+
+
+def zero_datum(x):
+    return np.zeros(x.shape)
+
+
+def zero_load(mesh):
+    """The datum load of a zero Dirichlet datum."""
+    return np.zeros(2 * mesh.num_sides)
 
 
 def stokes_system(mesh, nu):
@@ -174,7 +184,9 @@ class TestSolveSparse:
         cook = cook_membrane(nx=3, ny=5)
         mesh = cook.mesh_factory()
         sol = discretize_elasticity(cook, mesh)
-        solve_lifting(mesh, sol.u_h + sol.u_hat, cook.material.mu)
+        solve_lifting(
+            mesh, sol.u_h + sol.u_hat, cook.material.mu, sol.system.datum_load
+        )
         nfree = len(sol.system.vel_index)
         stokes_sizes = [n for n, _ in stokes_shapes]
         assert [n for n, _, _ in calls] == stokes_sizes + [nfree, nfree // 2, nfree // 2]
@@ -251,6 +263,73 @@ def test_no_function_level_package_imports():
                 if any(n == "." or n.split(".")[0] == "gapfem" for n in names):
                     found.append((path.name, fn.name, node.lineno))
     assert found == []
+
+
+def _options(tree):
+    """(callee name, function name, defaulted parameters, **kwargs, named
+    parameters) of every function of a module.  A defaulted parameter is
+    (name, index of the call's positional argument that sets it, None if
+    keyword-only); a class is called for its __init__, and a method's calls
+    skip self."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                a = child.args
+                skip = cls is not None
+                first = len(a.args) - len(a.defaults)
+                params = [(p.arg, i - skip) for i, p in enumerate(a.args) if i >= first]
+                params += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                           if d is not None]
+                callee = cls if skip and child.name == "__init__" else child.name
+                named = {p.arg for p in a.args + a.kwonlyargs}
+                out.append((callee, child.name, params, a.kwarg, named))
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return out
+
+
+def _sets(call, name, index):
+    """Whether a call sets a parameter: by keyword, by position or through
+    *args or **kwargs."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    return index is not None and (len(call.args) > index or starred)
+
+
+def test_every_option_is_set_by_some_call():
+    """Every defaulted parameter and every **kwargs of a gapfem function is
+    set by at least one call in gapfem, the tests or the README's python
+    examples: a value that no call sets is a constant, not an option."""
+    package = sorted(pathlib.Path(forms.__file__).parent.glob("*.py"))
+    tests = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    sources = [p.read_text() for p in package + tests]
+    sources += re.findall(r"```python\n(.*?)```", readme, re.S)
+    calls = {}
+    for node in (n for src in sources for n in ast.walk(ast.parse(src))):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = getattr(f, "id", None) or getattr(f, "attr", None)
+            calls.setdefault(name, []).append(node)
+    unset = []
+    for path in package:
+        for callee, fn, params, kwarg, named in _options(ast.parse(path.read_text())):
+            found = calls.get(callee, [])
+            unset += [(path.name, fn, name) for name, index in params
+                      if not any(_sets(c, name, index) for c in found)]
+            if kwarg and not any(
+                k.arg is None or k.arg not in named for c in found for k in c.keywords
+            ):
+                unset.append((path.name, fn, "**" + kwarg.arg))
+    assert unset == []
 
 
 def _random_sparse(rng, n, density):
@@ -755,7 +834,8 @@ class TestElasticityAssembly:
     def test_zero_data_zero_solution(self):
         mesh = structured_square_mesh(3, all_dirichlet)
         system = assemble_elasticity(
-            mesh, ElasticityTensor(1.0, 5.0), zero_lift(mesh), None, None, None
+            mesh, ElasticityTensor(1.0, 5.0), zero_lift(mesh), None, None, None,
+            dirichlet_datum=zero_datum,
         )
         u, _ = system.solve()
         assert np.abs(u.values).max() < 1e-12
@@ -785,7 +865,8 @@ class TestElasticityAssembly:
         verts = [(0, 0), (1, 0), (1, 1), (0, 1)]
         mesh = build_triangulation(verts, [(0, 1, 2), (0, 2, 3)], all_dirichlet)
         system = assemble_elasticity(
-            mesh, ElasticityTensor(1.0, 5.0), zero_lift(mesh), None, None, None
+            mesh, ElasticityTensor(1.0, 5.0), zero_lift(mesh), None, None, None,
+            dirichlet_datum=zero_datum,
         )
         dense = system.matrix.toarray()
         assert np.abs(dense - dense.T).max() < 1e-14
@@ -849,7 +930,7 @@ class TestLifting:
         sv = mesh.side_vertices
         side_vals = 0.5 * (vertex_vals[sv[:, 0]] + vertex_vals[sv[:, 1]])
         u_total = CRField(mesh, side_vals)
-        r = solve_lifting(mesh, u_total, mu=1.0)
+        r = solve_lifting(mesh, u_total, mu=1.0, datum_load=zero_load(mesh))
         assert np.abs(r.values).max() < 1e-12
 
     def test_defining_equation_residual(self):
@@ -875,8 +956,8 @@ class TestLifting:
         mesh = prob.mesh_factory()
         sol = discretize_elasticity(prob, mesh)
         utot = sol.u_h + sol.u_hat
-        r1 = solve_lifting(mesh, utot, mu=1.0)
-        r2 = solve_lifting(mesh, 2.5 * utot, mu=1.0)
+        r1 = solve_lifting(mesh, utot, mu=1.0, datum_load=zero_load(mesh))
+        r2 = solve_lifting(mesh, 2.5 * utot, mu=1.0, datum_load=zero_load(mesh))
         assert np.abs(r2.values - 2.5 * r1.values).max() < 1e-10
 
 
@@ -1018,7 +1099,7 @@ def oracle_datum_load(mesh, mu, datum, npoints=8):
 
 def oracle_stabilization_energy(mesh, mu, u_total, datum, npoints=8):
     """s_h by side label: interior sides by the exact endpoint mass, Dirichlet
-    sides by Gauss quadrature of |u - datum|^2 (datum None means zero)."""
+    sides by Gauss quadrature of |u - datum|^2."""
     mass = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
     total = 0.0
     t, w = segment_rule(npoints)
@@ -1035,8 +1116,7 @@ def oracle_stabilization_energy(mesh, mu, u_total, datum, npoints=8):
             tq = jump_end[:, 0, :][:, None] * (1 - t)[None, :, None] + jump_end[
                 :, 1, :
             ][:, None] * t[None, :, None]  # (m, q, 2)
-            if datum is not None:
-                tq = tq - np.asarray(datum(side_points(mesh, t, sides=sel)))
+            tq = tq - np.asarray(datum(side_points(mesh, t, sides=sel)))
             total += np.sum((2.0 * mu) * np.einsum("q,mqi,mqi->", w, tq, tq))
     return float(total)
 
@@ -1118,8 +1198,9 @@ class TestAssemblyOracle:
         assert 0.0 < want
         assert abs(system.s_h_total(u) - want) <= 1e-13 * want
         v = CRField(mesh, np.random.default_rng(2).standard_normal((mesh.num_sides, 2)))
-        want = oracle_stabilization_energy(mesh, mat.mu, v, None)
-        got = forms.stabilization_energy(mesh, mat.mu, v, None)
+        want = oracle_stabilization_energy(mesh, mat.mu, v, zero_datum)
+        zeros = np.zeros_like(system.datum_values)
+        got = forms.stabilization_energy(mesh, mat.mu, v, zeros)
         assert abs(got - want) <= 1e-13 * want
 
 

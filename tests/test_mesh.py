@@ -74,7 +74,7 @@ class TestBuild:
     def test_unlabeled_boundary_rejected(self):
         verts = [(0, 0), (1, 0), (0, 1)]
         with pytest.raises(MeshError, match="unlabeled"):
-            build_triangulation(verts, [(0, 1, 2)], {(0, 1): DIRICHLET})
+            build_triangulation(verts, [(0, 1, 2)], ([(0, 1)], [DIRICHLET]))
 
     def test_nonconforming_rejected(self):
         verts = [(0, 0), (1, 0), (0, 1), (1, 1), (0.5, -1.0)]
@@ -151,7 +151,7 @@ class TestRefine:
         mesh = two_triangle_square()
         out, pmap = refine_bisection(mesh, [])
         assert out is mesh
-        assert pmap[0] == [0]
+        assert pmap == {}
 
     def test_mark_both_compatible_diagonals(self):
         mesh = two_triangle_square()
@@ -484,6 +484,13 @@ def oracle_cook(nx=6, ny=10):
     )
 
 
+def _offset_square():
+    """The unit square's 4-by-4 mesh mapped to (-1, 0.5) + [0, 2.5]^2."""
+    mesh = structured_square_mesh(4, all_dirichlet)
+    vertices = np.array([-1.0, 0.5]) + 2.5 * mesh.vertices
+    return build_triangulation(vertices, mesh.elements, all_dirichlet)
+
+
 def _oracle_lshape_problem_mesh():
     mesh = oracle_lshape(2)
     return refine_marked_twice(mesh, range(mesh.num_elements))
@@ -498,7 +505,7 @@ GRID_MESHES = {
     "square": (lambda: structured_square_mesh(5, tg_labeler),
                lambda: oracle_square(5, tg_labeler)),
     "square-offset": (
-        lambda: structured_square_mesh(4, all_dirichlet, origin=(-1.0, 0.5), size=2.5),
+        _offset_square,
         lambda: oracle_square(4, all_dirichlet, origin=(-1.0, 0.5), size=2.5),
     ),
     "taylor-green-problem": (get_problem("taylor-green").mesh_factory,
