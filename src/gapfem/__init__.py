@@ -27,6 +27,7 @@ from .duality import (
 from .forms import (
     AssemblyError,
     LinearSolveReport,
+    NumericalFailure,
     SingularSystemError,
     assemble_elasticity,
     assemble_stokes,

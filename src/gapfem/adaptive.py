@@ -22,6 +22,7 @@ from .duality import (
     random_divfree_rt,
     strong_convexity_stokes,
 )
+from .forms import NumericalFailure
 from .mesh import refine_marked_twice
 from .problems import discretize_elasticity, discretize_stokes, exact_errors
 from .spaces import RTField, nodal_average
@@ -152,15 +153,19 @@ def eoc(values, hs):
     return np.diff(np.log(values)) / np.diff(np.log(hs))
 
 
+class IndicatorError(NumericalFailure, ValueError):
+    """An error indicator that is negative, nan or infinite."""
+
+
 def mark_max(indicators, theta):
     """Elements T with eta_T^2 >= theta * max eta^2; empty if all zero.
 
-    A negative, nan or infinite indicator raises ValueError: the marking of
-    a non-finite one would be empty and read as convergence.
+    A negative, nan or infinite indicator raises IndicatorError: the
+    marking of a non-finite one would be empty and read as convergence.
     """
     indicators = np.asarray(indicators, dtype=float)
     if not np.all(np.isfinite(indicators) & (indicators >= 0)):
-        raise ValueError("indicators must be finite and nonnegative")
+        raise IndicatorError("indicators must be finite and nonnegative")
     top = indicators.max(initial=0.0)
     if top <= 0.0:
         return np.array([], dtype=np.int64)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .adaptive import AdaptiveConfig, _fmt, identity_rows, run_adaptive
-from .forms import SingularSystemError
+from .forms import NumericalFailure
 from .problems import get_problem
 
 USAGE_ERROR = 1
@@ -193,7 +193,7 @@ def main(argv=None):
         return USAGE_ERROR
     try:
         return command(args, problem)
-    except SingularSystemError as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
 

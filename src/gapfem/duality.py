@@ -12,6 +12,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from . import mesh as _mesh
+from .forms import NumericalFailure
 from .quadrature import VOLUME_DEGREE, physical_points, rule_values, triangle_rule
 from .spaces import (
     CRField,
@@ -28,7 +29,7 @@ from .spaces import (
 )
 
 
-class AdmissibilityError(Exception):
+class AdmissibilityError(NumericalFailure):
     """A reconstructed or supplied field violates its constraint set."""
 
 

@@ -26,11 +26,16 @@ from .spaces import (
 )
 
 
-class AssemblyError(Exception):
+class NumericalFailure(Exception):
+    """A computation that gives no trustworthy result on valid input; the
+    CLI reports every subclass as a numerical failure (exit code 2)."""
+
+
+class AssemblyError(NumericalFailure):
     pass
 
 
-class SingularSystemError(Exception):
+class SingularSystemError(NumericalFailure):
     pass
 
 
@@ -322,6 +327,65 @@ def _divfree_basis(mesh, free, potential):
     return sparse.csr_matrix((data[keep], cols[keep], indptr), (2 * nf, nphi + nf))
 
 
+def _spanning_forest(mesh, free):
+    """A spanning forest of the elements joined across free interior sides,
+    and B's entries at each element's tree side.
+
+    The roots are the elements with a Neumann side, each with one such side
+    as its tree side; on pure-Dirichlet meshes the root is element 0, which
+    has none.  A breadth-first search in numpy layers reaches every other
+    element T from its parent through T's tree side S, the first finder
+    winning.  T's column there is S's velocity component k with the larger
+    |n_S,k|, where B's entry in T's row is b_T = -|S| n_{T,S,k} (n_{T,S}
+    T's outward normal) and in the parent's row -b_T.
+    Returns (layers, parent, col, b): the element layers from the roots
+    out, and per element its parent, its column among the free DOFs (as
+    ordered by `StokesSystem.vel_index`) and b_T; -1 where T has no parent
+    or tree side.  AssemblyError is raised if an element is not reached.
+    """
+    ne, sides = mesh.num_elements, mesh.element_sides
+    # the element across each local side, (T + T') - T, which is -1 on
+    # boundary sides (T - 1 - T); interior sides are never Dirichlet
+    neighbour = mesh.side_elements[sides].sum(axis=2) - np.arange(ne)[:, None]
+    neumann = mesh.sides_with_label(_mesh.NEUMANN)
+    roots, first = np.unique(mesh.side_elements[neumann, 0], return_index=True)
+    tree_side, parent = np.full(ne, -1), np.full(ne, -1)
+    tree_side[roots] = neumann[first]
+    layers = [roots if len(roots) else np.zeros(1, dtype=np.int64)]
+    # the last slot, which the boundary's -1 indexes, counts as reached
+    reached = np.zeros(ne + 1, dtype=bool)
+    reached[layers[0]] = reached[-1] = True
+    while True:
+        front = layers[-1]
+        found = neighbour[front].ravel()
+        fresh = np.flatnonzero(~reached[found])
+        new, at = np.unique(found[fresh], return_index=True)
+        if not len(new):
+            break
+        via = fresh[at]
+        parent[new] = front[via // 3]
+        tree_side[new] = sides[parent[new], via % 3]
+        reached[new] = True
+        layers.append(new)
+    if not reached.all():
+        raise AssemblyError(
+            f"{ne + 1 - reached.sum()} of {ne} elements are not reached through "
+            "free sides from an element with a Neumann side (or element 0)"
+        )
+    tree = np.flatnonzero(tree_side >= 0)
+    s = tree_side[tree]
+    geo = mesh.geometry()
+    normal = geo["side_normal"][s]
+    k = np.abs(normal[:, 1]) > np.abs(normal[:, 0])
+    col, b = np.full(ne, -1), np.full(ne, -1.0)
+    col[tree] = np.searchsorted(free, s) + k * len(free)
+    # the global normal is outward for the side's first element
+    b[tree] = np.where(mesh.side_elements[s, 0] == tree, -1.0, 1.0) * (
+        geo["side_length"][s] * np.where(k, normal[:, 1], normal[:, 0])
+    )
+    return layers, parent, col, b
+
+
 class StokesSystem(_LoadedSystem):
     """Assembled CR-P0 Stokes saddle-point system at viscosity nu, and its load.
 
@@ -335,12 +399,16 @@ class StokesSystem(_LoadedSystem):
 
     `solve_saddle` solves in the stream-function basis Z of the
     divergence-free CR fields (`_divfree_basis`; Griffiths, Math. Methods
-    Appl. Sci. 1, 1979; Thomasset, 1981) and builds the saddle matrix only
-    to check the solution, after its three factor solves.  Z spans the
-    kernel of b, and has its 2 n_free - ne + [pure Dirichlet] columns
-    (Euler's formula), only if all boundary curves (the outer one, each
-    hole's) but at most one are entirely Dirichlet; other meshes, e.g. a
-    Neumann hole in a partly Neumann outer boundary, raise AssemblyError.
+    Appl. Sci. 1, 1979; Thomasset, 1981) with one sparse SPD factor, of
+    Z^T A_1 Z, and finds a particular velocity and the pressure by sweeps
+    over a spanning forest of the elements (`_spanning_forest`: the
+    tree-cotree splitting of Alotto & Perugia, Calcolo 36, 1999; Scheichl,
+    SIAM J. Sci. Comput. 23, 2002); it builds the saddle matrix only to
+    check the solution.  Z spans the kernel of b, and has its
+    2 n_free - ne + [pure Dirichlet] columns (Euler's formula), only if all
+    boundary curves (the outer one, each hole's) but at most one are
+    entirely Dirichlet; other meshes, e.g. a Neumann hole in a partly
+    Neumann outer boundary, raise AssemblyError.
     """
 
     def __init__(self, mesh, nu, u_hat, f_h, big_f_h, g_h):
@@ -390,32 +458,44 @@ class StokesSystem(_LoadedSystem):
     def solve_saddle(self, rhs):
         """Solve `saddle_matrix()` @ x = rhs in the divergence-free basis Z.
 
-        With f, g the velocity and pressure rows of rhs: u_g = B^T y with
-        (B B^T) y = g, nu (Z^T A_1 Z) c = Z^T (f - nu A_1 u_g), u = u_g + Z c
-        and (B B^T) p = B (f - nu A_1 u), three SPD factors that are each a
-        temporary of their one solve.  On pure-Dirichlet meshes 1^T B = 0, so
-        the gauge multiplier is sum(g) / sum(|T|), and its part of g is
-        subtracted first; element 0's pressure is pinned, making B B^T SPD,
-        and p is shifted to the gauge.
+        With f, g the velocity and pressure rows of rhs, the particular
+        velocity u_g is nonzero only in the tree columns of
+        `_spanning_forest`: B u_g = g holds when b_T (u_g)_T, the flux
+        through T's tree side, is g summed over T's subtree, one
+        `np.add.at` per layer from the leaves to the roots.  Then
+        nu (Z^T A_1 Z) c = Z^T (f - nu A_1 u_g) by the one SPD factor, a
+        temporary of its one solve, and u = u_g + Z c.  The pressure
+        solves B^T p = r = f - nu A_1 u in the tree columns:
+        p_T = p_parent + r_T / b_T, one layer at a time from the roots, with
+        p_parent = 0 at a root.  On pure-Dirichlet meshes 1^T B = 0, so the
+        gauge multiplier is sum(g) / sum(|T|), and its part of g is
+        subtracted first; the root, which has no tree side, keeps p = 0 in
+        the sweep, and p is shifted to the gauge.
         Returns (x, LinearSolveReport), x checked against `saddle_matrix()`,
         which lives only as long as the check.
         """
         nu, nv, ne = self.nu, len(self.vel_index), self.mesh.num_elements
-        pin, areas = int(self.pure_dirichlet), self.mesh.areas
+        areas = self.mesh.areas
         x = np.zeros(len(rhs))
         u, p = x[:nv], x[nv: nv + ne]
         f, g = rhs[:nv], rhs[nv: nv + ne]
         if self.pure_dirichlet:
             x[-1] = g.sum() / areas.sum()
             g = g - areas * x[-1]
-        b = self.b[pin:]
-        # exactly symmetric: two elements share at most one side
-        bbt = b @ b.T
-        u[:] = b.T @ spd_factor(bbt).solve(g[pin:])
+        layers, parent, col, b = _spanning_forest(self.mesh, self.free_sides)
+        tree = col >= 0
+        flux = g.copy()
+        for layer in reversed(layers[1:]):
+            np.add.at(flux, parent[layer], flux[layer])
+        u[col[tree]] = flux[tree] / b[tree]
         z = _divfree_basis(self.mesh, self.free_sides, self.potential_columns)
         c = spd_factor(_gram(z, self.a1)).solve(z.T @ (f - nu * (self.a1 @ u)))
         u += z @ (c / nu)
-        p[pin:] = spd_factor(bbt).solve(b @ (f - nu * (self.a1 @ u)))
+        step = np.zeros(ne)
+        step[tree] = (f - nu * (self.a1 @ u))[col[tree]] / b[tree]
+        p[layers[0]] = step[layers[0]]
+        for layer in layers[1:]:
+            p[layer] = p[parent[layer]] + step[layer]
         if self.pure_dirichlet:
             p += (rhs[-1] - areas @ p) / areas.sum()
         return x, _checked(self.saddle_matrix(), rhs, x)

@@ -5,12 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gapfem import cli
 from gapfem.cli import main
-from gapfem.duality import JUMP_TOL
-from gapfem.forms import SingularSystemError
+from gapfem.duality import JUMP_TOL, AdmissibilityError
+from gapfem.forms import AssemblyError, SingularSystemError
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
 
@@ -202,6 +203,35 @@ def test_singular_system_exit_code(argv, monkeypatch, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "numerical failure: factor is singular" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", [AssemblyError, AdmissibilityError])
+def test_numerical_failure_exit_code(error, monkeypatch, capsys):
+    """Every numerical failure, not only a singular system, exits 2."""
+
+    def failing(*args, **kwargs):
+        raise error("no trustworthy result")
+
+    monkeypatch.setattr(cli, "run_adaptive", failing)
+    assert main(["run", "taylor-green", "--max-iter", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: no trustworthy result" in err
+    assert "Traceback" not in err
+
+
+def test_nan_indicator_exit_code(monkeypatch, capsys):
+    """A nan gap indicator stops the adaptive loop at marking with exit 2."""
+    from gapfem import adaptive
+
+    def nan_indicator(v, t_h, grad_u, nu, mesh, big_f_h):
+        return np.full(mesh.num_elements, np.nan)
+
+    monkeypatch.setattr(adaptive, "gap_indicator_stokes", nan_indicator)
+    argv = ["run", "taylor-green", "--mode", "adaptive", "--max-iter", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: indicators must be finite and nonnegative" in err
     assert "Traceback" not in err
 
 

@@ -104,11 +104,10 @@ def holed_square_mesh(outer, hole):
 
 
 def stokes_factor_shapes(system):
-    """Shapes of the three factors of one `solve_saddle`: B B^T (one element
-    pressure pinned on pure-Dirichlet meshes), Z^T A_1 Z and B B^T again."""
-    m = system.mesh.num_elements - system.pure_dirichlet
-    nz = len(system.vel_index) - m
-    return [(m, m), (nz, nz), (m, m)]
+    """Shape of the one factor of one `solve_saddle`, Z^T A_1 Z: Z has a
+    column per kernel direction of B, whose rank is ne - [pure Dirichlet]."""
+    nz = len(system.vel_index) - system.mesh.num_elements + system.pure_dirichlet
+    return [(nz, nz)]
 
 
 def record_spd_factors(monkeypatch):
@@ -159,9 +158,9 @@ class TestSolveSparse:
             solve_sparse(a, rng.standard_normal(30))
 
     def test_one_factor_path_for_every_operator(self, monkeypatch):
-        # the three Stokes factors, the elasticity matrix and the lifting's
-        # CR stiffness are all factored by spd_factor with the same options;
-        # the Stokes ones once each, when the Stokes solve runs
+        # the Stokes factor, the elasticity matrix and the lifting's CR
+        # stiffness are all factored by spd_factor with the same options;
+        # the Stokes one when the Stokes solve runs
         from gapfem.problems import (
             cook_membrane,
             discretize_elasticity,
@@ -478,27 +477,25 @@ class TestStokesALSolve:
     @pytest.mark.parametrize("labeler", [all_dirichlet, tg_labeler])
     def test_matches_saddle_lu(self, labeler, monkeypatch):
         # each viscosity's system solves its own saddle matrix, with the
-        # three factors B B^T, Z^T A_1 Z and B B^T per solve and none when
-        # the system is built
+        # one factor Z^T A_1 Z per solve and none when the system is built
         mesh = structured_square_mesh(6, labeler)
         rng = np.random.default_rng(7)
         factored = record_spd_factors(monkeypatch)
         for k, nu in enumerate((0.5, 1.0)):
             system = stokes_system(mesh, nu)
-            assert len(factored) == 3 * k
+            assert len(factored) == k
             assert system.pure_dirichlet == (labeler is all_dirichlet)
             rhs = rng.standard_normal(system.saddle_matrix().shape[0])
             x, report = system.solve_saddle(rhs)
-            assert factored[3 * k:] == stokes_factor_shapes(system)
+            assert factored[k:] == stokes_factor_shapes(system)
             ref = sla.splu(system.saddle_matrix()).solve(rhs)
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
             assert report.residual_norm <= 1e-10
 
     def test_factor_freed_when_solve_returns(self, monkeypatch):
-        # each factor is a temporary of its one triangular solve: it is dead
-        # before the next factor is made, so at most one lives at a time,
-        # and none once a solve returns, while the system lives on with its
-        # solution and can solve again with factors of its own; the
+        # the factor is a temporary of its one triangular solve: it is dead
+        # once the solve returns, while the system lives on with its
+        # solution and can solve again with a factor of its own; the
         # bordered saddle matrix of the check is dead once the solve returns
         import gc
         import weakref
@@ -536,11 +533,11 @@ class TestStokesALSolve:
         gc.disable()
         try:
             sol = discretize_stokes(prob, mesh)
-            assert len(refs) == 3 and all(ref() is None for ref in refs)
+            assert len(refs) == 1 and all(ref() is None for ref in refs)
             assert len(matrices) == 1 and matrices[0]() is None
             assert not hasattr(sol.system, "lu")
             u_h, p_h, _ = sol.system.solve()
-            assert len(refs) == 6 and all(ref() is None for ref in refs)
+            assert len(refs) == 2 and all(ref() is None for ref in refs)
             assert len(matrices) == 2 and all(ref() is None for ref in matrices)
             assert np.array_equal(u_h.values, sol.u_h.values)
             assert np.array_equal(p_h.values, sol.p_h.values)
@@ -558,10 +555,10 @@ class TestStokesALSolve:
         assert report.residual_norm == 0.0
 
     @pytest.mark.parametrize("problem", ["taylor-green", "lshape"])
-    def test_three_factors_one_solve_each(self, problem, monkeypatch):
-        # one Stokes solve per mesh makes the factors of B B^T, Z^T A_1 Z
-        # and B B^T with one triangular solve each, and 16 random
-        # divergence-free samples on the same mesh make neither
+    def test_one_factor_one_solve_per_mesh(self, problem, monkeypatch):
+        # one Stokes solve per mesh makes the factor of Z^T A_1 Z with one
+        # triangular solve, and 16 random divergence-free samples on the
+        # same mesh make none
         from gapfem.duality import random_divfree_cr
         from gapfem.mesh import refine_marked_twice
         from gapfem.problems import discretize_stokes, get_problem
@@ -586,10 +583,10 @@ class TestStokesALSolve:
         mesh = prob.mesh_factory()
         for level in range(1, 3):
             discretize_stokes(prob, mesh)
-            assert len(factors) == 3 * level
+            assert len(factors) == level
             assert [f.solves for f in factors] == [1] * len(factors)
             random_divfree_cr(mesh, range(1, 17), 1.0)
-            assert len(factors) == 3 * level
+            assert len(factors) == level
             assert [f.solves for f in factors] == [1] * len(factors)
             mesh = refine_marked_twice(mesh, range(mesh.num_elements))
 
@@ -621,8 +618,8 @@ class TestStokesALSolve:
             system.solve_saddle(rhs)
 
     def test_one_symmetric_factor_per_mesh(self, monkeypatch):
-        # the Stokes solve factors the symmetric B B^T, Z^T A_1 Z and B B^T
-        # once each; the random divergence-free samples factor nothing
+        # the Stokes solve factors the symmetric Z^T A_1 Z once; the random
+        # divergence-free samples factor nothing
         from gapfem.duality import random_divfree_cr
         from gapfem.problems import discretize_stokes, taylor_green_stokes
 
@@ -799,9 +796,9 @@ def square_partitions(draw):
 )
 def test_viscosity_free_saddle(partition, seed, rounds, log_nus):
     """On any partition of the boundary, on perturbed and randomly bisected
-    meshes and at every nu, one system solves its matrix with the factors
-    of B B^T, Z^T A_1 Z and B B^T per solve, and building the system
-    factors nothing."""
+    meshes and at every nu, one system solves its matrix with the one
+    factor of Z^T A_1 Z per solve, and building the system factors
+    nothing."""
     n, labeler = partition
     mesh = _bisected_mesh(n, labeler, seed, rounds)
     rng = np.random.default_rng(seed)
@@ -816,18 +813,91 @@ def test_viscosity_free_saddle(partition, seed, rounds, log_nus):
         mp.setattr(forms.sla, "splu", counting_splu)
         for k, nu in enumerate(10.0 ** np.array(log_nus)):
             system = stokes_system(mesh, nu)
-            assert len(factored) == 6 * k
+            assert len(factored) == 2 * k
             rhs = rng.standard_normal(system.saddle_matrix().shape[0])
             x, report = system.solve_saddle(rhs)
-            assert factored[6 * k:] == stokes_factor_shapes(system)
+            assert factored[2 * k:] == stokes_factor_shapes(system)
             ref = splu(system.saddle_matrix()).solve(rhs)
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
             assert report.residual_norm <= SOLVE_TOL
-            # a second solve of the same system factors all three again
+            # a second solve of the same system factors again
             again, _ = system.solve_saddle(rhs)
             assert np.array_equal(again, x)
-            assert len(factored) == 6 * k + 6
-    assert len(factored) == 6 * len(log_nus)
+            assert len(factored) == 2 * k + 2
+    assert len(factored) == 2 * len(log_nus)
+
+
+# the boundary labels of TestStokesALSolve::test_hole_matches_saddle_lu
+HOLED = [(tg_labeler, DIRICHLET), (all_dirichlet, DIRICHLET), (all_dirichlet, NEUMANN)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.one_of(square_partitions(), st.sampled_from(HOLED)),
+    seed=st.integers(0, 2**32 - 1),
+    rounds=st.integers(0, 2),
+)
+def test_spanning_forest_solve_matches_splu(shape, seed, rounds):
+    """On any Dirichlet/Neumann partition of the unit square's boundary,
+    and on the holed meshes, each after random bisections, the forest
+    reaches every element once through a column of B where only the
+    element and its parent have entries, and the solve matches `splu`."""
+    rng = np.random.default_rng(seed)
+    if isinstance(shape[0], int):
+        mesh = _perturbed_mesh(*shape, seed)
+    else:
+        mesh = holed_square_mesh(*shape)
+    for _ in range(rounds):
+        marked = np.nonzero(rng.uniform(size=mesh.num_elements) < 0.4)[0]
+        mesh, _ = refine_bisection(mesh, marked)
+    system = stokes_system(mesh, 10.0 ** rng.uniform(-2.0, 2.0))
+    layers, parent, col, b = forms._spanning_forest(mesh, system.free_sides)
+    order = np.concatenate(layers)
+    assert np.array_equal(np.sort(order), np.arange(mesh.num_elements))
+    depth = np.repeat(np.arange(len(layers)), [len(layer) for layer in layers])
+    level = np.empty(mesh.num_elements, dtype=np.int64)
+    level[order] = depth
+    assert np.all(parent[layers[0]] == -1)
+    child = parent >= 0
+    assert np.all(level[parent[child]] == level[child] - 1)
+    assert np.count_nonzero(col < 0) == system.pure_dirichlet
+    tree = np.flatnonzero(col >= 0)
+    entries = system.b[:, col[tree]].toarray()
+    want = np.zeros_like(entries)
+    want[tree, np.arange(len(tree))] = b[tree]
+    above = parent[tree] >= 0
+    want[parent[tree][above], np.arange(len(tree))[above]] = -b[tree][above]
+    assert np.allclose(entries, want, rtol=1e-12, atol=0.0)
+    rhs = rng.standard_normal(system.saddle_matrix().shape[0])
+    x, report = system.solve_saddle(rhs)
+    ref = sla.splu(system.saddle_matrix()).solve(rhs)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert report.residual_norm <= SOLVE_TOL
+
+
+def two_squares_mesh(labeler):
+    """The unit square's 2-by-2 grid and a copy shifted by 2 in x."""
+    square = structured_square_mesh(2, labeler)
+    vertices = np.concatenate([square.vertices, square.vertices + [2.0, 0.0]])
+    elements = np.concatenate([square.elements, square.elements + square.num_vertices])
+    return build_triangulation(vertices, elements, labeler)
+
+
+class TestUnreachedElements:
+    """No element is left with a silent zero velocity or pressure."""
+
+    def test_two_components_raise(self):
+        # on two pure-Dirichlet squares, the root is element 0 and no free
+        # side joins the second square to it
+        mesh = two_squares_mesh(all_dirichlet)
+        with pytest.raises(AssemblyError):
+            stokes_system(mesh, 1.0).solve()
+
+    def test_forest_names_the_count(self):
+        mesh = two_squares_mesh(all_dirichlet)
+        free = np.nonzero(mesh.side_labels != DIRICHLET)[0]
+        with pytest.raises(AssemblyError, match="8 of 16 elements are not reached"):
+            forms._spanning_forest(mesh, free)
 
 
 class TestElasticityAssembly:
