@@ -19,8 +19,9 @@ from numpy.polynomial.legendre import leggauss
 # Gauss points of every side rule for analytic data: 8 keeps side averages
 # well below the 1e-10 contract tolerances, 4 does not on coarse meshes
 SIDE_POINTS = 8
-# degree of every volume rule for analytic data, so that projections,
-# indicators and exact errors share one `rule_values` cache per mesh
+# degree of every volume rule for analytic data, so that projections, the
+# Stokes indicator, the oscillation and the exact errors share one
+# `rule_values` cache per mesh
 VOLUME_DEGREE = 10
 
 

@@ -151,6 +151,23 @@ def test_analytic_fields_evaluated_once_per_mesh(factory):
     assert max(calls.values()) == 1
 
 
+def test_cook_step_builds_no_degree10_arrays():
+    """Cook has no analytic volume data, so its solve, estimate and
+    optimality residual leave no degree-10 points or field values on the mesh."""
+    from gapfem.adaptive import _estimate
+    from gapfem.problems import cook_membrane, discretize_elasticity
+    from gapfem.quadrature import VOLUME_DEGREE
+
+    prob = cook_membrane()
+    mesh = prob.mesh_factory()
+    sol = discretize_elasticity(prob, mesh)
+    _estimate(prob, mesh, sol)
+    sol.optimality_residual()
+    keys = list(mesh._cache)
+    assert ("physical_points", VOLUME_DEGREE) not in keys
+    assert not [k for k in keys if isinstance(k, tuple) and k[0] == "rule_values"]
+
+
 @pytest.fixture(scope="module")
 def uniform_report():
     prob = taylor_green_stokes()

@@ -733,6 +733,75 @@ class TestElasticityGapEquivalence:
         assert rho_p + rho_d == pytest.approx(gap + skew_term, rel=1e-9)
 
 
+def oracle_gap_indicator_elasticity(v, sigma, material, mesh, big_f_h=None):
+    """The elasticity gap indicator on the degree-10 rule."""
+    from gapfem.quadrature import physical_points, triangle_rule
+
+    w = triangle_rule(10)[1]
+    pts = physical_points(mesh, 10)
+    gv = v.gradient().values[:, None, :, :] + np.zeros(pts.shape[:2] + (2, 2))
+    sv = sigma.evaluate(pts)
+    if big_f_h is not None:
+        sv = sv + big_f_h.values[:, None]
+    diff = sym(gv) - material.inverse(sv)
+    vals = material.energy_product(diff, diff)
+    return 0.5 * mesh.areas * np.einsum("q,nq->n", w, vals)
+
+
+def _cook_adapted(steps):
+    """Cook's problem and its mesh after `steps` adaptive iterations."""
+    from gapfem.adaptive import _estimate, mark_max
+
+    prob = cook_membrane()
+    mesh = prob.mesh_factory()
+    for _ in range(steps):
+        sol = discretize_elasticity(prob, mesh)
+        gap, osc, _ = _estimate(prob, mesh, sol)
+        mesh = refine_marked_twice(mesh, mark_max(gap + osc, 0.5))
+    return prob, mesh
+
+
+def _manufactured_bisected(kind):
+    """A manufactured elasticity problem on its mesh with a random third
+    of the elements bisected twice."""
+    prob = manufactured_elasticity(kind, n=4)
+    mesh = prob.mesh_factory()
+    rng = np.random.default_rng(12)
+    marked = np.nonzero(rng.uniform(size=mesh.num_elements) < 0.3)[0]
+    return prob, refine_marked_twice(mesh, marked)
+
+
+GAP_CASES = {
+    "cook": lambda: _cook_adapted(3),
+    "smooth": lambda: _manufactured_bisected("smooth"),
+    "patch": lambda: _manufactured_bisected("patch"),
+}
+
+
+@pytest.mark.parametrize("tensor_load", [False, True])
+@pytest.mark.parametrize("case", sorted(GAP_CASES))
+def test_gap_indicator_elasticity_matches_degree10_oracle(case, tensor_load):
+    """The edge-midpoint rule gives the degree-10 value on every element:
+    the integrand is quadratic, with sigma* constant (to roundoff) on Cook
+    and affine with nonzero divergence on the manufactured problems."""
+    from gapfem.spaces import nodal_average
+
+    prob, mesh = GAP_CASES[case]()
+    sol = discretize_elasticity(prob, mesh)
+    div = np.abs(sol.sigma_star.divergence().values).max()
+    assert div < 1e-10 if case == "cook" else div > 0.1
+    vhat = nodal_average(sol.u_h + sol.u_hat, mesh, dirichlet_values=prob.u)
+    big_f_h = None
+    if tensor_load:
+        rng = np.random.default_rng(7)
+        big_f_h = P0Field(mesh, rng.standard_normal((mesh.num_elements, 2, 2)))
+    args = (vhat, sol.sigma_star, prob.material, mesh)
+    want = oracle_gap_indicator_elasticity(*args, big_f_h=big_f_h)
+    got = gap_indicator_elasticity(*args, big_f_h=big_f_h)
+    assert np.all(want > 0)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
 # -- the two-sided oracle: the per-slot reconstructions that the one
 # element-side average replaces ----------------------------------------------
 

@@ -1288,3 +1288,51 @@ def test_operators_match_field_evaluation(n, labeler, seed):
     assert_close(grads, broken_gradient(v).values)
     jumps = (cr_jump_operator(mesh) @ v.values).reshape(-1, 2, 2)
     assert_close(jumps, oracle_jump_eval(v, np.arange(mesh.num_sides)))
+
+
+def local_elasticity_matrix(mat):
+    """The 4 x 4 matrix of g -> C sym(g) on flattened gradients (g00, g01,
+    g10, g11), column k being its value at the k-th unit gradient."""
+    units = np.eye(4).reshape(4, 2, 2)
+    return mat.apply(0.5 * (units + units.transpose(0, 2, 1))).reshape(4, 4).T
+
+
+@pytest.mark.parametrize(
+    "mu, lam", [(1.0, 5.0), tuple(np.random.default_rng(9).uniform(0.1, 10.0, 2))]
+)
+def test_strain_half_squares_to_c(mu, lam):
+    """H^T H = C, to the rounding of the square roots in H."""
+    c = local_elasticity_matrix(ElasticityTensor(mu, lam))
+    h = forms._strain_half(mu, lam)
+    assert h.shape == (3, 4)
+    assert np.abs(h.T @ h - c).max() <= 4 * np.finfo(float).eps * np.abs(c).max()
+
+
+@pytest.mark.parametrize("name", ["cook", "lshape"])
+def test_gram_forms_exactly_symmetric(name):
+    """Every b^T b form is exactly symmetric and equals op^T W op."""
+    mesh = ORACLE_MESHES[name]()
+    mat = ElasticityTensor(1.0, 5.0)
+    grad = forms._gradient_operator(mesh, 1)
+    k = cr_stiffness(mesh)
+    want_k = grad.T @ sparse.diags(np.repeat(mesh.areas, 2)) @ grad
+    weights = stabilization_weights(mesh, mat.mu)
+    jumps = jump_penalty_matrix(mesh, weights)
+    w = sparse.kron(
+        sparse.diags(weights * mesh.geometry()["side_length"]), forms._ENDPOINT_MASS
+    )
+    want_jumps = cr_jump_operator(mesh).T @ w @ cr_jump_operator(mesh)
+    system = assemble_elasticity(
+        mesh, mat, zero_lift(mesh), None, None, None, dirichlet_datum=zero_datum
+    )
+    g = cr_gradient_operator(mesh)
+    c = sparse.kron(sparse.diags(mesh.areas), local_elasticity_matrix(mat))
+    want_a = g.T @ c @ g + sparse.block_diag([want_jumps, want_jumps])
+    free = system.vel_index
+    for form, want in [
+        (k, want_k),
+        (jumps, want_jumps),
+        (system.matrix, want_a.tocsr()[free][:, free]),
+    ]:
+        assert abs(form - form.T).max() == 0.0
+        assert_close(form, want, rtol=1e-14)
