@@ -120,7 +120,7 @@ def _equilibrate(mesh, p0_part, f_h, big_f_h, cause):
     # row i's flux through local side j: p0_part_i . n + slope_i (m_S - x_T) . n
     nrm = mesh.geometry()["side_normal"][mesh.element_sides]  # (ne, 3, 2)
     reach = np.einsum("njd,njd->nj", _side_offsets(mesh), nrm)
-    table = np.einsum("nid,njd->nji", p0_part, nrm)
+    table = nrm @ p0_part.transpose(0, 2, 1)
     table += slope[:, None, :] * reach[..., None]
     flux, jump = _side_average(mesh, table)
     if jump > JUMP_TOL:

@@ -64,8 +64,9 @@ def _column_norms(a):
 SOLVE_TOL = 1e-10
 
 
-def _checked(matrix, rhs, x):
-    """LinearSolveReport of a solution x of matrix @ x = rhs.
+def _backward_error(norm, rhs, x, residual):
+    """LinearSolveReport of a solution x of A x = rhs, from norm = ||A||_inf
+    and residual = rhs - A x.
 
     The report holds the normwise backward error
     ||b - A x|| / (||A||_inf ||x|| + ||b||); when rhs holds several
@@ -77,9 +78,7 @@ def _checked(matrix, rhs, x):
     """
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite values")
-    denom = _inf_norm(matrix) * _column_norms(x) + _column_norms(rhs)
-    residual = matrix @ x
-    np.subtract(rhs, residual, out=residual)
+    denom = norm * _column_norms(x) + _column_norms(rhs)
     res = np.max(
         _column_norms(residual) / np.where(denom > 0, denom, 1.0), initial=0.0
     )
@@ -90,17 +89,32 @@ def _checked(matrix, rhs, x):
     return LinearSolveReport(res)
 
 
+def _checked(matrix, rhs, x):
+    """`_backward_error` of a solution x of matrix @ x = rhs."""
+    residual = matrix @ x
+    np.subtract(rhs, residual, out=residual)
+    return _backward_error(_inf_norm(matrix), rhs, x, residual)
+
+
 # SuperLU options of every factorisation; each factored matrix is SPD, so
 # the pivots stay on the diagonal and the ordering is symmetric: minimum
 # degree on the pattern of A + A^T (COLAMD orders A^T A and gave twice the
 # fill on Cook elasticity).  relax=1 turns off relaxed supernodes: on one
 # Xeon core, SuperLU's default relaxation made the numeric phase on that
 # ordering of Cook's 23,136-unknown elasticity matrix take 9.6 s, relax=1
-# 0.34 s, at the same fill of 4.55 M (COLAMD: 0.96 s, 8.41 M).
+# 0.34 s, at the same fill of 4.55 M (COLAMD: 0.96 s, 8.41 M).  The panel
+# width pays only with wide supernodes (Demmel, Eisenstat, Gilbert, Li &
+# Liu, SIAM J. Matrix Anal. Appl. 20, 1999), and relax=1 keeps them
+# narrow, so panel_size=1: the same ordering and the fill within 0.01%,
+# while the summed factor time of the matrices of each benchmark run fell
+# 283 -> 246 ms (Cook, 48 factors), 101 -> 75 (Taylor-Green, 4), 58 -> 47
+# (L-shape, 13) and 18 -> 15 (verify-identity, 3), medians of 7 passes on
+# one CPU.
 SPD_FACTOR_OPTIONS = {
     "permc_spec": "MMD_AT_PLUS_A",
     "diag_pivot_thresh": 0.0,
     "relax": 1,
+    "panel_size": 1,
     "options": {"SymmetricMode": True},
 }
 
@@ -406,12 +420,12 @@ class StokesSystem(_LoadedSystem):
     Z^T A_1 Z, and finds a particular velocity and the pressure by sweeps
     over a spanning forest of the elements (`_spanning_forest`: the
     tree-cotree splitting of Alotto & Perugia, Calcolo 36, 1999; Scheichl,
-    SIAM J. Sci. Comput. 23, 2002); it builds the saddle matrix only to
-    check the solution.  Z spans the kernel of b, and has its
-    2 n_free - ne + [pure Dirichlet] columns (Euler's formula), only if all
-    boundary curves (the outer one, each hole's) but at most one are
-    entirely Dirichlet; other meshes, e.g. a Neumann hole in a partly
-    Neumann outer boundary, raise AssemblyError.
+    SIAM J. Sci. Comput. 23, 2002), and checks the solution against the
+    saddle matrix from its blocks, without building it.  Z spans the
+    kernel of b, and has its 2 n_free - ne + [pure Dirichlet] columns
+    (Euler's formula), only if all boundary curves (the outer one, each
+    hole's) but at most one are entirely Dirichlet; other meshes, e.g. a
+    Neumann hole in a partly Neumann outer boundary, raise AssemblyError.
     """
 
     def __init__(self, mesh, nu, u_hat, f_h, big_f_h, g_h):
@@ -450,7 +464,10 @@ class StokesSystem(_LoadedSystem):
         self.rhs = np.concatenate([rhs_v, -(b_full @ uhat_vec), gauge_rhs])
 
     def saddle_matrix(self):
-        """[[nu A_1, B^T], [B, 0]] as CSC, bordered by the gauge row if present."""
+        """[[nu A_1, B^T], [B, 0]] as CSC, bordered by the gauge row if present.
+
+        No solve builds it: `_checked` gives its backward error blockwise.
+        """
         a, b = self.nu * self.a1, self.b
         blocks = [[a, b.T], [b, None]]
         if self.pure_dirichlet:
@@ -474,8 +491,8 @@ class StokesSystem(_LoadedSystem):
         gauge multiplier is sum(g) / sum(|T|), and its part of g is
         subtracted first; the root, which has no tree side, keeps p = 0 in
         the sweep, and p is shifted to the gauge.
-        Returns (x, LinearSolveReport), x checked against `saddle_matrix()`,
-        which lives only as long as the check.
+        Returns (x, LinearSolveReport), x checked against `saddle_matrix()`
+        blockwise (`_checked`), without building it.
         """
         nu, nv, ne = self.nu, len(self.vel_index), self.mesh.num_elements
         areas = self.mesh.areas
@@ -498,6 +515,16 @@ class StokesSystem(_LoadedSystem):
         zaz = z.T.tocsr() @ (self.a1 @ z)
         zaz = zaz + zaz.T
         zaz.data *= 0.5
+        # drop the cancellation residue below 1e-12 sqrt(|d_i d_j|), d the
+        # diagonal, so that the pattern, and with it the ordering and the
+        # fill, does not depend on roundoff: on the benchmark's Stokes runs,
+        # residue entries were at most 1.2e-15 of that scale and every true
+        # one at least 2.8e-2; the check on the bordered system still guards
+        # the result
+        d = np.sqrt(np.abs(zaz.diagonal()))
+        rows = np.repeat(np.arange(len(d)), np.diff(zaz.indptr))
+        zaz.data[np.abs(zaz.data) < 1e-12 * (d[rows] * d[zaz.indices])] = 0.0
+        zaz.eliminate_zeros()
         c = spd_factor(zaz).solve(z.T @ (f - nu * (self.a1 @ u)))
         u += z @ (c / nu)
         step = np.zeros(ne)
@@ -507,7 +534,38 @@ class StokesSystem(_LoadedSystem):
             p[layer] = p[parent[layer]] + step[layer]
         if self.pure_dirichlet:
             p += (rhs[-1] - areas @ p) / areas.sum()
-        return x, _checked(self.saddle_matrix(), rhs, x)
+        return x, self._checked(rhs, x)
+
+    def _checked(self, rhs, x):
+        """`_checked(self.saddle_matrix(), rhs, x)`, formed from a1, b and the
+        gauge row without the bordered matrix.
+
+        A CSC product of the bordered matrix sums each row over its columns
+        in ascending order: a velocity row over nu A_1's, then B^T's; a
+        pressure row over B's, then the gauge column.  The blocks are summed
+        in that order here, so the residual and the row sums of ||A||_inf
+        are the same numbers.
+        """
+        nv, ne = len(self.vel_index), self.mesh.num_elements
+        u, p = x[:nv], x[nv: nv + ne]
+        a = self.nu * self.a1
+        a.sort_indices()  # each row's columns ascending
+        bt = self.b.T.tocsr()  # by rows, each row's columns ascending
+        # np.add.at adds B^T's entries to their rows one at a time, in order
+        rows = np.repeat(np.arange(nv), np.diff(bt.indptr))
+        sums = [abs(a) @ np.ones(nv), abs(bt).T @ np.ones(nv)]
+        np.add.at(sums[0], rows, np.abs(bt.data))
+        products = [a @ u, bt.T @ u]
+        np.add.at(products[0], rows, bt.data * p[bt.indices])
+        if self.pure_dirichlet:
+            areas = self.mesh.areas
+            gauge = sparse.csr_matrix(areas[None, :])
+            sums[1] += areas
+            products[1] += areas * x[-1]
+            sums.append(gauge @ np.ones(ne))
+            products.append(gauge @ p)
+        residual = rhs - np.concatenate(products)
+        return _backward_error(np.concatenate(sums).max(), rhs, x, residual)
 
     def solve(self):
         """Solve; returns (u_h, p_h, report) with u_h in the homogeneous space."""

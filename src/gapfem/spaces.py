@@ -153,7 +153,7 @@ class P1ConformingField:
         """Element-wise constant gradient as a P0 tensor field."""
         geo = self.mesh.geometry()
         vv = self.values[self.mesh.elements]  # (ne, 3, 2)
-        grads = np.einsum("nki,nkd->nid", vv, geo["grad_lambda"])
+        grads = vv.transpose(0, 2, 1) @ geo["grad_lambda"]
         return P0Field(self.mesh, grads)
 
 
@@ -195,7 +195,8 @@ def pi0(f, mesh, degree=VOLUME_DEGREE):
     """
     vals = f if isinstance(f, np.ndarray) else f(physical_points(mesh, degree))
     w = triangle_rule(degree)[1]
-    return P0Field(mesh, np.einsum("q,nq...->n...", w, vals))
+    ne, nq = vals.shape[:2]
+    return P0Field(mesh, (w @ vals.reshape(ne, nq, -1)).reshape((ne,) + vals.shape[2:]))
 
 
 def side_averages(f, mesh):

@@ -495,8 +495,8 @@ class TestStokesALSolve:
     def test_factor_freed_when_solve_returns(self, monkeypatch):
         # the factor is a temporary of its one triangular solve: it is dead
         # once the solve returns, while the system lives on with its
-        # solution and can solve again with a factor of its own; the
-        # bordered saddle matrix of the check is dead once the solve returns
+        # solution and can solve again with a factor of its own; the check
+        # builds no bordered saddle matrix
         import gc
         import weakref
 
@@ -518,27 +518,25 @@ class TestStokesALSolve:
             refs.append(weakref.ref(factor))
             return factor
 
-        matrices = []
+        bordered = []
         saddle_matrix = forms.StokesSystem.saddle_matrix
 
-        def weak_saddle(system):
-            matrix = saddle_matrix(system)
-            matrices.append(weakref.ref(matrix))
-            return matrix
+        def counted_saddle(system):
+            bordered.append(system)
+            return saddle_matrix(system)
 
         monkeypatch.setattr(forms, "spd_factor", weak_factor)
-        monkeypatch.setattr(forms.StokesSystem, "saddle_matrix", weak_saddle)
+        monkeypatch.setattr(forms.StokesSystem, "saddle_matrix", counted_saddle)
         prob = taylor_green_stokes(n=3)
         mesh = prob.mesh_factory()
         gc.disable()
         try:
             sol = discretize_stokes(prob, mesh)
             assert len(refs) == 1 and all(ref() is None for ref in refs)
-            assert len(matrices) == 1 and matrices[0]() is None
             assert not hasattr(sol.system, "lu")
             u_h, p_h, _ = sol.system.solve()
             assert len(refs) == 2 and all(ref() is None for ref in refs)
-            assert len(matrices) == 2 and all(ref() is None for ref in matrices)
+            assert bordered == []
             assert np.array_equal(u_h.values, sol.u_h.values)
             assert np.array_equal(p_h.values, sol.p_h.values)
         finally:
@@ -616,6 +614,33 @@ class TestStokesALSolve:
         monkeypatch.setattr(forms, "SOLVE_TOL", 1e-30)
         with pytest.raises(SingularSystemError, match="exceeds"):
             system.solve_saddle(rhs)
+
+    @pytest.mark.parametrize("case", [
+        "taylor-green", "lshape", "tg-dirichlet-hole", "dirichlet-dirichlet-hole",
+        "dirichlet-neumann-hole",
+    ])
+    def test_blockwise_check_matches_saddle_matrix(self, case):
+        # the check formed from a1, b and the gauge row gives the backward
+        # error of the bordered matrix, and still refuses a wrong solution
+        meshes = {
+            "taylor-green": lambda: taylor_green_stokes().mesh_factory(),
+            "lshape": lambda: lshape_stokes().mesh_factory(),
+            "tg-dirichlet-hole": lambda: holed_square_mesh(tg_labeler, DIRICHLET),
+            "dirichlet-dirichlet-hole": lambda: holed_square_mesh(all_dirichlet, DIRICHLET),
+            "dirichlet-neumann-hole": lambda: holed_square_mesh(all_dirichlet, NEUMANN),
+        }
+        mesh = meshes[case]()
+        rng = np.random.default_rng(5)
+        for nu in (1.0, 0.3):
+            system = stokes_system(mesh, nu)
+            rhs = rng.standard_normal(system.saddle_matrix().shape[0])
+            x, report = system.solve_saddle(rhs)
+            ref = forms._checked(system.saddle_matrix(), rhs, x).residual_norm
+            assert 0.0 < report.residual_norm <= SOLVE_TOL
+            assert report.residual_norm == pytest.approx(ref, rel=1e-12, abs=0.0)
+            x[rng.integers(len(x))] += 1e-7 * np.abs(x).max()
+            with pytest.raises(SingularSystemError, match="exceeds"):
+                system._checked(rhs, x)
 
     def test_one_symmetric_factor_per_mesh(self, monkeypatch):
         # the Stokes solve factors the symmetric Z^T A_1 Z once; the random
@@ -898,6 +923,69 @@ class TestUnreachedElements:
         free = np.nonzero(mesh.side_labels != DIRICHLET)[0]
         with pytest.raises(AssemblyError, match="8 of 16 elements are not reached"):
             forms._spanning_forest(mesh, free)
+
+
+def factored_matrices(monkeypatch):
+    """Have forms.spd_factor append a CSC copy of each matrix to the returned list."""
+    factored = []
+    spd_factor = forms.spd_factor
+
+    def recording(matrix):
+        factored.append(matrix.tocsc(copy=True))
+        return spd_factor(matrix)
+
+    monkeypatch.setattr(forms, "spd_factor", recording)
+    return factored
+
+
+def twice_refined_solution(name):
+    """The discrete solution of a CLI problem on its mesh refined twice."""
+    from gapfem.mesh import refine_marked_twice
+    from gapfem.problems import discretize_elasticity, discretize_stokes, get_problem
+
+    prob = get_problem(name)
+    mesh = prob.mesh_factory()
+    for _ in range(2):
+        mesh = refine_marked_twice(mesh, range(mesh.num_elements))
+    discretize = discretize_stokes if prob.kind == "stokes" else discretize_elasticity
+    return discretize(prob, mesh)
+
+
+@pytest.mark.parametrize("name, index", [
+    ("cook", 0), ("cook", 1), ("taylor-green", 0),
+], ids=["cook-elasticity", "cook-lifting", "taylor-green-zaz"])
+def test_panel_size_keeps_ordering_and_fill(name, index, monkeypatch):
+    # SuperLU's panel width pays only on wide supernodes, and relax=1
+    # keeps them narrow: panel size 1 leaves the ordering as it is and
+    # moves the fill by roundoff-level pivot cancellations at most
+    factored = factored_matrices(monkeypatch)
+    twice_refined_solution(name)
+    matrix = factored[index]
+    default = {k: v for k, v in forms.SPD_FACTOR_OPTIONS.items() if k != "panel_size"}
+    ours, theirs = forms.spd_factor(matrix), sla.splu(matrix, **default)
+    assert np.array_equal(ours.perm_c, theirs.perm_c)
+    fill = [lu.L.nnz + lu.U.nnz for lu in (ours, theirs)]
+    assert abs(fill[0] - fill[1]) <= 1e-4 * fill[1]
+
+
+def test_zaz_pattern_independent_of_roundoff(monkeypatch):
+    # a symmetric relative 1e-15 perturbation of A_1 moves the values of
+    # Z^T A_1 Z, and with them its cancellation residue, but not the
+    # pattern that is factored
+    factored = factored_matrices(monkeypatch)
+    system = twice_refined_solution("taylor-green").system
+    rhs = np.random.default_rng(4).standard_normal(len(system.rhs))
+    system.solve_saddle(rhs)
+    a1 = system.a1.copy()
+    rows = np.repeat(np.arange(a1.shape[0]), np.diff(a1.indptr))
+    a1.data *= 1.0 + 1e-15 * np.sin(rows * a1.indices + rows + a1.indices)
+    assert abs(a1 - a1.T).max() == 0.0
+    system.a1 = a1
+    system.solve_saddle(rhs)
+    first, second = factored[-2:]
+    assert not np.array_equal(first.data, second.data)
+    assert np.array_equal(first.indptr, second.indptr)
+    assert np.array_equal(first.indices, second.indices)
 
 
 class TestElasticityAssembly:

@@ -3,6 +3,7 @@ from math import factorial
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
+from test_forms import _bisected_mesh
 
 from gapfem import DIRICHLET, structured_square_mesh
 from gapfem.quadrature import physical_points, rule_values, segment_rule, triangle_rule
@@ -83,3 +84,21 @@ def test_cached_arrays_are_read_only():
             a *= 2.0
     assert physical_points(mesh, 10) is cached[-2]
     assert triangle_rule(10)[1].sum() == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("degree", [10, 14])
+def test_physical_points_match_barycentric_oracle(degree):
+    # the batched product gives sum_k lambda_k v_k, up to the rounding of
+    # its own summation, on a perturbed, randomly bisected mesh
+    mesh = _bisected_mesh(5, lambda mid: DIRICHLET, seed=3, rounds=2)
+    bary = triangle_rule(degree)[0]
+    verts = mesh.vertices[mesh.elements]
+    oracle = np.zeros((mesh.num_elements, len(bary), 2))
+    for k in range(3):
+        oracle += bary[None, :, k, None] * verts[:, None, k, :]
+    pts = physical_points(mesh, degree)
+    assert pts.shape == oracle.shape
+    assert np.abs(pts - oracle).max() <= 4 * np.spacing(np.abs(oracle).max())
+    with pytest.raises(ValueError):
+        pts[...] = 0.0
+    assert physical_points(mesh, degree) is pts
