@@ -236,7 +236,9 @@ def run_adaptive(problem, config):
         records.append(record)
         if total < config.eps_stop or len(marked) == 0:
             break
-        # free this level's solution and cached fields before the next
+        # free this level's solution before the refinement; the old mesh
+        # and its cached fields go once the refined mesh replaces it, which
+        # keeps only a compact copy of their rows at the copied elements
         del sol, stress
         if k < config.max_iter:
             mesh = refine_marked_twice(mesh, marked)
@@ -250,7 +252,8 @@ def identity_rows(problem, levels, seeds, seed_offset=0, tamper=False):
     for level in range(1, levels + 1):
         # the level's solution, with its system, is freed on return, before
         # the refinement; the old mesh and its cached fields go as soon as
-        # the refined mesh replaces it
+        # the refined mesh replaces it (every element is bisected, so no
+        # field rows are carried over)
         rows += _identity_level(problem, mesh, level, seeds, seed_offset, tamper)
         if level < levels:
             mesh = refine_marked_twice(mesh, range(mesh.num_elements))

@@ -210,10 +210,21 @@ class Triangulation:
         mu, the RT element factors (of `spaces.RTField` and the RT
         operators), and the quadrature points and analytic field values of
         `quadrature.physical_points`/`rule_values` live here.
+
+        A mesh made by `refine_bisection` may also hold, under
+        ("carried", f, degree), the rows (element indices, values) of its
+        parent's ("rule_values", f, degree) array at the elements copied
+        with their vertex row unchanged.  Their points are the parent's bit
+        for bit, so `rule_values` evaluates f only on the other elements
+        and then drops the entry.
         """
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
+
+    def pop_cached(self, key):
+        """Remove the cache entry for `key` and return it (None if absent)."""
+        return self._cache.pop(key, None)
 
     def geometry(self):
         """Per-element/per-side geometric arrays, computed once per mesh.
@@ -354,6 +365,16 @@ def refine_bisection(mesh, marked):
         The refined mesh and a map bisected parent element index -> range
         of its child element indices.  Parents absent from the map were
         copied unchanged, in parent order, to the indices no range covers.
+
+    A copy keeps its parent's vertex row only where the parent's
+    refinement edge was local edge 0; otherwise the row is rotated to put
+    that edge first.  Only copies of the first kind share their parent's
+    quadrature points bit for bit, so only their rows of the parent's
+    `quadrature.rule_values` arrays pass to the refined mesh's cache (see
+    `Triangulation.cached`).  Every mesh this function returns has
+    refinement edge 0 throughout, so copies are rotated only in the first
+    refinement of a mesh built otherwise, such as Cook's initial
+    `build_triangulation` mesh (longest edges first).
     """
     marked = np.unique(np.asarray(marked, dtype=np.int64))
     if marked.size and (marked[0] < 0 or marked[-1] >= mesh.num_elements):
@@ -430,6 +451,23 @@ def refine_bisection(mesh, marked):
     labels = np.concatenate([labels, labels[halved]])
 
     new_mesh = Triangulation(new_vertices, new_elems, refinement_edge, (pairs, labels))
+
+    # carry each field's rows (of a full or a still carried array) at the
+    # unrotated copies, gathered so the parent's arrays die with the parent
+    copied = ~split_ab & (mesh.refinement_edge == 0)
+    if copied.any():
+        dest = np.where(copied, first, -1)
+        for key, value in mesh._cache.items():
+            if key[0] == "rule_values":
+                rows, values = np.arange(mesh.num_elements), value
+            elif key[0] == "carried":
+                rows, values = value
+            else:
+                continue
+            to = dest[rows]
+            keep = to >= 0
+            if keep.any():
+                new_mesh._cache[("carried",) + key[1:]] = (to[keep], values[keep])
     return new_mesh, parent_map
 
 

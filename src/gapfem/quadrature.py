@@ -113,11 +113,28 @@ def rule_values(f, mesh, degree):
     (..., 2, 2); the result has shape (ne, nq, ...).  The cache is keyed by
     the f object and lives as long as the mesh, so pass hashable, long-lived
     callables (the `ProblemSpec` fields), not closures built per call.
+
+    f must be pointwise: its value at a point may not depend on the other
+    points of the array.  The rows of elements that `mesh.refine_bisection`
+    copied with their vertex row unchanged are taken from the parent mesh's
+    array (its "carried" cache entry, dropped here); those points are the
+    parent's bit for bit, so the rows equal a fresh evaluation exactly, and
+    f is evaluated only at the points of the other elements.
     """
 
     def build():
         pts = physical_points(mesh, degree)
-        return _frozen(np.asarray(f(pts), dtype=float))
+        carried = mesh.pop_cached(("carried", f, degree))
+        if carried is None:
+            return _frozen(np.asarray(f(pts), dtype=float))
+        rows, values = carried
+        fresh = np.ones(len(pts), dtype=bool)
+        fresh[rows] = False
+        new = np.asarray(f(pts[fresh]), dtype=float)
+        out = np.empty((len(pts),) + new.shape[1:])
+        out[rows] = values
+        out[fresh] = new
+        return _frozen(out)
 
     return mesh.cached(("rule_values", f, degree), build)
 

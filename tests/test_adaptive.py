@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import json
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -166,6 +169,93 @@ def test_cook_step_builds_no_degree10_arrays():
     keys = list(mesh._cache)
     assert ("physical_points", VOLUME_DEGREE) not in keys
     assert not [k for k in keys if isinstance(k, tuple) and k[0] == "rule_values"]
+
+
+def _carried_keys(mesh):
+    return [k for k in mesh._cache if k[0] == "carried"]
+
+
+def test_lshape_evaluates_fields_only_on_fresh_elements(monkeypatch):
+    """grad u and p are evaluated at the degree-10 points of the initial
+    elements and then only of the elements a refinement did not copy with
+    their vertex row unchanged (refinement edge 0 in the parent)."""
+    from gapfem import adaptive
+    from gapfem.mesh import refine_marked_twice
+    from gapfem.quadrature import VOLUME_DEGREE
+
+    points = Counter()
+
+    def counted(name, field):
+        def f(x):
+            points[name] += x.size // 2
+            return field(x)
+        return f
+
+    prob = lshape_stokes()
+    prob = dataclasses.replace(
+        prob, grad_u=counted("grad_u", prob.grad_u), p=counted("p", prob.p)
+    )
+    sizes, fresh = [], []
+
+    def refine(mesh, marked):
+        child = refine_marked_twice(mesh, marked)
+        kept = set(map(tuple, mesh.elements[mesh.refinement_edge == 0].tolist()))
+        sizes.append(child.num_elements)
+        fresh.append(sum(row not in kept for row in map(tuple, child.elements.tolist())))
+        return child
+
+    monkeypatch.setattr(adaptive, "refine_marked_twice", refine)
+    initial = prob.mesh_factory().num_elements
+    run_adaptive(prob, AdaptiveConfig(theta=0.5, max_iter=5))
+    nq = len(triangle_rule(VOLUME_DEGREE)[1])
+    expected = nq * (initial + sum(fresh))
+    assert points == {"grad_u": expected, "p": expected}
+    assert len(fresh) == 4 and sum(fresh) < sum(sizes)
+
+
+def test_uniform_refinement_carries_nothing():
+    from gapfem.mesh import refine_marked_twice
+    from gapfem.quadrature import VOLUME_DEGREE, rule_values
+
+    prob = taylor_green_stokes()
+    mesh = prob.mesh_factory()
+    for f in (prob.grad_u, prob.p, prob.f):
+        rule_values(f, mesh, VOLUME_DEGREE)
+    child = refine_marked_twice(mesh, range(mesh.num_elements))
+    assert _carried_keys(child) == []
+
+
+def test_parent_field_array_dies_with_the_parent():
+    """The refined mesh keeps a compact copy of the carried rows, not a view
+    that would hold the parent's whole array."""
+    from gapfem.mesh import refine_marked_twice
+    from gapfem.quadrature import VOLUME_DEGREE, rule_values
+
+    prob = lshape_stokes()
+    mesh = prob.mesh_factory()
+    parent_values = weakref.ref(rule_values(prob.grad_u, mesh, VOLUME_DEGREE))
+    child = refine_marked_twice(mesh, [0])
+    assert _carried_keys(child) == [("carried", prob.grad_u, VOLUME_DEGREE)]
+    del mesh
+    gc.collect()
+    assert parent_values() is None
+
+
+def test_cook_carries_nothing(monkeypatch):
+    from gapfem import adaptive
+    from gapfem.mesh import refine_marked_twice
+    from gapfem.problems import cook_membrane
+
+    carried = []
+
+    def refine(mesh, marked):
+        child = refine_marked_twice(mesh, marked)
+        carried.append(_carried_keys(child))
+        return child
+
+    monkeypatch.setattr(adaptive, "refine_marked_twice", refine)
+    run_adaptive(cook_membrane(), AdaptiveConfig(theta=0.5, max_iter=3))
+    assert carried == [[], []]
 
 
 @pytest.fixture(scope="module")

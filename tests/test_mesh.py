@@ -16,8 +16,10 @@ from gapfem import (
     save_mesh,
     structured_square_mesh,
 )
-from gapfem.mesh import refine_marked_twice
-from gapfem.problems import cook_mesh, get_problem, lshape_mesh
+from gapfem.mesh import Triangulation, refine_marked_twice
+from gapfem.problems import (cook_mesh, get_problem, lshape_mesh, lshape_stokes,
+                             taylor_green_stokes)
+from gapfem.quadrature import VOLUME_DEGREE, physical_points, rule_values
 
 
 def all_dirichlet(mid):
@@ -597,3 +599,61 @@ def test_bisection_properties(n, labeler, seed, fractions, tmp_path_factory):
                      "side_elements", "side_labels", "element_sides"):
             assert np.array_equal(getattr(back, name), getattr(out, name)), name
         mesh = out
+
+
+def _cache_free(mesh):
+    """A new triangulation of the same arrays, with an empty cache."""
+    boundary = np.flatnonzero(mesh.side_labels != INTERIOR)
+    return Triangulation(mesh.vertices, mesh.elements, mesh.refinement_edge,
+                         (mesh.side_vertices[boundary], mesh.side_labels[boundary]))
+
+
+_TG, _LSHAPE = taylor_green_stokes(), lshape_stokes()
+CARRY_FIELDS = [_TG.grad_u, _TG.p, _TG.f, _LSHAPE.grad_u, _LSHAPE.p]
+# the perturbed square and Cook's mesh come from build_triangulation, so
+# their first refinement rotates the copies of elements with
+# refinement_edge != 0; the other two are bisection meshes throughout
+CARRY_MESHES = {
+    "perturbed": lambda seed: _perturbed_square(3, tg_labeler, seed),
+    "lshape": lambda seed: _LSHAPE.mesh_factory(),
+    "cook": lambda seed: cook_mesh(),
+    "taylor-green": lambda seed: _TG.mesh_factory(),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CARRY_MESHES)),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(
+        st.tuples(st.floats(0.0, 0.3), st.booleans(), st.booleans()),
+        min_size=1, max_size=3,
+    ),
+)
+def test_carried_rule_values_match_fresh_evaluation(name, seed, steps):
+    """Every field array built from carried rows equals, bit for bit, a fresh
+    evaluation on a cache-free copy of the mesh.
+
+    Each step evaluates the fields on the current mesh or not, then refines
+    it by one or two bisection generations, so carried rows also pass
+    through meshes that evaluate nothing."""
+    mesh = CARRY_MESHES[name](seed)
+    rng = np.random.default_rng(seed)
+
+    def check(mesh):
+        points = physical_points(_cache_free(mesh), VOLUME_DEGREE)
+        for f in CARRY_FIELDS:
+            fresh = np.asarray(f(points), dtype=float)
+            assert np.array_equal(rule_values(f, mesh, VOLUME_DEGREE), fresh)
+            assert ("carried", f, VOLUME_DEGREE) not in mesh._cache
+
+    for fraction, evaluate, twice in steps:
+        if evaluate:
+            check(mesh)
+        size = max(1, round(fraction * mesh.num_elements))
+        marked = rng.choice(mesh.num_elements, size=size, replace=False)
+        if twice:
+            mesh = refine_marked_twice(mesh, marked)
+        else:
+            mesh, _ = refine_bisection(mesh, marked)
+    check(mesh)
