@@ -22,9 +22,9 @@ from .spaces import (
     cr_gradient_operator,
     curl_operator,
     dev,
+    divfree_cr_operator,
     rt_average_operator,
     rt_divergence_operator,
-    side_frame_values,
     sym,
 )
 
@@ -76,18 +76,22 @@ class ElasticityTensor:
 # -- Marini reconstructions ----------------------------------------------------
 
 
-# largest interior discrepancy a reconstruction from a discrete solution may show
+# largest interior discrepancy a reconstruction from a discrete solution may
+# show, relative to the largest term summed into its values: the discrepancy
+# is their roundoff, which grows with the data, so it needs a relative bound
 JUMP_TOL = 1e-8
 
 
-def _side_average(mesh, table):
-    """Side values of an element-side table and their largest interior discrepancy.
+def _side_average(mesh, table, size, failure):
+    """Side values of an element-side table, and their largest interior discrepancy.
 
     table is (ne, 3, r): table[n, j] is the value element n gives side
     element_sides[n, j].  Each side value is the mean over the side's
     adjacent elements, one sparse product with weights 1/count.  Returns the
     (ns, r) means and the largest difference between the two views of an
     interior side, 2 max |table - mean| (a boundary side deviates by 0).
+    AdmissibilityError(failure) is raised if it exceeds JUMP_TOL times size,
+    the largest magnitude of a term summed into the table.
     """
     ne, ns = mesh.num_elements, mesh.num_sides
     sides = mesh.element_sides.ravel()
@@ -97,6 +101,10 @@ def _side_average(mesh, table):
     )
     avg = mean @ table.reshape(3 * ne, -1)
     jump = 2.0 * np.abs(table - avg[mesh.element_sides]).max(initial=0.0)
+    if jump > JUMP_TOL * size:
+        raise AdmissibilityError(
+            f"{failure} (interior jumps {jump:.3e}, terms up to {size:.3e})"
+        )
     return avg, jump
 
 
@@ -110,8 +118,9 @@ def _equilibrate(mesh, p0_part, f_h, big_f_h, cause):
     """RT field p0_part - F_h - (1/d) f_h otimes (id - Pi_h id), d = 2.
 
     The one Marini equilibration: raises AdmissibilityError, naming `cause`,
-    if the interior flux jumps exceed JUMP_TOL, and records the largest jump
-    as `reconstruction_jump` on the returned field.
+    if the interior flux jumps exceed JUMP_TOL times the largest entry of
+    p0_part - F_h or of the slope term, and records the largest jump, as an
+    absolute value, as `reconstruction_jump` on the returned field.
     """
     if big_f_h is not None:
         p0_part = p0_part - _p0_values(big_f_h, mesh, (mesh.num_elements, 2, 2))
@@ -122,11 +131,10 @@ def _equilibrate(mesh, p0_part, f_h, big_f_h, cause):
     reach = np.einsum("njd,njd->nj", _side_offsets(mesh), nrm)
     table = nrm @ p0_part.transpose(0, 2, 1)
     table += slope[:, None, :] * reach[..., None]
-    flux, jump = _side_average(mesh, table)
-    if jump > JUMP_TOL:
-        raise AdmissibilityError(
-            f"stress reconstruction has interior flux jumps {jump:.3e}; {cause}"
-        )
+    size = np.abs(p0_part).max() + np.abs(slope).max() * np.abs(reach).max()
+    flux, jump = _side_average(
+        mesh, table, size, f"stress reconstruction has interior flux jumps: {cause}"
+    )
     field = RTField(mesh, np.ascontiguousarray(flux.T))
     field.reconstruction_jump = jump
     return field
@@ -140,7 +148,8 @@ def marini_stokes(u_h, p_h, u_hat, f_h, nu, mesh, big_f_h=None):
     With a tensor load part F_h the returned field is the Raviart-Thomas
     part T_h - F_h (the full stress is the sum of the two); without one it
     is the stress itself.  An interior-flux discrepancy above JUMP_TOL
-    signals that (u_h, p_h) does not solve the discrete system.
+    times the largest term of the fluxes signals that (u_h, p_h) does not
+    solve the discrete system.
     """
     p0_part = nu * broken_gradient(u_h + u_hat).values
     p0_part[:, 0, 0] -= p_h.values
@@ -160,16 +169,19 @@ def marini_stokes_inverse(t_h, u_bar, u_hat, nu, mesh):
     gradient recovers the primal solution itself; the bracket reduces to
     (1/nu) dev Pi_h T_h for a homogeneous lift.  The result must lie in the
     CR space: each interior side midpoint receives the same value from both
-    adjacent elements, up to JUMP_TOL.
+    adjacent elements, up to JUMP_TOL times the largest of |u_bar| and of
+    either bracket term times |m_S - x_T|: the bracket cancels to the
+    primal correction, which may be far smaller than either term.
     """
-    dv = dev(t_h.cell_average().values) / nu - broken_gradient(u_hat).values
-    table = u_bar.values[:, None, :] + np.einsum("nij,nkj->nki", dv, _side_offsets(mesh))
-    vals, jump = _side_average(mesh, table)
-    if jump > JUMP_TOL:
-        raise AdmissibilityError(
-            f"velocity reconstruction jumps {jump:.3e}: input does not solve "
-            "the discrete dual system"
-        )
+    avg, grad_hat = dev(t_h.cell_average().values) / nu, broken_gradient(u_hat).values
+    offsets = _side_offsets(mesh)
+    table = u_bar.values[:, None, :] + np.einsum("nij,nkj->nki", avg - grad_hat, offsets)
+    size = np.abs(u_bar.values).max() + np.abs(offsets).max() * (
+        np.abs(avg).max() + np.abs(grad_hat).max())
+    vals, _ = _side_average(
+        mesh, table, size,
+        "velocity reconstruction jumps: input does not solve the discrete dual system",
+    )
     return CRField(mesh, vals)
 
 
@@ -471,36 +483,34 @@ def oscillation_indicator(f, f_h, big_f, big_f_h, mesh, degree=VOLUME_DEGREE):
 # -- random admissible fields ------------------------------------------------------
 
 
+def _uniform_draws(seeds, size):
+    """One Uniform[-1,1] draw of the given size per default_rng(seed), on axis 1."""
+    return np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, size) for s in seeds], axis=1)
+
+
 def random_divfree_cr(mesh, seeds, scales):
     """Random fields in the discretely divergence-free homogeneous CR space.
 
-    Returns one CRField per seed, the curl of a random Morley potential:
-    the field of seeds[k] has the midpoint values (C phi)_S n_S + psi_S t_S
-    (`side_frame_values`, C the `curl_operator`), phi (nv,) and then psi
-    (ns,) drawn Uniform[-1,1] from default_rng(seeds[k]), phi zero at every
-    vertex of a Dirichlet side and psi zero on the Dirichlet sides.  The
-    element sum of |S| v . n telescopes, so div_h v = 0 whatever psi, and
-    no solve is needed.  The field of seeds[k] is normalised to broken-H1
-    seminorm scales[k] (a scalar scales every field alike).
+    Returns one CRField per seed, with no solve: `divfree_cr_operator`
+    applied to nv potentials phi and then ns tangential parts psi, drawn
+    Uniform[-1,1] from default_rng(seeds[k]), phi zero at every vertex of a
+    Dirichlet side and psi zero on the Dirichlet sides.  The field of
+    seeds[k] is normalised to broken-H1 seminorm scales[k] (a scalar scales
+    every field alike).
     """
     scales = np.broadcast_to(np.asarray(scales, dtype=float), (len(seeds),))
-    nv, ns = mesh.num_vertices, mesh.num_sides
-    phi = np.empty((nv, len(seeds)))
-    psi = np.empty((ns, len(seeds)))
-    for k, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        phi[:, k] = rng.uniform(-1.0, 1.0, size=nv)
-        psi[:, k] = rng.uniform(-1.0, 1.0, size=ns)
+    nv = mesh.num_vertices
+    draws = _uniform_draws(seeds, nv + mesh.num_sides)
     dirichlet = mesh.sides_with_label(_mesh.DIRICHLET)
-    phi[mesh.side_vertices[dirichlet].ravel()] = 0.0
-    psi[dirichlet] = 0.0
-    vals = side_frame_values(mesh, curl_operator(mesh) @ phi, psi)  # (2, ns, k)
-    grads = _broken_gradients(mesh, vals.reshape(2 * ns, -1))
-    nrm = np.sqrt(_squared_norms(mesh, grads))
+    draws[mesh.side_vertices[dirichlet].ravel()] = 0.0
+    draws[nv + dirichlet] = 0.0
+    dofs = divfree_cr_operator(mesh) @ draws  # (2 ns, k)
+    del draws
+    nrm = np.sqrt(_squared_norms(mesh, _broken_gradients(mesh, dofs)))
     if np.any(nrm == 0.0):
         raise AdmissibilityError("random divergence-free sample degenerated to zero")
-    vals *= scales / nrm
-    return [CRField(mesh, vals[:, :, k].T) for k in range(len(seeds))]
+    dofs *= scales / nrm
+    return [CRField(mesh, dofs[:, k].reshape(2, -1).T) for k in range(len(seeds))]
 
 
 def random_divfree_rt(mesh, seeds, scales):
@@ -517,11 +527,7 @@ def random_divfree_rt(mesh, seeds, scales):
     """
     scales = np.broadcast_to(np.asarray(scales, dtype=float), (len(seeds),))
     nv = mesh.num_vertices
-    phi = np.empty((nv, 2 * len(seeds)))
-    for k, seed in enumerate(seeds):
-        phi[:, 2 * k: 2 * k + 2] = np.random.default_rng(seed).uniform(
-            -1.0, 1.0, size=(nv, 2)
-        )
+    phi = _uniform_draws(seeds, (nv, 2)).reshape(nv, -1)  # column 2 k + i: row i of seeds[k]
     neumann = mesh.sides_with_label(_mesh.NEUMANN)
     phi[mesh.side_vertices[neumann].ravel()] = 0.0
     flux = curl_operator(mesh) @ phi  # (ns, 2 k), the layout of _rt_block

@@ -210,36 +210,18 @@ def side_averages(f, mesh):
 def cr_interpolate(v, mesh, stream=None):
     """Canonical CR interpolant: side DOF = side average of v.
 
-    When a scalar stream function with v = (d2 stream, -d1 stream) is
-    supplied, the normal part of each side average is taken from the exact
-    endpoint difference of the stream function, which makes the broken
-    divergence of the interpolant vanish to machine precision even for
-    fields that quadrature does not capture well.
+    With a scalar stream function, v = (d2 stream, -d1 stream), it is
+    `divfree_cr_operator` applied to the stream's vertex values and the
+    tangential parts of the side averages: the normal parts are endpoint
+    differences of the stream, so the broken divergence vanishes to
+    roundoff even for fields that quadrature does not capture well.
     """
     avg = side_averages(v, mesh)
     if stream is not None:
-        geo = mesh.geometry()
-        sv = mesh.side_vertices
+        tang = np.einsum("si,si->s", avg, mesh.geometry()["side_tangent"])
         phi = np.asarray(stream(mesh.vertices), dtype=float)
-        flux = (phi[sv[:, 1]] - phi[sv[:, 0]]) / geo["side_length"]  # mean of v . n
-        tang = np.einsum("si,si->s", avg, geo["side_tangent"])
-        avg = side_frame_values(mesh, flux, tang).T
+        avg = (divfree_cr_operator(mesh) @ np.concatenate([phi, tang])).reshape(2, -1).T
     return CRField(mesh, avg)
-
-
-def side_frame_values(mesh, normal, tangential):
-    """Side vectors normal * n_S + tangential * t_S as (2, ns, ...) components.
-
-    n_S is the global side normal and t_S the unit tangent of the mesh
-    geometry; normal and tangential are (ns,) arrays or (ns, k) blocks.  So
-    the result of (ns,) parts, transposed, is the values of a CRField, and
-    that of (ns, k) parts, reshaped to (2 ns, k), is a block of k
-    `CRField.dofs` vectors.
-    """
-    geo = mesh.geometry()
-    out = np.einsum("sd,s...->ds...", geo["side_normal"], normal)
-    out += np.einsum("sd,s...->ds...", geo["side_tangent"], tangential)
-    return out
 
 
 def rt_interpolate(tau, mesh):
@@ -335,9 +317,9 @@ def curl_operator(mesh):
     phi is a conforming P1 potential given by its vertex values.  Side s
     with endpoints (a, b) in side_vertices order has C[s, b] = 1/|S| and
     C[s, a] = -1/|S|: the mean normal trace of rot phi against the global
-    side normal, the sign convention of `cr_interpolate(stream=)`.  C is the
-    first map of the exact sequence P1 -> RT0 -> P0, so an RT row with
-    fluxes C phi is divergence-free.
+    side normal, the normal part of each column of `divfree_cr_operator`.
+    C is the first map of the exact sequence P1 -> RT0 -> P0, so an RT row
+    with fluxes C phi is divergence-free.
     """
     ns = mesh.num_sides
     inv = 1.0 / mesh.geometry()["side_length"]
@@ -345,6 +327,27 @@ def curl_operator(mesh):
         (np.stack([-inv, inv], axis=1).ravel(), mesh.side_vertices.ravel(),
          np.arange(0, 2 * ns + 1, 2)),
         shape=(ns, mesh.num_vertices),
+    )
+
+
+def divfree_cr_operator(mesh):
+    """Divergence-free CR fields as a (2 ns, nv + ns) CSR matrix from
+    (phi, psi), vertex potentials and then side tangential parts, to
+    `CRField.dofs`: v(m_S) = (C phi)_S n_S + psi_S t_S, C the `curl_operator`.
+
+    Row i ns + s holds -n_S,i/|S| and n_S,i/|S| at the side's endpoints, in
+    side_vertices order, and t_S,i at column nv + s.  The element sum of
+    |S| v . n telescopes, so every column is discretely divergence-free: the
+    curl of a Morley potential (Griffiths, Math. Methods Appl. Sci. 1, 1979;
+    Thomasset, 1981), for the Stokes kernel basis, the lift and the samples.
+    """
+    geo = mesh.geometry()
+    nv, ns = mesh.num_vertices, mesh.num_sides
+    normal = geo["side_normal"].T / geo["side_length"]
+    data = np.stack([-normal, normal, geo["side_tangent"].T], axis=2)  # (2, ns, 3)
+    cols = np.tile(np.column_stack([mesh.side_vertices, nv + np.arange(ns)]), (2, 1))
+    return sparse.csr_matrix(
+        (data.ravel(), cols.ravel(), np.arange(0, 6 * ns + 1, 3)), shape=(2 * ns, nv + ns)
     )
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,48 @@ class TestMariniStokes:
         t = marini_stokes(u, p, u_hat, None, 0.5, mesh)
         back = marini_stokes_inverse(t, cr_values_p0(u), u_hat, 0.5, mesh)
         assert np.abs(back.values - u.values).max() < 1e-11
+
+
+def scaled_taylor_green(a):
+    """The Taylor-Green problem with every field (u, grad u, p, f, g and the
+    lift's stream) multiplied by a."""
+    prob = taylor_green_stokes()
+    fields = ("u", "grad_u", "p", "f", "g", "lift_stream")
+    return dataclasses.replace(prob, **{
+        name: (lambda f: lambda *args: a * f(*args))(getattr(prob, name)) for name in fields
+    })
+
+
+class TestScaleFreeChecks:
+    """The lift check of the Stokes assembly and the reconstruction's jump
+    check measure roundoff against the terms it comes from, so they hold
+    exact data at any scale and refuse an inconsistent pair at any scale."""
+
+    @pytest.mark.parametrize("a", [1e4, 1e6])
+    def test_scaled_flow_solves(self, a):
+        prob, unit = scaled_taylor_green(a), taylor_green_stokes()
+        mesh = prob.mesh_factory()
+        for _ in range(3):
+            sol, ref = discretize_stokes(prob, mesh), discretize_stokes(unit, mesh)
+            for new, old in ((sol.u_h.values, ref.u_h.values), (sol.t_h.flux, ref.t_h.flux)):
+                assert np.abs(new - a * old).max() <= 1e-10 * a * np.abs(old).max()
+            back = marini_stokes_inverse(sol.t_h, cr_values_p0(sol.u_h), sol.u_hat, prob.nu, mesh)
+            assert np.abs(back.values - sol.u_h.values).max() <= 1e-10 * a
+            mesh = refine_marked_twice(mesh, np.arange(mesh.num_elements))
+
+    @pytest.mark.parametrize("a", [1e-8, 1.0, 1e6])
+    def test_perturbed_pair_refused(self, a):
+        # 1% of the largest DOF added on one interior side
+        prob = scaled_taylor_green(a)
+        mesh = prob.mesh_factory()
+        sol = discretize_stokes(prob, mesh)
+        values = sol.u_h.values.copy()
+        values[np.flatnonzero(mesh.side_elements[:, 1] >= 0)[40], 0] += (
+            0.01 * np.abs(values).max()
+        )
+        with pytest.raises(AdmissibilityError, match="interior flux jumps"):
+            marini_stokes(CRField(mesh, values), sol.p_h, sol.u_hat, sol.system.f_h,
+                          prob.nu, mesh)
 
 
 class TestMariniElasticity:

@@ -43,7 +43,7 @@ from gapfem.forms import (
     stabilization_jump_matrix,
     stabilization_weights,
 )
-from gapfem.mesh import grid_triangles
+from gapfem.mesh import grid_triangles, refine_marked_twice
 from gapfem.problems import (
     cook_membrane,
     cook_mesh,
@@ -752,6 +752,52 @@ class TestPotentialColumns:
             num_vertices=nv, side_vertices=ends, sides_with_label=lambda label: slice(None)
         )
         assert np.array_equal(forms._potential_columns(graph), potential_columns_oracle(graph))
+
+
+def divfree_basis_oracle(mesh, free, potential):
+    """`forms._divfree_basis` built directly: the values (C phi)_S n_S +
+    psi_S t_S on each free side S, with the zero entries, the pinned
+    potential and the cancelling ends of a shared unknown dropped by hand,
+    and each row in the order (phi_a, phi_b, psi)."""
+    geo = mesh.geometry()
+    nf, nphi = len(free), potential.max() + 1
+    ends = potential[mesh.side_vertices[free]]
+    normal = geo["side_normal"][free].T / geo["side_length"][free]
+    data = np.stack([-normal, normal, geo["side_tangent"][free].T], axis=2).reshape(-1, 3)
+    cols = np.tile(np.column_stack([ends, nphi + np.arange(nf)]), (2, 1))
+    keep = (data != 0.0) & (cols >= 0)
+    keep[:, :2] &= np.tile(ends[:, :1] != ends[:, 1:], (2, 1))
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sparse.csr_matrix((data[keep], cols[keep], indptr), (2 * nf, nphi + nf))
+
+
+class TestDivfreeBasis:
+    """Z = R D P equals the direct build bit for bit, and so does Z @ c."""
+
+    @pytest.mark.parametrize("make_mesh", [
+        lambda: taylor_green_stokes().mesh_factory(),
+        lambda: lshape_stokes().mesh_factory(),
+        *(functools.partial(holed_square_mesh, *labels) for labels in [
+            (tg_labeler, DIRICHLET), (all_dirichlet, DIRICHLET), (all_dirichlet, NEUMANN),
+        ]),
+    ], ids=["taylor-green", "lshape", "tg-dirichlet-hole", "dirichlet-dirichlet-hole",
+            "dirichlet-neumann-hole"])
+    def test_matches_direct_build(self, make_mesh):
+        # Taylor-Green's two Dirichlet walls and the holes make sides whose
+        # ends share one unknown
+        mesh = make_mesh()
+        for _ in range(3):
+            free, _ = forms._free_dofs(mesh)
+            potential = forms._potential_columns(mesh)
+            z = forms._divfree_basis(mesh, free, potential)
+            oracle = divfree_basis_oracle(mesh, free, potential)
+            assert z.has_sorted_indices and z.shape == oracle.shape
+            ordered = oracle.sorted_indices()
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(z, name), getattr(ordered, name))
+            c = np.random.default_rng(1).standard_normal(z.shape[1])
+            assert np.array_equal(z @ c, oracle @ c)
+            mesh = refine_marked_twice(mesh, np.arange(mesh.num_elements))
 
 
 def _perturbed_mesh(n, labeler, seed):

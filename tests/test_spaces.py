@@ -29,11 +29,14 @@ from gapfem.quadrature import (
     side_points,
     triangle_rule,
 )
+from gapfem.duality import _uniform_draws
 from gapfem.spaces import (
     _rt_local_factors,
     cr_basis_gradients,
+    cr_gradient_operator,
     cr_jump_operator,
     curl_operator,
+    divfree_cr_operator,
     rt_divergence_operator,
     side_averages,
 )
@@ -420,6 +423,48 @@ def test_curl_operator_on_perturbed_meshes(n, labeler, seed):
     assert np.all(np.abs(div_op @ flux) <= 1e-14 * potential)
     assert np.abs(flux[neumann]).max(initial=0.0) == 0.0
     assert_close(flux, rotated_gradient_fluxes(mesh, phi))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    labeler=st.sampled_from([lambda mid: DIRICHLET, tg_labeler]),
+    seed=st.integers(0, 2**32 - 1),
+    rounds=st.integers(0, 2),
+)
+def test_divfree_cr_operator_on_refined_meshes(n, labeler, seed, rounds):
+    """Every column of D is discretely divergence-free relative to the terms
+    that div_h sums, and D (phi, psi) has the normal parts C phi and the
+    tangential parts psi."""
+    mesh = _bisected_mesh(n, labeler, seed, rounds)
+    nv, ns = mesh.num_vertices, mesh.num_sides
+    d = divfree_cr_operator(mesh)
+    assert d.shape == (2 * ns, nv + ns)
+    grad = cr_gradient_operator(mesh)
+    div = grad[0::4] + grad[3::4]
+    assert np.all(np.abs((div @ d).toarray()) <= 1e-13 * (abs(div) @ abs(d)).toarray())
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(nv + ns, 3))
+    v = (d @ x).reshape(2, ns, 3)
+    geo = mesh.geometry()
+    assert_close(np.einsum("sd,dsk->sk", geo["side_normal"], v), curl_operator(mesh) @ x[:nv])
+    assert_close(np.einsum("sd,dsk->sk", geo["side_tangent"], v), x[nv:])
+
+
+@pytest.mark.parametrize("seeds", [[0], [3, 1, 4], [2**32 - 1, 7]])
+def test_uniform_draws_equal_per_seed_draws(seeds):
+    """The samplers' one draw per seed equals separate draws from
+    default_rng(seed) bit for bit: phi (nv) then psi (ns) for
+    `random_divfree_cr`, an (nv, 2) block for `random_divfree_rt`."""
+    nv, ns = 13, 29
+    phi, psi = np.empty((nv, len(seeds))), np.empty((ns, len(seeds)))
+    rows = np.empty((nv, 2 * len(seeds)))
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        phi[:, k] = rng.uniform(-1.0, 1.0, size=nv)
+        psi[:, k] = rng.uniform(-1.0, 1.0, size=ns)
+        rows[:, 2 * k: 2 * k + 2] = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(nv, 2))
+    assert np.array_equal(_uniform_draws(seeds, nv + ns), np.concatenate([phi, psi]))
+    assert np.array_equal(_uniform_draws(seeds, (nv, 2)).reshape(nv, -1), rows)
 
 
 # -- the former per-field evaluations, kept as oracles ------------------------------
