@@ -18,7 +18,6 @@ from .duality import (
     gap_indicator_stokes_discrete,
     marini_elasticity,
     marini_stokes,
-    marini_stokes_inverse,
     oscillation_indicator,
     random_divfree_cr,
     random_divfree_rt,
@@ -63,7 +62,6 @@ from .spaces import (
     P0Field,
     P1ConformingField,
     RTField,
-    broken_divergence,
     broken_gradient,
     broken_sym_gradient,
     cr_interpolate,

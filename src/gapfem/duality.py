@@ -82,59 +82,40 @@ class ElasticityTensor:
 JUMP_TOL = 1e-8
 
 
-def _side_average(mesh, table, size, failure):
-    """Side values of an element-side table, and their largest interior discrepancy.
-
-    table is (ne, 3, r): table[n, j] is the value element n gives side
-    element_sides[n, j].  Each side value is the mean over the side's
-    adjacent elements, one sparse product with weights 1/count.  Returns the
-    (ns, r) means and the largest difference between the two views of an
-    interior side, 2 max |table - mean| (a boundary side deviates by 0).
-    AdmissibilityError(failure) is raised if it exceeds JUMP_TOL times size,
-    the largest magnitude of a term summed into the table.
-    """
-    ne, ns = mesh.num_elements, mesh.num_sides
-    sides = mesh.element_sides.ravel()
-    count = 1.0 + (mesh.side_elements[:, 1] >= 0)
-    mean = sparse.csr_matrix(
-        (1.0 / count[sides], (sides, np.arange(3 * ne))), shape=(ns, 3 * ne)
-    )
-    avg = mean @ table.reshape(3 * ne, -1)
-    jump = 2.0 * np.abs(table - avg[mesh.element_sides]).max(initial=0.0)
-    if jump > JUMP_TOL * size:
-        raise AdmissibilityError(
-            f"{failure} (interior jumps {jump:.3e}, terms up to {size:.3e})"
-        )
-    return avg, jump
-
-
-def _side_offsets(mesh):
-    """(ne, 3, 2) offsets m_S - x_T of an element's side midpoints from its centroid."""
-    geo = mesh.geometry()
-    return geo["side_midpoint"][mesh.element_sides] - geo["centroids"][:, None, :]
-
-
 def _equilibrate(mesh, p0_part, f_h, big_f_h, cause):
     """RT field p0_part - F_h - (1/d) f_h otimes (id - Pi_h id), d = 2.
 
-    The one Marini equilibration: raises AdmissibilityError, naming `cause`,
-    if the interior flux jumps exceed JUMP_TOL times the largest entry of
-    p0_part - F_h or of the slope term, and records the largest jump, as an
-    absolute value, as `reconstruction_jump` on the returned field.
+    The one Marini equilibration.  Each element gives its three sides the
+    fluxes of its rows, and each side flux is their mean over the side's
+    adjacent elements, one sparse product with weights 1/count.  The largest
+    difference between the two views of an interior side, 2 max |table -
+    mean|, is the interior jump: AdmissibilityError, naming `cause`, is
+    raised if it exceeds JUMP_TOL times the largest entry of p0_part - F_h
+    or of the slope term, and it is recorded, as an absolute value, as
+    `reconstruction_jump` on the returned field.
     """
+    ne, ns = mesh.num_elements, mesh.num_sides
     if big_f_h is not None:
-        p0_part = p0_part - _p0_values(big_f_h, mesh, (mesh.num_elements, 2, 2))
-    fv = _p0_values(f_h, mesh, (mesh.num_elements, 2))
-    slope = -0.5 * fv  # row slopes of -(1/d) f (x - x_T)
+        p0_part = p0_part - _p0_values(big_f_h, mesh, (ne, 2, 2))
+    slope = -0.5 * _p0_values(f_h, mesh, (ne, 2))  # row slopes of -(1/d) f (x - x_T)
     # row i's flux through local side j: p0_part_i . n + slope_i (m_S - x_T) . n
-    nrm = mesh.geometry()["side_normal"][mesh.element_sides]  # (ne, 3, 2)
-    reach = np.einsum("njd,njd->nj", _side_offsets(mesh), nrm)
+    geo = mesh.geometry()
+    nrm = geo["side_normal"][mesh.element_sides]  # (ne, 3, 2)
+    offsets = geo["side_midpoint"][mesh.element_sides] - geo["centroids"][:, None, :]
+    reach = np.einsum("njd,njd->nj", offsets, nrm)
     table = nrm @ p0_part.transpose(0, 2, 1)
     table += slope[:, None, :] * reach[..., None]
     size = np.abs(p0_part).max() + np.abs(slope).max() * np.abs(reach).max()
-    flux, jump = _side_average(
-        mesh, table, size, f"stress reconstruction has interior flux jumps: {cause}"
-    )
+    sides = mesh.element_sides.ravel()
+    weight = 1.0 / (1.0 + (mesh.side_elements[sides, 1] >= 0))
+    mean = sparse.csr_matrix((weight, (sides, np.arange(3 * ne))), shape=(ns, 3 * ne))
+    flux = mean @ table.reshape(3 * ne, -1)
+    jump = 2.0 * np.abs(table - flux[mesh.element_sides]).max(initial=0.0)
+    if jump > JUMP_TOL * size:
+        raise AdmissibilityError(
+            f"stress reconstruction has interior flux jumps: {cause} "
+            f"(interior jumps {jump:.3e}, terms up to {size:.3e})"
+        )
     field = RTField(mesh, np.ascontiguousarray(flux.T))
     field.reconstruction_jump = jump
     return field
@@ -160,31 +141,6 @@ def marini_stokes(u_h, p_h, u_hat, f_h, nu, mesh, big_f_h=None):
     )
 
 
-def marini_stokes_inverse(t_h, u_bar, u_hat, nu, mesh):
-    """Velocity reconstruction from the discrete dual (mixed) solution.
-
-    u_h = u_bar + [(1/nu) dev(Pi_h T_h) - grad_h u_hat] (id - Pi_h id),
-    evaluated at the side midpoints.  Since dev Pi_h T_h equals
-    nu grad_h(u_h + u_hat) at the discrete solution, subtracting the lift
-    gradient recovers the primal solution itself; the bracket reduces to
-    (1/nu) dev Pi_h T_h for a homogeneous lift.  The result must lie in the
-    CR space: each interior side midpoint receives the same value from both
-    adjacent elements, up to JUMP_TOL times the largest of |u_bar| and of
-    either bracket term times |m_S - x_T|: the bracket cancels to the
-    primal correction, which may be far smaller than either term.
-    """
-    avg, grad_hat = dev(t_h.cell_average().values) / nu, broken_gradient(u_hat).values
-    offsets = _side_offsets(mesh)
-    table = u_bar.values[:, None, :] + np.einsum("nij,nkj->nki", avg - grad_hat, offsets)
-    size = np.abs(u_bar.values).max() + np.abs(offsets).max() * (
-        np.abs(avg).max() + np.abs(grad_hat).max())
-    vals, _ = _side_average(
-        mesh, table, size,
-        "velocity reconstruction jumps: input does not solve the discrete dual system",
-    )
-    return CRField(mesh, vals)
-
-
 def marini_elasticity(u_h, u_hat, r_h, f_h, material, mesh, big_f_h=None):
     """Equilibrated stress from the discrete elasticity solution.
 
@@ -207,50 +163,55 @@ def _p0_values(f, mesh, shape):
     return np.zeros(shape) if f is None else f.values
 
 
-# -- admissibility checks --------------------------------------------------------
+# -- admissibility ---------------------------------------------------------------
 
 
-def check_stokes_admissible_velocity(v_h):
-    """(admissible, residual) of a CRField candidate velocity: the residual
-    is the larger of max |div_h v| and the Dirichlet-side violation, and the
-    candidate is admissible when it is at most 1e-10.
-    """
-    mesh, dofs = v_h.mesh, _cr_block([v_h])
-    res = float(_velocity_residuals(mesh, dofs, _broken_gradients(mesh, dofs))[0])
-    return res <= 1e-10, res
+# largest residual an admissible candidate may show, relative to the terms its
+# constraint sums: roundoff grows with the data, so the bound is scale-free
+ADMISSIBLE_TOL = 1e-8
 
 
-def _velocity_residuals(mesh, dofs, grads):
-    """Per-column residual of `check_stokes_admissible_velocity`, from a
-    `_cr_block` and its `_broken_gradients`."""
-    res = np.abs(grads[..., 0, 0] + grads[..., 1, 1]).max(axis=1, initial=0.0)
+def _relative(res, size):
+    """res / size per column, 0 where res is 0 and inf where only size is."""
+    return np.divide(res, size, out=np.where(res > 0.0, np.inf, 0.0), where=size > 0.0)
+
+
+def _velocity_residuals(mesh, dofs, div, hat):
+    """Per-column relative residual of a `_cr_block` v, given max |div_h v|:
+    the larger of max |div_h v| over the largest element sum of the terms
+    |div_h|(|v + u_hat|) (u_h's divergence is the roundoff of
+    B u_h = -B u_hat), and of v's largest Dirichlet value over max |v + u_hat|.
+    Overwrites dofs with |v + u_hat|; hat holds u_hat's DOFs."""
     dirichlet = mesh.side_labels == _mesh.DIRICHLET
-    bc = np.abs(dofs.reshape(2, mesh.num_sides, -1)[:, dirichlet])
-    return np.maximum(res, bc.max(axis=(0, 1), initial=0.0))
+    bc = np.abs(dofs.reshape(2, mesh.num_sides, -1)[:, dirichlet]).max(axis=1, initial=0.0)
+    dofs += hat[:, None]
+    total = np.abs(dofs, out=dofs)
+    grad = cr_gradient_operator(mesh)
+    terms = (abs(grad[0::4] + grad[3::4]) @ total).max(axis=0)  # div_h: G's trace rows
+    return np.maximum(_relative(div, terms), _relative(bc.max(axis=0), total.max(axis=0)))
 
 
-def check_stress_admissible(tau, f_h, g_h, mesh):
-    """(admissible, residual) of an RTField stress candidate (given relative
-    to F_h), admissible when the residual is at most 1e-10.
-
-    Checks div(tau) = -f_h element-wise and tau n = g_h on Neumann sides;
-    interior normal-flux continuity is structural for RTField storage.
-    """
-    res = float(_stress_residuals(mesh, _rt_block([tau]), f_h, g_h)[0])
-    return res <= 1e-10, res
+def _largest(block):
+    """Largest |entry| of each candidate of an (m, 2 k) or (m, k, 2) stress block."""
+    return np.abs(block).max(axis=0).reshape(-1, 2).max(axis=1)
 
 
 def _stress_residuals(mesh, flux, f_h, g_h):
-    """Per-candidate residual of `check_stress_admissible`, from a `_rt_block`."""
-    fv = _p0_values(f_h, mesh, (mesh.num_elements, 2))
-    div = (rt_divergence_operator(mesh) @ flux).reshape(mesh.num_elements, -1, 2)
-    res = np.abs(div + fv[:, None]).max(axis=(0, 2), initial=0.0)
+    """Per-candidate relative residual of a `_rt_block`: the larger of
+    max |div tau + f_h| over the largest |D| |flux| + |f_h|, D the
+    `rt_divergence_operator`, and of max |tau n - g_h| on the Neumann sides
+    over max |flux| + max |g_h| (a zero datum is met to the fluxes' roundoff).
+    RTField storage makes the interior normal fluxes continuous."""
+    ne = mesh.num_elements
+    fv = _p0_values(f_h, mesh, (ne, 2))[:, None]
+    div_op = rt_divergence_operator(mesh)
+    div = _largest((div_op @ flux).reshape(ne, -1, 2) + fv)
+    res = _relative(div, _largest((abs(div_op) @ np.abs(flux)).reshape(ne, -1, 2) + abs(fv)))
     neumann = mesh.sides_with_label(_mesh.NEUMANN)
     if len(neumann):
-        tn = flux[neumann].reshape(len(neumann), -1, 2)
-        if g_h is not None:
-            tn = tn - np.asarray(g_h)[neumann][:, None]
-        res = np.maximum(res, np.abs(tn).max(axis=(0, 2)))
+        gn = 0.0 if g_h is None else np.asarray(g_h)[neumann][:, None]
+        trace = _largest(flux[neumann].reshape(len(neumann), -1, 2) - gn)
+        res = np.maximum(res, _relative(trace, _largest(flux) + np.abs(gn).max()))
     return res
 
 
@@ -312,20 +273,22 @@ def energies_stokes(vs, taus, system):
     The taus are given relative to the tensor load F_h (the identity
     mapping when there is none).  Returns a dict of (k,) arrays I_h(v) and
     D_h(tau); an inadmissible velocity yields +inf in its column of the
-    primal energy, an inadmissible stress -inf in its column of the dual; a
-    candidate is admissible when its residual is at most 1e-8.
+    primal energy, an inadmissible stress -inf in its column of the dual.  A
+    candidate is admissible when its residuals, relative to the terms its
+    constraints sum, are at most ADMISSIBLE_TOL, at any scale of the data.
     """
-    mesh = system.mesh
-    nu = system.nu
+    mesh, nu = system.mesh, system.nu
     grad_hat = broken_gradient(system.u_hat).values
     dofs = _cr_block(vs)
     grads = _broken_gradients(mesh, dofs)
-    ok_v = _velocity_residuals(mesh, dofs, grads) <= 1e-8
+    div = np.abs(grads[..., 0, 0] + grads[..., 1, 1]).max(axis=1)
     grads += grad_hat
     primal = 0.5 * nu * _squared_norms(mesh, grads) - system.load_vector @ dofs
-    del dofs, grads
+    del grads
+    ok_v = _velocity_residuals(mesh, dofs, div, system.u_hat.dofs()) <= ADMISSIBLE_TOL
+    del dofs
     flux = _rt_block(taus)
-    ok_t = _stress_residuals(mesh, flux, system.f_h, system.g_h) <= 1e-8
+    ok_t = _stress_residuals(mesh, flux, system.f_h, system.g_h) <= ADMISSIBLE_TOL
     devavg = _dev_averages(mesh, flux, system.big_f_h)
     del flux
     dual = -_squared_norms(mesh, devavg) / (2.0 * nu) + _inner(mesh, devavg, grad_hat)
@@ -339,8 +302,7 @@ def gap_indicator_stokes_discrete(v_h, tau_h, u_hat, nu, mesh, big_f_h=None):
     """Per-element discrete gap (nu/2)||grad_h(v+u_hat) - dev(Pi_h tau)/nu||_T^2."""
     grads = broken_gradient(v_h + u_hat).values
     diff = grads - _dev_average(tau_h, big_f_h) / nu
-    per_element = 0.5 * nu * mesh.areas * np.einsum("nij,nij->n", diff, diff)
-    return per_element
+    return 0.5 * nu * mesh.areas * np.einsum("nij,nij->n", diff, diff)
 
 
 def strong_convexity_stokes(vs, taus, solution):
@@ -419,7 +381,8 @@ def gap_indicator_stokes(v, tau_h, grad_u, nu, mesh, big_f_h=None):
     Parameters
     ----------
     v : P1ConformingField
-        Conforming post-processed velocity (homogeneous part).
+        Conforming post-processed velocity: its homogeneous part, or the
+        total field when grad_u is None.
     tau_h : RTField
         Stress relative to the tensor load F_h (the stress itself without one).
     grad_u : callable or None

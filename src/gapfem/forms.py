@@ -412,7 +412,9 @@ class StokesSystem(_LoadedSystem):
     through the lift.  The unknowns are the free velocity DOFs (both
     components) followed by the element pressures and, with an empty
     Neumann set, one Lagrange multiplier enforcing the zero-mean pressure
-    gauge: `saddle_matrix()` @ x = rhs.
+    gauge.  They solve M x = rhs, M the bordered matrix
+    [[nu A_1, B^T], [B, 0]], with the gauge row (the element areas) and its
+    transpose as its last row and column when present; no code builds M.
 
     The lift must be discretely divergence-free (`assemble_stokes`).
     `solve_saddle` solves in the stream-function basis Z = R D P of the
@@ -421,12 +423,12 @@ class StokesSystem(_LoadedSystem):
     Z^T A_1 Z, and finds a particular velocity and the pressure by sweeps
     over a spanning forest of the elements (`_spanning_forest`: the
     tree-cotree splitting of Alotto & Perugia, Calcolo 36, 1999; Scheichl,
-    SIAM J. Sci. Comput. 23, 2002), and checks the solution against the
-    saddle matrix from its blocks, without building it.  Z spans the
-    kernel of b, and has its 2 n_free - ne + [pure Dirichlet] columns
-    (Euler's formula), only if all boundary curves (the outer one, each
-    hole's) but at most one are entirely Dirichlet; other meshes, e.g. a
-    Neumann hole in a partly Neumann outer boundary, raise AssemblyError.
+    SIAM J. Sci. Comput. 23, 2002), and checks the solution against M
+    from its blocks.  Z spans the kernel of b, and has its
+    2 n_free - ne + [pure Dirichlet] columns (Euler's formula), only if all
+    boundary curves (the outer one, each hole's) but at most one are
+    entirely Dirichlet; other meshes, e.g. a Neumann hole in a partly
+    Neumann outer boundary, raise AssemblyError.
     """
 
     def __init__(self, mesh, nu, u_hat, f_h, big_f_h, g_h):
@@ -468,20 +470,9 @@ class StokesSystem(_LoadedSystem):
         gauge_rhs = np.zeros(int(self.pure_dirichlet))
         self.rhs = np.concatenate([rhs_v, -(b_full @ uhat_vec), gauge_rhs])
 
-    def saddle_matrix(self):
-        """[[nu A_1, B^T], [B, 0]] as CSC, bordered by the gauge row if present.
-
-        No solve builds it: `_checked` gives its backward error blockwise.
-        """
-        a, b = self.nu * self.a1, self.b
-        blocks = [[a, b.T], [b, None]]
-        if self.pure_dirichlet:
-            gauge = sparse.csr_matrix(self.mesh.areas[None, :])
-            blocks = [[a, b.T, None], [b, None, gauge.T], [None, gauge, None]]
-        return sparse.bmat(blocks, format="csc")
-
     def solve_saddle(self, rhs):
-        """Solve `saddle_matrix()` @ x = rhs in the divergence-free basis Z.
+        """Solve M x = rhs, M = [[nu A_1, B^T], [B, 0]] and the gauge row and
+        column on pure-Dirichlet meshes, in the divergence-free basis Z.
 
         With f, g the velocity and pressure rows of rhs, the particular
         velocity u_g is nonzero only in the tree columns of
@@ -496,8 +487,7 @@ class StokesSystem(_LoadedSystem):
         gauge multiplier is sum(g) / sum(|T|), and its part of g is
         subtracted first; the root, which has no tree side, keeps p = 0 in
         the sweep, and p is shifted to the gauge.
-        Returns (x, LinearSolveReport), x checked against `saddle_matrix()`
-        blockwise (`_checked`), without building it.
+        Returns (x, LinearSolveReport), x checked against M blockwise.
         """
         nu, nv, ne = self.nu, len(self.vel_index), self.mesh.num_elements
         areas = self.mesh.areas
@@ -542,8 +532,8 @@ class StokesSystem(_LoadedSystem):
         return x, self._checked(rhs, x)
 
     def _checked(self, rhs, x):
-        """`_checked(self.saddle_matrix(), rhs, x)`, formed from a1, b and the
-        gauge row without the bordered matrix.
+        """`_checked(M, rhs, x)`, M = [[nu A_1, B^T], [B, 0]] and the gauge
+        row and column, formed from a1, b and the areas without building M.
 
         A CSC product of the bordered matrix sums each row over its columns
         in ascending order: a velocity row over nu A_1's, then B^T's; a

@@ -63,8 +63,9 @@ class ProblemSpec:
         Lift of the boundary datum (divergence-free for Stokes).  When
         grad_u is set, u is also the exact solution.
     grad_u : callable or None
-        Analytic gradient of u; None means the problem has no exact
-        solution (no exact errors are computed).
+        Analytic gradient of u, for the exact errors and as the lift's
+        gradient in the Stokes gap indicator.  None means no exact solution:
+        no exact errors, and that indicator averages u_h + u_hat instead.
     p : callable or None
         Exact Stokes pressure; None means 0.
     lift_stream : callable or None

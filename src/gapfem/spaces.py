@@ -248,11 +248,6 @@ def broken_sym_gradient(v):
     return P0Field(v.mesh, sym(g.values))
 
 
-def broken_divergence(v):
-    g = broken_gradient(v)
-    return P0Field(v.mesh, g.values[:, 0, 0] + g.values[:, 1, 1])
-
-
 # theta_j at local vertex k: 1 - 2 [j == k + 1 mod 3]
 _THETA_AT_VERTEX = 1.0 - 2.0 * np.eye(3)[[1, 2, 0]]
 

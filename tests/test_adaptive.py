@@ -299,3 +299,18 @@ class TestReportSerialization:
         )
         again.to_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("make", [taylor_green_stokes, lshape_stokes])
+def test_stokes_estimator_without_exact_solution(make):
+    """With grad_u hidden, the Stokes indicator takes the nodal average of the
+    total field u_h + u_hat and no lift gradient; on four uniform levels the
+    estimator stays within a fixed ratio of the hidden primal error."""
+    prob = make()
+    config = AdaptiveConfig(refinement_mode="uniform", max_iter=4)
+    hidden = run_adaptive(dataclasses.replace(prob, grad_u=None), config).records
+    exact = run_adaptive(prob, config).records
+    assert len(hidden) == len(exact) == 4
+    for h, e in zip(hidden, exact):
+        assert h.errors == {} and h.num_elements == e.num_elements
+        assert 1.2 <= np.sqrt(h.estimator_total) / e.errors["err_primal"] <= 1.5
