@@ -174,26 +174,22 @@ def mark_max(indicators, theta):
 
 def _estimate(problem, mesh, sol):
     """Per-element indicator eta_T^2 = gap_T^2 + osc_T^2 and error norms."""
-    f_h, big_f_h = sol.system.f_h, sol.system.big_f_h
+    system = sol.system
     if problem.kind == "stokes" and problem.grad_u is not None:
         # the homogeneous part; the indicator adds the lift's exact gradient
         vhat = nodal_average(sol.u_h, mesh)
     else:
         vhat = nodal_average(sol.u_h + sol.u_hat, mesh, dirichlet_values=problem.u)
     if problem.kind == "stokes":
-        gap = gap_indicator_stokes(
-            vhat, sol.t_h, problem.grad_u, problem.nu, mesh, big_f_h=big_f_h
-        )
+        gap = gap_indicator_stokes(system, vhat, sol.t_h, problem.grad_u)
     else:
-        gap = gap_indicator_elasticity(
-            vhat, sol.sigma_star, problem.material, mesh, big_f_h=big_f_h
-        )
+        gap = gap_indicator_elasticity(system, vhat, sol.sigma_star)
     osc = np.zeros(mesh.num_elements)
     if problem.f is not None or problem.big_f is not None:
-        osc = oscillation_indicator(problem.f, f_h, problem.big_f, big_f_h, mesh)
+        osc = oscillation_indicator(problem.f, system.f_h, problem.big_f, system.big_f_h, mesh)
     errors = {}
     if problem.grad_u is not None:
-        errs = exact_errors(sol, problem, mesh)
+        errs = exact_errors(sol, problem)
         errors = {f"err_{k}": v for k, v in errs.items()}
     return gap, osc, errors
 
@@ -266,7 +262,7 @@ def identity_rows(problem, levels, seeds, seed_offset=0, tamper=False):
 def _identity_level(problem, mesh, level, seeds, seed_offset, tamper):
     """The `identity_rows` rows of one mesh: its seeds' pairs as one block."""
     sol = discretize_stokes(problem, mesh)
-    errs = exact_errors(sol, problem, mesh)
+    errs = exact_errors(sol, problem)
     level_seeds = [seed_offset + 1000 * level + i for i in range(1, seeds + 1)]
     # vary the perturbation size around the discretisation error
     sizes = np.array([0.5 + ((7 * seed) % 8) / 4.0 for seed in level_seeds])

@@ -137,7 +137,10 @@ def cmd_verify_identity(args, problem):
         print(line)
     if args.out:
         if args.format == "json":
-            text = json.dumps(rows, indent=2, default=float) + "\n"
+            # JSON has no inf or nan: write them as the strings float() reads
+            finite = [{k: v if math.isfinite(v) else str(v) for k, v in r.items()}
+                      for r in rows]
+            text = json.dumps(finite, indent=2, allow_nan=False) + "\n"
         else:
             text = "\n".join(lines) + "\n"
         if not _write_report(lambda path: Path(path).write_text(text), args.out):

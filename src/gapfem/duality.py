@@ -82,8 +82,9 @@ class ElasticityTensor:
 JUMP_TOL = 1e-8
 
 
-def _equilibrate(mesh, p0_part, f_h, big_f_h, cause):
-    """RT field p0_part - F_h - (1/d) f_h otimes (id - Pi_h id), d = 2.
+def _equilibrate(system, p0_part, cause):
+    """RT field p0_part - F_h - (1/d) f_h otimes (id - Pi_h id), d = 2, with
+    the loads of the system that was solved.
 
     The one Marini equilibration.  Each element gives its three sides the
     fluxes of its rows, and each side flux is their mean over the side's
@@ -94,10 +95,11 @@ def _equilibrate(mesh, p0_part, f_h, big_f_h, cause):
     or of the slope term, and it is recorded, as an absolute value, as
     `reconstruction_jump` on the returned field.
     """
+    mesh = system.mesh
     ne, ns = mesh.num_elements, mesh.num_sides
-    if big_f_h is not None:
-        p0_part = p0_part - _p0_values(big_f_h, mesh, (ne, 2, 2))
-    slope = -0.5 * _p0_values(f_h, mesh, (ne, 2))  # row slopes of -(1/d) f (x - x_T)
+    if system.big_f_h is not None:
+        p0_part = p0_part - system.big_f_h.values
+    slope = -0.5 * _p0_values(system.f_h, mesh, (ne, 2))  # row slopes of -(1/d) f (x - x_T)
     # row i's flux through local side j: p0_part_i . n + slope_i (m_S - x_T) . n
     geo = mesh.geometry()
     nrm = geo["side_normal"][mesh.element_sides]  # (ne, 3, 2)
@@ -121,8 +123,8 @@ def _equilibrate(mesh, p0_part, f_h, big_f_h, cause):
     return field
 
 
-def marini_stokes(u_h, p_h, u_hat, f_h, nu, mesh, big_f_h=None):
-    """Stress reconstruction from the discrete Stokes solution.
+def marini_stokes(system, u_h, p_h):
+    """Stress reconstruction from the discrete solution of a `StokesSystem`.
 
     T_h = nu grad_h(u_h + u_hat) - p_h I - (1/d) f_h otimes (id - Pi_h id).
 
@@ -132,17 +134,14 @@ def marini_stokes(u_h, p_h, u_hat, f_h, nu, mesh, big_f_h=None):
     times the largest term of the fluxes signals that (u_h, p_h) does not
     solve the discrete system.
     """
-    p0_part = nu * broken_gradient(u_h + u_hat).values
+    p0_part = system.nu * broken_gradient(u_h + system.u_hat).values
     p0_part[:, 0, 0] -= p_h.values
     p0_part[:, 1, 1] -= p_h.values
-    return _equilibrate(
-        mesh, p0_part, f_h, big_f_h,
-        "the input pair does not solve the discrete system",
-    )
+    return _equilibrate(system, p0_part, "the input pair does not solve the discrete system")
 
 
-def marini_elasticity(u_h, u_hat, r_h, f_h, material, mesh, big_f_h=None):
-    """Equilibrated stress from the discrete elasticity solution.
+def marini_elasticity(system, u_h, r_h):
+    """Equilibrated stress from the discrete solution of an `ElasticitySystem`.
 
     sigma*_h = C eps_h(u_h + u_hat) + grad_h r_h - (1/d) f_h otimes (id - Pi_h id),
     with r_h the lifting of the jump-stabilisation residual.  The row-wise
@@ -151,11 +150,9 @@ def marini_elasticity(u_h, u_hat, r_h, f_h, material, mesh, big_f_h=None):
     tensor load part F_h the returned field is sigma*_h - F_h, as for the
     Stokes reconstruction.
     """
-    eps = broken_sym_gradient(u_h + u_hat).values
-    p0_part = material.apply(eps) + broken_gradient(r_h).values
-    return _equilibrate(
-        mesh, p0_part, f_h, big_f_h, "inconsistent lifting or solution"
-    )
+    eps = broken_sym_gradient(u_h + system.u_hat).values
+    p0_part = system.material.apply(eps) + broken_gradient(r_h).values
+    return _equilibrate(system, p0_part, "inconsistent lifting or solution")
 
 
 def _p0_values(f, mesh, shape):
@@ -246,7 +243,7 @@ def _dev_averages(mesh, flux, big_f_h=None):
         avg.T.reshape(-1, 2, mesh.num_elements, 2).transpose(0, 2, 1, 3)
     )
     if big_f_h is not None:
-        avg += _p0_values(big_f_h, mesh, (mesh.num_elements, 2, 2))
+        avg += big_f_h.values
     return dev(avg, in_place=True)
 
 
@@ -298,11 +295,12 @@ def energies_stokes(vs, taus, system):
     }
 
 
-def gap_indicator_stokes_discrete(v_h, tau_h, u_hat, nu, mesh, big_f_h=None):
+def gap_indicator_stokes_discrete(system, v_h, tau_h):
     """Per-element discrete gap (nu/2)||grad_h(v+u_hat) - dev(Pi_h tau)/nu||_T^2."""
-    grads = broken_gradient(v_h + u_hat).values
-    diff = grads - _dev_average(tau_h, big_f_h) / nu
-    return 0.5 * nu * mesh.areas * np.einsum("nij,nij->n", diff, diff)
+    nu = system.nu
+    grads = broken_gradient(v_h + system.u_hat).values
+    diff = grads - _dev_average(tau_h, system.big_f_h) / nu
+    return 0.5 * nu * system.mesh.areas * np.einsum("nij,nij->n", diff, diff)
 
 
 def strong_convexity_stokes(vs, taus, solution):
@@ -327,17 +325,16 @@ class StokesSolution:
 
     t_h stores the Raviart-Thomas part of the stress relative to the tensor
     load F_h (equal to the stress itself when no tensor load is present).
-    The load data f_h, F_h and g_h live on `system`.
+    mesh, nu and u_hat are the solved `system`'s; the load data f_h, F_h
+    and g_h live on it.
     """
 
-    def __init__(self, mesh, nu, u_h, p_h, t_h, u_hat, system, solve_report):
-        self.mesh = mesh
-        self.nu = nu
+    def __init__(self, system, u_h, p_h, t_h, solve_report):
+        self.system = system
+        self.mesh, self.nu, self.u_hat = system.mesh, system.nu, system.u_hat
         self.u_h = u_h
         self.p_h = p_h
         self.t_h = t_h
-        self.u_hat = u_hat
-        self.system = system
         self.solve_report = solve_report
 
     def optimality_residual(self):
@@ -350,18 +347,16 @@ class StokesSolution:
 class ElasticitySolution:
     """Bundle of the discrete elasticity solution and its reconstruction.
 
-    The load data f_h, F_h and g_h live on `system`.
+    mesh, material and u_hat are the solved `system`'s; the load data f_h,
+    F_h and g_h live on it.
     """
 
-    def __init__(self, mesh, material, u_h, r_h, sigma_star, u_hat, system,
-                 solve_report):
-        self.mesh = mesh
-        self.material = material
+    def __init__(self, system, u_h, r_h, sigma_star, solve_report):
+        self.system = system
+        self.mesh, self.material, self.u_hat = system.mesh, system.material, system.u_hat
         self.u_h = u_h
         self.r_h = r_h
         self.sigma_star = sigma_star
-        self.u_hat = u_hat
-        self.system = system
         self.solve_report = solve_report
 
     def optimality_residual(self):
@@ -375,11 +370,13 @@ class ElasticitySolution:
 # -- continuous-level indicators ---------------------------------------------------
 
 
-def gap_indicator_stokes(v, tau_h, grad_u, nu, mesh, big_f_h=None):
+def gap_indicator_stokes(system, v, tau_h, grad_u):
     """Per-element indicator (nu/2) ||grad v + grad u_hat - dev(tau)/nu||_T^2.
 
     Parameters
     ----------
+    system : StokesSystem
+        The solved system: its mesh, nu and tensor load F_h.
     v : P1ConformingField
         Conforming post-processed velocity: its homogeneous part, or the
         total field when grad_u is None.
@@ -389,12 +386,13 @@ def gap_indicator_stokes(v, tau_h, grad_u, nu, mesh, big_f_h=None):
         Gradient of the Dirichlet lift u_hat (`ProblemSpec.grad_u`), cached
         on the mesh by `rule_values`; None means zero.
     """
+    mesh, nu = system.mesh, system.nu
     w = triangle_rule(VOLUME_DEGREE)[1]
     # diff = dev(tau) / nu - grad v - grad u_hat, the negated integrand,
     # formed in place to keep the peak memory down
     diff = tau_h.evaluate(physical_points(mesh, VOLUME_DEGREE))
-    if big_f_h is not None:
-        diff += _p0_values(big_f_h, mesh, (mesh.num_elements, 2, 2))[:, None]
+    if system.big_f_h is not None:
+        diff += system.big_f_h.values[:, None]
     dev(diff, in_place=True)
     diff /= nu
     diff -= v.gradient().values[:, None, :, :]
@@ -404,18 +402,20 @@ def gap_indicator_stokes(v, tau_h, grad_u, nu, mesh, big_f_h=None):
     return 0.5 * nu * mesh.areas * vals
 
 
-def gap_indicator_elasticity(v, sigma, material, mesh, big_f_h=None):
+def gap_indicator_elasticity(system, v, sigma):
     """Per-element indicator (1/2) ||C^(1/2)(eps(v) - C^-1 sigma)||_T^2.
 
     v is the conforming post-processed total displacement (Dirichlet lift
-    included), sigma is relative to the tensor load F_h when one is present.
+    included).  The solved `system` gives the mesh, C and the tensor load
+    F_h; sigma is relative to F_h when one is present.
     eps(v) and F_h are constant and sigma is affine on each element, so the
     integrand is quadratic there, and the edge-midpoint rule (the three side
     midpoints, weights 1/3) integrates it exactly (Strang & Fix, 1973).
     """
+    mesh, material = system.mesh, system.material
     sv = sigma.evaluate(mesh.geometry()["side_midpoint"][mesh.element_sides])
-    if big_f_h is not None:
-        sv += _p0_values(big_f_h, mesh, (mesh.num_elements, 2, 2))[:, None]
+    if system.big_f_h is not None:
+        sv += system.big_f_h.values[:, None]
     diff = sym(v.gradient().values)[:, None] - material.inverse(sv)
     vals = material.energy_product(diff, diff)
     return 0.5 * mesh.areas * (vals.sum(axis=1) / 3.0)

@@ -185,19 +185,6 @@ def jump_penalty_matrix(mesh, weight_per_side):
     return _gram(cr_jump_operator(mesh), half)
 
 
-def stabilization_jump_matrix(mesh, mu):
-    """Jump form with stabilization_weights(mesh, mu) on both components.
-
-    A (2 ns, 2 ns) CSR matrix, built once per mesh and mu.
-    """
-
-    def build():
-        scal = jump_penalty_matrix(mesh, stabilization_weights(mesh, mu))
-        return sparse.block_diag([scal, scal]).tocsr()
-
-    return mesh.cached(("jump_matrix", mu), build)
-
-
 def stabilization_weights(mesh, mu):
     """Weights 2 mu / h_S on interior and Dirichlet sides, zero on Neumann."""
     geo = mesh.geometry()
@@ -248,8 +235,8 @@ def stabilization_energy(mesh, mu, u_total, datum_values):
 # -- load functional -----------------------------------------------------------
 
 
-def load_vector(mesh, f_h=None, big_f_h=None, g_h=None):
-    """Assemble the load functional as a (2 ns,) vector over all CR DOFs."""
+def load_vector(mesh, f_h, big_f_h, g_h):
+    """Assemble the load functional as a (2 ns,) vector over all CR DOFs; None omits a part."""
     ns = mesh.num_sides
     rhs = np.zeros(2 * ns)
     if f_h is not None:
@@ -569,7 +556,7 @@ class StokesSystem(_LoadedSystem):
         return _free_field(self.mesh, self.free_sides, x), p_h, report
 
 
-def assemble_stokes(mesh, nu, u_hat, f_h, big_f_h=None, g_h=None):
+def assemble_stokes(mesh, nu, u_hat, f_h, big_f_h, g_h):
     """Assemble the discrete Stokes saddle system for (u_h, p_h).
 
     Parameters
@@ -635,8 +622,13 @@ class ElasticitySystem(_LoadedSystem):
             format="csr",
         )
         k_eps = _gram(cr_gradient_operator(mesh), half)
+        # the jump form on both components, kept for the lifting; no local
+        # holds the scalar block, which would raise the peak memory
+        self.jump = sparse.block_diag(
+            [jump_penalty_matrix(mesh, stabilization_weights(mesh, mu))] * 2, format="csr"
+        )
 
-        a_full = k_eps + stabilization_jump_matrix(mesh, mu)
+        a_full = k_eps + self.jump
         self.matrix = a_full[self.vel_index][:, self.vel_index].tocsc()
         self.datum_load = dirichlet_penalty_load(mesh, mu, self.datum_values)
 
@@ -654,9 +646,7 @@ class ElasticitySystem(_LoadedSystem):
         return _free_field(self.mesh, self.free_sides, x), report
 
 
-def assemble_elasticity(
-    mesh, material, u_hat, f_h, big_f_h=None, g_h=None, *, dirichlet_datum
-):
+def assemble_elasticity(mesh, material, u_hat, f_h, big_f_h, g_h, *, dirichlet_datum):
     """Assemble the jump-stabilised elasticity operator and right-hand side.
 
     dirichlet_datum is the boundary datum g, a callable of (..., 2) points
@@ -665,20 +655,19 @@ def assemble_elasticity(
     return ElasticitySystem(mesh, material, u_hat, f_h, big_f_h, g_h, dirichlet_datum)
 
 
-def solve_lifting(mesh, u_total, mu, datum_load):
+def solve_lifting(system, u_total):
     """Solve (grad_h r, grad_h v) = s_h(u_total, v) for r in the homogeneous space.
 
-    u_total is the full discrete displacement u_h + u_hat; the jump weights
-    are 2 mu / h_S on interior and Dirichlet sides, where Dirichlet jumps
-    are deviations from the boundary datum.  datum_load is that datum's
-    `dirichlet_penalty_load` (an `ElasticitySystem` holds it as
-    `datum_load`; a zero vector for a zero datum).  The operator is the
-    scalar CR stiffness on both components, so one factor solves both as
-    the columns of an (n, 2) right-hand side.
+    u_total is the full discrete displacement u_h + u_hat of the
+    `ElasticitySystem` system; s_h is its jump form `jump` less its
+    `datum_load`, so Dirichlet jumps are deviations from the boundary datum.
+    The operator is the scalar CR stiffness on both components of the
+    system's free sides, so one factor solves both as the columns of an
+    (n, 2) right-hand side.
     """
-    free, _ = _free_dofs(mesh)
+    mesh, free = system.mesh, system.free_sides
     k_free = cr_stiffness(mesh)[free][:, free]
-    rhs = stabilization_jump_matrix(mesh, mu) @ u_total.dofs() - datum_load
+    rhs = system.jump @ u_total.dofs() - system.datum_load
     rhs = rhs.reshape(2, -1).T[free]
     x, _ = solve_sparse(k_free, rhs)
     return _free_field(mesh, free, x.T.ravel())

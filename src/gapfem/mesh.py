@@ -206,10 +206,10 @@ class Triangulation:
     def cached(self, key, build):
         """Value of build() for `key`, computed once per mesh.
 
-        The one per-mesh cache: geometry, the stabilisation jump matrix per
-        mu, the RT element factors (of `spaces.RTField` and the RT
-        operators), and the quadrature points and analytic field values of
-        `quadrature.physical_points`/`rule_values` live here.
+        The one per-mesh cache: geometry, the RT element factors (of
+        `spaces.RTField` and the RT operators), and the quadrature points and
+        analytic field values of `quadrature.physical_points`/`rule_values`
+        live here.
 
         A mesh made by `refine_bisection` may also hold, under
         ("carried", f, degree), the rows (element indices, values) of its

@@ -380,7 +380,7 @@ def cook_membrane(nx=6, ny=10):
 # -- manufactured elasticity -------------------------------------------------------
 
 
-def manufactured_elasticity(kind="smooth", n=4):
+def manufactured_elasticity(kind, n=4):
     """Polynomial elasticity problems on the unit square, Gamma_D = boundary,
     mu = 1, lambda = 5.
 
@@ -501,8 +501,7 @@ def discretize_stokes(problem, mesh):
     f_h, big_f_h, g_h = project_data(problem, mesh)
     system = assemble_stokes(mesh, problem.nu, u_hat, f_h, big_f_h, g_h)
     u_h, p_h, report = system.solve()
-    t_h = marini_stokes(u_h, p_h, u_hat, f_h, problem.nu, mesh, big_f_h=big_f_h)
-    return StokesSolution(mesh, problem.nu, u_h, p_h, t_h, u_hat, system, report)
+    return StokesSolution(system, u_h, p_h, marini_stokes(system, u_h, p_h), report)
 
 
 def discretize_elasticity(problem, mesh):
@@ -514,15 +513,9 @@ def discretize_elasticity(problem, mesh):
         dirichlet_datum=problem.u,
     )
     u_h, report = system.solve()
-    r_h = solve_lifting(
-        mesh, u_h + u_hat, problem.material.mu, datum_load=system.datum_load
-    )
-    sigma = marini_elasticity(
-        u_h, u_hat, r_h, f_h, problem.material, mesh, big_f_h=big_f_h
-    )
-    return ElasticitySolution(
-        mesh, problem.material, u_h, r_h, sigma, u_hat, system, report
-    )
+    r_h = solve_lifting(system, u_h + u_hat)
+    sigma = marini_elasticity(system, u_h, r_h)
+    return ElasticitySolution(system, u_h, r_h, sigma, report)
 
 
 # -- a priori identity --------------------------------------------------------------
@@ -563,7 +556,7 @@ def apriori_identity_check_stokes(problem, mesh):
 # -- exact errors -------------------------------------------------------------------
 
 
-def exact_errors(solution, problem, mesh):
+def exact_errors(solution, problem):
     """Exact error measures against the problem's manufactured solution.
 
     Stokes: primal error sqrt(nu/2) || grad u_orig - grad_h(u_h + u_hat) ||
@@ -577,6 +570,7 @@ def exact_errors(solution, problem, mesh):
     """
     if problem.grad_u is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
+    mesh = solution.mesh
     w = triangle_rule(VOLUME_DEGREE)[1]
     pts = physical_points(mesh, VOLUME_DEGREE)
     gu = rule_values(problem.grad_u, mesh, VOLUME_DEGREE)

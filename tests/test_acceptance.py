@@ -283,7 +283,7 @@ def test_criterion_8_elasticity_gap_lower_bound():
     for _ in range(4):  # every iteration of an adaptive run
         sol = discretize_elasticity(prob, mesh)
         vhat = nodal_average(sol.u_h + sol.u_hat, mesh, dirichlet_values=prob.u)
-        eta = gap_indicator_elasticity(vhat, sol.sigma_star, mat, mesh)
+        eta = gap_indicator_elasticity(sol.system, vhat, sol.sigma_star)
         gap = eta.sum()
         w = triangle_rule(12)[1]
         pts = physical_points(mesh, 12)

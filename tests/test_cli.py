@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -224,8 +225,8 @@ def test_nan_indicator_exit_code(monkeypatch, capsys):
     """A nan gap indicator stops the adaptive loop at marking with exit 2."""
     from gapfem import adaptive
 
-    def nan_indicator(v, t_h, grad_u, nu, mesh, big_f_h):
-        return np.full(mesh.num_elements, np.nan)
+    def nan_indicator(system, v, tau_h, grad_u):
+        return np.full(system.mesh.num_elements, np.nan)
 
     monkeypatch.setattr(adaptive, "gap_indicator_stokes", nan_indicator)
     argv = ["run", "taylor-green", "--mode", "adaptive", "--max-iter", "2"]
@@ -275,6 +276,24 @@ class TestVerifyIdentity:
             rows = list(csv.DictReader(f))
         assert len(rows) == 2 * 4
         assert all(float(r["err_iden"]) == float("inf") for r in rows)
+
+    def test_tamper_json_report_is_strict_json(self, tmp_path, capsys):
+        # JSON has no Infinity or NaN: a parser that refuses them reads the
+        # report, and each non-finite value comes back through float()
+        out = tmp_path / "iden.json"
+        args = ["verify-identity", "--levels", "1", "--seeds", "2", "--debug-tamper",
+                "--out", str(out), "--format", "json"]
+        assert main(args) == 2
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        rows = json.loads(out.read_text(), parse_constant=refuse)
+        assert len(rows) == 2
+        for row in rows:
+            assert float(row["err_iden"]) == math.inf
+            assert float(row["gap"]) == math.inf
+            assert math.isfinite(row["rho_primal"]) and math.isfinite(row["rho_dual"])
 
     def test_reference_columns(self, tmp_path, capsys):
         # the benchmark's identity workload at seed offset 0

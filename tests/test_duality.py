@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from test_forms import (
     _perturbed_mesh,
     assert_close,
     div_h,
+    stokes_system,
     tg_labeler,
+    zero_datum,
 )
 from test_spaces import inner_p0
 
@@ -118,7 +121,7 @@ class TestMariniStokes:
         mesh = structured_square_mesh(3, all_dirichlet)
         u = CRField(mesh, np.zeros((mesh.num_sides, 2)))
         p = P0Field(mesh, np.zeros(mesh.num_elements))
-        t = marini_stokes(u, p, u, None, 1.0, mesh)
+        t = marini_stokes(stokes_system(mesh, 1.0), u, p)
         assert np.abs(t.flux).max() == 0.0
 
     def test_correction_divergence_identity(self):
@@ -129,10 +132,14 @@ class TestMariniStokes:
         p = P0Field(mesh, np.zeros(mesh.num_elements))
         # the zero solution does not solve either system with f != 0, so
         # both reconstructions (one shared equilibration) must flag it
+        mat = ElasticityTensor(1.0, 5.0)
         reconstructions = {
-            "stokes": lambda: marini_stokes(u, p, u, f, 1.0, mesh),
+            "stokes": lambda: marini_stokes(
+                assemble_stokes(mesh, 1.0, u, f, None, None), u, p
+            ),
             "elasticity": lambda: marini_elasticity(
-                u, u, u, f, ElasticityTensor(1.0, 5.0), mesh
+                assemble_elasticity(mesh, mat, u, f, None, None, dirichlet_datum=zero_datum),
+                u, u,
             ),
         }
         for reconstruct in reconstructions.values():
@@ -153,14 +160,12 @@ class TestMariniStokes:
         assert np.abs(back - sol.u_h.values).max() < 1e-12
 
     def test_inverse_affine_patch(self):
-        from gapfem.forms import assemble_stokes
-
         mesh = structured_square_mesh(3, all_dirichlet)
         a = np.array([[0.7, 0.4], [1.1, -0.7]])
         u_hat = cr_interpolate(lambda x: x @ a.T, mesh)
         system = assemble_stokes(mesh, 0.5, u_hat, None, None, None)
         u, p, _ = system.solve()
-        t = marini_stokes(u, p, u_hat, None, 0.5, mesh)
+        t = marini_stokes(system, u, p)
         back = oracle_inverse(t, cr_values_p0(u), u_hat, 0.5, mesh)
         assert np.abs(back - u.values).max() < 1e-11
 
@@ -235,8 +240,7 @@ class TestScaleFreeChecks:
             0.01 * np.abs(values).max()
         )
         with pytest.raises(AdmissibilityError, match="interior flux jumps"):
-            marini_stokes(CRField(mesh, values), sol.p_h, sol.u_hat, sol.system.f_h,
-                          prob.nu, mesh)
+            marini_stokes(sol.system, CRField(mesh, values), sol.p_h)
 
 
 class TestMariniElasticity:
@@ -244,7 +248,10 @@ class TestMariniElasticity:
         mesh = structured_square_mesh(3, all_dirichlet)
         mat = ElasticityTensor(1.0, 5.0)
         zero = CRField(mesh, np.zeros((mesh.num_sides, 2)))
-        sigma = marini_elasticity(zero, zero, zero, None, mat, mesh)
+        system = assemble_elasticity(
+            mesh, mat, zero, None, None, None, dirichlet_datum=zero_datum
+        )
+        sigma = marini_elasticity(system, zero, zero)
         assert np.abs(sigma.flux).max() == 0.0
 
     def test_divergence_coefficient_identity(self):
@@ -301,10 +308,8 @@ class TestMariniElasticity:
 
         ref = discretize_elasticity(manufactured_elasticity("smooth", n=3), mesh)
         v = nodal_average(ref.u_h + ref.u_hat, mesh, dirichlet_values=prob.u)
-        want = gap_indicator_elasticity(v, ref.sigma_star, prob.material, mesh)
-        got = gap_indicator_elasticity(
-            v, sol.sigma_star, prob.material, mesh, big_f_h=system.big_f_h
-        )
+        want = gap_indicator_elasticity(ref.system, v, ref.sigma_star)
+        got = gap_indicator_elasticity(system, v, sol.sigma_star)
         assert np.abs(got - want).max() <= 1e-12 * want.max()
 
     def test_manufactured_contracts(self):
@@ -319,30 +324,28 @@ class TestMariniElasticity:
 class TestGapIndicators:
     def test_solution_pair_zero_gap(self, tg_solution):
         prob, mesh, sol = tg_solution
-        eta = gap_indicator_stokes_discrete(
-            sol.u_h, sol.t_h, sol.u_hat, prob.nu, mesh
-        )
+        eta = gap_indicator_stokes_discrete(sol.system, sol.u_h, sol.t_h)
         assert eta.sum() < 1e-20
 
     def test_perturbed_pair_matches_rho_tot(self, tg_solution):
         prob, mesh, sol = tg_solution
         v = sol.u_h + random_divfree_cr(mesh, [3], [0.1])[0]
         tau = sol.t_h + random_divfree_rt(mesh, [4], [0.1])[0]
-        eta = gap_indicator_stokes_discrete(v, tau, sol.u_hat, prob.nu, mesh)
+        eta = gap_indicator_stokes_discrete(sol.system, v, tau)
         rho = strong_convexity_stokes([v], [tau], sol)
         total = rho["primal"][0] + rho["dual"][0]
         assert eta.sum() == pytest.approx(total, rel=1e-8)
         assert np.all(eta >= 0)
 
     def test_nu_scaling(self):
-        # doubling nu and scaling tau by 2 with v fixed scales eta^2 by 2
+        # doubling nu and scaling tau by 2 with v fixed scales eta^2 by 2;
+        # each nu has its own system, with zero lift and load
         mesh = structured_square_mesh(3, all_dirichlet)
         rng = np.random.default_rng(8)
         v = CRField(mesh, rng.standard_normal((mesh.num_sides, 2)))
-        zero_hat = CRField(mesh, np.zeros((mesh.num_sides, 2)))
         tau = RTField(mesh, rng.standard_normal((2, mesh.num_sides)))
-        e1 = gap_indicator_stokes_discrete(v, tau, zero_hat, 1.0, mesh)
-        e2 = gap_indicator_stokes_discrete(v, 2.0 * tau, zero_hat, 2.0, mesh)
+        e1 = gap_indicator_stokes_discrete(stokes_system(mesh, 1.0), v, tau)
+        e2 = gap_indicator_stokes_discrete(stokes_system(mesh, 2.0), v, 2.0 * tau)
         assert np.allclose(e2, 2.0 * e1, rtol=1e-12)
 
     @pytest.mark.parametrize("load", ["traction", "tensor"])
@@ -371,9 +374,9 @@ class TestGapIndicators:
             vhat = nodal_average(hom, mesh, dirichlet_values=None)
             tau = rt_interpolate(stress, mesh)
             big_f_h = None if prob.big_f is None else pi0(big_f, mesh)
-            eta = gap_indicator_stokes(
-                vhat, tau, prob.grad_u, prob.nu, mesh, big_f_h=big_f_h
-            )
+            # the system of the zero lift and the tensor load
+            system = assemble_stokes(mesh, prob.nu, hom, None, big_f_h, None)
+            eta = gap_indicator_stokes(system, vhat, tau, prob.grad_u)
             totals.append(eta.sum())
             mesh = refine_marked_twice(mesh, range(mesh.num_elements))
         # exact pair: indicator total decays ~ h^2
@@ -386,7 +389,7 @@ class TestGapIndicators:
 
         v = P1ConformingField(mesh, np.zeros((mesh.num_vertices, 2)))
         tau = RTField(mesh, np.zeros((2, mesh.num_sides)))
-        eta = gap_indicator_stokes(v, tau, None, 1.0, mesh)
+        eta = gap_indicator_stokes(stokes_system(mesh, 1.0), v, tau, None)
         assert np.abs(eta).max() == 0.0
 
 
@@ -580,9 +583,7 @@ class TestAdmissiblePair:
         tau = sol.t_h + random_divfree_rt(mesh, [22], [0.05])[0]
         assert oracle_velocity_residual(v) <= 1e-10
         assert oracle_stress_residual(tau, system.f_h, system.g_h, mesh) <= 1e-10
-        gap = gap_indicator_stokes_discrete(
-            v, tau, system.u_hat, system.nu, mesh, big_f_h=system.big_f_h
-        ).sum()
+        gap = gap_indicator_stokes_discrete(system, v, tau).sum()
         en = energies_stokes([v], [tau], system)
         rho = strong_convexity_stokes([v], [tau], sol)
         assert gap == pytest.approx(rho["primal"][0] + rho["dual"][0], rel=1e-8)
@@ -731,7 +732,6 @@ class TestAprioriIdentity:
 class TestElasticityGapEquivalence:
     def test_lower_bound_constant_two(self):
         # eta_gap^2 <= 2 (rho_primal^2 + rho_dual^2) on a manufactured case
-        from gapfem.duality import gap_indicator_elasticity
         from gapfem.quadrature import physical_points, triangle_rule
         from gapfem.spaces import nodal_average
 
@@ -741,7 +741,7 @@ class TestElasticityGapEquivalence:
         for _ in range(2):
             sol = discretize_elasticity(prob, mesh)
             vhat = nodal_average(sol.u_h + sol.u_hat, mesh, dirichlet_values=prob.u)
-            gap = gap_indicator_elasticity(vhat, sol.sigma_star, mat, mesh).sum()
+            gap = gap_indicator_elasticity(sol.system, vhat, sol.sigma_star).sum()
             w = triangle_rule(12)[1]
             pts = physical_points(mesh, 12)
             gu = prob.grad_u(pts)
@@ -851,13 +851,17 @@ def test_gap_indicator_elasticity_matches_degree10_oracle(case, tensor_load):
     div = np.abs(sol.sigma_star.divergence().values).max()
     assert div < 1e-10 if case == "cook" else div > 0.1
     vhat = nodal_average(sol.u_h + sol.u_hat, mesh, dirichlet_values=prob.u)
-    big_f_h = None
+    system = sol.system
     if tensor_load:
+        # a random F_h that no system was solved with: only the attributes
+        # the indicator reads
         rng = np.random.default_rng(7)
         big_f_h = P0Field(mesh, rng.standard_normal((mesh.num_elements, 2, 2)))
-    args = (vhat, sol.sigma_star, prob.material, mesh)
-    want = oracle_gap_indicator_elasticity(*args, big_f_h=big_f_h)
-    got = gap_indicator_elasticity(*args, big_f_h=big_f_h)
+        system = SimpleNamespace(mesh=mesh, material=prob.material, big_f_h=big_f_h)
+    want = oracle_gap_indicator_elasticity(
+        vhat, sol.sigma_star, prob.material, mesh, big_f_h=system.big_f_h
+    )
+    got = gap_indicator_elasticity(system, vhat, sol.sigma_star)
     assert np.all(want > 0)
     assert np.all(np.abs(got - want) <= 1e-13 * want)
 
@@ -930,14 +934,13 @@ def solve_affine(mesh, seed):
     nu = 0.7
     system = assemble_stokes(mesh, nu, u_hat, f_h, None, g_h)
     u_h, p_h, report = system.solve()
-    t_h = marini_stokes(u_h, p_h, u_hat, f_h, nu, mesh)
-    stokes = StokesSolution(mesh, nu, u_h, p_h, t_h, u_hat, system, report)
+    stokes = StokesSolution(system, u_h, p_h, marini_stokes(system, u_h, p_h), report)
     mat = ElasticityTensor(0.7, 5.0)
     system = assemble_elasticity(mesh, mat, u_hat, f_h, None, g_h, dirichlet_datum=affine)
     u_h, report = system.solve()
-    r_h = solve_lifting(mesh, u_h + u_hat, mat.mu, datum_load=system.datum_load)
-    sigma = marini_elasticity(u_h, u_hat, r_h, f_h, mat, mesh)
-    elastic = ElasticitySolution(mesh, mat, u_h, r_h, sigma, u_hat, system, report)
+    r_h = solve_lifting(system, u_h + u_hat)
+    sigma = marini_elasticity(system, u_h, r_h)
+    elastic = ElasticitySolution(system, u_h, r_h, sigma, report)
     return stokes, elastic
 
 

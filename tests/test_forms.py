@@ -39,7 +39,6 @@ from gapfem.forms import (
     cr_stiffness,
     dirichlet_penalty_load,
     jump_penalty_matrix,
-    stabilization_jump_matrix,
     stabilization_weights,
 )
 from gapfem.mesh import grid_triangles, refine_marked_twice
@@ -73,11 +72,6 @@ def zero_lift(mesh):
 
 def zero_datum(x):
     return np.zeros(x.shape)
-
-
-def zero_load(mesh):
-    """The datum load of a zero Dirichlet datum."""
-    return np.zeros(2 * mesh.num_sides)
 
 
 def stokes_system(mesh, nu):
@@ -200,9 +194,7 @@ class TestSolveSparse:
         cook = cook_membrane(nx=3, ny=5)
         mesh = cook.mesh_factory()
         sol = discretize_elasticity(cook, mesh)
-        solve_lifting(
-            mesh, sol.u_h + sol.u_hat, cook.material.mu, sol.system.datum_load
-        )
+        solve_lifting(sol.system, sol.u_h + sol.u_hat)
         nfree = len(sol.system.vel_index)
         stokes_sizes = [n for n, _ in stokes_shapes]
         assert [n for n, _, _ in calls] == stokes_sizes + [nfree, nfree // 2, nfree // 2]
@@ -320,10 +312,9 @@ def _sets(call, name, index):
     return index is not None and (len(call.args) > index or starred)
 
 
-def test_every_option_is_set_by_some_call():
-    """Every defaulted parameter and every **kwargs of a gapfem function is
-    set by at least one call in gapfem, the tests or the README's python
-    examples: a value that no call sets is a constant, not an option."""
+def _calls():
+    """Every call in gapfem, the tests and the README's python examples, by
+    the name it calls."""
     package = sorted(pathlib.Path(forms.__file__).parent.glob("*.py"))
     tests = sorted(pathlib.Path(__file__).parent.glob("*.py"))
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
@@ -335,17 +326,44 @@ def test_every_option_is_set_by_some_call():
             f = node.func
             name = getattr(f, "id", None) or getattr(f, "attr", None)
             calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _package_options():
+    """`_options` of every gapfem module, each with its file name."""
+    for path in sorted(pathlib.Path(forms.__file__).parent.glob("*.py")):
+        for option in _options(ast.parse(path.read_text())):
+            yield path.name, option
+
+
+def test_every_option_is_set_by_some_call():
+    """Every defaulted parameter and every **kwargs of a gapfem function is
+    set by at least one call in gapfem, the tests or the README's python
+    examples: a value that no call sets is a constant, not an option."""
+    calls = _calls()
     unset = []
-    for path in package:
-        for callee, fn, params, kwarg, named in _options(ast.parse(path.read_text())):
-            found = calls.get(callee, [])
-            unset += [(path.name, fn, name) for name, index in params
-                      if not any(_sets(c, name, index) for c in found)]
-            if kwarg and not any(
-                k.arg is None or k.arg not in named for c in found for k in c.keywords
-            ):
-                unset.append((path.name, fn, "**" + kwarg.arg))
+    for path, (callee, fn, params, kwarg, named) in _package_options():
+        found = calls.get(callee, [])
+        unset += [(path, fn, name) for name, index in params
+                  if not any(_sets(c, name, index) for c in found)]
+        if kwarg and not any(
+            k.arg is None or k.arg not in named for c in found for k in c.keywords
+        ):
+            unset.append((path, fn, "**" + kwarg.arg))
     assert unset == []
+
+
+def test_every_default_is_left_unset_by_some_call():
+    """Every defaulted parameter of a gapfem function is left at its default
+    by at least one call in gapfem, the tests or the README's python
+    examples: a default that every call sets is dead, and the parameter is
+    a required one."""
+    calls = _calls()
+    dead = [(path, fn, name)
+            for path, (callee, fn, params, _, _) in _package_options()
+            for name, index in params
+            if all(_sets(c, name, index) for c in calls.get(callee, []))]
+    assert dead == []
 
 
 # public functions that no gapfem code or README example calls, and why they stay
@@ -1150,12 +1168,31 @@ class TestElasticityAssembly:
         print(f"empirical discrete Korn constant: {worst:.3f}")
         assert np.isfinite(worst) and worst > 0
 
-    def test_jump_matrix_cached_per_mu(self):
+    def test_jump_form_linear_in_mu(self):
         mesh = structured_square_mesh(3, tg_labeler)
-        s1 = stabilization_jump_matrix(mesh, 1.0)
-        assert stabilization_jump_matrix(mesh, 1.0) is s1
-        s2 = stabilization_jump_matrix(mesh, 2.0)
+        s1 = jump_penalty_matrix(mesh, stabilization_weights(mesh, 1.0))
+        s2 = jump_penalty_matrix(mesh, stabilization_weights(mesh, 2.0))
         assert abs(s2 - 2.0 * s1).max() < 1e-12
+
+    def test_jump_form_freed_with_its_system(self):
+        # the system holds the jump form, not the mesh: with the cyclic
+        # collector off, dropping the solution and its system frees the
+        # form while the mesh lives on
+        import gc
+        import weakref
+
+        from gapfem.problems import discretize_elasticity
+
+        prob = cook_membrane(nx=3, ny=5)
+        mesh = prob.mesh_factory()
+        gc.disable()
+        try:
+            sol = discretize_elasticity(prob, mesh)
+            jump = weakref.ref(sol.system.jump)
+            del sol
+            assert jump() is None
+        finally:
+            gc.enable()
 
 
 class TestLifting:
@@ -1177,7 +1214,11 @@ class TestLifting:
         sv = mesh.side_vertices
         side_vals = 0.5 * (vertex_vals[sv[:, 0]] + vertex_vals[sv[:, 1]])
         u_total = CRField(mesh, side_vals)
-        r = solve_lifting(mesh, u_total, mu=1.0, datum_load=zero_load(mesh))
+        system = assemble_elasticity(
+            mesh, ElasticityTensor(1.0, 5.0), zero_lift(mesh), None, None, None,
+            dirichlet_datum=zero_datum,
+        )
+        r = solve_lifting(system, u_total)
         assert np.abs(r.values).max() < 1e-12
 
     def test_defining_equation_residual(self):
@@ -1191,7 +1232,7 @@ class TestLifting:
         rvec = np.concatenate([sol.r_h.values[:, 0], sol.r_h.values[:, 1]])
         utot = sol.u_h + sol.u_hat
         uvec = np.concatenate([utot.values[:, 0], utot.values[:, 1]])
-        res = full @ rvec - stabilization_jump_matrix(mesh, prob.material.mu) @ uvec
+        res = full @ rvec - sol.system.jump @ uvec
         free = np.nonzero(mesh.side_labels != DIRICHLET)[0]
         ns = mesh.num_sides
         assert np.abs(np.concatenate([res[free], res[free + ns]])).max() < 1e-10
@@ -1203,8 +1244,9 @@ class TestLifting:
         mesh = prob.mesh_factory()
         sol = discretize_elasticity(prob, mesh)
         utot = sol.u_h + sol.u_hat
-        r1 = solve_lifting(mesh, utot, mu=1.0, datum_load=zero_load(mesh))
-        r2 = solve_lifting(mesh, 2.5 * utot, mu=1.0, datum_load=zero_load(mesh))
+        # Cook's datum is zero, so its datum load is too
+        r1 = solve_lifting(sol.system, utot)
+        r2 = solve_lifting(sol.system, 2.5 * utot)
         assert np.abs(r2.values - 2.5 * r1.values).max() < 1e-10
 
 

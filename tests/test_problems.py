@@ -267,7 +267,7 @@ class TestManufacturedElasticity:
         errs = []
         for _ in range(3):
             sol = discretize_elasticity(prob, mesh)
-            errs.append(exact_errors(sol, prob, mesh)["energy"])
+            errs.append(exact_errors(sol, prob)["energy"])
             mesh = refine_marked_twice(mesh, range(mesh.num_elements))
         assert errs[1] < 0.6 * errs[0] and errs[2] < 0.6 * errs[1]
 
@@ -289,7 +289,7 @@ class TestExactErrors:
         )
         mesh = prob.mesh_factory()
         sol = discretize_stokes(prob, mesh)
-        errs = exact_errors(sol, prob, mesh)
+        errs = exact_errors(sol, prob)
         assert errs["primal"] < 1e-12
         assert errs["dual"] < 1e-12
 
@@ -309,7 +309,7 @@ class TestExactErrors:
             return kept[-1]
 
         monkeypatch.setattr(problems, "exact_stress", keep_exact_stress)
-        errs = exact_errors(sol, prob, mesh)
+        errs = exact_errors(sol, prob)
         w = triangle_rule(10)[1]
         pts = physical_points(mesh, 10)
         sdiff = exact_stress(prob, prob.grad_u(pts), prob.p(pts)) - sol.t_h.evaluate(pts)
@@ -334,7 +334,7 @@ class TestExactErrors:
         prob = taylor_green_stokes()
         mesh = prob.mesh_factory()
         sol = discretize_stokes(prob, mesh)
-        errs = exact_errors(sol, prob, mesh)
+        errs = exact_errors(sol, prob)
         assert errs["primal"] == pytest.approx(0.1830, rel=0.05)
         assert errs["dual"] == pytest.approx(0.1573, rel=0.05)
 
@@ -357,7 +357,7 @@ class TestExactErrors:
         sol = discretize_elasticity(prob, mesh)
         bad = cook_membrane()
         with pytest.raises(ValueError, match="exact"):
-            exact_errors(sol, bad, mesh)
+            exact_errors(sol, bad)
 
     def test_registry(self):
         assert get_problem("taylor-green").kind == "stokes"
