@@ -59,11 +59,9 @@ from .problems import (
 )
 from .spaces import (
     CRField,
-    P0Field,
     P1ConformingField,
     RTField,
     broken_gradient,
-    broken_sym_gradient,
     cr_interpolate,
     dev,
     nodal_average,

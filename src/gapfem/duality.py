@@ -18,7 +18,6 @@ from .spaces import (
     CRField,
     RTField,
     broken_gradient,
-    broken_sym_gradient,
     cr_gradient_operator,
     curl_operator,
     dev,
@@ -98,8 +97,8 @@ def _equilibrate(system, p0_part, cause):
     mesh = system.mesh
     ne, ns = mesh.num_elements, mesh.num_sides
     if system.big_f_h is not None:
-        p0_part = p0_part - system.big_f_h.values
-    slope = -0.5 * _p0_values(system.f_h, mesh, (ne, 2))  # row slopes of -(1/d) f (x - x_T)
+        p0_part = p0_part - system.big_f_h
+    slope = -0.5 * _p0_values(system.f_h, (ne, 2))  # row slopes of -(1/d) f (x - x_T)
     # row i's flux through local side j: p0_part_i . n + slope_i (m_S - x_T) . n
     geo = mesh.geometry()
     nrm = geo["side_normal"][mesh.element_sides]  # (ne, 3, 2)
@@ -134,9 +133,9 @@ def marini_stokes(system, u_h, p_h):
     times the largest term of the fluxes signals that (u_h, p_h) does not
     solve the discrete system.
     """
-    p0_part = system.nu * broken_gradient(u_h + system.u_hat).values
-    p0_part[:, 0, 0] -= p_h.values
-    p0_part[:, 1, 1] -= p_h.values
+    p0_part = system.nu * broken_gradient(u_h + system.u_hat)
+    p0_part[:, 0, 0] -= p_h
+    p0_part[:, 1, 1] -= p_h
     return _equilibrate(system, p0_part, "the input pair does not solve the discrete system")
 
 
@@ -150,14 +149,14 @@ def marini_elasticity(system, u_h, r_h):
     tensor load part F_h the returned field is sigma*_h - F_h, as for the
     Stokes reconstruction.
     """
-    eps = broken_sym_gradient(u_h + system.u_hat).values
-    p0_part = system.material.apply(eps) + broken_gradient(r_h).values
+    eps = sym(broken_gradient(u_h + system.u_hat))
+    p0_part = system.material.apply(eps) + broken_gradient(r_h)
     return _equilibrate(system, p0_part, "inconsistent lifting or solution")
 
 
-def _p0_values(f, mesh, shape):
-    """Values of a P0Field f, zeros of the given shape for None."""
-    return np.zeros(shape) if f is None else f.values
+def _p0_values(f, shape):
+    """The element-wise constants f, zeros of the given shape for None."""
+    return np.zeros(shape) if f is None else f
 
 
 # -- admissibility ---------------------------------------------------------------
@@ -200,7 +199,7 @@ def _stress_residuals(mesh, flux, f_h, g_h):
     over max |flux| + max |g_h| (a zero datum is met to the fluxes' roundoff).
     RTField storage makes the interior normal fluxes continuous."""
     ne = mesh.num_elements
-    fv = _p0_values(f_h, mesh, (ne, 2))[:, None]
+    fv = _p0_values(f_h, (ne, 2))[:, None]
     div_op = rt_divergence_operator(mesh)
     div = _largest((div_op @ flux).reshape(ne, -1, 2) + fv)
     res = _relative(div, _largest((abs(div_op) @ np.abs(flux)).reshape(ne, -1, 2) + abs(fv)))
@@ -243,7 +242,7 @@ def _dev_averages(mesh, flux, big_f_h=None):
         avg.T.reshape(-1, 2, mesh.num_elements, 2).transpose(0, 2, 1, 3)
     )
     if big_f_h is not None:
-        avg += big_f_h.values
+        avg += big_f_h
     return dev(avg, in_place=True)
 
 
@@ -275,7 +274,7 @@ def energies_stokes(vs, taus, system):
     constraints sum, are at most ADMISSIBLE_TOL, at any scale of the data.
     """
     mesh, nu = system.mesh, system.nu
-    grad_hat = broken_gradient(system.u_hat).values
+    grad_hat = broken_gradient(system.u_hat)
     dofs = _cr_block(vs)
     grads = _broken_gradients(mesh, dofs)
     div = np.abs(grads[..., 0, 0] + grads[..., 1, 1]).max(axis=1)
@@ -298,7 +297,7 @@ def energies_stokes(vs, taus, system):
 def gap_indicator_stokes_discrete(system, v_h, tau_h):
     """Per-element discrete gap (nu/2)||grad_h(v+u_hat) - dev(Pi_h tau)/nu||_T^2."""
     nu = system.nu
-    grads = broken_gradient(v_h + system.u_hat).values
+    grads = broken_gradient(v_h + system.u_hat)
     diff = grads - _dev_average(tau_h, system.big_f_h) / nu
     return 0.5 * nu * system.mesh.areas * np.einsum("nij,nij->n", diff, diff)
 
@@ -340,7 +339,7 @@ class StokesSolution:
     def optimality_residual(self):
         """Max |dev Pi_h T_h - nu grad_h(u_h + u_hat)| over elements."""
         devavg = _dev_average(self.t_h, self.system.big_f_h)
-        grads = broken_gradient(self.u_h + self.u_hat).values
+        grads = broken_gradient(self.u_h + self.u_hat)
         return float(np.abs(devavg - self.nu * grads).max())
 
 
@@ -361,9 +360,9 @@ class ElasticitySolution:
 
     def optimality_residual(self):
         """Max |Pi_h sigma* - C eps_h(u_h+u_hat) - grad_h r_h| over elements."""
-        avg = self.sigma_star.cell_average().values
-        eps = broken_sym_gradient(self.u_h + self.u_hat).values
-        target = self.material.apply(eps) + broken_gradient(self.r_h).values
+        avg = self.sigma_star.cell_average()
+        eps = sym(broken_gradient(self.u_h + self.u_hat))
+        target = self.material.apply(eps) + broken_gradient(self.r_h)
         return float(np.abs(avg - target).max())
 
 
@@ -392,10 +391,10 @@ def gap_indicator_stokes(system, v, tau_h, grad_u):
     # formed in place to keep the peak memory down
     diff = tau_h.evaluate(physical_points(mesh, VOLUME_DEGREE))
     if system.big_f_h is not None:
-        diff += system.big_f_h.values[:, None]
+        diff += system.big_f_h[:, None]
     dev(diff, in_place=True)
     diff /= nu
-    diff -= v.gradient().values[:, None, :, :]
+    diff -= v.gradient()[:, None, :, :]
     if grad_u is not None:
         diff -= rule_values(grad_u, mesh, VOLUME_DEGREE)
     vals = np.einsum("q,nqij,nqij->n", w, diff, diff)
@@ -415,8 +414,8 @@ def gap_indicator_elasticity(system, v, sigma):
     mesh, material = system.mesh, system.material
     sv = sigma.evaluate(mesh.geometry()["side_midpoint"][mesh.element_sides])
     if system.big_f_h is not None:
-        sv += system.big_f_h.values[:, None]
-    diff = sym(v.gradient().values)[:, None] - material.inverse(sv)
+        sv += system.big_f_h[:, None]
+    diff = sym(v.gradient())[:, None] - material.inverse(sv)
     vals = material.energy_product(diff, diff)
     return 0.5 * mesh.areas * (vals.sum(axis=1) / 3.0)
 
@@ -428,7 +427,7 @@ def oscillation_indicator(f, f_h, big_f, big_f_h, mesh, degree=VOLUME_DEGREE):
     out = np.zeros(mesh.num_elements)
     if f is not None:
         fv = rule_values(f, mesh, degree)
-        fhv = _p0_values(f_h, mesh, (mesh.num_elements, 2))
+        fhv = _p0_values(f_h, (mesh.num_elements, 2))
         diff = fv - fhv[:, None, :]
         out += (
             (geo["h_t"] ** 2 / np.pi**2)
@@ -437,7 +436,7 @@ def oscillation_indicator(f, f_h, big_f, big_f_h, mesh, degree=VOLUME_DEGREE):
         )
     if big_f is not None:
         fv = rule_values(big_f, mesh, degree)
-        fhv = _p0_values(big_f_h, mesh, (mesh.num_elements, 2, 2))
+        fhv = _p0_values(big_f_h, (mesh.num_elements, 2, 2))
         diff = fv - fhv[:, None, :, :]
         out += mesh.areas * np.einsum("q,nqij,nqij->n", w, diff, diff)
     return out

@@ -17,7 +17,6 @@ from . import mesh as _mesh
 from .quadrature import SIDE_POINTS, segment_rule, side_points
 from .spaces import (
     CRField,
-    P0Field,
     _gradient_operator,
     _jump_rows,
     cr_gradient_operator,
@@ -242,11 +241,11 @@ def load_vector(mesh, f_h, big_f_h, g_h):
     if f_h is not None:
         # Pi_h v on an element is the mean of v over its three sides
         dofs = mesh.element_sides[:, :, None] + ns * np.arange(2)  # (ne, 3, 2)
-        weighted = (mesh.areas / 3.0)[:, None, None] * f_h.values[:, None]  # (ne, 1, 2)
+        weighted = (mesh.areas / 3.0)[:, None, None] * f_h[:, None]  # (ne, 1, 2)
         contrib = np.broadcast_to(weighted, dofs.shape)
         rhs += np.bincount(dofs.ravel(), contrib.ravel(), minlength=2 * ns)
     if big_f_h is not None:
-        weighted = mesh.areas[:, None, None] * big_f_h.values
+        weighted = mesh.areas[:, None, None] * big_f_h
         rhs += cr_gradient_operator(mesh).T @ weighted.ravel()
     if g_h is not None:
         geo = mesh.geometry()
@@ -261,6 +260,9 @@ class _LoadedSystem:
     """Lift, load data and the load functional's vector, assembled once."""
 
     def _assemble_load(self, u_hat, f_h, big_f_h, g_h):
+        for name, f in (("f_h", f_h), ("big_f_h", big_f_h)):
+            if f is not None and len(f) != self.mesh.num_elements:
+                raise ValueError(f"{name} must have one row per element, not {len(f)}")
         self.u_hat = u_hat
         self.f_h = f_h
         self.big_f_h = big_f_h
@@ -550,9 +552,9 @@ class StokesSystem(_LoadedSystem):
         return _backward_error(np.concatenate(sums).max(), rhs, x, residual)
 
     def solve(self):
-        """Solve; returns (u_h, p_h, report) with u_h in the homogeneous space."""
+        """Solve; returns (u_h, p_h, report): u_h in the homogeneous space, p_h (ne,)."""
         x, report = self.solve_saddle(self.rhs)
-        p_h = P0Field(self.mesh, x[len(self.vel_index):][: self.mesh.num_elements])
+        p_h = x[len(self.vel_index):][: self.mesh.num_elements]
         return _free_field(self.mesh, self.free_sides, x), p_h, report
 
 
@@ -568,8 +570,8 @@ def assemble_stokes(mesh, nu, u_hat, f_h, big_f_h, g_h):
         Discrete Dirichlet lift; |div_h u_hat| must be at most 1e-10 of the
         largest element sum of the magnitudes of the terms div_h sums, else
         AssemblyError is raised.
-    f_h : P0Field or None
-    big_f_h : P0Field or None
+    f_h : (ne, 2) array or None
+    big_f_h : (ne, 2, 2) array or None
         Element-wise constant tensor part of the load.
     g_h : (ns, 2) array or None
         Side-wise constant Neumann tractions (used on Neumann sides only).

@@ -22,7 +22,8 @@ _LABEL_IDS = {v: k for k, v in _LABEL_NAMES.items()}
 
 
 class MeshError(Exception):
-    """Invalid mesh input: non-conforming, degenerate, or unlabeled."""
+    """Invalid mesh input: non-conforming, overlapping, degenerate, unlabeled,
+    or with a vertex that belongs to no element."""
 
 
 class Triangulation:
@@ -66,6 +67,9 @@ class Triangulation:
             raise MeshError("elements must be an (ne, 3) array")
         if elements.min(initial=0) < 0 or elements.max(initial=-1) >= len(vertices):
             raise MeshError("element vertex index out of range")
+        unused = np.bincount(elements.ravel(), minlength=len(vertices)) == 0
+        if unused.any():
+            raise MeshError(f"vertex {np.argmax(unused)} belongs to no element")
 
         self.vertices = vertices
         self.elements = elements
@@ -84,7 +88,6 @@ class Triangulation:
         self.areas = areas
 
         self._build_sides(boundary_labels)
-        self._check_conformity()
         self._cache = {}
 
     # -- construction helpers -------------------------------------------------
@@ -116,6 +119,11 @@ class Triangulation:
         owner[:, 0] = order[starts]
         shared = counts == 2
         owner[shared, 1] = order[starts[shared] + 1]
+        # the second element of an interior side traverses it backwards
+        overlap = starts[shared][start[owner[shared, 1]] != end[owner[shared, 0]]]
+        if len(overlap):
+            key = sorted_keys[overlap[0]]
+            raise MeshError(f"elements overlap on side ({key // nv}, {key % nv})")
         side_elements = np.where(owner >= 0, owner // 3, -1)
         owner_local = np.where(owner >= 0, owner % 3, -1)
         self.side_elements = side_elements
@@ -175,15 +183,6 @@ class Triangulation:
         self.side_labels = labels
         if not np.any(labels == DIRICHLET):
             raise MeshError("the Dirichlet side set must be nonempty")
-
-    def _check_conformity(self):
-        # every interior side has exactly two adjacent elements, every
-        # boundary side exactly one; vertices of one side never fall in the
-        # interior of another because sides are derived from shared vertex
-        # pairs of a vertex-conforming element list
-        interior = self.side_labels == INTERIOR
-        if np.any(interior != (self.side_elements[:, 1] >= 0)):
-            raise MeshError("boundary label on an interior side")
 
     # -- basic queries ---------------------------------------------------------
 

@@ -1,12 +1,14 @@
 """Piecewise-polynomial fields on a triangulation.
 
-Four discrete spaces are provided:
+Three discrete spaces are provided:
 
-* P0Field -- one value per element (scalar, 2-vector, or 2x2 tensor),
 * CRField -- vector Crouzeix-Raviart: one 2-vector per side (midpoint value),
 * RTField -- tensor lowest-order Raviart-Thomas: one normal flux per side
   and row, stored against the mesh's global side normal,
 * P1ConformingField -- one 2-vector per vertex.
+
+Element-wise constants (projections, broken gradients, RT cell averages and
+divergences) are plain arrays of shape (ne,), (ne, 2) or (ne, 2, 2).
 
 The scalar CR basis attached to local side j of an element is
 theta_j = 1 - 2 lambda_{j+2} (lambda_k the barycentric coordinate of
@@ -23,17 +25,6 @@ import scipy.sparse as sparse
 
 from .quadrature import (SIDE_POINTS, VOLUME_DEGREE, physical_points, segment_rule,
                          side_points, triangle_rule)
-
-
-class P0Field:
-    """Element-wise constant field; values has shape (ne,), (ne,2) or (ne,2,2)."""
-
-    def __init__(self, mesh, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape[0] != mesh.num_elements:
-            raise ValueError("one value per element required")
-        self.mesh = mesh
-        self.values = values
 
 
 class CRField:
@@ -95,9 +86,9 @@ class RTField:
     def entries(self, points):
         """Yield ((i, d), entry (i, d) of the values at points, (ne, nq)),
         one entry at a time: c_i x_d + (avg - c x_T)_id with c = div / 2."""
-        c = 0.5 * self.divergence().values
+        c = 0.5 * self.divergence()
         cent = self.mesh.geometry()["centroids"]
-        a = self.cell_average().values - np.einsum("ni,nd->nid", c, cent)
+        a = self.cell_average() - np.einsum("ni,nd->nid", c, cent)
         for i in range(2):
             for d in range(2):
                 value = c[:, i, None] * points[..., d]
@@ -105,11 +96,13 @@ class RTField:
                 yield (i, d), value
 
     def cell_average(self):
+        """Row-wise cell averages: (ne, 2, 2)."""
         avg = rt_average_operator(self.mesh) @ self.flux.T  # (2 ne, 2): rows (n, d)
-        return P0Field(self.mesh, avg.reshape(-1, 2, 2).transpose(0, 2, 1))
+        return avg.reshape(-1, 2, 2).transpose(0, 2, 1)
 
     def divergence(self):
-        return P0Field(self.mesh, rt_divergence_operator(self.mesh) @ self.flux.T)
+        """Row-wise divergences: (ne, 2)."""
+        return rt_divergence_operator(self.mesh) @ self.flux.T
 
     def __add__(self, other):
         return RTField(self.mesh, self.flux + other.flux)
@@ -150,11 +143,9 @@ class P1ConformingField:
         self.values = values
 
     def gradient(self):
-        """Element-wise constant gradient as a P0 tensor field."""
-        geo = self.mesh.geometry()
+        """Element-wise constant gradient: (ne, 2, 2), entry (i, d) = d_d v_i."""
         vv = self.values[self.mesh.elements]  # (ne, 3, 2)
-        grads = vv.transpose(0, 2, 1) @ geo["grad_lambda"]
-        return P0Field(self.mesh, grads)
+        return vv.transpose(0, 2, 1) @ self.mesh.geometry()["grad_lambda"]
 
 
 # -- tensor helpers ----------------------------------------------------------
@@ -181,7 +172,7 @@ def sym(a):
 
 
 def pi0(f, mesh, degree=VOLUME_DEGREE):
-    """Element-wise L2 projection onto constants.
+    """Element-wise L2 projection onto constants: (ne,) + the value shape.
 
     Parameters
     ----------
@@ -196,7 +187,7 @@ def pi0(f, mesh, degree=VOLUME_DEGREE):
     vals = f if isinstance(f, np.ndarray) else f(physical_points(mesh, degree))
     w = triangle_rule(degree)[1]
     ne, nq = vals.shape[:2]
-    return P0Field(mesh, (w @ vals.reshape(ne, nq, -1)).reshape((ne,) + vals.shape[2:]))
+    return (w @ vals.reshape(ne, nq, -1)).reshape((ne,) + vals.shape[2:])
 
 
 def side_averages(f, mesh):
@@ -239,13 +230,8 @@ def cr_basis_gradients(mesh):
 
 
 def broken_gradient(v):
-    """Element-wise gradient of a CR field as a P0 tensor field: G @ v.dofs()."""
-    return P0Field(v.mesh, (cr_gradient_operator(v.mesh) @ v.dofs()).reshape(-1, 2, 2))
-
-
-def broken_sym_gradient(v):
-    g = broken_gradient(v)
-    return P0Field(v.mesh, sym(g.values))
+    """Element-wise gradient of a CR field, G @ v.dofs(), as an (ne, 2, 2) array."""
+    return (cr_gradient_operator(v.mesh) @ v.dofs()).reshape(-1, 2, 2)
 
 
 # theta_j at local vertex k: 1 - 2 [j == k + 1 mod 3]
@@ -256,7 +242,7 @@ def cr_gradient_operator(mesh):
     """Broken gradient as a (4 ne, 2 ns) CSR matrix acting on `CRField.dofs`.
 
     Row 4 n + 2 i + d holds d_d v_i on element n, so G @ v.dofs() is
-    broken_gradient(v).values.ravel().
+    broken_gradient(v).ravel().
     """
     return _gradient_operator(mesh, 2)
 
@@ -351,7 +337,7 @@ def rt_average_operator(mesh):
 
     Row 2 n + d is component d of the average on element n: the sum over
     the element's sides of weight_j * flux(S_j) * (x_T - opp_j).  So
-    (A @ t.flux[i]).reshape(-1, 2) is t.cell_average().values[:, i].
+    (A @ t.flux[i]).reshape(-1, 2) is t.cell_average()[:, i].
     """
     coef, opp = _rt_local_factors(mesh)
     data = coef[:, None, :] * (mesh.geometry()["centroids"][:, :, None]
@@ -363,7 +349,7 @@ def rt_divergence_operator(mesh):
     """Divergence of one RT row as an (ne, ns) CSR matrix on its fluxes.
 
     Row n holds 2 weight_j on the element's sides, so D @ t.flux[i] is
-    t.divergence().values[:, i].
+    t.divergence()[:, i].
     """
     return _element_side_rows(mesh, 2.0 * _rt_local_factors(mesh)[0][:, None, :])
 
@@ -408,7 +394,7 @@ def nodal_average(v, mesh, dirichlet_values=None):
 # -- integrals ---------------------------------------------------------------
 
 
-def norm_p0(field):
-    """L2 norm of a P0 field (Frobenius norm point-wise for tensors)."""
-    v = field.values.reshape(field.mesh.num_elements, -1)
-    return float(np.sqrt(np.sum(field.mesh.areas * np.sum(v * v, axis=1))))
+def norm_p0(mesh, values):
+    """L2 norm of (ne, ...) element-wise constants (point-wise Frobenius norm)."""
+    v = values.reshape(mesh.num_elements, -1)
+    return float(np.sqrt(np.sum(mesh.areas * np.sum(v * v, axis=1))))

@@ -92,10 +92,10 @@ def test_criterion_3_reconstruction_contracts():
     worst = {"div": 0.0, "jump": 0.0, "neumann": 0.0, "optimality": 0.0}
 
     def track(sol, f_h, g_h, mesh):
-        div = sol.t_h.divergence().values if hasattr(sol, "t_h") else (
-            sol.sigma_star.divergence().values
+        div = sol.t_h.divergence() if hasattr(sol, "t_h") else (
+            sol.sigma_star.divergence()
         )
-        fv = f_h.values if f_h is not None else 0.0
+        fv = f_h if f_h is not None else 0.0
         worst["div"] = max(worst["div"], float(np.abs(div + fv).max()))
         field = sol.t_h if hasattr(sol, "t_h") else sol.sigma_star
         worst["jump"] = max(worst["jump"], field.reconstruction_jump)
@@ -253,12 +253,12 @@ def test_criterion_7_structure_preservation():
     worst_grad = worst_div = worst_rt = 0.0
     mesh = structured_square_mesh(10, labeler)
     for _ in range(3):
-        grads = broken_gradient(cr_interpolate(velocity, mesh)).values
-        g_err = np.abs(grads - pi0(velocity_grad, mesh, degree=20).values).max()
+        grads = broken_gradient(cr_interpolate(velocity, mesh))
+        g_err = np.abs(grads - pi0(velocity_grad, mesh, degree=20)).max()
         d_err = np.abs(grads[:, 0, 0] + grads[:, 1, 1]).max()  # the broken divergence
         tau = rt_interpolate(tensor, mesh)
         rt_err = np.abs(
-            tau.divergence().values - pi0(tensor_div, mesh, degree=20).values
+            tau.divergence() - pi0(tensor_div, mesh, degree=20)
         ).max()
         worst_grad = max(worst_grad, float(g_err))
         worst_div = max(worst_div, float(d_err))
@@ -288,7 +288,7 @@ def test_criterion_8_elasticity_gap_lower_bound():
         w = triangle_rule(12)[1]
         pts = physical_points(mesh, 12)
         gu = prob.grad_u(pts)
-        gv = vhat.gradient().values[:, None] + np.zeros_like(gu)
+        gv = vhat.gradient()[:, None] + np.zeros_like(gu)
         ed = sym(gv) - sym(gu)
         rho_p = 0.5 * np.sum(
             mesh.areas * np.einsum("q,nq->n", w, mat.energy_product(ed, ed))

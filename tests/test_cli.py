@@ -304,7 +304,9 @@ class TestVerifyIdentity:
             got = list(csv.DictReader(f))
         with open(REFERENCE / "identity.csv") as f:
             want = list(csv.DictReader(f))
-        keys = ("level", "sample", "num_dof")
+        # every column but err_iden, a difference of nearly equal terms that
+        # moves at roundoff, is pinned byte for byte
+        keys = ("level", "sample", "num_dof", "rho_primal", "rho_dual", "gap")
         assert [[r[k] for k in keys] for r in got] == [[r[k] for k in keys] for r in want]
         assert all(float(r["err_iden"]) <= 1e-6 for r in got)
         worst = max(got, key=lambda r: float(r["err_iden"]))
@@ -325,10 +327,16 @@ class TestVerifyIdentity:
 class TestTable1:
     def test_columns_and_values(self, tmp_path):
         out = tmp_path / "table1.csv"
-        code = main(["table1", "--max-iter", "2", "--out", str(out)])
+        code = main(["table1", "--max-iter", "4", "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "num_dof,err_u,eoc_u,err_T,eoc_T"
+        assert lines == [
+            "num_dof,err_u,eoc_u,err_T,eoc_T",
+            "840,0.184003,-,0.156633,-",
+            "3280,0.091048,1.032983,0.078882,1.007120",
+            "12960,0.045535,1.008573,0.039420,1.009721",
+            "51520,0.022767,1.004512,0.019707,1.004701",
+        ]
         first = lines[1].split(",")
         assert first[0] == "840"
         assert abs(float(first[1]) - 0.1830) / 0.1830 < 0.05

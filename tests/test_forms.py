@@ -20,12 +20,10 @@ from gapfem import (
     AssemblyError,
     CRField,
     ElasticityTensor,
-    P0Field,
     SingularSystemError,
     assemble_elasticity,
     assemble_stokes,
     broken_gradient,
-    broken_sym_gradient,
     build_triangulation,
     cr_interpolate,
     refine_bisection,
@@ -55,6 +53,7 @@ from gapfem.spaces import (
     cr_gradient_operator,
     cr_jump_operator,
     norm_p0,
+    sym,
 )
 
 
@@ -93,7 +92,7 @@ def saddle_matrix(system):
 
 def div_h(v):
     """Broken divergence of a CR field: the trace of its broken gradient."""
-    g = broken_gradient(v).values
+    g = broken_gradient(v)
     return g[:, 0, 0] + g[:, 1, 1]
 
 
@@ -464,7 +463,7 @@ class TestStokesAssembly:
         system = assemble_stokes(mesh, 0.5, zero_lift(mesh), None, None, None)
         u, p, _ = system.solve()
         assert np.abs(u.values).max() < 1e-12
-        assert np.abs(p.values).max() < 1e-12
+        assert np.abs(p).max() < 1e-12
 
     def test_affine_patch(self):
         # divergence-free affine exact field, zero load, full Dirichlet
@@ -476,8 +475,8 @@ class TestStokesAssembly:
         system = assemble_stokes(mesh, 0.5, u_hat, None, None, None)
         u, p, _ = system.solve()
         total = u + u_hat
-        assert np.abs(broken_gradient(total).values - a).max() < 1e-10
-        assert np.abs(p.values).max() < 1e-10
+        assert np.abs(broken_gradient(total) - a).max() < 1e-10
+        assert np.abs(p).max() < 1e-10
 
     def test_taylor_green_dof_count(self):
         mesh = structured_square_mesh(10, tg_labeler)
@@ -486,6 +485,15 @@ class TestStokesAssembly:
         assert nfree + 2 * 20 == 640  # constrained Dirichlet DOFs excluded
         assert saddle_matrix(system).shape[0] == nfree + mesh.num_elements
         assert 2 * mesh.num_sides + mesh.num_elements == 840
+
+    def test_load_needs_one_row_per_element(self):
+        # a single row would broadcast over every element in load_vector
+        mesh = structured_square_mesh(3, tg_labeler)
+        with pytest.raises(ValueError, match="f_h must have one row per element, not 1"):
+            assemble_stokes(mesh, 0.5, zero_lift(mesh), np.ones((1, 2)), None, None)
+        with pytest.raises(ValueError, match="big_f_h must have one row per element"):
+            assemble_elasticity(mesh, ElasticityTensor(1.0, 5.0), zero_lift(mesh), None,
+                                np.ones((1, 2, 2)), None, dirichlet_datum=zero_datum)
 
     def test_divfree_precondition_enforced(self):
         mesh = structured_square_mesh(3, tg_labeler)
@@ -503,7 +511,7 @@ class TestStokesAssembly:
         # the momentum rows on the free DOFs: nu a1 u_f + b^T p = rhs_v
         system = sol.system
         u_f = sol.u_h.dofs()[system.vel_index]
-        mom = system.nu * (system.a1 @ u_f) + system.b.T @ sol.p_h.values
+        mom = system.nu * (system.a1 @ u_f) + system.b.T @ sol.p_h
         assert np.abs(mom - system.rhs[: len(u_f)]).max() < 1e-10
 
     def test_pressure_gauge_pure_dirichlet(self):
@@ -513,7 +521,7 @@ class TestStokesAssembly:
 
         system = assemble_stokes(mesh, 1.0, zero_lift(mesh), pi0(f, mesh), None, None)
         u, p, _ = system.solve()
-        assert abs(np.sum(mesh.areas * p.values)) < 1e-12
+        assert abs(np.sum(mesh.areas * p)) < 1e-12
 
 
 class TestStokesALSolve:
@@ -599,7 +607,7 @@ class TestStokesALSolve:
             u_h, p_h, _ = sol.system.solve()
             assert len(refs) == 2 and all(ref() is None for ref in refs)
             assert np.array_equal(u_h.values, sol.u_h.values)
-            assert np.array_equal(p_h.values, sol.p_h.values)
+            assert np.array_equal(p_h, sol.p_h)
         finally:
             gc.enable()
 
@@ -1117,10 +1125,10 @@ class TestElasticityAssembly:
         )
         u, _ = system.solve()
         total = u + u_hat
-        eps = broken_sym_gradient(total)
-        energy = norm_p0(eps)
+        eps = sym(broken_gradient(total))
+        energy = norm_p0(mesh, eps)
         assert energy < 1e-8
-        g = broken_gradient(total).values
+        g = broken_gradient(total)
         assert np.abs(g + np.swapaxes(g, 1, 2)).max() < 1e-8  # skew only
         # the penalty of a conforming total field against its own datum is a
         # sum of squares of roundoff, never a cancelled difference
@@ -1158,8 +1166,8 @@ class TestElasticityAssembly:
             vals = rng.standard_normal((mesh.num_sides, 2))
             vals[mesh.side_labels == DIRICHLET] = 0.0
             v = CRField(mesh, vals)
-            g = broken_gradient(v).values
-            e = broken_sym_gradient(v).values
+            g = broken_gradient(v)
+            e = sym(g)
             num = np.sum(mesh.areas * np.einsum("nij,nij->n", mat.apply(g), g))
             den = np.sum(
                 mesh.areas * np.einsum("nij,nij->n", mat.apply(e), e)
@@ -1435,7 +1443,7 @@ class TestAssemblyOracle:
         assert_close(cr_stiffness(mesh), k)
         nu, lift = 0.7, tg_lift(mesh)
         fv = np.random.default_rng(5).standard_normal((mesh.num_elements, 2))
-        system = assemble_stokes(mesh, nu, lift, P0Field(mesh, fv), None, None)
+        system = assemble_stokes(mesh, nu, lift, fv, None, None)
         a1 = sparse.block_diag([k, k]).tocsr()
         b = sparse.diags(mesh.areas) @ -oracle_divergence(mesh)
         free = system.vel_index
@@ -1504,7 +1512,7 @@ def test_operators_match_field_evaluation(n, labeler, seed):
     mesh = _perturbed_mesh(n, labeler, seed)
     v = CRField(mesh, np.random.default_rng(seed).standard_normal((mesh.num_sides, 2)))
     grads = (cr_gradient_operator(mesh) @ v.dofs()).reshape(-1, 2, 2)
-    assert_close(grads, broken_gradient(v).values)
+    assert_close(grads, broken_gradient(v))
     jumps = (cr_jump_operator(mesh) @ v.values).reshape(-1, 2, 2)
     assert_close(jumps, oracle_jump_eval(v, np.arange(mesh.num_sides)))
 

@@ -30,6 +30,12 @@ def tg_labeler(mid):
     return DIRICHLET if min(abs(mid[0]), abs(mid[0] - 1.0)) < 1e-12 else NEUMANN
 
 
+# two counterclockwise elements of the unit square that share side (0, 1)
+# in the same direction, so they overlap
+OVERLAP_VERTICES = [(0, 0), (1, 0), (0, 1), (1, 1)]
+OVERLAP_ELEMENTS = [(0, 1, 2), (0, 1, 3)]
+
+
 def two_triangle_square():
     verts = [(0, 0), (1, 0), (1, 1), (0, 1)]
     elems = [(0, 1, 2), (0, 2, 3)]
@@ -97,6 +103,18 @@ class TestBuild:
         verts = [(0, 0), (1, 0), (0, 1)]
         with pytest.raises(MeshError, match="Dirichlet"):
             build_triangulation(verts, [(0, 1, 2)], lambda mid: NEUMANN)
+
+    def test_overlapping_elements_rejected(self):
+        # both elements traverse side (0, 1) forwards: together they count
+        # area 1 but cover only 0.75 of the square
+        with pytest.raises(MeshError, match=r"elements overlap on side \(0, 1\)"):
+            Triangulation(OVERLAP_VERTICES, OVERLAP_ELEMENTS, [0, 0], all_dirichlet)
+
+    def test_unused_vertex_rejected(self):
+        mesh = structured_square_mesh(4, tg_labeler)
+        verts = np.vstack([mesh.vertices, [(0.5, 2.0)]])
+        with pytest.raises(MeshError, match="vertex 25 belongs to no element"):
+            Triangulation(verts, mesh.elements, mesh.refinement_edge, tg_labeler)
 
 
 class TestGeometry:
@@ -263,6 +281,26 @@ class TestIO:
         assert np.array_equal(back.elements, mesh.elements)
         assert np.allclose(back.vertices, mesh.vertices, rtol=1e-15, atol=0)
         assert np.array_equal(back.side_labels, mesh.side_labels)
+
+    def test_overlapping_elements_file_rejected(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        rows = [f"{a} {b} {c} 0" for a, b, c in OVERLAP_ELEMENTS]
+        labels = [f"{a} {b} dirichlet" for a, b in [(1, 2), (2, 0), (1, 3), (3, 0)]]
+        path.write_text("\n".join(["gapfem-mesh 1", "4 2"]
+                                  + [f"{x} {y}" for x, y in OVERLAP_VERTICES]
+                                  + rows + ["4"] + labels) + "\n")
+        with pytest.raises(MeshError, match=r"elements overlap on side \(0, 1\)"):
+            load_mesh(path)
+
+    def test_unused_vertex_file_rejected(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        save_mesh(structured_square_mesh(4, tg_labeler), path)
+        lines = path.read_text().splitlines()
+        assert lines[1] == "25 32"
+        lines[1:27] = ["26 32"] + lines[2:27] + ["0.5 2"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError, match="vertex 25 belongs to no element"):
+            load_mesh(path)
 
     @pytest.mark.parametrize(
         "mangle",

@@ -314,7 +314,7 @@ class TestExactErrors:
         pts = physical_points(mesh, 10)
         sdiff = exact_stress(prob, prob.grad_u(pts), prob.p(pts)) - sol.t_h.evaluate(pts)
         if sol.system.big_f_h is not None:
-            sdiff -= sol.system.big_f_h.values[:, None]
+            sdiff -= sol.system.big_f_h[:, None]
         if len(mesh.sides_with_label(NEUMANN)) == 0:
             tr_mean = np.sum(
                 mesh.areas
