@@ -17,7 +17,6 @@ from .duality import (
     energies_stokes,
     gap_indicator_elasticity,
     gap_indicator_stokes,
-    oscillation_indicator,
     random_divfree_cr,
     random_divfree_rt,
     strong_convexity_stokes,
@@ -173,7 +172,8 @@ def mark_max(indicators, theta):
 
 
 def _estimate(problem, mesh, sol):
-    """Per-element indicator eta_T^2 = gap_T^2 + osc_T^2 and error norms."""
+    """Per-element indicator eta_T^2 = gap_T^2 + osc_T^2 and error norms; the
+    oscillation is the one `project_data` computed for the solution."""
     system = sol.system
     if problem.kind == "stokes" and problem.grad_u is not None:
         # the homogeneous part; the indicator adds the lift's exact gradient
@@ -184,14 +184,11 @@ def _estimate(problem, mesh, sol):
         gap = gap_indicator_stokes(system, vhat, sol.t_h, problem.grad_u)
     else:
         gap = gap_indicator_elasticity(system, vhat, sol.sigma_star)
-    osc = np.zeros(mesh.num_elements)
-    if problem.f is not None or problem.big_f is not None:
-        osc = oscillation_indicator(problem.f, system.f_h, problem.big_f, system.big_f_h, mesh)
     errors = {}
     if problem.grad_u is not None:
         errs = exact_errors(sol, problem)
         errors = {f"err_{k}": v for k, v in errs.items()}
-    return gap, osc, errors
+    return gap, sol.oscillation, errors
 
 
 def num_dof(problem_kind, mesh):

@@ -13,7 +13,8 @@ import scipy.sparse as sparse
 
 from . import mesh as _mesh
 from .forms import NumericalFailure
-from .quadrature import VOLUME_DEGREE, physical_points, rule_values, triangle_rule
+from .quadrature import (VOLUME_DEGREE, ElementBlock, element_blocks, physical_points,
+                         rule_values, triangle_rule)
 from .spaces import (
     CRField,
     RTField,
@@ -325,7 +326,8 @@ class StokesSolution:
     t_h stores the Raviart-Thomas part of the stress relative to the tensor
     load F_h (equal to the stress itself when no tensor load is present).
     mesh, nu and u_hat are the solved `system`'s; the load data f_h, F_h
-    and g_h live on it.
+    and g_h live on it.  `discretize_stokes` adds `oscillation`, the
+    per-element data oscillation of `project_data`.
     """
 
     def __init__(self, system, u_h, p_h, t_h, solve_report):
@@ -347,7 +349,8 @@ class ElasticitySolution:
     """Bundle of the discrete elasticity solution and its reconstruction.
 
     mesh, material and u_hat are the solved `system`'s; the load data f_h,
-    F_h and g_h live on it.
+    F_h and g_h live on it.  `discretize_elasticity` adds `oscillation`, the
+    per-element data oscillation of `project_data`.
     """
 
     def __init__(self, system, u_h, r_h, sigma_star, solve_report):
@@ -384,21 +387,27 @@ def gap_indicator_stokes(system, v, tau_h, grad_u):
     grad_u : callable or None
         Gradient of the Dirichlet lift u_hat (`ProblemSpec.grad_u`), cached
         on the mesh by `rule_values`; None means zero.
+
+    The integrand is formed one `element_blocks` block at a time.
     """
     mesh, nu = system.mesh, system.nu
     w = triangle_rule(VOLUME_DEGREE)[1]
-    # diff = dev(tau) / nu - grad v - grad u_hat, the negated integrand,
-    # formed in place to keep the peak memory down
-    diff = tau_h.evaluate(physical_points(mesh, VOLUME_DEGREE))
-    if system.big_f_h is not None:
-        diff += system.big_f_h[:, None]
-    dev(diff, in_place=True)
-    diff /= nu
-    diff -= v.gradient()[:, None, :, :]
-    if grad_u is not None:
-        diff -= rule_values(grad_u, mesh, VOLUME_DEGREE)
-    vals = np.einsum("q,nqij,nqij->n", w, diff, diff)
-    return 0.5 * nu * mesh.areas * vals
+    grad_v = v.gradient()
+    grad_hat = None if grad_u is None else rule_values(grad_u, mesh, VOLUME_DEGREE)
+    out = np.empty(mesh.num_elements)
+    for block, diff in tau_h.block_values(element_blocks(mesh, VOLUME_DEGREE)):
+        rows = block.rows
+        # diff = dev(tau) / nu - grad v - grad u_hat, the negated integrand
+        if system.big_f_h is not None:
+            diff += system.big_f_h[rows, None]
+        dev(diff, in_place=True)
+        diff /= nu
+        diff -= grad_v[rows, None]
+        if grad_hat is not None:
+            diff -= grad_hat[rows]
+        vals = np.einsum("q,nqij,nqij->n", w, diff, diff)
+        out[rows] = 0.5 * nu * mesh.areas[rows] * vals
+    return out
 
 
 def gap_indicator_elasticity(system, v, sigma):
@@ -421,24 +430,35 @@ def gap_indicator_elasticity(system, v, sigma):
 
 
 def oscillation_indicator(f, f_h, big_f, big_f_h, mesh, degree=VOLUME_DEGREE):
-    """Per-element data oscillation (h_T^2/pi^2)||f - f_h||_T^2 + ||F - F_h||_T^2."""
-    geo = mesh.geometry()
+    """Per-element data oscillation (h_T^2/pi^2)||f - f_h||_T^2 + ||F - F_h||_T^2.
+
+    mesh is a mesh, or one `ElementBlock` of its `triangle_rule(degree)`
+    points for those rows only.  f and F (None: absent) are callables or
+    their values at the points; f_h and F_h (None: zeros) have one row per
+    element of the mesh.
+    """
+    if not isinstance(mesh, ElementBlock):
+        mesh = ElementBlock(mesh, slice(None), physical_points(mesh, degree))
+    tri, rows, pts = mesh
+    ne = tri.num_elements
+    for name, c in (("f_h", f_h), ("big_f_h", big_f_h)):
+        if c is not None and len(c) != ne:
+            raise ValueError(f"{name} must have one row per element, not {len(c)}")
     w = triangle_rule(degree)[1]
-    out = np.zeros(mesh.num_elements)
+    areas = tri.areas[rows]
+    out = np.zeros(len(pts))
     if f is not None:
-        fv = rule_values(f, mesh, degree)
-        fhv = _p0_values(f_h, (mesh.num_elements, 2))
-        diff = fv - fhv[:, None, :]
+        fv = f(pts) if callable(f) else f
+        diff = fv - _p0_values(f_h, (ne, 2))[rows, None, :]
         out += (
-            (geo["h_t"] ** 2 / np.pi**2)
-            * mesh.areas
+            (tri.geometry()["h_t"][rows] ** 2 / np.pi**2)
+            * areas
             * np.einsum("q,nqi,nqi->n", w, diff, diff)
         )
     if big_f is not None:
-        fv = rule_values(big_f, mesh, degree)
-        fhv = _p0_values(big_f_h, (mesh.num_elements, 2, 2))
-        diff = fv - fhv[:, None, :, :]
-        out += mesh.areas * np.einsum("q,nqij,nqij->n", w, diff, diff)
+        fv = big_f(pts) if callable(big_f) else big_f
+        diff = fv - _p0_values(big_f_h, (ne, 2, 2))[rows, None, :, :]
+        out += areas * np.einsum("q,nqij,nqij->n", w, diff, diff)
     return out
 
 

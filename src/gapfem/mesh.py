@@ -208,7 +208,8 @@ class Triangulation:
         The one per-mesh cache: geometry, the RT element factors (of
         `spaces.RTField` and the RT operators), and the quadrature points and
         analytic field values of `quadrature.physical_points`/`rule_values`
-        live here.
+        live here.  The loads f and F are not cached: `problems.project_data`
+        reads them once, one element block at a time.
 
         A mesh made by `refine_bisection` may also hold, under
         ("carried", f, degree), the rows (element indices, values) of its

@@ -21,6 +21,7 @@ from .duality import (
     StokesSolution,
     marini_elasticity,
     marini_stokes,
+    oscillation_indicator,
 )
 from .forms import assemble_elasticity, assemble_stokes, solve_lifting
 from .mesh import (
@@ -31,8 +32,8 @@ from .mesh import (
     refine_marked_twice,
     structured_square_mesh,
 )
-from .quadrature import (SIDE_POINTS, VOLUME_DEGREE, physical_points, rule_values,
-                         segment_rule, side_points, triangle_rule)
+from .quadrature import (SIDE_POINTS, VOLUME_DEGREE, element_blocks, physical_points,
+                         rule_values, segment_rule, side_points, triangle_rule)
 from .spaces import (
     broken_gradient,
     cr_interpolate,
@@ -485,27 +486,38 @@ def side_tractions(problem, mesh):
 
 
 def project_data(problem, mesh):
-    """f_h = Pi_h f, F_h = Pi_h F (None where absent) and the side tractions g_h."""
-    f_h, big_f_h = (
-        None if f is None else pi0(rule_values(f, mesh, VOLUME_DEGREE), mesh)
-        for f in (problem.f, problem.big_f)
-    )
-    return f_h, big_f_h, side_tractions(problem, mesh)
+    """f_h = Pi_h f and F_h = Pi_h F (None where absent), the side tractions
+    g_h and the data oscillation (`oscillation_indicator`), in one pass over
+    `element_blocks` that evaluates f and F once per element."""
+    ne = mesh.num_elements
+    f_h = None if problem.f is None else np.empty((ne, 2))
+    big_f_h = None if problem.big_f is None else np.empty((ne, 2, 2))
+    osc = np.zeros(ne)
+    for block in element_blocks(mesh, VOLUME_DEGREE) if problem.f or problem.big_f else ():
+        fv, big_fv = (None if f is None else np.asarray(f(block.points), dtype=float)
+                      for f in (problem.f, problem.big_f))
+        for values, out in ((fv, f_h), (big_fv, big_f_h)):
+            if values is not None:
+                out[block.rows] = pi0(values, mesh)
+        osc[block.rows] = oscillation_indicator(fv, f_h, big_fv, big_f_h, block)
+    return f_h, big_f_h, side_tractions(problem, mesh), osc
 
 
 def discretize_stokes(problem, mesh):
     """Assemble, solve, and reconstruct the stress for a Stokes problem."""
     u_hat = interpolate_lift(problem, mesh)
-    f_h, big_f_h, g_h = project_data(problem, mesh)
+    f_h, big_f_h, g_h, osc = project_data(problem, mesh)
     system = assemble_stokes(mesh, problem.nu, u_hat, f_h, big_f_h, g_h)
     u_h, p_h, report = system.solve()
-    return StokesSolution(system, u_h, p_h, marini_stokes(system, u_h, p_h), report)
+    sol = StokesSolution(system, u_h, p_h, marini_stokes(system, u_h, p_h), report)
+    sol.oscillation = osc
+    return sol
 
 
 def discretize_elasticity(problem, mesh):
     """Assemble, solve, lift, and reconstruct the stress for elasticity."""
     u_hat = interpolate_lift(problem, mesh)
-    f_h, big_f_h, g_h = project_data(problem, mesh)
+    f_h, big_f_h, g_h, osc = project_data(problem, mesh)
     system = assemble_elasticity(
         mesh, problem.material, u_hat, f_h, big_f_h, g_h,
         dirichlet_datum=problem.u,
@@ -513,7 +525,9 @@ def discretize_elasticity(problem, mesh):
     u_h, report = system.solve()
     r_h = solve_lifting(system, u_h + u_hat)
     sigma = marini_elasticity(system, u_h, r_h)
-    return ElasticitySolution(system, u_h, r_h, sigma, report)
+    sol = ElasticitySolution(system, u_h, r_h, sigma, report)
+    sol.oscillation = osc
+    return sol
 
 
 # -- a priori identity --------------------------------------------------------------
@@ -569,47 +583,47 @@ def exact_errors(solution, problem):
         raise ValueError(f"problem {problem.name!r} has no exact solution")
     mesh = solution.mesh
     w = triangle_rule(VOLUME_DEGREE)[1]
-    pts = physical_points(mesh, VOLUME_DEGREE)
     gu = rule_values(problem.grad_u, mesh, VOLUME_DEGREE)
     if problem.kind == "stokes":
-        nu = solution.nu
+        # element-wise terms one block at a time, summed over the mesh at the end
+        nu, big_f_h = solution.nu, solution.system.big_f_h
         pv = None if problem.p is None else rule_values(problem.p, mesh, VOLUME_DEGREE)
-        gh = broken_gradient(solution.u_h + solution.u_hat)[:, None]
-        diff = gh - gu
-        primal = 0.5 * nu * np.sum(
-            mesh.areas * np.einsum("q,nqij,nqij->n", w, diff, diff)
-        )
-        del diff  # keeps the peak memory at that of the stress terms
-        sdiff = exact_stress(problem, gu, pv)
-        # one entry at a time: a second (ne, nq, 2, 2) array of T_h values
-        # would set the peak memory
-        for (i, j), t_ij in solution.t_h.entries(pts):
-            sdiff[..., i, j] -= t_ij
-        big_f_h = solution.system.big_f_h
-        if big_f_h is not None:
-            sdiff -= big_f_h[:, None]
+        gh = broken_gradient(solution.u_h + solution.u_hat)
+
+        def stress_errors():
+            for block, t_h in solution.t_h.block_values(element_blocks(mesh, VOLUME_DEGREE)):
+                rows = block.rows
+                sdiff = exact_stress(problem, gu[rows], None if pv is None else pv[rows])
+                sdiff -= t_h
+                if big_f_h is not None:
+                    sdiff -= big_f_h[rows, None]
+                yield rows, sdiff
+
+        errors, tr_mean = stress_errors(), 0.0
         if len(mesh.sides_with_label(NEUMANN)) == 0:
-            # remove the pressure-gauge component c I
-            tr_mean = np.sum(
-                mesh.areas
-                * np.einsum("q,nq->n", w, sdiff[..., 0, 0] + sdiff[..., 1, 1])
-            ) / (2.0 * mesh.total_area)
+            # a first pass finds the pressure-gauge shift c I, so the blocks
+            # are kept for the second: every one is read twice
+            errors, tr = list(errors), np.empty(mesh.num_elements)
+            for rows, sdiff in errors:
+                tr[rows] = np.einsum("q,nq->n", w, sdiff[..., 0, 0] + sdiff[..., 1, 1])
+            tr_mean = np.sum(mesh.areas * tr) / (2.0 * mesh.total_area)
+        terms = np.empty((3, mesh.num_elements))  # primal, dual, dual_dev
+        for rows, sdiff in errors:
+            diff = gh[rows, None] - gu[rows]
+            terms[0, rows] = np.einsum("q,nqij,nqij->n", w, diff, diff)
             sdiff[..., 0, 0] -= tr_mean
             sdiff[..., 1, 1] -= tr_mean
-        dual = np.sum(
-            mesh.areas * np.einsum("q,nqij,nqij->n", w, sdiff, sdiff)
-        ) / (2.0 * nu)
-        # in place: a copy of sdiff would set the peak memory
-        dev(sdiff, in_place=True)
-        dual_dev = np.sum(
-            mesh.areas * np.einsum("q,nqij,nqij->n", w, sdiff, sdiff)
-        ) / (2.0 * nu)
+            terms[1, rows] = np.einsum("q,nqij,nqij->n", w, sdiff, sdiff)
+            dev(sdiff, in_place=True)
+            terms[2, rows] = np.einsum("q,nqij,nqij->n", w, sdiff, sdiff)
+        primal, dual, dual_dev = np.sum(mesh.areas * terms, axis=1)
         return {
-            "primal": float(np.sqrt(primal)),
-            "dual": float(np.sqrt(dual)),
-            "dual_dev": float(np.sqrt(dual_dev)),
+            "primal": float(np.sqrt(0.5 * nu * primal)),
+            "dual": float(np.sqrt(dual / (2.0 * nu))),
+            "dual_dev": float(np.sqrt(dual_dev / (2.0 * nu))),
         }
 
+    pts = physical_points(mesh, VOLUME_DEGREE)
     mat = problem.material
     eps_exact = sym(gu)
     eps_h = sym(broken_gradient(solution.u_h + solution.u_hat))[:, None]

@@ -78,22 +78,27 @@ class RTField:
 
     def evaluate(self, points):
         """Values at points of shape (ne, nq, 2) -> (ne, nq, 2, 2)."""
-        out = np.empty(points.shape + (2,))
-        for (i, d), value in self.entries(points):
-            out[..., i, d] = value
-        return out
+        return _stacked(self.entries(points), points.shape)
 
     def entries(self, points):
         """Yield ((i, d), entry (i, d) of the values at points, (ne, nq)),
         one entry at a time: c_i x_d + (avg - c x_T)_id with c = div / 2."""
+        return _affine_entries(*self._affine(), points)
+
+    def block_values(self, blocks):
+        """Yield (block, values at its points, (nb, nq, 2, 2)) for each
+        `ElementBlock`, the rows of `evaluate` bit for bit; the divergences
+        and cell averages are computed once per call, not per block."""
+        c, a = self._affine()
+        for block in blocks:
+            entries = _affine_entries(c[block.rows], a[block.rows], block.points)
+            yield block, _stacked(entries, block.points.shape)
+
+    def _affine(self):
+        """(c, avg - c x_T), c = div / 2: row i on T is c_i x + (avg - c x_T)_i."""
         c = 0.5 * self.divergence()
         cent = self.mesh.geometry()["centroids"]
-        a = self.cell_average() - np.einsum("ni,nd->nid", c, cent)
-        for i in range(2):
-            for d in range(2):
-                value = c[:, i, None] * points[..., d]
-                value += a[:, None, i, d]
-                yield (i, d), value
+        return c, self.cell_average() - np.einsum("ni,nd->nid", c, cent)
 
     def cell_average(self):
         """Row-wise cell averages: (ne, 2, 2)."""
@@ -114,6 +119,23 @@ class RTField:
         return RTField(self.mesh, a * self.flux)
 
     __rmul__ = __mul__
+
+
+def _affine_entries(c, a, points):
+    """Yield ((i, d), c_i x_d + a_id at points) for each entry (i, d)."""
+    for i in range(2):
+        for d in range(2):
+            value = c[:, i, None] * points[..., d]
+            value += a[:, None, i, d]
+            yield (i, d), value
+
+
+def _stacked(entries, shape):
+    """The ((i, d), value) entries at points of the given shape as one array."""
+    out = np.empty(shape + (2,))
+    for (i, d), value in entries:
+        out[..., i, d] = value
+    return out
 
 
 def _rt_local_factors(mesh):
@@ -179,8 +201,8 @@ def pi0(f, mesh, degree=VOLUME_DEGREE):
     f : callable or ndarray
         Maps an (..., 2) point array to values of shape (...,), (..., 2) or
         (..., 2, 2); a callable is evaluated on every call.  An array holds
-        those values at `physical_points(mesh, degree)` already, e.g. from
-        `rule_values` for a field evaluated more than once per mesh.
+        those values at `physical_points(mesh, degree)` already, or at an
+        `ElementBlock`'s points for its rows (as `project_data` passes them).
     degree : int
         Quadrature degree used for the element averages.
     """

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -127,31 +128,48 @@ class TestRunAdaptive:
 
 
 @pytest.mark.parametrize("factory", [taylor_green_stokes, lshape_stokes])
-def test_analytic_fields_evaluated_once_per_mesh(factory):
-    """grad_u, p and f are evaluated at most once per mesh on the degree-10
-    rule, and counting them does not change the report."""
+def test_analytic_fields_evaluated_once_per_mesh(factory, monkeypatch):
+    """grad_u, p and f are evaluated at the degree-10 points of each
+    element once per mesh (in element blocks, so not in one call), and
+    counting them does not change the report."""
+    from gapfem import adaptive
+    from gapfem.quadrature import physical_points
+
     config = AdaptiveConfig(refinement_mode="uniform", max_iter=3)
     plain = run_adaptive(factory(), config).csv_rows()
     prob = factory()
     nq = len(triangle_rule(10)[1])
-    calls = Counter()
+    evaluated = Counter()
 
     def counted(name, fn):
         def field(x):
-            if x.shape[1:] == (nq, 2):  # the rule's points on every element
-                calls[name, len(x)] += 1
+            if x.shape[1:] == (nq, 2):  # the rule's points on a block of elements
+                evaluated.update((name, points.tobytes()) for points in x)
             return fn(x)
 
         return field
 
+    meshes = []
+
+    def recorded(make):
+        def made(*args):
+            meshes.append(make(*args))
+            return meshes[-1]
+
+        return made
+
     names = [name for name in ("grad_u", "p", "f") if getattr(prob, name) is not None]
     for name in names:
         setattr(prob, name, counted(name, getattr(prob, name)))
+    prob.mesh_factory = recorded(prob.mesh_factory)
+    monkeypatch.setattr(adaptive, "refine_marked_twice", recorded(adaptive.refine_marked_twice))
     report = run_adaptive(prob, config)
     assert report.csv_rows() == plain
-    levels = [r.num_elements for r in report.records]
-    assert sorted(calls) == sorted((name, ne) for name in names for ne in levels)
-    assert max(calls.values()) == 1
+    assert [m.num_elements for m in meshes] == [r.num_elements for r in report.records]
+    assert evaluated == Counter(
+        (name, points.tobytes())
+        for mesh in meshes for points in physical_points(mesh, 10) for name in names
+    )
 
 
 def test_cook_step_builds_no_degree10_arrays():
@@ -169,6 +187,43 @@ def test_cook_step_builds_no_degree10_arrays():
     keys = list(mesh._cache)
     assert ("physical_points", VOLUME_DEGREE) not in keys
     assert not [k for k in keys if isinstance(k, tuple) and k[0] == "rule_values"]
+
+
+def test_level4_degree10_arrays_stay_in_blocks():
+    """On the 12,800-element Taylor-Green mesh, the traced peaks of the data
+    projection and of the estimate stay below bounds that one more
+    whole-mesh (ne, 25, 2, 2) array would break, and the solve finds no
+    degree-10 points and no f values cached on the mesh."""
+    from gapfem.adaptive import _estimate
+    from gapfem.mesh import refine_marked_twice
+    from gapfem.problems import discretize_stokes, project_data
+    from gapfem.quadrature import VOLUME_DEGREE
+
+    prob = taylor_green_stokes()
+    mesh = prob.mesh_factory()
+    for _ in range(3):
+        mesh = refine_marked_twice(mesh, range(mesh.num_elements))
+    whole = mesh.num_elements * len(triangle_rule(VOLUME_DEGREE)[1]) * 4 * 8
+    assert whole == 10_240_000
+    mesh.geometry()
+
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # measured 4.4 MB; whole-mesh f values and points took 20.5 MB
+    assert traced_peak(lambda: project_data(prob, mesh)) < whole
+    assert ("physical_points", VOLUME_DEGREE) not in mesh._cache
+    assert not [k for k in mesh._cache if isinstance(k, tuple) and k[0] == "rule_values"]
+    sol = discretize_stokes(prob, mesh)
+    assert ("rule_values", prob.f, VOLUME_DEGREE) not in mesh._cache
+    # measured 24 MB, of which the grad u and p caches hold 1.25 whole
+    # arrays; whole-mesh integrands took 32 MB
+    assert traced_peak(lambda: _estimate(prob, mesh, sol)) < 3 * whole
 
 
 def _carried_keys(mesh):

@@ -390,6 +390,19 @@ class TestGapIndicators:
 
 
 class TestOscillation:
+    @pytest.mark.parametrize("tensor", [False, True], ids=["f", "big-f"])
+    def test_projection_needs_one_row_per_element(self, tensor):
+        # a single row would broadcast over every element and give a
+        # plausible number
+        mesh = structured_square_mesh(2, all_dirichlet)
+        wave = lambda x: np.sin(np.pi * x[..., 0])
+        if tensor:
+            args = (None, None, lambda x: wave(x)[..., None, None] * np.eye(2), np.ones((1, 2, 2)))
+        else:
+            args = (lambda x: np.stack([wave(x), 0 * wave(x)], -1), np.ones((1, 2)), None, None)
+        with pytest.raises(ValueError, match="one row per element"):
+            oscillation_indicator(*args, mesh)
+
     def test_constant_data_zero(self):
         mesh = structured_square_mesh(4, all_dirichlet)
         f = lambda x: np.stack([np.ones(x.shape[:-1]), -2 * np.ones(x.shape[:-1])], -1)

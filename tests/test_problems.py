@@ -3,8 +3,9 @@ import pytest
 from test_forms import div_h
 
 from gapfem import DIRICHLET, NEUMANN
-from gapfem import problems
-from gapfem.adaptive import refine_marked_twice
+from gapfem import problems, quadrature
+from gapfem.adaptive import _estimate, mark_max, refine_marked_twice
+from gapfem.duality import gap_indicator_stokes
 from gapfem.problems import (
     cook_membrane,
     discretize_elasticity,
@@ -15,11 +16,13 @@ from gapfem.problems import (
     interpolate_lift,
     lshape_stokes,
     manufactured_elasticity,
+    project_data,
     side_tractions,
     taylor_green_stokes,
 )
-from gapfem.quadrature import physical_points, segment_rule, side_points, triangle_rule
-from gapfem.spaces import dev
+from gapfem.quadrature import (BLOCK_ELEMENTS, element_blocks, physical_points, segment_rule,
+                               side_points, triangle_rule)
+from gapfem.spaces import broken_gradient, dev, nodal_average, pi0
 
 
 class TestTaylorGreen:
@@ -297,9 +300,9 @@ class TestExactErrors:
         taylor_green_stokes(), taylor_green_stokes(load="tensor"), lshape_stokes(),
     ], ids=["traction", "tensor", "lshape"])
     def test_dual_error_equals_whole_array_form(self, prob, monkeypatch):
-        # the stress error is formed in the exact stress's own array, entry
-        # by entry, bit for bit as the former whole-array difference, with
-        # the tensor load and the pure-Dirichlet gauge shift
+        # the stress error is formed in the exact stress's own array, one
+        # element block at a time, bit for bit as the former whole-array
+        # difference, with the tensor load and the pure-Dirichlet gauge shift
         mesh = refine_marked_twice(prob.mesh_factory(), [0, 1, 2])
         sol = discretize_stokes(prob, mesh)
         kept = []
@@ -326,9 +329,10 @@ class TestExactErrors:
             mesh.areas * np.einsum("q,nqij,nqij->n", w, sdiff, sdiff)
         ) / (2.0 * sol.nu)
         assert errs["dual"] == float(np.sqrt(dual))
-        # the array ends as the deviatoric part of the stress error
-        assert len(kept) == 1
-        assert np.array_equal(kept[0], dev(sdiff))
+        # one exact-stress array per element block, each ending as the
+        # block's rows of the deviatoric part of the stress error
+        assert len(kept) == -(-mesh.num_elements // BLOCK_ELEMENTS)
+        assert np.array_equal(np.concatenate(kept), dev(sdiff))
 
     def test_taylor_green_level1_table_values(self):
         prob = taylor_green_stokes()
@@ -363,3 +367,118 @@ class TestExactErrors:
         assert get_problem("taylor-green").kind == "stokes"
         with pytest.raises(KeyError):
             get_problem("bogus")
+
+
+# -- element blocks against the whole-array forms --------------------------------
+
+
+def oracle_project_data(prob, mesh):
+    """f_h, F_h and the oscillation from whole-mesh arrays, as they were
+    formed before the element blocks."""
+    w = triangle_rule(10)[1]
+    pts = physical_points(mesh, 10)
+    out, osc = [], np.zeros(mesh.num_elements)
+    for f in (prob.f, prob.big_f):
+        if f is None:
+            out.append(None)
+            continue
+        values = np.asarray(f(pts), dtype=float)
+        out.append(pi0(values, mesh))
+        diff = (values - out[-1][:, None]).reshape(mesh.num_elements, len(w), -1)
+        weight = mesh.geometry()["h_t"] ** 2 / np.pi**2 if f is prob.f else 1.0
+        osc += weight * mesh.areas * np.einsum("q,nqi,nqi->n", w, diff, diff)
+    return out[0], out[1], osc
+
+
+def oracle_gap_indicator_stokes(system, v, tau_h, grad_u):
+    mesh, nu = system.mesh, system.nu
+    pts = physical_points(mesh, 10)
+    diff = tau_h.evaluate(pts)
+    if system.big_f_h is not None:
+        diff += system.big_f_h[:, None]
+    dev(diff, in_place=True)
+    diff /= nu
+    diff -= v.gradient()[:, None]
+    diff -= grad_u(pts)
+    return 0.5 * nu * mesh.areas * np.einsum("q,nqij,nqij->n", triangle_rule(10)[1], diff, diff)
+
+
+def oracle_exact_errors(sol, prob):
+    mesh, nu, w = sol.mesh, sol.nu, triangle_rule(10)[1]
+    pts = physical_points(mesh, 10)
+    gu = prob.grad_u(pts)
+    diff = broken_gradient(sol.u_h + sol.u_hat)[:, None] - gu
+    primal = 0.5 * nu * np.sum(mesh.areas * np.einsum("q,nqij,nqij->n", w, diff, diff))
+    sdiff = exact_stress(prob, gu, prob.p(pts)) - sol.t_h.evaluate(pts)
+    if sol.system.big_f_h is not None:
+        sdiff -= sol.system.big_f_h[:, None]
+    if len(mesh.sides_with_label(NEUMANN)) == 0:
+        trace = sdiff[..., 0, 0] + sdiff[..., 1, 1]
+        tr_mean = np.sum(mesh.areas * np.einsum("q,nq->n", w, trace)) / (2.0 * mesh.total_area)
+        sdiff[..., 0, 0] -= tr_mean
+        sdiff[..., 1, 1] -= tr_mean
+    dual = np.sum(mesh.areas * np.einsum("q,nqij,nqij->n", w, sdiff, sdiff)) / (2.0 * nu)
+    dev(sdiff, in_place=True)
+    dual_dev = np.sum(mesh.areas * np.einsum("q,nqij,nqij->n", w, sdiff, sdiff)) / (2.0 * nu)
+    return {"primal": float(np.sqrt(primal)), "dual": float(np.sqrt(dual)),
+            "dual_dev": float(np.sqrt(dual_dev))}
+
+
+def lshape_refined_with_carried_rows():
+    """An L-shape mesh after two adaptive steps, whose grad u and p rows of
+    the copied elements wait, carried, in its cache."""
+    prob = lshape_stokes()
+    mesh = prob.mesh_factory()
+    for _ in range(2):
+        sol = discretize_stokes(prob, mesh)
+        gap, osc, _ = _estimate(prob, mesh, sol)
+        mesh = refine_marked_twice(mesh, mark_max(gap + osc, 0.5))
+    assert [k for k in mesh._cache if k[0] == "carried"]
+    return prob, mesh
+
+
+def assert_blocks_match_whole_arrays(prob, mesh):
+    """Every per-element result, and every sum, equals its whole-array form
+    bit for bit."""
+    f_h, big_f_h, _, osc = project_data(prob, mesh)
+    for new, old in zip((f_h, big_f_h, osc), oracle_project_data(prob, mesh)):
+        assert (new is None) == (old is None)
+        assert new is None or np.array_equal(new, old)
+    sol = discretize_stokes(prob, mesh)
+    assert np.array_equal(sol.oscillation, osc)
+    blocks = list(element_blocks(mesh, 10))
+    assert np.array_equal(np.concatenate([b.points for b in blocks]), physical_points(mesh, 10))
+    assert np.array_equal(
+        np.concatenate([t for _, t in sol.t_h.block_values(blocks)]),
+        sol.t_h.evaluate(physical_points(mesh, 10)),
+    )
+    vhat = nodal_average(sol.u_h, mesh)
+    assert np.array_equal(
+        gap_indicator_stokes(sol.system, vhat, sol.t_h, prob.grad_u),
+        oracle_gap_indicator_stokes(sol.system, vhat, sol.t_h, prob.grad_u),
+    )
+    assert exact_errors(sol, prob) == oracle_exact_errors(sol, prob)
+    return len(blocks)
+
+
+class TestElementBlocks:
+    @pytest.mark.parametrize("load", ["traction", "tensor"])
+    @pytest.mark.parametrize("n, excess", [(10, None), (32, 0), (32, 1)],
+                             ids=["below-one-block", "one-block", "one-more"])
+    def test_taylor_green(self, n, excess, load, monkeypatch):
+        # excess: elements beyond one block (None: fewer than a block)
+        prob = taylor_green_stokes(n, load)
+        mesh = prob.mesh_factory()
+        if excess is None:
+            assert mesh.num_elements < BLOCK_ELEMENTS
+        else:
+            monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", mesh.num_elements - excess)
+        assert assert_blocks_match_whole_arrays(prob, mesh) == (2 if excess else 1)
+
+    def test_refined_lshape(self, monkeypatch):
+        # pure Dirichlet (the gauge pass) with carried field rows, over
+        # several blocks with a short last one
+        prob, mesh = lshape_refined_with_carried_rows()
+        monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", 50)
+        assert mesh.num_elements % 50 != 0
+        assert assert_blocks_match_whole_arrays(prob, mesh) > 2
