@@ -1,4 +1,5 @@
 import ast
+import copy
 import functools
 import pathlib
 import re
@@ -45,6 +46,7 @@ from gapfem.problems import (
     cook_mesh,
     lshape_mesh,
     lshape_stokes,
+    manufactured_elasticity,
     taylor_green_stokes,
 )
 from gapfem.quadrature import segment_rule, side_points
@@ -352,6 +354,38 @@ def test_every_option_is_set_by_some_call():
     assert unset == []
 
 
+# scipy's generic constructors: on the package's mesh sizes their COO round
+# trips and format checks cost more than the arithmetic, so forms.py builds
+# these matrices from their index arrays
+GENERIC_CONSTRUCTORS = {"kron", "block_diag", "diags", "diags_array"}
+
+
+def _generic_constructor_uses(source):
+    """(line, name) of each call of a GENERIC_CONSTRUCTORS member through
+    `sparse.` or `scipy.sparse.`, and of each import of one from scipy.sparse."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            base = ast.unparse(node.func.value)
+            if base in ("sparse", "scipy.sparse") and node.func.attr in GENERIC_CONSTRUCTORS:
+                uses.append((node.lineno, node.func.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy.sparse":
+            uses += [(node.lineno, a.name) for a in node.names
+                     if a.name in GENERIC_CONSTRUCTORS]
+    return uses
+
+
+def test_no_generic_sparse_constructors():
+    """gapfem calls none of sparse.kron, sparse.block_diag and sparse.diags."""
+    sample = "sparse.kron(a, b)\nscipy.sparse.diags(d)\nfrom scipy.sparse import block_diag\n"
+    assert sorted(name for _, name in _generic_constructor_uses(sample)) == [
+        "block_diag", "diags", "kron"
+    ]
+    package = sorted(pathlib.Path(forms.__file__).parent.glob("*.py"))
+    found = [(p.name, *use) for p in package for use in _generic_constructor_uses(p.read_text())]
+    assert found == []
+
+
 def test_every_default_is_left_unset_by_some_call():
     """Every defaulted parameter of a gapfem function is left at its default
     by at least one call in gapfem, the tests or the README's python
@@ -494,6 +528,14 @@ class TestStokesAssembly:
         with pytest.raises(ValueError, match="big_f_h must have one row per element"):
             assemble_elasticity(mesh, ElasticityTensor(1.0, 5.0), zero_lift(mesh), None,
                                 np.ones((1, 2, 2)), None, dirichlet_datum=zero_datum)
+        # load_vector would ignore extra traction rows and mis-index missing ones
+        for rows in (mesh.num_sides + 7, 1):
+            match = f"g_h must have one row per side, not {rows}"
+            with pytest.raises(ValueError, match=match):
+                assemble_stokes(mesh, 0.5, zero_lift(mesh), None, None, np.ones((rows, 2)))
+            with pytest.raises(ValueError, match=match):
+                assemble_elasticity(mesh, ElasticityTensor(1.0, 5.0), zero_lift(mesh), None,
+                                    None, np.ones((rows, 2)), dirichlet_datum=zero_datum)
 
     def test_divfree_precondition_enforced(self):
         mesh = structured_square_mesh(3, tg_labeler)
@@ -1563,3 +1605,201 @@ def test_gram_forms_exactly_symmetric(name):
     ]:
         assert abs(form - form.T).max() == 0.0
         assert_close(form, want, rtol=1e-14)
+
+
+# -- generic-constructor oracles: the assembly as products of sparse.kron,
+# sparse.block_diag and sparse.diags, which forms.py builds from index arrays
+# to the bit ---------------------------------------------------------------------
+
+
+def kron_half(scale, local_half):
+    """diag(scale) (x) local_half by scipy's kron, as CSR."""
+    return sparse.kron(sparse.diags(scale), local_half, format="csr")
+
+
+def generic_gram(half, op):
+    b = half @ op
+    return b.T.tocsr() @ b
+
+
+def generic_stiffness(mesh):
+    half = sparse.diags(np.sqrt(np.repeat(mesh.areas, 2)))
+    return generic_gram(half, forms._gradient_operator(mesh, 1))
+
+
+def generic_jump_penalty(mesh, weight_per_side):
+    w = weight_per_side * mesh.geometry()["side_length"]
+    return generic_gram(kron_half(np.sqrt(w), forms._ENDPOINT_HALF), cr_jump_operator(mesh))
+
+
+def generic_divergence(mesh):
+    """div_h as the trace rows of G, (ne, 2 ns) CSR, as StokesSystem forms it:
+    its lift check's abs(div) sorts div's indices in place."""
+    grad = cr_gradient_operator(mesh)
+    div = grad[0::4] + grad[3::4]
+    div.sort_indices()
+    return div
+
+
+def generic_stokes(system):
+    """(a1, b, rhs) of a Stokes system from block_diag and a diags product."""
+    mesh, free, uhat = system.mesh, system.vel_index, system.u_hat.dofs()
+    k = generic_stiffness(mesh)
+    a1_full = sparse.block_diag([k, k], format="csr")
+    b_full = sparse.diags(-mesh.areas) @ generic_divergence(mesh)
+    rhs_v = (system.load_vector - system.nu * (a1_full @ uhat))[free]
+    gauge = np.zeros(int(system.pure_dirichlet))
+    rhs = np.concatenate([rhs_v, -(b_full @ uhat), gauge])
+    return a1_full[free][:, free], b_full[:, free], rhs
+
+
+def generic_elasticity(system):
+    """(matrix, rhs, jump) of an elasticity system from kron and block_diag."""
+    mesh, mat, free = system.mesh, system.material, system.vel_index
+    half = kron_half(np.sqrt(mesh.areas), forms._strain_half(mat.mu, mat.lam))
+    jump = sparse.block_diag(
+        [generic_jump_penalty(mesh, stabilization_weights(mesh, mat.mu))] * 2, format="csr"
+    )
+    a_full = generic_gram(half, cr_gradient_operator(mesh)) + jump
+    rhs = system.load_vector - a_full @ system.u_hat.dofs() + system.datum_load
+    return a_full[free][:, free].tocsc(), rhs[free], jump
+
+
+def generic_lifting(system, jump, u_total):
+    """The lifting's matrix, its (n, 2) right-hand side and its solution's
+    values (ns, 2)."""
+    mesh, free = system.mesh, system.free_sides
+    k_free = generic_stiffness(mesh)[free][:, free]
+    rhs = (jump @ u_total.dofs() - system.datum_load).reshape(2, -1).T[free]
+    x, _ = solve_sparse(k_free, rhs)
+    return k_free, rhs, forms._free_field(mesh, free, x.T.ravel()).values
+
+
+def assert_same_bits(got, want):
+    """Two CSR/CSC matrices hold the same entries in the same order, or two
+    arrays the same values, to the bit."""
+    if sparse.issparse(want):
+        assert (got.format, got.shape) == (want.format, want.shape)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        got, want = got.data, want.data
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+DIRECT_MESHES = {
+    "structured-dirichlet": lambda: structured_square_mesh(4, all_dirichlet),
+    "perturbed-mixed": lambda: _perturbed_mesh(5, tg_labeler, 11),
+    "bisected-mixed": lambda: _bisected_mesh(3, tg_labeler, 5, 2),
+    "bisected-dirichlet": lambda: _bisected_mesh(3, all_dirichlet, 6, 2),
+    "neumann-hole": lambda: holed_square_mesh(all_dirichlet, NEUMANN),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT_MESHES))
+class TestDirectBuilds:
+    """The block halves, block pairs and scaled rows that forms.py builds
+    from index arrays equal scipy's generic constructors to the bit."""
+
+    def test_block_halves(self, name):
+        mesh = DIRECT_MESHES[name]()
+        root, eye = np.sqrt(mesh.areas), np.eye(2)
+        half = forms._block_half(root, eye)
+        assert_same_bits(half, kron_half(root, eye))
+        assert_same_bits(half, sparse.diags(np.sqrt(np.repeat(mesh.areas, 2))).tocsr())
+        strain = forms._strain_half(0.7, 5.0)
+        assert_same_bits(forms._block_half(root, strain), kron_half(root, strain))
+        assert_same_bits(cr_stiffness(mesh), generic_stiffness(mesh))
+        # zero weights: none, on the Neumann sides, on every third side
+        random = np.random.default_rng(4).uniform(size=mesh.num_sides)
+        random[::3] = 0.0
+        for w in (stabilization_weights(mesh, 1.5), random):
+            scale = np.sqrt(w * mesh.geometry()["side_length"])
+            assert_same_bits(forms._block_half(scale, forms._ENDPOINT_HALF),
+                             kron_half(scale, forms._ENDPOINT_HALF))
+            assert_same_bits(jump_penalty_matrix(mesh, w), generic_jump_penalty(mesh, w))
+
+    def test_block_pairs(self, name):
+        mesh = DIRECT_MESHES[name]()
+        blocks = [cr_stiffness(mesh), jump_penalty_matrix(mesh, stabilization_weights(mesh, 1.5))]
+        # the Gram forms come unsorted, and block_diag sorts
+        assert not blocks[0].has_sorted_indices
+        for block in blocks:
+            want = sparse.block_diag([block, block], format="csr")
+            assert_same_bits(forms._block_pair(block), want)
+
+    def test_scaled_rows(self, name):
+        mesh = DIRECT_MESHES[name]()
+        grad = cr_gradient_operator(mesh)
+        for div in (grad[0::4] + grad[3::4], generic_divergence(mesh)):
+            want = sparse.diags(-mesh.areas) @ div
+            assert_same_bits(forms._scaled_rows(-mesh.areas, div), want)
+
+
+def _assembled(problem, mesh, assemble, *args, **kwargs):
+    """A problem's system on a mesh, from its lift and projected data."""
+    from gapfem.problems import interpolate_lift, project_data
+
+    f_h, big_f_h, g_h, _ = project_data(problem, mesh)
+    return assemble(mesh, *args, interpolate_lift(problem, mesh), f_h, big_f_h, g_h, **kwargs)
+
+
+SYSTEM_STOKES = {
+    "tg-traction": lambda: (taylor_green_stokes(n=6), None),
+    "tg-tensor": lambda: (taylor_green_stokes(n=6, load="tensor"), None),
+    "tg-bisected": lambda: (taylor_green_stokes(), _bisected_mesh(4, tg_labeler, 2, 2)),
+    "lshape": lambda: (lshape_stokes(), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEM_STOKES))
+def test_stokes_system_matches_generic_assembly(name):
+    """a1, b, rhs and the solve_saddle solution equal those of the
+    block_diag and diags assembly to the bit, on problems with a nonzero
+    lift, so that the row order of a1 and b shows in rhs."""
+    problem, mesh = SYSTEM_STOKES[name]()
+    mesh = mesh or problem.mesh_factory()
+    system = _assembled(problem, mesh, assemble_stokes, problem.nu)
+    assert np.abs(system.u_hat.values).max() > 0.0
+    a1, b, rhs = generic_stokes(system)
+    assert_same_bits(system.a1, a1)
+    assert_same_bits(system.b, b)
+    assert_same_bits(system.rhs, rhs)
+    oracle = copy.copy(system)
+    oracle.a1, oracle.b = a1, b
+    want, _ = oracle.solve_saddle(rhs)
+    assert_same_bits(system.solve_saddle(system.rhs)[0], want)
+
+
+SYSTEM_ELASTICITY = {
+    "smooth": lambda: (manufactured_elasticity("smooth"), None),
+    "smooth-bisected": lambda: (
+        manufactured_elasticity("smooth"), _bisected_mesh(4, all_dirichlet, 8, 2)
+    ),
+    "cook": lambda: (cook_membrane(nx=3, ny=5), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEM_ELASTICITY))
+def test_elasticity_system_matches_generic_assembly(name, monkeypatch):
+    """matrix, rhs, jump and the lifting's matrix, right-hand side and
+    solution equal those of the kron and block_diag assembly to the bit."""
+    problem, mesh = SYSTEM_ELASTICITY[name]()
+    mesh = mesh or problem.mesh_factory()
+    system = _assembled(problem, mesh, assemble_elasticity, problem.material,
+                        dirichlet_datum=problem.u)
+    matrix, rhs, jump = generic_elasticity(system)
+    assert_same_bits(system.matrix, matrix)
+    assert_same_bits(system.rhs, rhs)
+    assert_same_bits(system.jump, jump)
+    u_h, _ = system.solve()
+    u_total = u_h + system.u_hat
+    solved = []
+    monkeypatch.setattr(
+        forms, "solve_sparse", lambda *args: solved.append(args) or solve_sparse(*args)
+    )
+    r_h = solve_lifting(system, u_total)
+    want = generic_lifting(system, jump, u_total)
+    assert len(solved) == 1
+    for got, expected in zip([*solved[0], r_h.values], want):
+        assert_same_bits(got, expected)
