@@ -123,10 +123,11 @@ def _equilibrate(system, p0_part, cause):
     return field
 
 
-def marini_stokes(system, u_h, p_h):
+def marini_stokes(system, grad_h, p_h):
     """Stress reconstruction from the discrete solution of a `StokesSystem`.
 
-    T_h = nu grad_h(u_h + u_hat) - p_h I - (1/d) f_h otimes (id - Pi_h id).
+    T_h = nu grad_h(u_h + u_hat) - p_h I - (1/d) f_h otimes (id - Pi_h id),
+    with grad_h the (ne, 2, 2) broken gradient of u_h + u_hat.
 
     With a tensor load part F_h the returned field is the Raviart-Thomas
     part T_h - F_h (the full stress is the sum of the two); without one it
@@ -134,24 +135,24 @@ def marini_stokes(system, u_h, p_h):
     times the largest term of the fluxes signals that (u_h, p_h) does not
     solve the discrete system.
     """
-    p0_part = system.nu * broken_gradient(u_h + system.u_hat)
+    p0_part = system.nu * grad_h
     p0_part[:, 0, 0] -= p_h
     p0_part[:, 1, 1] -= p_h
     return _equilibrate(system, p0_part, "the input pair does not solve the discrete system")
 
 
-def marini_elasticity(system, u_h, r_h):
+def marini_elasticity(system, grad_h, grad_r):
     """Equilibrated stress from the discrete solution of an `ElasticitySystem`.
 
     sigma*_h = C eps_h(u_h + u_hat) + grad_h r_h - (1/d) f_h otimes (id - Pi_h id),
-    with r_h the lifting of the jump-stabilisation residual.  The row-wise
+    with r_h the lifting of the jump-stabilisation residual; grad_h and
+    grad_r are the (ne, 2, 2) broken gradients of u_h + u_hat and r_h.  The row-wise
     correction (rather than its symmetrised variant) is used so that every
     row is a Raviart-Thomas field with single-valued normal fluxes.  With a
     tensor load part F_h the returned field is sigma*_h - F_h, as for the
     Stokes reconstruction.
     """
-    eps = sym(broken_gradient(u_h + system.u_hat))
-    p0_part = system.material.apply(eps) + broken_gradient(r_h)
+    p0_part = system.material.apply(sym(grad_h)) + grad_r
     return _equilibrate(system, p0_part, "inconsistent lifting or solution")
 
 
@@ -323,49 +324,54 @@ def strong_convexity_stokes(vs, taus, solution):
 class StokesSolution:
     """Bundle of the discrete Stokes solution and its reconstruction.
 
-    t_h stores the Raviart-Thomas part of the stress relative to the tensor
-    load F_h (equal to the stress itself when no tensor load is present).
-    mesh, nu and u_hat are the solved `system`'s; the load data f_h, F_h
-    and g_h live on it.  `discretize_stokes` adds `oscillation`, the
-    per-element data oscillation of `project_data`.
+    grad_h is the (ne, 2, 2) broken gradient of u_h + u_hat, formed once
+    after the solve for the reconstruction, the exact errors and the
+    optimality residual.  t_h stores the Raviart-Thomas part of the stress
+    relative to the tensor load F_h (equal to the stress itself when no
+    tensor load is present).  mesh, nu and u_hat are the solved `system`'s;
+    the load data f_h, F_h and g_h live on it.  `discretize_stokes` adds
+    `oscillation`, the per-element data oscillation of `project_data`.
     """
 
-    def __init__(self, system, u_h, p_h, t_h, solve_report):
+    def __init__(self, system, u_h, p_h, grad_h, t_h, solve_report):
         self.system = system
         self.mesh, self.nu, self.u_hat = system.mesh, system.nu, system.u_hat
         self.u_h = u_h
         self.p_h = p_h
+        self.grad_h = grad_h
         self.t_h = t_h
         self.solve_report = solve_report
 
     def optimality_residual(self):
         """Max |dev Pi_h T_h - nu grad_h(u_h + u_hat)| over elements."""
         devavg = _dev_average(self.t_h, self.system.big_f_h)
-        grads = broken_gradient(self.u_h + self.u_hat)
-        return float(np.abs(devavg - self.nu * grads).max())
+        return float(np.abs(devavg - self.nu * self.grad_h).max())
 
 
 class ElasticitySolution:
     """Bundle of the discrete elasticity solution and its reconstruction.
 
-    mesh, material and u_hat are the solved `system`'s; the load data f_h,
-    F_h and g_h live on it.  `discretize_elasticity` adds `oscillation`, the
-    per-element data oscillation of `project_data`.
+    grad_h and grad_r are the (ne, 2, 2) broken gradients of u_h + u_hat
+    and of r_h, formed once after the solve.  mesh, material and u_hat are
+    the solved `system`'s; the load data f_h, F_h and g_h live on it.
+    `discretize_elasticity` adds `oscillation`, the per-element data
+    oscillation of `project_data`.
     """
 
-    def __init__(self, system, u_h, r_h, sigma_star, solve_report):
+    def __init__(self, system, u_h, r_h, grad_h, grad_r, sigma_star, solve_report):
         self.system = system
         self.mesh, self.material, self.u_hat = system.mesh, system.material, system.u_hat
         self.u_h = u_h
         self.r_h = r_h
+        self.grad_h = grad_h
+        self.grad_r = grad_r
         self.sigma_star = sigma_star
         self.solve_report = solve_report
 
     def optimality_residual(self):
         """Max |Pi_h sigma* - C eps_h(u_h+u_hat) - grad_h r_h| over elements."""
         avg = self.sigma_star.cell_average()
-        eps = sym(broken_gradient(self.u_h + self.u_hat))
-        target = self.material.apply(eps) + broken_gradient(self.r_h)
+        target = self.material.apply(sym(self.grad_h)) + self.grad_r
         return float(np.abs(avg - target).max())
 
 
@@ -388,26 +394,34 @@ def gap_indicator_stokes(system, v, tau_h, grad_u):
         Gradient of the Dirichlet lift u_hat (`ProblemSpec.grad_u`), cached
         on the mesh by `rule_values`; None means zero.
 
-    The integrand is formed one `element_blocks` block at a time.
+    The integrand is formed one `element_blocks` block at a time
+    (`gap_block_stokes`).
     """
-    mesh, nu = system.mesh, system.nu
-    w = triangle_rule(VOLUME_DEGREE)[1]
+    mesh = system.mesh
     grad_v = v.gradient()
     grad_hat = None if grad_u is None else rule_values(grad_u, mesh, VOLUME_DEGREE)
     out = np.empty(mesh.num_elements)
-    for block, diff in tau_h.block_values(element_blocks(mesh, VOLUME_DEGREE)):
-        rows = block.rows
-        # diff = dev(tau) / nu - grad v - grad u_hat, the negated integrand
-        if system.big_f_h is not None:
-            diff += system.big_f_h[rows, None]
-        dev(diff, in_place=True)
-        diff /= nu
-        diff -= grad_v[rows, None]
-        if grad_hat is not None:
-            diff -= grad_hat[rows]
-        vals = np.einsum("q,nqij,nqij->n", w, diff, diff)
-        out[rows] = 0.5 * nu * mesh.areas[rows] * vals
+    for block, values in tau_h.block_values(element_blocks(mesh, VOLUME_DEGREE)):
+        out[block.rows] = gap_block_stokes(system, grad_v, grad_hat, block.rows, values)
     return out
+
+
+def gap_block_stokes(system, grad_v, grad_hat, rows, diff):
+    """The `gap_indicator_stokes` values of the elements `rows` of one
+    `ElementBlock`, from tau_h at its points (`RTField.block_values`) in
+    diff, which is overwritten; grad_v (ne, 2, 2) and grad_hat
+    (ne, nq, 2, 2), None for zero, are the whole mesh's."""
+    nu = system.nu
+    # diff becomes dev(tau) / nu - grad v - grad u_hat, the negated integrand
+    if system.big_f_h is not None:
+        diff += system.big_f_h[rows, None]
+    dev(diff, in_place=True)
+    diff /= nu
+    diff -= grad_v[rows, None]
+    if grad_hat is not None:
+        diff -= grad_hat[rows]
+    vals = np.einsum("q,nqij,nqij->n", triangle_rule(VOLUME_DEGREE)[1], diff, diff)
+    return 0.5 * nu * system.mesh.areas[rows] * vals
 
 
 def gap_indicator_elasticity(system, v, sigma):

@@ -491,6 +491,9 @@ class StokesSystem(_LoadedSystem):
         # against the largest element sum of their magnitudes (scale-free)
         grad = cr_gradient_operator(mesh)
         div = grad[0::4] + grad[3::4]
+        # the sum comes with each row's columns unsorted; sorted, they set the
+        # entry order of B and so the summation order of -(b_full @ u_hat)
+        div.sort_indices()
         uhat_vec = u_hat.dofs()
         lift_div = np.abs(div @ uhat_vec).max()
         terms = (abs(div) @ np.abs(uhat_vec)).max()

@@ -19,6 +19,7 @@ from .duality import (
     ElasticityTensor,
     ElasticitySolution,
     StokesSolution,
+    gap_block_stokes,
     marini_elasticity,
     marini_stokes,
     oscillation_indicator,
@@ -36,6 +37,7 @@ from .quadrature import (SIDE_POINTS, VOLUME_DEGREE, element_blocks, physical_po
                          rule_values, segment_rule, side_points, triangle_rule)
 from .spaces import (
     broken_gradient,
+    cr_gradient_operator,
     cr_interpolate,
     dev,
     norm_p0,
@@ -509,7 +511,8 @@ def discretize_stokes(problem, mesh):
     f_h, big_f_h, g_h, osc = project_data(problem, mesh)
     system = assemble_stokes(mesh, problem.nu, u_hat, f_h, big_f_h, g_h)
     u_h, p_h, report = system.solve()
-    sol = StokesSolution(system, u_h, p_h, marini_stokes(system, u_h, p_h), report)
+    grad_h = broken_gradient(u_h + u_hat)
+    sol = StokesSolution(system, u_h, p_h, grad_h, marini_stokes(system, grad_h, p_h), report)
     sol.oscillation = osc
     return sol
 
@@ -523,9 +526,14 @@ def discretize_elasticity(problem, mesh):
         dirichlet_datum=problem.u,
     )
     u_h, report = system.solve()
-    r_h = solve_lifting(system, u_h + u_hat)
-    sigma = marini_elasticity(system, u_h, r_h)
-    sol = ElasticitySolution(system, u_h, r_h, sigma, report)
+    u_total = u_h + u_hat
+    r_h = solve_lifting(system, u_total)
+    # both broken gradients from one build of the operator
+    grad = cr_gradient_operator(mesh)
+    grad_h = (grad @ u_total.dofs()).reshape(-1, 2, 2)
+    grad_r = (grad @ r_h.dofs()).reshape(-1, 2, 2)
+    sigma = marini_elasticity(system, grad_h, grad_r)
+    sol = ElasticitySolution(system, u_h, r_h, grad_h, grad_r, sigma, report)
     sol.oscillation = osc
     return sol
 
@@ -574,59 +582,25 @@ def exact_errors(solution, problem):
     (the total-field strong convexity measure) and dual error
     sqrt(1/(2 nu)) || stress_exact - T_h || with the affine reconstructed
     stress.  On pure-Dirichlet problems the stress error is minimised over
-    the pressure gauge (constant multiples of the identity).
+    the pressure gauge (constant multiples of the identity).  The adaptive
+    estimate computes the same numbers with the gap indicator in one pass,
+    `estimate_stokes`.
 
     Elasticity: energy error || u_h + u_hat - u_exact ||_h and complementary
     stress error || C^(-1/2)(sigma* - stress_exact) ||.
     """
     if problem.grad_u is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
+    if problem.kind == "stokes":
+        return _stokes_errors(solution, problem, lambda rows, t_h: None)
+
     mesh = solution.mesh
     w = triangle_rule(VOLUME_DEGREE)[1]
     gu = rule_values(problem.grad_u, mesh, VOLUME_DEGREE)
-    if problem.kind == "stokes":
-        # element-wise terms one block at a time, summed over the mesh at the end
-        nu, big_f_h = solution.nu, solution.system.big_f_h
-        pv = None if problem.p is None else rule_values(problem.p, mesh, VOLUME_DEGREE)
-        gh = broken_gradient(solution.u_h + solution.u_hat)
-
-        def stress_errors():
-            for block, t_h in solution.t_h.block_values(element_blocks(mesh, VOLUME_DEGREE)):
-                rows = block.rows
-                sdiff = exact_stress(problem, gu[rows], None if pv is None else pv[rows])
-                sdiff -= t_h
-                if big_f_h is not None:
-                    sdiff -= big_f_h[rows, None]
-                yield rows, sdiff
-
-        errors, tr_mean = stress_errors(), 0.0
-        if len(mesh.sides_with_label(NEUMANN)) == 0:
-            # a first pass finds the pressure-gauge shift c I, so the blocks
-            # are kept for the second: every one is read twice
-            errors, tr = list(errors), np.empty(mesh.num_elements)
-            for rows, sdiff in errors:
-                tr[rows] = np.einsum("q,nq->n", w, sdiff[..., 0, 0] + sdiff[..., 1, 1])
-            tr_mean = np.sum(mesh.areas * tr) / (2.0 * mesh.total_area)
-        terms = np.empty((3, mesh.num_elements))  # primal, dual, dual_dev
-        for rows, sdiff in errors:
-            diff = gh[rows, None] - gu[rows]
-            terms[0, rows] = np.einsum("q,nqij,nqij->n", w, diff, diff)
-            sdiff[..., 0, 0] -= tr_mean
-            sdiff[..., 1, 1] -= tr_mean
-            terms[1, rows] = np.einsum("q,nqij,nqij->n", w, sdiff, sdiff)
-            dev(sdiff, in_place=True)
-            terms[2, rows] = np.einsum("q,nqij,nqij->n", w, sdiff, sdiff)
-        primal, dual, dual_dev = np.sum(mesh.areas * terms, axis=1)
-        return {
-            "primal": float(np.sqrt(0.5 * nu * primal)),
-            "dual": float(np.sqrt(dual / (2.0 * nu))),
-            "dual_dev": float(np.sqrt(dual_dev / (2.0 * nu))),
-        }
-
     pts = physical_points(mesh, VOLUME_DEGREE)
     mat = problem.material
     eps_exact = sym(gu)
-    eps_h = sym(broken_gradient(solution.u_h + solution.u_hat))[:, None]
+    eps_h = sym(solution.grad_h)[:, None]
     diff = eps_h - eps_exact
     energy = np.sum(
         mesh.areas * np.einsum("q,nq->n", w, mat.energy_product(diff, diff))
@@ -638,3 +612,65 @@ def exact_errors(solution, problem):
         * np.einsum("q,nq->n", w, mat.complementary_product(sdiff, sdiff))
     )
     return {"energy": float(np.sqrt(energy)), "stress": float(np.sqrt(stress))}
+
+
+def estimate_stokes(solution, problem, v):
+    """`gap_indicator_stokes(solution.system, v, solution.t_h, problem.grad_u)`
+    and `exact_errors(solution, problem)` of a Stokes problem with an exact
+    solution, from one `element_blocks` pass: the gap (`gap_block_stokes`)
+    overwrites each block's stress values once the stress error has read
+    them.  Returns (gap, errors)."""
+    system, mesh = solution.system, solution.mesh
+    grad_v = v.gradient()
+    grad_hat = rule_values(problem.grad_u, mesh, VOLUME_DEGREE)
+    gap = np.empty(mesh.num_elements)
+
+    def gap_block(rows, t_h):
+        gap[rows] = gap_block_stokes(system, grad_v, grad_hat, rows, t_h)
+
+    return gap, _stokes_errors(solution, problem, gap_block)
+
+
+def _stokes_errors(solution, problem, then):
+    """The Stokes `exact_errors`: the element-wise terms one element block at
+    a time, summed over the mesh at the end.  then(rows, t_h) is handed each
+    block's stress values (`RTField.block_values`) after the stress error
+    has read them, and may overwrite them."""
+    mesh, nu, big_f_h = solution.mesh, solution.nu, solution.system.big_f_h
+    w = triangle_rule(VOLUME_DEGREE)[1]
+    gu = rule_values(problem.grad_u, mesh, VOLUME_DEGREE)
+    pv = None if problem.p is None else rule_values(problem.p, mesh, VOLUME_DEGREE)
+
+    def stress_errors():
+        for block, t_h in solution.t_h.block_values(element_blocks(mesh, VOLUME_DEGREE)):
+            rows = block.rows
+            sdiff = exact_stress(problem, gu[rows], None if pv is None else pv[rows])
+            sdiff -= t_h
+            if big_f_h is not None:
+                sdiff -= big_f_h[rows, None]
+            then(rows, t_h)
+            yield rows, sdiff
+
+    errors, tr_mean = stress_errors(), 0.0
+    if len(mesh.sides_with_label(NEUMANN)) == 0:
+        # a first pass finds the pressure-gauge shift c I, so the blocks
+        # are kept for the second: every one is read twice
+        errors, tr = list(errors), np.empty(mesh.num_elements)
+        for rows, sdiff in errors:
+            tr[rows] = np.einsum("q,nq->n", w, sdiff[..., 0, 0] + sdiff[..., 1, 1])
+        tr_mean = np.sum(mesh.areas * tr) / (2.0 * mesh.total_area)
+    terms = np.empty((3, mesh.num_elements))  # primal, dual, dual_dev
+    for rows, sdiff in errors:
+        diff = solution.grad_h[rows, None] - gu[rows]
+        terms[0, rows] = np.einsum("q,nqij,nqij->n", w, diff, diff)
+        sdiff[..., 0, 0] -= tr_mean
+        sdiff[..., 1, 1] -= tr_mean
+        terms[1, rows] = np.einsum("q,nqij,nqij->n", w, sdiff, sdiff)
+        dev(sdiff, in_place=True)
+        terms[2, rows] = np.einsum("q,nqij,nqij->n", w, sdiff, sdiff)
+    primal, dual, dual_dev = np.sum(mesh.areas * terms, axis=1)
+    return {
+        "primal": float(np.sqrt(0.5 * nu * primal)),
+        "dual": float(np.sqrt(dual / (2.0 * nu))),
+        "dual_dev": float(np.sqrt(dual_dev / (2.0 * nu))),
+    }

@@ -189,6 +189,69 @@ def test_cook_step_builds_no_degree10_arrays():
     assert not [k for k in keys if isinstance(k, tuple) and k[0] == "rule_values"]
 
 
+@pytest.mark.parametrize("factory, mode", [
+    ("taylor_green_stokes", "uniform"),
+    ("taylor_green_stokes", "adaptive"),
+    ("lshape_stokes", "adaptive"),
+    ("cook_membrane", "adaptive"),
+])
+def test_level_operators_built_once_per_mesh(factory, mode, monkeypatch):
+    """Per mesh of the adaptive loop: the broken-gradient operator G of
+    vector CR fields is built at most twice (the assembly's, and one for the
+    solution's broken gradients after the solve), the RT cell-average
+    operator A at most twice and the RT divergence operator D at most once,
+    and a Stokes estimate makes one volume `element_blocks` pass beside
+    `project_data`'s (none without f and F); counting does not change the
+    report."""
+    from gapfem import adaptive, problems, quadrature, spaces
+    from gapfem.quadrature import VOLUME_DEGREE
+
+    config = AdaptiveConfig(refinement_mode=mode, max_iter=3)
+    plain = run_adaptive(getattr(problems, factory)(), config).csv_rows()
+    prob = getattr(problems, factory)()
+    builds = Counter()
+
+    def counted(fn, name_of):
+        def call(mesh, *args):
+            builds[id(mesh), name_of(*args)] += 1
+            return fn(mesh, *args)
+
+        return call
+
+    meshes = []
+
+    def recorded(make):
+        def made(*args):
+            meshes.append(make(*args))
+            return meshes[-1]
+
+        return made
+
+    # G is _gradient_operator(mesh, 2); A and D give _element_side_rows two
+    # rows and one row per element; an element_blocks pass starts at row 0
+    monkeypatch.setattr(spaces, "_gradient_operator", counted(
+        spaces._gradient_operator, lambda ncomp: "G" if ncomp == 2 else None))
+    monkeypatch.setattr(spaces, "_element_side_rows", counted(
+        spaces._element_side_rows, lambda data: "AD"[2 - data.shape[1]]))
+    monkeypatch.setattr(quadrature, "_rule_points", counted(
+        quadrature._rule_points,
+        lambda rows, degree: "pass" if isinstance(rows, slice) and rows.start == 0
+        and degree == VOLUME_DEGREE else None))
+    prob.mesh_factory = recorded(prob.mesh_factory)
+    monkeypatch.setattr(adaptive, "refine_marked_twice", recorded(adaptive.refine_marked_twice))
+    report = run_adaptive(prob, config)
+    assert report.csv_rows() == plain
+    assert [m.num_elements for m in meshes] == [r.num_elements for r in report.records]
+    data = prob.f is not None or prob.big_f is not None
+    passes = int(data) + (prob.kind == "stokes")
+    for mesh in meshes:
+        key = id(mesh)
+        assert 1 <= builds[key, "G"] <= 2
+        assert 1 <= builds[key, "A"] <= 2
+        assert builds[key, "D"] == 1
+        assert builds[key, "pass"] == passes
+
+
 def test_level4_degree10_arrays_stay_in_blocks():
     """On the 12,800-element Taylor-Green mesh, the traced peaks of the data
     projection and of the estimate stay below bounds that one more

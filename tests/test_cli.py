@@ -15,6 +15,7 @@ from gapfem.duality import JUMP_TOL, AdmissibilityError
 from gapfem.forms import AssemblyError, SingularSystemError
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
+TEST_REFERENCE = Path(__file__).resolve().parent / "reference"
 
 # the benchmark's `run` workloads, whose reports must not change by a byte
 REFERENCE_RUNS = {
@@ -128,6 +129,14 @@ class TestRun:
         assert main(["run"] + REFERENCE_RUNS[name] + ["--out", str(out)]) == 0
         assert out.read_bytes() == (REFERENCE / f"{name}.csv").read_bytes()
 
+    def test_adaptive_taylor_green_csv_byte_identical(self, tmp_path):
+        # adaptive refinement of a mixed-boundary mesh: the estimate runs on
+        # Neumann meshes whose grad u and p rows are carried across refinement
+        out = tmp_path / "taylor-green-adaptive.csv"
+        argv = ["run", "taylor-green", "--mode", "adaptive", "--max-iter", "8"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (TEST_REFERENCE / "taylor-green-adaptive.csv").read_bytes()
+
 
 @pytest.mark.parametrize("argv", [
     ["run", "taylor-green", "--mode", "uniform", "--max-iter", "1"],
@@ -225,10 +234,13 @@ def test_nan_indicator_exit_code(monkeypatch, capsys):
     """A nan gap indicator stops the adaptive loop at marking with exit 2."""
     from gapfem import adaptive
 
-    def nan_indicator(system, v, tau_h, grad_u):
-        return np.full(system.mesh.num_elements, np.nan)
+    estimate = adaptive.estimate_stokes
 
-    monkeypatch.setattr(adaptive, "gap_indicator_stokes", nan_indicator)
+    def nan_indicator(solution, problem, v):
+        gap, errors = estimate(solution, problem, v)
+        return np.full_like(gap, np.nan), errors
+
+    monkeypatch.setattr(adaptive, "estimate_stokes", nan_indicator)
     argv = ["run", "taylor-green", "--mode", "adaptive", "--max-iter", "2"]
     assert main(argv) == 2
     err = capsys.readouterr().err

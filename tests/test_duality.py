@@ -51,6 +51,7 @@ from gapfem.problems import (
     discretize_elasticity,
     discretize_stokes,
     exact_stress,
+    lshape_stokes,
     manufactured_elasticity,
     taylor_green_stokes,
 )
@@ -119,7 +120,7 @@ class TestMariniStokes:
         mesh = structured_square_mesh(3, all_dirichlet)
         u = CRField(mesh, np.zeros((mesh.num_sides, 2)))
         p = np.zeros(mesh.num_elements)
-        t = marini_stokes(stokes_system(mesh, 1.0), u, p)
+        t = marini_stokes(stokes_system(mesh, 1.0), broken_gradient(u), p)
         assert np.abs(t.flux).max() == 0.0
 
     def test_correction_divergence_identity(self):
@@ -133,11 +134,11 @@ class TestMariniStokes:
         mat = ElasticityTensor(1.0, 5.0)
         reconstructions = {
             "stokes": lambda: marini_stokes(
-                assemble_stokes(mesh, 1.0, u, f, None, None), u, p
+                assemble_stokes(mesh, 1.0, u, f, None, None), broken_gradient(u), p
             ),
             "elasticity": lambda: marini_elasticity(
                 assemble_elasticity(mesh, mat, u, f, None, None, dirichlet_datum=zero_datum),
-                u, u,
+                broken_gradient(u), broken_gradient(u),
             ),
         }
         for reconstruct in reconstructions.values():
@@ -163,7 +164,7 @@ class TestMariniStokes:
         u_hat = cr_interpolate(lambda x: x @ a.T, mesh)
         system = assemble_stokes(mesh, 0.5, u_hat, None, None, None)
         u, p, _ = system.solve()
-        t = marini_stokes(system, u, p)
+        t = marini_stokes(system, broken_gradient(u + u_hat), p)
         back = oracle_inverse(t, cr_values_p0(u), u_hat, 0.5, mesh)
         assert np.abs(back - u.values).max() < 1e-11
 
@@ -238,7 +239,8 @@ class TestScaleFreeChecks:
             0.01 * np.abs(values).max()
         )
         with pytest.raises(AdmissibilityError, match="interior flux jumps"):
-            marini_stokes(sol.system, CRField(mesh, values), sol.p_h)
+            marini_stokes(sol.system, broken_gradient(CRField(mesh, values) + sol.u_hat),
+                          sol.p_h)
 
 
 class TestMariniElasticity:
@@ -249,7 +251,7 @@ class TestMariniElasticity:
         system = assemble_elasticity(
             mesh, mat, zero, None, None, None, dirichlet_datum=zero_datum
         )
-        sigma = marini_elasticity(system, zero, zero)
+        sigma = marini_elasticity(system, broken_gradient(zero), broken_gradient(zero))
         assert np.abs(sigma.flux).max() == 0.0
 
     def test_divergence_coefficient_identity(self):
@@ -627,6 +629,36 @@ def test_discrete_identity_on_perturbed_meshes(n, labeler, seed, log_scales):
     assert gap == pytest.approx(rho["primal"][0] + rho["dual"][0], rel=1e-10, abs=0.0)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    factory=st.sampled_from([taylor_green_stokes, lshape_stokes]),
+    seed=st.integers(0, 2**32 - 1),
+    rounds=st.integers(1, 3),
+    fraction=st.floats(0.05, 0.5),
+)
+def test_discrete_identity_after_random_marking(factory, seed, rounds, fraction):
+    """gap = rho_primal + rho_dual, to criterion 2's 1e-6, for random
+    admissible pairs around the discrete solution on meshes refined by
+    rounds of random marks: Taylor-Green (mixed boundary) and the L-shape
+    (pure Dirichlet)."""
+    prob = factory()
+    mesh = prob.mesh_factory()
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        mesh = refine_marked_twice(
+            mesh, np.flatnonzero(rng.uniform(size=mesh.num_elements) < fraction)
+        )
+    sol = discretize_stokes(prob, mesh)
+    seeds = [seed, seed + 1, seed + 2]
+    scales = 10.0 ** rng.uniform(-2.0, 1.0, (2, len(seeds)))
+    vs = [sol.u_h + w for w in random_divfree_cr(mesh, seeds, scales[0])]
+    taus = [sol.t_h + r for r in random_divfree_rt(mesh, [s + 3 for s in seeds], scales[1])]
+    en = energies_stokes(vs, taus, sol.system)
+    rho = strong_convexity_stokes(vs, taus, sol)
+    rho_tot = rho["primal"] + rho["dual"]
+    assert np.all(np.abs(en["primal"] - en["dual"] - rho_tot) <= 1e-6 * rho_tot)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(2, 8),
@@ -943,13 +975,15 @@ def solve_affine(mesh, seed):
     nu = 0.7
     system = assemble_stokes(mesh, nu, u_hat, f_h, None, g_h)
     u_h, p_h, report = system.solve()
-    stokes = StokesSolution(system, u_h, p_h, marini_stokes(system, u_h, p_h), report)
+    grad_h = broken_gradient(u_h + u_hat)
+    stokes = StokesSolution(system, u_h, p_h, grad_h, marini_stokes(system, grad_h, p_h), report)
     mat = ElasticityTensor(0.7, 5.0)
     system = assemble_elasticity(mesh, mat, u_hat, f_h, None, g_h, dirichlet_datum=affine)
     u_h, report = system.solve()
     r_h = solve_lifting(system, u_h + u_hat)
-    sigma = marini_elasticity(system, u_h, r_h)
-    elastic = ElasticitySolution(system, u_h, r_h, sigma, report)
+    grad_h, grad_r = broken_gradient(u_h + u_hat), broken_gradient(r_h)
+    sigma = marini_elasticity(system, grad_h, grad_r)
+    elastic = ElasticitySolution(system, u_h, r_h, grad_h, grad_r, sigma, report)
     return stokes, elastic
 
 

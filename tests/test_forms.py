@@ -1633,8 +1633,8 @@ def generic_jump_penalty(mesh, weight_per_side):
 
 
 def generic_divergence(mesh):
-    """div_h as the trace rows of G, (ne, 2 ns) CSR, as StokesSystem forms it:
-    its lift check's abs(div) sorts div's indices in place."""
+    """div_h as the trace rows of G, (ne, 2 ns) CSR, as StokesSystem forms it,
+    with each row's columns sorted."""
     grad = cr_gradient_operator(mesh)
     div = grad[0::4] + grad[3::4]
     div.sort_indices()
@@ -1769,6 +1769,28 @@ def test_stokes_system_matches_generic_assembly(name):
     oracle.a1, oracle.b = a1, b
     want, _ = oracle.solve_saddle(rhs)
     assert_same_bits(system.solve_saddle(system.rhs)[0], want)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEM_STOKES))
+def test_stokes_b_follows_sorted_divergence(name):
+    """B = diags(-|T|) @ div_h, on a div_h that never went through abs
+    (scipy's abs sorts its operand's indices in place): the trace rows of G
+    come with unsorted columns, so the system's explicit sort, not the side
+    effect of its lift check, sets B's entry order and the summation order
+    of -(b_full @ u_hat) in rhs."""
+    problem, mesh = SYSTEM_STOKES[name]()
+    mesh = mesh or problem.mesh_factory()
+    system = _assembled(problem, mesh, assemble_stokes, problem.nu)
+    grad = cr_gradient_operator(mesh)
+    div = grad[0::4] + grad[3::4]
+    assert not div.has_sorted_indices
+    raw = sparse.diags(-mesh.areas) @ div
+    div.sort_indices()
+    b_full = sparse.diags(-mesh.areas) @ div
+    assert not np.array_equal(raw.indices, b_full.indices)
+    assert_same_bits(system.b, b_full[:, system.vel_index])
+    nv, ne = len(system.vel_index), mesh.num_elements
+    assert_same_bits(system.rhs[nv: nv + ne], -(b_full @ system.u_hat.dofs()))
 
 
 SYSTEM_ELASTICITY = {
