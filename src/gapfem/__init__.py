@@ -40,9 +40,7 @@ from .mesh import (
     MeshError,
     Triangulation,
     build_triangulation,
-    load_mesh,
     refine_bisection,
-    save_mesh,
     structured_square_mesh,
 )
 from .problems import (

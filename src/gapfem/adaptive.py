@@ -14,17 +14,18 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .duality import (
-    energies_stokes,
+    energies_stokes_block,
     gap_indicator_elasticity,
     gap_indicator_stokes,
-    random_divfree_cr,
-    random_divfree_rt,
-    strong_convexity_stokes,
+    random_divfree_cr_block,
+    random_divfree_rt_block,
+    strong_convexity_stokes_block,
 )
 from .forms import NumericalFailure
 from .mesh import refine_marked_twice
 from .problems import discretize_elasticity, discretize_stokes, estimate_stokes, exact_errors
-from .spaces import RTField, nodal_average
+from .quadrature import VOLUME_DEGREE
+from .spaces import MeshOperators, nodal_average
 
 
 @dataclass
@@ -257,29 +258,37 @@ def identity_rows(problem, levels, seeds, seed_offset=0, tamper=False):
 
 
 def _identity_level(problem, mesh, level, seeds, seed_offset, tamper):
-    """The `identity_rows` rows of one mesh: its seeds' pairs as one block."""
+    """The `identity_rows` rows of one mesh: its seeds' pairs as one block,
+    v = u_h + w a (2 ns, k) DOF block and tau = T_h + r an (ns, 2 k) flux
+    block, formed in place from the samples w and r.  One `MeshOperators`
+    set, built after the solve, serves the exact errors and the samples."""
     sol = discretize_stokes(problem, mesh)
-    errs = exact_errors(sol, problem)
+    ops = MeshOperators(mesh)
+    errs = exact_errors(sol, problem, ops)
+    # the exact errors are the last readers of the bundle's broken gradient
+    # and of the mesh's degree-10 field values: uniform refinement carries
+    # no rows of them to the next mesh
+    system, u_h, t_h = sol.system, sol.u_h, sol.t_h
+    del sol
+    for f in (problem.grad_u, problem.p):
+        mesh.pop_cached(("rule_values", f, VOLUME_DEGREE))
     level_seeds = [seed_offset + 1000 * level + i for i in range(1, seeds + 1)]
     # vary the perturbation size around the discretisation error
     sizes = np.array([0.5 + ((7 * seed) % 8) / 4.0 for seed in level_seeds])
-    vs = [
-        sol.u_h + w
-        for w in random_divfree_cr(
-            mesh, level_seeds, sizes * np.sqrt(2.0 / problem.nu) * errs["primal"]
-        )
-    ]
-    taus = [
-        sol.t_h + r
-        for r in random_divfree_rt(
-            mesh, [seed + 500000 for seed in level_seeds],
-            sizes * np.sqrt(2.0 * problem.nu) * errs["dual"],
-        )
-    ]
+    v = random_divfree_cr_block(
+        ops, level_seeds, sizes * np.sqrt(2.0 / problem.nu) * errs["primal"]
+    )
+    v += u_h.dofs()[:, None]
+    tau = random_divfree_rt_block(
+        ops, [seed + 500000 for seed in level_seeds],
+        sizes * np.sqrt(2.0 * problem.nu) * errs["dual"],
+    )
+    for i in range(2):
+        tau[:, i::2] += t_h.flux[i][:, None]
     if tamper:
-        taus = [_tampered(tau) for tau in taus]
-    en = energies_stokes(vs, taus, sol.system)
-    rho = strong_convexity_stokes(vs, taus, sol)
+        _tamper(tau, mesh)
+    en = energies_stokes_block(v, tau, system, ops)
+    rho = strong_convexity_stokes_block(v, tau, system, u_h, t_h, ops)
     gap = en["primal"] - en["dual"]
     rho_tot = rho["primal"] + rho["dual"]
     rel = np.abs(gap - rho_tot) / rho_tot  # inf in an inadmissible column
@@ -297,8 +306,9 @@ def _identity_level(problem, mesh, level, seeds, seed_offset, tamper):
     ]
 
 
-def _tampered(tau):
-    """tau with its divergence constraint broken on one element."""
-    flux = tau.flux.copy()
-    flux[0, tau.mesh.element_sides[0, 0]] += 0.1 * (1.0 + flux.max())
-    return RTField(tau.mesh, flux)
+def _tamper(flux, mesh):
+    """Break the divergence constraint of every stress of an (ns, 2 k) flux
+    block on one element: row 0's flux through the first side of element 0
+    grows by 0.1 (1 + the stress's largest flux)."""
+    largest = flux.reshape(mesh.num_sides, -1, 2).max(axis=(0, 2))
+    flux[mesh.element_sides[0, 0], 0::2] += 0.1 * (1.0 + largest)

@@ -17,14 +17,12 @@ from .quadrature import (VOLUME_DEGREE, ElementBlock, element_blocks, physical_p
                          rule_values, triangle_rule)
 from .spaces import (
     CRField,
+    MeshOperators,
     RTField,
     broken_gradient,
-    cr_gradient_operator,
     curl_operator,
     dev,
     divfree_cr_operator,
-    rt_average_operator,
-    rt_divergence_operator,
     sym,
 )
 
@@ -174,18 +172,18 @@ def _relative(res, size):
     return np.divide(res, size, out=np.where(res > 0.0, np.inf, 0.0), where=size > 0.0)
 
 
-def _velocity_residuals(mesh, dofs, div, hat):
+def _velocity_residuals(ops, dofs, div, hat):
     """Per-column relative residual of a `_cr_block` v, given max |div_h v|:
     the larger of max |div_h v| over the largest element sum of the terms
     |div_h|(|v + u_hat|) (u_h's divergence is the roundoff of
     B u_h = -B u_hat), and of v's largest Dirichlet value over max |v + u_hat|.
-    Overwrites dofs with |v + u_hat|; hat holds u_hat's DOFs."""
+    hat holds u_hat's DOFs; ops is the mesh's `MeshOperators`."""
+    mesh = ops.mesh
     dirichlet = mesh.side_labels == _mesh.DIRICHLET
     bc = np.abs(dofs.reshape(2, mesh.num_sides, -1)[:, dirichlet]).max(axis=1, initial=0.0)
-    dofs += hat[:, None]
-    total = np.abs(dofs, out=dofs)
-    grad = cr_gradient_operator(mesh)
-    terms = (abs(grad[0::4] + grad[3::4]) @ total).max(axis=0)  # div_h: G's trace rows
+    total = dofs + hat[:, None]
+    np.abs(total, out=total)
+    terms = (ops.abs_div_h @ total).max(axis=0)
     return np.maximum(_relative(div, terms), _relative(bc.max(axis=0), total.max(axis=0)))
 
 
@@ -194,17 +192,18 @@ def _largest(block):
     return np.abs(block).max(axis=0).reshape(-1, 2).max(axis=1)
 
 
-def _stress_residuals(mesh, flux, f_h, g_h):
+def _stress_residuals(ops, flux, f_h, g_h):
     """Per-candidate relative residual of a `_rt_block`: the larger of
     max |div tau + f_h| over the largest |D| |flux| + |f_h|, D the
     `rt_divergence_operator`, and of max |tau n - g_h| on the Neumann sides
     over max |flux| + max |g_h| (a zero datum is met to the fluxes' roundoff).
-    RTField storage makes the interior normal fluxes continuous."""
+    RTField storage makes the interior normal fluxes continuous.  ops is the
+    mesh's `MeshOperators`."""
+    mesh = ops.mesh
     ne = mesh.num_elements
     fv = _p0_values(f_h, (ne, 2))[:, None]
-    div_op = rt_divergence_operator(mesh)
-    div = _largest((div_op @ flux).reshape(ne, -1, 2) + fv)
-    res = _relative(div, _largest((abs(div_op) @ np.abs(flux)).reshape(ne, -1, 2) + abs(fv)))
+    div = _largest((ops.div @ flux).reshape(ne, -1, 2) + fv)
+    res = _relative(div, _largest((ops.abs_div @ np.abs(flux)).reshape(ne, -1, 2) + abs(fv)))
     neumann = mesh.sides_with_label(_mesh.NEUMANN)
     if len(neumann):
         gn = 0.0 if g_h is None else np.asarray(g_h)[neumann][:, None]
@@ -215,9 +214,12 @@ def _stress_residuals(mesh, flux, f_h, g_h):
 
 # -- energies, gaps, strong convexity measures ------------------------------------
 #
-# The candidates of a call are k columns.  Velocities go through the
-# broken-gradient operator and stresses through the RT cell-average
-# operator as one block each; a tensor block is (k, ne, 2, 2).
+# The candidates of a call are k columns: the velocities a (2 ns, k) block of
+# CR DOF vectors, the stresses an (ns, 2 k) block of RT fluxes, column 2 j + i
+# row i of candidate j.  Velocities go through the broken-gradient operator
+# and stresses through the RT cell-average operator as one block each; a
+# tensor block is (k, ne, 2, 2).  The `*_block` functions take these blocks
+# and the mesh's `MeshOperators`; the list API stacks its fields into them.
 
 
 def _cr_block(vs):
@@ -231,26 +233,26 @@ def _rt_block(taus):
     return np.stack([t.flux for t in taus]).reshape(2 * len(taus), -1).T
 
 
-def _broken_gradients(mesh, dofs):
+def _broken_gradients(ops, dofs):
     """Broken gradients of a (2 ns, k) DOF block as a (k, ne, 2, 2) block."""
-    grads = cr_gradient_operator(mesh) @ dofs  # (4 ne, k)
-    return np.ascontiguousarray(grads.T).reshape(-1, mesh.num_elements, 2, 2)
+    grads = ops.grad @ dofs  # (4 ne, k)
+    return np.ascontiguousarray(grads.T).reshape(-1, ops.mesh.num_elements, 2, 2)
 
 
-def _dev_averages(mesh, flux, big_f_h=None):
+def _dev_averages(ops, flux, big_f_h=None):
     """dev Pi_h(tau + F_h) of a `_rt_block` of k RT fields: (k, ne, 2, 2)."""
-    avg = rt_average_operator(mesh) @ flux  # (2 ne, 2 k): rows (n, d), columns (j, i)
+    avg = ops.avg @ flux  # (2 ne, 2 k): rows (n, d), columns (j, i)
     avg = np.ascontiguousarray(
-        avg.T.reshape(-1, 2, mesh.num_elements, 2).transpose(0, 2, 1, 3)
+        avg.T.reshape(-1, 2, ops.mesh.num_elements, 2).transpose(0, 2, 1, 3)
     )
     if big_f_h is not None:
         avg += big_f_h
     return dev(avg, in_place=True)
 
 
-def _dev_average(tau, big_f_h=None):
+def _dev_average(ops, tau, big_f_h=None):
     """dev Pi_h(tau + F_h) of one RT field: (ne, 2, 2)."""
-    return _dev_averages(tau.mesh, tau.flux.T, big_f_h)[0]
+    return _dev_averages(ops, tau.flux.T, big_f_h)[0]
 
 
 def _inner(mesh, a, b):
@@ -274,21 +276,28 @@ def energies_stokes(vs, taus, system):
     primal energy, an inadmissible stress -inf in its column of the dual.  A
     candidate is admissible when its residuals, relative to the terms its
     constraints sum, are at most ADMISSIBLE_TOL, at any scale of the data.
+    The lists are stacked into the blocks of `energies_stokes_block`.
     """
+    return energies_stokes_block(
+        _cr_block(vs), _rt_block(taus), system, MeshOperators(system.mesh)
+    )
+
+
+def energies_stokes_block(dofs, flux, system, ops):
+    """`energies_stokes` of the candidates of a (2 ns, k) DOF block and an
+    (ns, 2 k) flux block, which are read, not changed; ops is the mesh's
+    `MeshOperators`."""
     mesh, nu = system.mesh, system.nu
-    grad_hat = broken_gradient(system.u_hat)
-    dofs = _cr_block(vs)
-    grads = _broken_gradients(mesh, dofs)
+    hat = system.u_hat.dofs()
+    grad_hat = (ops.grad @ hat).reshape(-1, 2, 2)
+    grads = _broken_gradients(ops, dofs)
     div = np.abs(grads[..., 0, 0] + grads[..., 1, 1]).max(axis=1)
     grads += grad_hat
     primal = 0.5 * nu * _squared_norms(mesh, grads) - system.load_vector @ dofs
     del grads
-    ok_v = _velocity_residuals(mesh, dofs, div, system.u_hat.dofs()) <= ADMISSIBLE_TOL
-    del dofs
-    flux = _rt_block(taus)
-    ok_t = _stress_residuals(mesh, flux, system.f_h, system.g_h) <= ADMISSIBLE_TOL
-    devavg = _dev_averages(mesh, flux, system.big_f_h)
-    del flux
+    ok_v = _velocity_residuals(ops, dofs, div, hat) <= ADMISSIBLE_TOL
+    ok_t = _stress_residuals(ops, flux, system.f_h, system.g_h) <= ADMISSIBLE_TOL
+    devavg = _dev_averages(ops, flux, system.big_f_h)
     dual = -_squared_norms(mesh, devavg) / (2.0 * nu) + _inner(mesh, devavg, grad_hat)
     return {
         "primal": np.where(ok_v, primal, np.inf),
@@ -300,7 +309,7 @@ def gap_indicator_stokes_discrete(system, v_h, tau_h):
     """Per-element discrete gap (nu/2)||grad_h(v+u_hat) - dev(Pi_h tau)/nu||_T^2."""
     nu = system.nu
     grads = broken_gradient(v_h + system.u_hat)
-    diff = grads - _dev_average(tau_h, system.big_f_h) / nu
+    diff = grads - _dev_average(MeshOperators(system.mesh), tau_h, system.big_f_h) / nu
     return 0.5 * nu * system.mesh.areas * np.einsum("nij,nij->n", diff, diff)
 
 
@@ -309,14 +318,25 @@ def strong_convexity_stokes(vs, taus, solution):
 
     rho_primal^2 = (nu/2) ||grad_h v - grad_h u_h||^2 and
     rho_dual^2 = 1/(2 nu) ||dev Pi_h tau - dev Pi_h T_h||^2, with (u_h, T_h)
-    the discrete solution pair; returns a dict of (k,) arrays.
+    the discrete solution pair; returns a dict of (k,) arrays.  The lists
+    are stacked into the blocks of `strong_convexity_stokes_block`.
     """
-    nu = solution.nu
-    mesh = solution.mesh
-    dofs = _cr_block(vs) - solution.u_h.dofs()[:, None]
-    rho_primal = 0.5 * nu * _squared_norms(mesh, _broken_gradients(mesh, dofs))
-    del dofs
-    ddev = _dev_averages(mesh, _rt_block(taus)) - _dev_average(solution.t_h)
+    return strong_convexity_stokes_block(
+        _cr_block(vs), _rt_block(taus), solution.system, solution.u_h, solution.t_h,
+        MeshOperators(solution.mesh),
+    )
+
+
+def strong_convexity_stokes_block(dofs, flux, system, u_h, t_h, ops):
+    """`strong_convexity_stokes` of the candidates of a (2 ns, k) DOF block
+    and an (ns, 2 k) flux block, which are read, not changed, against the
+    discrete solution (u_h, t_h) of system; ops is the mesh's
+    `MeshOperators`."""
+    nu, mesh = system.nu, system.mesh
+    diff = dofs - u_h.dofs()[:, None]
+    rho_primal = 0.5 * nu * _squared_norms(mesh, _broken_gradients(ops, diff))
+    del diff
+    ddev = _dev_averages(ops, flux) - _dev_average(ops, t_h)
     rho_dual = _squared_norms(mesh, ddev) / (2.0 * nu)
     return {"primal": rho_primal, "dual": rho_dual}
 
@@ -344,7 +364,7 @@ class StokesSolution:
 
     def optimality_residual(self):
         """Max |dev Pi_h T_h - nu grad_h(u_h + u_hat)| over elements."""
-        devavg = _dev_average(self.t_h, self.system.big_f_h)
+        devavg = _dev_average(MeshOperators(self.mesh), self.t_h, self.system.big_f_h)
         return float(np.abs(devavg - self.nu * self.grad_h).max())
 
 
@@ -492,8 +512,17 @@ def random_divfree_cr(mesh, seeds, scales):
     Uniform[-1,1] from default_rng(seeds[k]), phi zero at every vertex of a
     Dirichlet side and psi zero on the Dirichlet sides.  The field of
     seeds[k] is normalised to broken-H1 seminorm scales[k] (a scalar scales
-    every field alike).
+    every field alike).  The fields are the columns of
+    `random_divfree_cr_block`.
     """
+    dofs = random_divfree_cr_block(MeshOperators(mesh), seeds, scales)
+    return [CRField(mesh, dofs[:, k].reshape(2, -1).T) for k in range(len(seeds))]
+
+
+def random_divfree_cr_block(ops, seeds, scales):
+    """The `random_divfree_cr` fields of seeds as one (2 ns, k) DOF block,
+    column k the field of seeds[k]; ops is the mesh's `MeshOperators`."""
+    mesh = ops.mesh
     scales = np.broadcast_to(np.asarray(scales, dtype=float), (len(seeds),))
     nv = mesh.num_vertices
     draws = _uniform_draws(seeds, nv + mesh.num_sides)
@@ -502,11 +531,11 @@ def random_divfree_cr(mesh, seeds, scales):
     draws[nv + dirichlet] = 0.0
     dofs = divfree_cr_operator(mesh) @ draws  # (2 ns, k)
     del draws
-    nrm = np.sqrt(_squared_norms(mesh, _broken_gradients(mesh, dofs)))
+    nrm = np.sqrt(_squared_norms(mesh, _broken_gradients(ops, dofs)))
     if np.any(nrm == 0.0):
         raise AdmissibilityError("random divergence-free sample degenerated to zero")
     dofs *= scales / nrm
-    return [CRField(mesh, dofs[:, k].reshape(2, -1).T) for k in range(len(seeds))]
+    return dofs
 
 
 def random_divfree_rt(mesh, seeds, scales):
@@ -519,8 +548,18 @@ def random_divfree_rt(mesh, seeds, scales):
     rot phi, so the divergence vanishes identically and the Neumann traces
     are zero by construction.  All seeds take one sparse product; the field
     of seeds[k] is normalised to ||dev Pi_h .|| = scales[k] (a scalar
-    scales every field alike).
+    scales every field alike).  The fields are the column pairs of
+    `random_divfree_rt_block`.
     """
+    flux = random_divfree_rt_block(MeshOperators(mesh), seeds, scales)
+    return [RTField(mesh, flux[:, 2 * k: 2 * k + 2].T) for k in range(len(seeds))]
+
+
+def random_divfree_rt_block(ops, seeds, scales):
+    """The `random_divfree_rt` fields of seeds as one (ns, 2 k) flux block,
+    columns 2 k and 2 k + 1 the rows of the field of seeds[k]; ops is the
+    mesh's `MeshOperators`."""
+    mesh = ops.mesh
     scales = np.broadcast_to(np.asarray(scales, dtype=float), (len(seeds),))
     nv = mesh.num_vertices
     phi = _uniform_draws(seeds, (nv, 2)).reshape(nv, -1)  # column 2 k + i: row i of seeds[k]
@@ -528,8 +567,8 @@ def random_divfree_rt(mesh, seeds, scales):
     phi[mesh.side_vertices[neumann].ravel()] = 0.0
     flux = curl_operator(mesh) @ phi  # (ns, 2 k), the layout of _rt_block
     del phi
-    nrm = np.sqrt(_squared_norms(mesh, _dev_averages(mesh, flux)))
+    nrm = np.sqrt(_squared_norms(mesh, _dev_averages(ops, flux)))
     if np.any(nrm < 1e-14):
         raise AdmissibilityError("random stress perturbation has no deviatoric part")
     flux *= np.repeat(scales / nrm, 2)
-    return [RTField(mesh, flux[:, 2 * k: 2 * k + 2].T) for k in range(len(seeds))]
+    return flux

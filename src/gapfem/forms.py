@@ -294,8 +294,10 @@ def stabilization_energy(mesh, mu, u_total, datum_values):
 # -- load functional -----------------------------------------------------------
 
 
-def load_vector(mesh, f_h, big_f_h, g_h):
-    """Assemble the load functional as a (2 ns,) vector over all CR DOFs; None omits a part."""
+def load_vector(mesh, grad, f_h, big_f_h, g_h):
+    """Assemble the load functional as a (2 ns,) vector over all CR DOFs; None
+    omits a part.  grad is the mesh's `cr_gradient_operator`, which the
+    tensor part F_h is tested against."""
     ns = mesh.num_sides
     rhs = np.zeros(2 * ns)
     if f_h is not None:
@@ -306,7 +308,7 @@ def load_vector(mesh, f_h, big_f_h, g_h):
         rhs += np.bincount(dofs.ravel(), contrib.ravel(), minlength=2 * ns)
     if big_f_h is not None:
         weighted = mesh.areas[:, None, None] * big_f_h
-        rhs += cr_gradient_operator(mesh).T @ weighted.ravel()
+        rhs += grad.T @ weighted.ravel()
     if g_h is not None:
         geo = mesh.geometry()
         neumann = mesh.sides_with_label(_mesh.NEUMANN)
@@ -319,7 +321,7 @@ def load_vector(mesh, f_h, big_f_h, g_h):
 class _LoadedSystem:
     """Lift, load data and the load functional's vector, assembled once."""
 
-    def _assemble_load(self, u_hat, f_h, big_f_h, g_h):
+    def _assemble_load(self, grad, u_hat, f_h, big_f_h, g_h):
         for name, f in (("f_h", f_h), ("big_f_h", big_f_h)):
             if f is not None and len(f) != self.mesh.num_elements:
                 raise ValueError(f"{name} must have one row per element, not {len(f)}")
@@ -329,7 +331,7 @@ class _LoadedSystem:
         self.f_h = f_h
         self.big_f_h = big_f_h
         self.g_h = g_h
-        self.load_vector = load_vector(self.mesh, f_h, big_f_h, g_h)
+        self.load_vector = load_vector(self.mesh, grad, f_h, big_f_h, g_h)
 
 
 # -- Stokes --------------------------------------------------------------------
@@ -485,11 +487,11 @@ class StokesSystem(_LoadedSystem):
     def __init__(self, mesh, nu, u_hat, f_h, big_f_h, g_h):
         self.mesh = mesh
         self.nu = nu
-        self._assemble_load(u_hat, f_h, big_f_h, g_h)
+        grad = cr_gradient_operator(mesh)
+        self._assemble_load(grad, u_hat, f_h, big_f_h, g_h)
         # div_h, the trace rows of G, sums |S| u . n / |T| over each element's
         # sides; its roundoff grows with those terms, so the lift is measured
         # against the largest element sum of their magnitudes (scale-free)
-        grad = cr_gradient_operator(mesh)
         div = grad[0::4] + grad[3::4]
         # the sum comes with each row's columns unsorted; sorted, they set the
         # entry order of B and so the summation order of -(b_full @ u_hat)
@@ -669,7 +671,8 @@ class ElasticitySystem(_LoadedSystem):
     def __init__(self, mesh, material, u_hat, f_h, big_f_h, g_h, dirichlet_datum):
         self.mesh = mesh
         self.material = material
-        self._assemble_load(u_hat, f_h, big_f_h, g_h)
+        grad = cr_gradient_operator(mesh)
+        self._assemble_load(grad, u_hat, f_h, big_f_h, g_h)
         # the datum at the Gauss points of the Dirichlet sides, evaluated once
         # for the load and every penalty energy
         pts = side_points(
@@ -683,9 +686,8 @@ class ElasticitySystem(_LoadedSystem):
         # (C eps_h u, eps_h v) = sum_T |T| (H g_u) . (H g_v), g the flattened
         # broken gradient
         mu = material.mu
-        k_eps = _gram(
-            cr_gradient_operator(mesh), np.sqrt(mesh.areas), _strain_half(mu, material.lam)
-        )
+        k_eps = _gram(grad, np.sqrt(mesh.areas), _strain_half(mu, material.lam))
+        del grad
         # the jump form on both components, kept for the lifting; no local
         # holds the scalar block, which would raise the peak memory
         self.jump = _block_pair(jump_penalty_matrix(mesh, stabilization_weights(mesh, mu)))

@@ -17,8 +17,10 @@ INTERIOR = 0
 DIRICHLET = 1
 NEUMANN = 2
 
-_LABEL_NAMES = {INTERIOR: "interior", DIRICHLET: "dirichlet", NEUMANN: "neumann"}
-_LABEL_IDS = {v: k for k, v in _LABEL_NAMES.items()}
+# the cache entries whose element rows `refine_bisection` carries to the
+# elements it copies unrotated: `quadrature.rule_values` and
+# `problems.project_data` arrays
+_CARRIED_KINDS = ("rule_values", "projection")
 
 
 class MeshError(Exception):
@@ -206,17 +208,19 @@ class Triangulation:
         """Value of build() for `key`, computed once per mesh.
 
         The one per-mesh cache: geometry, the RT element factors (of
-        `spaces.RTField` and the RT operators), and the quadrature points and
-        analytic field values of `quadrature.physical_points`/`rule_values`
-        live here.  The loads f and F are not cached: `problems.project_data`
-        reads them once, one element block at a time.
+        `spaces.RTField` and the RT operators), the quadrature points and
+        analytic field values of `quadrature.physical_points`/`rule_values`,
+        and the element rows of f_h, F_h and the oscillation that
+        `problems.project_data` forms live here.  The values of the loads f
+        and F are not cached: `project_data` reads them once, one element
+        block at a time.
 
         A mesh made by `refine_bisection` may also hold, under
-        ("carried", f, degree), the rows (element indices, values) of its
-        parent's ("rule_values", f, degree) array at the elements copied
-        with their vertex row unchanged.  Their points are the parent's bit
-        for bit, so `rule_values` evaluates f only on the other elements
-        and then drops the entry.
+        ("carried",) + key, the rows (element indices, values) of its
+        parent's ("rule_values", f, degree) or ("projection", f, F) array at
+        the elements copied with their vertex row unchanged.  Their points
+        are the parent's bit for bit, so `rule_values` and `project_data`
+        evaluate f only on the other elements and then drop the entry.
         """
         if key not in self._cache:
             self._cache[key] = build()
@@ -370,8 +374,8 @@ def refine_bisection(mesh, marked):
     refinement edge was local edge 0; otherwise the row is rotated to put
     that edge first.  Only copies of the first kind share their parent's
     quadrature points bit for bit, so only their rows of the parent's
-    `quadrature.rule_values` arrays pass to the refined mesh's cache (see
-    `Triangulation.cached`).  Every mesh this function returns has
+    `quadrature.rule_values` and `problems.project_data` arrays pass to the
+    refined mesh's cache (see `Triangulation.cached`).  Every mesh this function returns has
     refinement edge 0 throughout, so copies are rotated only in the first
     refinement of a mesh built otherwise, such as Cook's initial
     `build_triangulation` mesh (longest edges first).
@@ -458,8 +462,8 @@ def refine_bisection(mesh, marked):
     if copied.any():
         dest = np.where(copied, first, -1)
         for key, value in mesh._cache.items():
-            if key[0] == "rule_values":
-                rows, values = np.arange(mesh.num_elements), value
+            if key[0] in _CARRIED_KINDS:
+                rows, values, key = np.arange(mesh.num_elements), value, ("carried",) + key
             elif key[0] == "carried":
                 rows, values = value
             else:
@@ -467,7 +471,7 @@ def refine_bisection(mesh, marked):
             to = dest[rows]
             keep = to >= 0
             if keep.any():
-                new_mesh._cache[("carried",) + key[1:]] = (to[keep], values[keep])
+                new_mesh._cache[key] = (to[keep], values[keep])
     return new_mesh, parent_map
 
 
@@ -478,41 +482,3 @@ def refine_marked_twice(mesh, marked):
     mesh2, _ = refine_bisection(mesh1, marked2)
     return mesh2
 
-
-def save_mesh(mesh, path):
-    """Write a plain-text mesh file (round-trips to 1e-15 relative)."""
-    boundary = np.nonzero(mesh.side_labels != INTERIOR)[0]
-    rows = np.column_stack([mesh.elements, mesh.refinement_edge]).tolist()
-    ends = mesh.side_vertices[boundary].tolist()
-    names = [_LABEL_NAMES[lab] for lab in mesh.side_labels[boundary].tolist()]
-    with open(path, "w") as f:
-        f.write(f"gapfem-mesh 1\n{mesh.num_vertices} {mesh.num_elements}\n")
-        f.write("".join(f"{x:.17g} {y:.17g}\n" for x, y in mesh.vertices.tolist()))
-        f.write("".join(f"{a} {b} {c} {r}\n" for a, b, c, r in rows))
-        f.write(f"{len(boundary)}\n")
-        f.write("".join(f"{a} {b} {n}\n" for (a, b), n in zip(ends, names)))
-
-
-def load_mesh(path):
-    """Read a `save_mesh` file; malformed content raises MeshError."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            header = f.readline().split()
-            if header[:1] != ["gapfem-mesh"]:
-                raise MeshError("not a gapfem mesh file")
-            nv, ne = map(int, f.readline().split())
-            vertices = np.array(
-                [[float(w) for w in f.readline().split()] for _ in range(nv)]
-            )
-            # unpacking rejects a row with a missing or an extra field
-            rows = [[int(w) for w in f.readline().split()] for _ in range(ne)]
-            elements = np.array([[a, b, c] for a, b, c, _ in rows], dtype=np.int64)
-            refedge = np.array([r for *_, r in rows], dtype=np.int64)
-            rows = [f.readline().split() for _ in range(int(f.readline()))]
-            pairs = np.array([[int(a), int(b)] for a, b, _ in rows], dtype=np.int64)
-            labels = np.array([_LABEL_IDS[name] for *_, name in rows], dtype=np.int64)
-        except (ValueError, IndexError, KeyError, OverflowError) as exc:
-            raise MeshError(
-                f"malformed mesh file {path}: {type(exc).__name__}: {exc}"
-            ) from exc
-    return Triangulation(vertices, elements, refedge, (pairs, labels))

@@ -490,19 +490,54 @@ def side_tractions(problem, mesh):
 def project_data(problem, mesh):
     """f_h = Pi_h f and F_h = Pi_h F (None where absent), the side tractions
     g_h and the data oscillation (`oscillation_indicator`), in one pass over
-    `element_blocks` that evaluates f and F once per element."""
+    `element_blocks` that evaluates f and F once per element.
+
+    The element rows of f_h, F_h and the oscillation are one array, cached
+    on the mesh under ("projection", f, F), so that `mesh.refine_bisection`
+    carries the rows of the elements it copies with their vertex row
+    unchanged, as it does for `quadrature.rule_values`: their points, and so
+    their rows, are the parent's bit for bit, and f and F are evaluated only
+    at the other elements.  The returned arrays are read-only views of it.
+    """
     ne = mesh.num_elements
-    f_h = None if problem.f is None else np.empty((ne, 2))
-    big_f_h = None if problem.big_f is None else np.empty((ne, 2, 2))
-    osc = np.zeros(ne)
-    for block in element_blocks(mesh, VOLUME_DEGREE) if problem.f or problem.big_f else ():
+    g_h = side_tractions(problem, mesh)
+    if problem.f is None and problem.big_f is None:
+        return None, None, g_h, np.zeros(ne)
+    data = mesh.cached(("projection", problem.f, problem.big_f),
+                       lambda: _projected_rows(problem, mesh))
+    return (*_projection_views(problem, data), g_h, data[:, -1])
+
+
+def _projection_views(problem, data):
+    """f_h and F_h (None where absent) in a ("projection", f, F) array, whose
+    columns are f_h (two, with f), F_h (four, with F) and the oscillation."""
+    f_h = None if problem.f is None else data[:, :2]
+    big_f_h = None if problem.big_f is None else data[:, -5:-1].reshape(-1, 2, 2)
+    return f_h, big_f_h
+
+
+def _projected_rows(problem, mesh):
+    """The ("projection", f, F) array of `project_data`: the carried rows,
+    and f and F evaluated block by block at the other elements."""
+    ne = mesh.num_elements
+    data = np.empty((ne, 1 + 2 * (problem.f is not None) + 4 * (problem.big_f is not None)))
+    f_h, big_f_h = _projection_views(problem, data)
+    carried = mesh.pop_cached(("carried", "projection", problem.f, problem.big_f))
+    fresh = None
+    if carried is not None:
+        data[carried[0]] = carried[1]
+        fresh = np.ones(ne, dtype=bool)
+        fresh[carried[0]] = False
+        fresh = np.flatnonzero(fresh)
+    for block in element_blocks(mesh, VOLUME_DEGREE, fresh):
         fv, big_fv = (None if f is None else np.asarray(f(block.points), dtype=float)
                       for f in (problem.f, problem.big_f))
         for values, out in ((fv, f_h), (big_fv, big_f_h)):
             if values is not None:
                 out[block.rows] = pi0(values, mesh)
-        osc[block.rows] = oscillation_indicator(fv, f_h, big_fv, big_f_h, block)
-    return f_h, big_f_h, side_tractions(problem, mesh), osc
+        data[block.rows, -1] = oscillation_indicator(fv, f_h, big_fv, big_f_h, block)
+    data.flags.writeable = False
+    return data
 
 
 def discretize_stokes(problem, mesh):
@@ -575,7 +610,7 @@ def apriori_identity_check_stokes(problem, mesh):
 # -- exact errors -------------------------------------------------------------------
 
 
-def exact_errors(solution, problem):
+def exact_errors(solution, problem, ops=None):
     """Exact error measures against the problem's manufactured solution.
 
     Stokes: primal error sqrt(nu/2) || grad u_orig - grad_h(u_h + u_hat) ||
@@ -588,11 +623,14 @@ def exact_errors(solution, problem):
 
     Elasticity: energy error || u_h + u_hat - u_exact ||_h and complementary
     stress error || C^(-1/2)(sigma* - stress_exact) ||.
+
+    ops, the mesh's `spaces.MeshOperators`, gives the A and D of the Stokes
+    stress values; None builds them.
     """
     if problem.grad_u is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
     if problem.kind == "stokes":
-        return _stokes_errors(solution, problem, lambda rows, t_h: None)
+        return _stokes_errors(solution, problem, lambda rows, t_h: None, ops)
 
     mesh = solution.mesh
     w = triangle_rule(VOLUME_DEGREE)[1]
@@ -631,18 +669,19 @@ def estimate_stokes(solution, problem, v):
     return gap, _stokes_errors(solution, problem, gap_block)
 
 
-def _stokes_errors(solution, problem, then):
+def _stokes_errors(solution, problem, then, ops=None):
     """The Stokes `exact_errors`: the element-wise terms one element block at
     a time, summed over the mesh at the end.  then(rows, t_h) is handed each
-    block's stress values (`RTField.block_values`) after the stress error
-    has read them, and may overwrite them."""
+    block's stress values (`RTField.block_values`, with the operators ops)
+    after the stress error has read them, and may overwrite them."""
     mesh, nu, big_f_h = solution.mesh, solution.nu, solution.system.big_f_h
     w = triangle_rule(VOLUME_DEGREE)[1]
     gu = rule_values(problem.grad_u, mesh, VOLUME_DEGREE)
     pv = None if problem.p is None else rule_values(problem.p, mesh, VOLUME_DEGREE)
 
     def stress_errors():
-        for block, t_h in solution.t_h.block_values(element_blocks(mesh, VOLUME_DEGREE)):
+        blocks = element_blocks(mesh, VOLUME_DEGREE)
+        for block, t_h in solution.t_h.block_values(blocks, ops):
             rows = block.rows
             sdiff = exact_stress(problem, gu[rows], None if pv is None else pv[rows])
             sdiff -= t_h

@@ -114,20 +114,23 @@ def physical_points(mesh, degree):
 
 
 class ElementBlock(NamedTuple):
-    """Elements `rows` (a slice) of `mesh` and a rule's points on them: the
-    rows of `physical_points` bit for bit, formed for the block alone."""
+    """Elements `rows` (a slice or an index array) of `mesh` and a rule's
+    points on them: the rows of `physical_points` bit for bit, formed for
+    the block alone."""
 
     mesh: object
-    rows: slice
+    rows: slice | np.ndarray
     points: np.ndarray
 
 
-def element_blocks(mesh, degree):
+def element_blocks(mesh, degree, rows=None):
     """The mesh as consecutive `ElementBlock`s of BLOCK_ELEMENTS elements (the
-    last may hold fewer) with the points of `triangle_rule(degree)`."""
-    for start in range(0, mesh.num_elements, BLOCK_ELEMENTS):
-        rows = slice(start, start + BLOCK_ELEMENTS)
-        yield ElementBlock(mesh, rows, _rule_points(mesh, rows, degree))
+    last may hold fewer) with the points of `triangle_rule(degree)`; with an
+    index array rows, the blocks hold those elements only, in its order."""
+    for start in range(0, mesh.num_elements if rows is None else len(rows), BLOCK_ELEMENTS):
+        block = slice(start, start + BLOCK_ELEMENTS)
+        block = block if rows is None else rows[block]
+        yield ElementBlock(mesh, block, _rule_points(mesh, block, degree))
 
 
 def rule_values(f, mesh, degree):
@@ -149,7 +152,7 @@ def rule_values(f, mesh, degree):
     """
 
     def build():
-        carried = mesh.pop_cached(("carried", f, degree))
+        carried = mesh.pop_cached(("carried", "rule_values", f, degree))
         ne = mesh.num_elements
         fresh = np.ones(ne, dtype=bool)
         out = None
@@ -157,13 +160,11 @@ def rule_values(f, mesh, degree):
             fresh[carried[0]] = False
             out = np.empty((ne,) + carried[1].shape[1:])
             out[carried[0]] = carried[1]
-        new_rows = np.flatnonzero(fresh)
-        for start in range(0, len(new_rows), BLOCK_ELEMENTS):
-            rows = new_rows[start:start + BLOCK_ELEMENTS]
-            new = np.asarray(f(_rule_points(mesh, rows, degree)), dtype=float)
+        for block in element_blocks(mesh, degree, np.flatnonzero(fresh)):
+            new = np.asarray(f(block.points), dtype=float)
             if out is None:
                 out = np.empty((ne,) + new.shape[1:])
-            out[rows] = new
+            out[block.rows] = new
         return _frozen(out)
 
     return mesh.cached(("rule_values", f, degree), build)

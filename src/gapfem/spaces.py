@@ -20,6 +20,8 @@ averages and divergences from A and D (`rt_average_operator`,
 `rt_divergence_operator`), and RT point values from those two.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sparse
 
@@ -85,29 +87,35 @@ class RTField:
         one entry at a time: c_i x_d + (avg - c x_T)_id with c = div / 2."""
         return _affine_entries(*self._affine(), points)
 
-    def block_values(self, blocks):
+    def block_values(self, blocks, ops=None):
         """Yield (block, values at its points, (nb, nq, 2, 2)) for each
         `ElementBlock`, the rows of `evaluate` bit for bit; the divergences
-        and cell averages are computed once per call, not per block."""
-        c, a = self._affine()
+        and cell averages are computed once per call, not per block, with
+        the A and D of ops, the mesh's `MeshOperators` (made here if None)."""
+        c, a = self._affine(ops)
         for block in blocks:
             entries = _affine_entries(c[block.rows], a[block.rows], block.points)
             yield block, _stacked(entries, block.points.shape)
 
-    def _affine(self):
+    def _affine(self, ops=None):
         """(c, avg - c x_T), c = div / 2: row i on T is c_i x + (avg - c x_T)_i."""
-        c = 0.5 * self.divergence()
+        ops = MeshOperators(self.mesh) if ops is None else ops
+        c = 0.5 * self.divergence(ops)
         cent = self.mesh.geometry()["centroids"]
-        return c, self.cell_average() - np.einsum("ni,nd->nid", c, cent)
+        return c, self.cell_average(ops) - np.einsum("ni,nd->nid", c, cent)
 
-    def cell_average(self):
-        """Row-wise cell averages: (ne, 2, 2)."""
-        avg = rt_average_operator(self.mesh) @ self.flux.T  # (2 ne, 2): rows (n, d)
+    def cell_average(self, ops=None):
+        """Row-wise cell averages: (ne, 2, 2), from the A of ops (the mesh's
+        `MeshOperators`, made here if None)."""
+        ops = MeshOperators(self.mesh) if ops is None else ops
+        avg = ops.avg @ self.flux.T  # (2 ne, 2): rows (n, d)
         return avg.reshape(-1, 2, 2).transpose(0, 2, 1)
 
-    def divergence(self):
-        """Row-wise divergences: (ne, 2)."""
-        return rt_divergence_operator(self.mesh) @ self.flux.T
+    def divergence(self, ops=None):
+        """Row-wise divergences: (ne, 2), from the D of ops (the mesh's
+        `MeshOperators`, made here if None)."""
+        ops = MeshOperators(self.mesh) if ops is None else ops
+        return ops.div @ self.flux.T
 
     def __add__(self, other):
         return RTField(self.mesh, self.flux + other.flux)
@@ -374,6 +382,44 @@ def rt_divergence_operator(mesh):
     t.divergence()[:, i].
     """
     return _element_side_rows(mesh, 2.0 * _rt_local_factors(mesh)[0][:, None, :])
+
+
+class MeshOperators:
+    """The flux and gradient operators of one mesh, each built on first use
+    and then shared by the callers the set is handed to.
+
+    grad, avg and div are G, A and D (`cr_gradient_operator`,
+    `rt_average_operator`, `rt_divergence_operator`); abs_div_h and abs_div
+    are |div_h| (|G's trace rows|) and |D|, the weights of the terms that the
+    admissibility residuals of `duality` measure against.  Nothing caches a
+    set: its builder hands it on and drops it, so its operators die with
+    the caller's level.
+    """
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+
+    @cached_property
+    def grad(self):
+        return cr_gradient_operator(self.mesh)
+
+    @cached_property
+    def avg(self):
+        return rt_average_operator(self.mesh)
+
+    @cached_property
+    def div(self):
+        return rt_divergence_operator(self.mesh)
+
+    @cached_property
+    def abs_div_h(self):
+        return abs(self.grad[0::4] + self.grad[3::4])
+
+    @cached_property
+    def abs_div(self):
+        # abs sorts its operand's column indices in place, which would change
+        # the summation order of every later product with D
+        return abs(self.div.copy())
 
 
 def _element_side_rows(mesh, data):

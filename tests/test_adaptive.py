@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from gapfem.adaptive import AdaptiveConfig, eoc, mark_max, run_adaptive
-from gapfem.problems import lshape_stokes, manufactured_elasticity, taylor_green_stokes
-from gapfem.quadrature import triangle_rule
+from gapfem.problems import (cook_membrane, lshape_stokes, manufactured_elasticity,
+                             taylor_green_stokes)
+from gapfem.quadrature import VOLUME_DEGREE, triangle_rule
 
 
 class TestMarkMax:
@@ -189,34 +190,75 @@ def test_cook_step_builds_no_degree10_arrays():
     assert not [k for k in keys if isinstance(k, tuple) and k[0] == "rule_values"]
 
 
+PROBLEM_FACTORIES = {
+    "taylor_green_stokes": taylor_green_stokes,
+    "taylor_green_tensor": lambda: taylor_green_stokes(load="tensor"),
+    "lshape_stokes": lshape_stokes,
+    "cook_membrane": cook_membrane,
+}
+
+
+def count_builds(monkeypatch, builds, counts=lambda mesh: True):
+    """Count in builds[id(mesh), name], for each mesh with counts(mesh): the
+    builds of G ("G", `_gradient_operator(mesh, 2)`), A and D ("A" and "D",
+    `_element_side_rows` with two rows and one row per element), and the
+    elements whose degree-10 points are formed, as whole `element_blocks`
+    passes from row 0 ("pass") and as element rows ("rows")."""
+    from gapfem import quadrature, spaces
+
+    def counted(fn, names_of):
+        def call(mesh, *args):
+            if counts(mesh):
+                builds.update({(id(mesh), name): n for name, n in names_of(mesh, *args)})
+            return fn(mesh, *args)
+
+        return call
+
+    def points(mesh, rows, degree):
+        if degree != VOLUME_DEGREE:
+            return []
+        if isinstance(rows, slice):
+            return [("pass", rows.start == 0), ("rows", len(range(mesh.num_elements)[rows]))]
+        return [("rows", len(rows))]
+
+    monkeypatch.setattr(spaces, "_gradient_operator", counted(
+        spaces._gradient_operator, lambda mesh, ncomp: [("G", ncomp == 2)]))
+    monkeypatch.setattr(spaces, "_element_side_rows", counted(
+        spaces._element_side_rows, lambda mesh, data: [("AD"[2 - data.shape[1]], 1)]))
+    monkeypatch.setattr(quadrature, "_rule_points", counted(quadrature._rule_points, points))
+
+
 @pytest.mark.parametrize("factory, mode", [
     ("taylor_green_stokes", "uniform"),
+    ("taylor_green_tensor", "uniform"),
     ("taylor_green_stokes", "adaptive"),
     ("lshape_stokes", "adaptive"),
     ("cook_membrane", "adaptive"),
 ])
 def test_level_operators_built_once_per_mesh(factory, mode, monkeypatch):
     """Per mesh of the adaptive loop: the broken-gradient operator G of
-    vector CR fields is built at most twice (the assembly's, and one for the
-    solution's broken gradients after the solve), the RT cell-average
-    operator A at most twice and the RT divergence operator D at most once,
-    and a Stokes estimate makes one volume `element_blocks` pass beside
-    `project_data`'s (none without f and F); counting does not change the
-    report."""
-    from gapfem import adaptive, problems, quadrature, spaces
-    from gapfem.quadrature import VOLUME_DEGREE
+    vector CR fields is built at most twice (the assembly's, which a tensor
+    load shares, and one for the solution's broken gradients after the
+    solve), the RT cell-average operator A at most twice and the RT
+    divergence operator D at most once; a Stokes estimate makes one volume
+    `element_blocks` pass, and `project_data` forms the degree-10 points of
+    each element at most once (of every element when nothing was carried,
+    none without f and F); counting does not change the report."""
+    from gapfem import adaptive, problems
 
     config = AdaptiveConfig(refinement_mode=mode, max_iter=3)
-    plain = run_adaptive(getattr(problems, factory)(), config).csv_rows()
-    prob = getattr(problems, factory)()
-    builds = Counter()
+    plain = run_adaptive(PROBLEM_FACTORIES[factory](), config).csv_rows()
+    prob = PROBLEM_FACTORIES[factory]()
+    builds, projected = Counter(), Counter()
+    projecting = []
 
-    def counted(fn, name_of):
-        def call(mesh, *args):
-            builds[id(mesh), name_of(*args)] += 1
-            return fn(mesh, *args)
-
-        return call
+    def project_data(problem, mesh):
+        # the points project_data forms are counted apart, in projected
+        projecting.append(mesh)
+        try:
+            return plain_project(problem, mesh)
+        finally:
+            projecting.pop()
 
     meshes = []
 
@@ -227,29 +269,51 @@ def test_level_operators_built_once_per_mesh(factory, mode, monkeypatch):
 
         return made
 
-    # G is _gradient_operator(mesh, 2); A and D give _element_side_rows two
-    # rows and one row per element; an element_blocks pass starts at row 0
-    monkeypatch.setattr(spaces, "_gradient_operator", counted(
-        spaces._gradient_operator, lambda ncomp: "G" if ncomp == 2 else None))
-    monkeypatch.setattr(spaces, "_element_side_rows", counted(
-        spaces._element_side_rows, lambda data: "AD"[2 - data.shape[1]]))
-    monkeypatch.setattr(quadrature, "_rule_points", counted(
-        quadrature._rule_points,
-        lambda rows, degree: "pass" if isinstance(rows, slice) and rows.start == 0
-        and degree == VOLUME_DEGREE else None))
+    plain_project = problems.project_data
+    count_builds(monkeypatch, builds)
+    count_builds(monkeypatch, projected, lambda mesh: mesh in projecting)
+    monkeypatch.setattr(problems, "project_data", project_data)
     prob.mesh_factory = recorded(prob.mesh_factory)
     monkeypatch.setattr(adaptive, "refine_marked_twice", recorded(adaptive.refine_marked_twice))
     report = run_adaptive(prob, config)
     assert report.csv_rows() == plain
     assert [m.num_elements for m in meshes] == [r.num_elements for r in report.records]
     data = prob.f is not None or prob.big_f is not None
-    passes = int(data) + (prob.kind == "stokes")
-    for mesh in meshes:
+    for k, mesh in enumerate(meshes):
         key = id(mesh)
         assert 1 <= builds[key, "G"] <= 2
         assert 1 <= builds[key, "A"] <= 2
         assert builds[key, "D"] == 1
-        assert builds[key, "pass"] == passes
+        assert builds[key, "pass"] - projected[key, "pass"] == (prob.kind == "stokes")
+        if mode == "uniform" or k == 0 or not data:
+            assert projected[key, "pass"] == data
+            assert projected[key, "rows"] == data * mesh.num_elements
+        else:
+            assert 0 < projected[key, "rows"] < mesh.num_elements
+
+
+def test_identity_level_builds_each_operator_once(monkeypatch):
+    """Each `identity_rows` level builds G, A and D once each after
+    `discretize_stokes` returns, for the exact errors and all the samples;
+    counting does not change the rows."""
+    from gapfem import adaptive
+    from gapfem.adaptive import identity_rows
+
+    plain = identity_rows(taylor_green_stokes(), 3, 4)
+    solved, builds = [], Counter()  # the list keeps the meshes, so their ids
+
+    def discretize_stokes(problem, mesh):
+        sol = plain_discretize(problem, mesh)
+        solved.append(mesh)
+        return sol
+
+    plain_discretize = adaptive.discretize_stokes
+    count_builds(monkeypatch, builds, lambda mesh: any(m is mesh for m in solved))
+    monkeypatch.setattr(adaptive, "discretize_stokes", discretize_stokes)
+    assert identity_rows(taylor_green_stokes(), 3, 4) == plain
+    assert len(solved) == 3
+    for mesh in solved:
+        assert [builds[id(mesh), name] for name in "GAD"] == [1, 1, 1]
 
 
 def test_level4_degree10_arrays_stay_in_blocks():
@@ -331,6 +395,92 @@ def test_lshape_evaluates_fields_only_on_fresh_elements(monkeypatch):
     assert len(fresh) == 4 and sum(fresh) < sum(sizes)
 
 
+def test_taylor_green_evaluates_f_only_on_fresh_elements(monkeypatch):
+    """The adaptive Taylor-Green loop evaluates f at the degree-10 points of
+    the initial elements and then only of the elements a refinement did not
+    copy with their vertex row unchanged: `project_data` takes the other
+    rows of f_h and the oscillation from the parent mesh."""
+    from gapfem import adaptive
+    from gapfem.mesh import refine_marked_twice
+
+    config = AdaptiveConfig(theta=0.5, max_iter=5)
+    plain = run_adaptive(taylor_green_stokes(), config).csv_rows()
+    points = Counter()
+    prob = taylor_green_stokes()
+    plain_f = prob.f
+
+    def f(x):
+        points["f"] += x.size // 2
+        return plain_f(x)
+
+    prob = dataclasses.replace(prob, f=f)
+    sizes, fresh = [], []
+
+    def refine(mesh, marked):
+        child = refine_marked_twice(mesh, marked)
+        kept = set(map(tuple, mesh.elements[mesh.refinement_edge == 0].tolist()))
+        sizes.append(child.num_elements)
+        fresh.append(sum(row not in kept for row in map(tuple, child.elements.tolist())))
+        return child
+
+    monkeypatch.setattr(adaptive, "refine_marked_twice", refine)
+    initial = prob.mesh_factory().num_elements
+    assert run_adaptive(prob, config).csv_rows() == plain
+    nq = len(triangle_rule(VOLUME_DEGREE)[1])
+    assert points == {"f": nq * (initial + sum(fresh))}
+    assert len(fresh) == 4 and sum(fresh) < sum(sizes)
+
+
+def list_identity_level(problem, mesh, level, seeds, seed_offset, tamper):
+    """`adaptive._identity_level` written with the list API: one CRField
+    and one RTField per sample, u_h + w and T_h + r summed field by field."""
+    from gapfem.duality import (energies_stokes, random_divfree_cr, random_divfree_rt,
+                                strong_convexity_stokes)
+    from gapfem.problems import discretize_stokes, exact_errors
+    from gapfem.spaces import RTField
+
+    sol = discretize_stokes(problem, mesh)
+    errs = exact_errors(sol, problem)
+    level_seeds = [seed_offset + 1000 * level + i for i in range(1, seeds + 1)]
+    sizes = np.array([0.5 + ((7 * seed) % 8) / 4.0 for seed in level_seeds])
+    vs = [sol.u_h + w for w in random_divfree_cr(
+        mesh, level_seeds, sizes * np.sqrt(2.0 / problem.nu) * errs["primal"])]
+    taus = [sol.t_h + r for r in random_divfree_rt(
+        mesh, [seed + 500000 for seed in level_seeds],
+        sizes * np.sqrt(2.0 * problem.nu) * errs["dual"])]
+    if tamper:
+        flux = [tau.flux.copy() for tau in taus]
+        for f in flux:
+            f[0, mesh.element_sides[0, 0]] += 0.1 * (1.0 + f.max())
+        taus = [RTField(mesh, f) for f in flux]
+    en = energies_stokes(vs, taus, sol.system)
+    rho = strong_convexity_stokes(vs, taus, sol)
+    return en["primal"] - en["dual"], rho["primal"], rho["dual"]
+
+
+@pytest.mark.parametrize("factory, level, tamper", [
+    (taylor_green_stokes, 2, False),
+    (taylor_green_stokes, 1, True),
+    (lshape_stokes, 1, False),
+])
+def test_identity_level_equals_list_api(factory, level, tamper):
+    """The identity level's block path gives the rows of the list API bit
+    for bit; tampering makes every stress inadmissible, so every gap +inf."""
+    from gapfem.adaptive import _identity_level
+    from gapfem.mesh import refine_marked_twice
+
+    prob = factory()
+    mesh = prob.mesh_factory()
+    for _ in range(level - 1):
+        mesh = refine_marked_twice(mesh, range(mesh.num_elements))
+    gap, rho_primal, rho_dual = list_identity_level(prob, mesh, level, 5, 7, tamper)
+    rows = _identity_level(prob, mesh, level, 5, 7, tamper)
+    assert [r["gap"] for r in rows] == gap.tolist()
+    assert [r["rho_primal"] for r in rows] == rho_primal.tolist()
+    assert [r["rho_dual"] for r in rows] == rho_dual.tolist()
+    assert (gap == np.inf).all() if tamper else np.isfinite(gap).all()
+
+
 def test_uniform_refinement_carries_nothing():
     from gapfem.mesh import refine_marked_twice
     from gapfem.quadrature import VOLUME_DEGREE, rule_values
@@ -353,7 +503,7 @@ def test_parent_field_array_dies_with_the_parent():
     mesh = prob.mesh_factory()
     parent_values = weakref.ref(rule_values(prob.grad_u, mesh, VOLUME_DEGREE))
     child = refine_marked_twice(mesh, [0])
-    assert _carried_keys(child) == [("carried", prob.grad_u, VOLUME_DEGREE)]
+    assert _carried_keys(child) == [("carried", "rule_values", prob.grad_u, VOLUME_DEGREE)]
     del mesh
     gc.collect()
     assert parent_values() is None

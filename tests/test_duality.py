@@ -45,7 +45,13 @@ from gapfem import (
     structured_square_mesh,
 )
 from gapfem.adaptive import refine_marked_twice
-from gapfem.duality import JUMP_TOL
+from gapfem.duality import (
+    JUMP_TOL,
+    energies_stokes_block,
+    random_divfree_cr_block,
+    random_divfree_rt_block,
+    strong_convexity_stokes_block,
+)
 from gapfem.problems import (
     cook_membrane,
     discretize_elasticity,
@@ -56,6 +62,7 @@ from gapfem.problems import (
     taylor_green_stokes,
 )
 from gapfem.spaces import (
+    MeshOperators,
     curl_operator,
     dev,
     norm_p0,
@@ -582,6 +589,36 @@ class TestBlockFunctions:
         gap = en["primal"] - en["dual"]
         ok = [0, 2, 4]
         assert gap[ok] == pytest.approx((rho["primal"] + rho["dual"])[ok], rel=1e-10)
+
+    def test_blocks_equal_the_list_api(self, block):
+        """The samples formed in place as blocks, with one operator set, give
+        the list API's energies and convexity measures bit for bit, the
+        inadmissible columns' +inf and -inf included."""
+        sol, vs, taus = block
+        mesh = sol.mesh
+        ops = MeshOperators(mesh)
+        seeds, scales = [31, 32, 33, 34, 35], [0.01, 0.1, 1.0, 0.3, 0.03]
+        dofs = random_divfree_cr_block(ops, seeds, scales)
+        dofs += sol.u_h.dofs()[:, None]
+        flux = random_divfree_rt_block(ops, seeds, scales)
+        for i in range(2):
+            flux[:, i::2] += sol.t_h.flux[i][:, None]
+        dofs[:, 1] = vs[1].dofs()
+        flux[:, 6:8] = taus[3].flux.T
+        assert np.array_equal(dofs, np.stack([v.dofs() for v in vs], axis=1))
+        assert np.array_equal(flux.T.reshape(5, 2, -1), np.stack([t.flux for t in taus]))
+        en = energies_stokes_block(dofs, flux, sol.system, ops)
+        rho = strong_convexity_stokes_block(dofs, flux, sol.system, sol.u_h, sol.t_h, ops)
+        want_en = energies_stokes(vs, taus, sol.system)
+        want_rho = strong_convexity_stokes(vs, taus, sol)
+        for got, want in ((en, want_en), (rho, want_rho)):
+            assert got.keys() == want.keys()
+            for key in got:
+                assert np.array_equal(got[key], want[key]), key
+        assert en["primal"][1] == np.inf and en["dual"][3] == -np.inf
+        assert np.isfinite(en["primal"][[0, 2, 3, 4]]).all()
+        # the blocks are read, not changed
+        assert np.array_equal(dofs, np.stack([v.dofs() for v in vs], axis=1))
 
 
 class TestAdmissiblePair:

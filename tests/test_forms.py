@@ -401,8 +401,6 @@ def test_every_default_is_left_unset_by_some_call():
 
 # public functions that no gapfem code or README example calls, and why they stay
 UNCALLED_PUBLIC = {
-    "save_mesh": "writes the mesh files that load_mesh reads",
-    "load_mesh": "the one path that turns a malformed mesh file into MeshError",
     "apriori_identity_check_stokes": "acceptance criterion 4, the a priori identity",
     "manufactured_elasticity": "acceptance criterion 8, the elasticity rates",
 }

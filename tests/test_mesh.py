@@ -11,13 +11,11 @@ from gapfem import (
     NEUMANN,
     MeshError,
     build_triangulation,
-    load_mesh,
     refine_bisection,
-    save_mesh,
     structured_square_mesh,
 )
 from gapfem.mesh import Triangulation, refine_marked_twice
-from gapfem.problems import (cook_mesh, get_problem, lshape_mesh, lshape_stokes,
+from gapfem.problems import (cook_mesh, get_problem, lshape_mesh, lshape_stokes, project_data,
                              taylor_green_stokes)
 from gapfem.quadrature import VOLUME_DEGREE, physical_points, rule_values
 
@@ -115,6 +113,39 @@ class TestBuild:
         verts = np.vstack([mesh.vertices, [(0.5, 2.0)]])
         with pytest.raises(MeshError, match="vertex 25 belongs to no element"):
             Triangulation(verts, mesh.elements, mesh.refinement_edge, tg_labeler)
+
+    @pytest.mark.parametrize("case, match", [
+        pytest.param(case, match, id=case) for case, match in [
+            ("truncated-labels", r"unlabeled boundary side"),
+            ("unknown-label", r"invalid label 7 for side"),
+            ("refinement-edge-7", r"refinement_edge must hold one local edge"),
+            ("interior-side-label", r"label row \(\d+, \d+\) names no boundary side"),
+            ("non-edge-label", r"label row \(0, 15\) names no boundary side"),
+            ("repeated-side-label", r"side \(\d+, \d+\) is labelled more than once"),
+        ]
+    ])
+    def test_malformed_label_arrays_rejected(self, case, match):
+        """A mesh description with a missing, unknown or repeated boundary
+        label, a label on a side that is not a boundary side, or a
+        refinement edge out of range raises MeshError."""
+        mesh = structured_square_mesh(3, tg_labeler)
+        boundary = np.flatnonzero(mesh.side_labels != INTERIOR)
+        pairs = mesh.side_vertices[boundary].tolist()
+        labels = mesh.side_labels[boundary].tolist()
+        refinement_edge = mesh.refinement_edge.copy()
+        interior = mesh.side_vertices[np.argmax(mesh.side_labels == INTERIOR)].tolist()
+        if case == "truncated-labels":
+            pairs, labels = pairs[:-2], labels[:-2]
+        elif case == "unknown-label":
+            labels[-1] = 7
+        elif case == "refinement-edge-7":
+            refinement_edge[0] = 7
+        else:
+            extra = {"interior-side-label": interior, "non-edge-label": [0, 15],
+                     "repeated-side-label": pairs[-1][::-1]}[case]
+            pairs, labels = pairs + [extra], labels + [DIRICHLET]
+        with pytest.raises(MeshError, match=match):
+            Triangulation(mesh.vertices, mesh.elements, refinement_edge, (pairs, labels))
 
 
 class TestGeometry:
@@ -270,73 +301,6 @@ class TestBenchmarkMeshes:
         geo = mesh.geometry()
         for s in mesh.sides_with_label(DIRICHLET):
             assert abs(geo["side_midpoint"][s][0]) < 1e-12
-
-
-class TestIO:
-    def test_roundtrip(self, tmp_path):
-        mesh = structured_square_mesh(3, tg_labeler)
-        path = tmp_path / "mesh.txt"
-        save_mesh(mesh, path)
-        back = load_mesh(path)
-        assert np.array_equal(back.elements, mesh.elements)
-        assert np.allclose(back.vertices, mesh.vertices, rtol=1e-15, atol=0)
-        assert np.array_equal(back.side_labels, mesh.side_labels)
-
-    def test_overlapping_elements_file_rejected(self, tmp_path):
-        path = tmp_path / "mesh.txt"
-        rows = [f"{a} {b} {c} 0" for a, b, c in OVERLAP_ELEMENTS]
-        labels = [f"{a} {b} dirichlet" for a, b in [(1, 2), (2, 0), (1, 3), (3, 0)]]
-        path.write_text("\n".join(["gapfem-mesh 1", "4 2"]
-                                  + [f"{x} {y}" for x, y in OVERLAP_VERTICES]
-                                  + rows + ["4"] + labels) + "\n")
-        with pytest.raises(MeshError, match=r"elements overlap on side \(0, 1\)"):
-            load_mesh(path)
-
-    def test_unused_vertex_file_rejected(self, tmp_path):
-        path = tmp_path / "mesh.txt"
-        save_mesh(structured_square_mesh(4, tg_labeler), path)
-        lines = path.read_text().splitlines()
-        assert lines[1] == "25 32"
-        lines[1:27] = ["26 32"] + lines[2:27] + ["0.5 2"]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(MeshError, match="vertex 25 belongs to no element"):
-            load_mesh(path)
-
-    @pytest.mark.parametrize(
-        "mangle",
-        [
-            lambda lines: lines[:-2],  # truncated label section
-            lambda lines: lines[:-1] + [lines[-1].rsplit(" ", 1)[0] + " wall"],
-            lambda lines: lines[:1] + ["16 x"] + lines[2:],  # non-integer count
-            lambda lines: lines[:18] + [lines[18].rsplit(" ", 1)[0] + " 7"]
-            + lines[19:],  # refinement edge out of range
-            # an extra label row on the interior diagonal (0, 5) or on the
-            # non-edge (0, 15) between opposite corners
-            lambda lines: lines[:36] + [str(int(lines[36]) + 1)] + lines[37:]
-            + ["0 5 dirichlet"],
-            lambda lines: lines[:36] + [str(int(lines[36]) + 1)] + lines[37:]
-            + ["0 15 neumann"],
-            # the last boundary side labelled again, reversed and relabelled
-            lambda lines: lines[:36] + [str(int(lines[36]) + 1)] + lines[37:]
-            + [" ".join(lines[-1].split()[1::-1]) + " dirichlet"],
-            # the byte 0xff, which no UTF-8 text holds, in the header
-            lambda lines: [lines[0] + " \xff"] + lines[1:],
-            lambda lines: lines[:18] + [lines[18] + " 9"] + lines[19:],
-            lambda lines: lines[:-1] + [lines[-1] + " 9"],
-        ],
-        ids=["truncated-labels", "unknown-label", "bad-count", "refinement-edge-7",
-             "interior-side-label", "non-edge-label", "repeated-side-label",
-             "not-utf8", "element-row-fifth-field", "label-row-fourth-field"],
-    )
-    def test_malformed_file_raises_mesh_error(self, tmp_path, mangle):
-        path = tmp_path / "mesh.txt"
-        save_mesh(structured_square_mesh(3, tg_labeler), path)
-        lines = path.read_text().splitlines()
-        assert lines[18].count(" ") == 3  # the first element row
-        # Latin-1 writes the ASCII lines as they are and \xff as that byte
-        path.write_text("\n".join(mangle(lines)) + "\n", encoding="latin-1")
-        with pytest.raises(MeshError):
-            load_mesh(path)
 
 
 # -- loop oracle: the side build and bisection as they were before the array
@@ -587,11 +551,10 @@ def _perturbed_square(n, labeler, seed):
     seed=st.integers(0, 2**32 - 1),
     fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
 )
-def test_bisection_properties(n, labeler, seed, fractions, tmp_path_factory):
-    """Conformity, area, label inheritance and file round trip after NVB."""
+def test_bisection_properties(n, labeler, seed, fractions):
+    """Conformity, area and label inheritance after NVB."""
     mesh = _perturbed_square(n, labeler, seed)
     rng = np.random.default_rng(seed)
-    path = tmp_path_factory.mktemp("nvb") / "mesh.txt"
     for fraction in fractions:
         size = max(1, round(fraction * mesh.num_elements))
         marked = rng.choice(mesh.num_elements, size=size, replace=False)
@@ -630,12 +593,6 @@ def test_bisection_properties(n, labeler, seed, fractions, tmp_path_factory):
         assert np.all(on.sum(axis=1) == 1)
         assert np.array_equal(out.side_labels[child],
                               mesh.side_labels[parent[on.argmax(axis=1)]])
-
-        save_mesh(out, path)
-        back = load_mesh(path)
-        for name in ("vertices", "elements", "refinement_edge", "side_vertices",
-                     "side_elements", "side_labels", "element_sides"):
-            assert np.array_equal(getattr(back, name), getattr(out, name)), name
         mesh = out
 
 
@@ -683,7 +640,45 @@ def test_carried_rule_values_match_fresh_evaluation(name, seed, steps):
         for f in CARRY_FIELDS:
             fresh = np.asarray(f(points), dtype=float)
             assert np.array_equal(rule_values(f, mesh, VOLUME_DEGREE), fresh)
-            assert ("carried", f, VOLUME_DEGREE) not in mesh._cache
+            assert ("carried", "rule_values", f, VOLUME_DEGREE) not in mesh._cache
+
+    for fraction, evaluate, twice in steps:
+        if evaluate:
+            check(mesh)
+        size = max(1, round(fraction * mesh.num_elements))
+        marked = rng.choice(mesh.num_elements, size=size, replace=False)
+        if twice:
+            mesh = refine_marked_twice(mesh, marked)
+        else:
+            mesh, _ = refine_bisection(mesh, marked)
+    check(mesh)
+
+
+_TG_TENSOR = taylor_green_stokes(load="tensor")
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CARRY_MESHES)),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(
+        st.tuples(st.floats(0.0, 0.3), st.booleans(), st.booleans()),
+        min_size=1, max_size=3,
+    ),
+)
+def test_carried_projections_match_fresh_projection(name, seed, steps):
+    """f_h, F_h and the oscillation that `project_data` forms from carried
+    rows equal, bit for bit, those of a cache-free copy of the mesh, for the
+    traction and the tensor form of the Taylor-Green loads."""
+    mesh = CARRY_MESHES[name](seed)
+    rng = np.random.default_rng(seed)
+
+    def check(mesh):
+        for prob in (_TG, _TG_TENSOR):
+            fresh = project_data(prob, _cache_free(mesh))
+            for got, want in zip(project_data(prob, mesh), fresh):
+                assert (got is None and want is None) or np.array_equal(got, want)
+            assert ("carried", "projection", prob.f, prob.big_f) not in mesh._cache
 
     for fraction, evaluate, twice in steps:
         if evaluate:
