@@ -40,6 +40,12 @@ def two_triangle_square():
     return build_triangulation(verts, elems, all_dirichlet)
 
 
+def boundary_label_rows(mesh):
+    """The mesh's boundary sides as explicit (vertex pair, label) rows."""
+    boundary = np.flatnonzero(mesh.side_labels != INTERIOR)
+    return mesh.side_vertices[boundary].tolist(), mesh.side_labels[boundary].tolist()
+
+
 def assert_conforming(mesh):
     interior = mesh.side_labels == INTERIOR
     assert np.all((mesh.side_elements[:, 1] >= 0) == interior)
@@ -129,9 +135,7 @@ class TestBuild:
         label, a label on a side that is not a boundary side, or a
         refinement edge out of range raises MeshError."""
         mesh = structured_square_mesh(3, tg_labeler)
-        boundary = np.flatnonzero(mesh.side_labels != INTERIOR)
-        pairs = mesh.side_vertices[boundary].tolist()
-        labels = mesh.side_labels[boundary].tolist()
+        pairs, labels = boundary_label_rows(mesh)
         refinement_edge = mesh.refinement_edge.copy()
         interior = mesh.side_vertices[np.argmax(mesh.side_labels == INTERIOR)].tolist()
         if case == "truncated-labels":
@@ -301,6 +305,25 @@ class TestBenchmarkMeshes:
         geo = mesh.geometry()
         for s in mesh.sides_with_label(DIRICHLET):
             assert abs(geo["side_midpoint"][s][0]) < 1e-12
+
+
+class TestIO:
+    """Mesh descriptions in the stored form: vertex and element arrays with
+    refinement edges and explicit boundary label rows, no labeler. The
+    twins in TestBuild reach the same errors through a labeler."""
+
+    def test_overlapping_elements_file_rejected(self):
+        rows = ([(1, 2), (2, 0), (1, 3), (3, 0)], [DIRICHLET] * 4)
+        with pytest.raises(MeshError, match=r"elements overlap on side \(0, 1\)"):
+            Triangulation(OVERLAP_VERTICES, OVERLAP_ELEMENTS, [0, 0], rows)
+
+    def test_unused_vertex_file_rejected(self):
+        mesh = structured_square_mesh(4, tg_labeler)
+        assert mesh.num_vertices == 25
+        verts = np.vstack([mesh.vertices, [(0.5, 2.0)]])
+        with pytest.raises(MeshError, match="vertex 25 belongs to no element"):
+            Triangulation(verts, mesh.elements, mesh.refinement_edge,
+                          boundary_label_rows(mesh))
 
 
 # -- loop oracle: the side build and bisection as they were before the array
