@@ -25,7 +25,7 @@ from .forms import NumericalFailure
 from .mesh import refine_marked_twice
 from .problems import discretize_elasticity, discretize_stokes, estimate_stokes, exact_errors
 from .quadrature import VOLUME_DEGREE
-from .spaces import MeshOperators, nodal_average
+from .spaces import nodal_average
 
 
 @dataclass
@@ -260,11 +260,10 @@ def identity_rows(problem, levels, seeds, seed_offset=0, tamper=False):
 def _identity_level(problem, mesh, level, seeds, seed_offset, tamper):
     """The `identity_rows` rows of one mesh: its seeds' pairs as one block,
     v = u_h + w a (2 ns, k) DOF block and tau = T_h + r an (ns, 2 k) flux
-    block, formed in place from the samples w and r.  One `MeshOperators`
-    set, built after the solve, serves the exact errors and the samples."""
+    block, formed in place from the samples w and r; the exact errors and
+    the samples read the solved system's one operator set, `system.ops`."""
     sol = discretize_stokes(problem, mesh)
-    ops = MeshOperators(mesh)
-    errs = exact_errors(sol, problem, ops)
+    errs = exact_errors(sol, problem)
     # the exact errors are the last readers of the bundle's broken gradient
     # and of the mesh's degree-10 field values: uniform refinement carries
     # no rows of them to the next mesh
@@ -276,19 +275,19 @@ def _identity_level(problem, mesh, level, seeds, seed_offset, tamper):
     # vary the perturbation size around the discretisation error
     sizes = np.array([0.5 + ((7 * seed) % 8) / 4.0 for seed in level_seeds])
     v = random_divfree_cr_block(
-        ops, level_seeds, sizes * np.sqrt(2.0 / problem.nu) * errs["primal"]
+        system.ops, level_seeds, sizes * np.sqrt(2.0 / problem.nu) * errs["primal"]
     )
     v += u_h.dofs()[:, None]
     tau = random_divfree_rt_block(
-        ops, [seed + 500000 for seed in level_seeds],
+        system.ops, [seed + 500000 for seed in level_seeds],
         sizes * np.sqrt(2.0 * problem.nu) * errs["dual"],
     )
     for i in range(2):
         tau[:, i::2] += t_h.flux[i][:, None]
     if tamper:
         _tamper(tau, mesh)
-    en = energies_stokes_block(v, tau, system, ops)
-    rho = strong_convexity_stokes_block(v, tau, system, u_h, t_h, ops)
+    en = energies_stokes_block(v, tau, system)
+    rho = strong_convexity_stokes_block(v, tau, system, u_h, t_h)
     gap = en["primal"] - en["dual"]
     rho_tot = rho["primal"] + rho["dual"]
     rel = np.abs(gap - rho_tot) / rho_tot  # inf in an inadmissible column

@@ -219,7 +219,7 @@ def _stress_residuals(ops, flux, f_h, g_h):
 # row i of candidate j.  Velocities go through the broken-gradient operator
 # and stresses through the RT cell-average operator as one block each; a
 # tensor block is (k, ne, 2, 2).  The `*_block` functions take these blocks
-# and the mesh's `MeshOperators`; the list API stacks its fields into them.
+# and the solved system's `ops`; the list API stacks its fields into them.
 
 
 def _cr_block(vs):
@@ -278,16 +278,13 @@ def energies_stokes(vs, taus, system):
     constraints sum, are at most ADMISSIBLE_TOL, at any scale of the data.
     The lists are stacked into the blocks of `energies_stokes_block`.
     """
-    return energies_stokes_block(
-        _cr_block(vs), _rt_block(taus), system, MeshOperators(system.mesh)
-    )
+    return energies_stokes_block(_cr_block(vs), _rt_block(taus), system)
 
 
-def energies_stokes_block(dofs, flux, system, ops):
+def energies_stokes_block(dofs, flux, system):
     """`energies_stokes` of the candidates of a (2 ns, k) DOF block and an
-    (ns, 2 k) flux block, which are read, not changed; ops is the mesh's
-    `MeshOperators`."""
-    mesh, nu = system.mesh, system.nu
+    (ns, 2 k) flux block, which are read, not changed."""
+    mesh, nu, ops = system.mesh, system.nu, system.ops
     hat = system.u_hat.dofs()
     grad_hat = (ops.grad @ hat).reshape(-1, 2, 2)
     grads = _broken_gradients(ops, dofs)
@@ -309,7 +306,7 @@ def gap_indicator_stokes_discrete(system, v_h, tau_h):
     """Per-element discrete gap (nu/2)||grad_h(v+u_hat) - dev(Pi_h tau)/nu||_T^2."""
     nu = system.nu
     grads = broken_gradient(v_h + system.u_hat)
-    diff = grads - _dev_average(MeshOperators(system.mesh), tau_h, system.big_f_h) / nu
+    diff = grads - _dev_average(system.ops, tau_h, system.big_f_h) / nu
     return 0.5 * nu * system.mesh.areas * np.einsum("nij,nij->n", diff, diff)
 
 
@@ -322,17 +319,15 @@ def strong_convexity_stokes(vs, taus, solution):
     are stacked into the blocks of `strong_convexity_stokes_block`.
     """
     return strong_convexity_stokes_block(
-        _cr_block(vs), _rt_block(taus), solution.system, solution.u_h, solution.t_h,
-        MeshOperators(solution.mesh),
+        _cr_block(vs), _rt_block(taus), solution.system, solution.u_h, solution.t_h
     )
 
 
-def strong_convexity_stokes_block(dofs, flux, system, u_h, t_h, ops):
+def strong_convexity_stokes_block(dofs, flux, system, u_h, t_h):
     """`strong_convexity_stokes` of the candidates of a (2 ns, k) DOF block
     and an (ns, 2 k) flux block, which are read, not changed, against the
-    discrete solution (u_h, t_h) of system; ops is the mesh's
-    `MeshOperators`."""
-    nu, mesh = system.nu, system.mesh
+    discrete solution (u_h, t_h) of system."""
+    nu, mesh, ops = system.nu, system.mesh, system.ops
     diff = dofs - u_h.dofs()[:, None]
     rho_primal = 0.5 * nu * _squared_norms(mesh, _broken_gradients(ops, diff))
     del diff
@@ -349,22 +344,23 @@ class StokesSolution:
     optimality residual.  t_h stores the Raviart-Thomas part of the stress
     relative to the tensor load F_h (equal to the stress itself when no
     tensor load is present).  mesh, nu and u_hat are the solved `system`'s;
-    the load data f_h, F_h and g_h live on it.  `discretize_stokes` adds
-    `oscillation`, the per-element data oscillation of `project_data`.
+    the load data f_h, F_h and g_h and the operator set live on it.
+    oscillation is the per-element data oscillation of `project_data`.
     """
 
-    def __init__(self, system, u_h, p_h, grad_h, t_h, solve_report):
+    def __init__(self, system, u_h, p_h, grad_h, t_h, oscillation, solve_report):
         self.system = system
         self.mesh, self.nu, self.u_hat = system.mesh, system.nu, system.u_hat
         self.u_h = u_h
         self.p_h = p_h
         self.grad_h = grad_h
         self.t_h = t_h
+        self.oscillation = oscillation
         self.solve_report = solve_report
 
     def optimality_residual(self):
         """Max |dev Pi_h T_h - nu grad_h(u_h + u_hat)| over elements."""
-        devavg = _dev_average(MeshOperators(self.mesh), self.t_h, self.system.big_f_h)
+        devavg = _dev_average(self.system.ops, self.t_h, self.system.big_f_h)
         return float(np.abs(devavg - self.nu * self.grad_h).max())
 
 
@@ -373,12 +369,12 @@ class ElasticitySolution:
 
     grad_h and grad_r are the (ne, 2, 2) broken gradients of u_h + u_hat
     and of r_h, formed once after the solve.  mesh, material and u_hat are
-    the solved `system`'s; the load data f_h, F_h and g_h live on it.
-    `discretize_elasticity` adds `oscillation`, the per-element data
-    oscillation of `project_data`.
+    the solved `system`'s; the load data f_h, F_h and g_h and the operator
+    set live on it.  oscillation is the per-element data oscillation of
+    `project_data`.
     """
 
-    def __init__(self, system, u_h, r_h, grad_h, grad_r, sigma_star, solve_report):
+    def __init__(self, system, u_h, r_h, grad_h, grad_r, sigma_star, oscillation, solve_report):
         self.system = system
         self.mesh, self.material, self.u_hat = system.mesh, system.material, system.u_hat
         self.u_h = u_h
@@ -386,11 +382,12 @@ class ElasticitySolution:
         self.grad_h = grad_h
         self.grad_r = grad_r
         self.sigma_star = sigma_star
+        self.oscillation = oscillation
         self.solve_report = solve_report
 
     def optimality_residual(self):
         """Max |Pi_h sigma* - C eps_h(u_h+u_hat) - grad_h r_h| over elements."""
-        avg = self.sigma_star.cell_average()
+        avg = self.sigma_star.cell_average(self.system.ops)
         target = self.material.apply(sym(self.grad_h)) + self.grad_r
         return float(np.abs(avg - target).max())
 
@@ -404,7 +401,7 @@ def gap_indicator_stokes(system, v, tau_h, grad_u):
     Parameters
     ----------
     system : StokesSystem
-        The solved system: its mesh, nu and tensor load F_h.
+        The solved system: its mesh, nu, tensor load F_h and operator set.
     v : P1ConformingField
         Conforming post-processed velocity: its homogeneous part, or the
         total field when grad_u is None.
@@ -421,7 +418,7 @@ def gap_indicator_stokes(system, v, tau_h, grad_u):
     grad_v = v.gradient()
     grad_hat = None if grad_u is None else rule_values(grad_u, mesh, VOLUME_DEGREE)
     out = np.empty(mesh.num_elements)
-    for block, values in tau_h.block_values(element_blocks(mesh, VOLUME_DEGREE)):
+    for block, values in tau_h.block_values(element_blocks(mesh, VOLUME_DEGREE), system.ops):
         out[block.rows] = gap_block_stokes(system, grad_v, grad_hat, block.rows, values)
     return out
 
@@ -448,14 +445,14 @@ def gap_indicator_elasticity(system, v, sigma):
     """Per-element indicator (1/2) ||C^(1/2)(eps(v) - C^-1 sigma)||_T^2.
 
     v is the conforming post-processed total displacement (Dirichlet lift
-    included).  The solved `system` gives the mesh, C and the tensor load
-    F_h; sigma is relative to F_h when one is present.
+    included).  The solved `system` gives the mesh, C, the tensor load F_h
+    and the operator set; sigma is relative to F_h when one is present.
     eps(v) and F_h are constant and sigma is affine on each element, so the
     integrand is quadratic there, and the edge-midpoint rule (the three side
     midpoints, weights 1/3) integrates it exactly (Strang & Fix, 1973).
     """
     mesh, material = system.mesh, system.material
-    sv = sigma.evaluate(mesh.geometry()["side_midpoint"][mesh.element_sides])
+    sv = sigma.evaluate(mesh.geometry()["side_midpoint"][mesh.element_sides], system.ops)
     if system.big_f_h is not None:
         sv += system.big_f_h[:, None]
     diff = sym(v.gradient())[:, None] - material.inverse(sv)

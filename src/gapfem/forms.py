@@ -9,6 +9,8 @@ The load functional is
 with element-wise constant f_h, F_h and side-wise constant tractions g_S.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
@@ -17,6 +19,7 @@ from . import mesh as _mesh
 from .quadrature import SIDE_POINTS, segment_rule, side_points
 from .spaces import (
     CRField,
+    MeshOperators,
     _gradient_operator,
     _jump_rows,
     cr_gradient_operator,
@@ -319,7 +322,12 @@ def load_vector(mesh, grad, f_h, big_f_h, g_h):
 
 
 class _LoadedSystem:
-    """Lift, load data and the load functional's vector, assembled once."""
+    """Lift, load data, the load functional's vector and the mesh's operators."""
+
+    @cached_property
+    def ops(self):
+        """The mesh's `MeshOperators`, read only after the solves: none lives under a factor."""
+        return MeshOperators(self.mesh)
 
     def _assemble_load(self, grad, u_hat, f_h, big_f_h, g_h):
         for name, f in (("f_h", f_h), ("big_f_h", big_f_h)):

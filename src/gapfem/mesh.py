@@ -59,16 +59,7 @@ class Triangulation:
     """
 
     def __init__(self, vertices, elements, refinement_edge, boundary_labels):
-        vertices = np.asarray(vertices, dtype=float)
-        elements = np.asarray(elements, dtype=np.int64)
-        if vertices.ndim != 2 or vertices.shape[1] != 2:
-            raise MeshError("vertices must be an (nv, 2) array")
-        if not np.all(np.isfinite(vertices)):
-            raise MeshError("vertex coordinates must be finite")
-        if elements.ndim != 2 or elements.shape[1] != 3:
-            raise MeshError("elements must be an (ne, 3) array")
-        if elements.min(initial=0) < 0 or elements.max(initial=-1) >= len(vertices):
-            raise MeshError("element vertex index out of range")
+        vertices, elements = _mesh_arrays(vertices, elements)
         unused = np.bincount(elements.ravel(), minlength=len(vertices)) == 0
         if unused.any():
             raise MeshError(f"vertex {np.argmax(unused)} belongs to no element")
@@ -280,6 +271,24 @@ class Triangulation:
         return np.unique(self.side_vertices[sides])
 
 
+def _mesh_arrays(vertices, elements):
+    """(nv, 2) float vertices and (ne, 3) int64 elements; MeshError unless
+    every vertex is finite and every entry of elements an in-range integer."""
+    vertices = np.asarray(vertices, dtype=float)
+    elements = np.asarray(elements)
+    if vertices.ndim != 2 or vertices.shape[1] != 2:
+        raise MeshError("vertices must be an (nv, 2) array")
+    if not np.all(np.isfinite(vertices)):
+        raise MeshError("vertex coordinates must be finite")
+    if elements.ndim != 2 or elements.shape[1] != 3:
+        raise MeshError("elements must be an (ne, 3) array")
+    if elements.dtype.kind not in "iu" and not np.all(elements == np.floor(elements)):
+        raise MeshError("element vertex indices must be integers")
+    if elements.min(initial=0) < 0 or elements.max(initial=-1) >= len(vertices):
+        raise MeshError("element vertex index out of range")
+    return vertices, elements.astype(np.int64, copy=False)
+
+
 def _signed_areas(vertices, elements):
     p = vertices[elements]
     d1 = p[:, 1] - p[:, 0]
@@ -303,10 +312,7 @@ def build_triangulation(vertices, elements, boundary_labels):
     The refinement edge of every element is initialised to its longest
     edge (ties broken by the lowest local index).
     """
-    vertices = np.asarray(vertices, dtype=float)
-    elements = np.asarray(elements, dtype=np.int64)
-    if elements.ndim != 2 or elements.shape[1] != 3:
-        raise MeshError("elements must be an (ne, 3) array")
+    vertices, elements = _mesh_arrays(vertices, elements)
     ordered = np.sort(elements, axis=1)
     repeated = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
     if repeated.size:

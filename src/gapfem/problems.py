@@ -547,9 +547,8 @@ def discretize_stokes(problem, mesh):
     system = assemble_stokes(mesh, problem.nu, u_hat, f_h, big_f_h, g_h)
     u_h, p_h, report = system.solve()
     grad_h = broken_gradient(u_h + u_hat)
-    sol = StokesSolution(system, u_h, p_h, grad_h, marini_stokes(system, grad_h, p_h), report)
-    sol.oscillation = osc
-    return sol
+    t_h = marini_stokes(system, grad_h, p_h)
+    return StokesSolution(system, u_h, p_h, grad_h, t_h, osc, report)
 
 
 def discretize_elasticity(problem, mesh):
@@ -568,9 +567,7 @@ def discretize_elasticity(problem, mesh):
     grad_h = (grad @ u_total.dofs()).reshape(-1, 2, 2)
     grad_r = (grad @ r_h.dofs()).reshape(-1, 2, 2)
     sigma = marini_elasticity(system, grad_h, grad_r)
-    sol = ElasticitySolution(system, u_h, r_h, grad_h, grad_r, sigma, report)
-    sol.oscillation = osc
-    return sol
+    return ElasticitySolution(system, u_h, r_h, grad_h, grad_r, sigma, osc, report)
 
 
 # -- a priori identity --------------------------------------------------------------
@@ -585,7 +582,7 @@ def apriori_identity_check_stokes(problem, mesh):
     interpolated lift; returns a dict with lhs, rhs and the solution bundle.
     """
     sol = discretize_stokes(problem, mesh)
-    nu = problem.nu
+    nu, ops = problem.nu, sol.system.ops
 
     # the exact velocity is the lift itself, so I_cr(u - u_hat) = 0
     lhs1 = 0.5 * nu * norm_p0(mesh, broken_gradient(sol.u_h)) ** 2
@@ -595,9 +592,9 @@ def apriori_identity_check_stokes(problem, mesh):
         return exact_stress(problem, problem.grad_u(x), p) - problem.big_f(x)
 
     irt = rt_interpolate(t_minus_f, mesh)
-    pi_irt = dev(irt.cell_average())
+    pi_irt = dev(irt.cell_average(ops))
     # sol.t_h already stores the stress relative to F_h
-    pi_th = dev(sol.t_h.cell_average())
+    pi_th = dev(sol.t_h.cell_average(ops))
     lhs2 = norm_p0(mesh, pi_irt - pi_th) ** 2 / (2.0 * nu)
 
     # a rule above the data's degree, so the projection error stays negligible
@@ -610,7 +607,7 @@ def apriori_identity_check_stokes(problem, mesh):
 # -- exact errors -------------------------------------------------------------------
 
 
-def exact_errors(solution, problem, ops=None):
+def exact_errors(solution, problem):
     """Exact error measures against the problem's manufactured solution.
 
     Stokes: primal error sqrt(nu/2) || grad u_orig - grad_h(u_h + u_hat) ||
@@ -624,15 +621,14 @@ def exact_errors(solution, problem, ops=None):
     Elasticity: energy error || u_h + u_hat - u_exact ||_h and complementary
     stress error || C^(-1/2)(sigma* - stress_exact) ||.
 
-    ops, the mesh's `spaces.MeshOperators`, gives the A and D of the Stokes
-    stress values; None builds them.
+    The A and D of the stress values are the solved system's (`ops`).
     """
     if problem.grad_u is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
     if problem.kind == "stokes":
-        return _stokes_errors(solution, problem, lambda rows, t_h: None, ops)
+        return _stokes_errors(solution, problem, lambda rows, t_h: None)
 
-    mesh = solution.mesh
+    mesh, ops = solution.mesh, solution.system.ops
     w = triangle_rule(VOLUME_DEGREE)[1]
     gu = rule_values(problem.grad_u, mesh, VOLUME_DEGREE)
     pts = physical_points(mesh, VOLUME_DEGREE)
@@ -644,7 +640,7 @@ def exact_errors(solution, problem, ops=None):
         mesh.areas * np.einsum("q,nq->n", w, mat.energy_product(diff, diff))
     )
     energy += solution.system.s_h_total(solution.u_h + solution.u_hat)
-    sdiff = solution.sigma_star.evaluate(pts) - exact_stress(problem, gu, None)
+    sdiff = solution.sigma_star.evaluate(pts, ops) - exact_stress(problem, gu, None)
     stress = np.sum(
         mesh.areas
         * np.einsum("q,nq->n", w, mat.complementary_product(sdiff, sdiff))
@@ -669,11 +665,11 @@ def estimate_stokes(solution, problem, v):
     return gap, _stokes_errors(solution, problem, gap_block)
 
 
-def _stokes_errors(solution, problem, then, ops=None):
+def _stokes_errors(solution, problem, then):
     """The Stokes `exact_errors`: the element-wise terms one element block at
     a time, summed over the mesh at the end.  then(rows, t_h) is handed each
-    block's stress values (`RTField.block_values`, with the operators ops)
-    after the stress error has read them, and may overwrite them."""
+    block's stress values (`RTField.block_values`) after the stress error
+    has read them, and may overwrite them."""
     mesh, nu, big_f_h = solution.mesh, solution.nu, solution.system.big_f_h
     w = triangle_rule(VOLUME_DEGREE)[1]
     gu = rule_values(problem.grad_u, mesh, VOLUME_DEGREE)
@@ -681,7 +677,7 @@ def _stokes_errors(solution, problem, then, ops=None):
 
     def stress_errors():
         blocks = element_blocks(mesh, VOLUME_DEGREE)
-        for block, t_h in solution.t_h.block_values(blocks, ops):
+        for block, t_h in solution.t_h.block_values(blocks, solution.system.ops):
             rows = block.rows
             sdiff = exact_stress(problem, gu[rows], None if pv is None else pv[rows])
             sdiff -= t_h

@@ -78,43 +78,37 @@ class RTField:
         self.mesh = mesh
         self.flux = flux
 
-    def evaluate(self, points):
-        """Values at points of shape (ne, nq, 2) -> (ne, nq, 2, 2)."""
-        return _stacked(self.entries(points), points.shape)
+    def evaluate(self, points, ops):
+        """Values at points (ne, nq, 2) -> (ne, nq, 2, 2), from ops's A and D."""
+        return _stacked(self.entries(points, ops), points.shape)
 
-    def entries(self, points):
+    def entries(self, points, ops):
         """Yield ((i, d), entry (i, d) of the values at points, (ne, nq)),
         one entry at a time: c_i x_d + (avg - c x_T)_id with c = div / 2."""
-        return _affine_entries(*self._affine(), points)
+        return _affine_entries(*self._affine(ops), points)
 
-    def block_values(self, blocks, ops=None):
+    def block_values(self, blocks, ops):
         """Yield (block, values at its points, (nb, nq, 2, 2)) for each
         `ElementBlock`, the rows of `evaluate` bit for bit; the divergences
-        and cell averages are computed once per call, not per block, with
-        the A and D of ops, the mesh's `MeshOperators` (made here if None)."""
+        and cell averages are computed once per call, not per block."""
         c, a = self._affine(ops)
         for block in blocks:
             entries = _affine_entries(c[block.rows], a[block.rows], block.points)
             yield block, _stacked(entries, block.points.shape)
 
-    def _affine(self, ops=None):
+    def _affine(self, ops):
         """(c, avg - c x_T), c = div / 2: row i on T is c_i x + (avg - c x_T)_i."""
-        ops = MeshOperators(self.mesh) if ops is None else ops
         c = 0.5 * self.divergence(ops)
         cent = self.mesh.geometry()["centroids"]
         return c, self.cell_average(ops) - np.einsum("ni,nd->nid", c, cent)
 
-    def cell_average(self, ops=None):
-        """Row-wise cell averages: (ne, 2, 2), from the A of ops (the mesh's
-        `MeshOperators`, made here if None)."""
-        ops = MeshOperators(self.mesh) if ops is None else ops
+    def cell_average(self, ops):
+        """Row-wise cell averages: (ne, 2, 2), from the A of ops."""
         avg = ops.avg @ self.flux.T  # (2 ne, 2): rows (n, d)
         return avg.reshape(-1, 2, 2).transpose(0, 2, 1)
 
-    def divergence(self, ops=None):
-        """Row-wise divergences: (ne, 2), from the D of ops (the mesh's
-        `MeshOperators`, made here if None)."""
-        ops = MeshOperators(self.mesh) if ops is None else ops
+    def divergence(self, ops):
+        """Row-wise divergences: (ne, 2), from the D of ops."""
         return ops.div @ self.flux.T
 
     def __add__(self, other):
@@ -367,7 +361,7 @@ def rt_average_operator(mesh):
 
     Row 2 n + d is component d of the average on element n: the sum over
     the element's sides of weight_j * flux(S_j) * (x_T - opp_j).  So
-    (A @ t.flux[i]).reshape(-1, 2) is t.cell_average()[:, i].
+    (A @ t.flux[i]).reshape(-1, 2) is t.cell_average(ops)[:, i].
     """
     coef, opp = _rt_local_factors(mesh)
     data = coef[:, None, :] * (mesh.geometry()["centroids"][:, :, None]
@@ -379,7 +373,7 @@ def rt_divergence_operator(mesh):
     """Divergence of one RT row as an (ne, ns) CSR matrix on its fluxes.
 
     Row n holds 2 weight_j on the element's sides, so D @ t.flux[i] is
-    t.divergence()[:, i].
+    t.divergence(ops)[:, i].
     """
     return _element_side_rows(mesh, 2.0 * _rt_local_factors(mesh)[0][:, None, :])
 
@@ -391,9 +385,9 @@ class MeshOperators:
     grad, avg and div are G, A and D (`cr_gradient_operator`,
     `rt_average_operator`, `rt_divergence_operator`); abs_div_h and abs_div
     are |div_h| (|G's trace rows|) and |D|, the weights of the terms that the
-    admissibility residuals of `duality` measure against.  Nothing caches a
-    set: its builder hands it on and drops it, so its operators die with
-    the caller's level.
+    admissibility residuals of `duality` measure against.  The solved system
+    owns its mesh's set (`forms._LoadedSystem.ops`); held by the mesh, a set
+    would keep the mesh alive in a reference cycle.
     """
 
     def __init__(self, mesh):

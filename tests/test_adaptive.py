@@ -239,8 +239,9 @@ def test_level_operators_built_once_per_mesh(factory, mode, monkeypatch):
     """Per mesh of the adaptive loop: the broken-gradient operator G of
     vector CR fields is built at most twice (the assembly's, which a tensor
     load shares, and one for the solution's broken gradients after the
-    solve), the RT cell-average operator A at most twice and the RT
-    divergence operator D at most once; a Stokes estimate makes one volume
+    solve), and the RT cell-average and divergence operators A and D once
+    each, in the solved system's operator set, which the estimate and the
+    optimality residual share; a Stokes estimate makes one volume
     `element_blocks` pass, and `project_data` forms the degree-10 points of
     each element at most once (of every element when nothing was carried,
     none without f and F); counting does not change the report."""
@@ -282,7 +283,7 @@ def test_level_operators_built_once_per_mesh(factory, mode, monkeypatch):
     for k, mesh in enumerate(meshes):
         key = id(mesh)
         assert 1 <= builds[key, "G"] <= 2
-        assert 1 <= builds[key, "A"] <= 2
+        assert builds[key, "A"] == 1
         assert builds[key, "D"] == 1
         assert builds[key, "pass"] - projected[key, "pass"] == (prob.kind == "stokes")
         if mode == "uniform" or k == 0 or not data:
@@ -314,6 +315,56 @@ def test_identity_level_builds_each_operator_once(monkeypatch):
     assert len(solved) == 3
     for mesh in solved:
         assert [builds[id(mesh), name] for name in "GAD"] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("case", ["taylor_green-adaptive", "cook-adaptive", "identity_rows"])
+def test_operator_set_built_after_the_last_factor(case, monkeypatch):
+    """Each mesh gets one `MeshOperators` set, built after the last SuperLU
+    factor of its solve returns (for Cook, the lifting's, which follows the
+    displacement's), so no operator is alive under a factor."""
+    from gapfem import adaptive, forms, spaces
+    from gapfem.adaptive import identity_rows
+
+    events, solving = [], []  # (kind, mesh); the mesh being discretized
+
+    def discretizing(discretize):
+        def call(problem, mesh):
+            solving.append(mesh)
+            try:
+                return discretize(problem, mesh)
+            finally:
+                solving.pop()
+
+        return call
+
+    def factor(matrix):
+        lu = plain_factor(matrix)
+        events.append(("factor", solving[-1]))
+        return lu
+
+    def init(self, mesh):
+        events.append(("set", mesh))
+        plain_init(self, mesh)
+
+    plain_factor, plain_init = forms.spd_factor, spaces.MeshOperators.__init__
+    monkeypatch.setattr(forms, "spd_factor", factor)
+    monkeypatch.setattr(spaces.MeshOperators, "__init__", init)
+    for name in ("discretize_stokes", "discretize_elasticity"):
+        monkeypatch.setattr(adaptive, name, discretizing(getattr(adaptive, name)))
+    if case == "identity_rows":
+        identity_rows(taylor_green_stokes(), 3, 2)
+    else:
+        problem = taylor_green_stokes() if case.startswith("taylor") else cook_membrane()
+        run_adaptive(problem, AdaptiveConfig(max_iter=3))
+    # events holds every mesh, so their ids stay distinct
+    meshes = list({id(mesh): mesh for kind, mesh in events if kind == "factor"}.values())
+    assert len(meshes) == 3
+    for mesh in meshes:
+        mine = [(i, kind) for i, (kind, m) in enumerate(events) if m is mesh]
+        last_factor = max(i for i, kind in mine if kind == "factor")
+        sets = [i for i, kind in mine if kind == "set"]
+        assert len(sets) == 1 and sets[0] > last_factor
+    assert len([kind for kind, _ in events if kind == "set"]) == 3
 
 
 def test_level4_degree10_arrays_stay_in_blocks():

@@ -155,7 +155,7 @@ class TestMariniStokes:
     def test_taylor_green_contracts(self, tg_solution):
         prob, mesh, sol = tg_solution
         assert sol.optimality_residual() < 1e-10
-        div = sol.t_h.divergence() + sol.system.f_h
+        div = sol.t_h.divergence(MeshOperators(mesh)) + sol.system.f_h
         assert np.abs(div).max() < 1e-10
         assert oracle_stress_residual(sol.t_h, sol.system.f_h, sol.system.g_h, mesh) < 1e-10
 
@@ -282,11 +282,11 @@ class TestMariniElasticity:
         mesh = prob.mesh_factory()
         sol = discretize_elasticity(prob, mesh)
         assert sol.optimality_residual() < 1e-10
-        assert np.abs(sol.sigma_star.divergence()).max() < 1e-10
+        assert np.abs(sol.sigma_star.divergence(MeshOperators(mesh))).max() < 1e-10
         assert oracle_stress_residual(sol.sigma_star, None, sol.system.g_h, mesh) < 1e-10
         # skew defect is controlled by the stabilisation energy of the total
         # field (both vanish here only in the conforming limit)
-        skew_norm = norm_p0(mesh, skew(sol.sigma_star.cell_average()))
+        skew_norm = norm_p0(mesh, skew(sol.sigma_star.cell_average(MeshOperators(mesh))))
         s_val = sol.system.s_h_total(sol.u_h + sol.u_hat)
         ratio = skew_norm**2 / s_val
         print(f"skew(sigma*)^2 / s_h ratio: {ratio:.3f}")
@@ -303,7 +303,7 @@ class TestMariniElasticity:
         system = sol.system
         res = system.matrix @ sol.u_h.dofs()[system.vel_index] - system.rhs
         assert np.abs(res).max() < 1e-10
-        div = sol.sigma_star.divergence() + sol.system.f_h
+        div = sol.sigma_star.divergence(MeshOperators(mesh)) + sol.system.f_h
         assert np.abs(div).max() < 1e-10
         assert sol.sigma_star.reconstruction_jump < 1e-10
         # on the all-Dirichlet square the constant tensor load leaves u_h
@@ -322,7 +322,7 @@ class TestMariniElasticity:
         mesh = prob.mesh_factory()
         sol = discretize_elasticity(prob, mesh)
         assert sol.optimality_residual() < 1e-10
-        div = sol.sigma_star.divergence() + sol.system.f_h
+        div = sol.sigma_star.divergence(MeshOperators(mesh)) + sol.system.f_h
         assert np.abs(div).max() < 1e-10
 
 
@@ -503,7 +503,7 @@ def oracle_stress_residual(tau_h, f_h, g_h, mesh):
     """Absolute admissibility residual of an RT stress: the larger of
     max |div tau + f_h| and max |tau n - g_h| on the Neumann sides."""
     fv = 0.0 if f_h is None else f_h
-    res = np.abs(tau_h.divergence() + fv).max()
+    res = np.abs(tau_h.divergence(MeshOperators(mesh)) + fv).max()
     neumann = mesh.sides_with_label(NEUMANN)
     if len(neumann):
         tn = tau_h.flux[:, neumann].T
@@ -523,7 +523,7 @@ def oracle_energies(v_h, tau_h, system, tol=1e-8):
         primal = 0.5 * nu * norm_p0(mesh, grad_tot) ** 2 - system.load_vector @ v_h.dofs()
     dual = -np.inf
     if oracle_stress_residual(tau_h, system.f_h, system.g_h, mesh) <= tol:
-        avg = tau_h.cell_average()
+        avg = tau_h.cell_average(MeshOperators(mesh))
         if system.big_f_h is not None:
             avg = avg + system.big_f_h
         devavg = dev(avg)
@@ -536,7 +536,8 @@ def oracle_strong_convexity(v_h, tau_h, solution):
     """Former per-sample strong_convexity_stokes."""
     nu = solution.nu
     rho_primal = 0.5 * nu * norm_p0(solution.mesh, broken_gradient(v_h - solution.u_h)) ** 2
-    ddev = dev(tau_h.cell_average()) - dev(solution.t_h.cell_average())
+    ops = MeshOperators(solution.mesh)
+    ddev = dev(tau_h.cell_average(ops)) - dev(solution.t_h.cell_average(ops))
     areas = solution.mesh.areas
     rho_dual = np.sum(areas * np.einsum("nij,nij->n", ddev, ddev)) / (2.0 * nu)
     return rho_primal, rho_dual
@@ -591,12 +592,11 @@ class TestBlockFunctions:
         assert gap[ok] == pytest.approx((rho["primal"] + rho["dual"])[ok], rel=1e-10)
 
     def test_blocks_equal_the_list_api(self, block):
-        """The samples formed in place as blocks, with one operator set, give
-        the list API's energies and convexity measures bit for bit, the
-        inadmissible columns' +inf and -inf included."""
+        """The samples formed in place as blocks, with the solved system's
+        operator set, give the list API's energies and convexity measures bit
+        for bit, the inadmissible columns' +inf and -inf included."""
         sol, vs, taus = block
-        mesh = sol.mesh
-        ops = MeshOperators(mesh)
+        ops = sol.system.ops
         seeds, scales = [31, 32, 33, 34, 35], [0.01, 0.1, 1.0, 0.3, 0.03]
         dofs = random_divfree_cr_block(ops, seeds, scales)
         dofs += sol.u_h.dofs()[:, None]
@@ -607,8 +607,8 @@ class TestBlockFunctions:
         flux[:, 6:8] = taus[3].flux.T
         assert np.array_equal(dofs, np.stack([v.dofs() for v in vs], axis=1))
         assert np.array_equal(flux.T.reshape(5, 2, -1), np.stack([t.flux for t in taus]))
-        en = energies_stokes_block(dofs, flux, sol.system, ops)
-        rho = strong_convexity_stokes_block(dofs, flux, sol.system, sol.u_h, sol.t_h, ops)
+        en = energies_stokes_block(dofs, flux, sol.system)
+        rho = strong_convexity_stokes_block(dofs, flux, sol.system, sol.u_h, sol.t_h)
         want_en = energies_stokes(vs, taus, sol.system)
         want_rho = strong_convexity_stokes(vs, taus, sol)
         for got, want in ((en, want_en), (rho, want_rho)):
@@ -763,13 +763,13 @@ class TestRandomFields:
             for field, seed, scale in zip(both, [7, 8], [0.3, 2.0]):
                 (one,) = random_divfree_rt(mesh, [seed], [scale])
                 assert np.abs(field.flux - one.flux).max() <= 1e-14
-                devavg = dev(field.cell_average())
+                devavg = dev(field.cell_average(MeshOperators(mesh)))
                 assert norm_p0(mesh, devavg) == pytest.approx(scale)
 
     def test_divfree_rt_properties(self):
         mesh = structured_square_mesh(5, mixed)
         (tau,) = random_divfree_rt(mesh, [3], 1.0)
-        assert np.abs(tau.divergence()).max() < 1e-13
+        assert np.abs(tau.divergence(MeshOperators(mesh))).max() < 1e-13
         neumann = mesh.sides_with_label(NEUMANN)
         assert np.abs(tau.flux[:, neumann]).max() < 1e-12
 
@@ -828,7 +828,7 @@ class TestElasticityGapEquivalence:
             rho_p = 0.5 * np.sum(
                 mesh.areas * np.einsum("q,nq->n", w, mat.energy_product(ed, ed))
             )
-            sd = sol.sigma_star.evaluate(pts) - exact_stress(prob, gu, None)
+            sd = sol.sigma_star.evaluate(pts, MeshOperators(mesh)) - exact_stress(prob, gu, None)
             rho_d = 0.5 * np.sum(
                 mesh.areas
                 * np.einsum("q,nq->n", w, mat.complementary_product(sd, sd))
@@ -851,7 +851,7 @@ class TestElasticityGapEquivalence:
         pts = physical_points(mesh, 12)
         gu = prob.grad_u(pts)
         gv = vhom.gradient()[:, None] + gu
-        sv = sol.sigma_star.evaluate(pts)
+        sv = sol.sigma_star.evaluate(pts, MeshOperators(mesh))
         # the gap of the analytic-lift average v = vhom + u at the same points
         gd = sym(gv) - mat.inverse(sv)
         gap = 0.5 * np.sum(
@@ -878,7 +878,7 @@ def oracle_gap_indicator_elasticity(v, sigma, material, mesh, big_f_h=None):
     w = triangle_rule(10)[1]
     pts = physical_points(mesh, 10)
     gv = v.gradient()[:, None, :, :] + np.zeros(pts.shape[:2] + (2, 2))
-    sv = sigma.evaluate(pts)
+    sv = sigma.evaluate(pts, MeshOperators(mesh))
     if big_f_h is not None:
         sv = sv + big_f_h[:, None]
     diff = sym(gv) - material.inverse(sv)
@@ -926,7 +926,7 @@ def test_gap_indicator_elasticity_matches_degree10_oracle(case, tensor_load):
 
     prob, mesh = GAP_CASES[case]()
     sol = discretize_elasticity(prob, mesh)
-    div = np.abs(sol.sigma_star.divergence()).max()
+    div = np.abs(sol.sigma_star.divergence(MeshOperators(mesh))).max()
     assert div < 1e-10 if case == "cook" else div > 0.1
     vhat = nodal_average(sol.u_h + sol.u_hat, mesh, dirichlet_values=prob.u)
     system = sol.system
@@ -935,7 +935,8 @@ def test_gap_indicator_elasticity_matches_degree10_oracle(case, tensor_load):
         # the indicator reads
         rng = np.random.default_rng(7)
         big_f_h = rng.standard_normal((mesh.num_elements, 2, 2))
-        system = SimpleNamespace(mesh=mesh, material=prob.material, big_f_h=big_f_h)
+        system = SimpleNamespace(mesh=mesh, material=prob.material, big_f_h=big_f_h,
+                                 ops=MeshOperators(mesh))
     want = oracle_gap_indicator_elasticity(
         vhat, sol.sigma_star, prob.material, mesh, big_f_h=system.big_f_h
     )
@@ -989,7 +990,7 @@ def oracle_flux(mesh, p0_part, slope):
 def oracle_inverse(t_h, u_bar, u_hat, nu, mesh):
     """Midpoint values of u_bar + [(1/nu) dev Pi_h T_h - grad_h u_hat](x - x_T)."""
     geo = mesh.geometry()
-    dv = dev(t_h.cell_average()) / nu - broken_gradient(u_hat)
+    dv = dev(t_h.cell_average(MeshOperators(mesh))) / nu - broken_gradient(u_hat)
 
     def side_value(sel, e):
         rel = geo["side_midpoint"][sel] - geo["centroids"][e]
@@ -1001,7 +1002,8 @@ def oracle_inverse(t_h, u_bar, u_hat, nu, mesh):
 def solve_affine(mesh, seed):
     """Stokes and elasticity solutions for an affine trace-free lift, a
     constant f_h and random Neumann tractions: (StokesSolution,
-    ElasticitySolution), each with its Marini reconstruction."""
+    ElasticitySolution), each with its Marini reconstruction and the zero
+    oscillation of its element-wise constant data."""
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, (2, 2))
     a[1, 1] = -a[0, 0]  # div u_hat = 0
@@ -1013,14 +1015,16 @@ def solve_affine(mesh, seed):
     system = assemble_stokes(mesh, nu, u_hat, f_h, None, g_h)
     u_h, p_h, report = system.solve()
     grad_h = broken_gradient(u_h + u_hat)
-    stokes = StokesSolution(system, u_h, p_h, grad_h, marini_stokes(system, grad_h, p_h), report)
+    osc = np.zeros(mesh.num_elements)
+    t_h = marini_stokes(system, grad_h, p_h)
+    stokes = StokesSolution(system, u_h, p_h, grad_h, t_h, osc, report)
     mat = ElasticityTensor(0.7, 5.0)
     system = assemble_elasticity(mesh, mat, u_hat, f_h, None, g_h, dirichlet_datum=affine)
     u_h, report = system.solve()
     r_h = solve_lifting(system, u_h + u_hat)
     grad_h, grad_r = broken_gradient(u_h + u_hat), broken_gradient(r_h)
     sigma = marini_elasticity(system, grad_h, grad_r)
-    elastic = ElasticitySolution(system, u_h, r_h, grad_h, grad_r, sigma, report)
+    elastic = ElasticitySolution(system, u_h, r_h, grad_h, grad_r, sigma, osc, report)
     return stokes, elastic
 
 

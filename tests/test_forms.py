@@ -386,6 +386,38 @@ def test_no_generic_sparse_constructors():
     assert found == []
 
 
+def _operator_set_builders(source):
+    """The qualified name of the function around each `MeshOperators(` call."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call):
+                f = child.func
+                if (getattr(f, "id", None) or getattr(f, "attr", None)) == "MeshOperators":
+                    found.append(scope)
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_operator_sets_built_only_by_their_owners():
+    """gapfem builds a `MeshOperators` set in three places: the solved
+    system's `ops`, which every reader after the solve takes, and the two
+    random-sample list functions, which get a bare mesh."""
+    sample = "class S:\n    def ops(self):\n        return spaces.MeshOperators(m)\n"
+    assert _operator_set_builders(sample) == ["S.ops"]
+    package = sorted(pathlib.Path(forms.__file__).parent.glob("*.py"))
+    found = sorted((p.name, scope) for p in package
+                   for scope in _operator_set_builders(p.read_text()))
+    assert found == [("duality.py", "random_divfree_cr"), ("duality.py", "random_divfree_rt"),
+                     ("forms.py", "_LoadedSystem.ops")]
+
+
 def test_every_default_is_left_unset_by_some_call():
     """Every defaulted parameter of a gapfem function is left at its default
     by at least one call in gapfem, the tests or the README's python

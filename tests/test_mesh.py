@@ -120,6 +120,42 @@ class TestBuild:
         with pytest.raises(MeshError, match="vertex 25 belongs to no element"):
             Triangulation(verts, mesh.elements, mesh.refinement_edge, tg_labeler)
 
+    @pytest.mark.parametrize("build", ["build_triangulation", "Triangulation"])
+    @pytest.mark.parametrize("elements, match", [
+        pytest.param(elements, match, id=case) for case, elements, match in [
+            ("index-out-of-range", [[0, 1, 3]], r"element vertex index out of range"),
+            ("negative-index", [[0, 1, -1]], r"element vertex index out of range"),
+            ("non-integral-index", [[0, 1, 2.5]], r"indices must be integers"),
+            ("nan-index", [[0, 1, np.nan]], r"indices must be integers"),
+            ("two-columns", [[0, 1]], r"elements must be an \(ne, 3\) array"),
+        ]
+    ])
+    def test_malformed_arrays_rejected(self, build, elements, match):
+        """Both entry points check the element array before reading vertices
+        through it: a wrong shape, an index out of range or one that is not
+        an integer raises MeshError, never an IndexError or a truncation."""
+        verts = [(0, 0), (1, 0), (0, 1)]
+        with pytest.raises(MeshError, match=match):
+            if build == "build_triangulation":
+                build_triangulation(verts, elements, all_dirichlet)
+            else:
+                Triangulation(verts, elements, [0], all_dirichlet)
+
+    @pytest.mark.parametrize("vertices, match", [
+        pytest.param([(0, 0), (1, 0), (0, np.inf)], r"vertex coordinates must be finite",
+                     id="infinite-vertex"),
+        pytest.param([(0, 0, 0), (1, 0, 0), (0, 1, 0)], r"vertices must be an \(nv, 2\) array",
+                     id="three-coordinates"),
+    ])
+    def test_malformed_vertices_rejected(self, vertices, match):
+        with pytest.raises(MeshError, match=match):
+            build_triangulation(vertices, [(0, 1, 2)], all_dirichlet)
+
+    def test_integral_float_indices_accepted(self):
+        mesh = build_triangulation([(0, 0), (1, 0), (0, 1)], [[0.0, 1.0, 2.0]], all_dirichlet)
+        assert mesh.elements.dtype == np.int64
+        assert mesh.elements.tolist() == [[0, 1, 2]]
+
     @pytest.mark.parametrize("case, match", [
         pytest.param(case, match, id=case) for case, match in [
             ("truncated-labels", r"unlabeled boundary side"),

@@ -23,7 +23,7 @@ from gapfem.problems import (
 )
 from gapfem.quadrature import (BLOCK_ELEMENTS, element_blocks, physical_points, segment_rule,
                                side_points, triangle_rule)
-from gapfem.spaces import broken_gradient, dev, nodal_average, pi0
+from gapfem.spaces import MeshOperators, broken_gradient, dev, nodal_average, pi0
 
 
 class TestTaylorGreen:
@@ -316,7 +316,8 @@ class TestExactErrors:
         errs = exact_errors(sol, prob)
         w = triangle_rule(10)[1]
         pts = physical_points(mesh, 10)
-        sdiff = exact_stress(prob, prob.grad_u(pts), prob.p(pts)) - sol.t_h.evaluate(pts)
+        sdiff = exact_stress(prob, prob.grad_u(pts), prob.p(pts))
+        sdiff -= sol.t_h.evaluate(pts, MeshOperators(mesh))
         if sol.system.big_f_h is not None:
             sdiff -= sol.system.big_f_h[:, None]
         if len(mesh.sides_with_label(NEUMANN)) == 0:
@@ -394,7 +395,7 @@ def oracle_project_data(prob, mesh):
 def oracle_gap_indicator_stokes(system, v, tau_h, grad_u):
     mesh, nu = system.mesh, system.nu
     pts = physical_points(mesh, 10)
-    diff = tau_h.evaluate(pts)
+    diff = tau_h.evaluate(pts, MeshOperators(mesh))
     if system.big_f_h is not None:
         diff += system.big_f_h[:, None]
     dev(diff, in_place=True)
@@ -410,7 +411,7 @@ def oracle_exact_errors(sol, prob):
     gu = prob.grad_u(pts)
     diff = broken_gradient(sol.u_h + sol.u_hat)[:, None] - gu
     primal = 0.5 * nu * np.sum(mesh.areas * np.einsum("q,nqij,nqij->n", w, diff, diff))
-    sdiff = exact_stress(prob, gu, prob.p(pts)) - sol.t_h.evaluate(pts)
+    sdiff = exact_stress(prob, gu, prob.p(pts)) - sol.t_h.evaluate(pts, MeshOperators(mesh))
     if sol.system.big_f_h is not None:
         sdiff -= sol.system.big_f_h[:, None]
     if len(mesh.sides_with_label(NEUMANN)) == 0:
@@ -447,11 +448,11 @@ def assert_blocks_match_whole_arrays(prob, mesh):
         assert new is None or np.array_equal(new, old)
     sol = discretize_stokes(prob, mesh)
     assert np.array_equal(sol.oscillation, osc)
-    blocks = list(element_blocks(mesh, 10))
+    blocks, ops = list(element_blocks(mesh, 10)), MeshOperators(mesh)
     assert np.array_equal(np.concatenate([b.points for b in blocks]), physical_points(mesh, 10))
     assert np.array_equal(
-        np.concatenate([t for _, t in sol.t_h.block_values(blocks)]),
-        sol.t_h.evaluate(physical_points(mesh, 10)),
+        np.concatenate([t for _, t in sol.t_h.block_values(blocks, ops)]),
+        sol.t_h.evaluate(physical_points(mesh, 10), ops),
     )
     vhat = nodal_average(sol.u_h, mesh)
     gap = oracle_gap_indicator_stokes(sol.system, vhat, sol.t_h, prob.grad_u)

@@ -28,6 +28,7 @@ from gapfem.quadrature import (
 )
 from gapfem.duality import _uniform_draws
 from gapfem.spaces import (
+    MeshOperators,
     _rt_local_factors,
     cr_basis_gradients,
     cr_gradient_operator,
@@ -171,8 +172,9 @@ class TestRT:
     def test_constant_reproduction(self, square10):
         const = np.array([[1.0, -2.0], [0.5, 3.0]])
         tau = rt_interpolate(lambda x: const + 0.0 * x[..., :1, None], square10)
-        assert np.abs(tau.divergence()).max() < 1e-12
-        assert np.abs(tau.cell_average() - const).max() < 1e-12
+        ops = MeshOperators(square10)
+        assert np.abs(tau.divergence(ops)).max() < 1e-12
+        assert np.abs(tau.cell_average(ops) - const).max() < 1e-12
 
     def test_rt_mode_reproduction(self, square10):
         def field(x):
@@ -183,15 +185,16 @@ class TestRT:
 
         tau = rt_interpolate(field, square10)
         pts = physical_points(square10, 2)
-        assert np.abs(tau.evaluate(pts) - field(pts)).max() < 1e-12
-        assert np.allclose(tau.divergence(), [1.0, -2.5], atol=1e-12)
+        ops = MeshOperators(square10)
+        assert np.abs(tau.evaluate(pts, ops) - field(pts)).max() < 1e-12
+        assert np.allclose(tau.divergence(ops), [1.0, -2.5], atol=1e-12)
 
     def test_rot_gradient_divergence_free(self, square10):
         # rows rot(phi) of a conforming P1 potential have zero divergence
         from gapfem.duality import random_divfree_rt
 
         (tau,) = random_divfree_rt(square10, [2], 1.0)
-        assert np.abs(tau.divergence()).max() < 1e-13
+        assert np.abs(tau.divergence(MeshOperators(square10))).max() < 1e-13
 
     def test_divergence_preservation_oracle(self, square10):
         nu = 0.5
@@ -216,7 +219,7 @@ class TestRT:
 
         tau = rt_interpolate(stress, square10)
         target = pi0(div_stress, square10, degree=ORACLE_DEGREE)
-        assert np.abs(tau.divergence() - target).max() < 1e-10
+        assert np.abs(tau.divergence(MeshOperators(square10)) - target).max() < 1e-10
 
 
 def jump_rows(v, sides):
@@ -315,8 +318,9 @@ class TestDiscreteIdentities:
         rng = np.random.default_rng(1)
         tau = RTField(square10, rng.standard_normal((2, square10.num_sides)))
         v = CRField(square10, rng.standard_normal((square10.num_sides, 2)))
-        lhs = inner_p0(square10, tau.cell_average(), broken_gradient(v))
-        rhs = -inner_p0(square10, tau.divergence(), cr_values_p0(v))
+        ops = MeshOperators(square10)
+        lhs = inner_p0(square10, tau.cell_average(ops), broken_gradient(v))
+        rhs = -inner_p0(square10, tau.divergence(ops), cr_values_p0(v))
         geo = square10.geometry()
         for s in np.nonzero(square10.side_labels != INTERIOR)[0]:
             rhs += geo["side_length"][s] * tau.flux[:, s] @ v.values[s]
@@ -328,6 +332,7 @@ class TestDiscreteIdentities:
         verts = [(0, 0), (1, 0), (1, 1), (0, 1)]
         mesh = build_triangulation(verts, [(0, 1, 2), (0, 2, 3)], lambda m: DIRICHLET)
         ns, ne = mesh.num_sides, mesh.num_elements
+        ops = MeshOperators(mesh)
 
         # basis of ker(div) cell averages
         ker_cols = []
@@ -336,16 +341,16 @@ class TestDiscreteIdentities:
                 flux = np.zeros((2, ns))
                 flux[i, s] = 1.0
                 tau = RTField(mesh, flux)
-                if np.abs(tau.divergence()).max() < 1e-12:
-                    ker_cols.append(tau.cell_average().ravel())
+                if np.abs(tau.divergence(ops)).max() < 1e-12:
+                    ker_cols.append(tau.cell_average(ops).ravel())
         # project general RT basis onto ker(div) via column space of divs
         fluxes = np.eye(2 * ns)
         divs = []
         avgs = []
         for col in fluxes:
             tau = RTField(mesh, col.reshape(2, ns))
-            divs.append(tau.divergence().ravel())
-            avgs.append(tau.cell_average().ravel())
+            divs.append(tau.divergence(ops).ravel())
+            avgs.append(tau.cell_average(ops).ravel())
         divs = np.array(divs).T  # (2 ne, 2 ns)
         avgs = np.array(avgs).T  # (4 ne, 2 ns)
         import scipy.linalg as la
@@ -546,23 +551,24 @@ def assert_fields_match_oracles(mesh, seed):
 
     tau = RTField(mesh, rng.standard_normal((2, mesh.num_sides)))
     pts = physical_points(mesh, VOLUME_DEGREE)
-    assert_close(tau.evaluate(pts), oracle_rt_evaluate(tau, pts))
+    ops = MeshOperators(mesh)
+    assert_close(tau.evaluate(pts, ops), oracle_rt_evaluate(tau, pts))
     assert vars(tau).keys() == {"mesh", "flux"}
     # cell_average and divergence are A and D applied to each RT row, so
     # these check A's (element, d) row layout and D against (a, c)
-    assert_close(tau.cell_average(), oracle_cell_average(tau))
-    assert_close(tau.divergence(), oracle_divergence(tau))
+    assert_close(tau.cell_average(ops), oracle_cell_average(tau))
+    assert_close(tau.divergence(ops), oracle_divergence(tau))
     # the entries, stacked, are the former one-array evaluation bit for bit
-    c = 0.5 * tau.divergence()
-    a = tau.cell_average() - np.einsum(
+    c = 0.5 * tau.divergence(ops)
+    a = tau.cell_average(ops) - np.einsum(
         "ni,nd->nid", c, mesh.geometry()["centroids"]
     )
     former = np.einsum("ni,nqd->nqid", c, pts) + a[:, None]
-    entries = dict(tau.entries(pts))
+    entries = dict(tau.entries(pts, ops))
     assert list(entries) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     for (i, d), value in entries.items():
         assert np.array_equal(value, former[..., i, d])
-    assert np.array_equal(tau.evaluate(pts), former)
+    assert np.array_equal(tau.evaluate(pts, ops), former)
     assert_close(rt_interpolate(trig_stress, mesh).flux,
                  oracle_rt_interpolate(trig_stress, mesh))
 
