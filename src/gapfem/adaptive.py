@@ -14,12 +14,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .duality import (
-    energies_stokes_block,
+    energies_stokes,
     gap_indicator_elasticity,
     gap_indicator_stokes,
-    random_divfree_cr_block,
-    random_divfree_rt_block,
-    strong_convexity_stokes_block,
+    random_divfree_cr,
+    random_divfree_rt,
+    strong_convexity_stokes,
 )
 from .forms import NumericalFailure
 from .mesh import refine_marked_twice
@@ -274,11 +274,11 @@ def _identity_level(problem, mesh, level, seeds, seed_offset, tamper):
     level_seeds = [seed_offset + 1000 * level + i for i in range(1, seeds + 1)]
     # vary the perturbation size around the discretisation error
     sizes = np.array([0.5 + ((7 * seed) % 8) / 4.0 for seed in level_seeds])
-    v = random_divfree_cr_block(
+    v = random_divfree_cr(
         system.ops, level_seeds, sizes * np.sqrt(2.0 / problem.nu) * errs["primal"]
     )
     v += u_h.dofs()[:, None]
-    tau = random_divfree_rt_block(
+    tau = random_divfree_rt(
         system.ops, [seed + 500000 for seed in level_seeds],
         sizes * np.sqrt(2.0 * problem.nu) * errs["dual"],
     )
@@ -286,8 +286,8 @@ def _identity_level(problem, mesh, level, seeds, seed_offset, tamper):
         tau[:, i::2] += t_h.flux[i][:, None]
     if tamper:
         _tamper(tau, mesh)
-    en = energies_stokes_block(v, tau, system)
-    rho = strong_convexity_stokes_block(v, tau, system, u_h, t_h)
+    en = energies_stokes(v, tau, system)
+    rho = strong_convexity_stokes(v, tau, system, u_h, t_h)
     gap = en["primal"] - en["dual"]
     rho_tot = rho["primal"] + rho["dual"]
     rel = np.abs(gap - rho_tot) / rho_tot  # inf in an inadmissible column

@@ -15,16 +15,7 @@ from . import mesh as _mesh
 from .forms import NumericalFailure
 from .quadrature import (VOLUME_DEGREE, ElementBlock, element_blocks, physical_points,
                          rule_values, triangle_rule)
-from .spaces import (
-    CRField,
-    MeshOperators,
-    RTField,
-    broken_gradient,
-    curl_operator,
-    dev,
-    divfree_cr_operator,
-    sym,
-)
+from .spaces import RTField, curl_operator, dev, divfree_cr_operator, sym
 
 
 class AdmissibilityError(NumericalFailure):
@@ -173,7 +164,7 @@ def _relative(res, size):
 
 
 def _velocity_residuals(ops, dofs, div, hat):
-    """Per-column relative residual of a `_cr_block` v, given max |div_h v|:
+    """Per-column relative residual of a (2 ns, k) DOF block v, given max |div_h v|:
     the larger of max |div_h v| over the largest element sum of the terms
     |div_h|(|v + u_hat|) (u_h's divergence is the roundoff of
     B u_h = -B u_hat), and of v's largest Dirichlet value over max |v + u_hat|.
@@ -193,7 +184,7 @@ def _largest(block):
 
 
 def _stress_residuals(ops, flux, f_h, g_h):
-    """Per-candidate relative residual of a `_rt_block`: the larger of
+    """Per-candidate relative residual of an (ns, 2 k) flux block: the larger of
     max |div tau + f_h| over the largest |D| |flux| + |f_h|, D the
     `rt_divergence_operator`, and of max |tau n - g_h| on the Neumann sides
     over max |flux| + max |g_h| (a zero datum is met to the fluxes' roundoff).
@@ -217,32 +208,22 @@ def _stress_residuals(ops, flux, f_h, g_h):
 # The candidates of a call are k columns: the velocities a (2 ns, k) block of
 # CR DOF vectors, the stresses an (ns, 2 k) block of RT fluxes, column 2 j + i
 # row i of candidate j.  Velocities go through the broken-gradient operator
-# and stresses through the RT cell-average operator as one block each; a
-# tensor block is (k, ne, 2, 2).  The `*_block` functions take these blocks
-# and the solved system's `ops`; the list API stacks its fields into them.
-
-
-def _cr_block(vs):
-    """(2 ns, k) block of the DOF vectors of k CR fields."""
-    return np.stack([v.dofs() for v in vs], axis=1)
-
-
-def _rt_block(taus):
-    """(ns, 2 k) block of the row fluxes of k RT fields: column 2 j + i is
-    row i of taus[j]."""
-    return np.stack([t.flux for t in taus]).reshape(2 * len(taus), -1).T
+# and stresses through the RT cell-average operator as one block each, read
+# from the solved system's `ops`; a tensor block is (k, ne, 2, 2).  The
+# functions read their blocks without changing them.
 
 
 def _broken_gradients(ops, dofs):
     """Broken gradients of a (2 ns, k) DOF block as a (k, ne, 2, 2) block."""
     grads = ops.grad @ dofs  # (4 ne, k)
+    # the contiguous copy fixes the summation order of the element sums
     return np.ascontiguousarray(grads.T).reshape(-1, ops.mesh.num_elements, 2, 2)
 
 
 def _dev_averages(ops, flux, big_f_h=None):
-    """dev Pi_h(tau + F_h) of a `_rt_block` of k RT fields: (k, ne, 2, 2)."""
+    """dev Pi_h(tau + F_h) of an (ns, 2 k) flux block of k RT fields: (k, ne, 2, 2)."""
     avg = ops.avg @ flux  # (2 ne, 2 k): rows (n, d), columns (j, i)
-    avg = np.ascontiguousarray(
+    avg = np.ascontiguousarray(  # as in _broken_gradients, fixes the summation order
         avg.T.reshape(-1, 2, ops.mesh.num_elements, 2).transpose(0, 2, 1, 3)
     )
     if big_f_h is not None:
@@ -267,23 +248,17 @@ def _squared_norms(mesh, block):
     return _inner(mesh, block, block)
 
 
-def energies_stokes(vs, taus, system):
-    """Discrete primal and dual energies of the candidate pairs (vs[j], taus[j]).
+def energies_stokes(dofs, flux, system):
+    """Discrete primal and dual energies of the candidate pairs of a (2 ns, k)
+    DOF block and an (ns, 2 k) flux block.
 
-    The taus are given relative to the tensor load F_h (the identity
+    The stresses are given relative to the tensor load F_h (the identity
     mapping when there is none).  Returns a dict of (k,) arrays I_h(v) and
     D_h(tau); an inadmissible velocity yields +inf in its column of the
     primal energy, an inadmissible stress -inf in its column of the dual.  A
     candidate is admissible when its residuals, relative to the terms its
     constraints sum, are at most ADMISSIBLE_TOL, at any scale of the data.
-    The lists are stacked into the blocks of `energies_stokes_block`.
     """
-    return energies_stokes_block(_cr_block(vs), _rt_block(taus), system)
-
-
-def energies_stokes_block(dofs, flux, system):
-    """`energies_stokes` of the candidates of a (2 ns, k) DOF block and an
-    (ns, 2 k) flux block, which are read, not changed."""
     mesh, nu, ops = system.mesh, system.nu, system.ops
     hat = system.u_hat.dofs()
     grad_hat = (ops.grad @ hat).reshape(-1, 2, 2)
@@ -302,31 +277,24 @@ def energies_stokes_block(dofs, flux, system):
     }
 
 
-def gap_indicator_stokes_discrete(system, v_h, tau_h):
-    """Per-element discrete gap (nu/2)||grad_h(v+u_hat) - dev(Pi_h tau)/nu||_T^2."""
-    nu = system.nu
-    grads = broken_gradient(v_h + system.u_hat)
-    diff = grads - _dev_average(system.ops, tau_h, system.big_f_h) / nu
-    return 0.5 * nu * system.mesh.areas * np.einsum("nij,nij->n", diff, diff)
+def gap_indicator_stokes_discrete(system, dofs, flux):
+    """Per-element discrete gaps (nu/2)||grad_h(v+u_hat) - dev(Pi_h tau)/nu||_T^2
+    of the candidates of a (2 ns, k) DOF block and an (ns, 2 k) flux block,
+    as a (k, ne) array."""
+    nu, ops = system.nu, system.ops
+    diff = _broken_gradients(ops, dofs + system.u_hat.dofs()[:, None])
+    diff -= _dev_averages(ops, flux, system.big_f_h) / nu
+    return 0.5 * nu * system.mesh.areas * np.einsum("knij,knij->kn", diff, diff)
 
 
-def strong_convexity_stokes(vs, taus, solution):
-    """Discrete strong convexity measures of the candidate pairs (vs[j], taus[j]).
+def strong_convexity_stokes(dofs, flux, system, u_h, t_h):
+    """Discrete strong convexity measures of the candidate pairs of a
+    (2 ns, k) DOF block and an (ns, 2 k) flux block.
 
     rho_primal^2 = (nu/2) ||grad_h v - grad_h u_h||^2 and
-    rho_dual^2 = 1/(2 nu) ||dev Pi_h tau - dev Pi_h T_h||^2, with (u_h, T_h)
-    the discrete solution pair; returns a dict of (k,) arrays.  The lists
-    are stacked into the blocks of `strong_convexity_stokes_block`.
+    rho_dual^2 = 1/(2 nu) ||dev Pi_h tau - dev Pi_h T_h||^2, with (u_h, t_h)
+    the discrete solution pair of system; returns a dict of (k,) arrays.
     """
-    return strong_convexity_stokes_block(
-        _cr_block(vs), _rt_block(taus), solution.system, solution.u_h, solution.t_h
-    )
-
-
-def strong_convexity_stokes_block(dofs, flux, system, u_h, t_h):
-    """`strong_convexity_stokes` of the candidates of a (2 ns, k) DOF block
-    and an (ns, 2 k) flux block, which are read, not changed, against the
-    discrete solution (u_h, t_h) of system."""
     nu, mesh, ops = system.nu, system.mesh, system.ops
     diff = dofs - u_h.dofs()[:, None]
     rho_primal = 0.5 * nu * _squared_norms(mesh, _broken_gradients(ops, diff))
@@ -501,24 +469,17 @@ def _uniform_draws(seeds, size):
     return np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, size) for s in seeds], axis=1)
 
 
-def random_divfree_cr(mesh, seeds, scales):
+def random_divfree_cr(ops, seeds, scales):
     """Random fields in the discretely divergence-free homogeneous CR space.
 
-    Returns one CRField per seed, with no solve: `divfree_cr_operator`
-    applied to nv potentials phi and then ns tangential parts psi, drawn
-    Uniform[-1,1] from default_rng(seeds[k]), phi zero at every vertex of a
-    Dirichlet side and psi zero on the Dirichlet sides.  The field of
-    seeds[k] is normalised to broken-H1 seminorm scales[k] (a scalar scales
-    every field alike).  The fields are the columns of
-    `random_divfree_cr_block`.
+    Returns one field per seed as a (2 ns, k) DOF block, column k the field
+    of seeds[k], with no solve: `divfree_cr_operator` applied to nv
+    potentials phi and then ns tangential parts psi, drawn Uniform[-1,1]
+    from default_rng(seeds[k]), phi zero at every vertex of a Dirichlet side
+    and psi zero on the Dirichlet sides.  The field of seeds[k] is
+    normalised to broken-H1 seminorm scales[k] (a scalar scales every field
+    alike); ops is the mesh's `MeshOperators`.
     """
-    dofs = random_divfree_cr_block(MeshOperators(mesh), seeds, scales)
-    return [CRField(mesh, dofs[:, k].reshape(2, -1).T) for k in range(len(seeds))]
-
-
-def random_divfree_cr_block(ops, seeds, scales):
-    """The `random_divfree_cr` fields of seeds as one (2 ns, k) DOF block,
-    column k the field of seeds[k]; ops is the mesh's `MeshOperators`."""
     mesh = ops.mesh
     scales = np.broadcast_to(np.asarray(scales, dtype=float), (len(seeds),))
     nv = mesh.num_vertices
@@ -535,34 +496,26 @@ def random_divfree_cr_block(ops, seeds, scales):
     return dofs
 
 
-def random_divfree_rt(mesh, seeds, scales):
+def random_divfree_rt(ops, seeds, scales):
     """Random RT tensors with exactly zero divergence and zero Neumann trace.
 
-    Returns one RTField per seed.  Row i of the field of seeds[k] has the
+    Returns one field per seed as an (ns, 2 k) flux block, columns 2 k and
+    2 k + 1 the rows of the field of seeds[k].  Row i of that field has the
     fluxes C phi_i, C the `curl_operator` and phi a Uniform[-1,1] conforming
     P1 potential (nv, 2) drawn from default_rng(seeds[k]) and zero at every
     vertex on the closure of the Neumann boundary: the normal traces of
     rot phi, so the divergence vanishes identically and the Neumann traces
     are zero by construction.  All seeds take one sparse product; the field
     of seeds[k] is normalised to ||dev Pi_h .|| = scales[k] (a scalar
-    scales every field alike).  The fields are the column pairs of
-    `random_divfree_rt_block`.
+    scales every field alike); ops is the mesh's `MeshOperators`.
     """
-    flux = random_divfree_rt_block(MeshOperators(mesh), seeds, scales)
-    return [RTField(mesh, flux[:, 2 * k: 2 * k + 2].T) for k in range(len(seeds))]
-
-
-def random_divfree_rt_block(ops, seeds, scales):
-    """The `random_divfree_rt` fields of seeds as one (ns, 2 k) flux block,
-    columns 2 k and 2 k + 1 the rows of the field of seeds[k]; ops is the
-    mesh's `MeshOperators`."""
     mesh = ops.mesh
     scales = np.broadcast_to(np.asarray(scales, dtype=float), (len(seeds),))
     nv = mesh.num_vertices
     phi = _uniform_draws(seeds, (nv, 2)).reshape(nv, -1)  # column 2 k + i: row i of seeds[k]
     neumann = mesh.sides_with_label(_mesh.NEUMANN)
     phi[mesh.side_vertices[neumann].ravel()] = 0.0
-    flux = curl_operator(mesh) @ phi  # (ns, 2 k), the layout of _rt_block
+    flux = curl_operator(mesh) @ phi  # (ns, 2 k)
     del phi
     nrm = np.sqrt(_squared_norms(mesh, _dev_averages(ops, flux)))
     if np.any(nrm < 1e-14):

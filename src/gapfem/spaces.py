@@ -386,8 +386,9 @@ class MeshOperators:
     `rt_average_operator`, `rt_divergence_operator`); abs_div_h and abs_div
     are |div_h| (|G's trace rows|) and |D|, the weights of the terms that the
     admissibility residuals of `duality` measure against.  The solved system
-    owns its mesh's set (`forms._LoadedSystem.ops`); held by the mesh, a set
-    would keep the mesh alive in a reference cycle.
+    owns its mesh's set (`forms._LoadedSystem.ops`), the one place a set is
+    built; held by the mesh, a set would keep the mesh alive in a reference
+    cycle.
     """
 
     def __init__(self, mesh):

@@ -483,29 +483,33 @@ def test_taylor_green_evaluates_f_only_on_fresh_elements(monkeypatch):
 
 
 def list_identity_level(problem, mesh, level, seeds, seed_offset, tamper):
-    """`adaptive._identity_level` written with the list API: one CRField
-    and one RTField per sample, u_h + w and T_h + r summed field by field."""
+    """`adaptive._identity_level` written with lists: one CRField and one
+    RTField per sample, u_h + w and T_h + r summed field by field and then
+    stacked into the blocks that the energies and convexity measures read."""
     from gapfem.duality import (energies_stokes, random_divfree_cr, random_divfree_rt,
                                 strong_convexity_stokes)
     from gapfem.problems import discretize_stokes, exact_errors
     from gapfem.spaces import RTField
+    from test_forms import cr_block, cr_fields, rt_block, rt_fields
 
     sol = discretize_stokes(problem, mesh)
     errs = exact_errors(sol, problem)
+    ops = sol.system.ops
     level_seeds = [seed_offset + 1000 * level + i for i in range(1, seeds + 1)]
     sizes = np.array([0.5 + ((7 * seed) % 8) / 4.0 for seed in level_seeds])
-    vs = [sol.u_h + w for w in random_divfree_cr(
-        mesh, level_seeds, sizes * np.sqrt(2.0 / problem.nu) * errs["primal"])]
-    taus = [sol.t_h + r for r in random_divfree_rt(
-        mesh, [seed + 500000 for seed in level_seeds],
-        sizes * np.sqrt(2.0 * problem.nu) * errs["dual"])]
+    vs = [sol.u_h + w for w in cr_fields(mesh, random_divfree_cr(
+        ops, level_seeds, sizes * np.sqrt(2.0 / problem.nu) * errs["primal"]))]
+    taus = [sol.t_h + r for r in rt_fields(mesh, random_divfree_rt(
+        ops, [seed + 500000 for seed in level_seeds],
+        sizes * np.sqrt(2.0 * problem.nu) * errs["dual"]))]
     if tamper:
         flux = [tau.flux.copy() for tau in taus]
         for f in flux:
             f[0, mesh.element_sides[0, 0]] += 0.1 * (1.0 + f.max())
         taus = [RTField(mesh, f) for f in flux]
-    en = energies_stokes(vs, taus, sol.system)
-    rho = strong_convexity_stokes(vs, taus, sol)
+    dofs, flux = cr_block(vs), rt_block(taus)
+    en = energies_stokes(dofs, flux, sol.system)
+    rho = strong_convexity_stokes(dofs, flux, sol.system, sol.u_h, sol.t_h)
     return en["primal"] - en["dual"], rho["primal"], rho["dual"]
 
 
@@ -515,8 +519,9 @@ def list_identity_level(problem, mesh, level, seeds, seed_offset, tamper):
     (lshape_stokes, 1, False),
 ])
 def test_identity_level_equals_list_api(factory, level, tamper):
-    """The identity level's block path gives the rows of the list API bit
-    for bit; tampering makes every stress inadmissible, so every gap +inf."""
+    """The identity level's samples, formed in place as blocks, give the rows
+    of the blocks stacked from field-by-field sums bit for bit; tampering
+    makes every stress inadmissible, so every gap +inf."""
     from gapfem.adaptive import _identity_level
     from gapfem.mesh import refine_marked_twice
 

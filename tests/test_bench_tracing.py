@@ -7,6 +7,7 @@ The tracer module is only loaded, never installed.
 
 import importlib
 import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -60,3 +61,27 @@ def test_refine_marked_twice_calls_the_module_refine_bisection(monkeypatch):
         assert isinstance(result[1], dict)
     # the two marked elements, then at least their four children
     assert tracer.counts["mesh.elements_bisected"] >= 6
+
+
+def test_tracer_sees_the_identity_samples(monkeypatch):
+    """The names the tracer wraps are the functions `identity_rows` calls:
+    each level of a two-level run takes one call of each sample span.
+    Every attribute `install` rebinds, scipy's `splu` included, is first
+    registered with monkeypatch, so the originals come back afterwards."""
+    from gapfem.adaptive import identity_rows
+    from gapfem.problems import taylor_green_stokes
+
+    tracing = _tracing()
+    for module_name, name, *_ in tracing.TARGETS:
+        module = importlib.import_module(module_name)
+        fn = getattr(module, name)
+        for mod in list(sys.modules.values()):
+            if mod is module or getattr(mod, "__name__", "").startswith("gapfem"):
+                for key in [k for k, v in vars(mod).items() if v is fn]:
+                    monkeypatch.setattr(mod, key, fn)
+    tracer = tracing.Tracer()
+    assert tracing.install(tracer) == []
+    identity_rows(taylor_green_stokes(), 2, 2)
+    spans = ["duality.random_divfree_cr", "duality.random_divfree_rt", "duality.energies",
+             "duality.strong_convexity"]
+    assert [tracer.calls[span] for span in spans] == [2, 2, 2, 2]

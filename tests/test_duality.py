@@ -10,7 +10,11 @@ from test_forms import (
     _bisected_mesh,
     _perturbed_mesh,
     assert_close,
+    cr_block,
+    cr_fields,
     div_h,
+    rt_block,
+    rt_fields,
     stokes_system,
     tg_labeler,
     zero_datum,
@@ -45,13 +49,7 @@ from gapfem import (
     structured_square_mesh,
 )
 from gapfem.adaptive import refine_marked_twice
-from gapfem.duality import (
-    JUMP_TOL,
-    energies_stokes_block,
-    random_divfree_cr_block,
-    random_divfree_rt_block,
-    strong_convexity_stokes_block,
-)
+from gapfem.duality import JUMP_TOL
 from gapfem.problems import (
     cook_membrane,
     discretize_elasticity,
@@ -212,7 +210,7 @@ class TestScaleFreeChecks:
         mesh = prob.mesh_factory()
         for level in range(1, 5):
             sol = discretize_stokes(prob, mesh)
-            en = energies_stokes([sol.u_h], [sol.t_h], sol.system)
+            en = energies_stokes(cr_block([sol.u_h]), rt_block([sol.t_h]), sol.system)
             assert np.isfinite(en["primal"][0]) and np.isfinite(en["dual"][0])
             if level < 4:
                 mesh = refine_marked_twice(mesh, np.arange(mesh.num_elements))
@@ -231,7 +229,7 @@ class TestScaleFreeChecks:
         flux = sol.t_h.flux.copy()
         flux[0, side] += 0.01 * np.abs(flux).max()
         vs, taus = [CRField(mesh, values), sol.u_h], [sol.t_h, RTField(mesh, flux)]
-        en = energies_stokes(vs, taus, sol.system)
+        en = energies_stokes(cr_block(vs), rt_block(taus), sol.system)
         assert en["primal"][0] == np.inf and en["dual"][1] == -np.inf
         assert np.isfinite(en["primal"][1]) and np.isfinite(en["dual"][0])
 
@@ -329,15 +327,17 @@ class TestMariniElasticity:
 class TestGapIndicators:
     def test_solution_pair_zero_gap(self, tg_solution):
         prob, mesh, sol = tg_solution
-        eta = gap_indicator_stokes_discrete(sol.system, sol.u_h, sol.t_h)
+        eta = gap_indicator_stokes_discrete(sol.system, cr_block([sol.u_h]), rt_block([sol.t_h]))
+        assert eta.shape == (1, mesh.num_elements)
         assert eta.sum() < 1e-20
 
     def test_perturbed_pair_matches_rho_tot(self, tg_solution):
         prob, mesh, sol = tg_solution
-        v = sol.u_h + random_divfree_cr(mesh, [3], [0.1])[0]
-        tau = sol.t_h + random_divfree_rt(mesh, [4], [0.1])[0]
+        ops = sol.system.ops
+        v = random_divfree_cr(ops, [3], [0.1]) + cr_block([sol.u_h])
+        tau = random_divfree_rt(ops, [4], [0.1]) + rt_block([sol.t_h])
         eta = gap_indicator_stokes_discrete(sol.system, v, tau)
-        rho = strong_convexity_stokes([v], [tau], sol)
+        rho = strong_convexity_stokes(v, tau, sol.system, sol.u_h, sol.t_h)
         total = rho["primal"][0] + rho["dual"][0]
         assert eta.sum() == pytest.approx(total, rel=1e-8)
         assert np.all(eta >= 0)
@@ -347,8 +347,8 @@ class TestGapIndicators:
         # each nu has its own system, with zero lift and load
         mesh = structured_square_mesh(3, all_dirichlet)
         rng = np.random.default_rng(8)
-        v = CRField(mesh, rng.standard_normal((mesh.num_sides, 2)))
-        tau = RTField(mesh, rng.standard_normal((2, mesh.num_sides)))
+        v = cr_block([CRField(mesh, rng.standard_normal((mesh.num_sides, 2)))])
+        tau = rt_block([RTField(mesh, rng.standard_normal((2, mesh.num_sides)))])
         e1 = gap_indicator_stokes_discrete(stokes_system(mesh, 1.0), v, tau)
         e2 = gap_indicator_stokes_discrete(stokes_system(mesh, 2.0), v, 2.0 * tau)
         assert np.allclose(e2, 2.0 * e1, rtol=1e-12)
@@ -469,24 +469,26 @@ class TestEnergies:
         prob, mesh, sol = tg_solution
         rng = np.random.default_rng(2)
         bad_v = CRField(mesh, rng.standard_normal((mesh.num_sides, 2)))
-        en = energies_stokes([bad_v], [sol.t_h], sol.system)
+        en = energies_stokes(cr_block([bad_v]), rt_block([sol.t_h]), sol.system)
         assert en["primal"][0] == np.inf
         bad_tau = RTField(mesh, rng.standard_normal((2, mesh.num_sides)))
-        en = energies_stokes([sol.u_h], [bad_tau], sol.system)
+        en = energies_stokes(cr_block([sol.u_h]), rt_block([bad_tau]), sol.system)
         assert en["dual"][0] == -np.inf
 
     def test_strong_duality_at_solution(self, tg_solution):
         prob, mesh, sol = tg_solution
-        en = energies_stokes([sol.u_h], [sol.t_h], sol.system)
+        en = energies_stokes(cr_block([sol.u_h]), rt_block([sol.t_h]), sol.system)
         scale = abs(en["primal"][0]) + abs(en["dual"][0])
         assert abs(en["primal"][0] - en["dual"][0]) <= 1e-12 * max(scale, 1.0)
 
     def test_taylor_expansion_of_primal_energy(self, tg_solution):
         # I_h(v) - I_h(u_h) equals the quadratic strong convexity measure
         prob, mesh, sol = tg_solution
-        v = sol.u_h + random_divfree_cr(mesh, [11], [0.2])[0]
-        en = energies_stokes([v, sol.u_h], [sol.t_h, sol.t_h], sol.system)
-        rho = strong_convexity_stokes([v], [sol.t_h], sol)
+        v = random_divfree_cr(sol.system.ops, [11], [0.2]) + cr_block([sol.u_h])
+        tau = rt_block([sol.t_h])
+        en = energies_stokes(np.hstack([v, cr_block([sol.u_h])]), np.hstack([tau, tau]),
+                             sol.system)
+        rho = strong_convexity_stokes(v, tau, sol.system, sol.u_h, sol.t_h)
         assert en["primal"][0] - en["primal"][1] == pytest.approx(
             rho["primal"][0], rel=1e-10
         )
@@ -556,8 +558,9 @@ class TestBlockFunctions:
         sol = discretize_stokes(prob, mesh)
         seeds = [31, 32, 33, 34, 35]
         scales = [0.01, 0.1, 1.0, 0.3, 0.03]
-        vs = [sol.u_h + w for w in random_divfree_cr(mesh, seeds, scales)]
-        taus = [sol.t_h + r for r in random_divfree_rt(mesh, seeds, scales)]
+        ops = sol.system.ops
+        vs = [sol.u_h + w for w in cr_fields(mesh, random_divfree_cr(ops, seeds, scales))]
+        taus = [sol.t_h + r for r in rt_fields(mesh, random_divfree_rt(ops, seeds, scales))]
         rng = np.random.default_rng(3)
         vs[1] = CRField(mesh, rng.standard_normal((mesh.num_sides, 2)))
         taus[3] = RTField(mesh, rng.standard_normal((2, mesh.num_sides)))
@@ -565,7 +568,7 @@ class TestBlockFunctions:
 
     def test_energies_match_oracle(self, block):
         sol, vs, taus = block
-        en = energies_stokes(vs, taus, sol.system)
+        en = energies_stokes(cr_block(vs), rt_block(taus), sol.system)
         assert en["primal"].shape == en["dual"].shape == (5,)
         for k, (v, tau) in enumerate(zip(vs, taus)):
             primal, dual = oracle_energies(v, tau, sol.system)
@@ -577,7 +580,7 @@ class TestBlockFunctions:
 
     def test_strong_convexity_matches_oracle(self, block):
         sol, vs, taus = block
-        rho = strong_convexity_stokes(vs, taus, sol)
+        rho = strong_convexity_stokes(cr_block(vs), rt_block(taus), sol.system, sol.u_h, sol.t_h)
         for k, (v, tau) in enumerate(zip(vs, taus)):
             primal, dual = oracle_strong_convexity(v, tau, sol)
             assert rho["primal"][k] == pytest.approx(primal, rel=1e-12)
@@ -585,32 +588,37 @@ class TestBlockFunctions:
 
     def test_identity_per_column(self, block):
         sol, vs, taus = block
-        en = energies_stokes(vs, taus, sol.system)
-        rho = strong_convexity_stokes(vs, taus, sol)
+        dofs, flux = cr_block(vs), rt_block(taus)
+        en = energies_stokes(dofs, flux, sol.system)
+        rho = strong_convexity_stokes(dofs, flux, sol.system, sol.u_h, sol.t_h)
         gap = en["primal"] - en["dual"]
         ok = [0, 2, 4]
         assert gap[ok] == pytest.approx((rho["primal"] + rho["dual"])[ok], rel=1e-10)
 
     def test_blocks_equal_the_list_api(self, block):
         """The samples formed in place as blocks, with the solved system's
-        operator set, give the list API's energies and convexity measures bit
-        for bit, the inadmissible columns' +inf and -inf included."""
+        operator set, equal the blocks stacked from the field-by-field sums
+        u_h + w and T_h + r, and give their energies and convexity measures
+        bit for bit, the inadmissible columns' +inf and -inf included."""
         sol, vs, taus = block
         ops = sol.system.ops
         seeds, scales = [31, 32, 33, 34, 35], [0.01, 0.1, 1.0, 0.3, 0.03]
-        dofs = random_divfree_cr_block(ops, seeds, scales)
+        dofs = random_divfree_cr(ops, seeds, scales)
         dofs += sol.u_h.dofs()[:, None]
-        flux = random_divfree_rt_block(ops, seeds, scales)
+        flux = random_divfree_rt(ops, seeds, scales)
         for i in range(2):
             flux[:, i::2] += sol.t_h.flux[i][:, None]
         dofs[:, 1] = vs[1].dofs()
         flux[:, 6:8] = taus[3].flux.T
-        assert np.array_equal(dofs, np.stack([v.dofs() for v in vs], axis=1))
+        stacked_dofs, stacked_flux = cr_block(vs), rt_block(taus)
+        assert np.array_equal(dofs, stacked_dofs)
         assert np.array_equal(flux.T.reshape(5, 2, -1), np.stack([t.flux for t in taus]))
-        en = energies_stokes_block(dofs, flux, sol.system)
-        rho = strong_convexity_stokes_block(dofs, flux, sol.system, sol.u_h, sol.t_h)
-        want_en = energies_stokes(vs, taus, sol.system)
-        want_rho = strong_convexity_stokes(vs, taus, sol)
+        assert np.array_equal(flux, stacked_flux)
+        en = energies_stokes(dofs, flux, sol.system)
+        rho = strong_convexity_stokes(dofs, flux, sol.system, sol.u_h, sol.t_h)
+        want_en = energies_stokes(stacked_dofs, stacked_flux, sol.system)
+        want_rho = strong_convexity_stokes(stacked_dofs, stacked_flux, sol.system, sol.u_h,
+                                           sol.t_h)
         for got, want in ((en, want_en), (rho, want_rho)):
             assert got.keys() == want.keys()
             for key in got:
@@ -618,7 +626,8 @@ class TestBlockFunctions:
         assert en["primal"][1] == np.inf and en["dual"][3] == -np.inf
         assert np.isfinite(en["primal"][[0, 2, 3, 4]]).all()
         # the blocks are read, not changed
-        assert np.array_equal(dofs, np.stack([v.dofs() for v in vs], axis=1))
+        assert np.array_equal(dofs, cr_block(vs))
+        assert np.array_equal(flux, rt_block(taus))
 
 
 class TestAdmissiblePair:
@@ -627,13 +636,14 @@ class TestAdmissiblePair:
         # gap is I_h(v) - D_h(tau) = rho_primal + rho_dual
         prob, mesh, sol = tg_solution
         system = sol.system
-        v = sol.u_h + random_divfree_cr(mesh, [21], [0.05])[0]
-        tau = sol.t_h + random_divfree_rt(mesh, [22], [0.05])[0]
+        (v,) = cr_fields(mesh, random_divfree_cr(system.ops, [21], [0.05]) + cr_block([sol.u_h]))
+        (tau,) = rt_fields(mesh, random_divfree_rt(system.ops, [22], [0.05]) + rt_block([sol.t_h]))
         assert oracle_velocity_residual(v) <= 1e-10
         assert oracle_stress_residual(tau, system.f_h, system.g_h, mesh) <= 1e-10
-        gap = gap_indicator_stokes_discrete(system, v, tau).sum()
-        en = energies_stokes([v], [tau], system)
-        rho = strong_convexity_stokes([v], [tau], sol)
+        dofs, flux = cr_block([v]), rt_block([tau])
+        gap = gap_indicator_stokes_discrete(system, dofs, flux).sum()
+        en = energies_stokes(dofs, flux, system)
+        rho = strong_convexity_stokes(dofs, flux, system, sol.u_h, sol.t_h)
         assert gap == pytest.approx(rho["primal"][0] + rho["dual"][0], rel=1e-8)
         assert en["primal"][0] - en["dual"][0] == pytest.approx(gap, rel=1e-8)
 
@@ -642,7 +652,8 @@ class TestAdmissiblePair:
         rng = np.random.default_rng(0)
         bad = CRField(mesh, rng.standard_normal((mesh.num_sides, 2)))
         assert oracle_velocity_residual(bad) > 1e-10
-        assert energies_stokes([bad], [sol.t_h], sol.system)["primal"][0] == np.inf
+        en = energies_stokes(cr_block([bad]), rt_block([sol.t_h]), sol.system)
+        assert en["primal"][0] == np.inf
 
 
 @settings(max_examples=40, deadline=None)
@@ -658,10 +669,11 @@ def test_discrete_identity_on_perturbed_meshes(n, labeler, seed, log_scales):
     prob = taylor_green_stokes()
     mesh = _perturbed_mesh(n, labeler, seed)
     sol = discretize_stokes(prob, mesh)
-    v = sol.u_h + random_divfree_cr(mesh, [seed], [10.0 ** log_scales[0]])[0]
-    tau = sol.t_h + random_divfree_rt(mesh, [seed + 1], [10.0 ** log_scales[1]])[0]
-    en = energies_stokes([v], [tau], sol.system)
-    rho = strong_convexity_stokes([v], [tau], sol)
+    ops = sol.system.ops
+    v = random_divfree_cr(ops, [seed], [10.0 ** log_scales[0]]) + cr_block([sol.u_h])
+    tau = random_divfree_rt(ops, [seed + 1], [10.0 ** log_scales[1]]) + rt_block([sol.t_h])
+    en = energies_stokes(v, tau, sol.system)
+    rho = strong_convexity_stokes(v, tau, sol.system, sol.u_h, sol.t_h)
     gap = en["primal"][0] - en["dual"][0]
     assert gap == pytest.approx(rho["primal"][0] + rho["dual"][0], rel=1e-10, abs=0.0)
 
@@ -688,10 +700,12 @@ def test_discrete_identity_after_random_marking(factory, seed, rounds, fraction)
     sol = discretize_stokes(prob, mesh)
     seeds = [seed, seed + 1, seed + 2]
     scales = 10.0 ** rng.uniform(-2.0, 1.0, (2, len(seeds)))
-    vs = [sol.u_h + w for w in random_divfree_cr(mesh, seeds, scales[0])]
-    taus = [sol.t_h + r for r in random_divfree_rt(mesh, [s + 3 for s in seeds], scales[1])]
-    en = energies_stokes(vs, taus, sol.system)
-    rho = strong_convexity_stokes(vs, taus, sol)
+    ops = sol.system.ops
+    v = random_divfree_cr(ops, seeds, scales[0]) + sol.u_h.dofs()[:, None]
+    tau = random_divfree_rt(ops, [s + 3 for s in seeds], scales[1])
+    tau += np.tile(sol.t_h.flux.T, len(seeds))
+    en = energies_stokes(v, tau, sol.system)
+    rho = strong_convexity_stokes(v, tau, sol.system, sol.u_h, sol.t_h)
     rho_tot = rho["primal"] + rho["dual"]
     assert np.all(np.abs(en["primal"] - en["dual"] - rho_tot) <= 1e-6 * rho_tot)
 
@@ -711,7 +725,8 @@ def test_divfree_cr_on_perturbed_meshes(n, labeler, seed, log_scales):
     mesh = _perturbed_mesh(n, labeler, seed)
     geo = mesh.geometry()
     seeds, scales = [seed, seed + 1], 10.0 ** np.array(log_scales)
-    fields = random_divfree_cr(mesh, seeds, scales)
+    ops = MeshOperators(mesh)
+    fields = cr_fields(mesh, random_divfree_cr(ops, seeds, scales))
     dirichlet = mesh.side_labels == DIRICHLET
     div_op = abs(rt_divergence_operator(mesh))
     curl = curl_operator(mesh)
@@ -730,7 +745,7 @@ def test_divfree_cr_on_perturbed_meshes(n, labeler, seed, log_scales):
         potential = c * (div_op @ (abs(curl) @ np.abs(phi) + np.abs(psi)))
         assert np.all(np.abs(div_h(field)) <= 1e-14 * potential)
         assert np.abs(field.values[dirichlet]).max(initial=0.0) == 0.0
-        (one,) = random_divfree_cr(mesh, [s], [scale])
+        (one,) = cr_fields(mesh, random_divfree_cr(ops, [s], [scale]))
         assert np.abs(field.values - one.values).max() <= (
             1e-12 * np.abs(one.values).max()
         )
@@ -741,7 +756,7 @@ class TestRandomFields:
         # all-Dirichlet (pressure gauge row) and mixed Dirichlet/Neumann
         for labeler in (all_dirichlet, mixed):
             mesh = structured_square_mesh(5, labeler)
-            v1, v2 = random_divfree_cr(mesh, [1, 2], 1.0)
+            v1, v2 = cr_fields(mesh, random_divfree_cr(MeshOperators(mesh), [1, 2], 1.0))
             assert np.abs(div_h(v1)).max() < 1e-10
             assert np.abs(v1.values[mesh.side_labels == DIRICHLET]).max() == 0.0
             assert norm_p0(mesh, broken_gradient(v1 - v2)) > 1e-3
@@ -750,26 +765,29 @@ class TestRandomFields:
         # each seed keeps its own stream through the one block product
         for labeler in (all_dirichlet, mixed):
             mesh = structured_square_mesh(5, labeler)
-            both = random_divfree_cr(mesh, [7, 8], [0.3, 2.0])
+            ops = MeshOperators(mesh)
+            both = cr_fields(mesh, random_divfree_cr(ops, [7, 8], [0.3, 2.0]))
             for field, seed, scale in zip(both, [7, 8], [0.3, 2.0]):
-                (one,) = random_divfree_cr(mesh, [seed], [scale])
+                (one,) = cr_fields(mesh, random_divfree_cr(ops, [seed], [scale]))
                 assert np.abs(field.values - one.values).max() <= 1e-12
                 assert norm_p0(mesh, broken_gradient(field)) == pytest.approx(scale)
 
     def test_divfree_rt_block_equals_single_seeds(self):
         for labeler in (all_dirichlet, mixed):
             mesh = structured_square_mesh(5, labeler)
-            both = random_divfree_rt(mesh, [7, 8], [0.3, 2.0])
+            ops = MeshOperators(mesh)
+            both = rt_fields(mesh, random_divfree_rt(ops, [7, 8], [0.3, 2.0]))
             for field, seed, scale in zip(both, [7, 8], [0.3, 2.0]):
-                (one,) = random_divfree_rt(mesh, [seed], [scale])
+                (one,) = rt_fields(mesh, random_divfree_rt(ops, [seed], [scale]))
                 assert np.abs(field.flux - one.flux).max() <= 1e-14
-                devavg = dev(field.cell_average(MeshOperators(mesh)))
+                devavg = dev(field.cell_average(ops))
                 assert norm_p0(mesh, devavg) == pytest.approx(scale)
 
     def test_divfree_rt_properties(self):
         mesh = structured_square_mesh(5, mixed)
-        (tau,) = random_divfree_rt(mesh, [3], 1.0)
-        assert np.abs(tau.divergence(MeshOperators(mesh))).max() < 1e-13
+        ops = MeshOperators(mesh)
+        (tau,) = rt_fields(mesh, random_divfree_rt(ops, [3], 1.0))
+        assert np.abs(tau.divergence(ops)).max() < 1e-13
         neumann = mesh.sides_with_label(NEUMANN)
         assert np.abs(tau.flux[:, neumann]).max() < 1e-12
 

@@ -21,6 +21,7 @@ from gapfem import (
     AssemblyError,
     CRField,
     ElasticityTensor,
+    RTField,
     SingularSystemError,
     assemble_elasticity,
     assemble_stokes,
@@ -51,6 +52,7 @@ from gapfem.problems import (
 )
 from gapfem.quadrature import segment_rule, side_points
 from gapfem.spaces import (
+    MeshOperators,
     cr_basis_gradients,
     cr_gradient_operator,
     cr_jump_operator,
@@ -96,6 +98,26 @@ def div_h(v):
     """Broken divergence of a CR field: the trace of its broken gradient."""
     g = broken_gradient(v)
     return g[:, 0, 0] + g[:, 1, 1]
+
+
+def cr_block(fields):
+    """The (2 ns, k) DOF block of k CR fields, column k the DOFs of fields[k]."""
+    return np.stack([v.dofs() for v in fields], axis=1)
+
+
+def rt_block(fields):
+    """The (ns, 2 k) flux block of k RT fields, column 2 k + i row i of fields[k]."""
+    return np.stack([t.flux for t in fields]).reshape(2 * len(fields), -1).T
+
+
+def cr_fields(mesh, dofs):
+    """The CR fields of the columns of a (2 ns, k) DOF block."""
+    return [CRField(mesh, dofs[:, k].reshape(2, -1).T) for k in range(dofs.shape[1])]
+
+
+def rt_fields(mesh, flux):
+    """The RT fields of the column pairs of an (ns, 2 k) flux block."""
+    return [RTField(mesh, flux[:, 2 * k: 2 * k + 2].T) for k in range(flux.shape[1] // 2)]
 
 
 def holed_square_mesh(outer, hole):
@@ -406,16 +428,15 @@ def _operator_set_builders(source):
 
 
 def test_operator_sets_built_only_by_their_owners():
-    """gapfem builds a `MeshOperators` set in three places: the solved
-    system's `ops`, which every reader after the solve takes, and the two
-    random-sample list functions, which get a bare mesh."""
+    """gapfem builds a `MeshOperators` set in one place: the solved system's
+    `ops`, which every reader after the solve takes, the random samples
+    included."""
     sample = "class S:\n    def ops(self):\n        return spaces.MeshOperators(m)\n"
     assert _operator_set_builders(sample) == ["S.ops"]
     package = sorted(pathlib.Path(forms.__file__).parent.glob("*.py"))
     found = sorted((p.name, scope) for p in package
                    for scope in _operator_set_builders(p.read_text()))
-    assert found == [("duality.py", "random_divfree_cr"), ("duality.py", "random_divfree_rt"),
-                     ("forms.py", "_LoadedSystem.ops")]
+    assert found == [("forms.py", "_LoadedSystem.ops")]
 
 
 def test_every_default_is_left_unset_by_some_call():
@@ -721,10 +742,10 @@ class TestStokesALSolve:
         prob = get_problem(problem)
         mesh = prob.mesh_factory()
         for level in range(1, 3):
-            discretize_stokes(prob, mesh)
+            sol = discretize_stokes(prob, mesh)
             assert len(factors) == level
             assert [f.solves for f in factors] == [1] * len(factors)
-            random_divfree_cr(mesh, range(1, 17), 1.0)
+            random_divfree_cr(sol.system.ops, range(1, 17), 1.0)
             assert len(factors) == level
             assert [f.solves for f in factors] == [1] * len(factors)
             mesh = refine_marked_twice(mesh, range(mesh.num_elements))
@@ -800,12 +821,13 @@ class TestStokesALSolve:
         monkeypatch.setattr(forms.sla, "splu", counting_splu)
         prob = taylor_green_stokes()
         mesh = prob.mesh_factory()
-        random_divfree_cr(mesh, range(1, 17), 1.0)
+        ops = MeshOperators(mesh)
+        random_divfree_cr(ops, range(1, 17), 1.0)
         assert factored == []
         shapes = stokes_factor_shapes(discretize_stokes(prob, mesh).system)
         assert factored == shapes
         for seed in range(3):
-            random_divfree_cr(mesh, [seed], 1.0)
+            random_divfree_cr(ops, [seed], 1.0)
         assert factored == shapes
 
     def test_one_saddle_per_mesh_in_identity_rows(self, monkeypatch):
