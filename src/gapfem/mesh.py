@@ -17,10 +17,8 @@ INTERIOR = 0
 DIRICHLET = 1
 NEUMANN = 2
 
-# the cache entries whose element rows `refine_bisection` carries to the
-# elements it copies unrotated: `quadrature.rule_values` and
-# `problems.project_data` arrays
-_CARRIED_KINDS = ("rule_values", "projection")
+# the cache entries whose element or side rows `refine_bisection` carries
+_ELEMENT_ROWS, _SIDE_ROWS = ("rule_values", "projection"), ("lift", "tractions")
 
 
 class MeshError(Exception):
@@ -201,25 +199,36 @@ class Triangulation:
         The one per-mesh cache: geometry, the RT element factors (of
         `spaces.RTField` and the RT operators), the quadrature points and
         analytic field values of `quadrature.physical_points`/`rule_values`,
-        and the element rows of f_h, F_h and the oscillation that
-        `problems.project_data` forms live here.  The values of the loads f
-        and F are not cached: `project_data` reads them once, one element
-        block at a time.
+        the element rows of f_h, F_h and the oscillation that
+        `problems.project_data` forms, and the solution's lift and g_h live
+        here.  The values of the loads f and F are not cached:
+        `project_data` reads them once, one element block at a time.
 
         A mesh made by `refine_bisection` may also hold, under
-        ("carried",) + key, the rows (element indices, values) of its
-        parent's ("rule_values", f, degree) or ("projection", f, F) array at
-        the elements copied with their vertex row unchanged.  Their points
-        are the parent's bit for bit, so `rule_values` and `project_data`
-        evaluate f only on the other elements and then drop the entry.
+        ("carried",) + key, the rows (indices, values) of its parent's
+        ("rule_values", f, degree) or ("projection", f, F) array at the
+        elements copied with their vertex row unchanged, and of its
+        ("lift", u, stream) or ("tractions", g) array at the sides left
+        whole.  Their points are the parent's bit for bit, so the data are
+        evaluated only on the other elements or sides; the entry is dropped.
         """
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
 
+    def __contains__(self, key):
+        return key in self._cache
+
     def pop_cached(self, key):
         """Remove the cache entry for `key` and return it (None if absent)."""
         return self._cache.pop(key, None)
+
+    def pop_carried(self, key, out, fresh):
+        """Move the rows carried for `key` into out, clear them in the mask fresh."""
+        carried = self.pop_cached(("carried",) + key)
+        if carried is not None:
+            out[carried[0]] = carried[1]
+            fresh[carried[0]] = False
 
     def geometry(self):
         """Per-element/per-side geometric arrays, computed once per mesh.
@@ -385,6 +394,10 @@ def refine_bisection(mesh, marked):
     refinement edge 0 throughout, so copies are rotated only in the first
     refinement of a mesh built otherwise, such as Cook's initial
     `build_triangulation` mesh (longest edges first).
+
+    A side left whole keeps its endpoints, in order (its lower element's
+    children keep the lower indices), so its rows of the parent's lift and
+    g_h pass on too.  `refine_marked_twice` of every element keeps no side.
     """
     marked = np.unique(np.asarray(marked, dtype=np.int64))
     if marked.size and (marked[0] < 0 or marked[-1] >= mesh.num_elements):
@@ -463,26 +476,39 @@ def refine_bisection(mesh, marked):
     new_mesh = Triangulation(new_vertices, new_elems, refinement_edge, (pairs, labels))
 
     # carry each field's rows (of a full or a still carried array) at the
-    # unrotated copies, gathered so the parent's arrays die with the parent
-    copied = ~split_ab & (mesh.refinement_edge == 0)
-    if copied.any():
-        dest = np.where(copied, first, -1)
-        for key, value in mesh._cache.items():
-            if key[0] in _CARRIED_KINDS:
-                rows, values, key = np.arange(mesh.num_elements), value, ("carried",) + key
-            elif key[0] == "carried":
-                rows, values = value
-            else:
-                continue
-            to = dest[rows]
-            keep = to >= 0
-            if keep.any():
-                new_mesh._cache[key] = (to[keep], values[keep])
+    # unrotated copies and the unbisected sides, gathered so the parent's
+    # arrays die with the parent
+    copied, whole_to = np.where(~split_ab & (mesh.refinement_edge == 0), first, -1), None
+    for key, value in mesh._cache.items():
+        if key[0] == "carried":
+            rows, values = value
+        elif key[0] in _ELEMENT_ROWS + _SIDE_ROWS:
+            rows, values, key = np.arange(len(value)), value, ("carried",) + key
+        else:
+            continue
+        if key[1] in _SIDE_ROWS and whole_to is None:
+            # a whole side keeps its sorted endpoint key, which orders the
+            # sides: one search maps them all, for every side-row entry
+            whole, whole_to = np.flatnonzero(~edge_marked), np.full(mesh.num_sides, -1)
+            (a, b), (c, d) = mesh.side_vertices[whole].T, new_mesh.side_vertices.T
+            n = len(new_vertices)
+            whole_to[whole] = np.searchsorted(np.minimum(c, d) * n + np.maximum(c, d),
+                                              np.minimum(a, b) * n + np.maximum(a, b))
+        to = (whole_to if key[1] in _SIDE_ROWS else copied)[rows]
+        keep = to >= 0
+        if keep.any():
+            new_mesh._cache[key] = (to[keep], values[keep])
     return new_mesh, parent_map
 
 
 def refine_marked_twice(mesh, marked):
-    """Two newest-vertex bisection generations of the marked elements."""
+    """Two newest-vertex bisection generations of the marked elements; with
+    every element marked, every side is bisected, so the mesh's lift and g_h
+    leave its cache first, to die with their solution."""
+    if len(marked) == mesh.num_elements:
+        for key in [k for k in mesh._cache if k[0] in _SIDE_ROWS
+                    or k[0] == "carried" and k[1] in _SIDE_ROWS]:
+            del mesh._cache[key]
     mesh1, pmap1 = refine_bisection(mesh, marked)
     marked2 = [c for t in marked for c in pmap1[t]]
     mesh2, _ = refine_bisection(mesh1, marked2)

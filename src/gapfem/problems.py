@@ -33,9 +33,11 @@ from .mesh import (
     refine_marked_twice,
     structured_square_mesh,
 )
-from .quadrature import (SIDE_POINTS, VOLUME_DEGREE, element_blocks, physical_points,
-                         rule_values, segment_rule, side_points, triangle_rule)
+from .quadrature import (SIDE_POINTS, VOLUME_DEGREE, _frozen, element_blocks,
+                         joint_rule_values, physical_points, rule_values, segment_rule,
+                         side_points, triangle_rule)
 from .spaces import (
+    CRField,
     broken_gradient,
     cr_gradient_operator,
     cr_interpolate,
@@ -253,16 +255,31 @@ def _lshape_stream(x):
 def _lshape_grad_u(x):
     """Gradient of the singular velocity via stream-function second derivatives."""
     r, theta = _polar(x)
-    psi, dpsi, d2psi, _ = _lshape_psi(theta)
+    return _lshape_gradient(r ** (_LSHAPE_ALPHA - 1.0), theta, _lshape_psi(theta))
+
+
+def _lshape_p(x):
+    r, theta = _polar(x)
+    return _lshape_pressure(r ** (_LSHAPE_ALPHA - 1.0), _lshape_psi(theta))
+
+
+def _lshape_grad_u_p(x):
+    """(_lshape_grad_u(x), _lshape_p(x)) bit for bit, sharing `_polar` and `_lshape_psi`."""
+    r, theta = _polar(x)
+    ra1, profile = r ** (_LSHAPE_ALPHA - 1.0), _lshape_psi(theta)
+    del r
+    return _lshape_gradient(ra1, theta, profile), _lshape_pressure(ra1, profile)
+
+
+def _lshape_gradient(ra1, theta, profile):  # ra1 = r^(alpha - 1)
+    psi, dpsi, d2psi, _ = profile
     s, c = np.sin(theta), np.cos(theta)
     ss, cc, sc = s * s, c * c, s * c
-    del theta, s, c
+    del s, c
     ap = 1.0 + _LSHAPE_ALPHA
-    ra1 = r ** (_LSHAPE_ALPHA - 1.0)
-    del r
     # g = [[phi_xy, phi_yy], [-phi_xx, -phi_xy]]: the phi are summed in its
     # slices one closed-form term f at a time, each f dropped once used
-    g = np.empty(x.shape[:-1] + (2, 2))
+    g = np.empty(theta.shape + (2, 2))
     xx, yy, xy = g[..., 1, 0], g[..., 0, 1], g[..., 0, 0]
     f = _LSHAPE_ALPHA * ap * ra1 * psi  # f_rr
     np.multiply(cc, f, out=xx)
@@ -289,11 +306,13 @@ def _lshape_grad_u(x):
     return g
 
 
-def _lshape_p(x):
-    r, theta = _polar(x)
-    _, dpsi, _, d3psi = _lshape_psi(theta)
-    return (r ** (_LSHAPE_ALPHA - 1.0) / (_LSHAPE_ALPHA - 1.0)
-            * ((1 + _LSHAPE_ALPHA) ** 2 * dpsi + d3psi))
+def _lshape_pressure(ra1, profile):
+    _, dpsi, _, d3psi = profile
+    return ra1 / (_LSHAPE_ALPHA - 1.0) * ((1 + _LSHAPE_ALPHA) ** 2 * dpsi + d3psi)
+
+
+# the (grad u, p) evaluators that share work between the two fields
+_JOINT_GRAD_U_P = {(_lshape_grad_u, _lshape_p): _lshape_grad_u_p}
 
 
 def lshape_mesh(n_per_unit):
@@ -471,20 +490,31 @@ def get_problem(name):
 
 
 def interpolate_lift(problem, mesh):
-    return cr_interpolate(problem.u, mesh, stream=problem.lift_stream)
+    """The lift's `cr_interpolate`, cached on the mesh (the solution holds the
+    array): u is averaged only over the sides a refinement did not carry."""
+    key = ("lift", problem.u, problem.lift_stream)
+    return CRField(mesh, mesh.cached(key, lambda: _frozen(cr_interpolate(
+        problem.u, mesh, problem.lift_stream, mesh.pop_cached(("carried",) + key)).values)))
 
 
 def side_tractions(problem, mesh):
-    """Side-wise constant tractions g_h = pi_h(g(., n)) on Neumann sides."""
+    """Side-wise constant tractions g_h = pi_h(g(., n)) on Neumann sides, zero
+    elsewhere, cached on the mesh like the lift: g is evaluated only on the
+    Neumann sides a refinement did not carry."""
     if problem.g is None:
         return None
-    neumann = mesh.sides_with_label(NEUMANN)
-    t, w = segment_rule(SIDE_POINTS)
-    pts = side_points(mesh, t, sides=neumann)
-    nrm = mesh.geometry()["side_normal"][neumann][:, None, :] + np.zeros_like(pts)
-    g_h = np.zeros((mesh.num_sides, 2))
-    g_h[neumann] = np.einsum("q,sqi->si", w, problem.g(pts, nrm))
-    return g_h
+
+    def build():
+        g_h, fresh = np.zeros((mesh.num_sides, 2)), mesh.side_labels == NEUMANN
+        mesh.pop_carried(("tractions", problem.g), g_h, fresh)
+        neumann = np.flatnonzero(fresh)
+        t, w = segment_rule(SIDE_POINTS)
+        pts = side_points(mesh, t, sides=neumann)
+        nrm = mesh.geometry()["side_normal"][neumann][:, None, :] + np.zeros_like(pts)
+        g_h[neumann] = np.einsum("q,sqi->si", w, problem.g(pts, nrm))
+        return _frozen(g_h)
+
+    return mesh.cached(("tractions", problem.g), build)
 
 
 def project_data(problem, mesh):
@@ -522,22 +552,17 @@ def _projected_rows(problem, mesh):
     ne = mesh.num_elements
     data = np.empty((ne, 1 + 2 * (problem.f is not None) + 4 * (problem.big_f is not None)))
     f_h, big_f_h = _projection_views(problem, data)
-    carried = mesh.pop_cached(("carried", "projection", problem.f, problem.big_f))
-    fresh = None
-    if carried is not None:
-        data[carried[0]] = carried[1]
-        fresh = np.ones(ne, dtype=bool)
-        fresh[carried[0]] = False
-        fresh = np.flatnonzero(fresh)
-    for block in element_blocks(mesh, VOLUME_DEGREE, fresh):
+    fresh = np.ones(ne, dtype=bool)
+    mesh.pop_carried(("projection", problem.f, problem.big_f), data, fresh)
+    rows = None if fresh.all() else np.flatnonzero(fresh)
+    for block in element_blocks(mesh, VOLUME_DEGREE, rows):
         fv, big_fv = (None if f is None else np.asarray(f(block.points), dtype=float)
                       for f in (problem.f, problem.big_f))
         for values, out in ((fv, f_h), (big_fv, big_f_h)):
             if values is not None:
                 out[block.rows] = pi0(values, mesh)
         data[block.rows, -1] = oscillation_indicator(fv, f_h, big_fv, big_f_h, block)
-    data.flags.writeable = False
-    return data
+    return _frozen(data)
 
 
 def discretize_stokes(problem, mesh):
@@ -626,7 +651,7 @@ def exact_errors(solution, problem):
     if problem.grad_u is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
     if problem.kind == "stokes":
-        return _stokes_errors(solution, problem, lambda rows, t_h: None)
+        return _stokes_errors(solution, problem, lambda *block: None)
 
     mesh, ops = solution.mesh, solution.system.ops
     w = triangle_rule(VOLUME_DEGREE)[1]
@@ -656,10 +681,9 @@ def estimate_stokes(solution, problem, v):
     them.  Returns (gap, errors)."""
     system, mesh = solution.system, solution.mesh
     grad_v = v.gradient()
-    grad_hat = rule_values(problem.grad_u, mesh, VOLUME_DEGREE)
     gap = np.empty(mesh.num_elements)
 
-    def gap_block(rows, t_h):
+    def gap_block(rows, t_h, grad_hat):
         gap[rows] = gap_block_stokes(system, grad_v, grad_hat, rows, t_h)
 
     return gap, _stokes_errors(solution, problem, gap_block)
@@ -667,13 +691,16 @@ def estimate_stokes(solution, problem, v):
 
 def _stokes_errors(solution, problem, then):
     """The Stokes `exact_errors`: the element-wise terms one element block at
-    a time, summed over the mesh at the end.  then(rows, t_h) is handed each
-    block's stress values (`RTField.block_values`) after the stress error
-    has read them, and may overwrite them."""
+    a time, summed over the mesh at the end.  then(rows, t_h, gu) is handed
+    each block's stress values (`RTField.block_values`), which it may
+    overwrite once the stress error has read them, and the grad u values;
+    grad u and p come from one pass of a joint evaluator (`_JOINT_GRAD_U_P`)."""
     mesh, nu, big_f_h = solution.mesh, solution.nu, solution.system.big_f_h
     w = triangle_rule(VOLUME_DEGREE)[1]
-    gu = rule_values(problem.grad_u, mesh, VOLUME_DEGREE)
-    pv = None if problem.p is None else rule_values(problem.p, mesh, VOLUME_DEGREE)
+    grad_u, p = problem.grad_u, problem.p
+    joint = _JOINT_GRAD_U_P.get((grad_u, p)) or (lambda x: (grad_u(x), p(x)))
+    gu, pv = ((rule_values(grad_u, mesh, VOLUME_DEGREE), None) if p is None
+              else joint_rule_values((grad_u, p), joint, mesh, VOLUME_DEGREE))
 
     def stress_errors():
         blocks = element_blocks(mesh, VOLUME_DEGREE)
@@ -683,7 +710,7 @@ def _stokes_errors(solution, problem, then):
             sdiff -= t_h
             if big_f_h is not None:
                 sdiff -= big_f_h[rows, None]
-            then(rows, t_h)
+            then(rows, t_h, gu)
             yield rows, sdiff
 
     errors, tr_mean = stress_errors(), 0.0

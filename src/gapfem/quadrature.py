@@ -148,26 +148,33 @@ def rule_values(f, mesh, degree):
     copied with their vertex row unchanged are taken from the parent mesh's
     array (its "carried" cache entry, dropped here); those points are the
     parent's bit for bit, so the rows equal a fresh evaluation exactly, and
-    f is evaluated only at the points of the other elements.
+    f is evaluated only at the points of the other elements.  Several fields
+    from one evaluator fill their entries in one pass: `joint_rule_values`.
     """
+    return joint_rule_values((f,), lambda x: (f(x),), mesh, degree)[0]
 
-    def build():
-        carried = mesh.pop_cached(("carried", "rule_values", f, degree))
-        ne = mesh.num_elements
-        fresh = np.ones(ne, dtype=bool)
-        out = None
-        if carried is not None:
-            fresh[carried[0]] = False
-            out = np.empty((ne,) + carried[1].shape[1:])
-            out[carried[0]] = carried[1]
-        for block in element_blocks(mesh, degree, np.flatnonzero(fresh)):
-            new = np.asarray(f(block.points), dtype=float)
-            if out is None:
-                out = np.empty((ne,) + new.shape[1:])
-            out[block.rows] = new
-        return _frozen(out)
 
-    return mesh.cached(("rule_values", f, degree), build)
+def joint_rule_values(fs, joint, mesh, degree):
+    """The `rule_values` of each callable of fs, the missing ones from one
+    pass over the element blocks not carried for all of them: joint maps a
+    point array to the tuple of the fs' values, each bit for bit its f's."""
+    ne, keys = mesh.num_elements, [("rule_values", f, degree) for f in fs]
+    missing = [i for i, key in enumerate(keys) if key not in mesh]
+    out, fresh = {}, np.zeros(ne, dtype=bool)
+    for i in missing:
+        rows, values = mesh.pop_cached(("carried",) + keys[i]) or ((), None)
+        fresh |= ~np.isin(np.arange(ne), rows)
+        if values is not None:
+            out[i] = np.empty((ne,) + values.shape[1:])
+            out[i][rows] = values
+    for block in element_blocks(mesh, degree, np.flatnonzero(fresh)):
+        for i, new in enumerate(joint(block.points)):
+            if i in missing:
+                new = np.asarray(new, dtype=float)
+                if i not in out:
+                    out[i] = np.empty((ne,) + new.shape[1:])
+                out[i][block.rows] = new
+    return tuple(mesh.cached(key, lambda: _frozen(out[i])) for i, key in enumerate(keys))
 
 
 def side_points(mesh, tpoints, sides=None):

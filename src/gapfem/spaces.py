@@ -214,15 +214,15 @@ def pi0(f, mesh, degree=VOLUME_DEGREE):
     return (w @ vals.reshape(ne, nq, -1)).reshape((ne,) + vals.shape[2:])
 
 
-def side_averages(f, mesh):
-    """Side averages of f over all sides: (ns, ...)."""
+def side_averages(f, mesh, sides=None):
+    """Side averages of f over all sides, or the sides of an index array: (ns, ...)."""
     t, w = segment_rule(SIDE_POINTS)
-    pts = side_points(mesh, t)
+    pts = side_points(mesh, t, sides)
     vals = np.asarray(f(pts), dtype=float)
     return np.einsum("q,sq...->s...", w, vals)
 
 
-def cr_interpolate(v, mesh, stream=None):
+def cr_interpolate(v, mesh, stream=None, known=None):
     """Canonical CR interpolant: side DOF = side average of v.
 
     With a scalar stream function, v = (d2 stream, -d1 stream), it is
@@ -230,13 +230,23 @@ def cr_interpolate(v, mesh, stream=None):
     tangential parts of the side averages: the normal parts are endpoint
     differences of the stream, so the broken divergence vanishes to
     roundoff even for fields that quadrature does not capture well.
+
+    known, rows (sides, values) known already, such as those a refinement
+    carries, are taken as given and v is averaged only over the other sides,
+    whose rows stay bit for bit a full call's: a row of D reads only its own
+    side's tangential part, and the stream is evaluated at every vertex.
     """
-    avg = side_averages(v, mesh)
+    ns = mesh.num_sides
+    rows = slice(None) if known is None else np.flatnonzero(~np.isin(np.arange(ns), known[0]))
+    values = np.zeros((ns, 2))
+    values[rows] = side_averages(v, mesh, rows)
     if stream is not None:
-        tang = np.einsum("si,si->s", avg, mesh.geometry()["side_tangent"])
+        tang = np.einsum("si,si->s", values, mesh.geometry()["side_tangent"])
         phi = np.asarray(stream(mesh.vertices), dtype=float)
-        avg = (divfree_cr_operator(mesh) @ np.concatenate([phi, tang])).reshape(2, -1).T
-    return CRField(mesh, avg)
+        values = (divfree_cr_operator(mesh) @ np.concatenate([phi, tang])).reshape(2, -1).T
+    if known is not None:
+        values[known[0]] = known[1]
+    return CRField(mesh, values)
 
 
 def rt_interpolate(tau, mesh):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gapfem.adaptive import AdaptiveConfig, eoc, mark_max, run_adaptive
+from gapfem.mesh import NEUMANN
 from gapfem.problems import (cook_membrane, lshape_stokes, manufactured_elasticity,
                              taylor_green_stokes)
 from gapfem.quadrature import VOLUME_DEGREE, triangle_rule
@@ -446,6 +447,88 @@ def test_lshape_evaluates_fields_only_on_fresh_elements(monkeypatch):
     assert len(fresh) == 4 and sum(fresh) < sum(sizes)
 
 
+def test_lshape_joint_pass_costs_one_polar_and_profile_per_block(monkeypatch):
+    """grad u and p together cost one `_polar` and one `_lshape_psi` call per
+    fresh degree-10 block: one joint pass fills both cache entries."""
+    from gapfem import adaptive, problems, quadrature
+    from gapfem.mesh import refine_marked_twice
+
+    nq = len(triangle_rule(VOLUME_DEGREE)[1])
+    calls = Counter()
+
+    def counted(name, plain):
+        def f(arg):
+            # degree-10 block points are (nb, nq, 2) and their angles
+            # (nb, nq); the lift's side points hold 8 per side
+            calls[name] += arg.ndim >= 2 and arg.shape[1] == nq
+            return plain(arg)
+        return f
+
+    fresh = []
+
+    def refine(mesh, marked):
+        child = refine_marked_twice(mesh, marked)
+        kept = set(map(tuple, mesh.elements[mesh.refinement_edge == 0].tolist()))
+        fresh.append(sum(row not in kept for row in map(tuple, child.elements.tolist())))
+        return child
+
+    monkeypatch.setattr(problems, "_polar", counted("polar", problems._polar))
+    monkeypatch.setattr(problems, "_lshape_psi", counted("psi", problems._lshape_psi))
+    monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", 50)
+    monkeypatch.setattr(adaptive, "refine_marked_twice", refine)
+    prob = lshape_stokes()
+    initial = prob.mesh_factory().num_elements
+    run_adaptive(prob, AdaptiveConfig(theta=0.5, max_iter=4))
+    blocks = sum(-(-n // 50) for n in [initial] + fresh)
+    assert calls == {"polar": blocks, "psi": blocks}
+    assert len(fresh) == 3 and blocks > 4 + len(fresh)
+
+
+@pytest.mark.parametrize("factory, field, label", [
+    (lshape_stokes, "u", None),
+    (taylor_green_stokes, "g", NEUMANN),
+    (cook_membrane, "g", NEUMANN),
+], ids=["lshape-lift", "taylor-green-tractions", "cook-tractions"])
+def test_side_data_evaluated_only_on_fresh_sides(factory, field, label, monkeypatch):
+    """After a refinement, the lift's u is evaluated only at the Gauss points
+    of the sides the refinement did not leave whole, and the traction g only
+    at those of such Neumann sides: the other rows are carried."""
+    from gapfem import adaptive
+    from gapfem.mesh import refine_marked_twice
+
+    config = AdaptiveConfig(theta=0.5, max_iter=4)
+    plain_rows = run_adaptive(factory(), config).csv_rows()
+    prob, points = factory(), Counter()
+    plain = getattr(prob, field)
+
+    def counted(x, *normal):
+        points[field] += x.size // 2
+        return plain(x, *normal)
+
+    prob = dataclasses.replace(prob, **{field: counted})
+    meshes = []
+
+    def recorded(make):
+        def made(*args):
+            meshes.append(make(*args))
+            return meshes[-1]
+        return made
+
+    prob.mesh_factory = recorded(prob.mesh_factory)
+    monkeypatch.setattr(adaptive, "refine_marked_twice", recorded(refine_marked_twice))
+    assert run_adaptive(prob, config).csv_rows() == plain_rows
+
+    def sides(mesh, label=None):
+        pairs = mesh.side_vertices
+        pairs = pairs if label is None else pairs[mesh.side_labels == label]
+        return set(map(tuple, np.sort(pairs, axis=1).tolist()))
+
+    # a side of the child whose endpoints were a side of the parent is whole
+    fresh = [len(sides(child, label) - sides(parent)) for parent, child in zip(meshes, meshes[1:])]
+    assert points == {field: 8 * (len(sides(meshes[0], label)) + sum(fresh))}
+    assert len(fresh) == 3 and sum(fresh) < sum(len(sides(m, label)) for m in meshes[1:])
+
+
 def test_taylor_green_evaluates_f_only_on_fresh_elements(monkeypatch):
     """The adaptive Taylor-Green loop evaluates f at the degree-10 points of
     the initial elements and then only of the elements a refinement did not
@@ -539,14 +622,20 @@ def test_identity_level_equals_list_api(factory, level, tamper):
 
 def test_uniform_refinement_carries_nothing():
     from gapfem.mesh import refine_marked_twice
+    from gapfem.problems import interpolate_lift, side_tractions
     from gapfem.quadrature import VOLUME_DEGREE, rule_values
 
     prob = taylor_green_stokes()
     mesh = prob.mesh_factory()
     for f in (prob.grad_u, prob.p, prob.f):
         rule_values(f, mesh, VOLUME_DEGREE)
+    # the side rows too: the lift and the tractions
+    interpolate_lift(prob, mesh)
+    side_tractions(prob, mesh)
     child = refine_marked_twice(mesh, range(mesh.num_elements))
     assert _carried_keys(child) == []
+    # no side is left whole, so the side rows die with their solution
+    assert not [k for k in mesh._cache if k[0] in ("lift", "tractions")]
 
 
 def test_parent_field_array_dies_with_the_parent():
@@ -566,6 +655,8 @@ def test_parent_field_array_dies_with_the_parent():
 
 
 def test_cook_carries_nothing(monkeypatch):
+    """A Cook step builds no degree-10 array, so a refinement carries no
+    element rows: it carries only the side rows of the lift and of g_h."""
     from gapfem import adaptive
     from gapfem.mesh import refine_marked_twice
     from gapfem.problems import cook_membrane
@@ -577,9 +668,11 @@ def test_cook_carries_nothing(monkeypatch):
         carried.append(_carried_keys(child))
         return child
 
+    prob = cook_membrane()
     monkeypatch.setattr(adaptive, "refine_marked_twice", refine)
-    run_adaptive(cook_membrane(), AdaptiveConfig(theta=0.5, max_iter=3))
-    assert carried == [[], []]
+    run_adaptive(prob, AdaptiveConfig(theta=0.5, max_iter=3))
+    sides = [("carried", "lift", prob.u, None), ("carried", "tractions", prob.g)]
+    assert carried == [sides, sides]
 
 
 @pytest.fixture(scope="module")

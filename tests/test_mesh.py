@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapfem import mesh as gapfem_mesh
@@ -15,7 +15,8 @@ from gapfem import (
     structured_square_mesh,
 )
 from gapfem.mesh import Triangulation, refine_marked_twice
-from gapfem.problems import (cook_mesh, get_problem, lshape_mesh, lshape_stokes, project_data,
+from gapfem.problems import (cook_membrane, cook_mesh, get_problem, interpolate_lift,
+                             lshape_mesh, lshape_stokes, project_data, side_tractions,
                              taylor_green_stokes)
 from gapfem.quadrature import VOLUME_DEGREE, physical_points, rule_values
 
@@ -711,6 +712,69 @@ def test_carried_rule_values_match_fresh_evaluation(name, seed, steps):
         else:
             mesh, _ = refine_bisection(mesh, marked)
     check(mesh)
+
+
+_COOK = cook_membrane()
+
+
+def assert_whole_sides_keep_their_order(parent, child):
+    """Every side of parent that child still has (the same endpoint pair:
+    a bisected side leaves none) keeps its `side_vertices` order."""
+    child_sides = {tuple(sorted(pair)): pair for pair in child.side_vertices.tolist()}
+    kept = [(pair, child_sides.get(tuple(sorted(pair))))
+            for pair in parent.side_vertices.tolist()]
+    assert all(new is None or new == pair for pair, new in kept)
+    return sum(new is not None for _, new in kept)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CARRY_MESHES)),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(
+        st.tuples(st.floats(0.0, 0.3), st.booleans(), st.booleans()),
+        min_size=1, max_size=3,
+    ),
+)
+# Cook's first refinement rotates its elements: one generation, then two
+# through a mesh that evaluates nothing, and two at once
+@example(name="cook", seed=1, steps=[(0.2, True, False), (0.3, False, True)])
+@example(name="cook", seed=2, steps=[(0.2, True, True)])
+def test_carried_side_rows_match_fresh_evaluation(name, seed, steps):
+    """The lift and g_h built from carried side rows equal, bit for bit, a
+    fresh evaluation on a cache-free copy of the mesh, and every side that a
+    refinement leaves whole keeps its `side_vertices` order.
+
+    Each step evaluates the lifts and tractions on the current mesh or not,
+    then refines it by one or two bisection generations, so carried rows
+    also pass through meshes that evaluate nothing."""
+    mesh = CARRY_MESHES[name](seed)
+    rng = np.random.default_rng(seed)
+
+    def check(mesh):
+        fresh = _cache_free(mesh)
+        for prob in (_TG, _LSHAPE, _COOK):
+            lift = interpolate_lift(prob, mesh).values
+            assert np.array_equal(lift, interpolate_lift(prob, fresh).values)
+            assert ("carried", "lift", prob.u, prob.lift_stream) not in mesh._cache
+        for prob in (_TG, _COOK):
+            assert np.array_equal(side_tractions(prob, mesh), side_tractions(prob, fresh))
+            assert ("carried", "tractions", prob.g) not in mesh._cache
+
+    kept = 0
+    for fraction, evaluate, twice in steps:
+        if evaluate:
+            check(mesh)
+        size = max(1, round(fraction * mesh.num_elements))
+        marked = rng.choice(mesh.num_elements, size=size, replace=False)
+        if twice:
+            child = refine_marked_twice(mesh, marked)
+        else:
+            child, _ = refine_bisection(mesh, marked)
+        kept += assert_whole_sides_keep_their_order(mesh, child)
+        mesh = child
+    check(mesh)
+    assert kept > 0
 
 
 _TG_TENSOR = taylor_green_stokes(load="tensor")

@@ -466,6 +466,37 @@ def assert_blocks_match_whole_arrays(prob, mesh):
     return len(blocks)
 
 
+@pytest.mark.parametrize("factory", [taylor_green_stokes, lshape_stokes])
+def test_joint_pass_equals_separate_fields(factory, monkeypatch):
+    """The one pass of grad u and p that the exact errors make fills both
+    cache entries with the separate fields' values bit for bit, over several
+    blocks, on the initial mesh and on a refined one with carried rows."""
+    monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", 50)
+    prob = factory()
+    mesh = prob.mesh_factory()
+    for _ in range(2):
+        sol = discretize_stokes(prob, mesh)
+        exact_errors(sol, prob)
+        pts = physical_points(mesh, 10)
+        for f in (prob.grad_u, prob.p):
+            assert np.array_equal(mesh._cache[("rule_values", f, 10)], f(pts))
+        gap, osc, _ = _estimate(prob, mesh, sol)
+        mesh = refine_marked_twice(mesh, mark_max(gap + osc, 0.5))
+        assert ("carried", "rule_values", prob.p, 10) in mesh._cache
+
+
+def test_lshape_joint_evaluator_equals_separate_fields():
+    """`_lshape_grad_u_p` gives `_lshape_grad_u` and `_lshape_p` bit for bit,
+    at points of the three quadrants and next to the re-entrant corner."""
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, (3000, 2))
+    x = np.concatenate([x[(x[:, 0] <= 0) | (x[:, 1] >= 0)],
+                        [[1e-12, 1e-12], [-1e-9, 0.0], [0.0, -1e-10], [1e-8, 0.0]]])
+    joint = problems._JOINT_GRAD_U_P[(problems._lshape_grad_u, problems._lshape_p)]
+    grad, p = joint(x)
+    assert np.array_equal(grad, problems._lshape_grad_u(x))
+    assert np.array_equal(p, problems._lshape_p(x))
+
+
 class TestElementBlocks:
     @pytest.mark.parametrize("load", ["traction", "tensor"])
     @pytest.mark.parametrize("n, excess", [(10, None), (32, 0), (32, 1)],
