@@ -13,8 +13,7 @@ import scipy.sparse as sparse
 
 from . import mesh as _mesh
 from .forms import NumericalFailure
-from .quadrature import (VOLUME_DEGREE, ElementBlock, element_blocks, physical_points,
-                         rule_values, triangle_rule)
+from .quadrature import VOLUME_DEGREE, element_blocks, rule_values, triangle_rule
 from .spaces import RTField, curl_operator, dev, divfree_cr_operator, sym
 
 
@@ -71,7 +70,7 @@ class ElasticityTensor:
 JUMP_TOL = 1e-8
 
 
-def _equilibrate(system, p0_part, cause):
+def _equilibrate(system, p0_part, terms, cause):
     """RT field p0_part - F_h - (1/d) f_h otimes (id - Pi_h id), d = 2, with
     the loads of the system that was solved.
 
@@ -80,9 +79,11 @@ def _equilibrate(system, p0_part, cause):
     adjacent elements, one sparse product with weights 1/count.  The largest
     difference between the two views of an interior side, 2 max |table -
     mean|, is the interior jump: AdmissibilityError, naming `cause`, is
-    raised if it exceeds JUMP_TOL times the largest entry of p0_part - F_h
-    or of the slope term, and it is recorded, as an absolute value, as
-    `reconstruction_jump` on the returned field.
+    raised if it exceeds JUMP_TOL times the size of the terms summed into
+    the table, and it is recorded, as an absolute value, as
+    `reconstruction_jump` on the returned field.  That size is the largest
+    slope term plus the larger of the largest entry of p0_part - F_h and
+    `terms`, the caller's size of the terms of p0_part before they cancel.
     """
     mesh = system.mesh
     ne, ns = mesh.num_elements, mesh.num_sides
@@ -96,7 +97,7 @@ def _equilibrate(system, p0_part, cause):
     reach = np.einsum("njd,njd->nj", offsets, nrm)
     table = nrm @ p0_part.transpose(0, 2, 1)
     table += slope[:, None, :] * reach[..., None]
-    size = np.abs(p0_part).max() + np.abs(slope).max() * np.abs(reach).max()
+    size = max(np.abs(p0_part).max(), terms) + np.abs(slope).max() * np.abs(reach).max()
     sides = mesh.element_sides.ravel()
     weight = 1.0 / (1.0 + (mesh.side_elements[sides, 1] >= 0))
     mean = sparse.csr_matrix((weight, (sides, np.arange(3 * ne))), shape=(ns, 3 * ne))
@@ -122,12 +123,15 @@ def marini_stokes(system, grad_h, p_h):
     part T_h - F_h (the full stress is the sum of the two); without one it
     is the stress itself.  An interior-flux discrepancy above JUMP_TOL
     times the largest term of the fluxes signals that (u_h, p_h) does not
-    solve the discrete system.
+    solve the discrete system.  No size before cancellation is passed: the
+    entries of nu grad_h - p_h I measure their own roundoff, and the check
+    held for nu from 1e-8 to 1e8.
     """
     p0_part = system.nu * grad_h
     p0_part[:, 0, 0] -= p_h
     p0_part[:, 1, 1] -= p_h
-    return _equilibrate(system, p0_part, "the input pair does not solve the discrete system")
+    return _equilibrate(system, p0_part, 0.0,
+                        "the input pair does not solve the discrete system")
 
 
 def marini_elasticity(system, grad_h, grad_r):
@@ -140,9 +144,17 @@ def marini_elasticity(system, grad_h, grad_r):
     row is a Raviart-Thomas field with single-valued normal fluxes.  With a
     tensor load part F_h the returned field is sigma*_h - F_h, as for the
     Stokes reconstruction.
+
+    The interior jumps are measured against the terms before lambda tr eps
+    cancels, 2 mu |eps_h| + lambda (|eps_11| + |eps_22|) + |grad_h r_h|,
+    whose roundoff they are, so the check holds at any lambda.
     """
-    p0_part = system.material.apply(sym(grad_h)) + grad_r
-    return _equilibrate(system, p0_part, "inconsistent lifting or solution")
+    mat, eps = system.material, sym(grad_h)
+    p0_part = mat.apply(eps) + grad_r
+    terms = (2.0 * mat.mu * np.abs(eps).max()
+             + mat.lam * (np.abs(eps[:, 0, 0]) + np.abs(eps[:, 1, 1])).max()
+             + np.abs(grad_r).max())
+    return _equilibrate(system, p0_part, terms, "inconsistent lifting or solution")
 
 
 def _p0_values(f, shape):
@@ -428,17 +440,14 @@ def gap_indicator_elasticity(system, v, sigma):
     return 0.5 * mesh.areas * (vals.sum(axis=1) / 3.0)
 
 
-def oscillation_indicator(f, f_h, big_f, big_f_h, mesh, degree=VOLUME_DEGREE):
-    """Per-element data oscillation (h_T^2/pi^2)||f - f_h||_T^2 + ||F - F_h||_T^2.
+def oscillation_indicator(f, f_h, big_f, big_f_h, block):
+    """Per-element data oscillation (h_T^2/pi^2)||f - f_h||_T^2 + ||F - F_h||_T^2
+    on the elements of one `ElementBlock`, integrated with its rule.
 
-    mesh is a mesh, or one `ElementBlock` of its `triangle_rule(degree)`
-    points for those rows only.  f and F (None: absent) are callables or
-    their values at the points; f_h and F_h (None: zeros) have one row per
-    element of the mesh.
+    f and F (None: absent) are their values at the block's points; f_h and
+    F_h (None: zeros) have one row per element of the block's mesh.
     """
-    if not isinstance(mesh, ElementBlock):
-        mesh = ElementBlock(mesh, slice(None), physical_points(mesh, degree))
-    tri, rows, pts = mesh
+    tri, rows, pts, degree = block
     ne = tri.num_elements
     for name, c in (("f_h", f_h), ("big_f_h", big_f_h)):
         if c is not None and len(c) != ne:
@@ -447,16 +456,14 @@ def oscillation_indicator(f, f_h, big_f, big_f_h, mesh, degree=VOLUME_DEGREE):
     areas = tri.areas[rows]
     out = np.zeros(len(pts))
     if f is not None:
-        fv = f(pts) if callable(f) else f
-        diff = fv - _p0_values(f_h, (ne, 2))[rows, None, :]
+        diff = f - _p0_values(f_h, (ne, 2))[rows, None, :]
         out += (
             (tri.geometry()["h_t"][rows] ** 2 / np.pi**2)
             * areas
             * np.einsum("q,nqi,nqi->n", w, diff, diff)
         )
     if big_f is not None:
-        fv = big_f(pts) if callable(big_f) else big_f
-        diff = fv - _p0_values(big_f_h, (ne, 2, 2))[rows, None, :, :]
+        diff = big_f - _p0_values(big_f_h, (ne, 2, 2))[rows, None, :, :]
         out += areas * np.einsum("q,nqij,nqij->n", w, diff, diff)
     return out
 

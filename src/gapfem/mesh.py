@@ -197,9 +197,10 @@ class Triangulation:
         """Value of build() for `key`, computed once per mesh.
 
         The one per-mesh cache: geometry, the RT element factors (of
-        `spaces.RTField` and the RT operators), the quadrature points and
-        analytic field values of `quadrature.physical_points`/`rule_values`,
-        the element rows of f_h, F_h and the oscillation that
+        `spaces.RTField` and the RT operators), the analytic field values of
+        `quadrature.rule_values` (no package code fills the
+        `quadrature.physical_points` entry: quadrature points are formed
+        one element block at a time and not cached), the element rows of f_h, F_h and the oscillation that
         `problems.project_data` forms, and the solution's lift and g_h live
         here.  The values of the loads f and F are not cached:
         `project_data` reads them once, one element block at a time.

@@ -34,8 +34,8 @@ from .mesh import (
     structured_square_mesh,
 )
 from .quadrature import (SIDE_POINTS, VOLUME_DEGREE, _frozen, element_blocks,
-                         joint_rule_values, physical_points, rule_values, segment_rule,
-                         side_points, triangle_rule)
+                         joint_rule_values, rule_values, segment_rule, side_points,
+                         triangle_rule)
 from .spaces import (
     CRField,
     broken_gradient,
@@ -560,7 +560,7 @@ def _projected_rows(problem, mesh):
                       for f in (problem.f, problem.big_f))
         for values, out in ((fv, f_h), (big_fv, big_f_h)):
             if values is not None:
-                out[block.rows] = pi0(values, mesh)
+                out[block.rows] = pi0(values)
         data[block.rows, -1] = oscillation_indicator(fv, f_h, big_fv, big_f_h, block)
     return _frozen(data)
 
@@ -623,7 +623,9 @@ def apriori_identity_check_stokes(problem, mesh):
     lhs2 = norm_p0(mesh, pi_irt - pi_th) ** 2 / (2.0 * nu)
 
     # a rule above the data's degree, so the projection error stays negligible
-    pi_exact = pi0(t_minus_f, mesh, degree=14)
+    pi_exact = np.empty((mesh.num_elements, 2, 2))
+    for block in element_blocks(mesh, 14):
+        pi_exact[block.rows] = pi0(t_minus_f(block.points), 14)
     rhs = norm_p0(mesh, dev(pi_exact) - pi_irt) ** 2 / (2.0 * nu)
     return {"lhs": lhs1 + lhs2, "lhs_primal": lhs1, "lhs_dual": lhs2, "rhs": rhs,
             "solution": sol}
@@ -646,30 +648,28 @@ def exact_errors(solution, problem):
     Elasticity: energy error || u_h + u_hat - u_exact ||_h and complementary
     stress error || C^(-1/2)(sigma* - stress_exact) ||.
 
-    The A and D of the stress values are the solved system's (`ops`).
+    Both integrate one element block at a time and sum the element-wise
+    terms over the mesh at the end; the A and D of the stress values are
+    the solved system's (`ops`).
     """
     if problem.grad_u is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
     if problem.kind == "stokes":
         return _stokes_errors(solution, problem, lambda *block: None)
 
-    mesh, ops = solution.mesh, solution.system.ops
+    mesh, mat = solution.mesh, problem.material
     w = triangle_rule(VOLUME_DEGREE)[1]
     gu = rule_values(problem.grad_u, mesh, VOLUME_DEGREE)
-    pts = physical_points(mesh, VOLUME_DEGREE)
-    mat = problem.material
-    eps_exact = sym(gu)
-    eps_h = sym(solution.grad_h)[:, None]
-    diff = eps_h - eps_exact
-    energy = np.sum(
-        mesh.areas * np.einsum("q,nq->n", w, mat.energy_product(diff, diff))
-    )
+    terms = np.empty((2, mesh.num_elements))  # energy, stress
+    blocks = element_blocks(mesh, VOLUME_DEGREE)
+    for block, sdiff in solution.sigma_star.block_values(blocks, solution.system.ops):
+        rows = block.rows
+        diff = sym(solution.grad_h[rows])[:, None] - sym(gu[rows])
+        terms[0, rows] = np.einsum("q,nq->n", w, mat.energy_product(diff, diff))
+        sdiff -= exact_stress(problem, gu[rows], None)
+        terms[1, rows] = np.einsum("q,nq->n", w, mat.complementary_product(sdiff, sdiff))
+    energy, stress = np.sum(mesh.areas * terms, axis=1)
     energy += solution.system.s_h_total(solution.u_h + solution.u_hat)
-    sdiff = solution.sigma_star.evaluate(pts, ops) - exact_stress(problem, gu, None)
-    stress = np.sum(
-        mesh.areas
-        * np.einsum("q,nq->n", w, mat.complementary_product(sdiff, sdiff))
-    )
     return {"energy": float(np.sqrt(energy)), "stress": float(np.sqrt(stress))}
 
 

@@ -7,10 +7,13 @@ analytic data, and a collapsed-coordinate Gauss rule of any higher degree,
 for the a priori identity check and for oracles.  Every Gauss rule comes
 from numpy's Gauss-Legendre nodes (`leggauss`).
 
-Every cached array (rules, per-mesh physical points and analytic field
-values) is handed out read-only, so no caller can alter a later quadrature.
-The volume integrals of analytic data run over `element_blocks`, so none of
-their integrands is formed for the whole mesh at once.
+Every cached array (the rules and the per-mesh analytic field values of
+`rule_values`) is handed out read-only, so no caller can alter a later
+quadrature.  The volume integrals of analytic data run over
+`element_blocks` and nowhere else, so none of their point, value or
+integrand arrays is formed for the whole mesh at once; the one whole-mesh
+array is the `rule_values` cache, whose rows a refinement carries.
+`physical_points` forms the whole-mesh points and has no package caller.
 """
 
 from functools import lru_cache
@@ -27,8 +30,8 @@ SIDE_POINTS = 8
 # and the exact errors share one `rule_values` cache per mesh
 VOLUME_DEGREE = 10
 # elements per `element_blocks` block: at 25 points an (nb, nq, 2, 2) block
-# array takes 1.6 MB, against 10.24 MB on a 12,800-element mesh
-BLOCK_ELEMENTS = 2048
+# array takes 0.8 MB, against 10.24 MB on a 12,800-element mesh
+BLOCK_ELEMENTS = 1024
 
 
 def _frozen(a):
@@ -104,23 +107,25 @@ def _rule_points(mesh, rows, degree):
 def physical_points(mesh, degree):
     """Points of `triangle_rule(degree)` on all elements: (ne, nq, 2), once per mesh.
 
-    Each point is sum_k lambda_k v_k, formed for all elements as one
-    batched product (nq, 3) @ (ne, 3, 2): at 12,800 elements it took 0.9 ms
-    against 21 ms for the same contraction by `np.einsum` (one CPU), and
-    the two differ by at most one ulp.
+    No package code calls it: every integral runs over `element_blocks`,
+    whose points are its rows bit for bit.  Each point is sum_k lambda_k v_k,
+    formed for all elements as one batched product (nq, 3) @ (ne, 3, 2): at
+    12,800 elements it took 0.9 ms against 21 ms for the same contraction by
+    `np.einsum` (one CPU), and the two differ by at most one ulp.
     """
     return mesh.cached(("physical_points", degree),
                        lambda: _frozen(_rule_points(mesh, slice(None), degree)))
 
 
 class ElementBlock(NamedTuple):
-    """Elements `rows` (a slice or an index array) of `mesh` and a rule's
-    points on them: the rows of `physical_points` bit for bit, formed for
-    the block alone."""
+    """Elements `rows` (a slice or an index array) of `mesh` and the points
+    of `triangle_rule(degree)` on them: the rows of `physical_points` bit for
+    bit, formed for the block alone."""
 
     mesh: object
     rows: slice | np.ndarray
     points: np.ndarray
+    degree: int
 
 
 def element_blocks(mesh, degree, rows=None):
@@ -130,7 +135,7 @@ def element_blocks(mesh, degree, rows=None):
     for start in range(0, mesh.num_elements if rows is None else len(rows), BLOCK_ELEMENTS):
         block = slice(start, start + BLOCK_ELEMENTS)
         block = block if rows is None else rows[block]
-        yield ElementBlock(mesh, block, _rule_points(mesh, block, degree))
+        yield ElementBlock(mesh, block, _rule_points(mesh, block, degree), degree)
 
 
 def rule_values(f, mesh, degree):

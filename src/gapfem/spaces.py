@@ -25,8 +25,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sparse
 
-from .quadrature import (SIDE_POINTS, VOLUME_DEGREE, physical_points, segment_rule,
-                         side_points, triangle_rule)
+from .quadrature import SIDE_POINTS, VOLUME_DEGREE, segment_rule, side_points, triangle_rule
 
 
 class CRField:
@@ -52,14 +51,6 @@ class CRField:
 
     def __add__(self, other):
         return CRField(self.mesh, self.values + other.values)
-
-    def __sub__(self, other):
-        return CRField(self.mesh, self.values - other.values)
-
-    def __mul__(self, a):
-        return CRField(self.mesh, a * self.values)
-
-    __rmul__ = __mul__
 
 
 class RTField:
@@ -110,17 +101,6 @@ class RTField:
     def divergence(self, ops):
         """Row-wise divergences: (ne, 2), from the D of ops."""
         return ops.div @ self.flux.T
-
-    def __add__(self, other):
-        return RTField(self.mesh, self.flux + other.flux)
-
-    def __sub__(self, other):
-        return RTField(self.mesh, self.flux - other.flux)
-
-    def __mul__(self, a):
-        return RTField(self.mesh, a * self.flux)
-
-    __rmul__ = __mul__
 
 
 def _affine_entries(c, a, points):
@@ -195,23 +175,16 @@ def sym(a):
 # -- projections and interpolation -------------------------------------------
 
 
-def pi0(f, mesh, degree=VOLUME_DEGREE):
+def pi0(values, degree=VOLUME_DEGREE):
     """Element-wise L2 projection onto constants: (ne,) + the value shape.
 
-    Parameters
-    ----------
-    f : callable or ndarray
-        Maps an (..., 2) point array to values of shape (...,), (..., 2) or
-        (..., 2, 2); a callable is evaluated on every call.  An array holds
-        those values at `physical_points(mesh, degree)` already, or at an
-        `ElementBlock`'s points for its rows (as `project_data` passes them).
-    degree : int
-        Quadrature degree used for the element averages.
+    values holds a field's values of shape (...,), (..., 2) or (..., 2, 2)
+    at the points of `triangle_rule(degree)` on ne elements, such as those
+    of one `ElementBlock` (as `problems.project_data` passes them).
     """
-    vals = f if isinstance(f, np.ndarray) else f(physical_points(mesh, degree))
     w = triangle_rule(degree)[1]
-    ne, nq = vals.shape[:2]
-    return (w @ vals.reshape(ne, nq, -1)).reshape((ne,) + vals.shape[2:])
+    ne, nq = values.shape[:2]
+    return (w @ values.reshape(ne, nq, -1)).reshape((ne,) + values.shape[2:])
 
 
 def side_averages(f, mesh, sides=None):

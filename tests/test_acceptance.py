@@ -8,14 +8,13 @@ solves the Taylor-Green problem up to 820,480 unknowns).
 import time
 
 import numpy as np
+from test_spaces import block_oscillation, block_pi0
 
 from gapfem import (
     DIRICHLET,
     NEUMANN,
     broken_gradient,
     cr_interpolate,
-    oscillation_indicator,
-    pi0,
     rt_interpolate,
     structured_square_mesh,
 )
@@ -255,11 +254,11 @@ def test_criterion_7_structure_preservation():
     mesh = structured_square_mesh(10, labeler)
     for _ in range(3):
         grads = broken_gradient(cr_interpolate(velocity, mesh))
-        g_err = np.abs(grads - pi0(velocity_grad, mesh, degree=20)).max()
+        g_err = np.abs(grads - block_pi0(velocity_grad, mesh, degree=20)).max()
         d_err = np.abs(grads[:, 0, 0] + grads[:, 1, 1]).max()  # the broken divergence
         tau = rt_interpolate(tensor, mesh)
         rt_err = np.abs(
-            tau.divergence(MeshOperators(mesh)) - pi0(tensor_div, mesh, degree=20)
+            tau.divergence(MeshOperators(mesh)) - block_pi0(tensor_div, mesh, degree=20)
         ).max()
         worst_grad = max(worst_grad, float(g_err))
         worst_div = max(worst_div, float(d_err))
@@ -317,7 +316,7 @@ def test_criterion_9_oscillation_scaling():
     mesh = structured_square_mesh(8, lambda mid: DIRICHLET)
     totals = []
     for _ in range(3):
-        osc = oscillation_indicator(f, pi0(f, mesh), None, None, mesh)
+        osc = block_oscillation(f, block_pi0(f, mesh), None, None, mesh)
         totals.append(float(osc.sum()))
         mesh = refine_marked_twice(mesh, range(mesh.num_elements))
     ratios = [totals[k] / totals[k + 1] for k in range(2)]

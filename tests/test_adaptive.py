@@ -582,7 +582,7 @@ def list_identity_level(problem, mesh, level, seeds, seed_offset, tamper):
     sizes = np.array([0.5 + ((7 * seed) % 8) / 4.0 for seed in level_seeds])
     vs = [sol.u_h + w for w in cr_fields(mesh, random_divfree_cr(
         ops, level_seeds, sizes * np.sqrt(2.0 / problem.nu) * errs["primal"]))]
-    taus = [sol.t_h + r for r in rt_fields(mesh, random_divfree_rt(
+    taus = [RTField(mesh, sol.t_h.flux + r.flux) for r in rt_fields(mesh, random_divfree_rt(
         ops, [seed + 500000 for seed in level_seeds],
         sizes * np.sqrt(2.0 * problem.nu) * errs["dual"]))]
     if tamper:

@@ -7,6 +7,7 @@ from gapfem import problems, quadrature
 from gapfem.adaptive import _estimate, mark_max, refine_marked_twice
 from gapfem.duality import gap_indicator_stokes
 from gapfem.problems import (
+    apriori_identity_check_stokes,
     cook_membrane,
     discretize_elasticity,
     discretize_stokes,
@@ -23,7 +24,9 @@ from gapfem.problems import (
 )
 from gapfem.quadrature import (BLOCK_ELEMENTS, element_blocks, physical_points, segment_rule,
                                side_points, triangle_rule)
-from gapfem.spaces import MeshOperators, broken_gradient, dev, nodal_average, pi0
+from gapfem.spaces import (MeshOperators, broken_gradient, dev, nodal_average, norm_p0, pi0,
+                           rt_interpolate, sym)
+from test_spaces import block_oscillation
 
 
 class TestTaylorGreen:
@@ -385,7 +388,7 @@ def oracle_project_data(prob, mesh):
             out.append(None)
             continue
         values = np.asarray(f(pts), dtype=float)
-        out.append(pi0(values, mesh))
+        out.append(pi0(values))
         diff = (values - out[-1][:, None]).reshape(mesh.num_elements, len(w), -1)
         weight = mesh.geometry()["h_t"] ** 2 / np.pi**2 if f is prob.f else 1.0
         osc += weight * mesh.areas * np.einsum("q,nqi,nqi->n", w, diff, diff)
@@ -424,6 +427,48 @@ def oracle_exact_errors(sol, prob):
     dual_dev = np.sum(mesh.areas * np.einsum("q,nqij,nqij->n", w, sdiff, sdiff)) / (2.0 * nu)
     return {"primal": float(np.sqrt(primal)), "dual": float(np.sqrt(dual)),
             "dual_dev": float(np.sqrt(dual_dev))}
+
+
+def oracle_elasticity_errors(sol, prob):
+    """The elasticity `exact_errors` from whole-mesh arrays, as they were
+    formed before the element blocks."""
+    mesh, mat, w = sol.mesh, prob.material, triangle_rule(10)[1]
+    pts = physical_points(mesh, 10)
+    gu = prob.grad_u(pts)
+    diff = sym(sol.grad_h)[:, None] - sym(gu)
+    energy = np.sum(mesh.areas * np.einsum("q,nq->n", w, mat.energy_product(diff, diff)))
+    energy += sol.system.s_h_total(sol.u_h + sol.u_hat)
+    sdiff = sol.sigma_star.evaluate(pts, MeshOperators(mesh)) - exact_stress(prob, gu, None)
+    stress = np.sum(
+        mesh.areas * np.einsum("q,nq->n", w, mat.complementary_product(sdiff, sdiff))
+    )
+    return {"energy": float(np.sqrt(energy)), "stress": float(np.sqrt(stress))}
+
+
+def oracle_apriori_rhs(prob, mesh, ops):
+    """The a priori identity's right-hand side with the degree-14
+    projection of T - F formed from whole-mesh arrays, as it was before the
+    element blocks."""
+    def t_minus_f(x):
+        return exact_stress(prob, prob.grad_u(x), prob.p(x)) - prob.big_f(x)
+
+    pi_irt = dev(rt_interpolate(t_minus_f, mesh).cell_average(ops))
+    w = triangle_rule(14)[1]
+    values = t_minus_f(physical_points(mesh, 14))
+    pi_exact = (w @ values.reshape(mesh.num_elements, len(w), -1)).reshape(-1, 2, 2)
+    return norm_p0(mesh, dev(pi_exact) - pi_irt) ** 2 / (2.0 * prob.nu)
+
+
+def oracle_oscillation(f, f_h, big_f, big_f_h, mesh, degree):
+    """The data oscillation of callables f and F from whole-mesh arrays,
+    as `oscillation_indicator` formed it for a mesh before the element
+    blocks."""
+    w, pts = triangle_rule(degree)[1], physical_points(mesh, degree)
+    diff = f(pts) - f_h[:, None, :]
+    out = (mesh.geometry()["h_t"] ** 2 / np.pi**2) * mesh.areas * np.einsum(
+        "q,nqi,nqi->n", w, diff, diff)
+    diff = big_f(pts) - big_f_h[:, None, :, :]
+    return out + mesh.areas * np.einsum("q,nqij,nqij->n", w, diff, diff)
 
 
 def lshape_refined_with_carried_rows():
@@ -518,3 +563,34 @@ class TestElementBlocks:
         monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", 50)
         assert mesh.num_elements % 50 != 0
         assert assert_blocks_match_whole_arrays(prob, mesh) > 2
+
+    @pytest.mark.parametrize("kind", ["patch", "smooth"])
+    def test_manufactured_elasticity_errors(self, kind, monkeypatch):
+        # the elasticity exact errors over several blocks with a short last one
+        prob = manufactured_elasticity(kind)
+        mesh = refine_marked_twice(prob.mesh_factory(), range(20))
+        monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", 50)
+        assert mesh.num_elements > 100 and mesh.num_elements % 50 != 0
+        sol = discretize_elasticity(prob, mesh)
+        assert exact_errors(sol, prob) == oracle_elasticity_errors(sol, prob)
+
+    def test_apriori_identity_degree_14(self, monkeypatch):
+        # the degree-14 projection of the a priori check, block by block
+        prob = taylor_green_stokes(load="tensor")
+        mesh = refine_marked_twice(prob.mesh_factory(), range(30))
+        monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", 50)
+        assert mesh.num_elements > 100 and mesh.num_elements % 50 != 0
+        out = apriori_identity_check_stokes(prob, mesh)
+        assert out["rhs"] == oracle_apriori_rhs(prob, mesh, out["solution"].system.ops)
+
+    @pytest.mark.parametrize("degree", [10, 20])
+    def test_oscillation(self, degree, monkeypatch):
+        # f and F of Taylor-Green's tensor load against projections that
+        # leave a remainder, at the volume rule and at a Gauss rule
+        prob = taylor_green_stokes(load="tensor")
+        mesh = refine_marked_twice(prob.mesh_factory(), range(30))
+        monkeypatch.setattr(quadrature, "BLOCK_ELEMENTS", 50)
+        assert mesh.num_elements > 100 and mesh.num_elements % 50 != 0
+        f_h, big_f_h, _, _ = project_data(prob, mesh)
+        args = (prob.f, 0.5 * f_h, prob.big_f, 0.5 * big_f_h, mesh, degree)
+        assert np.array_equal(block_oscillation(*args), oracle_oscillation(*args))

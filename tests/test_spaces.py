@@ -15,12 +15,14 @@ from gapfem import (
     cr_interpolate,
     dev,
     nodal_average,
+    oscillation_indicator,
     pi0,
     rt_interpolate,
     structured_square_mesh,
 )
 from gapfem.quadrature import (
     VOLUME_DEGREE,
+    element_blocks,
     physical_points,
     segment_rule,
     side_points,
@@ -84,22 +86,38 @@ def square10():
     return structured_square_mesh(10, tg_labeler)
 
 
+def block_pi0(f, mesh, degree=VOLUME_DEGREE):
+    """`pi0` of a callable f on every element of mesh, from f's values at
+    the rule's points one `element_blocks` block at a time."""
+    return np.concatenate([pi0(f(b.points), degree) for b in element_blocks(mesh, degree)])
+
+
+def block_oscillation(f, f_h, big_f, big_f_h, mesh, degree=VOLUME_DEGREE):
+    """`oscillation_indicator` of callables f and F (None: absent) on every
+    element of mesh, from their values one `element_blocks` block at a time."""
+    def at(g, block):
+        return None if g is None else g(block.points)
+
+    return np.concatenate([oscillation_indicator(at(f, b), f_h, at(big_f, b), big_f_h, b)
+                           for b in element_blocks(mesh, degree)])
+
+
 class TestProjections:
     def test_pi0_constant(self, square10):
         f = lambda x: np.full(x.shape[:-1], 3.25)
-        assert np.allclose(pi0(f, square10), 3.25, atol=1e-14)
+        assert np.allclose(block_pi0(f, square10), 3.25, atol=1e-14)
 
     def test_pi0_linear_reference(self):
         mesh = build_triangulation(
             [(0, 0), (1, 0), (0, 1)], [(0, 1, 2)], lambda m: DIRICHLET
         )
-        val = pi0(lambda x: x[..., 0], mesh)[0]
+        val = block_pi0(lambda x: x[..., 0], mesh)[0]
         assert val == pytest.approx(1.0 / 3.0, abs=1e-14)
 
     def test_pi0_matches_oracle(self, square10):
         f = lambda x: np.sin(np.pi * x[..., 0])
-        ours = pi0(f, square10, degree=10)
-        oracle = pi0(f, square10, degree=ORACLE_DEGREE)
+        ours = block_pi0(f, square10, degree=10)
+        oracle = block_pi0(f, square10, degree=ORACLE_DEGREE)
         assert np.abs(ours - oracle).max() < 1e-10
 
     def test_pi_side_constant_and_linear(self, square10):
@@ -131,7 +149,7 @@ class TestCRInterpolation:
     def test_gradient_preservation(self, square10):
         icr = cr_interpolate(trig_velocity, square10)
         lhs = broken_gradient(icr)
-        rhs = pi0(trig_velocity_grad, square10, degree=ORACLE_DEGREE)
+        rhs = block_pi0(trig_velocity_grad, square10, degree=ORACLE_DEGREE)
         assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_divergence_preservation_divfree(self, square10):
@@ -218,7 +236,7 @@ class TestRT:
             return -2.0 * nu * pi**2 * u - gp
 
         tau = rt_interpolate(stress, square10)
-        target = pi0(div_stress, square10, degree=ORACLE_DEGREE)
+        target = block_pi0(div_stress, square10, degree=ORACLE_DEGREE)
         assert np.abs(tau.divergence(MeshOperators(square10)) - target).max() < 1e-10
 
 
