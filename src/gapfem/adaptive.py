@@ -233,9 +233,9 @@ def run_adaptive(problem, config):
         records.append(record)
         if total < config.eps_stop or len(marked) == 0:
             break
-        # free this level's solution before the refinement; the old mesh
-        # and its cached fields go once the refined mesh replaces it, which
-        # keeps only a compact copy of their rows at the copied elements
+        # free this level's solution before the refinement, which takes the
+        # mesh's row entries out and keeps a compact copy of the rows it
+        # carries; the rest of the old mesh's cache goes with the old mesh
         del sol, stress
         if k < config.max_iter:
             mesh = refine_marked_twice(mesh, marked)
@@ -248,9 +248,8 @@ def identity_rows(problem, levels, seeds, seed_offset=0, tamper=False):
     rows = []
     for level in range(1, levels + 1):
         # the level's solution, with its system, is freed on return, before
-        # the refinement; the old mesh and its cached fields go as soon as
-        # the refined mesh replaces it (every element is bisected, so no
-        # field rows are carried over)
+        # the refinement, which takes the mesh's row entries out (it bisects
+        # every element and side, so no rows reach the next level)
         rows += _identity_level(problem, mesh, level, seeds, seed_offset, tamper)
         if level < levels:
             mesh = refine_marked_twice(mesh, range(mesh.num_elements))
@@ -265,8 +264,7 @@ def _identity_level(problem, mesh, level, seeds, seed_offset, tamper):
     sol = discretize_stokes(problem, mesh)
     errs = exact_errors(sol, problem)
     # the exact errors are the last readers of the bundle's broken gradient
-    # and of the mesh's degree-10 field values: uniform refinement carries
-    # no rows of them to the next mesh
+    # and of the mesh's degree-10 field values, so both go before the samples
     system, u_h, t_h = sol.system, sol.u_h, sol.t_h
     del sol
     for f in (problem.grad_u, problem.p):

@@ -81,9 +81,10 @@ def _equilibrate(system, p0_part, terms, cause):
     mean|, is the interior jump: AdmissibilityError, naming `cause`, is
     raised if it exceeds JUMP_TOL times the size of the terms summed into
     the table, and it is recorded, as an absolute value, as
-    `reconstruction_jump` on the returned field.  That size is the largest
-    slope term plus the larger of the largest entry of p0_part - F_h and
-    `terms`, the caller's size of the terms of p0_part before they cancel.
+    `reconstruction_jump` on the returned field, and the size as
+    `term_size`.  That size is the largest slope term plus the larger of the
+    largest entry of p0_part - F_h and `terms`, the caller's size of the
+    terms of p0_part before they cancel.
     """
     mesh = system.mesh
     ne, ns = mesh.num_elements, mesh.num_sides
@@ -109,7 +110,7 @@ def _equilibrate(system, p0_part, terms, cause):
             f"(interior jumps {jump:.3e}, terms up to {size:.3e})"
         )
     field = RTField(mesh, np.ascontiguousarray(flux.T))
-    field.reconstruction_jump = jump
+    field.reconstruction_jump, field.term_size = jump, size
     return field
 
 
@@ -339,9 +340,10 @@ class StokesSolution:
         self.solve_report = solve_report
 
     def optimality_residual(self):
-        """Max |dev Pi_h T_h - nu grad_h(u_h + u_hat)| over elements."""
+        """Max |dev Pi_h T_h - nu grad_h(u_h + u_hat)| over elements, relative
+        to the size of the terms summed into T_h's fluxes (`term_size`)."""
         devavg = _dev_average(self.system.ops, self.t_h, self.system.big_f_h)
-        return float(np.abs(devavg - self.nu * self.grad_h).max())
+        return float(_relative(np.abs(devavg - self.nu * self.grad_h).max(), self.t_h.term_size))
 
 
 class ElasticitySolution:
@@ -366,10 +368,12 @@ class ElasticitySolution:
         self.solve_report = solve_report
 
     def optimality_residual(self):
-        """Max |Pi_h sigma* - C eps_h(u_h+u_hat) - grad_h r_h| over elements."""
+        """Max |Pi_h sigma* - C eps_h(u_h+u_hat) - grad_h r_h| over elements,
+        relative to the size of the terms summed into sigma*'s fluxes before
+        lambda tr eps cancels (`term_size`)."""
         avg = self.sigma_star.cell_average(self.system.ops)
         target = self.material.apply(sym(self.grad_h)) + self.grad_r
-        return float(np.abs(avg - target).max())
+        return float(_relative(np.abs(avg - target).max(), self.sigma_star.term_size))
 
 
 # -- continuous-level indicators ---------------------------------------------------

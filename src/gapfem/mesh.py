@@ -17,9 +17,6 @@ INTERIOR = 0
 DIRICHLET = 1
 NEUMANN = 2
 
-# the cache entries whose element or side rows `refine_bisection` carries
-_ELEMENT_ROWS, _SIDE_ROWS = ("rule_values", "projection"), ("lift", "tractions")
-
 
 class MeshError(Exception):
     """Invalid mesh input: non-conforming, overlapping, degenerate, unlabeled,
@@ -79,7 +76,9 @@ class Triangulation:
         self.areas = areas
 
         self._build_sides(boundary_labels)
-        self._cache = {}
+        # the one per-mesh cache; its row entries also have a row kind (True:
+        # one row per side) and may wait as the rows a refinement carried
+        self._cache, self._row_kind, self._carried = {}, {}, {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -196,40 +195,48 @@ class Triangulation:
     def cached(self, key, build):
         """Value of build() for `key`, computed once per mesh.
 
-        The one per-mesh cache: geometry, the RT element factors (of
-        `spaces.RTField` and the RT operators), the analytic field values of
-        `quadrature.rule_values` (no package code fills the
-        `quadrature.physical_points` entry: quadrature points are formed
-        one element block at a time and not cached), the element rows of f_h, F_h and the oscillation that
-        `problems.project_data` forms, and the solution's lift and g_h live
-        here.  The values of the loads f and F are not cached:
-        `project_data` reads them once, one element block at a time.
-
-        A mesh made by `refine_bisection` may also hold, under
-        ("carried",) + key, the rows (indices, values) of its parent's
-        ("rule_values", f, degree) or ("projection", f, F) array at the
-        elements copied with their vertex row unchanged, and of its
-        ("lift", u, stream) or ("tractions", g) array at the sides left
-        whole.  Their points are the parent's bit for bit, so the data are
-        evaluated only on the other elements or sides; the entry is dropped.
+        The one per-mesh cache: geometry, the RT element factors and the
+        arrays of `cached_rows` live here.
         """
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
 
-    def __contains__(self, key):
-        return key in self._cache
+    def cached_rows(self, keys, sides, build):
+        """The read-only arrays cached under keys, each with one row per side
+        (sides true) or per element.
+
+        A mesh made by `refine_bisection` holds the rows of each such entry
+        of its parent at the elements and sides the refinement did not
+        change, which are the parent's bit for bit.  For the missing keys,
+        build(fresh) is called once, with the index array fresh of the rows
+        that some missing key was not carried.  It returns one array per key
+        (the present keys' are ignored), with a row per side or element,
+        that holds the key's values at least at fresh; the carried rows are
+        written over the others.  If every row is carried, build is not
+        called.
+        """
+        missing = [i for i, key in enumerate(keys) if key not in self._cache]
+        if missing:
+            n = self.num_sides if sides else self.num_elements
+            carried = [self._carried.pop(keys[i], (np.arange(0), None)) for i in missing]
+            counts = np.bincount(np.concatenate([rows for rows, _ in carried]), minlength=n)
+            fresh = np.flatnonzero(counts < len(missing))
+            built = build(fresh) if len(fresh) else None
+            for i, (rows, values) in zip(missing, carried):
+                out = np.empty((n,) + values.shape[1:]) if built is None else built[i]
+                if values is not None:
+                    out[rows] = values
+                out.flags.writeable = False
+                self._cache[keys[i]], self._row_kind[keys[i]] = out, sides
+        return tuple(self._cache[key] for key in keys)
 
     def pop_cached(self, key):
-        """Remove the cache entry for `key` and return it (None if absent)."""
+        """Remove the cache entry for `key`, with its row kind and carried
+        rows, and return it (None if absent)."""
+        self._row_kind.pop(key, None)
+        self._carried.pop(key, None)
         return self._cache.pop(key, None)
-
-    def pop_carried(self, key, out, fresh):
-        """Move the rows carried for `key` into out, clear them in the mask fresh."""
-        carried = self.pop_cached(("carried",) + key)
-        if carried is not None:
-            out[carried[0]] = carried[1]
-            fresh[carried[0]] = False
 
     def geometry(self):
         """Per-element/per-side geometric arrays, computed once per mesh.
@@ -388,17 +395,15 @@ def refine_bisection(mesh, marked):
 
     A copy keeps its parent's vertex row only where the parent's
     refinement edge was local edge 0; otherwise the row is rotated to put
-    that edge first.  Only copies of the first kind share their parent's
-    quadrature points bit for bit, so only their rows of the parent's
-    `quadrature.rule_values` and `problems.project_data` arrays pass to the
-    refined mesh's cache (see `Triangulation.cached`).  Every mesh this function returns has
-    refinement edge 0 throughout, so copies are rotated only in the first
-    refinement of a mesh built otherwise, such as Cook's initial
-    `build_triangulation` mesh (longest edges first).
+    that edge first.  Every mesh this function returns has refinement edge
+    0 throughout, so copies are rotated only in the first refinement of a
+    mesh built otherwise, such as Cook's initial `build_triangulation` mesh
+    (longest edges first).  A side left whole keeps its endpoints, in order
+    (its lower element's children keep the lower indices).
 
-    A side left whole keeps its endpoints, in order (its lower element's
-    children keep the lower indices), so its rows of the parent's lift and
-    g_h pass on too.  `refine_marked_twice` of every element keeps no side.
+    Every `Triangulation.cached_rows` entry leaves the parent's cache.  Its
+    rows at the unrotated copies or at the sides left whole, whose data are
+    the parent's bit for bit, wait on the refined mesh for `cached_rows`.
     """
     marked = np.unique(np.asarray(marked, dtype=np.int64))
     if marked.size and (marked[0] < 0 or marked[-1] >= mesh.num_elements):
@@ -474,44 +479,34 @@ def refine_bisection(mesh, marked):
     ])
     labels = np.concatenate([labels, labels[halved]])
 
-    new_mesh = Triangulation(new_vertices, new_elems, refinement_edge, (pairs, labels))
+    # take each row entry out of the parent, gathered at the rows that pass
+    # on, so that the parent's whole arrays go before the refined mesh is built
+    copy_to = np.where(~split_ab & (mesh.refinement_edge == 0), first, -1)
+    passing = []
+    for key, by_side in mesh._row_kind.items():
+        values = mesh._cache.pop(key, None)
+        rows, values = (mesh._carried.pop(key) if values is None
+                        else (np.arange(len(values)), values))
+        keep = ~edge_marked[rows] if by_side else copy_to[rows] >= 0
+        passing.append((key, by_side, rows[keep], values[keep]))
+    mesh._row_kind.clear()
 
-    # carry each field's rows (of a full or a still carried array) at the
-    # unrotated copies and the unbisected sides, gathered so the parent's
-    # arrays die with the parent
-    copied, whole_to = np.where(~split_ab & (mesh.refinement_edge == 0), first, -1), None
-    for key, value in mesh._cache.items():
-        if key[0] == "carried":
-            rows, values = value
-        elif key[0] in _ELEMENT_ROWS + _SIDE_ROWS:
-            rows, values, key = np.arange(len(value)), value, ("carried",) + key
-        else:
-            continue
-        if key[1] in _SIDE_ROWS and whole_to is None:
-            # a whole side keeps its sorted endpoint key, which orders the
-            # sides: one search maps them all, for every side-row entry
-            whole, whole_to = np.flatnonzero(~edge_marked), np.full(mesh.num_sides, -1)
-            (a, b), (c, d) = mesh.side_vertices[whole].T, new_mesh.side_vertices.T
-            n = len(new_vertices)
-            whole_to[whole] = np.searchsorted(np.minimum(c, d) * n + np.maximum(c, d),
-                                              np.minimum(a, b) * n + np.maximum(a, b))
-        to = (whole_to if key[1] in _SIDE_ROWS else copied)[rows]
-        keep = to >= 0
-        if keep.any():
-            new_mesh._cache[key] = (to[keep], values[keep])
+    new_mesh = Triangulation(new_vertices, new_elems, refinement_edge, (pairs, labels))
+    if passing:
+        # a whole side keeps its sorted endpoint key, which orders the sides
+        (a, b), (c, d), n = mesh.side_vertices.T, new_mesh.side_vertices.T, len(new_vertices)
+        side_to = np.searchsorted(np.minimum(c, d) * n + np.maximum(c, d),
+                                  np.minimum(a, b) * n + np.maximum(a, b))
+    for key, by_side, rows, values in passing:
+        if len(rows):
+            new_mesh._carried[key] = ((side_to if by_side else copy_to)[rows], values)
+            new_mesh._row_kind[key] = by_side
     return new_mesh, parent_map
 
 
 def refine_marked_twice(mesh, marked):
-    """Two newest-vertex bisection generations of the marked elements; with
-    every element marked, every side is bisected, so the mesh's lift and g_h
-    leave its cache first, to die with their solution."""
-    if len(marked) == mesh.num_elements:
-        for key in [k for k in mesh._cache if k[0] in _SIDE_ROWS
-                    or k[0] == "carried" and k[1] in _SIDE_ROWS]:
-            del mesh._cache[key]
+    """Two newest-vertex bisection generations of the marked elements."""
     mesh1, pmap1 = refine_bisection(mesh, marked)
     marked2 = [c for t in marked for c in pmap1[t]]
     mesh2, _ = refine_bisection(mesh1, marked2)
     return mesh2
-

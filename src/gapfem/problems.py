@@ -33,7 +33,7 @@ from .mesh import (
     refine_marked_twice,
     structured_square_mesh,
 )
-from .quadrature import (SIDE_POINTS, VOLUME_DEGREE, _frozen, element_blocks,
+from .quadrature import (SIDE_POINTS, VOLUME_DEGREE, element_blocks,
                          joint_rule_values, rule_values, segment_rule, side_points,
                          triangle_rule)
 from .spaces import (
@@ -490,31 +490,30 @@ def get_problem(name):
 
 
 def interpolate_lift(problem, mesh):
-    """The lift's `cr_interpolate`, cached on the mesh (the solution holds the
-    array): u is averaged only over the sides a refinement did not carry."""
+    """The lift's `cr_interpolate`, a side-row entry of `mesh.cached_rows`
+    (the solution holds the array): u is averaged only over the sides whose
+    rows a refinement did not carry."""
     key = ("lift", problem.u, problem.lift_stream)
-    return CRField(mesh, mesh.cached(key, lambda: _frozen(cr_interpolate(
-        problem.u, mesh, problem.lift_stream, mesh.pop_cached(("carried",) + key)).values)))
+    return CRField(mesh, mesh.cached_rows([key], True, lambda fresh: [cr_interpolate(
+        problem.u, mesh, problem.lift_stream, fresh).values])[0])
 
 
 def side_tractions(problem, mesh):
     """Side-wise constant tractions g_h = pi_h(g(., n)) on Neumann sides, zero
-    elsewhere, cached on the mesh like the lift: g is evaluated only on the
-    Neumann sides a refinement did not carry."""
+    elsewhere, a side-row entry of `mesh.cached_rows` like the lift: g is
+    evaluated only on the Neumann sides whose rows a refinement did not carry."""
     if problem.g is None:
         return None
 
-    def build():
-        g_h, fresh = np.zeros((mesh.num_sides, 2)), mesh.side_labels == NEUMANN
-        mesh.pop_carried(("tractions", problem.g), g_h, fresh)
-        neumann = np.flatnonzero(fresh)
+    def build(fresh):
+        g_h, neumann = np.zeros((mesh.num_sides, 2)), fresh[mesh.side_labels[fresh] == NEUMANN]
         t, w = segment_rule(SIDE_POINTS)
         pts = side_points(mesh, t, sides=neumann)
         nrm = mesh.geometry()["side_normal"][neumann][:, None, :] + np.zeros_like(pts)
         g_h[neumann] = np.einsum("q,sqi->si", w, problem.g(pts, nrm))
-        return _frozen(g_h)
+        return [g_h]
 
-    return mesh.cached(("tractions", problem.g), build)
+    return mesh.cached_rows([("tractions", problem.g)], True, build)[0]
 
 
 def project_data(problem, mesh):
@@ -522,19 +521,17 @@ def project_data(problem, mesh):
     g_h and the data oscillation (`oscillation_indicator`), in one pass over
     `element_blocks` that evaluates f and F once per element.
 
-    The element rows of f_h, F_h and the oscillation are one array, cached
-    on the mesh under ("projection", f, F), so that `mesh.refine_bisection`
-    carries the rows of the elements it copies with their vertex row
-    unchanged, as it does for `quadrature.rule_values`: their points, and so
-    their rows, are the parent's bit for bit, and f and F are evaluated only
-    at the other elements.  The returned arrays are read-only views of it.
+    The element rows of f_h, F_h and the oscillation are one element-row
+    entry of `mesh.cached_rows`, so f and F are evaluated only at the
+    elements whose rows a refinement did not carry.  The returned arrays are
+    read-only views of it.
     """
     ne = mesh.num_elements
     g_h = side_tractions(problem, mesh)
     if problem.f is None and problem.big_f is None:
         return None, None, g_h, np.zeros(ne)
-    data = mesh.cached(("projection", problem.f, problem.big_f),
-                       lambda: _projected_rows(problem, mesh))
+    data = mesh.cached_rows([("projection", problem.f, problem.big_f)], False,
+                            lambda fresh: [_projected_rows(problem, mesh, fresh)])[0]
     return (*_projection_views(problem, data), g_h, data[:, -1])
 
 
@@ -546,23 +543,20 @@ def _projection_views(problem, data):
     return f_h, big_f_h
 
 
-def _projected_rows(problem, mesh):
-    """The ("projection", f, F) array of `project_data`: the carried rows,
-    and f and F evaluated block by block at the other elements."""
+def _projected_rows(problem, mesh, fresh):
+    """A ("projection", f, F) array of `project_data` whose rows fresh hold
+    f_h, F_h and the oscillation, f and F evaluated block by block."""
     ne = mesh.num_elements
     data = np.empty((ne, 1 + 2 * (problem.f is not None) + 4 * (problem.big_f is not None)))
     f_h, big_f_h = _projection_views(problem, data)
-    fresh = np.ones(ne, dtype=bool)
-    mesh.pop_carried(("projection", problem.f, problem.big_f), data, fresh)
-    rows = None if fresh.all() else np.flatnonzero(fresh)
-    for block in element_blocks(mesh, VOLUME_DEGREE, rows):
+    for block in element_blocks(mesh, VOLUME_DEGREE, None if len(fresh) == ne else fresh):
         fv, big_fv = (None if f is None else np.asarray(f(block.points), dtype=float)
                       for f in (problem.f, problem.big_f))
         for values, out in ((fv, f_h), (big_fv, big_f_h)):
             if values is not None:
                 out[block.rows] = pi0(values)
         data[block.rows, -1] = oscillation_indicator(fv, f_h, big_fv, big_f_h, block)
-    return _frozen(data)
+    return data
 
 
 def discretize_stokes(problem, mesh):

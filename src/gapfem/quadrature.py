@@ -149,37 +149,30 @@ def rule_values(f, mesh, degree):
     callables (the `ProblemSpec` fields), not closures built per call.
 
     f must be pointwise: its value at a point may not depend on the other
-    points of the array.  The rows of elements that `mesh.refine_bisection`
-    copied with their vertex row unchanged are taken from the parent mesh's
-    array (its "carried" cache entry, dropped here); those points are the
-    parent's bit for bit, so the rows equal a fresh evaluation exactly, and
-    f is evaluated only at the points of the other elements.  Several fields
-    from one evaluator fill their entries in one pass: `joint_rule_values`.
+    points of the array.  The array is one element-row entry of
+    `mesh.cached_rows`, so f is evaluated only at the elements whose rows a
+    refinement did not carry.  Several fields from one evaluator fill their
+    entries in one pass: `joint_rule_values`.
     """
     return joint_rule_values((f,), lambda x: (f(x),), mesh, degree)[0]
 
 
 def joint_rule_values(fs, joint, mesh, degree):
     """The `rule_values` of each callable of fs, the missing ones from one
-    pass over the element blocks not carried for all of them: joint maps a
-    point array to the tuple of the fs' values, each bit for bit its f's."""
-    ne, keys = mesh.num_elements, [("rule_values", f, degree) for f in fs]
-    missing = [i for i, key in enumerate(keys) if key not in mesh]
-    out, fresh = {}, np.zeros(ne, dtype=bool)
-    for i in missing:
-        rows, values = mesh.pop_cached(("carried",) + keys[i]) or ((), None)
-        fresh |= ~np.isin(np.arange(ne), rows)
-        if values is not None:
-            out[i] = np.empty((ne,) + values.shape[1:])
-            out[i][rows] = values
-    for block in element_blocks(mesh, degree, np.flatnonzero(fresh)):
-        for i, new in enumerate(joint(block.points)):
-            if i in missing:
-                new = np.asarray(new, dtype=float)
-                if i not in out:
-                    out[i] = np.empty((ne,) + new.shape[1:])
-                out[i][block.rows] = new
-    return tuple(mesh.cached(key, lambda: _frozen(out[i])) for i, key in enumerate(keys))
+    pass of joint over the element blocks of the rows not carried for all
+    of them: joint maps a point array to the tuple of the fs' values, each
+    bit for bit its f's."""
+
+    def build(fresh):
+        out = None
+        for block in element_blocks(mesh, degree, fresh):
+            new = [np.asarray(v, dtype=float) for v in joint(block.points)]
+            out = out or [np.empty((mesh.num_elements,) + v.shape[1:]) for v in new]
+            for o, v in zip(out, new):
+                o[block.rows] = v
+        return out
+
+    return mesh.cached_rows([("rule_values", f, degree) for f in fs], False, build)
 
 
 def side_points(mesh, tpoints, sides=None):

@@ -195,7 +195,7 @@ def side_averages(f, mesh, sides=None):
     return np.einsum("q,sq...->s...", w, vals)
 
 
-def cr_interpolate(v, mesh, stream=None, known=None):
+def cr_interpolate(v, mesh, stream=None, sides=None):
     """Canonical CR interpolant: side DOF = side average of v.
 
     With a scalar stream function, v = (d2 stream, -d1 stream), it is
@@ -204,21 +204,16 @@ def cr_interpolate(v, mesh, stream=None, known=None):
     differences of the stream, so the broken divergence vanishes to
     roundoff even for fields that quadrature does not capture well.
 
-    known, rows (sides, values) known already, such as those a refinement
-    carries, are taken as given and v is averaged only over the other sides,
-    whose rows stay bit for bit a full call's: a row of D reads only its own
-    side's tangential part, and the stream is evaluated at every vertex.
+    With an index array sides, v is averaged over those sides only, and only
+    their rows are bit for bit a full call's (a row of D reads only its own
+    side's tangential part; the stream is evaluated at every vertex).
     """
-    ns = mesh.num_sides
-    rows = slice(None) if known is None else np.flatnonzero(~np.isin(np.arange(ns), known[0]))
-    values = np.zeros((ns, 2))
-    values[rows] = side_averages(v, mesh, rows)
+    values = np.zeros((mesh.num_sides, 2))
+    values[slice(None) if sides is None else sides] = side_averages(v, mesh, sides)
     if stream is not None:
         tang = np.einsum("si,si->s", values, mesh.geometry()["side_tangent"])
         phi = np.asarray(stream(mesh.vertices), dtype=float)
         values = (divfree_cr_operator(mesh) @ np.concatenate([phi, tang])).reshape(2, -1).T
-    if known is not None:
-        values[known[0]] = known[1]
     return CRField(mesh, values)
 
 

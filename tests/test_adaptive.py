@@ -406,7 +406,7 @@ def test_level4_degree10_arrays_stay_in_blocks():
 
 
 def _carried_keys(mesh):
-    return [k for k in mesh._cache if k[0] == "carried"]
+    return list(mesh._carried)
 
 
 def test_lshape_evaluates_fields_only_on_fresh_elements(monkeypatch):
@@ -648,7 +648,7 @@ def test_parent_field_array_dies_with_the_parent():
     mesh = prob.mesh_factory()
     parent_values = weakref.ref(rule_values(prob.grad_u, mesh, VOLUME_DEGREE))
     child = refine_marked_twice(mesh, [0])
-    assert _carried_keys(child) == [("carried", "rule_values", prob.grad_u, VOLUME_DEGREE)]
+    assert _carried_keys(child) == [("rule_values", prob.grad_u, VOLUME_DEGREE)]
     del mesh
     gc.collect()
     assert parent_values() is None
@@ -671,7 +671,7 @@ def test_cook_carries_nothing(monkeypatch):
     prob = cook_membrane()
     monkeypatch.setattr(adaptive, "refine_marked_twice", refine)
     run_adaptive(prob, AdaptiveConfig(theta=0.5, max_iter=3))
-    sides = [("carried", "lift", prob.u, None), ("carried", "tractions", prob.g)]
+    sides = [("lift", prob.u, None), ("tractions", prob.g)]
     assert carried == [sides, sides]
 
 

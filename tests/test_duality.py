@@ -251,7 +251,8 @@ class TestScaleFreeChecks:
 def test_nearly_incompressible_cook(lam):
     """Cook's membrane with mu = 1 and Poisson ratios up to 1 - 5e-11: the
     elasticity jump check measures the reconstruction's roundoff against
-    the terms before lambda tr eps cancels, so 13 adaptive steps run, and a
+    the terms before lambda tr eps cancels, so 13 adaptive steps run, the
+    optimality residual relative to those terms stays at roundoff, and a
     solution perturbed in one DOF is still refused."""
     from gapfem.adaptive import AdaptiveConfig, run_adaptive
     from gapfem.forms import SOLVE_TOL
@@ -261,6 +262,7 @@ def test_nearly_incompressible_cook(lam):
     records = run_adaptive(prob, AdaptiveConfig(theta=0.5, max_iter=13)).records
     assert len(records) == 13
     assert max(r.backward_error for r in records) <= SOLVE_TOL
+    assert max(r.optimality_residual for r in records) <= 1e-10
     mesh = prob.mesh_factory()
     sol = discretize_elasticity(prob, mesh)
     values = sol.u_h.values.copy()

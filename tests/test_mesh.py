@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -700,7 +703,7 @@ def test_carried_rule_values_match_fresh_evaluation(name, seed, steps):
         for f in CARRY_FIELDS:
             fresh = np.asarray(f(points), dtype=float)
             assert np.array_equal(rule_values(f, mesh, VOLUME_DEGREE), fresh)
-            assert ("carried", "rule_values", f, VOLUME_DEGREE) not in mesh._cache
+            assert ("rule_values", f, VOLUME_DEGREE) not in mesh._carried
 
     for fraction, evaluate, twice in steps:
         if evaluate:
@@ -756,10 +759,10 @@ def test_carried_side_rows_match_fresh_evaluation(name, seed, steps):
         for prob in (_TG, _LSHAPE, _COOK):
             lift = interpolate_lift(prob, mesh).values
             assert np.array_equal(lift, interpolate_lift(prob, fresh).values)
-            assert ("carried", "lift", prob.u, prob.lift_stream) not in mesh._cache
+            assert ("lift", prob.u, prob.lift_stream) not in mesh._carried
         for prob in (_TG, _COOK):
             assert np.array_equal(side_tractions(prob, mesh), side_tractions(prob, fresh))
-            assert ("carried", "tractions", prob.g) not in mesh._cache
+            assert ("tractions", prob.g) not in mesh._carried
 
     kept = 0
     for fraction, evaluate, twice in steps:
@@ -801,7 +804,7 @@ def test_carried_projections_match_fresh_projection(name, seed, steps):
             fresh = project_data(prob, _cache_free(mesh))
             for got, want in zip(project_data(prob, mesh), fresh):
                 assert (got is None and want is None) or np.array_equal(got, want)
-            assert ("carried", "projection", prob.f, prob.big_f) not in mesh._cache
+            assert ("projection", prob.f, prob.big_f) not in mesh._carried
 
     for fraction, evaluate, twice in steps:
         if evaluate:
@@ -813,3 +816,88 @@ def test_carried_projections_match_fresh_projection(name, seed, steps):
         else:
             mesh, _ = refine_bisection(mesh, marked)
     check(mesh)
+
+
+# one maker per row kind: the arrays that kind's entries of a mesh hold;
+# `project_data` also fills the g_h entry of the "tractions" kind
+ROW_KINDS = {
+    "rule_values": lambda mesh: [rule_values(f, mesh, VOLUME_DEGREE) for f in CARRY_FIELDS],
+    "projection": lambda mesh: [a for prob in (_TG, _TG_TENSOR)
+                                for i, a in enumerate(project_data(prob, mesh))
+                                if i != 2 and a is not None],
+    "lift": lambda mesh: [interpolate_lift(prob, mesh).values for prob in (_TG, _LSHAPE, _COOK)],
+    "tractions": lambda mesh: [side_tractions(prob, mesh) for prob in (_TG, _COOK)],
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CARRY_MESHES)),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(
+        st.tuples(st.floats(0.0, 0.3), st.sets(st.sampled_from(sorted(ROW_KINDS))),
+                  st.booleans()),
+        min_size=1, max_size=3,
+    ),
+)
+def test_every_row_kind_matches_fresh_evaluation(name, seed, steps):
+    """The row entries of all four kinds (`rule_values` of Taylor-Green's and
+    the L-shape's grad u, p and f, the projection, the lift and g_h) read on
+    a refined mesh equal, bit for bit, an evaluation on a cache-free copy,
+    and a read leaves no rows of its entries waiting.
+
+    Each step reads some of the kinds on the current mesh, then refines it
+    by one or two bisection generations, so carried rows of one kind pass
+    through meshes that read only other kinds."""
+    mesh = CARRY_MESHES[name](seed)
+    rng = np.random.default_rng(seed)
+
+    def check(mesh, kinds):
+        fresh = _cache_free(mesh)
+        for kind in kinds:
+            for got, want in zip(ROW_KINDS[kind](mesh), ROW_KINDS[kind](fresh), strict=True):
+                assert np.array_equal(got, want) and not got.flags.writeable
+        assert not [key for key in mesh._carried if key[0] in kinds]
+
+    for fraction, kinds, twice in steps:
+        check(mesh, kinds)
+        size = max(1, round(fraction * mesh.num_elements))
+        marked = rng.choice(mesh.num_elements, size=size, replace=False)
+        if twice:
+            mesh = refine_marked_twice(mesh, marked)
+        else:
+            mesh, _ = refine_bisection(mesh, marked)
+    check(mesh, ROW_KINDS)
+
+
+# the cache keys that other modules own
+FOREIGN_KEYS = {"rule_values", "projection", "lift", "tractions"}
+# the mesh's private stores
+STORE = {"_cache", "_row_kind", "_carried"}
+
+
+def _store_breaches(name, source):
+    """(line, what) of each access to a mesh store outside mesh.py, and of each
+    string constant in mesh.py that names a key another module owns."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if name != "mesh.py" and isinstance(node, ast.Attribute) and node.attr in STORE:
+            found.append((node.lineno, node.attr))
+        elif (name == "mesh.py" and isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and node.value in FOREIGN_KEYS):
+            found.append((node.lineno, node.value))
+    return found
+
+
+def test_only_the_mesh_touches_its_cache():
+    """No gapfem module but mesh.py reads or writes the mesh's cache, and
+    mesh.py names no key of another module: a refinement carries every row
+    entry without knowing its owner."""
+    assert sorted(_store_breaches("problems.py", "mesh._cache.pop(k)\nx = m._carried")) == [
+        (1, "_cache"), (2, "_carried")]
+    assert _store_breaches("mesh.py", 'ROWS = ("lift", "geometry")\nself._cache = {}') == [
+        (1, "lift")]
+    package = sorted(pathlib.Path(gapfem_mesh.__file__).parent.glob("*.py"))
+    found = [(p.name, *breach) for p in package
+             for breach in _store_breaches(p.name, p.read_text())]
+    assert found == []

@@ -480,7 +480,7 @@ def lshape_refined_with_carried_rows():
         sol = discretize_stokes(prob, mesh)
         gap, osc, _ = _estimate(prob, mesh, sol)
         mesh = refine_marked_twice(mesh, mark_max(gap + osc, 0.5))
-    assert [k for k in mesh._cache if k[0] == "carried"]
+    assert mesh._carried
     return prob, mesh
 
 
@@ -527,7 +527,7 @@ def test_joint_pass_equals_separate_fields(factory, monkeypatch):
             assert np.array_equal(mesh._cache[("rule_values", f, 10)], f(pts))
         gap, osc, _ = _estimate(prob, mesh, sol)
         mesh = refine_marked_twice(mesh, mark_max(gap + osc, 0.5))
-        assert ("carried", "rule_values", prob.p, 10) in mesh._cache
+        assert ("rule_values", prob.p, 10) in mesh._carried
 
 
 def test_lshape_joint_evaluator_equals_separate_fields():
